@@ -11,12 +11,12 @@ czz(zeta) = c(i zeta) c(-i zeta) controls the meromorphic continuation of the
 resolvent: its zeros in the upper half-plane are the resonances, and on the
 real axis 1/czz is the Plancherel density of the spherical transform.
 
-Gamma evaluations go through a Lanczos approximation (g = 607/128, 15 terms)
-with reflection for Re z < 1/2.  At nonpositive-integer arguments the Gamma
-factors are replaced by their local Laurent/Taylor data, so that values,
+Gamma evaluations go through ``scipy.special`` (``loggamma`` and ``psi``).
+At nonpositive-integer arguments the Gamma factors are replaced by their
+exact local Laurent/Taylor data, carried in log space, so that values,
 derivatives and zero/pole orders of c stay exact at the points where numerator
 and denominator poles collide (these are exactly the points the resonance and
-residue formulas need).
+residue formulas need), and stay finite at any resonance index.
 """
 
 from __future__ import annotations
@@ -25,42 +25,25 @@ import cmath
 import math
 from functools import lru_cache
 
-from .errors import PoleSignal
+from scipy.special import loggamma, psi
+
+from .errors import NonFiniteInputError, PoleSignal
 from .space import RankOneSpace
 
 _LN2 = math.log(2.0)
-_LOG_PI = math.log(math.pi)
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-# log(i/2), the constant entering the unwound logarithm of sin(pi z)
-_LOG_HALF_I = complex(-_LN2, 0.5 * math.pi)
-_EULER = 0.5772156649015328606065120900824024
 
 _INT_TOL = 1e-12
 
-# Lanczos coefficients for g = 607/128 (Godfrey's 15-term set).
-_LANCZOS_G = 4.7421875
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
 
 def _nonpos_int(w, tol=_INT_TOL):
-    """Return m >= 0 if w is within tol of the nonpositive integer -m."""
+    """Return m >= 0 if w is within tol of the nonpositive integer -m.
+
+    Every argument of the c-function passes through here, so this is also
+    where non-finite input is refused.
+    """
     w = complex(w)
+    if not cmath.isfinite(w):
+        raise NonFiniteInputError(f"c-function argument {w} is not finite")
     if abs(w.imag) > tol:
         return None
     m = round(w.real)
@@ -69,96 +52,23 @@ def _nonpos_int(w, tol=_INT_TOL):
     return -m
 
 
-def _expm1c(w):
-    """exp(w) - 1 for complex w, accurate near w = 0."""
-    if abs(w) > 0.25:
-        return cmath.exp(w) - 1.0
-    term = w
-    total = w
-    k = 1
-    while abs(term) > 1e-20 * max(1.0, abs(total)):
-        k += 1
-        term *= w / k
-        total += term
-    return total
-
-
-def _lanczos_log(z):
-    # valid for Re z >= 0.5
-    zz = z - 1.0
-    x = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        x += _LANCZOS_C[k] / (zz + k)
-    t = zz + _LANCZOS_G + 0.5
-    return _HALF_LOG_2PI + (zz + 0.5) * cmath.log(t) - t + cmath.log(x)
-
-
-def _log_sin_pi(z):
-    """Analytic branch of log sin(pi z) on Im z >= 0 that keeps the
-    reflection formula for log-Gamma on the principal branch."""
-    k = math.floor(z.real + 0.5)
-    dz = z - k  # exact; e^{2 i pi z} = e^{2 i pi dz}
-    one_minus_exp = -_expm1c(2j * math.pi * dz)
-    return -1j * math.pi * z + _LOG_HALF_I + cmath.log(one_minus_exp)
-
-
 def log_gamma(z):
     """Principal branch of log Gamma on C minus the poles {0, -1, -2, ...}.
 
-    Raises PoleSignal at the poles.  Accuracy is ~1e-13 absolute away from
-    them (reflection with reduced arguments keeps full accuracy arbitrarily
-    close to a pole).
+    Raises PoleSignal at the poles.
     """
-    z = complex(z)
     m = _nonpos_int(z, tol=1e-13)
     if m is not None:
         raise PoleSignal(f"log_gamma pole at z = {-m}", at=-m, order=1)
-    if z.real >= 0.5:
-        return _lanczos_log(z)
-    if z.imag >= 0.0:
-        return _LOG_PI - _log_sin_pi(z) - _lanczos_log(1.0 - z)
-    return log_gamma(z.conjugate()).conjugate()
-
-
-def _lanczos_psi(z):
-    # valid for Re z >= 0.5
-    zz = z - 1.0
-    x = _LANCZOS_C[0]
-    xp = 0.0
-    for k in range(1, len(_LANCZOS_C)):
-        d = zz + k
-        x += _LANCZOS_C[k] / d
-        xp -= _LANCZOS_C[k] / (d * d)
-    t = zz + _LANCZOS_G + 0.5
-    return cmath.log(t) + (zz + 0.5) / t - 1.0 + xp / x
-
-
-def _cot_pi(z):
-    k = math.floor(z.real + 0.5)
-    dz = z - k  # cot(pi z) has period 1, reduction is exact
-    if dz.imag > 8.0:
-        q = cmath.exp(2j * math.pi * dz)
-        return 1j * (q + 1.0) / (q - 1.0)
-    if dz.imag < -8.0:
-        q = cmath.exp(-2j * math.pi * dz)
-        return -1j * (q + 1.0) / (q - 1.0)
-    return cmath.cos(math.pi * dz) / cmath.sin(math.pi * dz)
+    return complex(loggamma(complex(z)))
 
 
 def digamma(z):
     """Digamma psi(z) = (log Gamma)'(z) for complex z off the poles."""
-    z = complex(z)
     m = _nonpos_int(z, tol=1e-13)
     if m is not None:
         raise PoleSignal(f"digamma pole at z = {-m}", at=-m, order=1)
-    if z.real >= 0.5:
-        return _lanczos_psi(z)
-    return _lanczos_psi(1.0 - z) - math.pi * _cot_pi(z)
-
-
-def _psi_int(n):
-    """psi at a positive integer: -gamma + H_{n-1}."""
-    return -_EULER + sum(1.0 / k for k in range(1, n))
+    return complex(psi(complex(z)))
 
 
 class CFunction:
@@ -176,10 +86,10 @@ class CFunction:
         rho = space.rho
         # c0 from c(rho) = 1; rho > 0 so all three Gammas are regular there
         self.log_c0 = -(
-            _lanczos_log(complex(rho))
+            log_gamma(rho)
             - rho * _LN2
-            - _lanczos_log(complex(self.a1 + rho / 2.0))
-            - _lanczos_log(complex(self.a2 + rho / 2.0))
+            - log_gamma(self.a1 + rho / 2.0)
+            - log_gamma(self.a2 + rho / 2.0)
         ).real
 
     def __repr__(self):
@@ -194,34 +104,31 @@ class CFunction:
         order < 0 is a pole, order > 0 a zero; A is always nonzero.
         """
         lam0 = complex(lam0)
-        factors = []
-        c0 = math.exp(self.log_c0)
-        factors.append((0, complex(c0), 0j))
-        v = cmath.exp(-lam0 * _LN2)
-        factors.append((0, v, -_LN2 * v))
+        # log of the leading coefficient, and the sum of the factors' B/A
+        log_lead = self.log_c0 - lam0 * _LN2
+        ratio = complex(-_LN2)
         m = _nonpos_int(lam0)
         if m is None:
-            g = cmath.exp(log_gamma(lam0))
-            factors.append((0, g, g * digamma(lam0)))
+            order = 0
+            log_lead += log_gamma(lam0)
+            ratio += digamma(lam0)
         else:
-            r = (-1.0) ** m / math.factorial(m)
-            factors.append((-1, complex(r), r * _psi_int(m + 1)))
+            # Gamma(-m + e) = (-1)^m / m! e^-1 (1 + psi(m+1) e + O(e^2))
+            order = -1
+            log_lead += -math.lgamma(m + 1) + 1j * math.pi * (m % 2)
+            ratio += psi(m + 1.0)
         for a in (self.a1, self.a2):
             z0 = a + lam0 / 2.0
             n = _nonpos_int(z0)
             if n is None:
-                ig = cmath.exp(-log_gamma(z0))
-                factors.append((0, ig, -0.5 * digamma(z0) * ig))
+                log_lead -= log_gamma(z0)
+                ratio -= 0.5 * digamma(z0)
             else:
-                s = (-1.0) ** n * math.factorial(n)
-                # 1/Gamma(-n + e/2) = s e/2 (1 - psi(n+1) e/2 + O(e^2))
-                factors.append((1, complex(0.5 * s), -0.25 * s * _psi_int(n + 1)))
-        order = sum(f[0] for f in factors)
-        lead = 1.0 + 0j
-        ratio = 0j
-        for _, fa, fb in factors:
-            lead *= fa
-            ratio += fb / fa
+                # 1/Gamma(-n + e/2) = (-1)^n n! e/2 (1 - psi(n+1) e/2 + O(e^2))
+                order += 1
+                log_lead += math.lgamma(n + 1) - _LN2 + 1j * math.pi * (n % 2)
+                ratio -= 0.5 * psi(n + 1.0)
+        lead = cmath.exp(log_lead)
         return order, lead, lead * ratio
 
     def zero_order(self, lam):

@@ -114,8 +114,14 @@ def _run_kernel(space, args):
 def _run_resonances(space, args):
     cols = ["k", "zeta_re", "zeta_im",
             "residue_scalar_re", "residue_scalar_im", "multiplicity"]
+    try:
+        records = enumerate_resonances(space, args.count)
+    except _LIBRARY_ERRORS as exc:
+        # the table is all-or-nothing: report why, keep only the header
+        sys.stderr.write(f"hyperscatter: {type(exc).__name__}: {exc}\n")
+        return cols, [], 1
     rows = []
-    for rec in enumerate_resonances(space, args.count):
+    for rec in records:
         mult = "" if rec.multiplicity_estimate is None else str(rec.multiplicity_estimate)
         rows.append([str(rec.k)] + list(_complex_pair(rec.zeta))
                     + list(_complex_pair(rec.residue_scalar)) + [mult])

@@ -19,6 +19,11 @@ class ResonantExponentError(ValueError):
     """Degenerate Frobenius data: 2*lambda hit the excluded integer set."""
 
 
+class NonFiniteInputError(ValueError):
+    """A nan or infinite argument reached a computation that needs finite
+    input."""
+
+
 class IllConditionedError(RuntimeError):
     """A linear solve was rejected because its condition number is too large."""
 

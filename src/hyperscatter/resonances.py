@@ -97,15 +97,11 @@ def enumerate_resonances(space, count, verify_complete=False):
     records = []
     for k, seed in enumerate(seeds):
         zeta = _polish(cf, seed)
-        lam = 1j * zeta                     # = -(rho + j k), real
-        cprime = cf.derivative(lam)         # c has a simple zero at lam
-        cminus = cf.value(-lam)
-        rs = -1.0 / (2.0 * space.kappa * zeta * cprime * cminus)
         records.append(
             ResonanceRecord(
                 zeta=zeta,
                 k=k,
-                residue_scalar=rs,
+                residue_scalar=_residue_at(space, zeta),
                 multiplicity_estimate=_multiplicity(space, k),
             )
         )
@@ -114,11 +110,15 @@ def enumerate_resonances(space, count, verify_complete=False):
     return records
 
 
+def _residue_at(space, zeta):
+    cf = for_space(space)
+    lam = 1j * zeta                         # = -(rho + j k): c has a simple zero
+    return -1.0 / (2.0 * space.kappa * zeta * cf.derivative(lam) * cf.value(-lam))
+
+
 def residue_scalar(space, rec):
     """Scalar part of the residue of R_zeta at the resonance ``rec``."""
-    cf = for_space(space)
-    lam = 1j * rec.zeta
-    return -1.0 / (2.0 * space.kappa * rec.zeta * cf.derivative(lam) * cf.value(-lam))
+    return _residue_at(space, rec.zeta)
 
 
 def residue_kernel(space, rec, t):

@@ -66,6 +66,12 @@ def _dist_to_integers(w):
     return math.hypot(w.real - round(w.real), w.imag)
 
 
+def _resonance_residue(cf, lam):
+    """Residue in zeta of s at a resonance, where c has a simple zero at
+    lam = i zeta: -i c(-lam) / c'(lam)."""
+    return -1j * cf.value(-lam) / cf.derivative(lam)
+
+
 def scalar(space, zeta):
     """Eigenvalue c(-i zeta)/c(i zeta) of the scattering matrix on constants.
 
@@ -83,13 +89,11 @@ def scalar(space, zeta):
     except PoleSignal:
         return 0j
     if den == 0:
-        num = cf.value(-lam)
-        residue = -1j * num / cf.derivative(lam)
         raise PoleSignal(
             f"scattering pole (resonance) at zeta = {zeta}",
             at=zeta,
             order=1,
-            residue=residue,
+            residue=_resonance_residue(cf, lam),
         )
     try:
         num = cf.value(-lam)
@@ -135,8 +139,7 @@ def classify_poles(space, count):
     cf = for_space(space)
     poles = []
     for rec in enumerate_resonances(space, count):
-        lam = 1j * rec.zeta
-        residue = -1j * cf.value(-lam) / cf.derivative(lam)
+        residue = _resonance_residue(cf, 1j * rec.zeta)
         poles.append(ScatteringPole(rec.zeta, KIND_RESONANCE, residue))
     for k in range(1, count + 1):
         order, lead, _ = cf.local_expansion(complex(-0.5 * k))

@@ -6,13 +6,15 @@ tests pin the normalization and the meromorphic structure rather than
 round-tripping the implementation against itself.
 """
 
-import cmath
 import math
+from fractions import Fraction
 
+import mpmath
 import pytest
 
 from hyperscatter.cfunction import for_space
-from hyperscatter.errors import PoleSignal
+from hyperscatter.errors import NonFiniteInputError, PoleSignal
+from hyperscatter.resolvent import kernel
 from hyperscatter.space import space_from_name
 
 H2 = space_from_name("h2")
@@ -159,19 +161,65 @@ def test_for_space_caches_instances():
     assert for_space(H2) is for_space(space_from_name("h2"))
 
 
-def test_gamma_quotient_against_scipy_on_generic_points():
-    # independent route: assemble the quotient from scipy's loggamma
-    from scipy.special import loggamma
-
+def test_gamma_quotient_against_mpmath(mp_c):
+    # independent route: the quotient assembled from mpmath at 30 digits,
+    # on generic points, points 1e-9 off the Gamma poles (where numerator
+    # and denominator poles nearly cancel, too), and points far up the
+    # imaginary direction
     space = space_from_name("hhn:2")
     cf = for_space(space)
-    a1 = (space.m_alpha / 2.0 + 1.0) / 2.0
-    a2 = (space.m_alpha / 2.0 + space.m_2alpha) / 2.0
+    generic = [0.8, 1.9 + 0.7j, 3.4 - 1.2j, 0.25 + 2.0j]
+    near_poles = [-1 + 1e-9, -2 - 1e-9j, -3 + 1e-9 + 1e-9j, -4 + 1e-9j,
+                  -5 - 1e-9, -11 + 1e-9j]
+    tall = [0.3 + 12j, -2.7 - 15j, 4.1 + 10j, -0.5 - 20j]
+    for lam in generic + near_poles + tall:
+        lam = complex(lam)
+        with mpmath.workdps(30):
+            want = complex(mp_c(space, mpmath.mpc(lam.real, lam.imag)))
+        assert _rel(cf.value(lam), want) < 1e-11, lam
 
-    def raw(lam):
-        return cmath.exp(loggamma(lam) - lam * math.log(2.0)
-                         - loggamma(a1 + lam / 2.0) - loggamma(a2 + lam / 2.0))
 
-    c0 = 1.0 / raw(space.rho)
-    for lam in (0.8, 1.9 + 0.7j, 3.4 - 1.2j, 0.25 + 2.0j):
-        assert _rel(cf.value(lam), c0 * raw(lam)) < 1e-11
+def _lattice_order(space, lam):
+    """Exact order of c at the Fraction lam: -1 for a Gamma pole, +1 for
+    each reciprocal-Gamma zero."""
+    order = -1 if lam <= 0 and lam.denominator == 1 else 0
+    for a in (Fraction(space.m_alpha + 2, 4),
+              Fraction(space.m_alpha + 2 * space.m_2alpha, 4)):
+        z = a + lam / 2
+        if z <= 0 and z.denominator == 1:
+            order += 1
+    return order
+
+
+@pytest.mark.parametrize("name", ["h2", "h3", "hn:4", "chn:2", "hhn:2", "oh2"])
+def test_local_expansion_on_the_lattice_against_mpmath(name, mp_c):
+    # c(lam0 + e) = e^order (A + B e): A and B read off mpmath's c at
+    # lam0 +/- e by a symmetric difference, down to index 400, where the
+    # factorials in the local data are far beyond the float range
+    space = space_from_name(name)
+    cf = for_space(space)
+    for twice in list(range(0, -25, -1)) + [-341, -402, -801]:
+        lam0 = twice / 2
+        order, a, b = cf.local_expansion(lam0)
+        assert order == _lattice_order(space, Fraction(twice, 2)), lam0
+        with mpmath.workdps(80):
+            e = mpmath.mpf("1e-30")
+            up = mp_c(space, lam0 + e) / e**order
+            down = mp_c(space, lam0 - e) / (-e) ** order
+            want_a = complex((up + down) / 2)
+            want_b = complex((up - down) / (2 * e))
+        assert _rel(a, want_a) < 1e-11, lam0
+        assert abs(b - want_b) < 1e-10 * max(abs(want_b), abs(want_a)), lam0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 complex(0.5, math.inf)])
+def test_non_finite_input_raises_structured_error(bad):
+    space = space_from_name("chn:2")
+    cf = for_space(space)
+    for call in (cf.value, cf.derivative, cf.czz,
+                 lambda z: kernel(space, z, 1.0)):
+        with pytest.raises(NonFiniteInputError):
+            call(bad)
+    # still a ValueError, so existing callers that catch that keep working
+    assert issubclass(NonFiniteInputError, ValueError)

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from hyperscatter import cli
 from hyperscatter.cli import main
+from hyperscatter.errors import EnumerationError
 
 
 def _run(capsys, argv):
@@ -68,6 +70,22 @@ def test_empty_resonance_table_exits_clean(capsys):
     header, rows = _parse_csv(out)
     assert rows == []
     assert header[0] == "k"
+
+
+def test_failed_enumeration_prints_header_and_error(capsys, monkeypatch):
+    # a certification failure of the enumeration, as the zero certificate
+    # raises it, stands in for any library error on this path
+    def refuse(space, count):
+        raise EnumerationError("zero certification failed at zeta = 53j")
+
+    monkeypatch.setattr(cli, "enumerate_resonances", refuse)
+    code = main(["resonances", "--space", "oh2", "--count", "22"])
+    captured = capsys.readouterr()
+    assert code == 1
+    header, rows = _parse_csv(captured.out)
+    assert header[0] == "k" and rows == []
+    assert captured.err == ("hyperscatter: EnumerationError: "
+                            "zero certification failed at zeta = 53j\n")
 
 
 def test_unknown_space_is_usage_error(capsys):

@@ -1,5 +1,6 @@
 # Resonance enumeration, residue scalars, contour cross-checks.
 
+import mpmath
 import pytest
 
 from hyperscatter.radial import eval_phi
@@ -82,3 +83,23 @@ def test_contour_probe_independent_of_base_point():
 
 def test_empty_and_zero_counts():
     assert enumerate_resonances(H2, 0) == []
+
+
+@pytest.mark.parametrize("name", ["chn:2", "hn:4"])
+def test_large_index_residues_stay_finite(name, mp_c):
+    # factorials in the local data of c pass the float range from k = 171
+    # on; the residue scalars -1/(2 kappa zeta c'(i zeta) c(-i zeta)) grow
+    # only polynomially.  The reference reads c' at the simple zero
+    # lam0 = i zeta as c(lam0 + e)/e at 60 digits.
+    space = space_from_name(name)
+    recs = enumerate_resonances(space, 200)
+    assert len(recs) == 200
+    for rec in recs:
+        with mpmath.workdps(60):
+            lam0 = -mpmath.mpf(round(2 * rec.zeta.imag)) / 2
+            e = mpmath.mpf("1e-25")
+            cprime = mp_c(space, lam0 + e) / e
+            zeta = mpmath.mpc(0, -lam0)
+            want = complex(-1 / (2 * space.kappa * zeta * cprime * mp_c(space, -lam0)))
+        rel = abs(rec.residue_scalar - want) / abs(want)
+        assert rel < 1e-9, (name, rec.k)
