@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from collections import namedtuple
 from functools import lru_cache
 
@@ -36,7 +37,7 @@ import numpy as np
 
 from .boundary import boundary_pair
 from .cfunction import for_space
-from .errors import IndeterminateRankError, NormalizationError, QuadratureError
+from .errors import AccuracyWarning, IndeterminateRankError, NormalizationError, QuadratureError
 from .radial import RadialSolution, integrate_radial_ode, eval_phi
 from .space import RankOneSpace
 
@@ -88,20 +89,21 @@ def _bracket_t_derivative_grid(r, thetas):
 def _trapezoid_doubling(sample, tol, n0=64, cap=_MAX_NODES):
     """Mean of a periodic sampler over doubling grids until stable.
 
-    ``sample(thetas)`` returns an array of integrand values; previous levels
-    are reused (the 2N-grid mean is the average of the N-grid mean and the
-    midpoint mean).  Returns (value, nodes_used, converged).
+    ``sample(thetas)`` returns integrand values with the nodes along the
+    first axis (further axes are integrands converged together); previous
+    levels are reused (the 2N-grid mean is the average of the N-grid mean
+    and the midpoint mean).  Returns (value, nodes_used, converged).
     """
     n = n0
     thetas = 2.0 * math.pi * np.arange(n) / n
-    total = np.sum(sample(thetas))
+    total = np.sum(sample(thetas), axis=0)
     value = total / n
     while n < cap:
         mids = 2.0 * math.pi * (np.arange(n) + 0.5) / n
-        total = total + np.sum(sample(mids))
+        total = total + np.sum(sample(mids), axis=0)
         n *= 2
         new = total / n
-        if abs(new - value) < tol * max(1.0, abs(new)):
+        if np.all(np.abs(new - value) < tol * np.maximum(1.0, np.abs(new))):
             return new, n, True
         value = new
     return value, n, False
@@ -146,20 +148,10 @@ def poisson_radial_pair(lam, n, t, tol=1e-10):
         dkern = (_RHO + lam) * _bracket_t_derivative_grid(r, thetas) * kern
         return np.stack([kern * wave, dkern * wave], axis=1)
 
-    # run the doubling on the stacked integrand; converge both components
-    nn = 64
-    thetas = 2.0 * math.pi * np.arange(nn) / nn
-    total = np.sum(sample(thetas), axis=0)
-    value = total / nn
-    while nn < _MAX_NODES:
-        mids = 2.0 * math.pi * (np.arange(nn) + 0.5) / nn
-        total = total + np.sum(sample(mids), axis=0)
-        nn *= 2
-        new = total / nn
-        if np.all(np.abs(new - value) < tol * np.maximum(1.0, np.abs(new))):
-            return complex(new[0]), complex(new[1])
-        value = new
-    raise QuadratureError(f"Poisson pair quadrature not converged at {nn} nodes")
+    value, nn, ok = _trapezoid_doubling(sample, tol)
+    if not ok:
+        raise QuadratureError(f"Poisson pair quadrature not converged at {nn} nodes")
+    return complex(value[0]), complex(value[1])
 
 
 def hyperbolic_laplacian_stencil(func, z, h=1e-3):
@@ -218,8 +210,8 @@ def _ktype_taylor_pair(lam, n, t):
 @lru_cache(maxsize=256)
 def _ktype_raw(lam, n, t_max):
     init = _ktype_taylor_pair(lam, n, _KTYPE_T0)
-    sol = integrate_radial_ode(H2, lam, abs(int(n)), (_KTYPE_T0, t_max),
-                               init, provenance="ktype")
+    sol, = integrate_radial_ode(H2, [lam], abs(int(n)), (_KTYPE_T0, t_max),
+                                [init], provenance="ktype")
 
     def ev(t):
         if t <= _KTYPE_T0:
@@ -284,7 +276,7 @@ def resolvent_difference_quadrature(zeta, z1, z2, tol=1e-10, cap=2048):
     (1/2pi) int e^{(rho+i zeta)A(z1)} e^{(rho-i zeta)A(z2)} dtheta.
     Node count doubles from 64 up to ``cap`` (default 2048, the budget the
     identity is certified under); the cap value is returned even if the
-    doubling has not settled to ``tol`` by then.
+    doubling has not settled to ``tol`` by then, with an AccuracyWarning.
     """
     zeta = complex(zeta)
     z1, z2 = complex(z1), complex(z2)
@@ -295,7 +287,13 @@ def resolvent_difference_quadrature(zeta, z1, z2, tol=1e-10, cap=2048):
         return np.exp((_RHO + 1j * zeta) * _bracket_grid(z1, thetas)
                       + (_RHO - 1j * zeta) * _bracket_grid(z2, thetas))
 
-    value, _, _ = _trapezoid_doubling(sample, tol, cap=cap)
+    value, n, converged = _trapezoid_doubling(sample, tol, cap=cap)
+    if not converged:
+        warnings.warn(
+            f"boundary quadrature not settled to {tol:g} at {n} nodes "
+            f"(zeta={zeta})",
+            AccuracyWarning,
+        )
     return front * complex(value)
 
 

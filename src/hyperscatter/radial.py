@@ -25,9 +25,13 @@ The two are linked by phi = c(lambda) Q_{-lambda} + c(-lambda) Q_{lambda};
 and ``wronskian_limit`` extrapolates lim_{t->0} J(t) dQ/dt = -2 lambda
 c(lambda), which fixes the resolvent normalization.
 
-All integrations use DOP853 at rtol 1e-12 with a vanishing absolute floor,
-so solutions spanning forty decades (the octonionic family) keep full
-relative accuracy.
+All integrations use DOP853 with a vanishing absolute floor, so solutions
+spanning forty decades (the octonionic family) keep full relative accuracy.
+The ODE is linear and only rho^2 - lambda^2 depends on lambda, so N values
+of lambda are integrated as one system at rtol 1e-12/sqrt(N): the step
+control measures the RMS error over all 2N components, and the scaling
+keeps one lambda's error from hiding behind the others.  A single lambda
+runs a scalar right-hand side at rtol 1e-12.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import AccuracyWarning, IllConditionedError, ResonantExponentError, StiffnessError
+from .errors import (AccuracyWarning, IllConditionedError, NonFiniteInputError,
+                     ResonantExponentError, StiffnessError)
 from .space import RankOneSpace
 
 T_SWITCH = math.log(2.0)  # series/ODE handover at y = 1/2
@@ -53,16 +58,27 @@ _RTOL = 1e-12
 _ATOL = 1e-300  # effectively pure relative error control
 
 
-def _near_negative_integer(w, radius):
-    """True if complex w lies within radius of {-1, -2, -3, ...}."""
-    m = round(w.real)
-    return m <= -1 and abs(w - m) <= radius
+def _require_finite(lam):
+    if not cmath.isfinite(lam):
+        raise NonFiniteInputError(f"lambda = {lam} is not finite")
+
+
+def _lambdas(lam):
+    """(list of complex lambdas, whether lam was a sequence)."""
+    if np.ndim(lam) == 0:
+        return [complex(lam)], False
+    return [complex(x) for x in lam], True
 
 
 def _check_exponent(lam):
-    if _near_negative_integer(2.0 * complex(lam), EXCLUSION_RADIUS):
+    """Refuse a non-finite lambda, and 2*lambda near {-1, -2, -3, ...}."""
+    lam = complex(lam)
+    _require_finite(lam)
+    w = 2.0 * lam
+    m = round(w.real)
+    if m <= -1 and abs(w - m) <= EXCLUSION_RADIUS:
         raise ResonantExponentError(
-            f"2*lambda = {2*complex(lam)} is within {EXCLUSION_RADIUS} of a "
+            f"2*lambda = {w} is within {EXCLUSION_RADIUS} of a "
             "negative integer; the Frobenius recursion for Q is singular there"
         )
 
@@ -252,51 +268,72 @@ class RadialSolution:
         )
 
 
-def integrate_radial_ode(space, lam, potential_n, t_span, init, *, rtol=_RTOL,
+def integrate_radial_ode(space, lams, potential_n, t_span, inits, *,
                          provenance="custom"):
-    """Continue (u, u') of the radial ODE across t_span = (t0, t1).
+    """Continue (u, u') of the radial ODE across t_span = (t0, t1) for each
+    lambda in ``lams``, starting from the matching (u, u') in ``inits``.
 
-    t_span may be decreasing (backward continuation toward the singular
-    endpoint).  Both endpoints must be positive.
+    One solve_ivp runs on [u_1..u_N, u'_1..u'_N]; the returned list holds
+    one RadialSolution per lambda, each reading its own components of the
+    shared dense output.  t_span may be decreasing (backward continuation
+    toward the singular endpoint).  Both endpoints must be positive.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if min(t0, t1) <= 0.0:
         raise ValueError("t_span must stay inside (0, inf)")
-    lam = complex(lam)
+    lams = [complex(lam) for lam in lams]
+    count = len(lams)
+    if count == 0 or len(inits) != count:
+        raise ValueError("need one initial (u, u') pair per lambda, at least one")
     n2 = float(int(potential_n) ** 2)
-    k2 = space.rho**2 - lam * lam
     m_a, m_2a = float(space.m_alpha), float(space.m_2alpha)
 
-    def rhs(t, uv):
-        u, v = uv
+    def accel(t, u, v):
         b = m_a / math.tanh(t) + 2.0 * m_2a / math.tanh(2.0 * t)
         acc = -(b * v + k2 * u)
         if n2:
             acc += n2 * u / math.sinh(t) ** 2
-        return (v, acc)
+        return acc
 
-    y0 = np.array([complex(init[0]), complex(init[1])], dtype=complex)
-    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=rtol, atol=_ATOL,
-                    dense_output=True)
+    # numpy slicing costs more than the arithmetic for a single lambda
+    if count == 1:
+        k2 = space.rho**2 - lams[0] * lams[0]
+
+        def rhs(t, uv):
+            u, v = uv
+            return (v, accel(t, u, v))
+    else:
+        k2 = space.rho**2 - np.array(lams) ** 2
+
+        def rhs(t, uv):
+            return np.concatenate((uv[count:], accel(t, uv[:count], uv[count:])))
+
+    y0 = np.array([complex(u) for u, _ in inits] + [complex(v) for _, v in inits],
+                  dtype=complex)
+    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853",
+                    rtol=_RTOL / math.sqrt(count), atol=_ATOL, dense_output=True)
     if not sol.success:
         raise StiffnessError(f"radial integration failed: {sol.message}")
 
-    def ev(t):
-        u, v = sol.sol(t)
-        return u, v
+    def solution(i):
+        def ev(t):
+            uv = sol.sol(t)
+            return uv[i], uv[count + i]
 
-    return RadialSolution(
-        space=space,
-        lam=lam,
-        potential_n=int(potential_n),
-        provenance=provenance,
-        t_lo=min(t0, t1),
-        t_hi=max(t0, t1),
-        _eval=ev,
-        ts=sol.t,
-        values=sol.y[0],
-        derivatives=sol.y[1],
-    )
+        return RadialSolution(
+            space=space,
+            lam=lams[i],
+            potential_n=int(potential_n),
+            provenance=provenance,
+            t_lo=min(t0, t1),
+            t_hi=max(t0, t1),
+            _eval=ev,
+            ts=sol.t,
+            values=sol.y[i],
+            derivatives=sol.y[count + i],
+        )
+
+    return [solution(i) for i in range(count)]
 
 
 # -- the two distinguished solutions ----------------------------------------
@@ -328,6 +365,7 @@ def _coth_coeffs(kmax):
 def _phi_taylor_coeffs(space, lam, nterms=18):
     """Taylor coefficients of phi_lambda about t = 0 (a_0 = 1)."""
     lam = complex(lam)
+    _require_finite(lam)
     q = space.dim - 1  # residue of b(t) at t=0
     kmax = nterms // 2 + 1
     ck = _coth_coeffs(kmax)
@@ -356,54 +394,68 @@ def _phi_taylor_pair(space, lam, t, nterms=18):
 
 
 def phi_solution(space, lam, t_max):
-    """The regular solution phi_lambda solved out to t_max (provenance 'phi')."""
-    lam = complex(lam)
+    """The regular solution phi_lambda solved out to t_max (provenance 'phi').
+
+    A sequence of lambda is solved as one batch and gives a list.
+    """
+    lams, many = _lambdas(lam)
     t_max = float(t_max)
     if t_max <= T_TAYLOR:
         raise ValueError("t_max must exceed the Taylor patch 0.01")
-    init = _phi_taylor_pair(space, lam, T_TAYLOR)
-    sol = integrate_radial_ode(space, lam, 0, (T_TAYLOR, t_max), init,
-                               provenance="phi")
+    inits = [_phi_taylor_pair(space, lam, T_TAYLOR) for lam in lams]
+    sols = integrate_radial_ode(space, lams, 0, (T_TAYLOR, t_max), inits,
+                                provenance="phi")
 
-    def ev(t):
-        if t <= T_TAYLOR:
-            return _phi_taylor_pair(space, lam, t)
-        return sol._eval(t)
+    def patched(lam, sol):
+        def ev(t):
+            if t <= T_TAYLOR:
+                return _phi_taylor_pair(space, lam, t)
+            return sol._eval(t)
 
-    return RadialSolution(
-        space=space, lam=lam, potential_n=0, provenance="phi",
-        t_lo=0.0, t_hi=t_max, _eval=ev,
-        ts=sol.ts, values=sol.values, derivatives=sol.derivatives,
-    )
+        return RadialSolution(
+            space=space, lam=lam, potential_n=0, provenance="phi",
+            t_lo=0.0, t_hi=t_max, _eval=ev,
+            ts=sol.ts, values=sol.values, derivatives=sol.derivatives,
+        )
+
+    out = [patched(lam, sol) for lam, sol in zip(lams, sols)]
+    return out if many else out[0]
 
 
 def q_solution(space, lam, t_min, t_max=8.0, potential_n=0):
-    """Q_lambda on [t_min, t_max]: series for t >= log 2, ODE continuation below."""
-    lam = complex(lam)
-    ser = _series(space, lam, int(potential_n))
+    """Q_lambda on [t_min, t_max]: series for t >= log 2, ODE continuation below.
+
+    A sequence of lambda is continued as one batch and gives a list.
+    """
+    lams, many = _lambdas(lam)
+    sers = [_series(space, lam, int(potential_n)) for lam in lams]
     t_min = float(t_min)
     if t_min <= 0.0:
         raise ValueError("Q is singular at t = 0; need t_min > 0")
-    back = None
+    backs = [None] * len(lams)
     if t_min < T_SWITCH:
-        init = ser.pair(T_SWITCH)
-        back = integrate_radial_ode(space, lam, potential_n,
-                                    (T_SWITCH, t_min), init,
-                                    provenance="Q-continuation")
+        backs = integrate_radial_ode(space, lams, potential_n,
+                                     (T_SWITCH, t_min),
+                                     [ser.pair(T_SWITCH) for ser in sers],
+                                     provenance="Q-continuation")
 
-    def ev(t):
-        if t >= T_SWITCH:
-            return ser.pair(t)
-        return back._eval(t)
+    def joined(lam, ser, back):
+        def ev(t):
+            if t >= T_SWITCH:
+                return ser.pair(t)
+            return back._eval(t)
 
-    prov = "Q_plus" if lam.real >= 0 else "Q_minus"
-    return RadialSolution(
-        space=space, lam=lam, potential_n=int(potential_n), provenance=prov,
-        t_lo=t_min, t_hi=max(t_max, T_SWITCH), _eval=ev,
-        ts=(back.ts if back is not None else np.linspace(T_SWITCH, t_max, 9)),
-        values=(back.values if back is not None else None),
-        derivatives=(back.derivatives if back is not None else None),
-    )
+        prov = "Q_plus" if lam.real >= 0 else "Q_minus"
+        return RadialSolution(
+            space=space, lam=lam, potential_n=int(potential_n), provenance=prov,
+            t_lo=t_min, t_hi=max(t_max, T_SWITCH), _eval=ev,
+            ts=(back.ts if back is not None else np.linspace(T_SWITCH, t_max, 9)),
+            values=(back.values if back is not None else None),
+            derivatives=(back.derivatives if back is not None else None),
+        )
+
+    out = [joined(*args) for args in zip(lams, sers, backs)]
+    return out if many else out[0]
 
 
 _T_BUCKETS = (0.3, 0.1, 0.03, 0.01, 0.003, 0.001)
@@ -461,11 +513,6 @@ def _connection_solve(space, lam, sol):
     tolerance is unreachable.
     """
     lam = complex(lam)
-    if _near_negative_integer(2 * lam, EXCLUSION_RADIUS) or \
-       _near_negative_integer(-2 * lam, EXCLUSION_RADIUS):
-        raise ResonantExponentError(
-            f"2*lambda = {2*lam} is too close to an integer for a fundamental system"
-        )
     n = sol.potential_n
     ser_p = _series(space, lam, n)
     ser_m = _series(space, -lam, n)
@@ -514,6 +561,14 @@ def connection_coefficients(space, lam, sol=None):
 _WRONSKIAN_NODES = 0.4 * 0.65 ** np.arange(12)
 
 
+def _wronskian_design(ts):
+    lg = np.log(ts)
+    return np.column_stack([
+        np.ones_like(ts), ts**2, ts**3, ts**4, ts**5, ts**6,
+        ts**2 * lg, ts**4 * lg,
+    ])
+
+
 def wronskian_limit(space, lam):
     """lim_{t->0} J(t) * dQ_lambda/dt, extrapolated from a geometric grid.
 
@@ -521,32 +576,23 @@ def wronskian_limit(space, lam):
     of t together with t^2 log t terms (the two indicial roots differ by an
     integer), so plain Richardson is replaced by a small least-squares fit in
     that basis.  Warns (AccuracyWarning) when the fit's internal error
-    estimate exceeds 1e-6 of the value.
+    estimate exceeds 1e-6 of the value.  A sequence of lambda shares one
+    batched continuation and gives a list.
     """
-    lam = complex(lam)
-    ser = _series(space, lam, 0)
+    lams, many = _lambdas(lam)
     nodes = _WRONSKIAN_NODES
-    init = ser.pair(T_SWITCH)
-    back = integrate_radial_ode(space, lam, 0, (T_SWITCH, float(nodes[-1])),
-                                init, provenance="Q-continuation")
-    w = np.array([space.density_J_t(t) * back._eval(t)[1] for t in nodes])
-
-    def design(ts):
-        ts = np.asarray(ts)
-        lg = np.log(ts)
-        return np.column_stack([
-            np.ones_like(ts), ts**2, ts**3, ts**4, ts**5, ts**6,
-            ts**2 * lg, ts**4 * lg,
-        ])
-
-    fit, *_ = np.linalg.lstsq(design(nodes), w, rcond=None)
-    refit, *_ = np.linalg.lstsq(design(nodes[2:]), w[2:], rcond=None)
-    value = complex(fit[0])
-    err = abs(value - complex(refit[0]))
-    if err > 1e-6 * max(1.0, abs(value)):
-        warnings.warn(
-            f"Wronskian extrapolation uncertain: estimate {err:.2e} "
-            f"(lambda={lam})",
-            AccuracyWarning,
-        )
-    return value
+    values = []
+    for sol in q_solution(space, lams, float(nodes[-1])):
+        w = np.array([space.density_J_t(t) * sol._eval(t)[1] for t in nodes])
+        fit, *_ = np.linalg.lstsq(_wronskian_design(nodes), w, rcond=None)
+        refit, *_ = np.linalg.lstsq(_wronskian_design(nodes[2:]), w[2:], rcond=None)
+        value = complex(fit[0])
+        err = abs(value - complex(refit[0]))
+        if err > 1e-6 * max(1.0, abs(value)):
+            warnings.warn(
+                f"Wronskian extrapolation uncertain: estimate {err:.2e} "
+                f"(lambda={sol.lam})",
+                AccuracyWarning,
+            )
+        values.append(value)
+    return values if many else values[0]

@@ -29,6 +29,7 @@ from .radial import (
     eval_phi,
     eval_Q,
     phi_solution,
+    q_solution,
     wronskian_limit,
 )
 from .resolvent import resolvent_difference
@@ -80,20 +81,23 @@ def check_connection(spaces=None):
     residual would only measure the conditioning of the cancellation, not the
     correctness of the factors — and (b) the connection coefficients solved
     from phi against the closed-form c values, which stays fully
-    discriminating at those points.
+    discriminating at those points.  Per family phi and Q_{-lambda}, Q_lambda
+    are each one batched solve over the grid (Q continued down to t = 0.5).
     """
     rows = []
     ts = (0.5, 1.0, 2.0, 5.0)
+    grid = lambda_grid()
     for name, space in _families(spaces):
         cf = for_space(space)
-        for lam in lambda_grid():
-            sol = phi_solution(space, lam, 5.2)
+        phis = phi_solution(space, grid, 5.2)
+        qs = q_solution(space, [-lam for lam in grid] + grid, min(ts))
+        for lam, sol, q_minus, q_plus in zip(grid, phis, qs, qs[len(grid):]):
             cp, cm = cf.value(lam), cf.value(-lam)
             am, ap = connection_coefficients(space, lam, sol)
             worst = max(abs(am - cp) / abs(cp), abs(ap - cm) / abs(cm))
             for t in ts:
-                left = cp * eval_Q(space, -lam, t)
-                right = cm * eval_Q(space, lam, t)
+                left = cp * q_minus(t)
+                right = cm * q_plus(t)
                 phi = sol(t)
                 scale = max(abs(phi), abs(left), abs(right))
                 worst = max(worst, abs(phi - (left + right)) / scale)
@@ -106,11 +110,11 @@ def check_connection(spaces=None):
 def check_wronskian(spaces=None):
     """lim J Q' = -2 lambda c(lambda) on the shared lambda grid."""
     rows = []
+    grid = lambda_grid()
     for name, space in _families(spaces):
         cf = for_space(space)
-        for lam in lambda_grid():
+        for lam, got in zip(grid, wronskian_limit(space, grid)):
             target = -2.0 * lam * cf.value(lam)
-            got = wronskian_limit(space, lam)
             rel = abs(got - target) / abs(target)
             rows.append(_row("wronskian", f"{name} lambda={lam:g}", rel, 1e-6))
     return rows

@@ -9,11 +9,13 @@ is not.
 
 import cmath
 import math
+import warnings
 
 import pytest
 
 from hyperscatter.cfunction import for_space
 from hyperscatter.boundary import boundary_pair
+from hyperscatter.errors import AccuracyWarning
 from hyperscatter.model_h2 import (
     H2,
     distance,
@@ -128,6 +130,16 @@ def test_quadrature_is_deterministic():
     a = resolvent_difference_quadrature(0.7, 0.3, -0.25 + 0.1j)
     b = resolvent_difference_quadrature(0.7, 0.3, -0.25 + 0.1j)
     assert a == b
+
+
+def test_unsettled_quadrature_warns_and_keeps_the_cap_value():
+    args = (0.7, 0.3, -0.25 + 0.1j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        settled = resolvent_difference_quadrature(*args)
+    with pytest.warns(AccuracyWarning, match="not settled"):
+        capped = resolvent_difference_quadrature(*args, tol=1e-30)
+    assert abs(capped - settled) < 1e-12 * abs(settled)
 
 
 def test_residue_ranks_first_two():

@@ -7,18 +7,21 @@ import math
 import pytest
 
 from hyperscatter.cfunction import for_space
-from hyperscatter.errors import ResonantExponentError
+from hyperscatter.errors import NonFiniteInputError, ResonantExponentError
 from hyperscatter.radial import (
+    _WRONSKIAN_NODES,
     RadialSolution,
     connection_coefficients,
     eval_Q,
     eval_phi,
     frobenius_Q,
     phi_solution,
+    q_solution,
     wronskian_limit,
 )
 from hyperscatter.model_h2 import oracle_h3
 from hyperscatter.space import space_from_name
+from hyperscatter.verify import FAMILY_NAMES, lambda_grid
 
 H2 = space_from_name("h2")
 H3 = space_from_name("h3")
@@ -135,3 +138,84 @@ def test_radial_solution_from_callable_round_trip():
     # the H3 second-kind solution solves the radial equation
     assert sol.residual() < 1e-6
     assert _rel(sol(1.0), eval_Q(H3, lam, 1.0)) < 1e-10
+
+
+# -- batched solves -----------------------------------------------------------
+
+_GRID = lambda_grid()
+
+
+def test_batched_phi_and_q_match_mpmath_on_the_grid(mp_jacobi):
+    # 4e-12 rather than a looser bound: it is what guards each lambda of a
+    # batch against hiding its error in the RMS over all components.  The
+    # batches below reach 1.7e-12 (phi) and 8.3e-13 (Q, at the deepest
+    # Wronskian node); integrated at rtol 1e-12 instead of 1e-12/sqrt(N),
+    # the same batches reach about 1e-11 and 7e-12.
+    mp_phi, mp_q = mp_jacobi
+    tol = 4e-12
+    for name in FAMILY_NAMES:
+        space = space_from_name(name)
+        for sol in phi_solution(space, _GRID, 5.2):
+            for t in (0.5, 2.0, 5.0):
+                assert _rel(sol(t), mp_phi(space, sol.lam, t)) < tol, \
+                    (name, sol.lam, t)
+        t = float(_WRONSKIAN_NODES[-1])
+        for sol in q_solution(space, _GRID + [-lam for lam in _GRID], t):
+            assert _rel(sol(t), mp_q(space, sol.lam, t)) < tol, \
+                (name, sol.lam)
+
+
+def test_batch_of_one_equals_the_scalar_call():
+    space = space_from_name("hhn:2")
+    lam = 0.9 - 0.4j
+    phi_one, = phi_solution(space, [lam], 3.0)
+    q_one, = q_solution(space, [lam], 0.05)
+    phi, q = phi_solution(space, lam, 3.0), q_solution(space, lam, 0.05)
+    for t in (0.005, 0.05, 0.4, 1.0, 3.0):
+        assert phi_one.at(t) == phi.at(t)
+    for t in (0.05, 0.4, 1.0, 3.0):
+        assert q_one.at(t) == q.at(t)
+    assert wronskian_limit(space, [lam]) == [wronskian_limit(space, lam)]
+    with pytest.raises(ValueError):
+        phi_solution(space, [], 3.0)
+
+
+def test_batched_and_single_lambda_solutions_agree():
+    space = space_from_name("chn:2")
+    phis = phi_solution(space, _GRID, 3.0)
+    qs = q_solution(space, _GRID, 0.05)
+    for lam, phi, q in zip(_GRID, phis, qs):
+        assert phi.lam == q.lam == lam
+        single_phi, single_q = phi_solution(space, lam, 3.0), q_solution(space, lam, 0.05)
+        for t in (0.3, 1.0, 3.0):
+            assert _rel(phi(t), single_phi(t)) < 1e-10, (lam, t)
+        for t in (0.05, 0.3, 1.0):
+            assert _rel(q(t), single_q(t)) < 1e-10, (lam, t)
+
+
+def test_wronskian_limit_on_a_sequence_matches_scalar_calls():
+    space = space_from_name("h2")
+    lams = [0.3 - 1j, 1.6, 2.7 + 0.5j]
+    batch = wronskian_limit(space, lams)
+    assert len(batch) == len(lams)
+    for lam, got in zip(lams, batch):
+        assert _rel(got, wronskian_limit(space, lam)) < 1e-10, lam
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),
+                                 complex(float("nan"), 0.5),
+                                 complex(0.5, float("inf"))])
+def test_non_finite_lambda_raises_structured_error(bad):
+    calls = (
+        lambda: eval_phi(H2, bad, 0.005),
+        lambda: eval_phi(H2, bad, 1.0),
+        lambda: eval_Q(H2, bad, 0.5),
+        lambda: eval_Q(H2, bad, 2.0),
+        lambda: connection_coefficients(H2, bad),
+        lambda: wronskian_limit(H2, bad),
+        lambda: phi_solution(H2, [0.7, bad], 2.0),
+        lambda: q_solution(H2, [0.7, bad], 0.5),
+    )
+    for call in calls:
+        with pytest.raises(NonFiniteInputError):
+            call()
