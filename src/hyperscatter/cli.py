@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import sys
+from functools import cache
 
 from . import verify as verify_mod
 from .cfunction import for_space
@@ -168,6 +169,7 @@ def _run_verify(space, args):
 
 # -- argument parsing ---------------------------------------------------------
 
+@cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hyperscatter",

@@ -31,14 +31,14 @@ import cmath
 import math
 import warnings
 from collections import namedtuple
-from functools import lru_cache
+from functools import partial
 
 import numpy as np
 
 from .boundary import boundary_pair
 from .cfunction import for_space
 from .errors import AccuracyWarning, IndeterminateRankError, NormalizationError, QuadratureError
-from .radial import RadialSolution, integrate_radial_ode, eval_phi
+from .radial import RadialSolution, continuation
 from .space import RankOneSpace
 
 H2 = RankOneSpace(1, 0)
@@ -207,43 +207,9 @@ def _ktype_taylor_pair(lam, n, t):
     return u, du
 
 
-@lru_cache(maxsize=256)
-def _ktype_raw(lam, n, t_max):
-    init = _ktype_taylor_pair(lam, n, _KTYPE_T0)
-    sol, = integrate_radial_ode(H2, [lam], abs(int(n)), (_KTYPE_T0, t_max),
-                                [init], provenance="ktype")
-
-    def ev(t):
-        if t <= _KTYPE_T0:
-            return _ktype_taylor_pair(lam, n, t)
-        return sol._eval(t)
-
-    return RadialSolution(
-        space=H2, lam=complex(lam), potential_n=abs(int(n)),
-        provenance="ktype", t_lo=0.0, t_hi=t_max, _eval=ev,
-        ts=sol.ts, values=sol.values, derivatives=sol.derivatives,
-    )
-
-
-@lru_cache(maxsize=256)
-def _ktype_normalized(lam, n, t_max):
-    lam = complex(lam)
-    raw = _ktype_raw(lam, n, max(t_max, 1.35))
-    bp = boundary_pair(H2, lam, raw)
-    target = for_space(H2).value(lam)
-    if abs(bp.a_minus) < 1e-250:
-        raise NormalizationError(
-            f"K-type profile has vanishing incoming boundary value at lambda={lam}"
-        )
-    scale = target / bp.a_minus
-    return RadialSolution(
-        space=H2, lam=lam, potential_n=abs(int(n)), provenance="ktype",
-        t_lo=raw.t_lo, t_hi=raw.t_hi,
-        _eval=lambda t: tuple(scale * w for w in raw._eval(t)),
-        ts=raw.ts,
-        values=None if raw.values is None else scale * raw.values,
-        derivatives=None if raw.derivatives is None else scale * raw.derivatives,
-    )
+def _ktype_start(space, lam, n):
+    """The t^|n| start, continued forward from t = 0.1 (a radial.Continuation kind)."""
+    return partial(_ktype_taylor_pair, lam, n), _KTYPE_T0, 1.0
 
 
 def ktype_solution(lam, n, t_max=1.35):
@@ -252,10 +218,17 @@ def ktype_solution(lam, n, t_max=1.35):
     Normalized so its boundary pair has a_minus = c(lambda), matching the
     Poisson transform of the unit K-type.
     """
-    cap = 1.35
-    while cap < t_max:
-        cap *= 2.0
-    return _ktype_normalized(complex(lam), int(n), cap)
+    lam = complex(lam)
+    raw = continuation(H2, lam, abs(int(n)), _ktype_start)
+    bp = boundary_pair(H2, lam, raw.view(0.0, 1.35))
+    target = for_space(H2).value(lam)
+    if abs(bp.a_minus) < 1e-250:
+        raise NormalizationError(
+            f"K-type profile has vanishing incoming boundary value at lambda={lam}"
+        )
+    scale = target / bp.a_minus
+    return RadialSolution(H2, lam, abs(int(n)), 0.0, max(float(t_max), 1.35),
+                          lambda t: tuple(scale * w for w in raw.pair(t)))
 
 
 def ktype_radial_profile(lam, n, t):

@@ -32,6 +32,17 @@ of lambda are integrated as one system at rtol 1e-12/sqrt(N): the step
 control measures the RMS error over all 2N components, and the scaling
 keeps one lambda's error from hiding behind the others.  A single lambda
 runs a scalar right-hand side at rtol 1e-12.
+
+``eval_phi``, ``eval_Q``, ``connection_coefficients`` and the K-type profiles
+of ``model_h2`` read one cache, ``continuation``, with one entry per (space,
+lambda, |n|, kind).  An entry is a Continuation: the analytic start on its
+side of the switch point, then ODE pieces, each started from the end of the
+one before and ending at a fixed breakpoint: 1.5, 3, 6, ... forward (phi,
+K-types), 0.3, 0.1, 1/30, ... backward (Q).  A request beyond the last piece
+adds pieces and never re-solves a span, so a value depends on the key and t
+alone, not on the order of the requests.  maxsize is 512: a repeat of
+``verify --all`` rereads its 287 entries in order, each a miss at 256.
+``continuation.cache_info()`` reports the hit rate.
 """
 
 from __future__ import annotations
@@ -67,6 +78,8 @@ def _lambdas(lam):
     """(list of complex lambdas, whether lam was a sequence)."""
     if np.ndim(lam) == 0:
         return [complex(lam)], False
+    if len(lam) == 0:
+        raise ValueError("need at least one lambda")
     return [complex(x) for x in lam], True
 
 
@@ -130,12 +143,6 @@ class FrobeniusSeries:
         dq = -head * (self.exponent * s + ds)
         return q, dq
 
-    def value(self, t):
-        return self.pair(t)[0]
-
-    def derivative(self, t):
-        return self.pair(t)[1]
-
 
 def frobenius_Q(space, lam, tol=1e-16, potential_n=0, max_terms=400):
     """Frobenius coefficients of Q_lambda, adaptively truncated.
@@ -197,20 +204,17 @@ def _series(space, lam, potential_n):
 class RadialSolution:
     """A solved radial eigenfunction on [t_lo, t_hi].
 
-    ``at(t)`` returns (value, derivative); the sample grid rows
-    (ts, values, derivatives) record what the integrator certified.
+    ``at(t)`` returns (value, derivative); ``ts`` records the steps the
+    integrator certified, where ``residual`` checks the ODE by default.
     """
 
     space: RankOneSpace
     lam: complex
     potential_n: int
-    provenance: str  # 'phi' | 'Q_plus' | 'Q_minus' | 'ktype' | 'closed-form'
     t_lo: float
     t_hi: float
     _eval: object = field(repr=False)
     ts: np.ndarray = field(default=None, repr=False)
-    values: np.ndarray = field(default=None, repr=False)
-    derivatives: np.ndarray = field(default=None, repr=False)
 
     def at(self, t):
         if not (self.t_lo - 1e-12 <= t <= self.t_hi + 1e-12):
@@ -251,25 +255,19 @@ class RadialSolution:
         return worst
 
     @classmethod
-    def from_callable(cls, space, lam, f, fdot, t_lo, t_hi, potential_n=0,
-                      provenance="closed-form"):
-        ts = np.linspace(t_lo, t_hi, 9)
+    def from_callable(cls, space, lam, f, fdot, t_lo, t_hi, potential_n=0):
         return cls(
             space=space,
             lam=complex(lam),
             potential_n=int(potential_n),
-            provenance=provenance,
             t_lo=float(t_lo),
             t_hi=float(t_hi),
             _eval=lambda t: (f(t), fdot(t)),
-            ts=ts,
-            values=np.array([f(t) for t in ts]),
-            derivatives=np.array([fdot(t) for t in ts]),
+            ts=np.linspace(t_lo, t_hi, 9),
         )
 
 
-def integrate_radial_ode(space, lams, potential_n, t_span, inits, *,
-                         provenance="custom"):
+def integrate_radial_ode(space, lams, potential_n, t_span, inits):
     """Continue (u, u') of the radial ODE across t_span = (t0, t1) for each
     lambda in ``lams``, starting from the matching (u, u') in ``inits``.
 
@@ -324,16 +322,66 @@ def integrate_radial_ode(space, lams, potential_n, t_span, inits, *,
             space=space,
             lam=lams[i],
             potential_n=int(potential_n),
-            provenance=provenance,
             t_lo=min(t0, t1),
             t_hi=max(t0, t1),
             _eval=ev,
             ts=sol.t,
-            values=sol.y[i],
-            derivatives=sol.y[count + i],
         )
 
     return [solution(i) for i in range(count)]
+
+
+# -- stitched solutions and their cache --------------------------------------
+
+_FORWARD = (1.5, 2.0)  # piece ends 1.5, 3, 6, ...
+_BACKWARD = (0.3, 1.0 / 3.0)  # piece ends 0.3, 0.1, 1/30, ...
+
+
+class Continuation:
+    """One radial solution of (space, lambda, |n|), stitched from pieces.
+
+    ``kind(space, lam, potential_n)`` gives the analytic start (a function
+    of t returning (u, u')), the switch point, and the direction the ODE
+    pieces run from there: +1 forward, -1 backward.
+    """
+
+    def __init__(self, space, lam, potential_n, kind):
+        self.space, self.lam, self.potential_n = space, lam, potential_n
+        self.start, self.switch, self.sign = kind(space, lam, potential_n)
+        self.reach = self.switch  # far end of the last piece
+        self.pieces = []
+
+    def pair(self, t):
+        """(u(t), u'(t)), integrating further pieces if t lies beyond them."""
+        sign = self.sign
+        if (t - self.switch) * sign <= 0.0:
+            return self.start(t)
+        first, ratio = _FORWARD if sign > 0 else _BACKWARD
+        k = 0
+        while (t - self.reach) * sign > 0.0:
+            while (first * ratio**k - self.reach) * sign <= 0.0:
+                k += 1
+            _extend([self], first * ratio**k)
+        return next(p for p in self.pieces if p.t_lo <= t <= p.t_hi)._eval(t)
+
+    def view(self, t_lo, t_hi, ts=None):
+        """A RadialSolution on [t_lo, t_hi] reading this continuation."""
+        return RadialSolution(self.space, self.lam, self.potential_n, t_lo, t_hi,
+                              self.pair, ts)
+
+
+def _extend(conts, end):
+    """Add a piece up to ``end`` to continuations sharing space, |n| and reach."""
+    head = conts[0]
+    pieces = integrate_radial_ode(head.space, [c.lam for c in conts], head.potential_n,
+                                  (head.reach, end), [c.pair(head.reach) for c in conts])
+    for cont, piece in zip(conts, pieces):
+        cont.pieces.append(piece)
+        cont.reach = end
+
+
+# The one cache of radial solutions, keyed by (space, lambda, |n|, kind).
+continuation = lru_cache(maxsize=512)(Continuation)
 
 
 # -- the two distinguished solutions ----------------------------------------
@@ -382,19 +430,29 @@ def _phi_taylor_coeffs(space, lam, nterms=18):
     return a
 
 
-def _phi_taylor_pair(space, lam, t, nterms=18):
-    a = _phi_taylor_coeffs(space, lam, nterms)
-    u = 0j
-    v = 0j
-    for nn in range(len(a) - 1, -1, -1):
-        v = v * t + (nn * a[nn] if nn else 0j)
-        u = u * t + a[nn]
-    # v above accumulated sum n a_n t^n; derivative needs t^(n-1)
-    return u, (v / t if t != 0.0 else (0j))
+def _phi_taylor(space, lam, potential_n):
+    """phi's Taylor series about t = 0, continued forward from t = 0.01."""
+    a = _phi_taylor_coeffs(space, lam)
+
+    def pair(t):
+        u = 0j
+        v = 0j
+        for nn in range(len(a) - 1, -1, -1):
+            v = v * t + (nn * a[nn] if nn else 0j)
+            u = u * t + a[nn]
+        # v above accumulated sum n a_n t^n; derivative needs t^(n-1)
+        return u, (v / t if t != 0.0 else (0j))
+
+    return pair, T_TAYLOR, 1.0
+
+
+def _q_series(space, lam, potential_n):
+    """Q's Frobenius series, continued backward from t = log 2."""
+    return _series(space, lam, potential_n).pair, T_SWITCH, -1.0
 
 
 def phi_solution(space, lam, t_max):
-    """The regular solution phi_lambda solved out to t_max (provenance 'phi').
+    """The regular solution phi_lambda solved out to t_max.
 
     A sequence of lambda is solved as one batch and gives a list.
     """
@@ -402,101 +460,43 @@ def phi_solution(space, lam, t_max):
     t_max = float(t_max)
     if t_max <= T_TAYLOR:
         raise ValueError("t_max must exceed the Taylor patch 0.01")
-    inits = [_phi_taylor_pair(space, lam, T_TAYLOR) for lam in lams]
-    sols = integrate_radial_ode(space, lams, 0, (T_TAYLOR, t_max), inits,
-                                provenance="phi")
-
-    def patched(lam, sol):
-        def ev(t):
-            if t <= T_TAYLOR:
-                return _phi_taylor_pair(space, lam, t)
-            return sol._eval(t)
-
-        return RadialSolution(
-            space=space, lam=lam, potential_n=0, provenance="phi",
-            t_lo=0.0, t_hi=t_max, _eval=ev,
-            ts=sol.ts, values=sol.values, derivatives=sol.derivatives,
-        )
-
-    out = [patched(lam, sol) for lam, sol in zip(lams, sols)]
+    conts = [Continuation(space, lam, 0, _phi_taylor) for lam in lams]
+    _extend(conts, t_max)
+    out = [c.view(0.0, t_max, c.pieces[0].ts) for c in conts]
     return out if many else out[0]
 
 
-def q_solution(space, lam, t_min, t_max=8.0, potential_n=0):
-    """Q_lambda on [t_min, t_max]: series for t >= log 2, ODE continuation below.
+def q_solution(space, lam, t_min, potential_n=0):
+    """Q_lambda on [t_min, inf): series for t >= log 2, ODE continuation below.
 
     A sequence of lambda is continued as one batch and gives a list.
     """
     lams, many = _lambdas(lam)
-    sers = [_series(space, lam, int(potential_n)) for lam in lams]
     t_min = float(t_min)
     if t_min <= 0.0:
         raise ValueError("Q is singular at t = 0; need t_min > 0")
-    backs = [None] * len(lams)
+    conts = [Continuation(space, lam, abs(int(potential_n)), _q_series) for lam in lams]
     if t_min < T_SWITCH:
-        backs = integrate_radial_ode(space, lams, potential_n,
-                                     (T_SWITCH, t_min),
-                                     [ser.pair(T_SWITCH) for ser in sers],
-                                     provenance="Q-continuation")
-
-    def joined(lam, ser, back):
-        def ev(t):
-            if t >= T_SWITCH:
-                return ser.pair(t)
-            return back._eval(t)
-
-        prov = "Q_plus" if lam.real >= 0 else "Q_minus"
-        return RadialSolution(
-            space=space, lam=lam, potential_n=int(potential_n), provenance=prov,
-            t_lo=t_min, t_hi=max(t_max, T_SWITCH), _eval=ev,
-            ts=(back.ts if back is not None else np.linspace(T_SWITCH, t_max, 9)),
-            values=(back.values if back is not None else None),
-            derivatives=(back.derivatives if back is not None else None),
-        )
-
-    out = [joined(*args) for args in zip(lams, sers, backs)]
+        _extend(conts, t_min)
+    out = [c.view(t_min, math.inf, c.pieces[0].ts if c.pieces else np.empty(0))
+           for c in conts]
     return out if many else out[0]
-
-
-_T_BUCKETS = (0.3, 0.1, 0.03, 0.01, 0.003, 0.001)
-
-
-@lru_cache(maxsize=256)
-def _q_cached(space, lam, potential_n, t_min):
-    return q_solution(space, lam, t_min, potential_n=potential_n)
 
 
 def eval_Q(space, lam, t, potential_n=0):
     """Q_lambda(t): series for t >= log 2, cached backward continuation below."""
     t = float(t)
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("eval_Q needs t > 0")
-    lam = complex(lam)
-    if t >= T_SWITCH:
-        return _series(space, lam, int(potential_n)).value(t)
-    for b in _T_BUCKETS:
-        if t >= b:
-            return _q_cached(space, lam, int(potential_n), b).at(t)[0]
-    return q_solution(space, lam, 0.9 * t, potential_n=potential_n).at(t)[0]
-
-
-@lru_cache(maxsize=256)
-def _phi_cached(space, lam, t_cap):
-    return phi_solution(space, lam, t_cap)
+    return complex(continuation(space, complex(lam), abs(int(potential_n)), _q_series).pair(t)[0])
 
 
 def eval_phi(space, lam, t):
     """The spherical function phi_lambda(t); entire in lambda, phi(0) = 1."""
     t = float(t)
-    if t < 0.0:
-        raise ValueError("eval_phi needs t >= 0")
-    lam = complex(lam)
-    if t <= T_TAYLOR:
-        return _phi_taylor_pair(space, lam, t)[0]
-    cap = 1.5
-    while cap < t:
-        cap *= 2.0
-    return _phi_cached(space, lam, cap).at(t)[0]
+    if not 0.0 <= t < math.inf:
+        raise ValueError("eval_phi needs finite t >= 0")
+    return complex(continuation(space, complex(lam), 0, _phi_taylor).pair(t)[0])
 
 
 # -- connection problem ------------------------------------------------------
@@ -551,7 +551,8 @@ def connection_coefficients(space, lam, sol=None):
     c-function pair (c(lambda), c(-lambda)) computed by pure ODE machinery.
     """
     if sol is None:
-        sol = phi_solution(space, complex(lam), _MATCH_CANDIDATES[-1] + 0.1)
+        sol = continuation(space, complex(lam), 0, _phi_taylor).view(
+            0.0, _MATCH_CANDIDATES[-1] + 0.1)
     am, ap, _, _ = _connection_solve(space, lam, sol)
     return am, ap
 

@@ -36,7 +36,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from .cfunction import for_space
 from .errors import PoleSignal, QuadratureError
-from .radial import eval_phi, eval_Q, phi_solution, q_solution
+from .radial import eval_phi, eval_Q
 from .space import RankOneSpace
 
 
@@ -132,7 +132,7 @@ class ResolventApplication:
     operator identity (L - kappa rho^2 - s) u = f in radial form.
     """
 
-    def __init__(self, space, zeta, f, support, t_eval_min=0.02):
+    def __init__(self, space, zeta, f, support):
         self.space = space
         self.zeta = complex(zeta)
         self.f = f
@@ -140,25 +140,19 @@ class ResolventApplication:
         if not (0.0 < self.t_a < self.t_b):
             raise ValueError("support must satisfy 0 < t_a < t_b")
         self.normalization = _normalization(space, zeta)
-        lam = 1j * self.zeta
-        self._phi = phi_solution(space, lam, self.t_b + 0.75)
-        self._q = q_solution(space, lam, min(t_eval_min, self.t_a / 4.0),
-                             t_max=self.t_b + 0.75)
         self._J = space.density_J_t
 
-    def _phi_at(self, t):
-        return self._phi.at(t)[0] if t <= self._phi.t_hi \
-            else eval_phi(self.space, 1j * self.zeta, t)
+    def _phi(self, t):
+        return eval_phi(self.space, 1j * self.zeta, t)
 
-    def _q_at(self, t):
-        return self._q.at(t)[0] if t <= self._q.t_hi \
-            else eval_Q(self.space, 1j * self.zeta, t)
+    def _q(self, t):
+        return eval_Q(self.space, 1j * self.zeta, t)
 
     def _inner(self, lo, hi):
-        return _quad(lambda s: self._phi_at(s) * self.f(s) * self._J(s), lo, hi)
+        return _quad(lambda s: self._phi(s) * self.f(s) * self._J(s), lo, hi)
 
     def _outer(self, lo, hi):
-        return _quad(lambda s: self._q_at(s) * self.f(s) * self._J(s), lo, hi)
+        return _quad(lambda s: self._q(s) * self.f(s) * self._J(s), lo, hi)
 
     def __call__(self, t):
         t = float(t)
@@ -167,7 +161,7 @@ class ResolventApplication:
         lo = min(max(t, self.t_a), self.t_b)
         inner = self._inner(self.t_a, lo)
         outer = self._outer(lo, self.t_b)
-        return self.normalization * (self._q_at(t) * inner + self._phi_at(t) * outer)
+        return self.normalization * (self._q(t) * inner + self._phi(t) * outer)
 
     def on_grid(self, ts):
         """Values on an ascending grid, sharing cumulative segment quadratures."""
@@ -189,8 +183,8 @@ class ResolventApplication:
             acc += self._outer(clips[i], prev)
             outer[i] = acc
             prev = clips[i]
-        qv = np.array([self._q_at(t) for t in ts])
-        pv = np.array([self._phi_at(t) for t in ts])
+        qv = np.array([self._q(t) for t in ts])
+        pv = np.array([self._phi(t) for t in ts])
         return self.normalization * (qv * inner + pv * outer)
 
     def residual(self, ts=None, h=2e-3):

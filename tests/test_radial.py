@@ -3,6 +3,7 @@ connection coefficients, Wronskian limit."""
 
 import cmath
 import math
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from hyperscatter.radial import (
     _WRONSKIAN_NODES,
     RadialSolution,
     connection_coefficients,
+    continuation,
     eval_Q,
     eval_phi,
     frobenius_Q,
@@ -19,7 +21,7 @@ from hyperscatter.radial import (
     q_solution,
     wronskian_limit,
 )
-from hyperscatter.model_h2 import oracle_h3
+from hyperscatter.model_h2 import ktype_radial_profile, oracle_h3
 from hyperscatter.space import space_from_name
 from hyperscatter.verify import FAMILY_NAMES, lambda_grid
 
@@ -33,10 +35,36 @@ def _rel(a, b):
 
 def test_h3_closed_forms():
     for lam in (0.5, 2.0, 1 + 1j, 0.3 - 0.8j):
-        for t in (0.5, 1.0, 3.0):
+        for t in (0.0005, 0.02, 0.5, 1.0, 3.0, 7.0):
             oracle = oracle_h3(lam, t)
             assert _rel(eval_phi(H3, lam, t), oracle.phi) < 1e-10
             assert _rel(eval_Q(H3, lam, t), oracle.Q) < 1e-10
+
+
+def test_cached_values_do_not_depend_on_request_order():
+    # a cached value may depend on (space, lambda, n, t) alone: the
+    # benchmark checks a warm pass against a cold one byte for byte
+    space = space_from_name("chn:2")
+    lam = 0.7 + 0.2j
+    calls = [(1.3, lambda: connection_coefficients(space, lam))]
+    for t in (0.0005, 0.004, 0.02, 0.2, 0.9, 1.5, 2.2, 4.0, 7.0):
+        calls += [
+            (t, lambda t=t: eval_phi(space, lam, t)),
+            (t, lambda t=t: eval_Q(space, lam, t)),
+            (t, lambda t=t: eval_Q(H2, 1.1 - 0.3j, t, potential_n=2)),
+            (t, lambda t=t: ktype_radial_profile(0.8, 2, t)),
+        ]
+
+    def run(order):
+        continuation.cache_clear()
+        return {i: calls[i][1]() for i in order}
+
+    ascending = sorted(range(len(calls)), key=lambda i: calls[i][0])
+    shuffled = list(ascending)
+    random.Random(4).shuffle(shuffled)
+    first = run(ascending)
+    assert run(ascending[::-1]) == first
+    assert run(shuffled) == first
 
 
 def test_phi_is_even_in_lambda():

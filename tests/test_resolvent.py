@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from hyperscatter.cfunction import for_space
 from hyperscatter.errors import PoleSignal
+from hyperscatter.model_h2 import oracle_h3
 from hyperscatter.radial import eval_phi
 from hyperscatter.resolvent import (
     apply_radial,
@@ -115,3 +117,33 @@ def test_apply_radial_grid_matches_pointwise():
         assert abs(g - u(t)) < 1e-9 * max(1.0, abs(g))
     with pytest.raises(ValueError):
         u.on_grid(np.array([1.0, 0.5]))
+
+
+def test_apply_radial_below_the_support_matches_closed_form_green():
+    # Green representation from the closed-form H3 phi and Q; the grid
+    # reaches far below t_a / 4, where Q must be continued toward t = 0
+    zeta, (t_a, t_b) = 0.7 - 0.4j, (0.3, 1.2)
+    lam = 1j * zeta
+
+    def f(s):
+        return math.exp(-((s - 0.75) / 0.15) ** 2)
+
+    def integral(g, lo, hi):
+        if hi <= lo:
+            return 0j
+        return quad(lambda s: g(s) * f(s) * (2.0 * math.sinh(s)) ** 2, lo, hi,
+                    complex_func=True, epsabs=0.0, epsrel=1e-13)[0]
+
+    def phi(s):
+        return oracle_h3(lam, s).phi
+
+    def q(s):
+        return oracle_h3(lam, s).Q
+
+    norm = 1.0 / (2j * H3.kappa * zeta * oracle_h3(lam, 1.0).c)
+    ts = [0.005, 0.015, 0.5, 2.0]
+    got = apply_radial(H3, zeta, f, (t_a, t_b)).on_grid(ts)
+    for t, g in zip(ts, got):
+        lo = min(max(t, t_a), t_b)
+        want = norm * (q(t) * integral(phi, t_a, lo) + phi(t) * integral(q, lo, t_b))
+        assert abs(g - want) / abs(want) < 1e-8, t
