@@ -17,6 +17,11 @@ exact local Laurent/Taylor data, carried in log space, so that values,
 derivatives and zero/pole orders of c stay exact at the points where numerator
 and denominator poles collide (these are exactly the points the resonance and
 residue formulas need), and stay finite at any resonance index.
+
+``value`` and ``czz`` also map a numpy array to an array: one ``loggamma``
+call per Gamma factor for the regular elements, the scalar call (and its
+exact local data) for each element on the lattice.  As in the scalar call, a
+non-finite element raises NonFiniteInputError and a pole raises PoleSignal.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import cmath
 import math
 from functools import lru_cache
 
+import numpy as np
 from scipy.special import loggamma, psi
 
 from .errors import NonFiniteInputError, PoleSignal
@@ -50,6 +56,20 @@ def _nonpos_int(w, tol=_INT_TOL):
     if m > 0 or abs(w.real - m) > tol:
         return None
     return -m
+
+
+def _by_element(x, regular, fast, scalar):
+    """Array of results over the array x: ``fast`` in one call on the
+    elements where ``regular(x)`` holds, ``scalar`` on each other one."""
+    x = x.astype(complex)
+    if not np.isfinite(x).all():
+        raise NonFiniteInputError("c-function argument array has a non-finite element")
+    ok = regular(x)
+    out = np.empty(x.shape, dtype=complex)
+    out[ok] = fast(x[ok])
+    for i in np.flatnonzero(~ok):
+        out.flat[i] = scalar(complex(x.flat[i]))
+    return out
 
 
 def log_gamma(z):
@@ -142,8 +162,31 @@ class CFunction:
             return True
         return any(_nonpos_int(a + lam / 2.0) is not None for a in (self.a1, self.a2))
 
+    def _log_quotient(self, lam):
+        """log c(lambda) off the lattice, for a scalar or an array."""
+        return (
+            self.log_c0
+            - lam * _LN2
+            + loggamma(lam)
+            - loggamma(self.a1 + lam / 2.0)
+            - loggamma(self.a2 + lam / 2.0)
+        )
+
+    def _regular(self, lam):
+        """Array form of ``not _is_special``, with the tolerance of _nonpos_int."""
+        regular = True
+        for w in (lam, self.a1 + lam / 2.0, self.a2 + lam / 2.0):
+            m = np.round(w.real)
+            regular &= (np.abs(w.imag) > _INT_TOL) | (m > 0) | (np.abs(w.real - m) > _INT_TOL)
+        return regular
+
     def value(self, lam):
-        """c(lambda).  Returns 0 exactly at zeros; raises PoleSignal at poles."""
+        """c(lambda).  Returns 0 exactly at zeros; raises PoleSignal at poles.
+
+        A numpy array of lambda gives the array of values."""
+        if isinstance(lam, np.ndarray):
+            return _by_element(lam, self._regular,
+                               lambda x: np.exp(self._log_quotient(x)), self.value)
         lam = complex(lam)
         if self._is_special(lam):
             order, lead, _ = self.local_expansion(lam)
@@ -155,13 +198,7 @@ class CFunction:
                     residue=lead if order == -1 else None,
                 )
             return 0j if order > 0 else lead
-        return cmath.exp(
-            self.log_c0
-            - lam * _LN2
-            + log_gamma(lam)
-            - log_gamma(self.a1 + lam / 2.0)
-            - log_gamma(self.a2 + lam / 2.0)
-        )
+        return cmath.exp(self._log_quotient(lam))
 
     def derivative(self, lam):
         """c'(lambda), valid at generic points and at zeros of c."""
@@ -197,8 +234,22 @@ class CFunction:
         return order, lead, nxt
 
     def czz(self, zeta):
-        """czz(zeta) = c(i zeta) c(-i zeta); equals |c(i zeta)|^2 for real zeta."""
-        order, lead, _ = self.czz_expansion(zeta)
+        """czz(zeta) = c(i zeta) c(-i zeta); equals |c(i zeta)|^2 for real zeta.
+
+        A numpy array of zeta gives the array of values."""
+        if isinstance(zeta, np.ndarray):
+            lq = self._log_quotient
+            return _by_element(
+                zeta, lambda z: self._regular(1j * z) & self._regular(-1j * z),
+                lambda z: np.exp(lq(1j * z)) * np.exp(lq(-1j * z)), self.czz)
+        return self.czz_and_derivative(zeta)[0]
+
+    def czz_derivative(self, zeta):
+        return self.czz_and_derivative(zeta)[1]
+
+    def czz_and_derivative(self, zeta):
+        """(czz, czz') at zeta from one local expansion."""
+        order, lead, nxt = self.czz_expansion(zeta)
         if order < 0:
             raise PoleSignal(
                 f"pole of czz of order {-order} at zeta = {zeta}",
@@ -206,21 +257,9 @@ class CFunction:
                 order=-order,
                 residue=lead if order == -1 else None,
             )
-        return 0j if order > 0 else lead
-
-    def czz_derivative(self, zeta):
-        order, lead, nxt = self.czz_expansion(zeta)
-        if order < 0:
-            raise PoleSignal(
-                f"pole of czz of order {-order} at zeta = {zeta}",
-                at=complex(zeta),
-                order=-order,
-            )
         if order == 0:
-            return nxt
-        if order == 1:
-            return lead
-        return 0j
+            return lead, nxt
+        return 0j, (lead if order == 1 else 0j)
 
     def plancherel_density(self, zeta):
         """Spherical Plancherel density |c(i zeta)|^{-2} at real zeta > 0."""

@@ -36,7 +36,7 @@ from scipy.optimize import brentq
 from . import model_h2
 from .boundary import boundary_pair, bv_limit
 from .cfunction import for_space
-from .errors import PoleSignal, ResonantExponentError
+from .errors import NonFiniteInputError, PoleSignal, ResonantExponentError
 from .radial import eval_phi
 from .resonances import ResonanceRecord, enumerate_resonances
 from .space import RankOneSpace
@@ -46,6 +46,7 @@ KIND_INTERTWINER = "intertwiner"
 
 _LATTICE_TOL = 1e-6
 _ORIGIN_TOL = 1e-13
+_MAX_NODES = 10**6
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,17 @@ def find_scalar_poles(space, im_lo=-4.95, im_hi=4.95, step=0.01):
     refined by brentq and accepted only if w is actually small there, which
     rejects the sign flips across poles of w (those are zeros of s).  Returns
     the pole locations i sigma sorted by imaginary part; sigma = 0 is skipped.
+
+    Every real special point of c is a half-integer, so the nodes with 2 sigma
+    off the integers are evaluated in one array pass and only the rest, and
+    the brentq refinement, use the scalar w.
     """
+    bounds = (im_lo, im_hi, step)
+    if not all(math.isfinite(x) for x in bounds):
+        raise NonFiniteInputError(f"axis scan bounds and step must be finite, got {bounds}")
+    if step <= 0 or im_lo >= im_hi or (im_hi - im_lo) / step > _MAX_NODES:
+        raise ValueError(f"axis scan needs step > 0, im_lo < im_hi and at most "
+                         f"{_MAX_NODES} nodes, got (im_lo, im_hi, step) = {bounds}")
     cf = for_space(space)
 
     def w(sig):
@@ -236,15 +247,18 @@ def find_scalar_poles(space, im_lo=-4.95, im_hi=4.95, step=0.01):
     k_lo = math.ceil(im_lo / step - 1e-9)
     k_hi = math.floor(im_hi / step + 1e-9)
     sigmas = np.arange(k_lo, k_hi + 1) * step
-    vals = np.array([w(s) for s in sigmas])
+    vals = np.empty(len(sigmas))
+    twice = 2.0 * sigmas
+    regular = np.abs(twice - np.round(twice)) >= _LATTICE_TOL
+    sig = sigmas[regular]
+    vals[regular] = (cf.value(-sig) / cf.value(sig)).real
+    for i in np.flatnonzero(~regular):
+        vals[i] = w(sigmas[i])
 
-    poles = [s for s, v in zip(sigmas, vals) if v == 0.0]
-    for i in range(len(sigmas) - 1):
-        a, b = vals[i], vals[i + 1]
-        if not (np.isfinite(a) and np.isfinite(b)) or abs(a) >= 1e18 or abs(b) >= 1e18:
-            continue
-        if a == 0.0 or b == 0.0 or a * b > 0:
-            continue
+    poles = list(sigmas[vals == 0.0])
+    # strict sign changes between finite nodes that are not poles of w
+    a, b = vals[:-1], vals[1:]
+    for i in np.flatnonzero((np.abs(a) < 1e18) & (np.abs(b) < 1e18) & (a * b < 0)):
         root = brentq(w, sigmas[i], sigmas[i + 1], xtol=1e-12)
         if abs(w(root)) < 1e-6:
             poles.append(root)

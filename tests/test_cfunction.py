@@ -10,6 +10,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from hyperscatter.cfunction import for_space
@@ -223,3 +224,56 @@ def test_non_finite_input_raises_structured_error(bad):
             call(bad)
     # still a ValueError, so existing callers that catch that keep working
     assert issubclass(NonFiniteInputError, ValueError)
+
+
+def _rectangle(space, half_width=0.25, per_side=800):
+    """The 3,200 points of the winding-check rectangle around the axis."""
+    lo, hi = 0.11, 3.0 * space.rho + 6.13
+    corners = [complex(-half_width, lo), complex(half_width, lo),
+               complex(half_width, hi), complex(-half_width, hi)]
+    return [a + (b - a) * (i / per_side)
+            for a, b in zip(corners, corners[1:] + corners[:1])
+            for i in range(per_side)]
+
+
+@pytest.mark.parametrize("name", ["h2", "h3", "chn:2", "hhn:2", "oh2"])
+def test_array_input_matches_scalar_calls(name):
+    # regular elements go through one vectorised Gamma quotient and agree
+    # with the scalar call to rounding; lattice elements fall back to the
+    # scalar call and must agree exactly
+    cf = for_space(space_from_name(name))
+    rng = np.random.default_rng(5)
+    rand = list(rng.uniform(-12, 12, 400) + 1j * rng.uniform(-12, 12, 400))
+    lattice = [-k / 2 for k in range(60)]
+    near = [x + d for x in lattice for d in (1e-9, -1e-9, 1e-9j, -1e-9j)]
+    rect = _rectangle(cf.space)
+    for method, pts in ((cf.value, rand + near + [1j * z for z in rect]),
+                        (cf.czz, rand + [1j * x for x in near] + rect)):
+        got = method(np.array(pts))
+        want = np.array([method(complex(p)) for p in pts])
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), method
+    for method, pts in ((cf.value, lattice), (cf.czz, [1j * x for x in lattice])):
+        finite = []
+        for p in pts:
+            try:
+                finite.append((p, method(complex(p))))
+            except PoleSignal:
+                pass
+        got = method(np.array([p for p, _ in finite]).reshape(-1, 1))
+        assert got.shape == (len(finite), 1)
+        assert [g == w for g, (_, w) in zip(got[:, 0], finite)] == [True] * len(finite)
+
+
+def test_array_input_errors():
+    cf = for_space(H2)
+    for method in (cf.value, cf.czz):
+        with pytest.raises(NonFiniteInputError):
+            method(np.array([0.3, math.nan, 1.2]))
+        with pytest.raises(NonFiniteInputError):
+            method(np.array([0.3, complex(1.0, math.inf)]))
+    # c has a pole at lambda = 0, czz a double pole at zeta = 0
+    with pytest.raises(PoleSignal):
+        cf.value(np.array([0.3, 0.0, 1.2]))
+    with pytest.raises(PoleSignal):
+        cf.czz(np.array([0.3j, 0.0, 1.2]))

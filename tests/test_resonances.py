@@ -1,8 +1,13 @@
 # Resonance enumeration, residue scalars, contour cross-checks.
 
+import math
+
 import mpmath
 import pytest
 
+from hyperscatter import resonances
+from hyperscatter.cfunction import CFunction, for_space
+from hyperscatter.errors import EnumerationError
 from hyperscatter.radial import eval_phi
 from hyperscatter.resonances import (
     enumerate_resonances,
@@ -10,6 +15,7 @@ from hyperscatter.resonances import (
     residue_kernel,
     residue_scalar,
 )
+from hyperscatter.scattering import classify_poles
 from hyperscatter.space import space_from_name
 
 H2 = space_from_name("h2")
@@ -85,15 +91,67 @@ def test_empty_and_zero_counts():
     assert enumerate_resonances(H2, 0) == []
 
 
-@pytest.mark.parametrize("name", ["chn:2", "hn:4"])
+@pytest.mark.parametrize("count", [-1, 2.5, math.nan, math.inf, "3", None])
+def test_count_must_be_a_non_negative_integer(count):
+    with pytest.raises(ValueError):
+        enumerate_resonances(H2, count)
+    with pytest.raises(ValueError):
+        classify_poles(H2, count)
+
+
+def test_winding_check_catches_a_missing_zero(monkeypatch):
+    # a lattice prediction that leaves out one resonance must disagree with
+    # the argument-principle count
+    space = space_from_name("chn:2")
+    cf = for_space(space)
+    full = resonances._lattice_candidates
+
+    def drop_first_zero(space, cf, lo, hi):
+        ys = full(space, cf, lo, hi)
+        first = next(y for y in ys if cf.zero_order(-y) == 1)
+        return [y for y in ys if y != first]
+
+    resonances._winding_check(space, cf)
+    monkeypatch.setattr(resonances, "_lattice_candidates", drop_first_zero)
+    with pytest.raises(EnumerationError):
+        resonances._winding_check(space, cf)
+
+
+def test_certificate_rejects_a_point_that_is_no_zero():
+    # czz on h3 is a multiple of 1/zeta^2: Newton runs away and never
+    # reaches a zero
+    with pytest.raises(EnumerationError):
+        resonances._polish(for_space(space_from_name("h3")), 2.5j)
+
+
+def test_certificate_is_scale_free():
+    # multiplying c by e^(+-300) scales czz and czz' by e^(+-600); the
+    # certificate reads both against czz half a rung off the axis, so the
+    # same ladder certifies
+    space = space_from_name("oh2")
+    ladder = [rec.zeta for rec in enumerate_resonances(space, 30)]
+    for shift in (-300.0, 300.0):
+        cf = CFunction(space)
+        cf.log_c0 += shift
+        assert [resonances._polish(cf, seed) for seed in cf.czz_zeros_upper(30)] == ladder
+
+
+# oh2, hhn:3 and chn:3 pass where |czz'| at the zero has fallen below 1e-8
+# (oh2 and hhn:3 from 53i, chn:3 from 161i), which a certificate with an
+# absolute bound on the derivative refused
+LARGE_COUNTS = {"chn:2": 200, "hn:4": 200, "oh2": 30, "hhn:3": 30, "chn:3": 200}
+
+
+@pytest.mark.parametrize("name", list(LARGE_COUNTS))
 def test_large_index_residues_stay_finite(name, mp_c):
     # factorials in the local data of c pass the float range from k = 171
     # on; the residue scalars -1/(2 kappa zeta c'(i zeta) c(-i zeta)) grow
     # only polynomially.  The reference reads c' at the simple zero
     # lam0 = i zeta as c(lam0 + e)/e at 60 digits.
     space = space_from_name(name)
-    recs = enumerate_resonances(space, 200)
-    assert len(recs) == 200
+    count = LARGE_COUNTS[name]
+    recs = enumerate_resonances(space, count)
+    assert len(recs) == count
     for rec in recs:
         with mpmath.workdps(60):
             lam0 = -mpmath.mpf(round(2 * rec.zeta.imag)) / 2

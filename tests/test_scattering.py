@@ -2,11 +2,12 @@
 K-type eigenvalues, residue relation against the resolvent."""
 
 import cmath
+import math
 
 import pytest
 
 from hyperscatter.cfunction import for_space
-from hyperscatter.errors import PoleSignal, ResonantExponentError
+from hyperscatter.errors import NonFiniteInputError, PoleSignal, ResonantExponentError
 from hyperscatter.resonances import enumerate_resonances
 from hyperscatter.scattering import (
     KIND_INTERTWINER,
@@ -115,6 +116,18 @@ def test_axis_scan_matches_classification():
 
 def test_axis_scan_h3_empty():
     assert find_scalar_poles(H3) == []
+
+
+def test_axis_scan_rejects_hostile_grids():
+    for bad in ({"step": math.nan}, {"step": math.inf}, {"im_lo": -math.inf},
+                {"im_hi": math.nan}):
+        with pytest.raises(NonFiniteInputError):
+            find_scalar_poles(H2, **bad)
+    for bad in ({"step": 0.0}, {"step": -0.01}, {"im_lo": 1.0, "im_hi": 1.0},
+                {"im_lo": 2.0, "im_hi": -2.0}, {"step": 1e-6},
+                {"im_lo": -1e300, "im_hi": 1e300}):
+        with pytest.raises(ValueError):
+            find_scalar_poles(H2, **bad)
 
 
 def test_pole_record_validation():
