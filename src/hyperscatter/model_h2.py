@@ -216,17 +216,19 @@ def ktype_solution(lam, n, t_max=1.35):
     """The radial factor of P_lambda e^{in theta} as a RadialSolution.
 
     Normalized so its boundary pair has a_minus = c(lambda), matching the
-    Poisson transform of the unit K-type.
+    Poisson transform of the unit K-type.  The factor c(lambda)/a_minus is
+    solved once per cached entry and kept on it.
     """
     lam = complex(lam)
     raw = continuation(H2, lam, abs(int(n)), _ktype_start)
-    bp = boundary_pair(H2, lam, raw.view(0.0, 1.35))
-    target = for_space(H2).value(lam)
-    if abs(bp.a_minus) < 1e-250:
-        raise NormalizationError(
-            f"K-type profile has vanishing incoming boundary value at lambda={lam}"
-        )
-    scale = target / bp.a_minus
+    if raw.scale is None:
+        bp = boundary_pair(H2, lam, raw.view(0.0, 1.35))
+        if abs(bp.a_minus) < 1e-250:
+            raise NormalizationError(
+                f"K-type profile has vanishing incoming boundary value at lambda={lam}"
+            )
+        raw.scale = for_space(H2).value(lam) / bp.a_minus
+    scale = raw.scale
     return RadialSolution(H2, lam, abs(int(n)), 0.0, max(float(t_max), 1.35),
                           lambda t: tuple(scale * w for w in raw.pair(t)))
 

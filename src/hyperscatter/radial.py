@@ -16,14 +16,30 @@ the disk model).  Two distinguished solutions:
   integration for y > 1/2, i.e. t < log 2.
 
 * phi_lambda, the regular solution with phi(0) = 1 (the spherical function
-  for n = 0).  The coth singularity at t = 0 is handled by a Taylor series
-  whose coefficients come from the Laurent expansion of b; the ODE takes
-  over at t = 0.01.
+  for n = 0), which is a Jacobi function (Koornwinder 1984) with
+  alpha = (m_alpha + m_2alpha - 1)/2 and beta = (m_2alpha - 1)/2.
+  ``eval_phi`` integrates nothing off the lattice.  For t <= T_PHI = 1.5 it
+  sums cosh(t)^-(rho+lambda) 2F1((rho+lambda)/2, (alpha-beta+1+lambda)/2;
+  alpha+1; tanh(t)^2); above, it returns c(lambda) Q_{-lambda} +
+  c(-lambda) Q_lambda from the closed-form c and the Frobenius series.
+  Below 1.5 the two c Q terms are up to 1e6 times phi (oh2 at t = 0.7).
 
 The two are linked by phi = c(lambda) Q_{-lambda} + c(-lambda) Q_{lambda};
 ``connection_coefficients`` recovers the pair numerically for any solution,
 and ``wronskian_limit`` extrapolates lim_{t->0} J(t) dQ/dt = -2 lambda
 c(lambda), which fixes the resolvent normalization.
+
+Where eval_phi still integrates, the ODE continues the series forward.
+Within LATTICE_GUARD = 0.05 of an integer lambda the two c Q terms have
+poles that cancel, and with 2 lambda within EXCLUSION_RADIUS of an integer
+frobenius_Q refuses one of the series: there the ODE takes over at T_PHI.
+A large |Im lambda| makes the series itself cancel, its terms outgrowing the
+sum by about |Im lambda| tanh(t) / 2 decades, so it hands over where
+|Im lambda| tanh(t) = 4: to c Q if that is past log 2, to the ODE if not.
+A |lambda| in the hundreds overflows the coefficients; the handover point
+is then halved until the series sums.  ``phi_solution`` always integrates,
+from t = 0.01 on, so the connection suite compares an integrated phi with
+c Q.
 
 All integrations use DOP853 with a vanishing absolute floor, so solutions
 spanning forty decades (the octonionic family) keep full relative accuracy.
@@ -37,11 +53,14 @@ runs a scalar right-hand side at rtol 1e-12.
 of ``model_h2`` read one cache, ``continuation``, with one entry per (space,
 lambda, |n|, kind).  An entry is a Continuation: the analytic start on its
 side of the switch point, then ODE pieces, each started from the end of the
-one before and ending at a fixed breakpoint: 1.5, 3, 6, ... forward (phi,
-K-types), 0.3, 0.1, 1/30, ... backward (Q).  A request beyond the last piece
+one before and ending at a fixed breakpoint: 1.5, 3, 6, ... forward (phi
+near the lattice, K-types), 0.3, 0.1, 1/30, ... backward (Q).  An entry of
+phi off the lattice has no switch and no pieces: it keeps the series
+coefficients, both c values and both Frobenius series.  A K-type entry
+keeps its normalising factor.  A request beyond the last piece
 adds pieces and never re-solves a span, so a value depends on the key and t
 alone, not on the order of the requests.  maxsize is 512: a repeat of
-``verify --all`` rereads its 287 entries in order, each a miss at 256.
+``verify --all`` rereads its 412 entries in order, each a miss at 256.
 ``continuation.cache_info()`` reports the hit rate.
 """
 
@@ -51,19 +70,26 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .cfunction import for_space
 from .errors import (AccuracyWarning, IllConditionedError, NonFiniteInputError,
                      ResonantExponentError, StiffnessError)
 from .space import RankOneSpace
 
 T_SWITCH = math.log(2.0)  # series/ODE handover at y = 1/2
-T_TAYLOR = 0.01  # phi Taylor validity used for ODE initialization
+T_PHI = 1.5  # phi: Jacobi series below, c Q_{-lambda} + c Q_lambda above
+T_SEED = 0.01  # phi_solution's ODE starts from the Jacobi series here
 EXCLUSION_RADIUS = 1e-6
+LATTICE_GUARD = 0.05  # lambda this near an integer: the c Q terms cancel
+
+_SERIES_TOL = 1e-17
+_LOG_SERIES_TOL = math.log(_SERIES_TOL)
+_SERIES_MAX_TERMS = 1 << 14
+_SERIES_REACH = 4.0  # |Im lambda| tanh t where phi's series has lost two digits
 
 _RTOL = 1e-12
 _ATOL = 1e-300  # effectively pure relative error control
@@ -342,7 +368,10 @@ class Continuation:
 
     ``kind(space, lam, potential_n)`` gives the analytic start (a function
     of t returning (u, u')), the switch point, and the direction the ODE
-    pieces run from there: +1 forward, -1 backward.
+    pieces run from there: +1 forward, -1 backward.  An infinite switch
+    means the start covers every t and no piece is ever integrated.
+    ``scale`` starts as None; a caller that normalises the solution keeps
+    its factor there, so the factor lives and dies with the cached entry.
     """
 
     def __init__(self, space, lam, potential_n, kind):
@@ -350,6 +379,7 @@ class Continuation:
         self.start, self.switch, self.sign = kind(space, lam, potential_n)
         self.reach = self.switch  # far end of the last piece
         self.pieces = []
+        self.scale = None
 
     def pair(self, t):
         """(u(t), u'(t)), integrating further pieces if t lies beyond them."""
@@ -387,63 +417,123 @@ continuation = lru_cache(maxsize=512)(Continuation)
 # -- the two distinguished solutions ----------------------------------------
 
 
-def _bernoulli_even(kmax):
-    """B_0, B_2, ..., B_{2 kmax} as Fractions (B_1 = -1/2 convention)."""
-    n = 2 * kmax + 1
-    b = [Fraction(0)] * n
-    b[0] = Fraction(1)
-    for m in range(1, n):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * b[j]
-        b[m] = -acc / (m + 1)
-    return [b[2 * k] for k in range(kmax + 1)]
+class _JacobiSeries:
+    """phi's hypergeometric series: ``pair(t)`` = (u, u') at 0 <= t <= T_PHI.
+
+    phi = cosh(t)^-(rho+lambda) 2F1(a, b; alpha+1; tanh(t)^2) with
+    a = (rho+lambda)/2 and b = (alpha-beta+1+lambda)/2, the Pfaff form of the
+    Jacobi function (alpha = (m_alpha+m_2alpha-1)/2, beta = (m_2alpha-1)/2).
+    The coefficients grow on demand by their term ratio and are kept.  A sum
+    stops at the first term below _SERIES_TOL of the partial sum, which is
+    summed in order, so a value depends on (lambda, t) alone and not on how
+    many coefficients earlier calls made.
+    """
+
+    def __init__(self, space, lam):
+        self.e = space.rho + lam
+        self._abc = (self.e / 2.0, (0.5 * space.m_alpha + 1.0 + lam) / 2.0,
+                     (space.m_alpha + space.m_2alpha + 1) / 2.0)
+        self._coeffs = [1.0 + 0j]
+        self._grow(32)
+
+    def _grow(self, size):
+        a, b, c = self._abc
+        h = self._coeffs
+        for n in range(len(h), size):
+            h.append(h[-1] * (a + n - 1) * (b + n - 1) / ((c + n - 1) * n))
+        if not cmath.isfinite(h[-1]):
+            raise OverflowError(f"phi's series coefficients overflow before term {size}")
+        self.coefficients = np.array(h)
+        self.weighted = self.coefficients * np.arange(size)
+
+    def _sums(self, z):
+        """(sum c_n z^n, sum n c_n z^n) over the terms the stopping rule keeps."""
+        width = 32
+        # enough terms for a geometric series in z, doubled while that is short
+        while z > 0.0 and width * math.log(z) > _LOG_SERIES_TOL:
+            width *= 2
+        while True:
+            if width > len(self.coefficients):
+                self._grow(width)
+            powers = z ** np.arange(width)
+            terms = self.coefficients[:width] * powers
+            partial = terms.cumsum()
+            done = np.abs(terms) <= _SERIES_TOL * np.abs(partial)
+            n = int(done.argmax())
+            if done[n] and cmath.isfinite(partial[n]):
+                return partial[n], (self.weighted[:n + 1] * powers[:n + 1]).sum()
+            if done[n] or width >= _SERIES_MAX_TERMS:
+                raise OverflowError(f"phi's series does not sum at z = {z}")
+            width *= 2
+
+    def reach(self, t):
+        """The largest of t, t/2, t/4, ... where the series sums in floating
+        point; a large |lambda| overflows the coefficients first."""
+        while True:
+            try:
+                self.pair(t)
+                return t
+            except OverflowError:
+                t /= 2.0
+
+    def pair(self, t):
+        s, ds = self._sums(math.tanh(t) ** 2)
+        head = cmath.exp(-self.e * math.log(math.cosh(t)))
+        du = -self.e * math.tanh(t) * head * s
+        if t:
+            du += head * 4.0 * ds / math.sinh(2.0 * t)
+        return complex(head * s), complex(du)
 
 
-@lru_cache(maxsize=None)
-def _coth_coeffs(kmax):
-    """c_k with coth t = 1/t + sum_{k>=1} c_k t^{2k-1}."""
-    bern = _bernoulli_even(kmax)
-    return tuple(
-        float(Fraction(4**k) * bern[k] / math.factorial(2 * k))
-        for k in range(kmax + 1)
-    )
+def _near_lattice(lam):
+    """Whether c(lambda) Q_{-lambda} + c(-lambda) Q_lambda is unusable:
+    lambda near an integer, where the two terms have poles that cancel, or
+    2 lambda where frobenius_Q refuses one of the two series."""
+    w = 2.0 * lam
+    return (abs(lam - round(lam.real)) < LATTICE_GUARD
+            or abs(w - round(w.real)) <= EXCLUSION_RADIUS)
 
 
-def _phi_taylor_coeffs(space, lam, nterms=18):
-    """Taylor coefficients of phi_lambda about t = 0 (a_0 = 1)."""
-    lam = complex(lam)
+def _phi_series(space, lam, potential_n):
+    """phi: the Jacobi series up to a switch, c Q_{-lambda} + c Q_lambda beyond.
+
+    The switch is T_PHI, or earlier where the series cancels: its terms
+    outgrow their sum by about |Im lambda| tanh(t) / 2 decades, so it stops
+    where |Im lambda| tanh(t) reaches _SERIES_REACH.  Near the lattice, or
+    where the switch falls below log 2 and the Frobenius series of Q no
+    longer converge, the ODE continues the series from the switch instead.
+    """
     _require_finite(lam)
-    q = space.dim - 1  # residue of b(t) at t=0
-    kmax = nterms // 2 + 1
-    ck = _coth_coeffs(kmax)
-    beta = {2 * k - 1: ck[k] * (space.m_alpha + 4**k * space.m_2alpha)
-            for k in range(1, kmax + 1)}
-    k2 = space.rho**2 - lam * lam
-    a = [1.0 + 0j, 0j]
-    for nn in range(2, nterms + 1):
-        acc = k2 * a[nn - 2]
-        for j, bj in beta.items():
-            if j <= nn - 2:
-                acc += bj * (nn - 1 - j) * a[nn - 1 - j]
-        a.append(-acc / (nn * (nn - 1 + q)))
-    return a
+    jacobi = _JacobiSeries(space, lam)
+    mu = abs(lam.imag)
+    switch = jacobi.reach(T_PHI if mu * math.tanh(T_PHI) <= _SERIES_REACH
+                          else math.atanh(_SERIES_REACH / mu))
+    series = jacobi.pair
+    if switch < T_SWITCH or _near_lattice(lam):
+        return series, switch, 1.0
 
-
-def _phi_taylor(space, lam, potential_n):
-    """phi's Taylor series about t = 0, continued forward from t = 0.01."""
-    a = _phi_taylor_coeffs(space, lam)
+    @cache
+    def connection():
+        """c(lambda), c(-lambda), Q_{-lambda}, Q_lambda, made at the first
+        read past the switch and kept with the entry."""
+        cf = for_space(space)
+        return (cf.value(lam), cf.value(-lam),
+                _series(space, -lam, 0).pair, _series(space, lam, 0).pair)
 
     def pair(t):
-        u = 0j
-        v = 0j
-        for nn in range(len(a) - 1, -1, -1):
-            v = v * t + (nn * a[nn] if nn else 0j)
-            u = u * t + a[nn]
-        # v above accumulated sum n a_n t^n; derivative needs t^(n-1)
-        return u, (v / t if t != 0.0 else (0j))
+        if t <= switch:
+            return series(t)
+        cp, cm, q_minus, q_plus = connection()
+        (qm, dqm), (qp, dqp) = q_minus(t), q_plus(t)
+        return cp * qm + cm * qp, cp * dqm + cm * dqp
 
-    return pair, T_TAYLOR, 1.0
+    return pair, math.inf, 1.0
+
+
+def _phi_seed(space, lam, potential_n):
+    """phi's Jacobi series, continued forward by the ODE from T_SEED."""
+    _require_finite(lam)
+    return _JacobiSeries(space, lam).pair, T_SEED, 1.0
 
 
 def _q_series(space, lam, potential_n):
@@ -458,9 +548,9 @@ def phi_solution(space, lam, t_max):
     """
     lams, many = _lambdas(lam)
     t_max = float(t_max)
-    if t_max <= T_TAYLOR:
-        raise ValueError("t_max must exceed the Taylor patch 0.01")
-    conts = [Continuation(space, lam, 0, _phi_taylor) for lam in lams]
+    if t_max <= T_SEED:
+        raise ValueError(f"t_max must exceed the series patch {T_SEED}")
+    conts = [Continuation(space, lam, 0, _phi_seed) for lam in lams]
     _extend(conts, t_max)
     out = [c.view(0.0, t_max, c.pieces[0].ts) for c in conts]
     return out if many else out[0]
@@ -496,7 +586,7 @@ def eval_phi(space, lam, t):
     t = float(t)
     if not 0.0 <= t < math.inf:
         raise ValueError("eval_phi needs finite t >= 0")
-    return complex(continuation(space, complex(lam), 0, _phi_taylor).pair(t)[0])
+    return complex(continuation(space, complex(lam), 0, _phi_series).pair(t)[0])
 
 
 # -- connection problem ------------------------------------------------------
@@ -548,10 +638,11 @@ def connection_coefficients(space, lam, sol=None):
     """(a_minus, a_plus) with sol = a_minus Q_{-lambda} + a_plus Q_{lambda}.
 
     With sol omitted the spherical function is used, so the result is the
-    c-function pair (c(lambda), c(-lambda)) computed by pure ODE machinery.
+    c-function pair (c(lambda), c(-lambda)), matched from phi's Jacobi series
+    (t* <= 1.2) without the closed-form c.
     """
     if sol is None:
-        sol = continuation(space, complex(lam), 0, _phi_taylor).view(
+        sol = continuation(space, complex(lam), 0, _phi_series).view(
             0.0, _MATCH_CANDIDATES[-1] + 0.1)
     am, ap, _, _ = _connection_solve(space, lam, sol)
     return am, ap

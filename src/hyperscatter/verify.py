@@ -333,6 +333,32 @@ def check_poles(spaces=None):
     return rows
 
 
+# -- 12: the Jacobi series against the ODE ------------------------------------
+
+def check_jacobi(spaces=None):
+    """eval_phi's series route against the integrated phi on every family.
+
+    eval_phi sums the Jacobi function's hypergeometric series below
+    t = 1.5 and c(lambda) Q_{-lambda} + c(-lambda) Q_lambda above it;
+    phi_solution integrates the radial ODE from t = 0.01.  The routes share
+    only the first 0.01 of the series, so per family the row is the worst
+    relative gap over the shared lambda grid at t = 0.5, 1, 2, 5: an oracle
+    beyond the H^3 closed forms that needs no extended precision.
+    """
+    rows = []
+    grid = lambda_grid()
+    for name, space in _families(spaces):
+        worst = 0.0
+        for sol in phi_solution(space, grid, 5.2):
+            for t in (0.5, 1.0, 2.0, 5.0):
+                series = eval_phi(space, sol.lam, t)
+                worst = max(worst, abs(sol(t) - series) / abs(series))
+        # the worst gap is 1.7e-12 (hhn:2); a batch integrated at rtol 1e-12
+        # instead of 1e-12/sqrt(25) reaches about 1e-11
+        rows.append(_row("jacobi", f"{name} ode vs series", worst, 5e-12))
+    return rows
+
+
 SUITES = {
     "connection": check_connection,
     "wronskian": check_wronskian,
@@ -344,6 +370,7 @@ SUITES = {
     "residues": check_residues,
     "residue-relation": check_residue_relation,
     "poles": check_poles,
+    "jacobi": check_jacobi,
 }
 
 

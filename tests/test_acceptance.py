@@ -102,3 +102,11 @@ def test_residue_relation_supplement():
     # boundary-value map; exercised by `verify --all` alongside the criteria
     _report("supplement  ", "scattering vs resolvent residue relation",
             _suite("residue-relation"))
+
+
+def test_jacobi_supplement():
+    # the series route of eval_phi against the integrated phi on every
+    # family; exercised by `verify --all` alongside the criteria
+    rows = _report("supplement  ", "phi's Jacobi series vs the radial ODE",
+                   _suite("jacobi"))
+    assert len(rows) == 5

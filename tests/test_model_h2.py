@@ -13,6 +13,7 @@ import warnings
 
 import pytest
 
+from hyperscatter import boundary
 from hyperscatter.cfunction import for_space
 from hyperscatter.boundary import boundary_pair
 from hyperscatter.errors import AccuracyWarning
@@ -30,7 +31,7 @@ from hyperscatter.model_h2 import (
     residue_rank,
     resolvent_difference_quadrature,
 )
-from hyperscatter.radial import eval_phi
+from hyperscatter.radial import continuation, eval_phi
 from hyperscatter.resolvent import resolvent_difference
 
 _CF = for_space(H2)
@@ -110,6 +111,29 @@ def test_ktype_solution_normalization_and_profile():
     # profile accessor agrees with the solved object inside its range
     t = 0.9
     assert abs(ktype_radial_profile(lam, n, t) - sol(t)) < 1e-10
+
+
+def test_ktype_profile_normalizes_once_per_cache_entry(monkeypatch):
+    # the c(lambda)/a_minus factor is kept with the cached solution: a
+    # profile on a grid pays one connection solve, and each value is the
+    # one a fresh cache gives
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = boundary._connection_solve
+    monkeypatch.setattr(boundary, "_connection_solve", counting)
+    grid = [0.05 + 0.15 * i for i in range(20)]
+    continuation.cache_clear()
+    profile = [ktype_radial_profile(0.8, 2, t) for t in grid]
+    assert len(calls) == 1
+    fresh = []
+    for t in grid:
+        continuation.cache_clear()
+        fresh.append(ktype_radial_profile(0.8, 2, t))
+    assert profile == fresh
 
 
 def test_ktype_profile_matches_poisson_quadrature():

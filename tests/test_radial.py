@@ -6,7 +6,10 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from hyperscatter import radial
 from hyperscatter.cfunction import for_space
 from hyperscatter.errors import NonFiniteInputError, ResonantExponentError
 from hyperscatter.radial import (
@@ -247,3 +250,122 @@ def test_non_finite_lambda_raises_structured_error(bad):
     for call in calls:
         with pytest.raises(NonFiniteInputError):
             call()
+
+
+# -- phi without the ODE ------------------------------------------------------
+
+_SERIES_FAMILIES = ("h2", "h3", "chn:2", "hhn:2", "oh2", "hn:7")
+# both sides of the series / c Q switch at t = 1.5, and far out
+_PHI_TS = (0.005, 0.3, 1.0, 1.45, 1.5, 1.5000001, 1.55, 3.0, 9.0)
+
+
+def _phi_errors(mp_phi, space, lams, ts):
+    return [(_rel(eval_phi(space, lam, t), mp_phi(space, lam, t)), lam, t)
+            for lam in lams for t in ts]
+
+
+def test_eval_phi_matches_mpmath_off_the_lattice(mp_jacobi):
+    # 14 seeded lambdas with |lambda| <= 20 and |Im lambda| <= 3, plus the
+    # largest real parts and oh2's worst case: c Q just above t = 1.5 for
+    # lambda near 0.5, where the two terms are ~500 times phi.  Measured
+    # worst 1.0e-12 there and 1.3e-13 on the seeded points; the ODE route
+    # reads 2e-12 to 7e-12 on such points.
+    mp_phi, _ = mp_jacobi
+    rng = random.Random(6)
+    lams = [complex(rng.uniform(-20.0, 20.0), rng.uniform(-3.0, 3.0))
+            for _ in range(14)]
+    lams += [19.7 + 3j, -19.8 - 3j, 0.55, 0.55 + 0.3j]
+    for name in _SERIES_FAMILIES:
+        space = space_from_name(name)
+        worst = max(_phi_errors(mp_phi, space, lams, _PHI_TS), key=lambda e: e[0])
+        assert worst[0] < 2e-12, (name, worst)
+
+
+def test_eval_phi_matches_mpmath_near_the_lattice(mp_jacobi):
+    # 2 lambda = k +- 1e-4 and k +- 1e-2: inside the guard for even k (the
+    # ODE continues the series from t = 1.5) and c Q for odd k; lambda =
+    # m +- 0.06 is just outside the guard.  Measured worst: 7.2e-12 inside
+    # (the ODE, at t = 9), 5.4e-13 at odd k and 2.7e-12 just outside (oh2
+    # near lambda = 1, t = 1.55).
+    mp_phi, _ = mp_jacobi
+    inside, outside = [], []
+    for k in (0, 1, -1, 2, -3, 24, -25):
+        for d in (1e-4, -1e-4, 1e-2, -1e-2j):
+            (inside if k % 2 == 0 else outside).append((k + d) / 2.0)
+    for m in (0, 1, 12):
+        outside += [m + 0.06, m - 0.06j]
+    ts = (0.3, 1.45, 1.55, 3.0, 9.0)
+    for name in _SERIES_FAMILIES:
+        space = space_from_name(name)
+        worst = max(_phi_errors(mp_phi, space, inside, ts), key=lambda e: e[0])
+        assert worst[0] < 2e-11, (name, "inside", worst)
+        worst = max(_phi_errors(mp_phi, space, outside, ts), key=lambda e: e[0])
+        assert worst[0] < 1e-11, (name, "outside", worst)
+
+
+def test_eval_phi_at_the_h2_resonances(mp_jacobi):
+    # lambda = i zeta_k = -(1/2 + k): 2 lambda is an odd integer, where the
+    # Frobenius series of Q_{-lambda} is refused
+    mp_phi, _ = mp_jacobi
+    for k in range(4):
+        lam = -(0.5 + k)
+        for t in (0.005, 0.7, 1.5, 2.4, 6.0, 9.0):
+            assert _rel(eval_phi(H2, lam, t), mp_phi(H2, lam, t)) < 1e-10, (k, t)
+
+
+def test_phi_off_the_lattice_runs_no_ode(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_ivp called")
+
+    monkeypatch.setattr(radial, "solve_ivp", refuse)
+    continuation.cache_clear()
+    for name in ("h2", "oh2", "hn:7"):
+        space = space_from_name(name)
+        for lam in (0.8 + 0.3j, -2.7, 13.4 - 2.9j):
+            for t in (0.005, 0.3, 1.0, 1.5, 1.6, 3.0, 9.0):
+                eval_phi(space, lam, t)
+            connection_coefficients(space, lam)
+
+
+_hypothesis_settings = settings(max_examples=40, deadline=None, derandomize=True,
+                                database=None)
+
+
+@st.composite
+def _off_lattice_point(draw):
+    name = draw(st.sampled_from(_SERIES_FAMILIES))
+    lam = draw(st.complex_numbers(max_magnitude=20.0, allow_nan=False,
+                                  allow_infinity=False))
+    assume(abs(lam - round(lam.real)) >= 0.05)
+    assume(abs(2.0 * lam - round(2.0 * lam.real)) > 1e-6)
+    return space_from_name(name), lam
+
+
+@_hypothesis_settings
+@given(_off_lattice_point(), st.floats(1e-3, 9.0))
+def test_phi_is_even_in_lambda_property(point, t):
+    # the Pfaff form of the series is not even in lambda; the gap is
+    # measured against phi_{Re lambda}(t), which bounds |phi_lambda(t)|
+    # and stays away from the zeros phi has for complex lambda
+    space, lam = point
+    gap = abs(eval_phi(space, lam, t) - eval_phi(space, -lam, t))
+    assert gap <= 1e-10 * abs(eval_phi(space, lam.real, t)), (space, lam, t)
+
+
+@settings(_hypothesis_settings, max_examples=15)
+@given(_off_lattice_point(),
+       st.lists(st.floats(1e-3, 9.0), min_size=2, max_size=6),
+       st.randoms(use_true_random=False))
+def test_phi_does_not_depend_on_request_order_property(point, ts, rnd):
+    space, lam = point
+    ts = sorted(ts) + [1.4, 1.5, 1.6]
+
+    def run(order):
+        continuation.cache_clear()
+        return {t: eval_phi(space, lam, t) for t in order}
+
+    shuffled = list(ts)
+    rnd.shuffle(shuffled)
+    first = run(ts)
+    assert run(ts[::-1]) == first
+    assert run(shuffled) == first
