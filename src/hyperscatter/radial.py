@@ -12,8 +12,14 @@ the disk model).  Two distinguished solutions:
   exponent.  h_lambda solves a Frobenius recursion in the y-power-series
   coefficients (writing the radial operator through theta = y d/dy; the
   coefficient there is theta applied to log J, not to J itself).  The series
-  converges on |y| < 1; we sum it for y <= 1/2 and continue by ODE
-  integration for y > 1/2, i.e. t < log 2.
+  converges on |y| < 1; we sum it for y <= 1/2, i.e. t >= log 2, and stop
+  each sum where the omitted terms fall below 1e-17.  Below log 2
+  ``eval_Q`` sums the second-kind Jacobi function (2 cosh t)^-(rho+lambda)
+  2F1((rho+lambda)/2, (alpha-beta+1+lambda)/2; 1+lambda; cosh(t)^-2),
+  connected to tanh(t)^2: for alpha not an integer (h3, odd hn) two power
+  series, the first phi's own (A&S 15.3.6); for an integer alpha (h2, even
+  hn, chn, hhn, oh2) a finite sum in w^(n-alpha) plus a log series with
+  psi weights (A&S 15.3.11).
 
 * phi_lambda, the regular solution with phi(0) = 1 (the spherical function
   for n = 0), which is a Jacobi function (Koornwinder 1984) with
@@ -29,6 +35,24 @@ The two are linked by phi = c(lambda) Q_{-lambda} + c(-lambda) Q_{lambda};
 and ``wronskian_limit`` extrapolates lim_{t->0} J(t) dQ/dt = -2 lambda
 c(lambda), which fixes the resolvent normalization.
 
+Q's series cancels where Re lambda > 0 is large (it loses about
+2 Re lambda t / ln 10 decades) or |Im lambda| is.  Its condition at
+t = log 2, the sum of its parts' moduli over the modulus of the sum, times
+1e-16 tracks its error (to 20x for Re lambda > 0, where the Gamma
+prefactors carry error too).  Where the condition exceeds 1e3, the ODE
+continues the Frobenius series backward from log 2 instead: 1e-12 off,
+the dominant direction for Re lambda > 0.  For Re lambda < 0 the backward
+ODE follows the recessive solution and its error grows about threefold per
+unit of -Re lambda (5e-12 at Re lambda = -3, 4e-3 at -20, against mpmath),
+so the bound grows by 3^(-Re lambda).  The spectral sweep's box
+(|Re lambda| < 2.9, |Im lambda| < 1.2) lies inside: its condition is at
+most 82 over h2, h3, oh2, hn:4-10, chn:2-5 and hhn:2-5.  Near a negative
+integer lambda the Gamma factors cancel too, losing about 1e-16 / distance,
+but the backward ODE is worse there, so there is no guard.  A K-type Q
+(n != 0) and ``q_solution`` always integrate, so the connection and
+Wronskian suites compare an integrated Q with the closed forms, and the
+``jacobi`` suite compares it with the series.
+
 Where eval_phi still integrates, the ODE continues the series forward.
 Within LATTICE_GUARD = 0.05 of an integer lambda the two c Q terms have
 poles that cancel, and with 2 lambda within EXCLUSION_RADIUS of an integer
@@ -38,8 +62,8 @@ sum by about |Im lambda| tanh(t) / 2 decades, so it hands over where
 |Im lambda| tanh(t) = 4: to c Q if that is past log 2, to the ODE if not.
 A |lambda| in the hundreds overflows the coefficients; the handover point
 is then halved until the series sums.  ``phi_solution`` always integrates,
-from t = 0.01 on, so the connection suite compares an integrated phi with
-c Q.
+from t = 0.01 on (or from its halving for a large |lambda|), so the
+connection suite compares an integrated phi with c Q.
 
 All integrations use DOP853 with a vanishing absolute floor, so solutions
 spanning forty decades (the octonionic family) keep full relative accuracy.
@@ -56,11 +80,14 @@ side of the switch point, then ODE pieces, each started from the end of the
 one before and ending at a fixed breakpoint: 1.5, 3, 6, ... forward (phi
 near the lattice, K-types), 0.3, 0.1, 1/30, ... backward (Q).  An entry of
 phi off the lattice has no switch and no pieces: it keeps the series
-coefficients, both c values and both Frobenius series.  A K-type entry
-keeps its normalising factor.  A request beyond the last piece
-adds pieces and never re-solves a span, so a value depends on the key and t
-alone, not on the order of the requests.  maxsize is 512: a repeat of
-``verify --all`` rereads its 412 entries in order, each a miss at 256.
+coefficients, both c values and both Frobenius series.  An entry of Q for
+n = 0 inside the series region has none either: it keeps the Frobenius
+series and the second-kind coefficient rows, with the Gamma prefactors and
+psi weights folded in.  A K-type entry keeps its normalising factor.  A
+request beyond the last piece adds pieces and never re-solves a span, so a
+value depends on the key and t alone, not on the order of the requests.
+maxsize is 512: a repeat of ``verify --all`` rereads its 412 entries in
+order, each a miss at 256.
 ``continuation.cache_info()`` reports the hit rate.
 """
 
@@ -74,6 +101,7 @@ from functools import cache, lru_cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.special import loggamma, psi
 
 from .cfunction import for_space
 from .errors import (AccuracyWarning, IllConditionedError, NonFiniteInputError,
@@ -90,6 +118,9 @@ _SERIES_TOL = 1e-17
 _LOG_SERIES_TOL = math.log(_SERIES_TOL)
 _SERIES_MAX_TERMS = 1 << 14
 _SERIES_REACH = 4.0  # |Im lambda| tanh t where phi's series has lost two digits
+_Q_REACH = math.tanh(T_SWITCH) ** 2  # tanh^2 t at log 2, the widest Q series
+_Q_CONDITION = 1e3  # Q's series conditioned worse than this: the ODE instead,
+_ODE_RECESSIVE = 3.0  # ... with the bound raised this much per unit of -Re lambda
 
 _RTOL = 1e-12
 _ATOL = 1e-300  # effectively pure relative error control
@@ -131,6 +162,7 @@ class FrobeniusSeries:
 
     ``coefficients[0] == 1`` and the stored truncation satisfies the tail
     bound |h_N| * valid_radius^N below the construction tolerance.
+    ``log_peak`` is log max |h_nu|, which bounds every term at smaller y.
     """
 
     space: RankOneSpace
@@ -139,22 +171,30 @@ class FrobeniusSeries:
     exponent: complex
     coefficients: tuple
     valid_radius: float = 0.5
+    log_peak: float = 0.0
 
     @property
     def truncation(self):
         return len(self.coefficients) - 1
 
     def series_sums(self, y):
-        """(h(y), y h'(y)) at scalar y with |y| <= valid_radius."""
+        """(h(y), y h'(y)) at scalar y with |y| <= valid_radius.
+
+        The sum stops at the last nu where the bound e^log_peak |y|^nu on
+        |h_nu y^nu| still reaches _SERIES_TOL, so a large t sums few terms.
+        """
         if abs(y) > self.valid_radius * (1.0 + 1e-12):
             raise ValueError(
                 f"series evaluated at y={y} outside radius {self.valid_radius}"
             )
+        top = self.truncation
+        if y:
+            top = min(top, int((_LOG_SERIES_TOL - self.log_peak) / math.log(abs(y))))
         s = 0j
         ds = 0j
         # Horner in y^2: odd coefficients vanish identically
         y2 = y * y
-        for nu in range(len(self.coefficients) - 1 - (len(self.coefficients) - 1) % 2, -1, -2):
+        for nu in range(top - top % 2, -1, -2):
             h = self.coefficients[nu]
             s = s * y2 + h
             ds = ds * y2 + nu * h
@@ -215,6 +255,7 @@ def frobenius_Q(space, lam, tol=1e-16, potential_n=0, max_terms=400):
         potential_n=n,
         exponent=e,
         coefficients=tuple(h),
+        log_peak=math.log(max(abs(x) for x in h)),
     )
 
 
@@ -368,8 +409,9 @@ class Continuation:
 
     ``kind(space, lam, potential_n)`` gives the analytic start (a function
     of t returning (u, u')), the switch point, and the direction the ODE
-    pieces run from there: +1 forward, -1 backward.  An infinite switch
-    means the start covers every t and no piece is ever integrated.
+    pieces run from there: +1 forward, -1 backward.  A switch at the far end
+    (inf forward, 0 backward) means the start covers every t and no piece
+    is ever integrated.
     ``scale`` starts as None; a caller that normalises the solution keeps
     its factor there, so the factor lives and dies with the cached entry.
     """
@@ -417,6 +459,20 @@ continuation = lru_cache(maxsize=512)(Continuation)
 # -- the two distinguished solutions ----------------------------------------
 
 
+def _jacobi_abc(space, lam):
+    """(a, b, alpha + 1): phi is cosh(t)^-(rho+lambda) 2F1(a, b; alpha+1; tanh^2 t)."""
+    return ((space.rho + lam) / 2.0, (0.5 * space.m_alpha + 1.0 + lam) / 2.0,
+            (space.m_alpha + space.m_2alpha + 1) / 2.0)
+
+
+def _hyp_coefficients(a, b, c, h, size):
+    """Extend the list h of 2F1(a, b; c) coefficients (a)_n (b)_n / ((c)_n n!)
+    to ``size`` terms by the term ratio, and return it."""
+    for n in range(len(h), size):
+        h.append(h[-1] * (a + n - 1) * (b + n - 1) / ((c + n - 1) * n))
+    return h
+
+
 class _JacobiSeries:
     """phi's hypergeometric series: ``pair(t)`` = (u, u') at 0 <= t <= T_PHI.
 
@@ -431,16 +487,12 @@ class _JacobiSeries:
 
     def __init__(self, space, lam):
         self.e = space.rho + lam
-        self._abc = (self.e / 2.0, (0.5 * space.m_alpha + 1.0 + lam) / 2.0,
-                     (space.m_alpha + space.m_2alpha + 1) / 2.0)
+        self._abc = _jacobi_abc(space, lam)
         self._coeffs = [1.0 + 0j]
         self._grow(32)
 
     def _grow(self, size):
-        a, b, c = self._abc
-        h = self._coeffs
-        for n in range(len(h), size):
-            h.append(h[-1] * (a + n - 1) * (b + n - 1) / ((c + n - 1) * n))
+        h = _hyp_coefficients(*self._abc, self._coeffs, size)
         if not cmath.isfinite(h[-1]):
             raise OverflowError(f"phi's series coefficients overflow before term {size}")
         self.coefficients = np.array(h)
@@ -483,6 +535,119 @@ class _JacobiSeries:
         if t:
             du += head * 4.0 * ds / math.sinh(2.0 * t)
         return complex(head * s), complex(du)
+
+
+def _gamma_quotient(num, den):
+    """prod Gamma(num) / prod Gamma(den), summed in log space; 0 if an
+    argument of the denominator is a pole."""
+    if any(x.imag == 0.0 and x.real <= 0.0 and x.real == round(x.real) for x in den):
+        return 0j
+    return cmath.exp(complex(loggamma(np.array(num, dtype=complex)).sum()
+                             - loggamma(np.array(den, dtype=complex)).sum()))
+
+
+def _series_size(a, b, c):
+    """How many terms of 2F1(a, b; c; w) every read of Q's series sums: up to
+    the first that is, at w = _Q_REACH, falling and below _SERIES_TOL of the
+    largest (weighted by 1 + log(n+1), the growth of the psi weights)."""
+    h, peak, prev = 1.0 + 0j, 1.0, 1.0
+    for n in range(1, _SERIES_MAX_TERMS):
+        h *= (a + n - 1) * (b + n - 1) / ((c + n - 1) * n) * _Q_REACH
+        mag = abs(h) * (1.0 + math.log(n + 1.0))
+        peak = max(peak, mag)
+        if mag < _SERIES_TOL * peak and mag < prev:
+            return n + 1
+        prev = mag
+    raise OverflowError(f"Q's series needs more than {_SERIES_MAX_TERMS} terms")
+
+
+class _SecondKindSeries:
+    """Q's hypergeometric series: ``pair(t)`` = (u, u') at 0 < t <= log 2.
+
+    Q = (2 cosh t)^-(rho+lambda) 2F1(a, b; c; cosh(t)^-2) with a and b as for
+    phi and c = 1 + lambda, so that c - a - b = -alpha.  Connected to z = 1
+    (A&S 15.3.6 and 15.3.11, DLMF 15.8) it is summed in w = tanh(t)^2:
+
+    * alpha not an integer: A F(a, b; alpha+1; w) + B w^-alpha
+      F(c-a, c-b; 1-alpha; w), with A = G(c) G(-alpha) / (G(c-a) G(c-b))
+      and B = G(c) G(alpha) / (G(a) G(b));
+    * alpha = m an integer: the first m terms of the B part, plus
+      L sum_n f_n w^n (log w + psi(a+n) + psi(b+n) - psi(n+1) - psi(n+m+1)),
+      f_n the coefficients of F(a, b; m+1; w), phi's series, and
+      L = -(-1)^m G(c) / (m! G(c-a) G(c-b)).
+
+    The prefactors and psi weights (from psi(x+1) = psi(x) + 1/x) are folded
+    into coefficient rows once; every read sums the same _series_size terms,
+    so a value depends on (lambda, t) alone.  ``condition`` is the sum of
+    the parts' absolute values over |sum| at w = _Q_REACH, the factor by
+    which rounding in the terms grows in the value.
+    """
+
+    def __init__(self, space, lam):
+        self.e = space.rho + lam
+        a, b, c1 = _jacobi_abc(space, lam)
+        c, alpha = 1.0 + lam, c1 - 1.0
+        m = round(alpha)
+        self.log = alpha == m
+        size = _series_size(a, b, c1)
+        if not self.log:
+            size = max(size, _series_size(c - a, c - b, 1.0 - alpha))
+        self._n = n = np.arange(size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.rows = self._rows(a, b, c, m if self.log else alpha, n)
+        if not np.isfinite(self.rows).all():
+            raise OverflowError(f"Q's series prefactors overflow at lambda = {lam}")
+        self.shift = -alpha
+        w = _Q_REACH
+        # the B part, the A (or psi-weighted) part, the log series
+        weights = np.array([w ** -alpha, 1.0, -math.log(w)])[:len(self.rows) // 2]
+        parts = float(weights @ (np.abs(self.rows[::2]) @ w ** n))
+        value = abs(self._sums(w)[0])
+        self.condition = parts / value if value else math.inf
+
+    def _rows(self, a, b, c, alpha, n):
+        """The coefficient rows: the B part and its w d/dw, then the A part
+        (or the log series' psi-weighted part) and its w d/dw, then for an
+        integer alpha the log series and its w d/dw."""
+        size = len(n)
+        f = np.array(_hyp_coefficients(a, b, alpha + 1.0, [1.0 + 0j], size))
+        if self.log:
+            m = alpha
+            second = np.zeros(size, dtype=complex)
+            if m:
+                second[:m] = _hyp_coefficients(c - a, c - b, 1.0 - m, [1.0 + 0j], m)
+                second *= _gamma_quotient([m, c], [a, b])
+            f = f * (-(-1) ** m / math.factorial(m) * _gamma_quotient([c], [c - a, c - b]))
+            k = np.arange(size - 1)
+
+            def psi_run(x):
+                return psi(complex(x)) + np.concatenate(([0.0], np.cumsum(1.0 / (x + k))))
+
+            g = psi_run(a) + psi_run(b) - psi_run(1.0) - psi_run(m + 1.0)
+            rows = [second, (n - m) * second, f * g, n * f * g + f, f, n * f]
+        else:
+            second = (np.array(_hyp_coefficients(c - a, c - b, 1.0 - alpha, [1.0 + 0j], size))
+                      * _gamma_quotient([alpha, c], [a, b]))
+            f = f * _gamma_quotient([-alpha, c], [c - a, c - b])
+            rows = [second, (n - alpha) * second, f, n * f]
+        return np.array(rows)
+
+    def _sums(self, w):
+        """(S(w), w S'(w)) of Q = (2 cosh t)^-(rho+lambda) S(tanh(t)^2)."""
+        sums = self.rows @ w ** self._n
+        lead = w ** self.shift
+        s = lead * sums[0] + sums[2]
+        ws = lead * sums[1] + sums[3]
+        if self.log:
+            s += math.log(w) * sums[4]
+            ws += math.log(w) * sums[5]
+        return s, ws
+
+    def pair(self, t):
+        s, ws = self._sums(math.tanh(t) ** 2)
+        head = cmath.exp(-self.e * math.log(2.0 * math.cosh(t)))
+        return (complex(head * s),
+                complex(head * (4.0 * ws / math.sinh(2.0 * t) - self.e * math.tanh(t) * s)))
 
 
 def _near_lattice(lam):
@@ -531,9 +696,11 @@ def _phi_series(space, lam, potential_n):
 
 
 def _phi_seed(space, lam, potential_n):
-    """phi's Jacobi series, continued forward by the ODE from T_SEED."""
+    """phi's Jacobi series, continued forward by the ODE from T_SEED, or
+    from T_SEED/2, /4, ... where a large |lambda| overflows the series."""
     _require_finite(lam)
-    return _JacobiSeries(space, lam).pair, T_SEED, 1.0
+    jacobi = _JacobiSeries(space, lam)
+    return jacobi.pair, jacobi.reach(T_SEED), 1.0
 
 
 def _q_series(space, lam, potential_n):
@@ -541,17 +708,38 @@ def _q_series(space, lam, potential_n):
     return _series(space, lam, potential_n).pair, T_SWITCH, -1.0
 
 
+def _q_second_kind(space, lam, potential_n):
+    """Q for n = 0: the Frobenius series from log 2 up, the second-kind
+    series below; or the backward ODE where that series is conditioned
+    worse than _Q_CONDITION * _ODE_RECESSIVE^max(0, -Re lambda)."""
+    frobenius = _series(space, lam, 0).pair  # refuses excluded exponents first
+    try:
+        series = _SecondKindSeries(space, lam)
+    except OverflowError:
+        series = None
+    bound = math.log(_Q_CONDITION) + max(0.0, -lam.real) * math.log(_ODE_RECESSIVE)
+    if series is None or not math.log(series.condition) <= bound:
+        return frobenius, T_SWITCH, -1.0
+
+    def pair(t):
+        return frobenius(t) if t >= T_SWITCH else series.pair(t)
+
+    return pair, 0.0, -1.0
+
+
 def phi_solution(space, lam, t_max):
     """The regular solution phi_lambda solved out to t_max.
 
-    A sequence of lambda is solved as one batch and gives a list.
+    A sequence of lambda is solved as one batch per seed point (T_SEED,
+    unless a large |lambda| halves it) and gives a list.
     """
     lams, many = _lambdas(lam)
     t_max = float(t_max)
     if t_max <= T_SEED:
         raise ValueError(f"t_max must exceed the series patch {T_SEED}")
     conts = [Continuation(space, lam, 0, _phi_seed) for lam in lams]
-    _extend(conts, t_max)
+    for seed in dict.fromkeys(c.reach for c in conts):
+        _extend([c for c in conts if c.reach == seed], t_max)
     out = [c.view(0.0, t_max, c.pieces[0].ts) for c in conts]
     return out if many else out[0]
 
@@ -574,11 +762,14 @@ def q_solution(space, lam, t_min, potential_n=0):
 
 
 def eval_Q(space, lam, t, potential_n=0):
-    """Q_lambda(t): series for t >= log 2, cached backward continuation below."""
+    """Q_lambda(t): Frobenius series for t >= log 2; below, the second-kind
+    series for n = 0 and the cached backward continuation otherwise."""
     t = float(t)
     if not t > 0.0:
         raise ValueError("eval_Q needs t > 0")
-    return complex(continuation(space, complex(lam), abs(int(potential_n)), _q_series).pair(t)[0])
+    n = abs(int(potential_n))
+    kind = _q_second_kind if n == 0 else _q_series
+    return complex(continuation(space, complex(lam), n, kind).pair(t)[0])
 
 
 def eval_phi(space, lam, t):

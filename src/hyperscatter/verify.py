@@ -335,27 +335,41 @@ def check_poles(spaces=None):
 
 # -- 12: the Jacobi series against the ODE ------------------------------------
 
+def _worst_gap(solutions, series, ts):
+    """max |sol(t) - series(lambda, t)| / |series(lambda, t)| over sol, t."""
+    worst = 0.0
+    for sol in solutions:
+        for t in ts:
+            want = series(sol.lam, t)
+            worst = max(worst, abs(sol(t) - want) / abs(want))
+    return worst
+
+
 def check_jacobi(spaces=None):
-    """eval_phi's series route against the integrated phi on every family.
+    """The series routes of eval_phi and eval_Q against the ODE on every family.
 
     eval_phi sums the Jacobi function's hypergeometric series below
     t = 1.5 and c(lambda) Q_{-lambda} + c(-lambda) Q_lambda above it;
     phi_solution integrates the radial ODE from t = 0.01.  The routes share
     only the first 0.01 of the series, so per family the row is the worst
     relative gap over the shared lambda grid at t = 0.5, 1, 2, 5: an oracle
-    beyond the H^3 closed forms that needs no extended precision.
+    beyond the H^3 closed forms that needs no extended precision.  Below
+    log 2 eval_Q sums the second-kind series, and q_solution integrates
+    backward from the Frobenius series at log 2; their row compares them
+    at t = 0.005, 0.05, 0.3, 0.6.
     """
     rows = []
     grid = lambda_grid()
     for name, space in _families(spaces):
-        worst = 0.0
-        for sol in phi_solution(space, grid, 5.2):
-            for t in (0.5, 1.0, 2.0, 5.0):
-                series = eval_phi(space, sol.lam, t)
-                worst = max(worst, abs(sol(t) - series) / abs(series))
+        worst = _worst_gap(phi_solution(space, grid, 5.2),
+                           lambda lam, t: eval_phi(space, lam, t), (0.5, 1.0, 2.0, 5.0))
         # the worst gap is 1.7e-12 (hhn:2); a batch integrated at rtol 1e-12
         # instead of 1e-12/sqrt(25) reaches about 1e-11
         rows.append(_row("jacobi", f"{name} ode vs series", worst, 5e-12))
+        worst = _worst_gap(q_solution(space, grid, 0.005),
+                           lambda lam, t: eval_Q(space, lam, t), (0.005, 0.05, 0.3, 0.6))
+        # the worst gap is 8.4e-13 (oh2), nearly all of it the ODE's
+        rows.append(_row("jacobi", f"{name} Q ode vs series", worst, 3e-12))
     return rows
 
 

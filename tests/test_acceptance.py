@@ -105,8 +105,9 @@ def test_residue_relation_supplement():
 
 
 def test_jacobi_supplement():
-    # the series route of eval_phi against the integrated phi on every
-    # family; exercised by `verify --all` alongside the criteria
-    rows = _report("supplement  ", "phi's Jacobi series vs the radial ODE",
+    # the series routes of eval_phi and eval_Q against the integrated phi
+    # and Q on every family; exercised by `verify --all` alongside the
+    # criteria
+    rows = _report("supplement  ", "phi's and Q's Jacobi series vs the radial ODE",
                    _suite("jacobi"))
-    assert len(rows) == 5
+    assert len(rows) == 10

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hyperscatter import radial
+from hyperscatter import errors, radial
 from hyperscatter.cfunction import for_space
 from hyperscatter.errors import NonFiniteInputError, ResonantExponentError
 from hyperscatter.radial import (
@@ -25,11 +25,14 @@ from hyperscatter.radial import (
     wronskian_limit,
 )
 from hyperscatter.model_h2 import ktype_radial_profile, oracle_h3
+from hyperscatter.resolvent import kernel
 from hyperscatter.space import space_from_name
 from hyperscatter.verify import FAMILY_NAMES, lambda_grid
 
 H2 = space_from_name("h2")
 H3 = space_from_name("h3")
+_LIBRARY_ERRORS = tuple(v for v in vars(errors).values()
+                        if isinstance(v, type) and v.__module__ == errors.__name__)
 
 
 def _rel(a, b):
@@ -314,6 +317,8 @@ def test_eval_phi_at_the_h2_resonances(mp_jacobi):
 
 
 def test_phi_off_the_lattice_runs_no_ode(monkeypatch):
+    # phi off the lattice, and Q and the resolvent kernel in the box the
+    # spectral sweep draws lambda from (|Re| < 2.9, |Im| < 1.2)
     def refuse(*args, **kwargs):
         raise AssertionError("solve_ivp called")
 
@@ -325,6 +330,59 @@ def test_phi_off_the_lattice_runs_no_ode(monkeypatch):
             for t in (0.005, 0.3, 1.0, 1.5, 1.6, 3.0, 9.0):
                 eval_phi(space, lam, t)
             connection_coefficients(space, lam)
+    for name in _SERIES_FAMILIES:
+        space = space_from_name(name)
+        for lam in (0.8 + 0.3j, -2.85 + 1.15j, 2.85 - 1.15j, -1.4 - 0.6j):
+            for t in (0.005, 0.05, 0.3, 0.69, 0.7, 2.0):
+                eval_Q(space, lam, t)
+                kernel(space, -1j * lam, t)
+
+
+# -- Q without the ODE below log 2 --------------------------------------------
+
+
+def _q_errors(mp_q, space, lams, ts):
+    return [(_rel(eval_Q(space, lam, t), mp_q(space, lam, t)), lam, t)
+            for lam in lams for t in ts]
+
+
+def test_eval_Q_matches_mpmath_in_the_sweep_box(mp_jacobi):
+    # the second-kind series below log 2; measured worst 6.8e-14 (h3 near
+    # Re lambda = 2.9 and t = log 2), where the backward ODE read 1e-12
+    _, mp_q = mp_jacobi
+    rng = random.Random(7)
+    lams = [complex(rng.uniform(-2.9, 2.9), rng.uniform(-1.2, 1.2)) for _ in range(8)]
+    lams += [2.85 + 1.15j, -2.85 - 1.15j, 0.05j]
+    ts = (0.005, 0.02, 0.1, 0.3, 0.5, 0.69)
+    for name in _SERIES_FAMILIES:
+        space = space_from_name(name)
+        worst = max(_q_errors(mp_q, space, lams, ts), key=lambda e: e[0])
+        assert worst[0] < 1e-13, (name, worst)
+
+
+def test_eval_Q_matches_mpmath_in_the_recessive_region(mp_jacobi):
+    # Re lambda <= -6: integrated backward from log 2, Q is the recessive
+    # solution and the ODE lost up to 4e-3 at lambda = -20; the series
+    # reads at most 2e-14 here
+    _, mp_q = mp_jacobi
+    lams = [-6.0 + 0.4j, -7.3 - 2.1j, -9.6 + 1.1j, -12.3, -15.2 + 3.0j,
+            -17.9 - 0.7j, -19.6 - 1.1j, -20.0 + 0.25j]
+    for name in _SERIES_FAMILIES:
+        space = space_from_name(name)
+        worst = max(_q_errors(mp_q, space, lams, (0.005, 0.02, 0.1)), key=lambda e: e[0])
+        assert worst[0] < 1e-12, (name, worst)
+
+
+def test_phi_solution_at_large_lambda(mp_jacobi):
+    # the series that seeds the ODE overflows at t = 0.01 from |lambda| ~ 1e4
+    # on; the seed moves to 0.005, 0.0025, ... instead
+    mp_phi, _ = mp_jacobi
+    for lam in (1e4 + 0.3, 3e4 + 0.3):
+        try:
+            sol = phi_solution(H2, lam, 0.011)
+        except _LIBRARY_ERRORS:
+            continue
+        assert _rel(sol(0.011), mp_phi(H2, lam, 0.011)) < 1e-9, lam
 
 
 _hypothesis_settings = settings(max_examples=40, deadline=None, derandomize=True,
@@ -369,3 +427,21 @@ def test_phi_does_not_depend_on_request_order_property(point, ts, rnd):
     first = run(ts)
     assert run(ts[::-1]) == first
     assert run(shuffled) == first
+
+
+@settings(_hypothesis_settings, max_examples=30)
+@given(_off_lattice_point(), st.floats(1e-3, 3.0))
+def test_wronskian_is_constant_across_the_switches_property(point, t):
+    # J (phi Q' - phi' Q) from the cached phi and Q, on both sides of log 2
+    # (Q's series / Frobenius switch) and of 1.5 (phi's series / c Q
+    # switch), equals the closed form -2 lambda c(lambda) of wronskian_limit
+    space, lam = point
+    target = -2.0 * lam * for_space(space).value(lam)
+    phi = continuation(space, lam, 0, radial._phi_series)
+    q = continuation(space, lam, 0, radial._q_second_kind)
+    for s in (t, 0.5, radial.T_SWITCH - 1e-9, radial.T_SWITCH, 1.45, 1.55):
+        (u, du), (v, dv) = phi.pair(s), q.pair(s)
+        left, right = u * dv, du * v
+        scale = space.density_J_t(s) * max(abs(left), abs(right))
+        gap = abs(space.density_J_t(s) * (left - right) - target)
+        assert gap <= 1e-10 * max(scale, abs(target)), (space, lam, s)

@@ -147,3 +147,20 @@ def test_apply_radial_below_the_support_matches_closed_form_green():
         lo = min(max(t, t_a), t_b)
         want = norm * (q(t) * integral(phi, t_a, lo) + phi(t) * integral(q, lo, t_b))
         assert abs(g - want) / abs(want) < 1e-8, t
+
+
+def test_kernel_matches_mpmath_above_the_axis(mp_c, mp_jacobi):
+    # Im zeta >= 6, where lambda = i zeta has Re lambda <= -6 and Q, run
+    # backward from log 2, is the recessive solution: the ODE was 2e-3 off
+    # at hhn:2, zeta = -1.1 + 19.6i.  Off the resonances (c(i zeta) = 0)
+    # and the half-integer exclusion set of Q.
+    _, mp_q = mp_jacobi
+    zetas = (-1.1 + 19.6j, 0.7 + 6.3j, -2.4 + 9.1j, 1.3 + 14.7j, 0.2 + 18.05j)
+    for name in ("h2", "h3", "chn:2", "hhn:2", "oh2", "hn:7"):
+        space = space_from_name(name)
+        for zeta in zetas:
+            norm = 2j * space.kappa * zeta * mp_c(space, 1j * zeta)
+            for t in (0.005, 0.02, 0.1):
+                want = mp_q(space, 1j * zeta, t) / complex(norm)
+                got = kernel(space, zeta, t)
+                assert abs(got - want) / abs(want) < 1e-12, (name, zeta, t)
