@@ -40,7 +40,8 @@ def _rel(a, b):
 
 
 def test_h3_closed_forms():
-    for lam in (0.5, 2.0, 1 + 1j, 0.3 - 0.8j):
+    # 8.3 + 0.4j: Q's series is too ill-conditioned there, the ODE runs
+    for lam in (0.5, 2.0, 1 + 1j, 0.3 - 0.8j, 8.3 + 0.4j):
         for t in (0.0005, 0.02, 0.5, 1.0, 3.0, 7.0):
             oracle = oracle_h3(lam, t)
             assert _rel(eval_phi(H3, lam, t), oracle.phi) < 1e-10
