@@ -602,7 +602,7 @@ class _SecondKindSeries:
         # the B part, the A (or psi-weighted) part, the log series
         weights = np.array([w ** -alpha, 1.0, -math.log(w)])[:len(self.rows) // 2]
         parts = float(weights @ (np.abs(self.rows[::2]) @ w ** n))
-        value = abs(self._sums(w)[0])
+        value = abs(self._sums(math.tanh(T_SWITCH))[0])
         self.condition = parts / value if value else math.inf
 
     def _rows(self, a, b, c, alpha, n):
@@ -632,22 +632,33 @@ class _SecondKindSeries:
             rows = [second, (n - alpha) * second, f, n * f]
         return np.array(rows)
 
-    def _sums(self, w):
-        """(S(w), w S'(w)) of Q = (2 cosh t)^-(rho+lambda) S(tanh(t)^2)."""
-        sums = self.rows @ w ** self._n
-        lead = w ** self.shift
+    def _sums(self, tanh):
+        """(S(w), w S'(w)) of Q = (2 cosh t)^-(rho+lambda) S(w), w = tanh(t)^2.
+
+        Powers of w are taken through tanh(t), which stays positive where w
+        underflows (t below 1e-162); OverflowError when w^-alpha overflows.
+        """
+        sums = (self.rows @ (tanh * tanh) ** self._n).tolist()
+        lead = tanh ** (2.0 * self.shift)
         s = lead * sums[0] + sums[2]
         ws = lead * sums[1] + sums[3]
         if self.log:
-            s += math.log(w) * sums[4]
-            ws += math.log(w) * sums[5]
+            log_w = 2.0 * math.log(tanh)
+            s += log_w * sums[4]
+            ws += log_w * sums[5]
         return s, ws
 
     def pair(self, t):
-        s, ws = self._sums(math.tanh(t) ** 2)
+        tanh = math.tanh(t)
+        try:
+            s, ws = self._sums(tanh)
+        except OverflowError:
+            s = ws = math.inf
         head = cmath.exp(-self.e * math.log(2.0 * math.cosh(t)))
-        return (complex(head * s),
-                complex(head * (4.0 * ws / math.sinh(2.0 * t) - self.e * math.tanh(t) * s)))
+        u = complex(head * s)
+        if not cmath.isfinite(u):
+            raise ValueError(f"Q_lambda({t}) overflows the floating-point range")
+        return u, complex(head * (4.0 * ws / math.sinh(2.0 * t) - self.e * tanh * s))
 
 
 def _near_lattice(lam):

@@ -374,6 +374,16 @@ def test_eval_Q_matches_mpmath_in_the_recessive_region(mp_jacobi):
         assert worst[0] < 1e-12, (name, worst)
 
 
+def test_eval_Q_near_the_singularity_at_zero():
+    # tanh(t)^2 underflows below t ~ 1e-162; Q is still returned where it
+    # is a float (H3: e^(-lambda t) / (2 sinh t)), and refused where not
+    lam = 0.7 + 0.2j
+    for t in (1e-30, 1e-200):
+        assert _rel(eval_Q(H3, lam, t), cmath.exp(-lam * t) / (2.0 * math.sinh(t))) < 1e-12
+    with pytest.raises(ValueError, match="overflows"):
+        eval_Q(space_from_name("oh2"), lam, 1e-30)
+
+
 def test_phi_solution_at_large_lambda(mp_jacobi):
     # the series that seeds the ODE overflows at t = 0.01 from |lambda| ~ 1e4
     # on; the seed moves to 0.005, 0.0025, ... instead
