@@ -53,11 +53,6 @@ class IndeterminateRankError(RuntimeError):
         self.gap = gap
 
 
-class NormalizationError(RuntimeError):
-    """A solution could not be normalized (the normalizing coefficient
-    vanishes)."""
-
-
 class EnumerationError(RuntimeError):
     """A seeded root search failed to certify its zero.  The seeds are exact
     for the implemented c-functions, so this indicates a defect upstream."""

@@ -29,16 +29,15 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import warnings
 from collections import namedtuple
-from functools import partial
 
 import numpy as np
 
-from .boundary import boundary_pair
 from .cfunction import for_space
-from .errors import AccuracyWarning, IndeterminateRankError, NormalizationError, QuadratureError
-from .radial import RadialSolution, continuation
+from .errors import AccuracyWarning, IndeterminateRankError, QuadratureError
+from .radial import RadialSolution, _phi_series, continuation
 from .space import RankOneSpace
 
 H2 = RankOneSpace(1, 0)
@@ -165,80 +164,86 @@ def hyperbolic_laplacian_stencil(func, z, h=1e-3):
 
 
 # -- K-type reduction --------------------------------------------------------
-
-_KTYPE_T0 = 0.1
-_KTYPE_TERMS = 14
-
-
-def _ktype_taylor_pair(lam, n, t):
-    """(f, f') at small t from the regular Frobenius start f ~ t^{|n|}.
-
-    Coefficients a_J of f = sum a_J t^(m+2J), m = |n|, from the series form
-    of sinh^2 f'' + sinh cosh f' + ((rho^2-lam^2) sinh^2 - n^2) f = 0.
-    """
-    lam = complex(lam)
-    m = abs(int(n))
-    k2 = _RHO**2 - lam * lam
-    kmax = _KTYPE_TERMS + 2
-    sk = [0.0] + [2.0 ** (2 * k - 1) / math.factorial(2 * k) for k in range(1, kmax)]
-    ck = [0.0] + [2.0 ** (2 * k - 2) / math.factorial(2 * k - 1) for k in range(1, kmax)]
-    a = [1.0 + 0j]
-    for P in range(1, _KTYPE_TERMS + 1):
-        acc = 0j
-        for k in range(2, P + 2):
-            q = P - k + 1
-            if q < 0:
-                break
-            w = m + 2 * q
-            acc += (sk[k] * w * (w - 1) + ck[k] * w) * a[q]
-        for k in range(1, P + 1):
-            acc += k2 * sk[k] * a[P - k]
-        a.append(-acc / (4.0 * P * (m + P)))
-    x = t * t
-    s = 0j
-    ds = 0j  # sum J a_J x^(J-1)
-    for J in range(len(a) - 1, -1, -1):
-        s = s * x + a[J]
-        ds = ds * x + (J * a[J] if J else 0j)
-    ds /= x if x != 0.0 else 1.0
-    head = t**m
-    u = head * s
-    du = (m * t ** (m - 1) * s if m else 0j) + head * 2.0 * t * ds
-    return u, du
+#
+# The radial factor f of P_lambda e^{in theta} solves the radial equation of
+# H^2 plus the angular term of the n-th circle mode.  With m = |n| and
+# f = (2 sinh t)^m g, g solves the spherical equation of
+# S_m = RankOneSpace(1 + 2m, 0), the data of H^(2m+2): the angular term is
+# a Jacobi parameter shift alpha -> alpha + m (Koornwinder 1984).
+# Since (2 sinh t)^m = y^-m (1 - y^2)^m, (2 sinh t)^m Q^S_lambda is exactly
+# the K-type's Q_lambda, so f and g share their boundary pair.
 
 
-def _ktype_start(space, lam, n):
-    """The t^|n| start, continued forward from t = 0.1 (a radial.Continuation kind)."""
-    return partial(_ktype_taylor_pair, lam, n), _KTYPE_T0, 1.0
+_KTYPE_EXPONENT = 700.0  # largest |log| of the prefactor and of phi^S
+
+
+def _ktype_index(n):
+    """|n| for an integral n; 1.5, nan or inf raise ValueError."""
+    if not (isinstance(n, numbers.Real) and float(n).is_integer()):
+        raise ValueError(f"K-type index n = {n!r} is not an integer")
+    return abs(int(n))
+
+
+def ktype_space(n):
+    """S_|n| = RankOneSpace(1 + 2|n|, 0): the n-th K-type profile of H^2 is
+    ktype_prefactor(n, t) times a radial solution on this space."""
+    return RankOneSpace(1 + 2 * _ktype_index(n), 0)
+
+
+def ktype_prefactor(n, t):
+    """(p, dp/dt) of p(t) = (2 sinh t)^|n|."""
+    m = _ktype_index(n)
+    if m == 0:
+        return 1.0, 0.0
+    base = 2.0 * math.sinh(t)
+    return base**m, 2.0 * m * math.cosh(t) * base ** (m - 1)
 
 
 def ktype_solution(lam, n, t_max=1.35):
     """The radial factor of P_lambda e^{in theta} as a RadialSolution.
 
-    Normalized so its boundary pair has a_minus = c(lambda), matching the
-    Poisson transform of the unit K-type.  The factor c(lambda)/a_minus is
-    solved once per cached entry and kept on it.
+    f = (lambda+1/2)_m / (4^m m!) * (2 sinh t)^m * phi^S_lambda(t) with
+    m = |n| and S = ktype_space(n), read from the cached spherical function
+    of S.  The factor is the t^m coefficient of the Poisson transform of the
+    unit K-type; it equals c(lambda) / c_S(lambda) and is entire in lambda,
+    so the boundary pair of f has a_minus = c(lambda) with no solve.  The
+    solution reports H2 as its space, so its ``residual`` measures the
+    spherical equation of H2, which f solves only for n = 0.
+
+    (2 sinh t)^m grows like e^(m t) and phi^S decays like
+    e^((|Re lambda| - m - 1/2) t); where either passes e^700 the product
+    would lose digits in subnormals or overflow, so ``at`` raises
+    ValueError there (t above about 700/(m + 1/2) on the unitary axis).
     """
     lam = complex(lam)
-    raw = continuation(H2, lam, abs(int(n)), _ktype_start)
-    if raw.scale is None:
-        bp = boundary_pair(H2, lam, raw.view(0.0, 1.35))
-        if abs(bp.a_minus) < 1e-250:
-            raise NormalizationError(
-                f"K-type profile has vanishing incoming boundary value at lambda={lam}"
-            )
-        raw.scale = for_space(H2).value(lam) / bp.a_minus
-    scale = raw.scale
-    return RadialSolution(H2, lam, abs(int(n)), 0.0, max(float(t_max), 1.35),
-                          lambda t: tuple(scale * w for w in raw.pair(t)))
+    m = _ktype_index(n)
+    phi = continuation(ktype_space(m), lam, _phi_series)
+    front = math.prod((lam + 0.5 + j for j in range(m)), start=1.0 + 0j)
+    front /= 4**m * math.factorial(m)
+    rate = m + max(0.0, 0.5 - abs(lam.real)) if m else 0.0
+
+    def pair(t):
+        if rate * t > _KTYPE_EXPONENT:
+            raise ValueError(f"(2 sinh t)^{m} phi^S_lambda(t) leaves the "
+                             f"floating-point range at t = {t}")
+        (p, dp), (u, du) = ktype_prefactor(m, t), phi.pair(t)
+        return front * p * u, front * (dp * u + p * du)
+
+    return RadialSolution(H2, lam, 0.0, max(float(t_max), 1.35), pair)
 
 
 def ktype_radial_profile(lam, n, t):
     """f_{lambda,n}(t) with P_lambda(e^{in theta}) = f_{lambda,n}(t) e^{in b}."""
     t = float(t)
-    if t <= 0.0:
-        raise ValueError("profile evaluated at t > 0 (it vanishes like t^|n| at 0)")
-    return ktype_solution(lam, n, t_max=t).at(t)[0]
+    if not 0.0 < t < math.inf:
+        raise ValueError("profile evaluated at finite t > 0 (it vanishes like t^|n| at 0)")
+    try:
+        value = ktype_solution(lam, n, t_max=t).at(t)[0]
+    except OverflowError:
+        value = math.inf
+    if not cmath.isfinite(value):
+        raise ValueError(f"the K-type profile at t = {t} overflows the floating-point range")
+    return value
 
 
 # -- two-variable resolvent identity ----------------------------------------

@@ -2,11 +2,13 @@
 
 Everything here solves one ODE in the geodesic radius t (y = e^{-t}),
 
-    u'' + b(t) u' + (rho^2 - lambda^2) u - n^2/sinh(t)^2 u = 0,
-    b(t) = m_alpha coth t + 2 m_2alpha coth 2t,
+    u'' + b(t) u' + (rho^2 - lambda^2) u = 0,
+    b(t) = m_alpha coth t + 2 m_2alpha coth 2t.
 
-n = 0 unless an angular momentum is separated off (the K-type reduction on
-the disk model).  Two distinguished solutions:
+There is no angular term: a K-type of the disk model is a spherical
+solution on a space of higher dimension times an explicit prefactor (a
+Jacobi parameter shift, ``model_h2.ktype_space``).  Two distinguished
+solutions:
 
 * Q_lambda = y^(rho+lambda) h_lambda(y), the solution with a pure boundary
   exponent.  h_lambda solves a Frobenius recursion in the y-power-series
@@ -21,8 +23,8 @@ the disk model).  Two distinguished solutions:
   hn, chn, hhn, oh2) a finite sum in w^(n-alpha) plus a log series with
   psi weights (A&S 15.3.11).
 
-* phi_lambda, the regular solution with phi(0) = 1 (the spherical function
-  for n = 0), which is a Jacobi function (Koornwinder 1984) with
+* phi_lambda, the regular solution with phi(0) = 1 (the spherical
+  function), which is a Jacobi function (Koornwinder 1984) with
   alpha = (m_alpha + m_2alpha - 1)/2 and beta = (m_2alpha - 1)/2.
   ``eval_phi`` integrates nothing off the lattice.  For t <= T_PHI = 1.5 it
   sums cosh(t)^-(rho+lambda) 2F1((rho+lambda)/2, (alpha-beta+1+lambda)/2;
@@ -48,10 +50,10 @@ so the bound grows by 3^(-Re lambda).  The spectral sweep's box
 (|Re lambda| < 2.9, |Im lambda| < 1.2) lies inside: its condition is at
 most 82 over h2, h3, oh2, hn:4-10, chn:2-5 and hhn:2-5.  Near a negative
 integer lambda the Gamma factors cancel too, losing about 1e-16 / distance,
-but the backward ODE is worse there, so there is no guard.  A K-type Q
-(n != 0) and ``q_solution`` always integrate, so the connection and
-Wronskian suites compare an integrated Q with the closed forms, and the
-``jacobi`` suite compares it with the series.
+but the backward ODE is worse there, so there is no guard.
+``q_solution`` always integrates, so the connection and Wronskian suites
+compare an integrated Q with the closed forms, and the ``jacobi`` suite
+compares it with the series.
 
 Where eval_phi still integrates, the ODE continues the series forward.
 Within LATTICE_GUARD = 0.05 of an integer lambda the two c Q terms have
@@ -75,15 +77,14 @@ runs a scalar right-hand side at rtol 1e-12.
 
 ``eval_phi``, ``eval_Q``, ``connection_coefficients`` and the K-type profiles
 of ``model_h2`` read one cache, ``continuation``, with one entry per (space,
-lambda, |n|, kind).  An entry is a Continuation: the analytic start on its
-side of the switch point, then ODE pieces, each started from the end of the
-one before and ending at a fixed breakpoint: 1.5, 3, 6, ... forward (phi
-near the lattice, K-types), 0.3, 0.1, 1/30, ... backward (Q).  An entry of
-phi off the lattice has no switch and no pieces: it keeps the series
-coefficients, both c values and both Frobenius series.  An entry of Q for
-n = 0 inside the series region has none either: it keeps the Frobenius
-series and the second-kind coefficient rows, with the Gamma prefactors and
-psi weights folded in.  A K-type entry keeps its normalising factor.  A
+lambda, kind).  An entry is a Continuation: the analytic start on its side
+of the switch point, then ODE pieces, each started from the end of the one
+before and ending at a fixed breakpoint: 1.5, 3, 6, ... forward (phi near
+the lattice), 0.3, 0.1, 1/30, ... backward (Q).  An entry of phi off the
+lattice has no switch and no pieces: it keeps the series coefficients, both
+c values and both Frobenius series.  An entry of Q inside the series region
+has none either: it keeps the Frobenius series and the second-kind
+coefficient rows, with the Gamma prefactors and psi weights folded in.  A
 request beyond the last piece adds pieces and never re-solves a span, so a
 value depends on the key and t alone, not on the order of the requests.
 maxsize is 512: a repeat of ``verify --all`` rereads its 412 entries in
@@ -167,7 +168,6 @@ class FrobeniusSeries:
 
     space: RankOneSpace
     lam: complex
-    potential_n: int
     exponent: complex
     coefficients: tuple
     valid_radius: float = 0.5
@@ -210,7 +210,7 @@ class FrobeniusSeries:
         return q, dq
 
 
-def frobenius_Q(space, lam, tol=1e-16, potential_n=0, max_terms=400):
+def frobenius_Q(space, lam, tol=1e-16, max_terms=400):
     """Frobenius coefficients of Q_lambda, adaptively truncated.
 
     Raises ResonantExponentError when 2*lambda is within 1e-6 of a negative
@@ -218,7 +218,6 @@ def frobenius_Q(space, lam, tol=1e-16, potential_n=0, max_terms=400):
     """
     lam = complex(lam)
     _check_exponent(lam)
-    n = int(potential_n)
     rho = space.rho
     e = rho + lam
     # b(t) - 2 rho = sum_{k even >= 2} b_k y^k with b_k as below
@@ -234,8 +233,6 @@ def frobenius_Q(space, lam, tol=1e-16, potential_n=0, max_terms=400):
         src = 0j
         for k in range(2, nu + 1, 2):
             src += bk(k) * (e + nu - k) * h[nu - k]
-        if n != 0:
-            src += 4.0 * n * n * sum(j * h[nu - 2 * j] for j in range(1, nu // 2 + 1))
         h_nu = src / (nu * (nu + 2.0 * lam))
         h.append(0j)  # odd coefficient
         h.append(h_nu)
@@ -252,7 +249,6 @@ def frobenius_Q(space, lam, tol=1e-16, potential_n=0, max_terms=400):
     return FrobeniusSeries(
         space=space,
         lam=lam,
-        potential_n=n,
         exponent=e,
         coefficients=tuple(h),
         log_peak=math.log(max(abs(x) for x in h)),
@@ -260,8 +256,8 @@ def frobenius_Q(space, lam, tol=1e-16, potential_n=0, max_terms=400):
 
 
 @lru_cache(maxsize=512)
-def _series(space, lam, potential_n):
-    return frobenius_Q(space, lam, potential_n=potential_n)
+def _series(space, lam):
+    return frobenius_Q(space, lam)
 
 
 # -- generic ODE continuation ------------------------------------------------
@@ -277,7 +273,6 @@ class RadialSolution:
 
     space: RankOneSpace
     lam: complex
-    potential_n: int
     t_lo: float
     t_hi: float
     _eval: object = field(repr=False)
@@ -295,7 +290,7 @@ class RadialSolution:
         return self.at(t)[0]
 
     def residual(self, ts=None, h=1e-4):
-        """Max ODE defect |u'' + b u' + (rho^2-lam^2)u - n^2 u/sinh^2|.
+        """Max ODE defect |u'' + b u' + (rho^2-lam^2)u|.
 
         u'' is taken by central differences of the stored derivative, so this
         is a genuine consistency check on the integrator output, good to
@@ -305,7 +300,6 @@ class RadialSolution:
             ts = self.ts if self.ts is not None else np.linspace(self.t_lo, self.t_hi, 7)
         worst = 0.0
         k2 = self.space.rho**2 - self.lam**2
-        n2 = float(self.potential_n**2)
         for t in np.atleast_1d(ts):
             t = float(t)
             hh = min(h, 0.25 * (t - self.t_lo), 0.25 * (self.t_hi - t))
@@ -316,17 +310,14 @@ class RadialSolution:
             vm = self.at(t - hh)[1]
             upp = (vp - vm) / (2.0 * hh)
             defect = upp + self.space.log_density_dot(t) * v + k2 * u
-            if n2:
-                defect -= n2 * u / math.sinh(t) ** 2
             worst = max(worst, abs(defect))
         return worst
 
     @classmethod
-    def from_callable(cls, space, lam, f, fdot, t_lo, t_hi, potential_n=0):
+    def from_callable(cls, space, lam, f, fdot, t_lo, t_hi):
         return cls(
             space=space,
             lam=complex(lam),
-            potential_n=int(potential_n),
             t_lo=float(t_lo),
             t_hi=float(t_hi),
             _eval=lambda t: (f(t), fdot(t)),
@@ -334,7 +325,7 @@ class RadialSolution:
         )
 
 
-def integrate_radial_ode(space, lams, potential_n, t_span, inits):
+def integrate_radial_ode(space, lams, t_span, inits):
     """Continue (u, u') of the radial ODE across t_span = (t0, t1) for each
     lambda in ``lams``, starting from the matching (u, u') in ``inits``.
 
@@ -350,15 +341,11 @@ def integrate_radial_ode(space, lams, potential_n, t_span, inits):
     count = len(lams)
     if count == 0 or len(inits) != count:
         raise ValueError("need one initial (u, u') pair per lambda, at least one")
-    n2 = float(int(potential_n) ** 2)
     m_a, m_2a = float(space.m_alpha), float(space.m_2alpha)
 
     def accel(t, u, v):
         b = m_a / math.tanh(t) + 2.0 * m_2a / math.tanh(2.0 * t)
-        acc = -(b * v + k2 * u)
-        if n2:
-            acc += n2 * u / math.sinh(t) ** 2
-        return acc
+        return -(b * v + k2 * u)
 
     # numpy slicing costs more than the arithmetic for a single lambda
     if count == 1:
@@ -388,7 +375,6 @@ def integrate_radial_ode(space, lams, potential_n, t_span, inits):
         return RadialSolution(
             space=space,
             lam=lams[i],
-            potential_n=int(potential_n),
             t_lo=min(t0, t1),
             t_hi=max(t0, t1),
             _eval=ev,
@@ -405,23 +391,20 @@ _BACKWARD = (0.3, 1.0 / 3.0)  # piece ends 0.3, 0.1, 1/30, ...
 
 
 class Continuation:
-    """One radial solution of (space, lambda, |n|), stitched from pieces.
+    """One radial solution of (space, lambda), stitched from pieces.
 
-    ``kind(space, lam, potential_n)`` gives the analytic start (a function
-    of t returning (u, u')), the switch point, and the direction the ODE
-    pieces run from there: +1 forward, -1 backward.  A switch at the far end
-    (inf forward, 0 backward) means the start covers every t and no piece
-    is ever integrated.
-    ``scale`` starts as None; a caller that normalises the solution keeps
-    its factor there, so the factor lives and dies with the cached entry.
+    ``kind(space, lam)`` gives the analytic start (a function of t returning
+    (u, u')), the switch point, and the direction the ODE pieces run from
+    there: +1 forward, -1 backward.  A switch at the far end (inf forward,
+    0 backward) means the start covers every t and no piece is ever
+    integrated.
     """
 
-    def __init__(self, space, lam, potential_n, kind):
-        self.space, self.lam, self.potential_n = space, lam, potential_n
-        self.start, self.switch, self.sign = kind(space, lam, potential_n)
+    def __init__(self, space, lam, kind):
+        self.space, self.lam = space, lam
+        self.start, self.switch, self.sign = kind(space, lam)
         self.reach = self.switch  # far end of the last piece
         self.pieces = []
-        self.scale = None
 
     def pair(self, t):
         """(u(t), u'(t)), integrating further pieces if t lies beyond them."""
@@ -438,21 +421,20 @@ class Continuation:
 
     def view(self, t_lo, t_hi, ts=None):
         """A RadialSolution on [t_lo, t_hi] reading this continuation."""
-        return RadialSolution(self.space, self.lam, self.potential_n, t_lo, t_hi,
-                              self.pair, ts)
+        return RadialSolution(self.space, self.lam, t_lo, t_hi, self.pair, ts)
 
 
 def _extend(conts, end):
-    """Add a piece up to ``end`` to continuations sharing space, |n| and reach."""
+    """Add a piece up to ``end`` to continuations sharing space and reach."""
     head = conts[0]
-    pieces = integrate_radial_ode(head.space, [c.lam for c in conts], head.potential_n,
-                                  (head.reach, end), [c.pair(head.reach) for c in conts])
+    pieces = integrate_radial_ode(head.space, [c.lam for c in conts], (head.reach, end),
+                                  [c.pair(head.reach) for c in conts])
     for cont, piece in zip(conts, pieces):
         cont.pieces.append(piece)
         cont.reach = end
 
 
-# The one cache of radial solutions, keyed by (space, lambda, |n|, kind).
+# The one cache of radial solutions, keyed by (space, lambda, kind).
 continuation = lru_cache(maxsize=512)(Continuation)
 
 
@@ -670,7 +652,7 @@ def _near_lattice(lam):
             or abs(w - round(w.real)) <= EXCLUSION_RADIUS)
 
 
-def _phi_series(space, lam, potential_n):
+def _phi_series(space, lam):
     """phi: the Jacobi series up to a switch, c Q_{-lambda} + c Q_lambda beyond.
 
     The switch is T_PHI, or earlier where the series cancels: its terms
@@ -694,7 +676,7 @@ def _phi_series(space, lam, potential_n):
         read past the switch and kept with the entry."""
         cf = for_space(space)
         return (cf.value(lam), cf.value(-lam),
-                _series(space, -lam, 0).pair, _series(space, lam, 0).pair)
+                _series(space, -lam).pair, _series(space, lam).pair)
 
     def pair(t):
         if t <= switch:
@@ -706,7 +688,7 @@ def _phi_series(space, lam, potential_n):
     return pair, math.inf, 1.0
 
 
-def _phi_seed(space, lam, potential_n):
+def _phi_seed(space, lam):
     """phi's Jacobi series, continued forward by the ODE from T_SEED, or
     from T_SEED/2, /4, ... where a large |lambda| overflows the series."""
     _require_finite(lam)
@@ -714,16 +696,16 @@ def _phi_seed(space, lam, potential_n):
     return jacobi.pair, jacobi.reach(T_SEED), 1.0
 
 
-def _q_series(space, lam, potential_n):
+def _q_series(space, lam):
     """Q's Frobenius series, continued backward from t = log 2."""
-    return _series(space, lam, potential_n).pair, T_SWITCH, -1.0
+    return _series(space, lam).pair, T_SWITCH, -1.0
 
 
-def _q_second_kind(space, lam, potential_n):
-    """Q for n = 0: the Frobenius series from log 2 up, the second-kind
-    series below; or the backward ODE where that series is conditioned
-    worse than _Q_CONDITION * _ODE_RECESSIVE^max(0, -Re lambda)."""
-    frobenius = _series(space, lam, 0).pair  # refuses excluded exponents first
+def _q_second_kind(space, lam):
+    """Q: the Frobenius series from log 2 up, the second-kind series below;
+    or the backward ODE where that series is conditioned worse than
+    _Q_CONDITION * _ODE_RECESSIVE^max(0, -Re lambda)."""
+    frobenius = _series(space, lam).pair  # refuses excluded exponents first
     try:
         series = _SecondKindSeries(space, lam)
     except OverflowError:
@@ -748,14 +730,14 @@ def phi_solution(space, lam, t_max):
     t_max = float(t_max)
     if t_max <= T_SEED:
         raise ValueError(f"t_max must exceed the series patch {T_SEED}")
-    conts = [Continuation(space, lam, 0, _phi_seed) for lam in lams]
+    conts = [Continuation(space, lam, _phi_seed) for lam in lams]
     for seed in dict.fromkeys(c.reach for c in conts):
         _extend([c for c in conts if c.reach == seed], t_max)
     out = [c.view(0.0, t_max, c.pieces[0].ts) for c in conts]
     return out if many else out[0]
 
 
-def q_solution(space, lam, t_min, potential_n=0):
+def q_solution(space, lam, t_min):
     """Q_lambda on [t_min, inf): series for t >= log 2, ODE continuation below.
 
     A sequence of lambda is continued as one batch and gives a list.
@@ -764,7 +746,7 @@ def q_solution(space, lam, t_min, potential_n=0):
     t_min = float(t_min)
     if t_min <= 0.0:
         raise ValueError("Q is singular at t = 0; need t_min > 0")
-    conts = [Continuation(space, lam, abs(int(potential_n)), _q_series) for lam in lams]
+    conts = [Continuation(space, lam, _q_series) for lam in lams]
     if t_min < T_SWITCH:
         _extend(conts, t_min)
     out = [c.view(t_min, math.inf, c.pieces[0].ts if c.pieces else np.empty(0))
@@ -772,15 +754,13 @@ def q_solution(space, lam, t_min, potential_n=0):
     return out if many else out[0]
 
 
-def eval_Q(space, lam, t, potential_n=0):
-    """Q_lambda(t): Frobenius series for t >= log 2; below, the second-kind
-    series for n = 0 and the cached backward continuation otherwise."""
+def eval_Q(space, lam, t):
+    """Q_lambda(t): Frobenius series for t >= log 2, the second-kind series
+    (or, where it is ill-conditioned, the backward continuation) below."""
     t = float(t)
     if not t > 0.0:
         raise ValueError("eval_Q needs t > 0")
-    n = abs(int(potential_n))
-    kind = _q_second_kind if n == 0 else _q_series
-    return complex(continuation(space, complex(lam), n, kind).pair(t)[0])
+    return complex(continuation(space, complex(lam), _q_second_kind).pair(t)[0])
 
 
 def eval_phi(space, lam, t):
@@ -788,7 +768,7 @@ def eval_phi(space, lam, t):
     t = float(t)
     if not 0.0 <= t < math.inf:
         raise ValueError("eval_phi needs finite t >= 0")
-    return complex(continuation(space, complex(lam), 0, _phi_series).pair(t)[0])
+    return complex(continuation(space, complex(lam), _phi_series).pair(t)[0])
 
 
 # -- connection problem ------------------------------------------------------
@@ -799,15 +779,11 @@ _MATCH_CANDIDATES = (0.7, 0.8, 0.9, 1.0, 1.1, 1.2)
 def _connection_solve(space, lam, sol):
     """Match sol against (Q_{-lambda}, Q_{+lambda}) at the best-conditioned t*.
 
-    Returns (a_minus, a_plus, condition, t_star).  The basis carries the
-    solution's own angular potential, otherwise the bases differ from the
-    solution's span by O(n^2) at the matching point and the 1e-8 connection
-    tolerance is unreachable.
+    Returns (a_minus, a_plus, condition, t_star).
     """
     lam = complex(lam)
-    n = sol.potential_n
-    ser_p = _series(space, lam, n)
-    ser_m = _series(space, -lam, n)
+    ser_p = _series(space, lam)
+    ser_m = _series(space, -lam)
     best = None
     for ts in _MATCH_CANDIDATES:
         if not (sol.t_lo <= ts <= sol.t_hi):
@@ -844,7 +820,7 @@ def connection_coefficients(space, lam, sol=None):
     (t* <= 1.2) without the closed-form c.
     """
     if sol is None:
-        sol = continuation(space, complex(lam), 0, _phi_series).view(
+        sol = continuation(space, complex(lam), _phi_series).view(
             0.0, _MATCH_CANDIDATES[-1] + 0.1)
     am, ap, _, _ = _connection_solve(space, lam, sol)
     return am, ap

@@ -28,6 +28,7 @@ would miss.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import model_h2
 from .cfunction import for_space
-from .errors import EnumerationError, IndeterminateRankError
+from .errors import EnumerationError
 from .radial import eval_phi
 from .resolvent import kernel
 from .space import RankOneSpace
@@ -82,14 +83,22 @@ def _polish(cf, seed):
 
 
 def _multiplicity(space, k):
-    """SVD rank estimate of the residue operator; only the hyperbolic-plane
-    boundary model supports this, everything else reports None."""
+    """Rank of the residue operator at the k-th resonance of the hyperbolic
+    plane (None elsewhere): the K-types n whose c-function on
+    model_h2.ktype_space(n) vanishes at lambda = -(rho + k), counted with
+    dimension 1 for n = 0 and 2 for +-n.  Those zeros sit at -(rho_n + j),
+    j >= 0, so the count stops at rho_n > rho + k.  model_h2.residue_rank
+    is the SVD route to the same rank."""
     if space != model_h2.H2:
         return None
-    try:
-        return model_h2.residue_rank(k)
-    except IndeterminateRankError:
-        return None
+    edge = space.rho + k  # the resonance is lambda = -edge
+    count = 0
+    for n in itertools.count():
+        shifted = model_h2.ktype_space(n)
+        if shifted.rho > edge:
+            return count
+        if for_space(shifted).zero_order(-edge) > 0:
+            count += 1 if n == 0 else 2
 
 
 def enumerate_resonances(space, count, verify_complete=False):
@@ -97,7 +106,7 @@ def enumerate_resonances(space, count, verify_complete=False):
 
     Each record carries the certified pole location, its index k in the
     progression i(rho + j k), the residue scalar of the resolvent pole, and
-    (on the hyperbolic plane) an SVD estimate of the residue rank.  With
+    (on the hyperbolic plane) the residue rank counted over K-types.  With
     ``verify_complete=True`` a winding count over the enclosing rectangle
     cross-checks that the progression misses no czz zero.
     """

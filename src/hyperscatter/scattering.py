@@ -15,9 +15,11 @@ pole (the c-function pole at 0 cancels it).
 
 On the hyperbolic plane the operator is diagonal on circle Fourier modes
 (K-types), each of which is one-dimensional here, so the full operator is
-represented by its eigenvalue sequence; ktype_eigenvalue computes the n-th
-eigenvalue by solving the connection problem for the K-type radial profile
-rather than from any closed form.
+represented by its eigenvalue sequence.  The n-th K-type profile is
+(2 sinh t)^|n| times a spherical function of model_h2.ktype_space(n) =
+H^(2|n|+2) with the same boundary pair, so ktype_eigenvalue matches that
+space's Jacobi series against its Frobenius Q rather than reading any
+closed form.
 
 Pole detection on the axis works with the reciprocal w(sigma) = 1/s(i sigma)
 = c(-sigma)/c(sigma), which is real there; poles of s are zeros of w, which
@@ -27,6 +29,7 @@ s is not.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -34,10 +37,10 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import model_h2
-from .boundary import boundary_pair, bv_limit
+from .boundary import bv_limit
 from .cfunction import for_space
 from .errors import NonFiniteInputError, PoleSignal, ResonantExponentError
-from .radial import eval_phi
+from .radial import connection_coefficients, eval_phi
 from .resonances import ResonanceRecord, enumerate_resonances
 from .space import RankOneSpace
 
@@ -111,11 +114,15 @@ def scalar(space, zeta):
 def ktype_eigenvalue(zeta, n):
     """Eigenvalue of S_zeta on the n-th circle Fourier mode (hyperbolic plane).
 
-    Solves the connection problem for the K-type radial profile at
-    lambda = i zeta and returns bv_{rho+i zeta} / bv_{rho-i zeta}; for n = 0
-    this reproduces scalar() through an independent code path.
+    Solves the connection problem for the spherical function of
+    model_h2.ktype_space(n) at lambda = i zeta and returns
+    bv_{rho+i zeta} / bv_{rho-i zeta}, the ratio for the K-type profile too;
+    it reproduces scalar(ktype_space(n), zeta) through an independent code
+    path.
     """
     zeta = complex(zeta)
+    if not cmath.isfinite(zeta):
+        raise NonFiniteInputError(f"zeta = {zeta} is not finite")
     lam = 1j * zeta
     if _dist_to_integers(2 * lam) < _LATTICE_TOL:
         raise ResonantExponentError(
@@ -123,9 +130,8 @@ def ktype_eigenvalue(zeta, n):
             "the boundary exponents collide and the connection problem "
             "degenerates"
         )
-    sol = model_h2.ktype_solution(lam, n)
-    pair = boundary_pair(model_h2.H2, lam, sol)
-    return pair.a_plus / pair.a_minus
+    a_minus, a_plus = connection_coefficients(model_h2.ktype_space(n), lam)
+    return a_plus / a_minus
 
 
 def classify_poles(space, count):

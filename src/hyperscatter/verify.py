@@ -209,7 +209,8 @@ def _poisson_profile(lam, n):
 def check_fatou(spaces=None):
     """bv(P_lambda e^{in theta}) = c(lambda) e^{in theta}: the radial factor
     must reproduce c(lambda) by the Fatou limit (coarse tolerance) and by the
-    connection solver applied to the same quadrature profile (tight)."""
+    connection solver (tight), applied on model_h2.ktype_space(n) to the
+    same quadrature profile divided by (2 sinh t)^|n|."""
     rows = []
     h2 = model_h2.H2
     cf = for_space(h2)
@@ -217,6 +218,7 @@ def check_fatou(spaces=None):
         target = cf.value(complex(lam))
         for n in range(-4, 5):
             pair = _poisson_profile(lam, n)
+            shifted = model_h2.ktype_space(n)
             samples = []
             for m in range(9):
                 y = 0.3 * 0.5**m
@@ -224,13 +226,13 @@ def check_fatou(spaces=None):
             got, _ = bv_limit(h2, lam, samples)
             rows.append(_row("fatou", f"limit lambda={lam:g} n={n:+d}",
                              abs(got - target) / abs(target), 1e-3))
-            sol = RadialSolution.from_callable(
-                h2, lam,
-                lambda t, p=pair: p(t)[0],
-                lambda t, p=pair: p(t)[1],
-                0.6, 1.3, potential_n=abs(n),
-            )
-            am = boundary_pair(h2, lam, sol).a_minus
+
+            def divided(t, n=n, pair=pair):
+                (u, du), (p, dp) = pair(t), model_h2.ktype_prefactor(n, t)
+                return u / p, (du - dp * u / p) / p
+
+            sol = RadialSolution(shifted, complex(lam), 0.6, 1.3, divided)
+            am = boundary_pair(shifted, lam, sol).a_minus
             rows.append(_row("fatou", f"connection lambda={lam:g} n={n:+d}",
                              abs(am - target) / abs(target), 1e-6))
     return rows

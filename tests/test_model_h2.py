@@ -12,8 +12,9 @@ import math
 import warnings
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from hyperscatter import boundary
 from hyperscatter.cfunction import for_space
 from hyperscatter.boundary import boundary_pair
 from hyperscatter.errors import AccuracyWarning
@@ -22,8 +23,10 @@ from hyperscatter.model_h2 import (
     distance,
     horocycle_bracket,
     hyperbolic_laplacian_stencil,
+    ktype_prefactor,
     ktype_radial_profile,
     ktype_solution,
+    ktype_space,
     oracle_h3,
     poisson_radial_pair,
     poisson_transform,
@@ -31,7 +34,7 @@ from hyperscatter.model_h2 import (
     residue_rank,
     resolvent_difference_quadrature,
 )
-from hyperscatter.radial import continuation, eval_phi
+from hyperscatter.radial import RadialSolution, eval_phi
 from hyperscatter.resolvent import resolvent_difference
 
 _CF = for_space(H2)
@@ -104,43 +107,65 @@ def test_laplacian_stencil_eigenfunction_identity():
 
 
 def test_ktype_solution_normalization_and_profile():
+    # the profile is (2 sinh t)^|n| times a solution on the shifted space,
+    # whose boundary pair is the profile's: a_minus = c(lambda)
     lam, n = 0.8, 2
     sol = ktype_solution(lam, n)
-    pair = boundary_pair(H2, lam, sol)
+    shifted = ktype_space(n)
+
+    def divided(t):
+        (u, du), (p, dp) = sol.at(t), ktype_prefactor(n, t)
+        return u / p, (du - dp * u / p) / p
+
+    pair = boundary_pair(shifted, lam, RadialSolution(shifted, lam, 0.6, 1.3, divided))
     assert abs(pair.a_minus - _CF.value(lam)) / abs(_CF.value(lam)) < 1e-8
     # profile accessor agrees with the solved object inside its range
     t = 0.9
     assert abs(ktype_radial_profile(lam, n, t) - sol(t)) < 1e-10
 
 
-def test_ktype_profile_normalizes_once_per_cache_entry(monkeypatch):
-    # the c(lambda)/a_minus factor is kept with the cached solution: a
-    # profile on a grid pays one connection solve, and each value is the
-    # one a fresh cache gives
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    real = boundary._connection_solve
-    monkeypatch.setattr(boundary, "_connection_solve", counting)
-    grid = [0.05 + 0.15 * i for i in range(20)]
-    continuation.cache_clear()
-    profile = [ktype_radial_profile(0.8, 2, t) for t in grid]
-    assert len(calls) == 1
-    fresh = []
-    for t in grid:
-        continuation.cache_clear()
-        fresh.append(ktype_radial_profile(0.8, 2, t))
-    assert profile == fresh
-
-
 def test_ktype_profile_matches_poisson_quadrature():
-    # independent route: angular Fourier mode of the Poisson transform
-    lam, n, t = 1.1, 1, 0.8
-    u, _ = poisson_radial_pair(lam, n, t)
-    assert abs(ktype_radial_profile(lam, n, t) - u) / abs(u) < 1e-7
+    # independent route: angular Fourier mode of the Poisson transform; the
+    # shift reaches the lattice lambda = 1/2, 1, 3/2 as well
+    for lam in (1.1, 0.8 - 0.6j, 0.5, 1.0, 1.5):
+        for n in range(4):
+            for t in (0.3, 0.8, 2.0):
+                u, _ = poisson_radial_pair(lam, n, t)
+                got = ktype_radial_profile(lam, n, t)
+                assert abs(got - u) / abs(u) < 1e-7, (lam, n, t)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.1, 2.5), st.floats(-1.0, 1.0), st.integers(0, 5),
+       st.floats(0.05, 3.0))
+def test_ktype_profile_solves_the_angular_equation(re, im, n, t):
+    # u'' + coth t u' + (1/4 - lambda^2) u - n^2 u / sinh^2 t = 0, the
+    # equation of the n-th circle mode, with u'' by central differences of
+    # the stored derivative
+    lam = complex(re, im)
+    assume(abs(2.0 * lam - round(2.0 * re)) > 0.1)
+    sol, h = ktype_solution(lam, n, t_max=t + 0.1), 1e-5 * t
+    u, du = sol.at(t)
+    ddu = (sol.at(t + h)[1] - sol.at(t - h)[1]) / (2.0 * h)
+    defect = ddu + du / math.tanh(t) + (0.25 - lam * lam - n * n / math.sinh(t) ** 2) * u
+    size = max(abs(ddu), abs(du / math.tanh(t)), abs(n * n * u / math.sinh(t) ** 2), abs(u))
+    assert abs(defect) < 1e-8 * size
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 1e300, 1e4, 400.0])
+def test_ktype_profile_refuses_non_finite_and_overflowing_t(t):
+    # at t = 400 the profile itself is finite, but phi of the shifted space
+    # (about e^-1000 at lambda = 0.8i, n = 2) is not a normal float
+    with pytest.raises(ValueError):
+        ktype_radial_profile(0.8j, 2, t)
+
+
+@pytest.mark.parametrize("n", [1.5, math.nan, math.inf])
+def test_ktype_index_must_be_integral(n):
+    with pytest.raises(ValueError):
+        ktype_radial_profile(0.8, n, 0.9)
+    with pytest.raises(ValueError):
+        ktype_space(n)
 
 
 def test_quadrature_route_matches_kernel_difference():

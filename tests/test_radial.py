@@ -49,7 +49,7 @@ def test_h3_closed_forms():
 
 
 def test_cached_values_do_not_depend_on_request_order():
-    # a cached value may depend on (space, lambda, n, t) alone: the
+    # a cached value may depend on (space, lambda, t) alone: the
     # benchmark checks a warm pass against a cold one byte for byte
     space = space_from_name("chn:2")
     lam = 0.7 + 0.2j
@@ -58,7 +58,6 @@ def test_cached_values_do_not_depend_on_request_order():
         calls += [
             (t, lambda t=t: eval_phi(space, lam, t)),
             (t, lambda t=t: eval_Q(space, lam, t)),
-            (t, lambda t=t: eval_Q(H2, 1.1 - 0.3j, t, potential_n=2)),
             (t, lambda t=t: ktype_radial_profile(0.8, 2, t)),
         ]
 
@@ -448,8 +447,8 @@ def test_wronskian_is_constant_across_the_switches_property(point, t):
     # switch), equals the closed form -2 lambda c(lambda) of wronskian_limit
     space, lam = point
     target = -2.0 * lam * for_space(space).value(lam)
-    phi = continuation(space, lam, 0, radial._phi_series)
-    q = continuation(space, lam, 0, radial._q_second_kind)
+    phi = continuation(space, lam, radial._phi_series)
+    q = continuation(space, lam, radial._q_second_kind)
     for s in (t, 0.5, radial.T_SWITCH - 1e-9, radial.T_SWITCH, 1.45, 1.55):
         (u, du), (v, dv) = phi.pair(s), q.pair(s)
         left, right = u * dv, du * v

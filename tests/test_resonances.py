@@ -8,6 +8,7 @@ import pytest
 from hyperscatter import resonances
 from hyperscatter.cfunction import CFunction, for_space
 from hyperscatter.errors import EnumerationError
+from hyperscatter.model_h2 import residue_rank
 from hyperscatter.radial import eval_phi
 from hyperscatter.resonances import (
     enumerate_resonances,
@@ -53,6 +54,15 @@ def test_multiplicity_estimates_follow_odd_ladder():
     # only the disk model carries a rank oracle
     recs = enumerate_resonances(space_from_name("chn:2"), 1)
     assert recs[0].multiplicity_estimate is None
+
+
+def test_multiplicity_counts_ktypes_at_every_index():
+    # the K-type count gives 2k+1 where the SVD rank turns indeterminate
+    # (k >= 11), and agrees with it where the SVD is decisive
+    recs = enumerate_resonances(H2, 50)
+    assert [rec.multiplicity_estimate for rec in recs] == [2 * k + 1 for k in range(50)]
+    for rec in recs[:11]:
+        assert rec.multiplicity_estimate == residue_rank(rec.k), rec.k
 
 
 def test_completeness_guard_accepts_true_lists():

@@ -8,6 +8,7 @@ import pytest
 
 from hyperscatter.cfunction import for_space
 from hyperscatter.errors import NonFiniteInputError, PoleSignal, ResonantExponentError
+from hyperscatter.model_h2 import ktype_space
 from hyperscatter.resonances import enumerate_resonances
 from hyperscatter.scattering import (
     KIND_INTERTWINER,
@@ -77,6 +78,27 @@ def test_ktype_eigenvalue_n0_matches_scalar_and_inverts():
     z = 1.3
     prod = ktype_eigenvalue(z, 2) * ktype_eigenvalue(-z, 2)
     assert abs(prod - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_ktype_eigenvalue_is_the_shifted_scalar(n):
+    # the Jacobi series of the shifted space matched against its Frobenius
+    # Q, against the closed-form c of the same space
+    space = ktype_space(n)
+    for zeta in (0.8, 1.2, 0.9 + 0.2j, -1.3 + 0.4j):
+        sv = scalar(space, zeta)
+        assert abs(ktype_eigenvalue(zeta, n) - sv) / abs(sv) < 1e-10, zeta
+
+
+@pytest.mark.parametrize("zeta", [math.nan, math.inf, complex(0.8, math.nan)])
+def test_ktype_eigenvalue_refuses_non_finite_zeta(zeta):
+    with pytest.raises(NonFiniteInputError):
+        ktype_eigenvalue(zeta, 1)
+
+
+def test_ktype_eigenvalue_refuses_non_integral_n():
+    with pytest.raises(ValueError):
+        ktype_eigenvalue(0.8, 1.5)
 
 
 def test_ktype_eigenvalue_guards_resonant_exponents():
