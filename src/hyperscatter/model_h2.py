@@ -16,7 +16,11 @@ asserted in tests rather than assumed.
 Boundary quadrature is the periodic trapezoid rule (spectrally accurate for
 analytic integrands) with node doubling until the value settles; the Poisson
 peak has angular width ~ (1-|z|), so deep Fatou limits legitimately need
-tens of thousands of nodes and the doubling reuses previous levels.
+tens of thousands of nodes and the doubling reuses previous levels.  The
+K-types e^{in theta} of one (lambda, t) share one quadrature: the kernel and
+its t-derivative are sampled once per node set, each K-type's sum is
+accumulated on its own (no nodes-by-K-types array), and the doubling stops
+when all of them have settled.
 
 H^3 closed forms (phi, Q, c) live here too, as the oracle fixtures used all
 over the test suite.
@@ -36,7 +40,8 @@ from collections import namedtuple
 import numpy as np
 
 from .cfunction import for_space
-from .errors import AccuracyWarning, IndeterminateRankError, QuadratureError
+from .errors import (AccuracyWarning, IndeterminateRankError, NonFiniteInputError,
+                     QuadratureError)
 from .radial import RadialSolution, _phi_series, continuation
 from .space import RankOneSpace
 
@@ -73,6 +78,12 @@ def horocycle_bracket(z, theta):
     return math.log1p(-abs(z) ** 2) - math.log(d2)
 
 
+def _require_finite(**args):
+    for name, x in args.items():
+        if not cmath.isfinite(x):
+            raise NonFiniteInputError(f"{name} = {x} is not finite")
+
+
 def _bracket_grid(z, thetas):
     z = complex(z)
     d2 = np.abs(z - np.exp(1j * thetas)) ** 2
@@ -85,21 +96,22 @@ def _bracket_t_derivative_grid(r, thetas):
     return -r - (1.0 - r * r) * (r - np.cos(thetas)) / d2
 
 
-def _trapezoid_doubling(sample, tol, n0=64, cap=_MAX_NODES):
-    """Mean of a periodic sampler over doubling grids until stable.
+def _trapezoid_doubling(node_sum, tol, n0=64, cap=_MAX_NODES):
+    """Mean of a periodic integrand over doubling grids until stable.
 
-    ``sample(thetas)`` returns integrand values with the nodes along the
-    first axis (further axes are integrands converged together); previous
-    levels are reused (the 2N-grid mean is the average of the N-grid mean
-    and the midpoint mean).  Returns (value, nodes_used, converged).
+    ``node_sum(thetas)`` returns the integrand summed over the nodes (an
+    array for integrands converged together, every entry to ``tol``);
+    previous levels are reused (the 2N-grid mean is the average of the
+    N-grid mean and the midpoint mean).  Returns (value, nodes_used,
+    converged).
     """
     n = n0
     thetas = 2.0 * math.pi * np.arange(n) / n
-    total = np.sum(sample(thetas), axis=0)
+    total = node_sum(thetas)
     value = total / n
     while n < cap:
         mids = 2.0 * math.pi * (np.arange(n) + 0.5) / n
-        total = total + np.sum(sample(mids), axis=0)
+        total = total + node_sum(mids)
         n *= 2
         new = total / n
         if np.all(np.abs(new - value) < tol * np.maximum(1.0, np.abs(new))):
@@ -113,17 +125,19 @@ def poisson_transform(lam, f, z, tol=1e-10):
 
     f is a callable on [0, 2pi) (vectorized over numpy arrays if possible).
     Trapezoid nodes double until the value is stable to ``tol``; raises
-    QuadratureError if 2^17 nodes do not suffice.
+    QuadratureError if 2^17 nodes do not suffice, NonFiniteInputError for a
+    nan or infinite lambda or z.
     """
     lam = complex(lam)
     z = complex(z)
+    _require_finite(lam=lam, z=z)
 
-    def sample(thetas):
+    def node_sum(thetas):
         vals = f(thetas)
         vals = np.asarray(vals) + np.zeros(len(thetas))  # scalar f broadcast
-        return np.exp((_RHO + lam) * _bracket_grid(z, thetas)) * vals
+        return np.sum(np.exp((_RHO + lam) * _bracket_grid(z, thetas)) * vals)
 
-    value, n, ok = _trapezoid_doubling(sample, tol)
+    value, n, ok = _trapezoid_doubling(node_sum, tol)
     if not ok:
         raise QuadratureError(
             f"Poisson quadrature not converged at {n} nodes (|z|={abs(z):.4f})"
@@ -135,22 +149,36 @@ def poisson_radial_pair(lam, n, t, tol=1e-10):
     """(u, du/dt) of u(t) = (P_lambda e^{in theta})(r(t)) along the base ray.
 
     The full transform at z = r e^{ib} is e^{inb} times this radial factor.
+    A sequence of n gives a list of pairs: the kernel and its t-derivative
+    are sampled once per node set for all of them, and the K-types converge
+    jointly (the doubling stops when every one has settled to ``tol``).
+    A non-integral n raises ValueError, a nan or infinite lambda or t
+    NonFiniteInputError.
     """
     lam = complex(lam)
-    n = int(n)
+    t = float(t)
+    _require_finite(lam=lam, t=t)
+    many = np.ndim(n) > 0
+    ns = list(n) if many else [n]
+    if not ns:
+        raise ValueError("need at least one K-type index n")
+    for k in ns:
+        _ktype_index(k)  # refuses 1.5, nan, inf
+    ns = [int(k) for k in ns]
     r = r_of_t(t)
 
-    def sample(thetas):
-        wave = np.exp(1j * n * thetas)
-        bracket = _bracket_grid(r, thetas)
-        kern = np.exp((_RHO + lam) * bracket)
-        dkern = (_RHO + lam) * _bracket_t_derivative_grid(r, thetas) * kern
-        return np.stack([kern * wave, dkern * wave], axis=1)
+    def node_sum(thetas):
+        kern = np.exp((_RHO + lam) * _bracket_grid(r, thetas))
+        both = np.stack([kern, (_RHO + lam) * _bracket_t_derivative_grid(r, thetas) * kern])
+        circle = np.exp(1j * thetas)
+        # one K-type at a time: a (nodes x K-types) array would cost memory
+        return np.array([both @ circle**k for k in ns])
 
-    value, nn, ok = _trapezoid_doubling(sample, tol)
+    value, nn, ok = _trapezoid_doubling(node_sum, tol)
     if not ok:
         raise QuadratureError(f"Poisson pair quadrature not converged at {nn} nodes")
-    return complex(value[0]), complex(value[1])
+    pairs = [(complex(u), complex(du)) for u, du in value]
+    return pairs if many else pairs[0]
 
 
 def hyperbolic_laplacian_stencil(func, z, h=1e-3):
@@ -263,11 +291,11 @@ def resolvent_difference_quadrature(zeta, z1, z2, tol=1e-10, cap=2048):
     cf = for_space(H2)
     front = 1j / (2.0 * H2.kappa * zeta * cf.czz(zeta))
 
-    def sample(thetas):
-        return np.exp((_RHO + 1j * zeta) * _bracket_grid(z1, thetas)
-                      + (_RHO - 1j * zeta) * _bracket_grid(z2, thetas))
+    def node_sum(thetas):
+        return np.sum(np.exp((_RHO + 1j * zeta) * _bracket_grid(z1, thetas)
+                             + (_RHO - 1j * zeta) * _bracket_grid(z2, thetas)))
 
-    value, n, converged = _trapezoid_doubling(sample, tol, cap=cap)
+    value, n, converged = _trapezoid_doubling(node_sum, tol, cap=cap)
     if not converged:
         warnings.warn(
             f"boundary quadrature not settled to {tol:g} at {n} nodes "

@@ -13,10 +13,13 @@ solutions:
 * Q_lambda = y^(rho+lambda) h_lambda(y), the solution with a pure boundary
   exponent.  h_lambda solves a Frobenius recursion in the y-power-series
   coefficients (writing the radial operator through theta = y d/dy; the
-  coefficient there is theta applied to log J, not to J itself).  The series
-  converges on |y| < 1; we sum it for y <= 1/2, i.e. t >= log 2, and stop
-  each sum where the omitted terms fall below 1e-17.  Below log 2
-  ``eval_Q`` sums the second-kind Jacobi function (2 cosh t)^-(rho+lambda)
+  coefficient there is theta applied to log J, not to J itself).  The
+  coefficients of b(t) - 2 rho in y^2 take two values, by the power mod 4,
+  so each step's source is two running sums over the earlier terms and N
+  terms cost O(N).  The series converges on |y| < 1; we sum it for
+  y <= 1/2, i.e. t >= log 2, and stop each sum where the omitted terms fall
+  below 1e-17.  Below log 2 ``eval_Q`` sums the second-kind Jacobi
+  function (2 cosh t)^-(rho+lambda)
   2F1((rho+lambda)/2, (alpha-beta+1+lambda)/2; 1+lambda; cosh(t)^-2),
   connected to tanh(t)^2: for alpha not an integer (h3, odd hn) two power
   series, the first phi's own (A&S 15.3.6); for an integer alpha (h2, even
@@ -73,7 +76,10 @@ The ODE is linear and only rho^2 - lambda^2 depends on lambda, so N values
 of lambda are integrated as one system at rtol 1e-12/sqrt(N): the step
 control measures the RMS error over all 2N components, and the scaling
 keeps one lambda's error from hiding behind the others.  A single lambda
-runs a scalar right-hand side at rtol 1e-12.
+runs a scalar right-hand side at rtol 1e-12.  The solutions of one batch
+read the shared dense output through one evaluation per t, so the
+Wronskian fit's nodes and the connection suite's points cost one
+interpolation of all 2N components each, not one per lambda.
 
 ``eval_phi``, ``eval_Q``, ``connection_coefficients`` and the K-type profiles
 of ``model_h2`` read one cache, ``continuation``, with one entry per (space,
@@ -125,6 +131,7 @@ _ODE_RECESSIVE = 3.0  # ... with the bound raised this much per unit of -Re lamb
 
 _RTOL = 1e-12
 _ATOL = 1e-300  # effectively pure relative error control
+_MAX_EXPONENT = 700.0  # a solution growing past e^700 leaves the floating-point range
 
 
 def _require_finite(lam):
@@ -201,10 +208,15 @@ class FrobeniusSeries:
         return s, ds
 
     def pair(self, t):
-        """(Q(t), dQ/dt) for t >= -log(valid_radius)."""
+        """(Q(t), dQ/dt) for t >= -log(valid_radius); ValueError where
+        y^exponent overflows."""
         y = math.exp(-t)
         s, ds = self.series_sums(y)
-        head = cmath.exp(-self.exponent * t)
+        try:
+            head = cmath.exp(-self.exponent * t)
+        except OverflowError:
+            raise ValueError(f"Q_lambda({t}) overflows the floating-point range "
+                             f"(lambda = {self.lam})") from None
         q = head * s
         dq = -head * (self.exponent * s + ds)
         return q, dq
@@ -218,22 +230,25 @@ def frobenius_Q(space, lam, tol=1e-16, max_terms=400):
     """
     lam = complex(lam)
     _check_exponent(lam)
-    rho = space.rho
-    e = rho + lam
-    # b(t) - 2 rho = sum_{k even >= 2} b_k y^k with b_k as below
-    def bk(k):
-        return 2.0 * space.m_alpha + (4.0 * space.m_2alpha if k % 4 == 0 else 0.0)
-
+    e = space.rho + lam
+    # b(t) - 2 rho = sum_{k even >= 2} b_k y^k, b_k = 2 m_alpha + 4 m_2alpha [4 | k],
+    # so with j = nu - k the source sum_k b_k (e+nu-k) h_{nu-k} is 2 m_alpha
+    # times the sum of (e+j) h_j over even j < nu, plus 4 m_2alpha times the
+    # same sum over j = nu mod 4: running sums, one term added per step
+    m_a, m_2a = 2.0 * space.m_alpha, 4.0 * space.m_2alpha
+    every = e  # sum of (e+j) h_j over even j < nu
+    by_residue = [e, 0j]  # ... over j = 0 and j = 2 mod 4
     h = [1.0 + 0j]
     r = 0.5
     quiet = 0
     nu = 0
     while quiet < 2 and nu + 2 <= max_terms:
         nu += 2
-        src = 0j
-        for k in range(2, nu + 1, 2):
-            src += bk(k) * (e + nu - k) * h[nu - k]
-        h_nu = src / (nu * (nu + 2.0 * lam))
+        side = nu % 4 // 2
+        h_nu = (m_a * every + m_2a * by_residue[side]) / (nu * (nu + 2.0 * lam))
+        term = (e + nu) * h_nu
+        every += term
+        by_residue[side] += term
         h.append(0j)  # odd coefficient
         h.append(h_nu)
         if nu >= 8 and abs(h_nu) * r**nu < tol:
@@ -331,8 +346,10 @@ def integrate_radial_ode(space, lams, t_span, inits):
 
     One solve_ivp runs on [u_1..u_N, u'_1..u'_N]; the returned list holds
     one RadialSolution per lambda, each reading its own components of the
-    shared dense output.  t_span may be decreasing (backward continuation
-    toward the singular endpoint).  Both endpoints must be positive.
+    shared dense output.  The dense output is evaluated once per t for the
+    whole batch (the last 32 t are kept), not once per solution.  t_span
+    may be decreasing (backward continuation toward the singular endpoint).
+    Both endpoints must be positive.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if min(t0, t1) <= 0.0:
@@ -367,9 +384,13 @@ def integrate_radial_ode(space, lams, t_span, inits):
     if not sol.success:
         raise StiffnessError(f"radial integration failed: {sol.message}")
 
+    # the batch's solutions read the same few t in turn: one dense-output
+    # evaluation of all 2N components serves every lambda at that t
+    read = lru_cache(maxsize=32)(sol.sol)
+
     def solution(i):
         def ev(t):
-            uv = sol.sol(t)
+            uv = read(t)
             return uv[i], uv[count + i]
 
         return RadialSolution(
@@ -425,8 +446,18 @@ class Continuation:
 
 
 def _extend(conts, end):
-    """Add a piece up to ``end`` to continuations sharing space and reach."""
+    """Add a piece up to ``end`` to continuations sharing space and reach.
+
+    A forward piece is refused (ValueError) where e^((|Re lambda| - rho) t),
+    the growth of every solution, passes e^_MAX_EXPONENT before ``end``:
+    the ODE would overflow there.
+    """
     head = conts[0]
+    if end > head.reach:
+        widest = max(conts, key=lambda c: abs(c.lam.real))
+        if (abs(widest.lam.real) - head.space.rho) * end > _MAX_EXPONENT:
+            raise ValueError(f"the radial solution at lambda = {widest.lam} leaves the "
+                             f"floating-point range before t = {end}")
     pieces = integrate_radial_ode(head.space, [c.lam for c in conts], (head.reach, end),
                                   [c.pair(head.reach) for c in conts])
     for cont, piece in zip(conts, pieces):
@@ -764,11 +795,25 @@ def eval_Q(space, lam, t):
 
 
 def eval_phi(space, lam, t):
-    """The spherical function phi_lambda(t); entire in lambda, phi(0) = 1."""
+    """The spherical function phi_lambda(t); entire in lambda, phi(0) = 1.
+
+    phi grows like e^((|Re lambda| - rho) t); ValueError where that passes
+    e^_MAX_EXPONENT, or where the ODE piece past t would (near the lattice,
+    from about half that t).
+    """
     t = float(t)
     if not 0.0 <= t < math.inf:
         raise ValueError("eval_phi needs finite t >= 0")
-    return complex(continuation(space, complex(lam), _phi_series).pair(t)[0])
+    lam = complex(lam)
+    if (abs(lam.real) - space.rho) * t > _MAX_EXPONENT:
+        _require_finite(lam)  # an infinite lambda is refused as such
+        u = math.inf
+    else:
+        u = complex(continuation(space, lam, _phi_series).pair(t)[0])
+    if not cmath.isfinite(u):
+        raise ValueError(f"phi_lambda({t}) overflows the floating-point range "
+                         f"(lambda = {lam})")
+    return u
 
 
 # -- connection problem ------------------------------------------------------

@@ -198,37 +198,43 @@ def check_quadrature(spaces=None):
 
 # -- 6: boundary values of Poisson transforms --------------------------------
 
-def _poisson_profile(lam, n):
-    @lru_cache(maxsize=None)
-    def pair(t):
-        return model_h2.poisson_radial_pair(lam, n, t)
+_FATOU_KTYPES = range(-4, 5)
 
-    return pair
+
+def _poisson_profiles(lam):
+    """pairs(t): the radial pairs of P_lambda e^{in theta} for every n in
+    _FATOU_KTYPES, from one quadrature per t."""
+    @lru_cache(maxsize=None)
+    def pairs(t):
+        return model_h2.poisson_radial_pair(lam, _FATOU_KTYPES, t)
+
+    return pairs
 
 
 def check_fatou(spaces=None):
     """bv(P_lambda e^{in theta}) = c(lambda) e^{in theta}: the radial factor
     must reproduce c(lambda) by the Fatou limit (coarse tolerance) and by the
     connection solver (tight), applied on model_h2.ktype_space(n) to the
-    same quadrature profile divided by (2 sinh t)^|n|."""
+    same quadrature profile divided by (2 sinh t)^|n|.  The nine K-types of
+    one lambda share each quadrature."""
     rows = []
     h2 = model_h2.H2
     cf = for_space(h2)
     for lam in (0.7, 1.1):
         target = cf.value(complex(lam))
-        for n in range(-4, 5):
-            pair = _poisson_profile(lam, n)
+        pairs = _poisson_profiles(lam)
+        for i, n in enumerate(_FATOU_KTYPES):
             shifted = model_h2.ktype_space(n)
             samples = []
             for m in range(9):
                 y = 0.3 * 0.5**m
-                samples.append((y, pair(-math.log(y))[0]))
+                samples.append((y, pairs(-math.log(y))[i][0]))
             got, _ = bv_limit(h2, lam, samples)
             rows.append(_row("fatou", f"limit lambda={lam:g} n={n:+d}",
                              abs(got - target) / abs(target), 1e-3))
 
-            def divided(t, n=n, pair=pair):
-                (u, du), (p, dp) = pair(t), model_h2.ktype_prefactor(n, t)
+            def divided(t, n=n, i=i):
+                (u, du), (p, dp) = pairs(t)[i], model_h2.ktype_prefactor(n, t)
                 return u / p, (du - dp * u / p) / p
 
             sol = RadialSolution(shifted, complex(lam), 0.6, 1.3, divided)

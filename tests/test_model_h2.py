@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from hyperscatter.cfunction import for_space
 from hyperscatter.boundary import boundary_pair
-from hyperscatter.errors import AccuracyWarning
+from hyperscatter.errors import AccuracyWarning, NonFiniteInputError
 from hyperscatter.model_h2 import (
     H2,
     distance,
@@ -85,6 +85,36 @@ def test_poisson_radial_pair_derivative_consistency():
     up, _ = poisson_radial_pair(lam, n, t + h)
     um, _ = poisson_radial_pair(lam, n, t - h)
     assert abs(du - (up - um) / (2.0 * h)) < 1e-6
+
+
+@pytest.mark.parametrize("t", [0.3, -math.log(0.3 * 0.5**8)])
+def test_batched_poisson_radial_pair_matches_scalar_calls(t):
+    # the K-types share the kernel samples and converge jointly; at the
+    # deepest Fatou depth the doubling reaches tens of thousands of nodes
+    for lam in (0.7, 1.1 - 0.3j):
+        batch = poisson_radial_pair(lam, range(-4, 5), t)
+        assert isinstance(batch, list) and len(batch) == 9
+        for n, (u, du) in zip(range(-4, 5), batch):
+            single = poisson_radial_pair(lam, n, t)
+            assert isinstance(single, tuple)
+            assert abs(u - single[0]) <= 1e-10 * max(1.0, abs(single[0])), (lam, n)
+            assert abs(du - single[1]) <= 1e-10 * max(1.0, abs(single[1])), (lam, n)
+
+
+def test_poisson_quadratures_refuse_bad_input():
+    # a non-integral n is not truncated, and a nan or infinite argument is
+    # refused before any node is sampled
+    with pytest.raises(ValueError):
+        poisson_radial_pair(0.7, 1.5, 0.3)
+    with pytest.raises(ValueError):
+        poisson_radial_pair(0.7, [0, 1.5], 0.3)
+    for lam, t in ((math.nan, 0.3), (complex(0.7, math.inf), 0.3), (0.7, math.nan),
+                   (0.7, math.inf)):
+        with pytest.raises(NonFiniteInputError):
+            poisson_radial_pair(lam, 1, t)
+    for lam, z in ((math.nan, 0.3), (0.7, complex(math.nan, 0.1)), (0.7, math.inf)):
+        with pytest.raises(NonFiniteInputError):
+            poisson_transform(lam, lambda th: 1.0, z)
 
 
 def test_laplacian_stencil_eigenfunction_identity():

@@ -4,7 +4,10 @@ connection coefficients, Wronskian limit."""
 import cmath
 import math
 import random
+import warnings
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -28,6 +31,7 @@ from hyperscatter.model_h2 import ktype_radial_profile, oracle_h3
 from hyperscatter.resolvent import kernel
 from hyperscatter.space import space_from_name
 from hyperscatter.verify import FAMILY_NAMES, lambda_grid
+from scipy.integrate import solve_ivp
 
 H2 = space_from_name("h2")
 H3 = space_from_name("h3")
@@ -106,6 +110,39 @@ def test_frobenius_excluded_exponents():
             frobenius_Q(H2, lam)
     # nearby non-lattice points are fine
     assert frobenius_Q(H2, -0.5 + 0.01)
+
+
+@mpmath.workdps(30)
+def _mp_frobenius(space, lam, tol=1e-16):
+    """The Frobenius recursion summed term by term, sum_k b_k (e + nu - k)
+    h_(nu-k) / (nu (nu + 2 lambda)), at 30 digits, with frobenius_Q's
+    stopping rule: two consecutive |h_nu| 2^-nu below tol from nu = 8 on."""
+    lam = mpmath.mpc(lam.real, lam.imag)
+    e = mpmath.mpf(space.m_alpha + 2 * space.m_2alpha) / 2 + lam
+    h, quiet, nu = [mpmath.mpc(1)], 0, 0
+    while quiet < 2:
+        nu += 2
+        src = sum((2 * space.m_alpha + (4 * space.m_2alpha if k % 4 == 0 else 0))
+                  * (e + nu - k) * h[nu - k] for k in range(2, nu + 1, 2))
+        h += [mpmath.mpc(0), src / (nu * (nu + 2 * lam))]
+        quiet = quiet + 1 if nu >= 8 and abs(h[-1]) * mpmath.mpf(2) ** -nu < tol else 0
+    return [complex(x) for x in h]
+
+
+def test_frobenius_coefficients_match_mpmath_recursion():
+    # the running sums reorder the source sum; every coefficient keeps its
+    # digits (measured worst 2.5e-15 here) and the truncation is the
+    # term-by-term recursion's
+    lams = (0.3, -2.7 + 0.4j, 1.1 - 6j, 7.5 + 3j, -13.3, 19.5 + 0.1j,
+            -11.2 - 15.1j, 14j)
+    for name in _SERIES_FAMILIES:
+        space = space_from_name(name)
+        for lam in lams:
+            got = frobenius_Q(space, lam).coefficients
+            want = _mp_frobenius(space, complex(lam))
+            assert len(got) == len(want), (name, lam)
+            for nu, (a, b) in enumerate(zip(got, want)):
+                assert abs(a - b) <= 1e-14 * abs(b), (name, lam, nu)
 
 
 def test_connection_identity_spot_checks():
@@ -234,6 +271,39 @@ def test_wronskian_limit_on_a_sequence_matches_scalar_calls():
     assert len(batch) == len(lams)
     for lam, got in zip(lams, batch):
         assert _rel(got, wronskian_limit(space, lam)) < 1e-10, lam
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_batch_reads_equal_direct_dense_output_reads(monkeypatch, order):
+    # a batch's solutions share one dense-output read per t; whatever the
+    # order of the (lambda, t) requests, and past the 32 t it keeps, each
+    # value is the one a direct read of the shared solution gives
+    solves = []
+
+    def recording(*args, **kwargs):
+        solves.append(solve_ivp(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(radial, "solve_ivp", recording)
+    space, lams = space_from_name("hn:7"), [0.3 - 1j, 1.6, 2.7 + 0.5j, -0.8j]
+    sols = radial.integrate_radial_ode(space, lams, (0.2, 2.0), [(1.0, 0.1j)] * 4)
+    dense = solves[0].sol
+    requests = [(i, t) for i in range(len(lams)) for t in np.linspace(0.2, 2.0, 40)]
+    if order == "descending":
+        requests.reverse()
+    elif order == "shuffled":
+        random.Random(4).shuffle(requests)
+    for i, t in requests:
+        uv = dense(t)
+        assert sols[i].at(t) == (complex(uv[i]), complex(uv[len(lams) + i])), (i, t)
+    # every lambda of the batch at a new t: one evaluation of the dense output
+    reads = []
+    evaluate = type(dense).__call__
+    monkeypatch.setattr(type(dense), "__call__",
+                        lambda self, t: reads.append(t) or evaluate(self, t))
+    for sol in sols:
+        sol.at(1.2345)
+    assert reads == [1.2345]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),
@@ -381,6 +451,34 @@ def test_eval_Q_near_the_singularity_at_zero():
         assert _rel(eval_Q(H3, lam, t), cmath.exp(-lam * t) / (2.0 * math.sinh(t))) < 1e-12
     with pytest.raises(ValueError, match="overflows"):
         eval_Q(space_from_name("oh2"), lam, 1e-30)
+
+
+@pytest.mark.parametrize("lam, t", [(0.8, 1e4), (0.8, 2400.0), (-5.3, 1000.0),
+                                    (3.0, 300.0), (3.0, 200.0)])
+def test_eval_phi_refuses_where_phi_overflows(lam, t):
+    # phi grows like e^((|Re lambda| - rho) t): past e^700 the c Q route
+    # and, near the lattice (3.0), the ODE piece past t would overflow;
+    # a ValueError, not an OverflowError or scipy's RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="floating-point range"):
+            eval_phi(H2, lam, t)
+        if (lam - H2.rho) * t > 700.0:
+            with pytest.raises(ValueError, match="floating-point range"):
+                phi_solution(H2, lam, t)
+
+
+def test_phi_and_Q_inside_the_floating_point_range_at_large_t():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam, t in ((0.8, 2000.0), (3.0, 130.0), (0.8j, 1e5)):
+            assert cmath.isfinite(eval_phi(H2, lam, t))
+        # phi_solution's one piece ends at t_max, where phi is e^500
+        assert cmath.isfinite(phi_solution(H2, 3.0, 200.0)(200.0))
+        # Q_lambda grows like e^(-(rho + Re lambda) t) for Re lambda < -rho
+        with pytest.raises(ValueError, match="floating-point range"):
+            eval_Q(H2, -5.3, 1000.0)
+        assert cmath.isfinite(eval_Q(H2, -5.3, 100.0))
 
 
 def test_phi_solution_at_large_lambda(mp_jacobi):
