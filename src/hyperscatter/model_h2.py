@@ -86,6 +86,8 @@ def _require_finite(**args):
 
 def _bracket_grid(z, thetas):
     z = complex(z)
+    if not abs(z) < 1.0:
+        raise ValueError(f"|z| = {abs(z)} not inside the disk")
     d2 = np.abs(z - np.exp(1j * thetas)) ** 2
     return math.log1p(-abs(z) ** 2) - np.log(d2)
 

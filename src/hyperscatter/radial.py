@@ -17,9 +17,9 @@ solutions:
   coefficients of b(t) - 2 rho in y^2 take two values, by the power mod 4,
   so each step's source is two running sums over the earlier terms and N
   terms cost O(N).  The series converges on |y| < 1; we sum it for
-  y <= 1/2, i.e. t >= log 2, and stop each sum where the omitted terms fall
-  below 1e-17.  Below log 2 ``eval_Q`` sums the second-kind Jacobi
-  function (2 cosh t)^-(rho+lambda)
+  y <= 1/2, i.e. t >= log 2, as one product of the stored even coefficients
+  with the powers of y^2.  Below log 2 ``eval_Q`` sums the second-kind
+  Jacobi function (2 cosh t)^-(rho+lambda)
   2F1((rho+lambda)/2, (alpha-beta+1+lambda)/2; 1+lambda; cosh(t)^-2),
   connected to tanh(t)^2: for alpha not an integer (h3, odd hn) two power
   series, the first phi's own (A&S 15.3.6); for an integer alpha (h2, even
@@ -34,6 +34,13 @@ solutions:
   alpha+1; tanh(t)^2); above, it returns c(lambda) Q_{-lambda} +
   c(-lambda) Q_lambda from the closed-form c and the Frobenius series.
   Below 1.5 the two c Q terms are up to 1e6 times phi (oh2 at t = 0.7).
+
+Both tanh^2 series are one kind of object, a _TanhSeries: rows of 2F1
+terms, made once by the term ratio at the widest w they will be read at
+(tanh^2 of phi's switch, tanh^2 log 2 for Q) and cut where they are falling
+and below 1e-17 of the largest, then summed at every read by one product
+with the powers of w over that w.  phi's rows are its series and its
+w d/dw; Q's hold the Gamma prefactors and psi weights as well.
 
 The two are linked by phi = c(lambda) Q_{-lambda} + c(-lambda) Q_{lambda};
 ``connection_coefficients`` recovers the pair numerically for any solution,
@@ -65,10 +72,11 @@ frobenius_Q refuses one of the series: there the ODE takes over at T_PHI.
 A large |Im lambda| makes the series itself cancel, its terms outgrowing the
 sum by about |Im lambda| tanh(t) / 2 decades, so it hands over where
 |Im lambda| tanh(t) = 4: to c Q if that is past log 2, to the ODE if not.
-A |lambda| in the hundreds overflows the coefficients; the handover point
-is then halved until the series sums.  ``phi_solution`` always integrates,
-from t = 0.01 on (or from its halving for a large |lambda|), so the
-connection suite compares an integrated phi with c Q.
+A |lambda| in the hundreds overflows the terms at the switch; the series
+is then made for half that reach, halved again until its terms are floats,
+and the switch moves there.  ``phi_solution`` always integrates, from
+t = 0.01 on (or from its halving for a large |lambda|), so the connection
+suite compares an integrated phi with c Q.
 
 All integrations use DOP853 with a vanishing absolute floor, so solutions
 spanning forty decades (the octonionic family) keep full relative accuracy.
@@ -79,7 +87,9 @@ keeps one lambda's error from hiding behind the others.  A single lambda
 runs a scalar right-hand side at rtol 1e-12.  The solutions of one batch
 read the shared dense output through one evaluation per t, so the
 Wronskian fit's nodes and the connection suite's points cost one
-interpolation of all 2N components each, not one per lambda.
+interpolation of all 2N components each, not one per lambda.  The steps
+grow with the phase |Im lambda| t, so a piece that would turn through more
+than _MAX_PHASE = 1e5 radians is refused with ValueError.
 
 ``eval_phi``, ``eval_Q``, ``connection_coefficients`` and the K-type profiles
 of ``model_h2`` read one cache, ``continuation``, with one entry per (space,
@@ -93,8 +103,10 @@ has none either: it keeps the Frobenius series and the second-kind
 coefficient rows, with the Gamma prefactors and psi weights folded in.  A
 request beyond the last piece adds pieces and never re-solves a span, so a
 value depends on the key and t alone, not on the order of the requests.
-maxsize is 512: a repeat of ``verify --all`` rereads its 412 entries in
-order, each a miss at 256.
+The ten suites that the benchmark pins make 287 entries and ``verify --all``
+makes 537 (the ``jacobi`` suite adds 250).  maxsize 512 holds the pinned
+suites, so repeating them in one process rereads every entry; repeating all
+eleven cycles 537 entries through 512 places in order and misses every one.
 ``continuation.cache_info()`` reports the hit rate.
 """
 
@@ -104,7 +116,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -122,16 +134,15 @@ EXCLUSION_RADIUS = 1e-6
 LATTICE_GUARD = 0.05  # lambda this near an integer: the c Q terms cancel
 
 _SERIES_TOL = 1e-17
-_LOG_SERIES_TOL = math.log(_SERIES_TOL)
 _SERIES_MAX_TERMS = 1 << 14
 _SERIES_REACH = 4.0  # |Im lambda| tanh t where phi's series has lost two digits
-_Q_REACH = math.tanh(T_SWITCH) ** 2  # tanh^2 t at log 2, the widest Q series
 _Q_CONDITION = 1e3  # Q's series conditioned worse than this: the ODE instead,
 _ODE_RECESSIVE = 3.0  # ... with the bound raised this much per unit of -Re lambda
 
 _RTOL = 1e-12
 _ATOL = 1e-300  # effectively pure relative error control
 _MAX_EXPONENT = 700.0  # a solution growing past e^700 leaves the floating-point range
+_MAX_PHASE = 1e5  # radians an ODE piece may turn through: about 100 s of steps
 
 
 def _require_finite(lam):
@@ -170,7 +181,6 @@ class FrobeniusSeries:
 
     ``coefficients[0] == 1`` and the stored truncation satisfies the tail
     bound |h_N| * valid_radius^N below the construction tolerance.
-    ``log_peak`` is log max |h_nu|, which bounds every term at smaller y.
     """
 
     space: RankOneSpace
@@ -178,34 +188,26 @@ class FrobeniusSeries:
     exponent: complex
     coefficients: tuple
     valid_radius: float = 0.5
-    log_peak: float = 0.0
 
     @property
     def truncation(self):
         return len(self.coefficients) - 1
 
-    def series_sums(self, y):
-        """(h(y), y h'(y)) at scalar y with |y| <= valid_radius.
+    @cached_property
+    def _rows(self):
+        """The even coefficients h_nu and nu h_nu (odd ones vanish identically)."""
+        h = np.array(self.coefficients[::2])
+        return np.array([h, 2.0 * np.arange(len(h)) * h])
 
-        The sum stops at the last nu where the bound e^log_peak |y|^nu on
-        |h_nu y^nu| still reaches _SERIES_TOL, so a large t sums few terms.
-        """
+    def series_sums(self, y):
+        """(h(y), y h'(y)) at scalar y with |y| <= valid_radius, every stored
+        coefficient summed by one product with the powers of y^2."""
         if abs(y) > self.valid_radius * (1.0 + 1e-12):
             raise ValueError(
                 f"series evaluated at y={y} outside radius {self.valid_radius}"
             )
-        top = self.truncation
-        if y:
-            top = min(top, int((_LOG_SERIES_TOL - self.log_peak) / math.log(abs(y))))
-        s = 0j
-        ds = 0j
-        # Horner in y^2: odd coefficients vanish identically
-        y2 = y * y
-        for nu in range(top - top % 2, -1, -2):
-            h = self.coefficients[nu]
-            s = s * y2 + h
-            ds = ds * y2 + nu * h
-        return s, ds
+        rows = self._rows
+        return tuple((rows @ (y * y) ** np.arange(rows.shape[1])).tolist())
 
     def pair(self, t):
         """(Q(t), dQ/dt) for t >= -log(valid_radius); ValueError where
@@ -266,7 +268,6 @@ def frobenius_Q(space, lam, tol=1e-16, max_terms=400):
         lam=lam,
         exponent=e,
         coefficients=tuple(h),
-        log_peak=math.log(max(abs(x) for x in h)),
     )
 
 
@@ -327,17 +328,6 @@ class RadialSolution:
             defect = upp + self.space.log_density_dot(t) * v + k2 * u
             worst = max(worst, abs(defect))
         return worst
-
-    @classmethod
-    def from_callable(cls, space, lam, f, fdot, t_lo, t_hi):
-        return cls(
-            space=space,
-            lam=complex(lam),
-            t_lo=float(t_lo),
-            t_hi=float(t_hi),
-            _eval=lambda t: (f(t), fdot(t)),
-            ts=np.linspace(t_lo, t_hi, 9),
-        )
 
 
 def integrate_radial_ode(space, lams, t_span, inits):
@@ -450,7 +440,9 @@ def _extend(conts, end):
 
     A forward piece is refused (ValueError) where e^((|Re lambda| - rho) t),
     the growth of every solution, passes e^_MAX_EXPONENT before ``end``:
-    the ODE would overflow there.
+    the ODE would overflow there.  Any piece is refused where its phase,
+    |Im lambda| times its length, passes _MAX_PHASE: the step count grows
+    with it.
     """
     head = conts[0]
     if end > head.reach:
@@ -458,6 +450,11 @@ def _extend(conts, end):
         if (abs(widest.lam.real) - head.space.rho) * end > _MAX_EXPONENT:
             raise ValueError(f"the radial solution at lambda = {widest.lam} leaves the "
                              f"floating-point range before t = {end}")
+    fastest = max(conts, key=lambda c: abs(c.lam.imag))
+    if abs(fastest.lam.imag) * abs(end - head.reach) > _MAX_PHASE:
+        raise ValueError(f"the radial ODE at lambda = {fastest.lam} would turn through "
+                         f"more than {_MAX_PHASE:g} radians between t = {head.reach} "
+                         f"and t = {end}")
     pieces = integrate_radial_ode(head.space, [c.lam for c in conts], (head.reach, end),
                                   [c.pair(head.reach) for c in conts])
     for cont, piece in zip(conts, pieces):
@@ -478,76 +475,117 @@ def _jacobi_abc(space, lam):
             (space.m_alpha + space.m_2alpha + 1) / 2.0)
 
 
-def _hyp_coefficients(a, b, c, h, size):
-    """Extend the list h of 2F1(a, b; c) coefficients (a)_n (b)_n / ((c)_n n!)
-    to ``size`` terms by the term ratio, and return it."""
-    for n in range(len(h), size):
-        h.append(h[-1] * (a + n - 1) * (b + n - 1) / ((c + n - 1) * n))
-    return h
+def _hyp_coefficients(a, b, c, w, size):
+    """The terms (a)_n (b)_n / ((c)_n n!) w^n of 2F1(a, b; c; w), made by the
+    term ratio: ``size`` of them, or fewer, up to the first that is falling
+    and below _SERIES_TOL of the largest (weighted by 1 + log(n+1), the
+    growth of Q's psi weights).  OverflowError where a term overflows, or
+    where _SERIES_MAX_TERMS terms have not settled."""
+    a, b, c = a - 1.0, b - 1.0, c - 1.0
+    terms = [1.0 + 0j]
+    term, peak, prev = terms[0], 1.0, 1.0
+    for n in range(1, size):
+        term *= (a + n) * (b + n) / ((c + n) * n) * w
+        mag = abs(term) * (1.0 + math.log(n + 1.0))
+        if not mag < math.inf:
+            raise OverflowError(f"2F1 at w = {w} overflows at term {n}")
+        terms.append(term)
+        if mag > peak:
+            peak = mag
+        elif mag < _SERIES_TOL * peak and mag < prev:
+            break
+        prev = mag
+    else:
+        if size >= _SERIES_MAX_TERMS:
+            raise OverflowError(f"2F1 at w = {w} needs more than {size} terms")
+    return np.array(terms)
 
 
-class _JacobiSeries:
-    """phi's hypergeometric series: ``pair(t)`` = (u, u') at 0 <= t <= T_PHI.
+class _TanhSeries:
+    """A radial solution summed in w = tanh(t)^2: ``pair(t)`` = (u, u') for
+    0 <= t <= reach,
 
-    phi = cosh(t)^-(rho+lambda) 2F1(a, b; alpha+1; tanh(t)^2) with
-    a = (rho+lambda)/2 and b = (alpha-beta+1+lambda)/2, the Pfaff form of the
-    Jacobi function (alpha = (m_alpha+m_2alpha-1)/2, beta = (m_2alpha-1)/2).
-    The coefficients grow on demand by their term ratio and are kept.  A sum
-    stops at the first term below _SERIES_TOL of the partial sum, which is
-    summed in order, so a value depends on (lambda, t) alone and not on how
-    many coefficients earlier calls made.
+        u = (scale cosh t)^-(rho+lambda) (w^shift S_0(w) + S_1(w) + log(w) S_2(w)).
+
+    ``rows`` holds, for each S_k present, the terms s_n w_reach^n and those
+    of its w d/dw (w_reach = tanh(reach)^2), so S_k(w) is the product of
+    the row with (w / w_reach)^n.  Every read sums every stored term, so a
+    value depends on t alone.  OverflowError at construction where a row's
+    moduli do not sum in floating point: then no read overflows either.
     """
 
-    def __init__(self, space, lam):
-        self.e = space.rho + lam
-        self._abc = _jacobi_abc(space, lam)
-        self._coeffs = [1.0 + 0j]
-        self._grow(32)
+    def __init__(self, e, scale, reach, shift, rows):
+        self.e, self.scale, self.reach, self.shift = e, scale, reach, shift
+        self.tanh_reach = math.tanh(reach)
+        self.rows = rows
+        self._n = np.arange(rows.shape[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.moduli = np.abs(rows).sum(axis=1)
+        if not np.isfinite(self.moduli).all():
+            raise OverflowError(f"the series of exponent {e} overflows before t = {reach}")
 
-    def _grow(self, size):
-        h = _hyp_coefficients(*self._abc, self._coeffs, size)
-        if not cmath.isfinite(h[-1]):
-            raise OverflowError(f"phi's series coefficients overflow before term {size}")
-        self.coefficients = np.array(h)
-        self.weighted = self.coefficients * np.arange(size)
+    def _factors(self, tanh):
+        """What multiplies S_0, S_1, S_2 at t: w^shift, 1, log w."""
+        factors = [tanh ** (2.0 * self.shift)]
+        if len(self.rows) > 2:
+            factors.append(1.0)
+        if len(self.rows) > 4:
+            factors.append(2.0 * math.log(tanh))
+        return factors
 
-    def _sums(self, z):
-        """(sum c_n z^n, sum n c_n z^n) over the terms the stopping rule keeps."""
-        width = 32
-        # enough terms for a geometric series in z, doubled while that is short
-        while z > 0.0 and width * math.log(z) > _LOG_SERIES_TOL:
-            width *= 2
-        while True:
-            if width > len(self.coefficients):
-                self._grow(width)
-            powers = z ** np.arange(width)
-            terms = self.coefficients[:width] * powers
-            partial = terms.cumsum()
-            done = np.abs(terms) <= _SERIES_TOL * np.abs(partial)
-            n = int(done.argmax())
-            if done[n] and cmath.isfinite(partial[n]):
-                return partial[n], (self.weighted[:n + 1] * powers[:n + 1]).sum()
-            if done[n] or width >= _SERIES_MAX_TERMS:
-                raise OverflowError(f"phi's series does not sum at z = {z}")
-            width *= 2
+    def _sums(self, tanh):
+        """(S(w), w S'(w)); w^shift is taken through tanh(t), which stays
+        positive where w underflows (t below 1e-162).  OverflowError when
+        w^shift overflows."""
+        sums = (self.rows @ ((tanh / self.tanh_reach) ** 2) ** self._n).tolist()
+        s = ws = 0j
+        for factor, x, wx in zip(self._factors(tanh), sums[::2], sums[1::2]):
+            s += factor * x
+            ws += factor * wx
+        return s, ws
 
-    def reach(self, t):
-        """The largest of t, t/2, t/4, ... where the series sums in floating
-        point; a large |lambda| overflows the coefficients first."""
-        while True:
-            try:
-                self.pair(t)
-                return t
-            except OverflowError:
-                t /= 2.0
+    def condition(self):
+        """The sum of the parts' moduli over the modulus of the sum at t =
+        reach: the factor by which rounding in the terms grows in the value."""
+        parts = float(np.abs(self._factors(self.tanh_reach)) @ self.moduli[::2])
+        value = abs(self._sums(self.tanh_reach)[0])
+        return parts / value if value else math.inf
 
     def pair(self, t):
-        s, ds = self._sums(math.tanh(t) ** 2)
-        head = cmath.exp(-self.e * math.log(math.cosh(t)))
-        du = -self.e * math.tanh(t) * head * s
+        tanh = math.tanh(t)
+        try:
+            s, ws = self._sums(tanh)
+            head = cmath.exp(-self.e * math.log(self.scale * math.cosh(t)))
+        except OverflowError:
+            s = ws = head = math.inf
+        u = complex(head * s)
+        if not cmath.isfinite(u):
+            raise ValueError(f"the series of exponent {self.e} overflows the "
+                             f"floating-point range at t = {t}")
+        du = -self.e * tanh * u
         if t:
-            du += head * 4.0 * ds / math.sinh(2.0 * t)
-        return complex(head * s), complex(du)
+            du += head * 4.0 * ws / math.sinh(2.0 * t)
+        return u, complex(du)
+
+
+def _jacobi_series(space, lam, reach):
+    """phi = cosh(t)^-(rho+lambda) 2F1(a, b; alpha+1; tanh(t)^2), the Pfaff
+    form of the Jacobi function (alpha = (m_alpha+m_2alpha-1)/2, beta =
+    (m_2alpha-1)/2, a = (rho+lambda)/2, b = (alpha-beta+1+lambda)/2), for t
+    up to reach, or reach/2, /4, ... where a |lambda| in the hundreds
+    overflows the terms."""
+    _require_finite(lam)
+    a, b, c = _jacobi_abc(space, lam)
+    while True:
+        w = math.tanh(reach) ** 2
+        try:
+            f = _hyp_coefficients(a, b, c, w, _SERIES_MAX_TERMS)
+            return _TanhSeries(space.rho + lam, 1.0, reach, 0.0,
+                               np.array([f, np.arange(len(f)) * f]))
+        except OverflowError:
+            if not w:  # a and b past 1e154: no reach is small enough
+                raise
+            reach /= 2.0
 
 
 def _gamma_quotient(num, den):
@@ -559,23 +597,8 @@ def _gamma_quotient(num, den):
                              - loggamma(np.array(den, dtype=complex)).sum()))
 
 
-def _series_size(a, b, c):
-    """How many terms of 2F1(a, b; c; w) every read of Q's series sums: up to
-    the first that is, at w = _Q_REACH, falling and below _SERIES_TOL of the
-    largest (weighted by 1 + log(n+1), the growth of the psi weights)."""
-    h, peak, prev = 1.0 + 0j, 1.0, 1.0
-    for n in range(1, _SERIES_MAX_TERMS):
-        h *= (a + n - 1) * (b + n - 1) / ((c + n - 1) * n) * _Q_REACH
-        mag = abs(h) * (1.0 + math.log(n + 1.0))
-        peak = max(peak, mag)
-        if mag < _SERIES_TOL * peak and mag < prev:
-            return n + 1
-        prev = mag
-    raise OverflowError(f"Q's series needs more than {_SERIES_MAX_TERMS} terms")
-
-
-class _SecondKindSeries:
-    """Q's hypergeometric series: ``pair(t)`` = (u, u') at 0 < t <= log 2.
+def _second_kind_series(space, lam):
+    """Q below log 2, where its Frobenius series no longer converges.
 
     Q = (2 cosh t)^-(rho+lambda) 2F1(a, b; c; cosh(t)^-2) with a and b as for
     phi and c = 1 + lambda, so that c - a - b = -alpha.  Connected to z = 1
@@ -590,48 +613,28 @@ class _SecondKindSeries:
       L = -(-1)^m G(c) / (m! G(c-a) G(c-b)).
 
     The prefactors and psi weights (from psi(x+1) = psi(x) + 1/x) are folded
-    into coefficient rows once; every read sums the same _series_size terms,
-    so a value depends on (lambda, t) alone.  ``condition`` is the sum of
-    the parts' absolute values over |sum| at w = _Q_REACH, the factor by
-    which rounding in the terms grows in the value.
+    into the rows of a _TanhSeries: the B part, the A part (or the log
+    series' psi-weighted part), and for an integer alpha the log series.
+    OverflowError where the prefactors or terms overflow.
     """
-
-    def __init__(self, space, lam):
-        self.e = space.rho + lam
-        a, b, c1 = _jacobi_abc(space, lam)
-        c, alpha = 1.0 + lam, c1 - 1.0
-        m = round(alpha)
-        self.log = alpha == m
-        size = _series_size(a, b, c1)
-        if not self.log:
-            size = max(size, _series_size(c - a, c - b, 1.0 - alpha))
-        self._n = n = np.arange(size)
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.rows = self._rows(a, b, c, m if self.log else alpha, n)
-        if not np.isfinite(self.rows).all():
-            raise OverflowError(f"Q's series prefactors overflow at lambda = {lam}")
-        self.shift = -alpha
-        w = _Q_REACH
-        # the B part, the A (or psi-weighted) part, the log series
-        weights = np.array([w ** -alpha, 1.0, -math.log(w)])[:len(self.rows) // 2]
-        parts = float(weights @ (np.abs(self.rows[::2]) @ w ** n))
-        value = abs(self._sums(math.tanh(T_SWITCH))[0])
-        self.condition = parts / value if value else math.inf
-
-    def _rows(self, a, b, c, alpha, n):
-        """The coefficient rows: the B part and its w d/dw, then the A part
-        (or the log series' psi-weighted part) and its w d/dw, then for an
-        integer alpha the log series and its w d/dw."""
-        size = len(n)
-        f = np.array(_hyp_coefficients(a, b, alpha + 1.0, [1.0 + 0j], size))
-        if self.log:
-            m = alpha
-            second = np.zeros(size, dtype=complex)
-            if m:
-                second[:m] = _hyp_coefficients(c - a, c - b, 1.0 - m, [1.0 + 0j], m)
-                second *= _gamma_quotient([m, c], [a, b])
+    a, b, c1 = _jacobi_abc(space, lam)
+    c, alpha = 1.0 + lam, c1 - 1.0
+    m = round(alpha)
+    w = math.tanh(T_SWITCH) ** 2
+    f = _hyp_coefficients(a, b, c1, w, _SERIES_MAX_TERMS)
+    if alpha != m:
+        second = (_hyp_coefficients(c - a, c - b, 1.0 - alpha, w, _SERIES_MAX_TERMS)
+                  * _gamma_quotient([alpha, c], [a, b]))
+    elif m:
+        second = _hyp_coefficients(c - a, c - b, 1.0 - m, w, m) * _gamma_quotient([m, c], [a, b])
+    else:
+        second = np.zeros(0)
+    n = np.arange(max(len(f), len(second)))
+    f, second = (np.concatenate((x, np.zeros(len(n) - len(x)))) for x in (f, second))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if alpha == m:
             f = f * (-(-1) ** m / math.factorial(m) * _gamma_quotient([c], [c - a, c - b]))
-            k = np.arange(size - 1)
+            k = n[:-1]
 
             def psi_run(x):
                 return psi(complex(x)) + np.concatenate(([0.0], np.cumsum(1.0 / (x + k))))
@@ -639,39 +642,9 @@ class _SecondKindSeries:
             g = psi_run(a) + psi_run(b) - psi_run(1.0) - psi_run(m + 1.0)
             rows = [second, (n - m) * second, f * g, n * f * g + f, f, n * f]
         else:
-            second = (np.array(_hyp_coefficients(c - a, c - b, 1.0 - alpha, [1.0 + 0j], size))
-                      * _gamma_quotient([alpha, c], [a, b]))
             f = f * _gamma_quotient([-alpha, c], [c - a, c - b])
             rows = [second, (n - alpha) * second, f, n * f]
-        return np.array(rows)
-
-    def _sums(self, tanh):
-        """(S(w), w S'(w)) of Q = (2 cosh t)^-(rho+lambda) S(w), w = tanh(t)^2.
-
-        Powers of w are taken through tanh(t), which stays positive where w
-        underflows (t below 1e-162); OverflowError when w^-alpha overflows.
-        """
-        sums = (self.rows @ (tanh * tanh) ** self._n).tolist()
-        lead = tanh ** (2.0 * self.shift)
-        s = lead * sums[0] + sums[2]
-        ws = lead * sums[1] + sums[3]
-        if self.log:
-            log_w = 2.0 * math.log(tanh)
-            s += log_w * sums[4]
-            ws += log_w * sums[5]
-        return s, ws
-
-    def pair(self, t):
-        tanh = math.tanh(t)
-        try:
-            s, ws = self._sums(tanh)
-        except OverflowError:
-            s = ws = math.inf
-        head = cmath.exp(-self.e * math.log(2.0 * math.cosh(t)))
-        u = complex(head * s)
-        if not cmath.isfinite(u):
-            raise ValueError(f"Q_lambda({t}) overflows the floating-point range")
-        return u, complex(head * (4.0 * ws / math.sinh(2.0 * t) - self.e * tanh * s))
+    return _TanhSeries(space.rho + lam, 2.0, T_SWITCH, -alpha, np.array(rows))
 
 
 def _near_lattice(lam):
@@ -692,14 +665,12 @@ def _phi_series(space, lam):
     where the switch falls below log 2 and the Frobenius series of Q no
     longer converge, the ODE continues the series from the switch instead.
     """
-    _require_finite(lam)
-    jacobi = _JacobiSeries(space, lam)
     mu = abs(lam.imag)
-    switch = jacobi.reach(T_PHI if mu * math.tanh(T_PHI) <= _SERIES_REACH
-                          else math.atanh(_SERIES_REACH / mu))
-    series = jacobi.pair
+    series = _jacobi_series(space, lam, T_PHI if mu * math.tanh(T_PHI) <= _SERIES_REACH
+                            else math.atanh(_SERIES_REACH / mu))
+    switch = series.reach
     if switch < T_SWITCH or _near_lattice(lam):
-        return series, switch, 1.0
+        return series.pair, switch, 1.0
 
     @cache
     def connection():
@@ -711,7 +682,7 @@ def _phi_series(space, lam):
 
     def pair(t):
         if t <= switch:
-            return series(t)
+            return series.pair(t)
         cp, cm, q_minus, q_plus = connection()
         (qm, dqm), (qp, dqp) = q_minus(t), q_plus(t)
         return cp * qm + cm * qp, cp * dqm + cm * dqp
@@ -722,9 +693,8 @@ def _phi_series(space, lam):
 def _phi_seed(space, lam):
     """phi's Jacobi series, continued forward by the ODE from T_SEED, or
     from T_SEED/2, /4, ... where a large |lambda| overflows the series."""
-    _require_finite(lam)
-    jacobi = _JacobiSeries(space, lam)
-    return jacobi.pair, jacobi.reach(T_SEED), 1.0
+    series = _jacobi_series(space, lam, T_SEED)
+    return series.pair, series.reach, 1.0
 
 
 def _q_series(space, lam):
@@ -738,11 +708,11 @@ def _q_second_kind(space, lam):
     _Q_CONDITION * _ODE_RECESSIVE^max(0, -Re lambda)."""
     frobenius = _series(space, lam).pair  # refuses excluded exponents first
     try:
-        series = _SecondKindSeries(space, lam)
+        series = _second_kind_series(space, lam)
     except OverflowError:
         series = None
     bound = math.log(_Q_CONDITION) + max(0.0, -lam.real) * math.log(_ODE_RECESSIVE)
-    if series is None or not math.log(series.condition) <= bound:
+    if series is None or not math.log(series.condition()) <= bound:
         return frobenius, T_SWITCH, -1.0
 
     def pair(t):

@@ -117,6 +117,17 @@ def test_poisson_quadratures_refuse_bad_input():
             poisson_transform(lam, lambda th: 1.0, z)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: poisson_transform(0.7, lambda th: 1.0, 1.5),
+    lambda: poisson_transform(0.7, lambda th: 1.0, 1.0),
+    # r(40) = tanh(20) rounds to 1
+    lambda: poisson_radial_pair(0.7, 1, 40.0),
+], ids=["z=1.5", "z=1", "t=40"])
+def test_poisson_quadratures_refuse_points_outside_the_disk(call):
+    with pytest.raises(ValueError, match=r"\|z\| = .* not inside the disk"):
+        call()
+
+
 def test_laplacian_stencil_eigenfunction_identity():
     # exact eigenfunctions e^{(rho+lambda) A(z, theta)}: stencil residual
     # within the finite-difference oracle's own resolution

@@ -195,17 +195,16 @@ def test_radial_solution_range_and_residual():
 
 def test_radial_solution_from_callable_round_trip():
     lam = 0.8
-    sol = RadialSolution.from_callable(
-        H3,
-        lam,
-        lambda t: cmath.exp(-(1.0 + lam) * t) / (1.0 - math.exp(-2.0 * t)),
-        lambda t: (-(1.0 + lam) * cmath.exp(-(1.0 + lam) * t)
-                   / (1.0 - math.exp(-2.0 * t))
-                   - 2.0 * math.exp(-2.0 * t) * cmath.exp(-(1.0 + lam) * t)
-                   / (1.0 - math.exp(-2.0 * t)) ** 2),
-        0.4,
-        2.0,
-    )
+
+    def f(t):
+        return cmath.exp(-(1.0 + lam) * t) / (1.0 - math.exp(-2.0 * t))
+
+    def fdot(t):
+        return (-(1.0 + lam) * f(t)
+                - 2.0 * math.exp(-2.0 * t) * f(t) / (1.0 - math.exp(-2.0 * t)))
+
+    sol = RadialSolution(H3, lam, 0.4, 2.0, lambda t: (f(t), fdot(t)),
+                         np.linspace(0.4, 2.0, 9))
     # the H3 second-kind solution solves the radial equation
     assert sol.residual() < 1e-6
     assert _rel(sol(1.0), eval_Q(H3, lam, 1.0)) < 1e-10
@@ -468,6 +467,15 @@ def test_eval_phi_refuses_where_phi_overflows(lam, t):
                 phi_solution(H2, lam, t)
 
 
+def test_ode_pieces_refuse_a_huge_imaginary_lambda():
+    # the steps of a piece grow with |Im lambda| times its length; at
+    # 1e10j the forward (phi) and backward (Q) pieces would take hours
+    for call in (lambda: eval_phi(H2, 1e10j, 0.3), lambda: eval_Q(H2, 1e10j, 0.3),
+                 lambda: phi_solution(H2, 1e10j, 0.3), lambda: q_solution(H2, 1e10j, 0.3)):
+        with pytest.raises(ValueError, match="radians"):
+            call()
+
+
 def test_phi_and_Q_inside_the_floating_point_range_at_large_t():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -491,6 +499,26 @@ def test_phi_solution_at_large_lambda(mp_jacobi):
         except _LIBRARY_ERRORS:
             continue
         assert _rel(sol(0.011), mp_phi(H2, lam, 0.011)) < 1e-9, lam
+
+
+def test_phi_at_lambda_in_the_hundreds(mp_jacobi):
+    # the series sums where phi is a float: no overflow warning on the way
+    # (-700.7 + 0.4j) and no handover to an ODE piece that would overflow
+    # before t = 1.5 (1000.3).  Measured worst 1.1e-13 (t = 0.8), about
+    # half of it from rounding tanh(t) and cosh(t) at |lambda| = 700
+    mp_phi, _ = mp_jacobi
+    space = space_from_name("chn:2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam, t in ((-700.7 + 0.4j, 0.05), (-700.7 + 0.4j, 0.3), (-700.7 + 0.4j, 0.8),
+                       (1000.3, 0.05)):
+            assert _rel(eval_phi(space, lam, t), mp_phi(space, lam, t)) < 2e-13, (lam, t)
+        # phi(0) = 1 and phi'(0) = 0 exactly, from the series' t = 0 branch
+        for name in FAMILY_NAMES:
+            for lam in (0.7 + 0.2j, 6j):
+                assert eval_phi(space_from_name(name), lam, 0.0) == 1, (name, lam)
+                phi = continuation(space_from_name(name), lam, radial._phi_series)
+                assert phi.pair(0.0)[1] == 0, (name, lam)
 
 
 _hypothesis_settings = settings(max_examples=40, deadline=None, derandomize=True,
