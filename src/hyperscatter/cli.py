@@ -4,12 +4,15 @@ Subcommands mirror the library surface: ``cfun`` (c-function value and
 derivative), ``phi`` (spherical function and second-kind solution),
 ``kernel`` (continued resolvent kernel), ``resonances``, ``plancherel``
 (spectral density weight), ``scattering`` (scalar scattering coefficient),
-and ``verify`` (the numeric identity suites).
+and ``verify`` (the numeric identity suites).  The five point grids among
+them are one table, ``_GRIDS``: input axes, outputs and library call.
 
 Output is a flat table, CSV by default or JSON carrying the same rows.
 Complex quantities are split into ``*_re``/``*_im`` columns, floats are
-printed with 17 significant digits, and rows follow the sorted sweep order,
-so repeated runs with one config are byte-identical.  A row that trips a
+printed with 17 significant digits, and rows follow the sorted sweep order
+(nan last, one row for all nans of an axis), so repeated runs with one
+config are byte-identical.  A number with a leading minus, such as
+``--zeta -0.3-0.2j``, is a value, not an option.  A row that trips a
 library error (a pole, a domain violation) is still emitted, with ``nan``
 payload and the error token in the ``status`` column.
 
@@ -21,20 +24,22 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
+import math
+import re
 import sys
-from functools import cache
+from functools import cache, partial
 
 from . import verify as verify_mod
 from .cfunction import for_space
-from .errors import PoleSignal
 from .radial import eval_Q, eval_phi
 from .resolvent import kernel
 from .resonances import enumerate_resonances
 from .scattering import scalar
 from .space import space_from_name
 
-_LIBRARY_ERRORS = (PoleSignal, ArithmeticError, ValueError, RuntimeError)
+_LIBRARY_ERRORS = (ArithmeticError, ValueError, RuntimeError)  # PoleSignal is an ArithmeticError
 
 
 def _fmt(x):
@@ -42,73 +47,77 @@ def _fmt(x):
     return format(float(x), ".16e")
 
 
-def _complex_pair(z):
-    z = complex(z)
-    return _fmt(z.real), _fmt(z.imag)
+def _cells(x, kind):
+    """x's cells in a column of kind complex (real, imaginary part) or float
+    (real part), so that complex nan fills an error row's columns of both."""
+    return [_fmt(x.real), _fmt(x.imag)] if kind is complex else [_fmt(x.real)]
 
 
-_NAN_PAIR = (_fmt(float("nan")), _fmt(float("nan")))
+def _columns(name, kind):
+    return [name + "_re", name + "_im"] if kind is complex else [name]
 
 
-def _parse_complex(text):
-    try:
-        return complex(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a complex number (use e.g. 0.5 or 1.2+0.3j)")
+def _sorted_axis(values):
+    """The distinct values by real, then imaginary part, a nan part after
+    every number: a total order, in which all nans are one value."""
+    distinct = {}
+    for v in values:
+        key = tuple((math.isnan(p), 0.0 if math.isnan(p) else p) for p in (v.real, v.imag))
+        distinct.setdefault(key, v)
+    return [distinct[key] for key in sorted(distinct)]
 
 
-def _sorted_complex(values):
-    return sorted({complex(v) for v in values}, key=lambda z: (z.real, z.imag))
+# -- the point grids ----------------------------------------------------------
+# Per subcommand: its help, its input axes (flag, column, kind, further
+# add_argument options), its outputs (column, kind) and the library call
+# mapping (space, *point) to the outputs.  A complex column is split into
+# _re and _im cells.
+
+_T_AXIS = ("--t", "t", float, {"default": (0.5, 1.0, 2.0, 5.0),
+                               "help": "radii (default 0.5 1 2 5)"})
+
+_GRIDS = {
+    "cfun": ("c-function value and derivative on a lambda grid",
+             [("--lambda", "lambda", complex,
+               {"metavar": "LAM", "help": "lambda values, e.g. 0.5 1.2+0.3j"})],
+             [("c", complex), ("dc", complex)],
+             lambda space, lam: (for_space(space).value(lam),
+                                 for_space(space).derivative(lam))),
+    "phi": ("spherical function and second-kind solution",
+            [("--lambda", "lambda", complex, {"metavar": "LAM"}), _T_AXIS],
+            [("phi", complex), ("q", complex)],
+            lambda space, lam, t: (eval_phi(space, lam, t), eval_Q(space, lam, t))),
+    "kernel": ("continued resolvent kernel at separation t",
+               [("--zeta", "zeta", complex, {}), _T_AXIS],
+               [("k", complex)],
+               lambda space, zeta, t: (kernel(space, zeta, t),)),
+    "plancherel": ("spectral density weight 1/|c(i zeta)|^2, zeta > 0",
+                   [("--zeta", "zeta", float, {})],
+                   [("density", float)],
+                   lambda space, zeta: (for_space(space).plancherel_density(zeta),)),
+    "scattering": ("scalar scattering coefficient c(-i zeta)/c(i zeta)",
+                   [("--zeta", "zeta", complex, {})],
+                   [("s", complex)],
+                   lambda space, zeta: (scalar(space, zeta),)),
+}
 
 
-def _sorted_real(values):
-    return sorted({float(v) for v in values})
-
-
-# -- table builders, one per subcommand --------------------------------------
+# -- table builders -----------------------------------------------------------
 # Each returns (columns, rows, exit_code); every cell is already a string.
 
-def _run_cfun(space, args):
-    cf = for_space(space)
-    cols = ["lambda_re", "lambda_im", "c_re", "c_im", "dc_re", "dc_im", "status"]
+def _run_grid(axes, outputs, call, space, args):
+    fields = [(column, kind) for _, column, kind, _ in axes] + outputs
+    cols = [c for field in fields for c in _columns(*field)] + ["status"]
     rows, code = [], 0
-    for lam in _sorted_complex(args.lam):
+    for point in itertools.product(*(_sorted_axis(getattr(args, column))
+                                     for _, column, _, _ in axes)):
         try:
-            val = _complex_pair(cf.value(lam)) + _complex_pair(cf.derivative(lam))
-            status = "ok"
+            values, status = call(space, *point), "ok"
         except _LIBRARY_ERRORS as exc:
-            val, status, code = _NAN_PAIR + _NAN_PAIR, type(exc).__name__, 1
-        rows.append(list(_complex_pair(lam)) + list(val) + [status])
-    return cols, rows, code
-
-
-def _run_phi(space, args):
-    cols = ["lambda_re", "lambda_im", "t",
-            "phi_re", "phi_im", "q_re", "q_im", "status"]
-    rows, code = [], 0
-    for lam in _sorted_complex(args.lam):
-        for t in _sorted_real(args.t):
-            try:
-                val = (_complex_pair(eval_phi(space, lam, t))
-                       + _complex_pair(eval_Q(space, lam, t)))
-                status = "ok"
-            except _LIBRARY_ERRORS as exc:
-                val, status, code = _NAN_PAIR + _NAN_PAIR, type(exc).__name__, 1
-            rows.append(list(_complex_pair(lam)) + [_fmt(t)] + list(val) + [status])
-    return cols, rows, code
-
-
-def _run_kernel(space, args):
-    cols = ["zeta_re", "zeta_im", "t", "k_re", "k_im", "status"]
-    rows, code = [], 0
-    for zeta in _sorted_complex(args.zeta):
-        for t in _sorted_real(args.t):
-            try:
-                val, status = _complex_pair(kernel(space, zeta, t)), "ok"
-            except _LIBRARY_ERRORS as exc:
-                val, status, code = _NAN_PAIR, type(exc).__name__, 1
-            rows.append(list(_complex_pair(zeta)) + [_fmt(t)] + list(val) + [status])
+            values = [complex(math.nan, math.nan)] * len(outputs)
+            status, code = type(exc).__name__, 1
+        rows.append([c for x, (_, kind) in zip([*point, *values], fields)
+                     for c in _cells(x, kind)] + [status])
     return cols, rows, code
 
 
@@ -124,34 +133,9 @@ def _run_resonances(space, args):
     rows = []
     for rec in records:
         mult = "" if rec.multiplicity_estimate is None else str(rec.multiplicity_estimate)
-        rows.append([str(rec.k)] + list(_complex_pair(rec.zeta))
-                    + list(_complex_pair(rec.residue_scalar)) + [mult])
+        rows.append([str(rec.k)] + _cells(rec.zeta, complex)
+                    + _cells(rec.residue_scalar, complex) + [mult])
     return cols, rows, 0
-
-
-def _run_plancherel(space, args):
-    cf = for_space(space)
-    cols = ["zeta", "density", "status"]
-    rows, code = [], 0
-    for zeta in _sorted_real(args.zeta):
-        try:
-            val, status = _fmt(cf.plancherel_density(zeta)), "ok"
-        except _LIBRARY_ERRORS as exc:
-            val, status, code = _fmt(float("nan")), type(exc).__name__, 1
-        rows.append([_fmt(zeta), val, status])
-    return cols, rows, code
-
-
-def _run_scattering(space, args):
-    cols = ["zeta_re", "zeta_im", "s_re", "s_im", "status"]
-    rows, code = [], 0
-    for zeta in _sorted_complex(args.zeta):
-        try:
-            val, status = _complex_pair(scalar(space, zeta)), "ok"
-        except _LIBRARY_ERRORS as exc:
-            val, status, code = _NAN_PAIR, type(exc).__name__, 1
-        rows.append(list(_complex_pair(zeta)) + list(val) + [status])
-    return cols, rows, code
 
 
 def _run_verify(space, args):
@@ -169,41 +153,39 @@ def _run_verify(space, args):
 
 # -- argument parsing ---------------------------------------------------------
 
-@cache
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="hyperscatter",
-        description="Deterministic tables for rank-one scattering data.")
+def _common(space):
+    """Every subcommand's options, --space defaulting to ``space``: children
+    share a parent's actions, so each default needs a parent of its own."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--space", default="h2", metavar="NAME",
+    common.add_argument("--space", default=space, metavar="NAME",
                         help="family id: h2, h3, hn:<n>, chn:<n>, hhn:<n>, oh2")
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format (default csv)")
     common.add_argument("--out", metavar="PATH",
                         help="write the table to PATH instead of stdout")
+    return common
+
+
+def _add_grid(sub, common, name):
+    text, axes, outputs, call = _GRIDS[name]
+    p = sub.add_parser(name, parents=[common], help=text)
+    for flag, column, kind, options in axes:
+        p.add_argument(flag, dest=column, type=kind, nargs="+",
+                       required="default" not in options, **options)
+    p.set_defaults(run=partial(_run_grid, axes, outputs, call))
+
+
+@cache
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="hyperscatter",
+        description="Deterministic tables for rank-one scattering data.")
+    common = _common("h2")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cfun", parents=[common],
-                       help="c-function value and derivative on a lambda grid")
-    p.add_argument("--lambda", dest="lam", type=_parse_complex, nargs="+",
-                   required=True, metavar="LAM",
-                   help="lambda values, e.g. 0.5 1.2+0.3j")
-    p.set_defaults(run=_run_cfun)
-
-    p = sub.add_parser("phi", parents=[common],
-                       help="spherical function and second-kind solution")
-    p.add_argument("--lambda", dest="lam", type=_parse_complex, nargs="+",
-                   required=True, metavar="LAM")
-    p.add_argument("--t", type=float, nargs="+", default=(0.5, 1.0, 2.0, 5.0),
-                   help="radii (default 0.5 1 2 5)")
-    p.set_defaults(run=_run_phi)
-
-    p = sub.add_parser("kernel", parents=[common],
-                       help="continued resolvent kernel at separation t")
-    p.add_argument("--zeta", type=_parse_complex, nargs="+", required=True,
-                   metavar="ZETA")
-    p.add_argument("--t", type=float, nargs="+", default=(0.5, 1.0, 2.0, 5.0))
-    p.set_defaults(run=_run_kernel)
+    # the help lists the subcommands in the order of the library surface
+    for name in ("cfun", "phi", "kernel"):
+        _add_grid(sub, common, name)
 
     p = sub.add_parser("resonances", parents=[common],
                        help="czz zeros on the positive imaginary axis + residues")
@@ -211,26 +193,19 @@ def build_parser():
                    help="resonances to enumerate (default 5)")
     p.set_defaults(run=_run_resonances)
 
-    p = sub.add_parser("plancherel", parents=[common],
-                       help="spectral density weight 1/|c(i zeta)|^2, zeta > 0")
-    p.add_argument("--zeta", type=float, nargs="+", required=True)
-    p.set_defaults(run=_run_plancherel)
+    for name in ("plancherel", "scattering"):
+        _add_grid(sub, common, name)
 
-    p = sub.add_parser("scattering", parents=[common],
-                       help="scalar scattering coefficient c(-i zeta)/c(i zeta)")
-    p.add_argument("--zeta", type=_parse_complex, nargs="+", required=True)
-    p.set_defaults(run=_run_scattering)
-
-    p = sub.add_parser("verify", parents=[common],
+    # verify sweeps all five families unless --space narrows it; suites that
+    # are pinned to a specific family by their oracle ignore the narrowing.
+    p = sub.add_parser("verify", parents=[_common(None)],
                        help="run numeric identity suites; nonzero exit on failure")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--all", action="store_true",
                        help="every suite in order")
     group.add_argument("--suite", choices=sorted(verify_mod.SUITES),
                        help="one named suite")
-    # verify sweeps all five families unless --space narrows it; suites that
-    # are pinned to a specific family by their oracle ignore the narrowing.
-    p.set_defaults(run=_run_verify, space=None)
+    p.set_defaults(run=_run_verify)
     return parser
 
 
@@ -246,9 +221,22 @@ def _render(columns, rows, fmt, command, space_name):
     return buf.getvalue()
 
 
+def _as_value(token):
+    """A number that argparse would take for an option, given a leading
+    space: a token that starts with '-' and is no plain decimal."""
+    if not token.startswith("-") or re.fullmatch(r"-\d+|-\d*\.\d+", token):
+        return token
+    try:
+        complex(token)
+    except ValueError:
+        return token
+    return " " + token
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args([_as_value(token) for token in
+                              (sys.argv[1:] if argv is None else argv)])
     space = None
     if args.space is not None:
         try:

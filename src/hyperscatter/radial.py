@@ -96,7 +96,8 @@ of ``model_h2`` read one cache, ``continuation``, with one entry per (space,
 lambda, kind).  An entry is a Continuation: the analytic start on its side
 of the switch point, then ODE pieces, each started from the end of the one
 before and ending at a fixed breakpoint: 1.5, 3, 6, ... forward (phi near
-the lattice), 0.3, 0.1, 1/30, ... backward (Q).  An entry of phi off the
+the lattice; the last forward piece ends where the solution reaches
+e^_MAX_EXPONENT), 0.3, 0.1, 1/30, ... backward (Q).  An entry of phi off the
 lattice has no switch and no pieces: it keeps the series coefficients, both
 c values and both Frobenius series.  An entry of Q inside the series region
 has none either: it keeps the Frobenius series and the second-kind
@@ -418,16 +419,25 @@ class Continuation:
         self.pieces = []
 
     def pair(self, t):
-        """(u(t), u'(t)), integrating further pieces if t lies beyond them."""
+        """(u(t), u'(t)), integrating further pieces if t lies beyond them.
+
+        A forward piece ends at its breakpoint, or earlier at
+        _growth_limit, past which it is refused: ValueError for a t there.
+        """
         sign = self.sign
         if (t - self.switch) * sign <= 0.0:
             return self.start(t)
-        first, ratio = _FORWARD if sign > 0 else _BACKWARD
-        k = 0
-        while (t - self.reach) * sign > 0.0:
-            while (first * ratio**k - self.reach) * sign <= 0.0:
-                k += 1
-            _extend([self], first * ratio**k)
+        if (t - self.reach) * sign > 0.0:
+            last = _growth_limit(self.space, self.lam) if sign > 0 else math.inf
+            if t > last:
+                raise ValueError(f"the radial solution at lambda = {self.lam} leaves "
+                                 f"the floating-point range before t = {t}")
+            first, ratio = _FORWARD if sign > 0 else _BACKWARD
+            k = 0
+            while (t - self.reach) * sign > 0.0:
+                while (first * ratio**k - self.reach) * sign <= 0.0:
+                    k += 1
+                _extend([self], min(first * ratio**k, last))
         return next(p for p in self.pieces if p.t_lo <= t <= p.t_hi)._eval(t)
 
     def view(self, t_lo, t_hi, ts=None):
@@ -435,19 +445,25 @@ class Continuation:
         return RadialSolution(self.space, self.lam, t_lo, t_hi, self.pair, ts)
 
 
+def _growth_limit(space, lam):
+    """The t where e^((|Re lambda| - rho) t), the growth of every radial
+    solution, passes e^_MAX_EXPONENT: a forward ODE would overflow beyond."""
+    growth = abs(lam.real) - space.rho
+    return _MAX_EXPONENT / growth if growth > 0.0 else math.inf
+
+
 def _extend(conts, end):
     """Add a piece up to ``end`` to continuations sharing space and reach.
 
-    A forward piece is refused (ValueError) where e^((|Re lambda| - rho) t),
-    the growth of every solution, passes e^_MAX_EXPONENT before ``end``:
-    the ODE would overflow there.  Any piece is refused where its phase,
+    A forward piece is refused (ValueError) where ``end`` passes the
+    _growth_limit of a lambda.  Any piece is refused where its phase,
     |Im lambda| times its length, passes _MAX_PHASE: the step count grows
     with it.
     """
     head = conts[0]
     if end > head.reach:
         widest = max(conts, key=lambda c: abs(c.lam.real))
-        if (abs(widest.lam.real) - head.space.rho) * end > _MAX_EXPONENT:
+        if end > _growth_limit(head.space, widest.lam):
             raise ValueError(f"the radial solution at lambda = {widest.lam} leaves the "
                              f"floating-point range before t = {end}")
     fastest = max(conts, key=lambda c: abs(c.lam.imag))
@@ -583,8 +599,9 @@ def _jacobi_series(space, lam, reach):
             return _TanhSeries(space.rho + lam, 1.0, reach, 0.0,
                                np.array([f, np.arange(len(f)) * f]))
         except OverflowError:
-            if not w:  # a and b past 1e154: no reach is small enough
-                raise
+            if not w:
+                raise ValueError(f"the series of phi at lambda = {lam} overflows "
+                                 "at every t > 0") from None
             reach /= 2.0
 
 
@@ -768,15 +785,17 @@ def eval_phi(space, lam, t):
     """The spherical function phi_lambda(t); entire in lambda, phi(0) = 1.
 
     phi grows like e^((|Re lambda| - rho) t); ValueError where that passes
-    e^_MAX_EXPONENT, or where the ODE piece past t would (near the lattice,
-    from about half that t).
+    e^_MAX_EXPONENT, and where the series of a |lambda| past about 1e154
+    overflows.
     """
     t = float(t)
     if not 0.0 <= t < math.inf:
         raise ValueError("eval_phi needs finite t >= 0")
     lam = complex(lam)
-    if (abs(lam.real) - space.rho) * t > _MAX_EXPONENT:
-        _require_finite(lam)  # an infinite lambda is refused as such
+    _require_finite(lam)
+    if not t:
+        return 1 + 0j  # the series' value at t = 0, whatever lambda
+    if t > _growth_limit(space, lam):
         u = math.inf
     else:
         u = complex(continuation(space, lam, _phi_series).pair(t)[0])

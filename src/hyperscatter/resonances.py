@@ -12,18 +12,17 @@ residue operator whose radial kernel is
 
 i.e. a scalar multiple of the spherical function at the resonant parameter.
 
-Enumeration seeds the progression analytically, polishes each point by a
-Newton iteration on czz, and certifies the result against the scale
-|czz(zeta + delta)| half a rung off the axis, delta = j/2: |czz| below 1e-12
-scale and |czz'| delta above 1e-3 scale.  The second ratio is 1.7-2.5 at
-every simple zero (a double zero gives 0), whereas czz' itself shrinks far up
-the ladder.  The seeds are exact zeros of the implemented c-function, so a
-certification failure is not a root-finding problem: it means the
-c-function itself is broken, and is reported as EnumerationError.  An
-optional winding check counts zeros-minus-poles of czz over a thin rectangle
-enclosing the scanned segment of the positive imaginary axis and compares
-against the lattice prediction, guarding against zeros the progression
-would miss.
+Enumeration seeds the progression analytically and certifies each seed,
+with no Newton step, against the scale |czz(zeta + delta)| half a rung off
+the axis, delta = j/2: |czz| below 1e-12 scale and |czz'| delta above 1e-3
+scale.  The second ratio is 1.7-2.5 at every simple zero (a double zero
+gives 0), whereas czz' itself shrinks far up the ladder.  The seeds are
+exact zeros of the implemented c-function, so a certification failure is
+not a root-finding problem: it means the c-function itself is broken, and
+is reported as EnumerationError.  An optional winding check counts
+zeros-minus-poles of czz over a thin rectangle enclosing the scanned
+segment of the positive imaginary axis and compares against the lattice
+prediction, guarding against zeros the progression would miss.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from .space import RankOneSpace
 # bounds relative to the scale |czz| half a rung off the axis
 _CERT_VALUE = 1e-12   # |czz| at a certified zero
 _CERT_SLOPE = 1e-3    # |d czz / d zeta| * delta at a certified (simple) zero
-_NEWTON_MAX = 12
 
 
 @dataclass(frozen=True)
@@ -60,19 +58,12 @@ class ResonanceRecord:
 
 
 def _polish(cf, seed):
-    """Newton-polish a seed zero of czz and certify it."""
+    """Certify a seed zero of czz.  The seeds are exact zeros of the
+    implemented c-function, where czz is 0, so the seed is returned as it is."""
     delta = (cf.resonance_step() or 1) / 2.0
-
-    def local(z):
-        return (*cf.czz_and_derivative(z), abs(cf.czz(z + delta)))
-
     z = complex(seed)
-    val, slope, scale = local(z)
-    for _ in range(_NEWTON_MAX):
-        if abs(val) < _CERT_VALUE * scale or slope == 0:
-            break
-        z = z - val / slope
-        val, slope, scale = local(z)
+    val, slope = cf.czz_and_derivative(z)
+    scale = abs(cf.czz(z + delta))
     if abs(val) >= _CERT_VALUE * scale or abs(slope) * delta <= _CERT_SLOPE * scale:
         raise EnumerationError(
             f"zero certification failed at zeta = {z}: |czz| = {abs(val):.3e}, "

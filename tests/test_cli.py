@@ -2,13 +2,20 @@
 
 import csv
 import io
+import itertools
 import json
+import math
 
 import pytest
 
 from hyperscatter import cli
+from hyperscatter.cfunction import for_space
 from hyperscatter.cli import main
 from hyperscatter.errors import EnumerationError
+from hyperscatter.radial import eval_phi, eval_Q
+from hyperscatter.resolvent import kernel
+from hyperscatter.scattering import scalar
+from hyperscatter.space import space_from_name
 
 
 def _run(capsys, argv):
@@ -40,6 +47,97 @@ def test_rows_sorted_regardless_of_argument_order(capsys):
     _, rows = _parse_csv(out)
     res = [float(r[0]) for r in rows]
     assert res == sorted(res)
+
+
+def test_nan_rows_come_last_and_once(capsys):
+    # nan compares false with everything: the rows still follow one total
+    # order, with every nan of an axis in one row after the numbers
+    values = ["0.5", "nan", "1.0", "nan", "2.0", "0.7"]
+    outs = set()
+    for order in itertools.permutations(values):
+        code, out = _run(capsys, ["cfun", "--space", "h2", "--lambda", *order])
+        assert code == 1
+        outs.add(out)
+    assert len(outs) == 1
+    _, rows = _parse_csv(outs.pop())
+    assert [row[0] for row in rows] == [cli._fmt(x) for x in (0.5, 0.7, 1.0, 2.0, math.nan)]
+    assert rows[-1][-1] == "NonFiniteInputError"
+
+
+def _cells(x):
+    """A point or value as the table prints it: a complex one as two cells."""
+    if isinstance(x, complex):
+        return [format(x.real, ".16e"), format(x.imag, ".16e")]
+    return [format(x, ".16e")]
+
+
+H2 = space_from_name("h2")
+
+# per grid subcommand: its arguments, header, points in row order and the
+# library call; one point of each is an error row
+_GRIDS = [
+    (["cfun", "--space", "chn:2", "--lambda", "1.3+0.4j", "0", "0.7"],
+     ["lambda_re", "lambda_im", "c_re", "c_im", "dc_re", "dc_im", "status"],
+     [(0j,), (0.7 + 0j,), (1.3 + 0.4j,)],
+     lambda space, lam: (complex(for_space(space).value(lam)),
+                         complex(for_space(space).derivative(lam)))),
+    (["phi", "--space", "h2", "--lambda", "0.9+0.2j", "3.0", "--t", "300", "0.5"],
+     ["lambda_re", "lambda_im", "t", "phi_re", "phi_im", "q_re", "q_im", "status"],
+     [(0.9 + 0.2j, 0.5), (0.9 + 0.2j, 300.0), (3 + 0j, 0.5), (3 + 0j, 300.0)],
+     lambda space, lam, t: (eval_phi(space, lam, t), eval_Q(space, lam, t))),
+    (["kernel", "--space", "h2", "--zeta", "1.1", "-0.3-0.2j", "0.5j", "--t", "0.8"],
+     ["zeta_re", "zeta_im", "t", "k_re", "k_im", "status"],
+     [(-0.3 - 0.2j, 0.8), (0.5j, 0.8), (1.1 + 0j, 0.8)],
+     lambda space, zeta, t: (kernel(space, zeta, t),)),
+    (["plancherel", "--space", "h3", "--zeta", "2.0", "0.5", "-1.0"],
+     ["zeta", "density", "status"],
+     [(-1.0,), (0.5,), (2.0,)],
+     lambda space, zeta: (for_space(space).plancherel_density(zeta),)),
+    (["scattering", "--space", "oh2", "--zeta", "0.7", "-1.3+0.1j", "nan"],
+     ["zeta_re", "zeta_im", "s_re", "s_im", "status"],
+     [(-1.3 + 0.1j,), (0.7 + 0j,), (complex("nan"),)],
+     lambda space, zeta: (complex(scalar(space, zeta)),)),
+]
+
+
+@pytest.mark.parametrize("argv, header, points, call", _GRIDS, ids=[g[0][0] for g in _GRIDS])
+def test_grid_cells_match_the_library(capsys, argv, header, points, call):
+    code, out = _run(capsys, argv)
+    space = space_from_name(argv[2])
+    expected = []
+    for point in points:
+        cells = [c for x in point for c in _cells(x)]
+        try:
+            values = call(space, *point)
+        except (ArithmeticError, ValueError) as exc:
+            cells += ["nan"] * (len(header) - 1 - len(cells)) + [type(exc).__name__]
+        else:
+            cells += [c for x in values for c in _cells(x)] + ["ok"]
+        expected.append(cells)
+    assert _parse_csv(out) == (header, expected)
+    assert sum(row[-1] != "ok" for row in expected) == 1
+    assert code == 1
+
+
+@pytest.mark.parametrize("argv, point", [
+    (["kernel", "--space", "h2", "--zeta", "-0.3-0.2j", "--t", "1"],
+     lambda: [complex("-0.3-0.2j"), 1.0, kernel(H2, complex("-0.3-0.2j"), 1.0)]),
+    (["scattering", "--zeta", "-0.5j"],
+     lambda: [complex("-0.5j"), complex(scalar(H2, complex("-0.5j")))]),
+    (["cfun", "--lambda", "-1+0.2j"],
+     lambda: [-1 + 0.2j, complex(for_space(H2).value(-1 + 0.2j)),
+              complex(for_space(H2).derivative(-1 + 0.2j))]),
+    (["cfun", "--lambda", "-2.5e-1"],
+     lambda: [-0.25 + 0j, complex(for_space(H2).value(-0.25)),
+              complex(for_space(H2).derivative(-0.25))]),
+], ids=["kernel", "scattering", "cfun", "cfun-exponent"])
+def test_values_with_a_leading_minus(capsys, argv, point):
+    # argparse reads such a token as an option unless it is a plain decimal;
+    # the lower half-plane of zeta must be reachable as written
+    code, out = _run(capsys, argv)
+    assert code == 0
+    _, rows = _parse_csv(out)
+    assert rows == [[c for x in point() for c in _cells(x)] + ["ok"]]
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -86,6 +184,15 @@ def test_failed_enumeration_prints_header_and_error(capsys, monkeypatch):
     assert header[0] == "k" and rows == []
     assert captured.err == ("hyperscatter: EnumerationError: "
                             "zero certification failed at zeta = 53j\n")
+
+
+def test_default_space(capsys):
+    # --space defaults to h2, except for verify, which sweeps every family
+    _, out = _run(capsys, ["cfun", "--lambda", "0.5", "--format", "json"])
+    assert json.loads(out)["space"] == "h2"
+    assert json.loads(out)["rows"][0][2] == cli._fmt(1.0)
+    code, out = _run(capsys, ["verify", "--suite", "h3-oracles", "--format", "json"])
+    assert code == 0 and json.loads(out)["space"] == "all"
 
 
 def test_unknown_space_is_usage_error(capsys):

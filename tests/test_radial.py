@@ -453,11 +453,11 @@ def test_eval_Q_near_the_singularity_at_zero():
 
 
 @pytest.mark.parametrize("lam, t", [(0.8, 1e4), (0.8, 2400.0), (-5.3, 1000.0),
-                                    (3.0, 300.0), (3.0, 200.0)])
+                                    (3.0, 300.0)])
 def test_eval_phi_refuses_where_phi_overflows(lam, t):
     # phi grows like e^((|Re lambda| - rho) t): past e^700 the c Q route
-    # and, near the lattice (3.0), the ODE piece past t would overflow;
-    # a ValueError, not an OverflowError or scipy's RuntimeWarnings
+    # and, near the lattice (3.0), the ODE would overflow; a ValueError,
+    # not an OverflowError or scipy's RuntimeWarnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="floating-point range"):
@@ -465,6 +465,27 @@ def test_eval_phi_refuses_where_phi_overflows(lam, t):
         if (lam - H2.rho) * t > 700.0:
             with pytest.raises(ValueError, match="floating-point range"):
                 phi_solution(H2, lam, t)
+
+
+@pytest.mark.parametrize("lam, t", [(3.0, 200.0), (1.0, 1000.0)])
+def test_eval_phi_near_the_lattice_up_to_the_growth_limit(lam, t):
+    # near the lattice the ODE continues phi, and its last piece ends where
+    # phi reaches e^700, not at the next breakpoint (384 and 1536 here),
+    # where phi would overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _rel(eval_phi(H2, lam, t), phi_solution(H2, lam, t)(t)) < 1e-12
+
+
+def test_huge_lambda_gives_one_at_zero_and_value_errors_elsewhere():
+    # the series of phi overflows at every t > 0 from |lambda| ~ 1e154 on;
+    # phi(0) = 1 needs no series
+    assert eval_phi(H2, 1e200, 0.0) == 1
+    for call in (lambda: eval_phi(H2, 1e160j, 0.5),
+                 lambda: connection_coefficients(H2, 1e160j),
+                 lambda: phi_solution(H2, 1e160j, 1.0)):
+        with pytest.raises(ValueError, match="overflows"):
+            call()
 
 
 def test_ode_pieces_refuse_a_huge_imaginary_lambda():

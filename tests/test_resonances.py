@@ -128,8 +128,8 @@ def test_winding_check_catches_a_missing_zero(monkeypatch):
 
 
 def test_certificate_rejects_a_point_that_is_no_zero():
-    # czz on h3 is a multiple of 1/zeta^2: Newton runs away and never
-    # reaches a zero
+    # czz on h3 is a multiple of 1/zeta^2, nonzero at 2.5i: the point
+    # fails the certificate
     with pytest.raises(EnumerationError):
         resonances._polish(for_space(space_from_name("h3")), 2.5j)
 
