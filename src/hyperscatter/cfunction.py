@@ -18,10 +18,14 @@ derivatives and zero/pole orders of c stay exact at the points where numerator
 and denominator poles collide (these are exactly the points the resonance and
 residue formulas need), and stay finite at any resonance index.
 
-``value`` and ``czz`` also map a numpy array to an array: one ``loggamma``
-call per Gamma factor for the regular elements, the scalar call (and its
-exact local data) for each element on the lattice.  As in the scalar call, a
-non-finite element raises NonFiniteInputError and a pole raises PoleSignal.
+``local_expansion``, ``czz_expansion``, ``value`` and ``czz`` also map a
+numpy array to arrays in one pass.  The lattice elements take the integer data
+of their Gamma factors; the others take one ``loggamma`` call per Gamma factor
+(and one ``psi`` call, where the slope B is asked for) on the regular subset
+only, so no special function is evaluated at a placeholder.  A lattice element
+of a ``value`` or ``czz`` array equals the scalar call bit for bit.  As in the
+scalar call, a non-finite element raises NonFiniteInputError and a pole raises
+PoleSignal.
 """
 
 from __future__ import annotations
@@ -58,18 +62,63 @@ def _nonpos_int(w, tol=_INT_TOL):
     return -m
 
 
-def _by_element(x, regular, fast, scalar):
-    """Array of results over the array x: ``fast`` in one call on the
-    elements where ``regular(x)`` holds, ``scalar`` on each other one."""
-    x = x.astype(complex)
+def _finite(x):
+    """x as a complex array; NonFiniteInputError if an element is not finite."""
+    x = np.asarray(x, dtype=complex)
     if not np.isfinite(x).all():
         raise NonFiniteInputError("c-function argument array has a non-finite element")
-    ok = regular(x)
-    out = np.empty(x.shape, dtype=complex)
-    out[ok] = fast(x[ok])
-    for i in np.flatnonzero(~ok):
-        out.flat[i] = scalar(complex(x.flat[i]))
+    return x
+
+
+def _lattice_index(w):
+    """Array form of _nonpos_int: m where w is within _INT_TOL of -m, else -1
+    (floats, so that no index is cut to a machine integer)."""
+    m = np.round(w.real)
+    hit = (np.abs(w.imag) <= _INT_TOL) & (m <= 0) & (np.abs(w.real - m) <= _INT_TOL)
+    return np.where(hit, -m, -1.0)
+
+
+def _cmul(x, y):
+    """x * y computed as CPython forms a complex product (no fused
+    multiply-add), so that an array element equals the scalar call's."""
+    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
     return out
+
+
+def _pole_signal(what, var, at, order, lead):
+    """PoleSignal for a pole of ``what`` with local data (order, lead) at var = at."""
+    return PoleSignal(
+        f"pole of {what} of order {-order} at {var} = {at}",
+        at=at,
+        order=-order,
+        residue=lead if order == -1 else None,
+    )
+
+
+def _refuse_poles(what, var, at, order, lead):
+    """Raise the PoleSignal of the first pole in the arrays (order, lead)."""
+    poles = np.flatnonzero(order < 0)
+    if poles.size:
+        i = poles[0]
+        raise _pole_signal(what, var, complex(at.flat[i]), int(order.flat[i]),
+                           complex(lead.flat[i]))
+
+
+# i^o1 (-i)^o2 = i^((o1 - o2) mod 4)
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+def compose_czz(plus, minus):
+    """czz's local data (order, A, B) over an array of zeta, from c's data
+    (order, A, B) at i zeta (``plus``) and at -i zeta (``minus``), as
+    czz_expansion composes it; B is None if either B is."""
+    o1, a1, b1 = plus
+    o2, a2, b2 = minus
+    phase = _I_POWERS[(o1 - o2) % 4]
+    nxt = None if b1 is None or b2 is None else phase * (1j * b1 * a2 - 1j * a1 * b2)
+    return o1 + o2, _cmul(phase * a1, a2), nxt
 
 
 def log_gamma(z):
@@ -121,8 +170,11 @@ class CFunction:
         """Two leading terms of c at lam0.
 
         Returns (order, A, B) with c(lam0 + e) = e^order (A + B e + O(e^2)).
-        order < 0 is a pole, order > 0 a zero; A is always nonzero.
+        order < 0 is a pole, order > 0 a zero; A is always nonzero.  A numpy
+        array of lam0 gives the arrays (order, A, B).
         """
+        if isinstance(lam0, np.ndarray):
+            return self._expand(lam0, slope=True)
         lam0 = complex(lam0)
         # log of the leading coefficient, and the sum of the factors' B/A
         log_lead = self.log_c0 - lam0 * _LN2
@@ -151,9 +203,54 @@ class CFunction:
         lead = cmath.exp(log_lead)
         return order, lead, lead * ratio
 
+    def _expand(self, lam, slope):
+        """Array form of local_expansion; B is None unless ``slope``.
+
+        The sums run in the scalar branch's order, and the factorials go
+        through math.lgamma as there, so that the lattice elements of A agree
+        with the scalar call bit for bit.
+        """
+        lam = _finite(lam)
+        order = np.zeros(lam.shape, dtype=int)
+        log_lead = self.log_c0 - lam * _LN2
+        ratio = np.full(lam.shape, -_LN2, dtype=complex) if slope else None
+        for sign, w in self._factors(lam):
+            m = _lattice_index(w)
+            hit = m >= 0
+            lattice = hit.any()
+            reg = ~hit if lattice else Ellipsis
+            coef = 1.0 if sign > 0 else -0.5  # d/dlam of a + lam/2 is 1/2
+            gam = loggamma(w[reg])
+            log_lead[reg] += gam if sign > 0 else -gam
+            if slope:
+                ratio[reg] += psi(w[reg]) * coef
+            if lattice:
+                # Gamma(-m + e) = (-1)^m / m! e^-1 (1 + psi(m+1) e + O(e^2)),
+                # 1/Gamma(-n + e/2) = (-1)^n n! e/2 (1 - psi(n+1) e/2 + O(e^2))
+                m = m[hit]
+                lg = np.array([math.lgamma(k + 1) for k in m.tolist()])
+                order[hit] -= sign
+                log_lead[hit] += ((-lg if sign > 0 else lg - _LN2)
+                                  + 1j * (math.pi * (m % 2)))
+                if slope:
+                    ratio[hit] += coef * psi(m + 1.0)
+        lead = np.exp(log_lead)
+        return order, lead, (lead * ratio if slope else None)
+
     def zero_order(self, lam):
-        """Order of vanishing of c at lam (negative for a pole, 0 generic)."""
+        """Order of vanishing of c at lam (negative for a pole, 0 generic).
+
+        A numpy array of lam gives the array of orders, read off the lattice
+        alone."""
+        if isinstance(lam, np.ndarray):
+            return sum(-sign * (_lattice_index(w) >= 0)
+                       for sign, w in self._factors(_finite(lam)))
         return self.local_expansion(lam)[0]
+
+    def _factors(self, lam):
+        """(sign, argument) of the Gamma factors of c: Gamma(lam) in the
+        numerator (+1), Gamma(a1 + lam/2) and Gamma(a2 + lam/2) below (-1)."""
+        return ((1, lam), (-1, self.a1 + lam / 2.0), (-1, self.a2 + lam / 2.0))
 
     # -- evaluation --------------------------------------------------------
 
@@ -163,7 +260,7 @@ class CFunction:
         return any(_nonpos_int(a + lam / 2.0) is not None for a in (self.a1, self.a2))
 
     def _log_quotient(self, lam):
-        """log c(lambda) off the lattice, for a scalar or an array."""
+        """log c(lambda) off the lattice."""
         return (
             self.log_c0
             - lam * _LN2
@@ -172,31 +269,19 @@ class CFunction:
             - loggamma(self.a2 + lam / 2.0)
         )
 
-    def _regular(self, lam):
-        """Array form of ``not _is_special``, with the tolerance of _nonpos_int."""
-        regular = True
-        for w in (lam, self.a1 + lam / 2.0, self.a2 + lam / 2.0):
-            m = np.round(w.real)
-            regular &= (np.abs(w.imag) > _INT_TOL) | (m > 0) | (np.abs(w.real - m) > _INT_TOL)
-        return regular
-
     def value(self, lam):
         """c(lambda).  Returns 0 exactly at zeros; raises PoleSignal at poles.
 
         A numpy array of lambda gives the array of values."""
         if isinstance(lam, np.ndarray):
-            return _by_element(lam, self._regular,
-                               lambda x: np.exp(self._log_quotient(x)), self.value)
+            order, lead, _ = self._expand(lam, slope=False)
+            _refuse_poles("c", "lambda", lam, order, lead)
+            return np.where(order > 0, 0j, lead)
         lam = complex(lam)
         if self._is_special(lam):
             order, lead, _ = self.local_expansion(lam)
             if order < 0:
-                raise PoleSignal(
-                    f"pole of c of order {-order} at lambda = {lam}",
-                    at=lam,
-                    order=-order,
-                    residue=lead if order == -1 else None,
-                )
+                raise _pole_signal("c", "lambda", lam, order, lead)
             return 0j if order > 0 else lead
         return cmath.exp(self._log_quotient(lam))
 
@@ -222,7 +307,11 @@ class CFunction:
     # -- two-sided product -------------------------------------------------
 
     def czz_expansion(self, zeta0):
-        """Local data of czz(zeta) = c(i zeta) c(-i zeta) at zeta0."""
+        """Local data of czz(zeta) = c(i zeta) c(-i zeta) at zeta0.
+
+        A numpy array of zeta0 gives the arrays (order, A, B)."""
+        if isinstance(zeta0, np.ndarray):
+            return self._czz_arrays(zeta0, self.local_expansion)
         zeta0 = complex(zeta0)
         o1, a1_, b1 = self.local_expansion(1j * zeta0)
         o2, a2_, b2 = self.local_expansion(-1j * zeta0)
@@ -238,11 +327,15 @@ class CFunction:
 
         A numpy array of zeta gives the array of values."""
         if isinstance(zeta, np.ndarray):
-            lq = self._log_quotient
-            return _by_element(
-                zeta, lambda z: self._regular(1j * z) & self._regular(-1j * z),
-                lambda z: np.exp(lq(1j * z)) * np.exp(lq(-1j * z)), self.czz)
+            order, lead, _ = self._czz_arrays(zeta, lambda x: self._expand(x, slope=False))
+            _refuse_poles("czz", "zeta", zeta, order, lead)
+            return np.where(order > 0, 0j, lead)
         return self.czz_and_derivative(zeta)[0]
+
+    def _czz_arrays(self, zeta, expand):
+        """czz_expansion over the array zeta, from the c-data ``expand`` gives."""
+        zeta = _finite(zeta)
+        return compose_czz(expand(1j * zeta), expand(-1j * zeta))
 
     def czz_derivative(self, zeta):
         return self.czz_and_derivative(zeta)[1]
@@ -251,12 +344,7 @@ class CFunction:
         """(czz, czz') at zeta from one local expansion."""
         order, lead, nxt = self.czz_expansion(zeta)
         if order < 0:
-            raise PoleSignal(
-                f"pole of czz of order {-order} at zeta = {zeta}",
-                at=complex(zeta),
-                order=-order,
-                residue=lead if order == -1 else None,
-            )
+            raise _pole_signal("czz", "zeta", complex(zeta), order, lead)
         if order == 0:
             return lead, nxt
         return 0j, (lead if order == 1 else 0j)
@@ -264,6 +352,8 @@ class CFunction:
     def plancherel_density(self, zeta):
         """Spherical Plancherel density |c(i zeta)|^{-2} at real zeta > 0."""
         z = complex(zeta)
+        if not cmath.isfinite(z):
+            raise NonFiniteInputError(f"plancherel_density argument zeta = {z} is not finite")
         if abs(z.imag) > 1e-12 or z.real <= 0.0:
             raise ValueError("plancherel_density needs real zeta > 0")
         return 1.0 / abs(self.value(1j * z.real)) ** 2

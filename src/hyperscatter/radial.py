@@ -151,6 +151,14 @@ def _require_finite(lam):
         raise NonFiniteInputError(f"lambda = {lam} is not finite")
 
 
+def _radius(t):
+    """t as a float; NonFiniteInputError for nan or inf."""
+    t = float(t)
+    if not math.isfinite(t):
+        raise NonFiniteInputError(f"t = {t} is not finite")
+    return t
+
+
 def _lambdas(lam):
     """(list of complex lambdas, whether lam was a sequence)."""
     if np.ndim(lam) == 0:
@@ -775,8 +783,8 @@ def q_solution(space, lam, t_min):
 def eval_Q(space, lam, t):
     """Q_lambda(t): Frobenius series for t >= log 2, the second-kind series
     (or, where it is ill-conditioned, the backward continuation) below."""
-    t = float(t)
-    if not t > 0.0:
+    t = _radius(t)
+    if t <= 0.0:
         raise ValueError("eval_Q needs t > 0")
     return complex(continuation(space, complex(lam), _q_second_kind).pair(t)[0])
 
@@ -788,9 +796,9 @@ def eval_phi(space, lam, t):
     e^_MAX_EXPONENT, and where the series of a |lambda| past about 1e154
     overflows.
     """
-    t = float(t)
-    if not 0.0 <= t < math.inf:
-        raise ValueError("eval_phi needs finite t >= 0")
+    t = _radius(t)
+    if t < 0.0:
+        raise ValueError("eval_phi needs t >= 0")
     lam = complex(lam)
     _require_finite(lam)
     if not t:

@@ -12,17 +12,22 @@ residue operator whose radial kernel is
 
 i.e. a scalar multiple of the spherical function at the resonant parameter.
 
-Enumeration seeds the progression analytically and certifies each seed,
-with no Newton step, against the scale |czz(zeta + delta)| half a rung off
-the axis, delta = j/2: |czz| below 1e-12 scale and |czz'| delta above 1e-3
-scale.  The second ratio is 1.7-2.5 at every simple zero (a double zero
-gives 0), whereas czz' itself shrinks far up the ladder.  The seeds are
-exact zeros of the implemented c-function, so a certification failure is
-not a root-finding problem: it means the c-function itself is broken, and
-is reported as EnumerationError.  An optional winding check counts
-zeros-minus-poles of czz over a thin rectangle enclosing the scanned
-segment of the positive imaginary axis and compares against the lattice
-prediction, guarding against zeros the progression would miss.
+Enumeration seeds the progression analytically and certifies the whole
+ladder in one array pass, with no Newton step, against the scale
+|czz(zeta + delta)| half a rung off the axis, delta = j/2: |czz| below 1e-12
+scale and |czz'| delta above 1e-3 scale.  The second ratio is 1.7-2.5 at
+every simple zero (a double zero gives 0), whereas czz' itself shrinks far up
+the ladder.  The seeds are exact zeros of the implemented c-function, so a
+certification failure is not a root-finding problem: it means the
+c-function itself is broken, and is reported as EnumerationError.  The
+pass reads czz's data off c's at i zeta and -i zeta, which also give the
+residue scalars: c'(i zeta) is c's leading term at the simple zero.
+
+An optional winding check counts zeros-minus-poles of czz over a thin
+rectangle enclosing the scanned segment of the positive imaginary axis and
+compares against the lattice prediction, guarding against zeros the
+progression would miss.  The count depends on the c-function alone and is
+made once per CFunction; the prediction is made on every call.
 """
 
 from __future__ import annotations
@@ -31,12 +36,13 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from . import model_h2
-from .cfunction import for_space
+from .cfunction import compose_czz, for_space
 from .errors import EnumerationError
 from .radial import eval_phi
 from .resolvent import kernel
@@ -57,39 +63,52 @@ class ResonanceRecord:
     multiplicity_estimate: Optional[int] = None
 
 
-def _polish(cf, seed):
-    """Certify a seed zero of czz.  The seeds are exact zeros of the
-    implemented c-function, where czz is 0, so the seed is returned as it is."""
+def _certify(cf, zetas):
+    """Certify the seed zeros ``zetas`` of czz in one array pass.  The seeds
+    are exact zeros of the implemented c-function, where czz is 0; a pole
+    counts as an infinite value.  Returns c's leading terms at lam = i zeta
+    (c'(lam) at a simple zero) and at -lam, from which czz's are composed."""
     delta = (cf.resonance_step() or 1) / 2.0
-    z = complex(seed)
-    val, slope = cf.czz_and_derivative(z)
-    scale = abs(cf.czz(z + delta))
-    if abs(val) >= _CERT_VALUE * scale or abs(slope) * delta <= _CERT_SLOPE * scale:
+    lam = 1j * zetas
+    at_zero, across = cf.local_expansion(lam), cf.local_expansion(-lam)
+    order, lead, nxt = compose_czz(at_zero, across)
+    val = np.where(order > 0, 0j, np.where(order < 0, np.inf, lead))
+    slope = np.where(order == 0, nxt, np.where(order == 1, lead, 0j))
+    scale = np.abs(cf.czz(zetas + delta))
+    failed = np.flatnonzero((np.abs(val) >= _CERT_VALUE * scale)
+                            | (np.abs(slope) * delta <= _CERT_SLOPE * scale))
+    if failed.size:
+        i = failed[0]
         raise EnumerationError(
-            f"zero certification failed at zeta = {z}: |czz| = {abs(val):.3e}, "
-            f"|czz'| = {abs(slope):.3e}, |czz(zeta + {delta:g})| = {scale:.3e}; "
+            f"zero certification failed at zeta = {complex(zetas[i])}: "
+            f"|czz| = {abs(val[i]):.3e}, |czz'| = {abs(slope[i]):.3e}, "
+            f"|czz(zeta + {delta:g})| = {scale[i]:.3e}; "
             "the c-function data is inconsistent"
         )
-    return z
+    return at_zero[1], across[1]
 
 
-def _multiplicity(space, k):
-    """Rank of the residue operator at the k-th resonance of the hyperbolic
-    plane (None elsewhere): the K-types n whose c-function on
+def _residue(space, zeta, dc, c_minus):
+    """-1 / (2 kappa zeta c'(i zeta) c(-i zeta)), the residue scalar."""
+    return -1.0 / (2.0 * space.kappa * zeta * dc * c_minus)
+
+
+def _multiplicities(space, count):
+    """Ranks of the residue operators at the first ``count`` resonances of
+    the hyperbolic plane (None elsewhere): the K-types n whose c-function on
     model_h2.ktype_space(n) vanishes at lambda = -(rho + k), counted with
     dimension 1 for n = 0 and 2 for +-n.  Those zeros sit at -(rho_n + j),
-    j >= 0, so the count stops at rho_n > rho + k.  model_h2.residue_rank
-    is the SVD route to the same rank."""
+    j >= 0, so the count stops at the first rho_n above the top rung.
+    model_h2.residue_rank is the SVD route to the same rank."""
     if space != model_h2.H2:
-        return None
-    edge = space.rho + k  # the resonance is lambda = -edge
-    count = 0
+        return [None] * count
+    edges = space.rho + np.arange(count)  # the resonances are lambda = -edges
+    ranks = np.zeros(count, dtype=int)
     for n in itertools.count():
         shifted = model_h2.ktype_space(n)
-        if shifted.rho > edge:
-            return count
-        if for_space(shifted).zero_order(-edge) > 0:
-            count += 1 if n == 0 else 2
+        if count == 0 or shifted.rho > edges[-1]:
+            return ranks.tolist()
+        ranks += (1 if n == 0 else 2) * (for_space(shifted).zero_order(-edges) > 0)
 
 
 def enumerate_resonances(space, count, verify_complete=False):
@@ -104,32 +123,26 @@ def enumerate_resonances(space, count, verify_complete=False):
     if not isinstance(count, numbers.Integral) or count < 0:
         raise ValueError(f"count must be a non-negative integer, got {count!r}")
     cf = for_space(space)
-    seeds = cf.czz_zeros_upper(count)
-    records = []
-    for k, seed in enumerate(seeds):
-        zeta = _polish(cf, seed)
-        records.append(
-            ResonanceRecord(
-                zeta=zeta,
-                k=k,
-                residue_scalar=_residue_at(space, zeta),
-                multiplicity_estimate=_multiplicity(space, k),
-            )
-        )
+    zetas = np.array(cf.czz_zeros_upper(count), dtype=complex)
+    dc, c_minus = _certify(cf, zetas)
+    records = [
+        ResonanceRecord(zeta=zeta, k=k, residue_scalar=_residue(space, zeta, d, c),
+                        multiplicity_estimate=mult)
+        for k, (zeta, d, c, mult) in enumerate(zip(
+            zetas.tolist(), dc.tolist(), c_minus.tolist(),
+            _multiplicities(space, len(zetas))))
+    ]
     if verify_complete:
         _winding_check(space, cf)
     return records
 
 
-def _residue_at(space, zeta):
-    cf = for_space(space)
-    lam = 1j * zeta                         # = -(rho + j k): c has a simple zero
-    return -1.0 / (2.0 * space.kappa * zeta * cf.derivative(lam) * cf.value(-lam))
-
-
 def residue_scalar(space, rec):
-    """Scalar part of the residue of R_zeta at the resonance ``rec``."""
-    return _residue_at(space, rec.zeta)
+    """Scalar part of the residue of R_zeta at the resonance ``rec``, by the
+    scalar route through c' and c."""
+    cf = for_space(space)
+    lam = 1j * rec.zeta                     # = -(rho + j k): c has a simple zero
+    return _residue(space, rec.zeta, cf.derivative(lam), cf.value(-lam))
 
 
 def residue_kernel(space, rec, t):
@@ -186,12 +199,10 @@ def _lattice_candidates(space, cf, lo, hi):
     return sorted(ys)
 
 
-def _winding_check(space, cf, half_width=0.25, samples_per_side=800):
-    """Argument-principle count of czz zeros minus poles over a rectangle
-    [-w, w] x [lo, hi] enclosing the scanned axis segment, compared with the
-    net order predicted by the local expansions on the lattice."""
-    lo = 0.11
-    hi = 3.0 * space.rho + 6.13
+@lru_cache(maxsize=128)
+def _turns(cf, lo, hi, half_width, samples_per_side):
+    """Argument-principle count of czz zeros minus poles over the rectangle
+    [-half_width, half_width] x [lo, hi], one numpy pass over its sides."""
     corners = [
         complex(-half_width, lo),
         complex(half_width, lo),
@@ -201,8 +212,18 @@ def _winding_check(space, cf, half_width=0.25, samples_per_side=800):
     ]
     s = np.linspace(0.0, 1.0, samples_per_side, endpoint=False)
     vals = cf.czz(np.concatenate([a + (b - a) * s for a, b in zip(corners[:-1], corners[1:])]))
-    turns = np.sum(np.angle(vals / np.roll(vals, 1))) / (2.0 * np.pi)
-    expected = sum(cf.zero_order(-y) for y in _lattice_candidates(space, cf, lo, hi))
+    return float(np.sum(np.angle(vals / np.roll(vals, 1))) / (2.0 * np.pi))
+
+
+def _winding_check(space, cf, half_width=0.25, samples_per_side=800):
+    """Argument-principle count of czz zeros minus poles over a rectangle
+    [-w, w] x [lo, hi] enclosing the scanned axis segment, compared with the
+    net order predicted by the local expansions on the lattice."""
+    lo = 0.11
+    hi = 3.0 * space.rho + 6.13
+    turns = _turns(cf, lo, hi, half_width, samples_per_side)
+    ys = np.array(_lattice_candidates(space, cf, lo, hi), dtype=float)
+    expected = int(np.sum(cf.zero_order(-ys)))
     if abs(turns - round(turns)) > 0.2 or round(turns) != expected:
         raise EnumerationError(
             f"winding count {turns:.3f} over Im in ({lo:.2f}, {hi:.2f}) "

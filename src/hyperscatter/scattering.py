@@ -144,16 +144,17 @@ def classify_poles(space, count):
     never included.
     """
     cf = for_space(space)
-    poles = []
-    for rec in enumerate_resonances(space, count):
-        residue = _resonance_residue(cf, 1j * rec.zeta)
-        poles.append(ScatteringPole(rec.zeta, KIND_RESONANCE, residue))
-    for k in range(1, count + 1):
-        order, lead, _ = cf.local_expansion(complex(-0.5 * k))
-        if order >= 0:
-            continue
-        residue = 1j * lead / cf.value(complex(0.5 * k))
-        poles.append(ScatteringPole(-0.5j * k, KIND_INTERTWINER, residue))
+    zetas = [rec.zeta for rec in enumerate_resonances(space, count)]
+    # c has simple zeros at lam = i zeta, so c'(lam) is the leading term
+    # there; the quotients are formed as the scalar routes form them
+    lam = 1j * np.array(zetas, dtype=complex)
+    poles = [ScatteringPole(z, KIND_RESONANCE, -1j * num / dc) for z, num, dc in zip(
+        zetas, cf.value(-lam).tolist(), cf.local_expansion(lam)[1].tolist())]
+    ks = np.arange(1, count + 1)
+    order, lead, _ = cf.local_expansion(-0.5 * ks)
+    hit = order < 0
+    poles += [ScatteringPole(-0.5j * k, KIND_INTERTWINER, 1j * res / den) for k, res, den in zip(
+        ks[hit].tolist(), lead[hit].tolist(), cf.value(0.5 * ks[hit]).tolist())]
     return poles
 
 
@@ -223,9 +224,11 @@ def find_scalar_poles(space, im_lo=-4.95, im_hi=4.95, step=0.01):
     rejects the sign flips across poles of w (those are zeros of s).  Returns
     the pole locations i sigma sorted by imaginary part; sigma = 0 is skipped.
 
-    Every real special point of c is a half-integer, so the nodes with 2 sigma
-    off the integers are evaluated in one array pass and only the rest, and
-    the brentq refinement, use the scalar w.
+    c is evaluated once on the union of the nodes and their mirrors -sigma,
+    so c(-sigma) is read at the mirrored node.  Every real special point of c
+    is a half-integer: the union's points with 2 sigma off the integers take
+    one ``value`` array, the rest one ``local_expansion`` array, which also
+    gives the order of c there.  Only the brentq refinement uses the scalar w.
     """
     bounds = (im_lo, im_hi, step)
     if not all(math.isfinite(x) for x in bounds):
@@ -252,14 +255,28 @@ def find_scalar_poles(space, im_lo=-4.95, im_hi=4.95, step=0.01):
 
     k_lo = math.ceil(im_lo / step - 1e-9)
     k_hi = math.floor(im_hi / step + 1e-9)
-    sigmas = np.arange(k_lo, k_hi + 1) * step
-    vals = np.empty(len(sigmas))
-    twice = 2.0 * sigmas
+    ks = np.arange(k_lo, k_hi + 1)
+    sigmas = ks * step
+    # order and value of c on the union of the nodes and their mirrors
+    union = np.union1d(ks, -ks)
+    points = (union * step).astype(complex)
+    twice = 2.0 * points.real
     regular = np.abs(twice - np.round(twice)) >= _LATTICE_TOL
-    sig = sigmas[regular]
-    vals[regular] = (cf.value(-sig) / cf.value(sig)).real
-    for i in np.flatnonzero(~regular):
-        vals[i] = w(sigmas[i])
+    order = np.zeros(len(union), dtype=int)
+    cval = np.empty(len(union), dtype=complex)
+    cval[regular] = cf.value(points[regular])
+    lattice_order, lead, _ = cf.local_expansion(points[~regular])
+    order[~regular] = lattice_order
+    cval[~regular] = np.where(lattice_order > 0, 0j, lead)
+    den, num = np.searchsorted(union, ks), np.searchsorted(union, -ks)
+
+    # w as the scalar w forms it: 0 at a pole of c(sigma), 1e18 at a pole of
+    # c(-sigma) or a zero of c(sigma), nan at sigma = 0
+    vals = np.full(len(sigmas), 1e18)
+    vals[order[den] < 0] = 0.0
+    finite = (order[den] >= 0) & (order[num] >= 0) & (cval[den] != 0)
+    vals[finite] = (cval[num][finite] / cval[den][finite]).real
+    vals[np.abs(sigmas) < _ORIGIN_TOL] = math.nan
 
     poles = list(sigmas[vals == 0.0])
     # strict sign changes between finite nodes that are not poles of w

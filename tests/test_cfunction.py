@@ -12,10 +12,13 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hyperscatter.cfunction import for_space
 from hyperscatter.errors import NonFiniteInputError, PoleSignal
 from hyperscatter.resolvent import kernel
+from hyperscatter.scattering import scalar
 from hyperscatter.space import space_from_name
 
 H2 = space_from_name("h2")
@@ -277,3 +280,95 @@ def test_array_input_errors():
         cf.value(np.array([0.3, 0.0, 1.2]))
     with pytest.raises(PoleSignal):
         cf.czz(np.array([0.3j, 0.0, 1.2]))
+
+
+# -- array and scalar routes agree ---------------------------------------------
+
+PROPERTY_NAMES = ("h2", "h3", "chn:2", "chn:3", "hhn:2", "hhn:3", "oh2", "hn:7")
+
+_property_settings = settings(max_examples=30, deadline=None, derandomize=True,
+                              database=None)
+
+
+def _off_lattice(lam):
+    """lam is at least 1e-6 from every half-integer."""
+    return abs(2.0 * lam - round(2.0 * lam.real)) > 1e-6
+
+
+_points = st.lists(
+    st.complex_numbers(max_magnitude=30.0, allow_nan=False, allow_infinity=False)
+    .filter(_off_lattice), min_size=1, max_size=12)
+
+
+def _assert_expansions_agree(cf, lams):
+    order, a, b = cf.local_expansion(np.array(lams))
+    for i, lam in enumerate(lams):
+        want_order, want_a, want_b = cf.local_expansion(lam)
+        assert order[i] == want_order, lam
+        assert _rel(a[i], want_a) <= 1e-13, lam
+        assert _rel(b[i], want_b) <= 1e-13, lam
+
+
+@pytest.mark.parametrize("name", PROPERTY_NAMES)
+def test_array_local_expansion_on_the_lattice_matches_scalar(name):
+    # the array's integer data at Gamma poles and reciprocal-Gamma zeros,
+    # down to index 400, against the scalar call
+    cf = for_space(space_from_name(name))
+    _assert_expansions_agree(cf, [complex(-m / 2) for m in range(401)])
+
+
+@_property_settings
+@given(st.sampled_from(PROPERTY_NAMES), _points)
+def test_array_local_expansion_off_the_lattice_property(name, lams):
+    _assert_expansions_agree(for_space(space_from_name(name)), lams)
+
+
+@_property_settings
+@given(st.sampled_from(PROPERTY_NAMES), _points,
+       st.lists(st.integers(0, 400), min_size=1, max_size=12),
+       st.randoms(use_true_random=False))
+def test_mixed_arrays_match_scalar_calls_property(name, regular, twice, rnd):
+    # value and czz over arrays that mix lattice and regular elements: the
+    # lattice elements equal the scalar call bit for bit, the regular ones
+    # to rounding; a pole anywhere in the array raises PoleSignal
+    cf = for_space(space_from_name(name))
+    pts = list(regular) + [complex(-m / 2) for m in twice]
+    rnd.shuffle(pts)
+    for method, arg in ((cf.value, lambda p: p), (cf.czz, lambda p: 1j * p)):
+        finite, pole = [], False
+        for p in pts:
+            try:
+                finite.append((p, method(arg(p))))
+            except PoleSignal:
+                pole = True
+        if pole:
+            with pytest.raises(PoleSignal):
+                method(np.array([arg(p) for p in pts]))
+        got = method(np.array([arg(p) for p, _ in finite], dtype=complex))
+        for g, (p, w) in zip(got, finite):
+            if _off_lattice(p):
+                assert abs(g - w) <= 1e-13 * abs(w), (method, p)
+            else:
+                assert g == w, (method, p)
+
+
+@_property_settings
+@given(st.sampled_from(PROPERTY_NAMES), _points)
+def test_c_commutes_with_conjugation_property(name, lams):
+    # c(conj lambda) = conj c(lambda), the scalar and the array call
+    cf = for_space(space_from_name(name))
+    for lam in lams:
+        assert _rel(cf.value(lam.conjugate()), cf.value(lam).conjugate()) <= 1e-13
+    arr = np.array(lams)
+    assert np.all(np.abs(cf.value(arr.conj()) - cf.value(arr).conj())
+                  <= 1e-13 * np.abs(cf.value(arr)))
+
+
+@_property_settings
+@given(st.sampled_from(PROPERTY_NAMES), _points)
+def test_scattering_scalar_inverts_under_reflection_property(name, zetas):
+    # s(zeta) s(-zeta) = 1 off the pole lattice of both factors
+    space = space_from_name(name)
+    for zeta in zetas:
+        assume(_off_lattice(1j * zeta) and abs(zeta) > 1e-3)
+        assert abs(scalar(space, zeta) * scalar(space, -zeta) - 1.0) <= 1e-12, zeta

@@ -4,6 +4,7 @@ connection coefficients, Wronskian limit."""
 import cmath
 import math
 import random
+import re
 import warnings
 
 import mpmath
@@ -29,6 +30,7 @@ from hyperscatter.radial import (
 )
 from hyperscatter.model_h2 import ktype_radial_profile, oracle_h3
 from hyperscatter.resolvent import kernel
+from hyperscatter.resonances import enumerate_resonances, residue_contour_probe
 from hyperscatter.space import space_from_name
 from hyperscatter.verify import FAMILY_NAMES, lambda_grid
 from scipy.integrate import solve_ivp
@@ -322,6 +324,20 @@ def test_non_finite_lambda_raises_structured_error(bad):
     for call in calls:
         with pytest.raises(NonFiniteInputError):
             call()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_t_and_zeta_name_themselves(bad):
+    # a nan t once read "eval_Q needs t > 0", and plancherel_density(inf)
+    # reported the argument nan+infj
+    rec = enumerate_resonances(H2, 1)[0]
+    for call in (lambda: eval_phi(H2, 0.7, bad), lambda: eval_phi(H2, 0.7, -bad),
+                 lambda: eval_Q(H2, 0.7, bad), lambda: eval_Q(H2, 0.7, -bad),
+                 lambda: residue_contour_probe(H2, rec, bad)):
+        with pytest.raises(NonFiniteInputError, match="t = .* is not finite"):
+            call()
+    with pytest.raises(NonFiniteInputError, match=re.escape(f"zeta = {complex(bad)}")):
+        for_space(H2).plancherel_density(bad)
 
 
 # -- phi without the ODE ------------------------------------------------------

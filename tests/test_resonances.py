@@ -3,11 +3,12 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
-from hyperscatter import resonances
+from hyperscatter import resonances, scattering
 from hyperscatter.cfunction import CFunction, for_space
-from hyperscatter.errors import EnumerationError
+from hyperscatter.errors import EnumerationError, PoleSignal
 from hyperscatter.model_h2 import residue_rank
 from hyperscatter.radial import eval_phi
 from hyperscatter.resonances import (
@@ -16,7 +17,7 @@ from hyperscatter.resonances import (
     residue_kernel,
     residue_scalar,
 )
-from hyperscatter.scattering import classify_poles
+from hyperscatter.scattering import KIND_RESONANCE, classify_poles
 from hyperscatter.space import space_from_name
 
 H2 = space_from_name("h2")
@@ -131,7 +132,7 @@ def test_certificate_rejects_a_point_that_is_no_zero():
     # czz on h3 is a multiple of 1/zeta^2, nonzero at 2.5i: the point
     # fails the certificate
     with pytest.raises(EnumerationError):
-        resonances._polish(for_space(space_from_name("h3")), 2.5j)
+        resonances._certify(for_space(space_from_name("h3")), np.array([2.5j]))
 
 
 def test_certificate_is_scale_free():
@@ -143,7 +144,9 @@ def test_certificate_is_scale_free():
     for shift in (-300.0, 300.0):
         cf = CFunction(space)
         cf.log_c0 += shift
-        assert [resonances._polish(cf, seed) for seed in cf.czz_zeros_upper(30)] == ladder
+        seeds = cf.czz_zeros_upper(30)
+        resonances._certify(cf, np.array(seeds))
+        assert seeds == ladder
 
 
 # oh2, hhn:3 and chn:3 pass where |czz'| at the zero has fallen below 1e-8
@@ -171,3 +174,42 @@ def test_large_index_residues_stay_finite(name, mp_c):
             want = complex(-1 / (2 * space.kappa * zeta * cprime * mp_c(space, -lam0)))
         rel = abs(rec.residue_scalar - want) / abs(want)
         assert rel < 1e-9, (name, rec.k)
+
+
+def _mp_residue(space, mp_c, zeta):
+    """-1/(2 kappa zeta c'(i zeta) c(-i zeta)) at 60 digits, c' read at the
+    simple zero lam0 = i zeta as c(lam0 + e)/e."""
+    with mpmath.workdps(60):
+        lam0 = -mpmath.mpf(round(2 * zeta.imag)) / 2
+        e = mpmath.mpf("1e-25")
+        cprime = mp_c(space, lam0 + e) / e
+        return complex(-1 / (2 * space.kappa * mpmath.mpc(0, -lam0) * cprime
+                             * mp_c(space, -lam0)))
+
+
+HIGH_COUNTS = {"chn:2": 200, "chn:3": 200, "oh2": 200, "hhn:3": 200, "h2": 60}
+
+
+@pytest.mark.parametrize("name", list(HIGH_COUNTS))
+def test_ladder_residues_at_high_index(name, mp_c):
+    # the array pass against the scalar routes at every rung, and a stride
+    # of rungs against mpmath
+    space = space_from_name(name)
+    cf = for_space(space)
+    count = HIGH_COUNTS[name]
+    recs = enumerate_resonances(space, count)
+    assert len(recs) == count
+    for rec in recs:
+        want = residue_scalar(space, rec)
+        assert abs(rec.residue_scalar - want) <= 2e-12 * abs(want), rec.k
+    for rec in recs[::13]:
+        want = _mp_residue(space, mp_c, rec.zeta)
+        assert abs(rec.residue_scalar - want) <= 2e-12 * abs(want), rec.k
+    for pole in classify_poles(space, count):
+        if pole.kind == KIND_RESONANCE:
+            want = scattering._resonance_residue(cf, 1j * pole.zeta)
+        else:
+            with pytest.raises(PoleSignal) as info:
+                scattering.scalar(space, pole.zeta)
+            want = info.value.residue
+        assert abs(pole.residue_scalar - want) <= 2e-12 * abs(want), pole.zeta

@@ -136,6 +136,23 @@ def test_axis_scan_matches_classification():
     assert all(abs(z) > 1e-9 for z in detected)
 
 
+@pytest.mark.parametrize("name", ["h2", "hhn:2", "oh2"])
+@pytest.mark.parametrize("grid", [{"step": 0.013},
+                                  {"im_lo": -2.2, "im_hi": 4.3},
+                                  {"im_lo": -2.2, "im_hi": 4.3, "step": 0.013}])
+def test_axis_scan_off_its_default_grid(name, grid):
+    # a step of 0.013 misses the half-integers, so every pole comes from a
+    # sign change refined by brentq; an asymmetric window reads c(-sigma)
+    # at nodes outside it
+    space = space_from_name(name)
+    lo, hi = grid.get("im_lo", -4.95), grid.get("im_hi", 4.95)
+    want = sorted(p.zeta.imag for p in classify_poles(space, 12)
+                  if lo <= p.zeta.imag <= hi)
+    got = find_scalar_poles(space, **grid)
+    assert [z.imag for z in got] == pytest.approx(want, abs=1e-9)
+    assert want and all(z.real == 0 for z in got)
+
+
 def test_axis_scan_h3_empty():
     assert find_scalar_poles(H3) == []
 
