@@ -25,7 +25,9 @@ of their Gamma factors; the others take one ``loggamma`` call per Gamma factor
 only, so no special function is evaluated at a placeholder.  A lattice element
 of a ``value`` or ``czz`` array equals the scalar call bit for bit.  As in the
 scalar call, a non-finite element raises NonFiniteInputError and a pole raises
-PoleSignal.
+PoleSignal.  A scalar or element with |lambda| >= 2^52 raises OutOfRangeError:
+there the float lambda/2 cannot hold the quarter offsets of the Gamma
+arguments, so the lattice cannot be told apart.
 """
 
 from __future__ import annotations
@@ -37,12 +39,16 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import loggamma, psi
 
-from .errors import NonFiniteInputError, PoleSignal
+from .errors import NonFiniteInputError, OutOfRangeError, PoleSignal
 from .space import RankOneSpace
 
 _LN2 = math.log(2.0)
 
 _INT_TOL = 1e-12
+# past |lambda| = 2^52 the float lambda/2 cannot hold the quarter offsets
+# a1 and a2, so that every a + lambda/2 on the negative axis reads as an
+# integer (and c has lost every digit to cancellation well before)
+_LATTICE_LIMIT = 2.0**52
 
 
 def _nonpos_int(w, tol=_INT_TOL):
@@ -62,11 +68,32 @@ def _nonpos_int(w, tol=_INT_TOL):
     return -m
 
 
+def _out_of_range(lam):
+    return OutOfRangeError(f"c-function argument lambda = {lam} has |lambda| >= 2^52, "
+                           "where lambda/2 cannot hold the quarter offsets of the "
+                           "Gamma arguments")
+
+
+def _argument(lam):
+    """lam as a complex; NonFiniteInputError where it is not finite (as
+    _nonpos_int would raise), OutOfRangeError where |lam| >= 2^52."""
+    lam = complex(lam)
+    if not math.hypot(lam.real, lam.imag) < _LATTICE_LIMIT:  # abs() may raise OverflowError
+        if not cmath.isfinite(lam):
+            raise NonFiniteInputError(f"c-function argument {lam} is not finite")
+        raise _out_of_range(lam)
+    return lam
+
+
 def _finite(x):
-    """x as a complex array; NonFiniteInputError if an element is not finite."""
+    """x as a complex array; NonFiniteInputError if an element is not finite,
+    OutOfRangeError if one has |x| >= 2^52 (one pass over |x| tests both)."""
     x = np.asarray(x, dtype=complex)
-    if not np.isfinite(x).all():
-        raise NonFiniteInputError("c-function argument array has a non-finite element")
+    size = np.abs(x)
+    if not size.max(initial=0.0) < _LATTICE_LIMIT:
+        if not np.isfinite(x).all():
+            raise NonFiniteInputError("c-function argument array has a non-finite element")
+        raise _out_of_range(complex(x.flat[np.argmax(size)]))
     return x
 
 
@@ -175,7 +202,7 @@ class CFunction:
         """
         if isinstance(lam0, np.ndarray):
             return self._expand(lam0, slope=True)
-        lam0 = complex(lam0)
+        lam0 = _argument(lam0)
         # log of the leading coefficient, and the sum of the factors' B/A
         log_lead = self.log_c0 - lam0 * _LN2
         ratio = complex(-_LN2)
@@ -277,7 +304,7 @@ class CFunction:
             order, lead, _ = self._expand(lam, slope=False)
             _refuse_poles("c", "lambda", lam, order, lead)
             return np.where(order > 0, 0j, lead)
-        lam = complex(lam)
+        lam = _argument(lam)
         if self._is_special(lam):
             order, lead, _ = self.local_expansion(lam)
             if order < 0:
@@ -287,7 +314,7 @@ class CFunction:
 
     def derivative(self, lam):
         """c'(lambda), valid at generic points and at zeros of c."""
-        lam = complex(lam)
+        lam = _argument(lam)
         order, lead, nxt = self.local_expansion(lam)
         if order < 0:
             raise PoleSignal(

@@ -24,6 +24,12 @@ class NonFiniteInputError(ValueError):
     input."""
 
 
+class OutOfRangeError(ValueError):
+    """A finite argument too large for floating point to resolve what the
+    computation depends on (the lattice of c-function poles and zeros past
+    |lambda| = 2^52)."""
+
+
 class IllConditionedError(RuntimeError):
     """A linear solve was rejected because its condition number is too large."""
 

@@ -80,16 +80,40 @@ suite compares an integrated phi with c Q.
 
 All integrations use DOP853 with a vanishing absolute floor, so solutions
 spanning forty decades (the octonionic family) keep full relative accuracy.
-The ODE is linear and only rho^2 - lambda^2 depends on lambda, so N values
-of lambda are integrated as one system at rtol 1e-12/sqrt(N): the step
-control measures the RMS error over all 2N components, and the scaling
-keeps one lambda's error from hiding behind the others.  A single lambda
-runs a scalar right-hand side at rtol 1e-12.  The solutions of one batch
-read the shared dense output through one evaluation per t, so the
-Wronskian fit's nodes and the connection suite's points cost one
-interpolation of all 2N components each, not one per lambda.  The steps
-grow with the phase |Im lambda| t, so a piece that would turn through more
-than _MAX_PHASE = 1e5 radians is refused with ValueError.
+They do not follow u itself but w = g(t) u, where g(t0) = 1 takes out the
+exponent the solution is known to have in the direction of integration
+(Koornwinder 1984), so that the step control resolves what is left:
+
+* forward, w = e^(sigma (t - t0)) u.  Every solution behaves like
+  e^((+-lambda - rho) t) at large t, so on oh2 (rho = 11) the steps would
+  follow a rate of 8 to 14 where |lambda| < 3.  sigma = rho where
+  2 |Re lambda| <= rho leaves e^(+-lambda t); elsewhere sigma = 0, since
+  near lambda = rho one mode is flat already and sigma = rho would make it
+  grow.  sigma is at most 700 / (t1 - t0), so that neither w nor the factor
+  e^(-sigma (t - t0)) that reads u back leaves the floating-point range.
+  With e = b - 2 rho, formed from e^-2t so that it cannot overflow,
+  w'' = -(e + 2 (rho - sigma)) w' + (sigma e + sigma (2 rho - sigma) -
+  rho^2 + lambda^2) w.
+* backward (Q toward 0), w = (t/t0)^p u with p = m_alpha + m_2alpha - 1,
+  Q's exponent at the origin (t^-14 on oh2).  With d = m_alpha (coth t -
+  1/t) + 2 m_2alpha (coth 2t - 1/2t), summed from its Bernoulli series
+  below 0.5, w'' = ((p - 1)/t - d) w' + (p d / t - rho^2 + lambda^2) w.
+
+Following u itself, the verify suites would take 2,722 steps in place of
+1,529, and Q at 0.0035 on oh2 would be 1.6e-12 off mpmath in place of
+4e-15.  Near the origin the steps stay at about 0.03 t whatever g is: the
+coefficient (m_alpha + m_2alpha)/t of u' limits an explicit method there.
+The ODE is linear and only lambda^2 (and sigma) depend on
+lambda, so N values of lambda are integrated as one system at rtol
+1e-12/sqrt(N): the step control measures the RMS error over all 2N
+components, and the scaling keeps one lambda's error from hiding behind the
+others.  A single lambda runs a scalar right-hand side at rtol 1e-12.  The
+solutions of one batch read the shared dense output through one evaluation
+and one scaling back to (u, u') per t, so the Wronskian fit's nodes and the
+connection suite's points cost one interpolation of all 2N components each,
+not one per lambda.  The steps grow with the phase |Im lambda| t, so a
+piece that would turn through more than _MAX_PHASE = 1e5 radians is refused
+with ValueError.
 
 ``eval_phi``, ``eval_Q``, ``connection_coefficients`` and the K-type profiles
 of ``model_h2`` read one cache, ``continuation``, with one entry per (space,
@@ -117,6 +141,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 
 import numpy as np
@@ -339,16 +364,57 @@ class RadialSolution:
         return worst
 
 
+def _coth_series(terms):
+    """Coefficients of coth x - 1/x = sum_{n >= 1} 4^n B_2n x^(2n-1) / (2n)!,
+    highest first, for Horner's rule in x^2.  The Bernoulli numbers are
+    exact fractions (scipy's are 2e-12 off from B_4 on)."""
+    b = [Fraction(1)]
+    for m in range(1, 2 * terms + 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return tuple(float(4**n * b[2 * n] / math.factorial(2 * n)) for n in range(terms, 0, -1))
+
+
+_COTH_SERIES = _coth_series(13)
+
+
+def _coth_excess(x):
+    """coth x - 1/x for x > 0: the Bernoulli series below 0.5, where its
+    13th term is below 1e-19 of the sum, and the difference above."""
+    if x >= 0.5:
+        return 1.0 / math.tanh(x) - 1.0 / x
+    x2, s = x * x, 0.0
+    for c in _COTH_SERIES:
+        s = s * x2 + c
+    return x * s
+
+
+def _forward_rate(space, lam, length):
+    """sigma, the rate of e^(sigma (t - t0)) a forward solve over ``length``
+    multiplies lambda's solution by.  Where 2 |Re lambda| <= rho it is rho,
+    so that e^(+-lambda t) is left to follow in place of e^((+-lambda -
+    rho) t), but at most _MAX_EXPONENT / length: then neither w, which
+    grows at most like e^((sigma - rho/2) length), nor the factor
+    e^(-sigma (t - t0)) that reads u back leaves the floating-point range.
+    0 elsewhere: near lambda = rho one mode is flat already."""
+    if 2.0 * abs(lam.real) > space.rho:
+        return 0.0
+    return min(space.rho, _MAX_EXPONENT / length)
+
+
 def integrate_radial_ode(space, lams, t_span, inits):
     """Continue (u, u') of the radial ODE across t_span = (t0, t1) for each
     lambda in ``lams``, starting from the matching (u, u') in ``inits``.
 
-    One solve_ivp runs on [u_1..u_N, u'_1..u'_N]; the returned list holds
-    one RadialSolution per lambda, each reading its own components of the
-    shared dense output.  The dense output is evaluated once per t for the
-    whole batch (the last 32 t are kept), not once per solution.  t_span
-    may be decreasing (backward continuation toward the singular endpoint).
-    Both endpoints must be positive.
+    The integrated unknown is w = g(t) u, with g(t0) = 1 taking out the
+    dominant growth in the direction of integration: e^(sigma (t - t0))
+    forward (sigma from _forward_rate, one per lambda), (t/t0)^p backward
+    (p = m_alpha + m_2alpha - 1, so Q's t^-p becomes flat).  One solve_ivp
+    runs on [w_1..w_N, w'_1..w'_N]; the returned list holds one
+    RadialSolution per lambda, each reading its own (u, u') from the shared
+    dense output.  The dense output is evaluated and scaled back once per t
+    for the whole batch (the last 32 t are kept), not once per solution.
+    t_span may be decreasing (backward continuation toward the singular
+    endpoint).  Both endpoints must be positive.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if min(t0, t1) <= 0.0:
@@ -357,40 +423,69 @@ def integrate_radial_ode(space, lams, t_span, inits):
     count = len(lams)
     if count == 0 or len(inits) != count:
         raise ValueError("need one initial (u, u') pair per lambda, at least one")
-    m_a, m_2a = float(space.m_alpha), float(space.m_2alpha)
-
-    def accel(t, u, v):
-        b = m_a / math.tanh(t) + 2.0 * m_2a / math.tanh(2.0 * t)
-        return -(b * v + k2 * u)
-
+    m_a, m_2a, rho = float(space.m_alpha), float(space.m_2alpha), space.rho
     # numpy slicing costs more than the arithmetic for a single lambda
-    if count == 1:
-        k2 = space.rho**2 - lams[0] * lams[0]
+    batch = (lambda xs: xs[0]) if count == 1 else np.array
+    lam = batch(lams)
 
-        def rhs(t, uv):
-            u, v = uv
-            return (v, accel(t, u, v))
+    # w'' = A(t) w' + B(t) w, and (u, u') = f(t) (w, w' - k(t) w)
+    if t1 > t0:
+        sigma = batch([_forward_rate(space, x, t1 - t0) for x in lams])
+        shift, c0 = 2.0 * (rho - sigma), sigma * (2.0 * rho - sigma) - rho * rho + lam * lam
+
+        def coefficients(t):
+            # e = b - 2 rho = 2 m_alpha / (e^2t - 1) + 4 m_2alpha / (e^4t - 1),
+            # in e^-2t so that nothing overflows at large t
+            q = math.exp(-2.0 * t)
+            e = 2.0 * m_a * q / -math.expm1(-2.0 * t) + 4.0 * m_2a * q * q / -math.expm1(-4.0 * t)
+            return -(e + shift), sigma * e + c0
+
+        def unscale(t):
+            return np.exp(-sigma * (t - t0)), sigma
     else:
-        k2 = space.rho**2 - np.array(lams) ** 2
+        p, c0 = m_a + m_2a - 1.0, lam * lam - rho * rho
 
-        def rhs(t, uv):
-            return np.concatenate((uv[count:], accel(t, uv[:count], uv[count:])))
+        def coefficients(t):
+            # d = b - (p + 1) / t, regular at 0
+            d = m_a * _coth_excess(t) + 2.0 * m_2a * _coth_excess(2.0 * t)
+            return (p - 1.0) / t - d, p * d / t + c0
 
-    y0 = np.array([complex(u) for u, _ in inits] + [complex(v) for _, v in inits],
-                  dtype=complex)
+        def unscale(t):
+            return (t0 / t) ** p, p / t
+
+    if count == 1:
+        def rhs(t, wv):
+            a, b = coefficients(t)
+            w, dw = wv
+            return (dw, a * dw + b * w)
+    else:
+        def rhs(t, wv):
+            a, b = coefficients(t)
+            w, dw = wv[:count], wv[count:]
+            return np.concatenate((dw, a * dw + b * w))
+
+    u0 = np.array([complex(u) for u, _ in inits], dtype=complex)
+    du0 = np.array([complex(v) for _, v in inits], dtype=complex)
+    y0 = np.concatenate((u0, du0 + unscale(t0)[1] * u0))
     sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853",
                     rtol=_RTOL / math.sqrt(count), atol=_ATOL, dense_output=True)
     if not sol.success:
         raise StiffnessError(f"radial integration failed: {sol.message}")
 
     # the batch's solutions read the same few t in turn: one dense-output
-    # evaluation of all 2N components serves every lambda at that t
-    read = lru_cache(maxsize=32)(sol.sol)
+    # evaluation and one scaling of all 2N components serve every lambda at
+    # that t
+    @lru_cache(maxsize=32)
+    def read(t):
+        wv = sol.sol(t)
+        f, k = unscale(t)
+        w = wv[:count]
+        return f * w, f * (wv[count:] - k * w)
 
     def solution(i):
         def ev(t):
-            uv = read(t)
-            return uv[i], uv[count + i]
+            u, du = read(t)
+            return u[i], du[i]
 
         return RadialSolution(
             space=space,

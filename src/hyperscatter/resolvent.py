@@ -36,7 +36,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from .cfunction import for_space
 from .errors import PoleSignal, QuadratureError
-from .radial import eval_phi, eval_Q
+from .radial import _radius, eval_phi, eval_Q
 from .space import RankOneSpace
 
 
@@ -71,6 +71,7 @@ class ResolventKernel:
     normalization: complex
 
     def __call__(self, t):
+        t = _radius(t)
         if t <= 0.0:
             raise ValueError("kernel is singular at coincident points; need t > 0")
         return self.normalization * eval_Q(self.space, 1j * self.zeta, t)
@@ -155,7 +156,7 @@ class ResolventApplication:
         return _quad(lambda s: self._q(s) * self.f(s) * self._J(s), lo, hi)
 
     def __call__(self, t):
-        t = float(t)
+        t = _radius(t)
         if t <= 0.0:
             raise ValueError("need t > 0")
         lo = min(max(t, self.t_a), self.t_b)

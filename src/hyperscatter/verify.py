@@ -371,12 +371,13 @@ def check_jacobi(spaces=None):
     for name, space in _families(spaces):
         worst = _worst_gap(phi_solution(space, grid, 5.2),
                            lambda lam, t: eval_phi(space, lam, t), (0.5, 1.0, 2.0, 5.0))
-        # the worst gap is 1.7e-12 (hhn:2); a batch integrated at rtol 1e-12
+        # the worst gap is 9.5e-13 (oh2); a batch integrated at rtol 1e-12
         # instead of 1e-12/sqrt(25) reaches about 1e-11
         rows.append(_row("jacobi", f"{name} ode vs series", worst, 5e-12))
         worst = _worst_gap(q_solution(space, grid, 0.005),
                            lambda lam, t: eval_Q(space, lam, t), (0.005, 0.05, 0.3, 0.6))
-        # the worst gap is 8.4e-13 (oh2), nearly all of it the ODE's
+        # the worst gap is 3.8e-13 (h3), nearly all of it the ODE's; oh2,
+        # whose Q the ODE follows as (t/t0)^-14 w, reaches 1.1e-14
         rows.append(_row("jacobi", f"{name} Q ode vs series", worst, 3e-12))
     return rows
 

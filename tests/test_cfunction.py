@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperscatter.cfunction import for_space
-from hyperscatter.errors import NonFiniteInputError, PoleSignal
+from hyperscatter.errors import NonFiniteInputError, OutOfRangeError, PoleSignal
 from hyperscatter.resolvent import kernel
 from hyperscatter.scattering import scalar
 from hyperscatter.space import space_from_name
@@ -227,6 +227,29 @@ def test_non_finite_input_raises_structured_error(bad):
             call(bad)
     # still a ValueError, so existing callers that catch that keep working
     assert issubclass(NonFiniteInputError, ValueError)
+
+
+@pytest.mark.parametrize("lam", [-1e20, 2.0**53, complex(1.7e308, 1.7e308)])
+def test_lambda_past_the_lattice_resolution_is_refused(lam):
+    # past |lambda| = 2^52 the float lambda/2 has lost the quarter offsets
+    # a1 and a2, so every Gamma argument read as an integer: value(-1e20)
+    # was 0 at a pole of c, local_expansion(-1e20) (1, 0, 0).  The modulus
+    # of the last argument overflows, and abs() of it raises OverflowError
+    cf = for_space(H2)
+    many = np.array([0.5, lam])
+    for call in (lambda: cf.local_expansion(lam), lambda: cf.value(lam),
+                 lambda: cf.derivative(lam), lambda: cf.czz(-1j * lam),
+                 lambda: cf.local_expansion(many), lambda: cf.value(many),
+                 lambda: cf.czz(-1j * many), lambda: cf.zero_order(many)):
+        with pytest.raises(OutOfRangeError, match="2\\^52"):
+            call()
+    assert issubclass(OutOfRangeError, ValueError)
+    # just below the limit the lattice is still exact: every negative
+    # integer is a simple pole of c on H2
+    below = -(2.0**52) + 2.0
+    assert cf.local_expansion(below)[0] == cf.zero_order(np.array([below]))[0] == -1
+    with pytest.raises(PoleSignal):
+        cf.value(below)
 
 
 def _rectangle(space, half_width=0.25, per_side=800):

@@ -278,7 +278,9 @@ def test_wronskian_limit_on_a_sequence_matches_scalar_calls():
 def test_batch_reads_equal_direct_dense_output_reads(monkeypatch, order):
     # a batch's solutions share one dense-output read per t; whatever the
     # order of the (lambda, t) requests, and past the 32 t it keeps, each
-    # value is the one a direct read of the shared solution gives
+    # value is the one a direct read of the shared solution gives.  The
+    # solution holds w = e^(sigma (t - t0)) u forward, read back as u =
+    # e^(-sigma (t - t0)) w and u' = e^(-sigma (t - t0)) (w' - sigma w)
     solves = []
 
     def recording(*args, **kwargs):
@@ -289,14 +291,18 @@ def test_batch_reads_equal_direct_dense_output_reads(monkeypatch, order):
     space, lams = space_from_name("hn:7"), [0.3 - 1j, 1.6, 2.7 + 0.5j, -0.8j]
     sols = radial.integrate_radial_ode(space, lams, (0.2, 2.0), [(1.0, 0.1j)] * 4)
     dense = solves[0].sol
+    sigma = np.array([radial._forward_rate(space, lam, 1.8) for lam in lams])
+    assert list(sigma) == [3.0, 0.0, 0.0, 3.0]  # rho of hn:7, where 2 |Re lambda| <= rho
     requests = [(i, t) for i in range(len(lams)) for t in np.linspace(0.2, 2.0, 40)]
     if order == "descending":
         requests.reverse()
     elif order == "shuffled":
         random.Random(4).shuffle(requests)
     for i, t in requests:
-        uv = dense(t)
-        assert sols[i].at(t) == (complex(uv[i]), complex(uv[len(lams) + i])), (i, t)
+        wv = dense(t)
+        f, w = np.exp(-sigma * (t - 0.2)), wv[:len(lams)]
+        u, du = f * w, f * (wv[len(lams):] - sigma * w)
+        assert sols[i].at(t) == (complex(u[i]), complex(du[i])), (i, t)
     # every lambda of the batch at a new t: one evaluation of the dense output
     reads = []
     evaluate = type(dense).__call__
@@ -491,6 +497,65 @@ def test_eval_phi_near_the_lattice_up_to_the_growth_limit(lam, t):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _rel(eval_phi(H2, lam, t), phi_solution(H2, lam, t)(t)) < 1e-12
+
+
+@pytest.mark.parametrize("lam, t", [(3.0, 10.0), (3.0, 50.0), (3.0, 200.0),
+                                    (1.0, 1000.0), (3.02, 100.0)])
+def test_eval_phi_near_the_lattice_far_out(mp_jacobi, lam, t):
+    # near the lattice the forward ODE continues phi in pieces ending at 3,
+    # 6, 12, ...; its error builds up with t, to 3.9e-11 at (3.0, 200) and
+    # (1.0, 1000)
+    mp_phi, _ = mp_jacobi
+    assert _rel(eval_phi(H2, lam, t), mp_phi(H2, lam, t)) < 1e-10
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_phi_at_rho_is_one(name):
+    # phi_rho = 1, the trivial representation.  2 rho is an integer, so the
+    # ODE continues phi from t = 1.5 with no rate taken out (2 rho > rho);
+    # the worst is 2.4e-15 (oh2)
+    space = space_from_name(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (0.7, 10.0, 300.0, 2000.0):
+            assert abs(eval_phi(space, space.rho, t) - 1.0) <= 1e-14, t
+
+
+# both forward regimes: sigma = rho where 2 |Re lambda| <= rho (oh2: all but
+# 7.6; hhn:2, rho = 5: 0.4, 2.5, -1.3 and 0.9), sigma = 0 elsewhere
+_RESCALED = (0.4 + 0.3j, 2.5 - 1.2j, 5.1 + 3.0j, -3.7 + 2.2j, 7.6, 0.9 - 3.0j,
+             -1.3 - 0.6j, 4.0 + 2.9j)
+
+
+@pytest.mark.parametrize("name", ["oh2", "hhn:2"])
+def test_rescaled_solves_match_mpmath(mp_jacobi, name):
+    # phi_solution integrates w = e^(sigma (t - t0)) phi forward, q_solution
+    # w = (t/t0)^p Q backward; the bounds are the jacobi suite's.  Measured
+    # worst 1.5e-12 (phi, oh2 at 5.1+3j) and 5.1e-14 (Q, hhn:2 at -3.7+2.2j)
+    mp_phi, mp_q = mp_jacobi
+    space = space_from_name(name)
+    for sol in phi_solution(space, _RESCALED, 5.2):
+        for t in (0.01, 0.05, 0.3, 1.0, 2.5, 5.2):
+            assert _rel(sol(t), mp_phi(space, sol.lam, t)) < 5e-12, (sol.lam, t)
+    for sol in q_solution(space, _RESCALED, float(_WRONSKIAN_NODES[-1])):
+        for t in _WRONSKIAN_NODES.tolist():
+            assert _rel(sol(t), mp_q(space, sol.lam, t)) < 3e-12, (sol.lam, t)
+
+
+def test_long_forward_solves_stay_in_range(mp_jacobi):
+    # sigma is capped at 700 / length, so w = e^(sigma (t - t0)) u neither
+    # overflows nor reads u back through a factor that underflows: at t_max
+    # phi is below e^-690, halfway it matches mpmath
+    mp_phi, _ = mp_jacobi
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for space, lam, t_max in ((space_from_name("oh2"), 5.0, 150.0),
+                                  (space_from_name("oh2"), 2.0 + 0.5j, 300.0),
+                                  (H2, 0.2, 4000.0)):
+            sol = phi_solution(space, lam, t_max)
+            assert abs(sol(t_max)) < 1e-300, (lam, t_max)
+            if abs(mp_phi(space, lam, t_max / 2.0)) > 1e-300:
+                assert _rel(sol(t_max / 2.0), mp_phi(space, lam, t_max / 2.0)) < 1e-10, lam
 
 
 def test_huge_lambda_gives_one_at_zero_and_value_errors_elsewhere():

@@ -9,10 +9,11 @@ import pytest
 from scipy.integrate import quad
 
 from hyperscatter.cfunction import for_space
-from hyperscatter.errors import PoleSignal
+from hyperscatter.errors import NonFiniteInputError, PoleSignal
 from hyperscatter.model_h2 import oracle_h3
 from hyperscatter.radial import eval_phi
 from hyperscatter.resolvent import (
+    ResolventApplication,
     apply_radial,
     kernel,
     kernel_at,
@@ -164,3 +165,15 @@ def test_kernel_matches_mpmath_above_the_axis(mp_c, mp_jacobi):
                 want = mp_q(space, 1j * zeta, t) / complex(norm)
                 got = kernel(space, zeta, t)
                 assert abs(got - want) / abs(want) < 1e-12, (name, zeta, t)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_t_names_itself(bad):
+    # t = -inf once read "singular at coincident points" from the kernel and
+    # "need t > 0" from the application: the sign was tested first
+    zeta = 0.3 + 0.2j
+    app = ResolventApplication(H2, zeta, lambda s: 1.0, (0.2, 1.0))
+    for call in (lambda: kernel(H2, zeta, bad), lambda: kernel_at(H2, zeta)(bad),
+                 lambda: app(bad)):
+        with pytest.raises(NonFiniteInputError, match="t = .* is not finite"):
+            call()
