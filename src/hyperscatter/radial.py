@@ -99,21 +99,36 @@ exponent the solution is known to have in the direction of integration
   1/t) + 2 m_2alpha (coth 2t - 1/2t), summed from its Bernoulli series
   below 0.5, w'' = ((p - 1)/t - d) w' + (p d / t - rho^2 + lambda^2) w.
 
-Following u itself, the verify suites would take 2,722 steps in place of
-1,529, and Q at 0.0035 on oh2 would be 1.6e-12 off mpmath in place of
-4e-15.  Near the origin the steps stay at about 0.03 t whatever g is: the
-coefficient (m_alpha + m_2alpha)/t of u' limits an explicit method there.
-The ODE is linear and only lambda^2 (and sigma) depend on
-lambda, so N values of lambda are integrated as one system at rtol
-1e-12/sqrt(N): the step control measures the RMS error over all 2N
-components, and the scaling keeps one lambda's error from hiding behind the
-others.  A single lambda runs a scalar right-hand side at rtol 1e-12.  The
-solutions of one batch read the shared dense output through one evaluation
-and one scaling back to (u, u') per t, so the Wronskian fit's nodes and the
-connection suite's points cost one interpolation of all 2N components each,
-not one per lambda.  The steps grow with the phase |Im lambda| t, so a
-piece that would turn through more than _MAX_PHASE = 1e5 radians is refused
-with ValueError.
+With one solve per family, the pinned verify suites took 2,722 steps
+following u itself and 1,529 following w, and Q at 0.0035 on oh2 is 4e-15
+off mpmath in place of 1.6e-12.  Near the origin the steps stay at about
+0.03 t whatever g is: the coefficient (m_alpha + m_2alpha)/t of u' limits
+an explicit method there.
+The ODE is linear, and only lambda^2, sigma and the space's m_alpha,
+m_2alpha, rho and p differ from one solution to another, so N solutions,
+of one space or of several, are integrated as one system whose
+coefficients are per-component arrays, at rtol 1e-12/sqrt(N): the step
+control measures the RMS error over all 2N components, and the scaling
+keeps one lambda's error from hiding behind the others.  A single lambda
+runs a scalar right-hand side at rtol 1e-12.  The verify suites make one
+such solve per kind over every (family, lambda) pair of their grid, 125
+solutions, so the families share their steps: 587 in place of 1,529 over
+the pinned suites, where one solve per family paid each family's count
+(phi: 88 + 93 + 123 + 237 + 300 steps for h2, h3, chn:2, hhn:2, oh2 in
+place of 308 for all five).
+
+The solver is scipy's DOP853, stepping as it does, but its dense output
+keeps only each step's start state.  DOP853's interpolant needs three
+stages beyond the step's twelve, and a solve reads few of its steps: at
+the first read of a step the stages are rerun from that start with the
+same arithmetic, so every read equals the eager interpolant's bit for bit
+and an unread step costs no extra right-hand side.  The solutions of one
+batch read the shared dense output through one evaluation and one scaling
+back to (u, u') per t, so the Wronskian fit's nodes and the connection
+suite's points cost one interpolation of all 2N components each, not one
+per lambda.  The steps grow with the phase |Im lambda| t, so a piece that
+would turn through more than _MAX_PHASE = 1e5 radians is refused with
+ValueError.
 
 ``eval_phi``, ``eval_Q``, ``connection_coefficients`` and the K-type profiles
 of ``model_h2`` read one cache, ``continuation``, with one entry per (space,
@@ -145,7 +160,9 @@ from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, DenseOutput, solve_ivp
+from scipy.integrate._ivp.dop853_coefficients import INTERPOLATOR_POWER, N_STAGES_EXTENDED
+from scipy.integrate._ivp.rk import Dop853DenseOutput, rk_step
 from scipy.special import loggamma, psi
 
 from .cfunction import for_space
@@ -191,6 +208,16 @@ def _lambdas(lam):
     if len(lam) == 0:
         raise ValueError("need at least one lambda")
     return [complex(x) for x in lam], True
+
+
+def _spaces(space, count):
+    """One space per lambda: ``space`` repeated, or the sequence it is."""
+    if isinstance(space, RankOneSpace):
+        return [space] * count
+    spaces = list(space)
+    if len(spaces) != count:
+        raise ValueError(f"need one space per lambda, got {len(spaces)} for {count}")
+    return spaces
 
 
 def _check_exponent(lam):
@@ -401,36 +428,91 @@ def _forward_rate(space, lam, length):
     return min(space.rho, _MAX_EXPONENT / length)
 
 
+class _ReplayedStep(DenseOutput):
+    """The interpolant of one DOP853 step, kept as the step's start until it
+    is first read.
+
+    DOP853's 7th-degree interpolant needs three stages beyond the step's
+    twelve (Hairer, Norsett and Wanner, Solving ODEs I, II.6), and scipy
+    makes them, and 7 n stored numbers, at every step; a radial solve reads
+    few of its steps.  At the first read this reruns the step from its start
+    with scipy's own arithmetic (the derivative at the start, rk_step, then
+    the extra stages as in DOP853._dense_output_impl): 16 right-hand-side
+    evaluations, after which every read equals the eager interpolant's bit
+    for bit.
+    """
+
+    def __init__(self, fun, t_old, t, y_old, h):
+        super().__init__(t_old, t)
+        self._start = (fun, y_old, h)
+        self._dense = None
+
+    def _build(self):
+        fun, y_old, h = self._start
+        k = np.empty((N_STAGES_EXTENDED, len(y_old)), dtype=y_old.dtype)
+        f_old = fun(self.t_old, y_old)
+        y, f = rk_step(fun, self.t_old, y_old, f_old, h, DOP853.A, DOP853.B, DOP853.C,
+                       k[:DOP853.n_stages + 1])
+        for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA),
+                                   start=DOP853.n_stages + 1):
+            k[s] = fun(self.t_old + c * h, y_old + np.dot(k[:s].T, a[:s]) * h)
+        big_f = np.empty((INTERPOLATOR_POWER, len(y_old)), dtype=y_old.dtype)
+        delta_y = y - y_old
+        big_f[0] = delta_y
+        big_f[1] = h * f_old - delta_y
+        big_f[2] = 2 * delta_y - h * (f + f_old)
+        big_f[3:] = h * np.dot(DOP853.D, k)
+        self._dense, self._start = Dop853DenseOutput(self.t_old, self.t, y_old, big_f), None
+
+    def _call_impl(self, t):
+        if self._dense is None:
+            self._build()
+        return self._dense._call_impl(t)
+
+
+class _LazyDOP853(DOP853):
+    """scipy's DOP853, stepping as it does, whose dense output is one
+    _ReplayedStep per step: it keeps the step's start state alone."""
+
+    def _dense_output_impl(self):
+        return _ReplayedStep(self.fun_single, self.t_old, self.t, self.y_old, self.h_previous)
+
+
 def integrate_radial_ode(space, lams, t_span, inits):
     """Continue (u, u') of the radial ODE across t_span = (t0, t1) for each
     lambda in ``lams``, starting from the matching (u, u') in ``inits``.
 
+    ``space`` is one space, or one per lambda: the ODE's coefficients are
+    per-component arrays, so lambdas of different spaces share one solve.
     The integrated unknown is w = g(t) u, with g(t0) = 1 taking out the
     dominant growth in the direction of integration: e^(sigma (t - t0))
     forward (sigma from _forward_rate, one per lambda), (t/t0)^p backward
     (p = m_alpha + m_2alpha - 1, so Q's t^-p becomes flat).  One solve_ivp
-    runs on [w_1..w_N, w'_1..w'_N]; the returned list holds one
-    RadialSolution per lambda, each reading its own (u, u') from the shared
-    dense output.  The dense output is evaluated and scaled back once per t
-    for the whole batch (the last 32 t are kept), not once per solution.
-    t_span may be decreasing (backward continuation toward the singular
-    endpoint).  Both endpoints must be positive.
+    (_LazyDOP853) runs on [w_1..w_N, w'_1..w'_N]; the returned list holds
+    one RadialSolution per lambda, each reading its own (u, u') from the
+    shared dense output.  The dense output is evaluated and scaled back once
+    per t for the whole batch (the last 32 t are kept), not once per
+    solution.  t_span may be decreasing (backward continuation toward the
+    singular endpoint).  Both endpoints must be positive and finite.
     """
-    t0, t1 = float(t_span[0]), float(t_span[1])
+    t0, t1 = _radius(t_span[0]), _radius(t_span[1])
     if min(t0, t1) <= 0.0:
         raise ValueError("t_span must stay inside (0, inf)")
     lams = [complex(lam) for lam in lams]
     count = len(lams)
     if count == 0 or len(inits) != count:
         raise ValueError("need one initial (u, u') pair per lambda, at least one")
-    m_a, m_2a, rho = float(space.m_alpha), float(space.m_2alpha), space.rho
+    spaces = _spaces(space, count)
     # numpy slicing costs more than the arithmetic for a single lambda
     batch = (lambda xs: xs[0]) if count == 1 else np.array
+    m_a = batch([float(s.m_alpha) for s in spaces])
+    m_2a = batch([float(s.m_2alpha) for s in spaces])
+    rho = batch([s.rho for s in spaces])
     lam = batch(lams)
 
     # w'' = A(t) w' + B(t) w, and (u, u') = f(t) (w, w' - k(t) w)
     if t1 > t0:
-        sigma = batch([_forward_rate(space, x, t1 - t0) for x in lams])
+        sigma = batch([_forward_rate(s, x, t1 - t0) for s, x in zip(spaces, lams)])
         shift, c0 = 2.0 * (rho - sigma), sigma * (2.0 * rho - sigma) - rho * rho + lam * lam
 
         def coefficients(t):
@@ -467,7 +549,7 @@ def integrate_radial_ode(space, lams, t_span, inits):
     u0 = np.array([complex(u) for u, _ in inits], dtype=complex)
     du0 = np.array([complex(v) for _, v in inits], dtype=complex)
     y0 = np.concatenate((u0, du0 + unscale(t0)[1] * u0))
-    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853",
+    sol = solve_ivp(rhs, (t0, t1), y0, method=_LazyDOP853,
                     rtol=_RTOL / math.sqrt(count), atol=_ATOL, dense_output=True)
     if not sol.success:
         raise StiffnessError(f"radial integration failed: {sol.message}")
@@ -488,7 +570,7 @@ def integrate_radial_ode(space, lams, t_span, inits):
             return u[i], du[i]
 
         return RadialSolution(
-            space=space,
+            space=spaces[i],
             lam=lams[i],
             t_lo=min(t0, t1),
             t_hi=max(t0, t1),
@@ -556,26 +638,27 @@ def _growth_limit(space, lam):
 
 
 def _extend(conts, end):
-    """Add a piece up to ``end`` to continuations sharing space and reach.
+    """Add a piece up to ``end`` to continuations sharing a reach, of one
+    space or of several.
 
     A forward piece is refused (ValueError) where ``end`` passes the
-    _growth_limit of a lambda.  Any piece is refused where its phase,
-    |Im lambda| times its length, passes _MAX_PHASE: the step count grows
-    with it.
+    _growth_limit of a member, in its own space.  Any piece is refused where
+    its phase, |Im lambda| times its length, passes _MAX_PHASE: the step
+    count grows with it.
     """
-    head = conts[0]
-    if end > head.reach:
-        widest = max(conts, key=lambda c: abs(c.lam.real))
-        if end > _growth_limit(head.space, widest.lam):
-            raise ValueError(f"the radial solution at lambda = {widest.lam} leaves the "
+    reach = conts[0].reach
+    if end > reach:
+        nearest = min(conts, key=lambda c: _growth_limit(c.space, c.lam))
+        if end > _growth_limit(nearest.space, nearest.lam):
+            raise ValueError(f"the radial solution at lambda = {nearest.lam} leaves the "
                              f"floating-point range before t = {end}")
     fastest = max(conts, key=lambda c: abs(c.lam.imag))
-    if abs(fastest.lam.imag) * abs(end - head.reach) > _MAX_PHASE:
+    if abs(fastest.lam.imag) * abs(end - reach) > _MAX_PHASE:
         raise ValueError(f"the radial ODE at lambda = {fastest.lam} would turn through "
-                         f"more than {_MAX_PHASE:g} radians between t = {head.reach} "
+                         f"more than {_MAX_PHASE:g} radians between t = {reach} "
                          f"and t = {end}")
-    pieces = integrate_radial_ode(head.space, [c.lam for c in conts], (head.reach, end),
-                                  [c.pair(head.reach) for c in conts])
+    pieces = integrate_radial_ode([c.space for c in conts], [c.lam for c in conts],
+                                  (reach, end), [c.pair(reach) for c in conts])
     for cont, piece in zip(conts, pieces):
         cont.pieces.append(piece)
         cont.reach = end
@@ -845,13 +928,15 @@ def phi_solution(space, lam, t_max):
     """The regular solution phi_lambda solved out to t_max.
 
     A sequence of lambda is solved as one batch per seed point (T_SEED,
-    unless a large |lambda| halves it) and gives a list.
+    unless a large |lambda| halves it) and gives a list.  ``space`` is one
+    space or one per lambda; the batch spans them all.
     """
     lams, many = _lambdas(lam)
-    t_max = float(t_max)
+    spaces = _spaces(space, len(lams))
+    t_max = _radius(t_max)
     if t_max <= T_SEED:
         raise ValueError(f"t_max must exceed the series patch {T_SEED}")
-    conts = [Continuation(space, lam, _phi_seed) for lam in lams]
+    conts = [Continuation(s, lam, _phi_seed) for s, lam in zip(spaces, lams)]
     for seed in dict.fromkeys(c.reach for c in conts):
         _extend([c for c in conts if c.reach == seed], t_max)
     out = [c.view(0.0, t_max, c.pieces[0].ts) for c in conts]
@@ -862,12 +947,14 @@ def q_solution(space, lam, t_min):
     """Q_lambda on [t_min, inf): series for t >= log 2, ODE continuation below.
 
     A sequence of lambda is continued as one batch and gives a list.
+    ``space`` is one space or one per lambda; the batch spans them all.
     """
     lams, many = _lambdas(lam)
-    t_min = float(t_min)
+    spaces = _spaces(space, len(lams))
+    t_min = _radius(t_min)
     if t_min <= 0.0:
         raise ValueError("Q is singular at t = 0; need t_min > 0")
-    conts = [Continuation(space, lam, _q_series) for lam in lams]
+    conts = [Continuation(s, lam, _q_series) for s, lam in zip(spaces, lams)]
     if t_min < T_SWITCH:
         _extend(conts, t_min)
     out = [c.view(t_min, math.inf, c.pieces[0].ts if c.pieces else np.empty(0))
@@ -983,23 +1070,26 @@ def wronskian_limit(space, lam):
     of t together with t^2 log t terms (the two indicial roots differ by an
     integer), so plain Richardson is replaced by a small least-squares fit in
     that basis.  Warns (AccuracyWarning) when the fit's internal error
-    estimate exceeds 1e-6 of the value.  A sequence of lambda shares one
-    batched continuation and gives a list.
+    estimate exceeds 1e-6 of the value.  A sequence of lambda (with one
+    space, or one space per lambda) shares one batched continuation and one
+    fit per design, a column per lambda, and gives a list.
     """
     lams, many = _lambdas(lam)
+    spaces = _spaces(space, len(lams))
     nodes = _WRONSKIAN_NODES
-    values = []
-    for sol in q_solution(space, lams, float(nodes[-1])):
-        w = np.array([space.density_J_t(t) * sol._eval(t)[1] for t in nodes])
-        fit, *_ = np.linalg.lstsq(_wronskian_design(nodes), w, rcond=None)
-        refit, *_ = np.linalg.lstsq(_wronskian_design(nodes[2:]), w[2:], rcond=None)
-        value = complex(fit[0])
-        err = abs(value - complex(refit[0]))
+    sols = q_solution(spaces, lams, float(nodes[-1]))
+    density = {s: [s.density_J_t(t) for t in nodes] for s in dict.fromkeys(spaces)}
+    w = np.array([[density[sol.space][k] * sol._eval(t)[1] for sol in sols]
+                  for k, t in enumerate(nodes)])
+    fit, *_ = np.linalg.lstsq(_wronskian_design(nodes), w, rcond=None)
+    refit, *_ = np.linalg.lstsq(_wronskian_design(nodes[2:]), w[2:], rcond=None)
+    values = [complex(x) for x in fit[0]]
+    for sol, value, other in zip(sols, values, refit[0]):
+        err = abs(value - complex(other))
         if err > 1e-6 * max(1.0, abs(value)):
             warnings.warn(
                 f"Wronskian extrapolation uncertain: estimate {err:.2e} "
                 f"(lambda={sol.lam})",
                 AccuracyWarning,
             )
-        values.append(value)
     return values if many else values[0]

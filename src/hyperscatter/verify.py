@@ -70,6 +70,29 @@ def lambda_grid():
     return [complex(re, im) for re in LAMBDA_RE for im in LAMBDA_IM]
 
 
+# lambdas per radial ODE solve.  A solve of N lambdas forms each DOP853 stage
+# by a product of 2N components with up to 15 stages; OpenBLAS threads that
+# product from 4096 elements on (N >= 137), and with its threads not pinned a
+# stage could then take milliseconds in place of microseconds
+_BATCH = 125
+
+
+def _grid_points(spaces):
+    """(family name, space, lambda) over every family and the shared grid."""
+    return [(name, space, lam) for name, space in _families(spaces)
+            for lam in lambda_grid()]
+
+
+def _solve(solve, points, *args):
+    """solve(spaces, lambdas, *args) over the (name, space, lambda) points,
+    one call per _BATCH of them, across families."""
+    out = []
+    for i in range(0, len(points), _BATCH):
+        chunk = points[i:i + _BATCH]
+        out += solve([space for _, space, _ in chunk], [lam for _, _, lam in chunk], *args)
+    return out
+
+
 # -- 1: connection identity --------------------------------------------------
 
 def check_connection(spaces=None):
@@ -81,42 +104,42 @@ def check_connection(spaces=None):
     residual would only measure the conditioning of the cancellation, not the
     correctness of the factors — and (b) the connection coefficients solved
     from phi against the closed-form c values, which stays fully
-    discriminating at those points.  Per family phi and Q_{-lambda}, Q_lambda
-    are each one batched solve over the grid (Q continued down to t = 0.5).
+    discriminating at those points.  phi, Q_{-lambda} and Q_lambda (continued
+    down to t = 0.5) are each one batched solve over every family and grid
+    point: 125 lambdas for the five families.
     """
     rows = []
     ts = (0.5, 1.0, 2.0, 5.0)
-    grid = lambda_grid()
-    for name, space in _families(spaces):
+    points = _grid_points(spaces)
+    phis = _solve(phi_solution, points, 5.2)
+    q_minus = _solve(q_solution, [(name, space, -lam) for name, space, lam in points], min(ts))
+    q_plus = _solve(q_solution, points, min(ts))
+    for (name, space, lam), sol, qm, qp in zip(points, phis, q_minus, q_plus):
         cf = for_space(space)
-        phis = phi_solution(space, grid, 5.2)
-        qs = q_solution(space, [-lam for lam in grid] + grid, min(ts))
-        for lam, sol, q_minus, q_plus in zip(grid, phis, qs, qs[len(grid):]):
-            cp, cm = cf.value(lam), cf.value(-lam)
-            am, ap = connection_coefficients(space, lam, sol)
-            worst = max(abs(am - cp) / abs(cp), abs(ap - cm) / abs(cm))
-            for t in ts:
-                left = cp * q_minus(t)
-                right = cm * q_plus(t)
-                phi = sol(t)
-                scale = max(abs(phi), abs(left), abs(right))
-                worst = max(worst, abs(phi - (left + right)) / scale)
-            rows.append(_row("connection", f"{name} lambda={lam:g}", worst, 1e-8))
+        cp, cm = cf.value(lam), cf.value(-lam)
+        am, ap = connection_coefficients(space, lam, sol)
+        worst = max(abs(am - cp) / abs(cp), abs(ap - cm) / abs(cm))
+        for t in ts:
+            left = cp * qm(t)
+            right = cm * qp(t)
+            phi = sol(t)
+            scale = max(abs(phi), abs(left), abs(right))
+            worst = max(worst, abs(phi - (left + right)) / scale)
+        rows.append(_row("connection", f"{name} lambda={lam:g}", worst, 1e-8))
     return rows
 
 
 # -- 2: Wronskian limit ------------------------------------------------------
 
 def check_wronskian(spaces=None):
-    """lim J Q' = -2 lambda c(lambda) on the shared lambda grid."""
+    """lim J Q' = -2 lambda c(lambda) on the shared lambda grid, one batched
+    solve and fit over every family."""
     rows = []
-    grid = lambda_grid()
-    for name, space in _families(spaces):
-        cf = for_space(space)
-        for lam, got in zip(grid, wronskian_limit(space, grid)):
-            target = -2.0 * lam * cf.value(lam)
-            rel = abs(got - target) / abs(target)
-            rows.append(_row("wronskian", f"{name} lambda={lam:g}", rel, 1e-6))
+    points = _grid_points(spaces)
+    for (name, space, lam), got in zip(points, _solve(wronskian_limit, points)):
+        target = -2.0 * lam * for_space(space).value(lam)
+        rel = abs(got - target) / abs(target)
+        rows.append(_row("wronskian", f"{name} lambda={lam:g}", rel, 1e-6))
     return rows
 
 
@@ -344,11 +367,11 @@ def check_poles(spaces=None):
 # -- 12: the Jacobi series against the ODE ------------------------------------
 
 def _worst_gap(solutions, series, ts):
-    """max |sol(t) - series(lambda, t)| / |series(lambda, t)| over sol, t."""
+    """max |sol(t) - series(sol.space, lambda, t)| / |series(...)| over sol, t."""
     worst = 0.0
     for sol in solutions:
         for t in ts:
-            want = series(sol.lam, t)
+            want = series(sol.space, sol.lam, t)
             worst = max(worst, abs(sol(t) - want) / abs(want))
     return worst
 
@@ -364,20 +387,23 @@ def check_jacobi(spaces=None):
     beyond the H^3 closed forms that needs no extended precision.  Below
     log 2 eval_Q sums the second-kind series, and q_solution integrates
     backward from the Frobenius series at log 2; their row compares them
-    at t = 0.005, 0.05, 0.3, 0.6.
+    at t = 0.005, 0.05, 0.3, 0.6.  phi and Q are each one batched solve
+    over every family and grid point.
     """
     rows = []
-    grid = lambda_grid()
-    for name, space in _families(spaces):
-        worst = _worst_gap(phi_solution(space, grid, 5.2),
-                           lambda lam, t: eval_phi(space, lam, t), (0.5, 1.0, 2.0, 5.0))
-        # the worst gap is 9.5e-13 (oh2); a batch integrated at rtol 1e-12
-        # instead of 1e-12/sqrt(25) reaches about 1e-11
+    points = _grid_points(spaces)
+    phis = _solve(phi_solution, points, 5.2)
+    qs = _solve(q_solution, points, 0.005)
+    size = len(lambda_grid())
+    for i in range(0, len(points), size):
+        name = points[i][0]
+        worst = _worst_gap(phis[i:i + size], eval_phi, (0.5, 1.0, 2.0, 5.0))
+        # the worst gap is 3.4e-13 (oh2); the batch integrated at rtol 1e-12
+        # instead of 1e-12/sqrt(125) reaches 1.3e-11 (hhn:2)
         rows.append(_row("jacobi", f"{name} ode vs series", worst, 5e-12))
-        worst = _worst_gap(q_solution(space, grid, 0.005),
-                           lambda lam, t: eval_Q(space, lam, t), (0.005, 0.05, 0.3, 0.6))
-        # the worst gap is 3.8e-13 (h3), nearly all of it the ODE's; oh2,
-        # whose Q the ODE follows as (t/t0)^-14 w, reaches 1.1e-14
+        worst = _worst_gap(qs[i:i + size], eval_Q, (0.005, 0.05, 0.3, 0.6))
+        # the worst gap is 3.5e-14 (h3), nearly all of it the ODE's; oh2,
+        # whose Q the ODE follows as (t/t0)^-14 w, reaches 1.2e-14
         rows.append(_row("jacobi", f"{name} Q ode vs series", worst, 3e-12))
     return rows
 

@@ -265,6 +265,85 @@ def test_batched_and_single_lambda_solutions_agree():
             assert _rel(q(t), single_q(t)) < 1e-10, (lam, t)
 
 
+def test_mixed_family_batch_matches_the_per_family_solves():
+    # the verify suites solve every (family, lambda) of the grid as one
+    # system; each member agrees with its family's own batch, and with the
+    # series routes within the jacobi suite's tolerances.  Measured worst
+    # 8.5e-13 (against the family batches, nearly all of it theirs), 3.4e-13
+    # (phi) and 3.5e-14 (Q) against the series
+    families = [space_from_name(name) for name in FAMILY_NAMES]
+    spaces = [space for space in families for _ in _GRID]
+    phis = phi_solution(spaces, _GRID * len(families), 5.2)
+    qs = q_solution(spaces, _GRID * len(families), 0.005)
+    assert [sol.space for sol in phis] == [sol.space for sol in qs] == spaces
+    for k, space in enumerate(families):
+        mixed = slice(k * len(_GRID), (k + 1) * len(_GRID))
+        for sol, own in zip(phis[mixed], phi_solution(space, _GRID, 5.2)):
+            for t in (0.5, 1.0, 2.0, 5.0):
+                assert _rel(sol(t), own(t)) < 1e-12, (space, sol.lam, t)
+                assert _rel(sol(t), eval_phi(space, sol.lam, t)) < 5e-12, (space, sol.lam, t)
+        for sol, own in zip(qs[mixed], q_solution(space, _GRID, 0.005)):
+            for t in (0.005, 0.05, 0.3, 0.6):
+                assert _rel(sol(t), own(t)) < 1e-12, (space, sol.lam, t)
+                assert _rel(sol(t), eval_Q(space, sol.lam, t)) < 3e-12, (space, sol.lam, t)
+    with pytest.raises(ValueError, match="one space per lambda"):
+        phi_solution(families, _GRID, 5.2)
+
+
+def test_mixed_family_forward_batch_checks_each_growth_limit():
+    # phi at lambda = 3 on h2 (rho = 1/2) passes e^700 at t = 280; oh2
+    # (rho = 11) at 5 never does.  The batch is refused past 280 and names
+    # the h2 lambda, though oh2 comes first and has the wider lambda
+    oh2 = space_from_name("oh2")
+    assert cmath.isfinite(phi_solution([oh2, H2], [5.0, 3.0], 250.0)[1](250.0))
+    with pytest.raises(ValueError, match=re.escape("lambda = (3+0j) leaves")):
+        phi_solution([oh2, H2], [5.0, 3.0], 300.0)
+
+
+def test_lazy_interpolant_equals_the_eager_one_and_builds_on_demand(monkeypatch):
+    # integrate_radial_ode's DOP853 keeps each step's start state and
+    # rebuilds the step at its first read: the reads equal scipy's eager
+    # dense output bit for bit, a read step costs its 12 stages, the
+    # first-stage derivative and the 3 interpolation stages once, and an
+    # unread step costs nothing
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "solve_ivp", recording)
+    space, lams = space_from_name("hn:7"), [0.3 - 1j, 1.6, 2.7 + 0.5j, -0.8j]
+    radial.integrate_radial_ode(space, lams, (0.2, 2.0), [(1.0, 0.1j)] * 4)
+    radial.integrate_radial_ode(space, lams, (0.6, 0.01), [(1.0, -0.5)] * 4)
+    for (rhs, span, y0), kwargs in calls:
+        assert kwargs["method"] is radial._LazyDOP853
+        evaluations = []
+
+        def counted(t, y):
+            evaluations.append(t)
+            return rhs(t, y)
+
+        lazy = solve_ivp(counted, span, y0, **kwargs)
+        eager = solve_ivp(rhs, span, y0, **dict(kwargs, method="DOP853"))
+        assert np.array_equal(lazy.t, eager.t) and lazy.nfev + 3 * len(lazy.t[1:]) == eager.nfev
+        assert len(evaluations) == lazy.nfev  # no step built yet
+
+        def built():
+            return sum(step._dense is not None for step in lazy.sol.interpolants)
+
+        ts = np.linspace(*span, 40)
+        for t in ts:
+            before, steps = len(evaluations), built()
+            assert np.array_equal(lazy.sol(t), eager.sol(t)), t
+            assert (built() - steps, len(evaluations) - before) in ((0, 0), (1, 16)), t
+        assert 0 < built() < len(lazy.t) - 1  # some steps are never read
+        assert len(evaluations) == lazy.nfev + 16 * built()
+        for t in ts[::-1]:  # a step read again is not rebuilt
+            assert np.array_equal(lazy.sol(t), eager.sol(t)), t
+        assert len(evaluations) == lazy.nfev + 16 * built()
+
+
 def test_wronskian_limit_on_a_sequence_matches_scalar_calls():
     space = space_from_name("h2")
     lams = [0.3 - 1j, 1.6, 2.7 + 0.5j]
@@ -344,6 +423,25 @@ def test_non_finite_t_and_zeta_name_themselves(bad):
             call()
     with pytest.raises(NonFiniteInputError, match=re.escape(f"zeta = {complex(bad)}")):
         for_space(H2).plancherel_density(bad)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+# each of these once hung for more than 20 s in the ODE, or (q_solution at
+# nan) returned a solution on [nan, inf)
+@pytest.mark.parametrize("call", [
+    lambda: phi_solution(H2, 0.5, _NAN),
+    lambda: phi_solution(H2, 0.5, _INF),
+    lambda: q_solution(H2, 0.5, _NAN),
+    lambda: q_solution(H2, 0.5, -_INF),
+    lambda: radial.integrate_radial_ode(H2, [0.5], (0.2, _NAN), [(1.0, 0.0)]),
+    lambda: radial.integrate_radial_ode(H2, [0.5], (_INF, 0.2), [(1.0, 0.0)]),
+], ids=["phi_solution-nan", "phi_solution-inf", "q_solution-nan", "q_solution-minus-inf",
+        "integrate-end-nan", "integrate-start-inf"])
+def test_non_finite_radius_of_a_solve_raises_structured_error(call):
+    with pytest.raises(NonFiniteInputError, match="t = .* is not finite"):
+        call()
 
 
 # -- phi without the ODE ------------------------------------------------------
