@@ -43,9 +43,11 @@ with the powers of w over that w.  phi's rows are its series and its
 w d/dw; Q's hold the Gamma prefactors and psi weights as well.
 
 The two are linked by phi = c(lambda) Q_{-lambda} + c(-lambda) Q_{lambda};
-``connection_coefficients`` recovers the pair numerically for any solution,
-and ``wronskian_limit`` extrapolates lim_{t->0} J(t) dQ/dt = -2 lambda
-c(lambda), which fixes the resolvent normalization.
+``connection_coefficients`` recovers the pair numerically for any solution.
+lim_{t->0} J(t) dQ/dt = -2 lambda c(lambda) fixes the resolvent
+normalization: ``wronskian_limit`` extrapolates it from an integrated Q, and
+``abel_wronskian`` reads it from the two series between log 2 and T_PHI as
+J (phi Q' - phi' Q), which Abel's identity makes constant in t.
 
 Q's series cancels where Re lambda > 0 is large (it loses about
 2 Re lambda t / ln 10 decades) or |Im lambda| is.  Its condition at
@@ -61,9 +63,9 @@ so the bound grows by 3^(-Re lambda).  The spectral sweep's box
 most 82 over h2, h3, oh2, hn:4-10, chn:2-5 and hhn:2-5.  Near a negative
 integer lambda the Gamma factors cancel too, losing about 1e-16 / distance,
 but the backward ODE is worse there, so there is no guard.
-``q_solution`` always integrates, so the connection and Wronskian suites
-compare an integrated Q with the closed forms, and the ``jacobi`` suite
-compares it with the series.
+``q_solution`` always integrates, so the connection suite compares an
+integrated Q with the closed forms, and the ``jacobi`` suite compares it
+with the series.
 
 Where eval_phi still integrates, the ODE continues the series forward.
 Within LATTICE_GUARD = 0.05 of an integer lambda the two c Q terms have
@@ -75,8 +77,9 @@ sum by about |Im lambda| tanh(t) / 2 decades, so it hands over where
 A |lambda| in the hundreds overflows the terms at the switch; the series
 is then made for half that reach, halved again until its terms are floats,
 and the switch moves there.  ``phi_solution`` always integrates, from
-t = 0.01 on (or from its halving for a large |lambda|), so the connection
-suite compares an integrated phi with c Q.
+T_SEED = 0.2 on (or from t_max / 2 if that is earlier, from where
+|Im lambda| tanh(t) reaches 4, or from a halving for a large |lambda|), so
+the connection suite compares an integrated phi with c Q.
 
 All integrations use DOP853 with a vanishing absolute floor, so solutions
 spanning forty decades (the octonionic family) keep full relative accuracy.
@@ -103,7 +106,9 @@ With one solve per family, the pinned verify suites took 2,722 steps
 following u itself and 1,529 following w, and Q at 0.0035 on oh2 is 4e-15
 off mpmath in place of 1.6e-12.  Near the origin the steps stay at about
 0.03 t whatever g is: the coefficient (m_alpha + m_2alpha)/t of u' limits
-an explicit method there.
+an explicit method there, about 30 steps per e-fold of t.  So phi's ODE
+starts where its series still converges fast, at T_SEED = 0.2 (the series
+has about 15 terms there), not at 0.01.
 The ODE is linear, and only lambda^2, sigma and the space's m_alpha,
 m_2alpha, rho and p differ from one solution to another, so N solutions,
 of one space or of several, are integrated as one system whose
@@ -115,7 +120,9 @@ such solve per kind over every (family, lambda) pair of their grid, 125
 solutions, so the families share their steps: 587 in place of 1,529 over
 the pinned suites, where one solve per family paid each family's count
 (phi: 88 + 93 + 123 + 237 + 300 steps for h2, h3, chn:2, hhn:2, oh2 in
-place of 308 for all five).
+place of 308 for all five).  Seeding phi at 0.2 in place of 0.01 takes its
+solve to 150 steps, and the Wronskian rows read abel_wronskian in place of
+a Q solve to 0.0035 (142 steps): 287 steps over the pinned suites.
 
 The solver is scipy's DOP853, stepping as it does, but its dense output
 keeps only each step's start state.  DOP853's interpolant needs three
@@ -143,10 +150,11 @@ has none either: it keeps the Frobenius series and the second-kind
 coefficient rows, with the Gamma prefactors and psi weights folded in.  A
 request beyond the last piece adds pieces and never re-solves a span, so a
 value depends on the key and t alone, not on the order of the requests.
-The ten suites that the benchmark pins make 287 entries and ``verify --all``
-makes 537 (the ``jacobi`` suite adds 250).  maxsize 512 holds the pinned
+The ten suites that the benchmark pins make 412 entries (the Wronskian
+rows' phi are 125 of them) and ``verify --all`` makes 537 (the ``jacobi``
+suite reads the same phi and adds 125 of Q).  maxsize 512 holds the pinned
 suites, so repeating them in one process rereads every entry; repeating all
-eleven cycles 537 entries through 512 places in order and misses every one.
+eleven cycles 537 entries through 512 places and misses 412 of them.
 ``continuation.cache_info()`` reports the hit rate.
 """
 
@@ -158,6 +166,8 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 from scipy.integrate import DOP853, DenseOutput, solve_ivp
@@ -172,7 +182,8 @@ from .space import RankOneSpace
 
 T_SWITCH = math.log(2.0)  # series/ODE handover at y = 1/2
 T_PHI = 1.5  # phi: Jacobi series below, c Q_{-lambda} + c Q_lambda above
-T_SEED = 0.01  # phi_solution's ODE starts from the Jacobi series here
+T_SEED = 0.2  # phi_solution's ODE starts from the Jacobi series here, or earlier
+_MIN_T_MAX = 0.01  # phi_solution's least t_max; its seed is at most half of t_max
 EXCLUSION_RADIUS = 1e-6
 LATTICE_GUARD = 0.05  # lambda this near an integer: the c Q terms cancel
 
@@ -677,30 +688,61 @@ def _jacobi_abc(space, lam):
             (space.m_alpha + space.m_2alpha + 1) / 2.0)
 
 
+_N = np.arange(_SERIES_MAX_TERMS, dtype=float)
+_LOG_WEIGHT = 1.0 + np.log(_N + 1.0)  # 1 + log(n+1), the growth of Q's psi weights
+
+
 def _hyp_coefficients(a, b, c, w, size):
-    """The terms (a)_n (b)_n / ((c)_n n!) w^n of 2F1(a, b; c; w), made by the
-    term ratio: ``size`` of them, or fewer, up to the first that is falling
-    and below _SERIES_TOL of the largest (weighted by 1 + log(n+1), the
-    growth of Q's psi weights).  OverflowError where a term overflows, or
-    where _SERIES_MAX_TERMS terms have not settled."""
-    a, b, c = a - 1.0, b - 1.0, c - 1.0
-    terms = [1.0 + 0j]
-    term, peak, prev = terms[0], 1.0, 1.0
-    for n in range(1, size):
-        term *= (a + n) * (b + n) / ((c + n) * n) * w
-        mag = abs(term) * (1.0 + math.log(n + 1.0))
-        if not mag < math.inf:
-            raise OverflowError(f"2F1 at w = {w} overflows at term {n}")
-        terms.append(term)
-        if mag > peak:
-            peak = mag
-        elif mag < _SERIES_TOL * peak and mag < prev:
-            break
-        prev = mag
-    else:
-        if size >= _SERIES_MAX_TERMS:
-            raise OverflowError(f"2F1 at w = {w} needs more than {size} terms")
-    return np.array(terms)
+    """The terms (a)_n (b)_n / ((c)_n n!) w^n of 2F1(a, b; c; w), real c,
+    made by the term ratio: ``size`` of them, or fewer, up to the first that
+    is falling and below _SERIES_TOL of the largest (weighted by 1 +
+    log(n+1), the growth of Q's psi weights).  OverflowError where a term
+    overflows, or where _SERIES_MAX_TERMS terms have not settled.
+
+    The terms come in chunks, the cut found over a chunk at once.  The
+    first chunk is about as long as terms falling at the rate w take to
+    drop 20 decades, each next one twice the last.  A chunk's ratios are formed
+    by numpy in real arithmetic, each rounded as the complex operations of
+    the term-by-term recurrence round them, and multiplied into the running
+    term by Python's complex product, so every term is the recurrence's
+    bit for bit (signed zeros aside).
+    """
+    a, b, c = complex(a) - 1.0, complex(b) - 1.0, float(c) - 1.0
+    ab = a.imag * b.imag
+    chunks, peak = [np.ones(1, dtype=complex)], 1.0
+    start = 1
+    length = 16 + (int(50.0 / -math.log(w)) if 0.0 < w < 0.99 else 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while start < size:
+            end = min(start + length, size)
+            n = _N[start:end]
+            re_a, re_b, den = n + a.real, n + b.real, (n + c) * n
+            ratios = np.empty(end - start, dtype=complex)
+            ratios.real = (re_a * re_b - ab) / den * w
+            ratios.imag = (re_a * b.imag + a.imag * re_b) / den * w
+            # the chunk's terms after the last one so far, terms[0], whose
+            # weighted modulus mags[0] the first term's fall is measured from
+            terms = np.fromiter(accumulate(ratios.tolist(), mul, initial=complex(chunks[-1][-1])),
+                                complex, end - start + 1)
+            mags = np.abs(terms) * _LOG_WEIGHT[start - 1:end]
+            # cut after the first term that is falling and below
+            # _SERIES_TOL of the largest before it
+            before = np.maximum(np.maximum.accumulate(mags[:-1]), peak)
+            cut = (mags[1:] < _SERIES_TOL * before) & (mags[1:] < mags[:-1])
+            first = int(cut.argmax())
+            stop = first + 1 if cut[first] else end - start
+            if not mags[1:stop + 1].max() < math.inf:
+                bad = start + int(np.argmin(mags[1:] < math.inf))
+                raise OverflowError(f"2F1 at w = {w} overflows at term {bad}")
+            chunks.append(terms[1:stop + 1])
+            if cut[first]:
+                break
+            peak = max(before[-1], mags[-1])
+            start, length = end, 2 * length
+        else:
+            if size >= _SERIES_MAX_TERMS:
+                raise OverflowError(f"2F1 at w = {w} needs more than {size} terms")
+    return np.concatenate(chunks)
 
 
 class _TanhSeries:
@@ -859,6 +901,14 @@ def _near_lattice(lam):
             or abs(w - round(w.real)) <= EXCLUSION_RADIUS)
 
 
+def _series_reach(lam, reach):
+    """reach, or less where |Im lambda| tanh(t) passes _SERIES_REACH: phi's
+    series cancels there, its terms outgrowing their sum by about
+    |Im lambda| tanh(t) / 2 decades."""
+    mu = abs(lam.imag)
+    return reach if mu * math.tanh(reach) <= _SERIES_REACH else math.atanh(_SERIES_REACH / mu)
+
+
 def _phi_series(space, lam):
     """phi: the Jacobi series up to a switch, c Q_{-lambda} + c Q_lambda beyond.
 
@@ -868,9 +918,7 @@ def _phi_series(space, lam):
     where the switch falls below log 2 and the Frobenius series of Q no
     longer converge, the ODE continues the series from the switch instead.
     """
-    mu = abs(lam.imag)
-    series = _jacobi_series(space, lam, T_PHI if mu * math.tanh(T_PHI) <= _SERIES_REACH
-                            else math.atanh(_SERIES_REACH / mu))
+    series = _jacobi_series(space, lam, _series_reach(lam, T_PHI))
     switch = series.reach
     if switch < T_SWITCH or _near_lattice(lam):
         return series.pair, switch, 1.0
@@ -893,11 +941,16 @@ def _phi_series(space, lam):
     return pair, math.inf, 1.0
 
 
-def _phi_seed(space, lam):
-    """phi's Jacobi series, continued forward by the ODE from T_SEED, or
-    from T_SEED/2, /4, ... where a large |lambda| overflows the series."""
-    series = _jacobi_series(space, lam, T_SEED)
-    return series.pair, series.reach, 1.0
+def _phi_seed(reach):
+    """The kind of phi's Jacobi series continued forward by the ODE from
+    ``reach``, from where |Im lambda| tanh(t) passes _SERIES_REACH if that
+    is earlier, and from half that, a quarter, ... where a large |lambda|
+    overflows the series."""
+    def kind(space, lam):
+        series = _jacobi_series(space, lam, _series_reach(lam, reach))
+        return series.pair, series.reach, 1.0
+
+    return kind
 
 
 def _q_series(space, lam):
@@ -927,16 +980,20 @@ def _q_second_kind(space, lam):
 def phi_solution(space, lam, t_max):
     """The regular solution phi_lambda solved out to t_max.
 
-    A sequence of lambda is solved as one batch per seed point (T_SEED,
-    unless a large |lambda| halves it) and gives a list.  ``space`` is one
+    The ODE starts from phi's Jacobi series at T_SEED, or at t_max / 2 if
+    that is earlier; a |Im lambda| tanh(t) past _SERIES_REACH moves the
+    seed back to where the series keeps its digits, and a large |lambda|
+    halves it until the series' terms are floats.  A sequence of lambda is
+    solved as one batch per seed point and gives a list.  ``space`` is one
     space or one per lambda; the batch spans them all.
     """
     lams, many = _lambdas(lam)
     spaces = _spaces(space, len(lams))
     t_max = _radius(t_max)
-    if t_max <= T_SEED:
-        raise ValueError(f"t_max must exceed the series patch {T_SEED}")
-    conts = [Continuation(s, lam, _phi_seed) for s, lam in zip(spaces, lams)]
+    if t_max <= _MIN_T_MAX:
+        raise ValueError(f"t_max must exceed {_MIN_T_MAX}")
+    kind = _phi_seed(min(T_SEED, t_max / 2.0))
+    conts = [Continuation(s, lam, kind) for s, lam in zip(spaces, lams)]
     for seed in dict.fromkeys(c.reach for c in conts):
         _extend([c for c in conts if c.reach == seed], t_max)
     out = [c.view(0.0, t_max, c.pieces[0].ts) for c in conts]
@@ -1003,37 +1060,36 @@ _MATCH_CANDIDATES = (0.7, 0.8, 0.9, 1.0, 1.1, 1.2)
 def _connection_solve(space, lam, sol):
     """Match sol against (Q_{-lambda}, Q_{+lambda}) at the best-conditioned t*.
 
-    Returns (a_minus, a_plus, condition, t_star).
+    The candidates inside sol's range are scaled and conditioned as one
+    stack of matching matrices.  Returns (a_minus, a_plus, condition,
+    t_star).
     """
     lam = complex(lam)
     ser_p = _series(space, lam)
     ser_m = _series(space, -lam)
-    best = None
-    for ts in _MATCH_CANDIDATES:
-        if not (sol.t_lo <= ts <= sol.t_hi):
-            continue
-        qm, dqm = ser_m.pair(ts)
-        qp, dqp = ser_p.pair(ts)
-        m = np.array([[qm, qp], [dqm, dqp]], dtype=complex)
-        scale = np.linalg.norm(m, axis=0)
-        if not np.all(scale > 0.0):
-            continue
-        cond = np.linalg.cond(m / scale)
-        if best is None or cond < best[0]:
-            best = (cond, ts, m, scale)
-    if best is None:
+    ts = [t for t in _MATCH_CANDIDATES if sol.t_lo <= t <= sol.t_hi]
+    # m[k] = [[Q_-(t_k), Q_+(t_k)], [Q_-'(t_k), Q_+'(t_k)]]
+    m = np.array([[ser_m.pair(t), ser_p.pair(t)] for t in ts],
+                 dtype=complex).reshape(-1, 2, 2).transpose(0, 2, 1)
+    scale = np.linalg.norm(m, axis=1)
+    usable = np.all(scale > 0.0, axis=1)
+    if not usable.any():
         raise ValueError(
             "solution does not cover any matching point in "
             f"[{_MATCH_CANDIDATES[0]}, {_MATCH_CANDIDATES[-1]}]"
         )
-    cond, ts, m, scale = best
+    m, scale, ts = m[usable], scale[usable], [t for t, ok in zip(ts, usable) if ok]
+    m = m / scale[:, None, :]
+    conds = np.linalg.cond(m)
+    best = int(np.argmin(conds))
+    cond, ts = float(conds[best]), ts[best]
     if cond > 1e13:
         raise IllConditionedError(
             f"matching matrix condition {cond:.2e} at t*={ts}", condition=cond
         )
     u, v = sol.at(ts)
-    x = np.linalg.solve(m / scale, np.array([u, v], dtype=complex)) / scale
-    return complex(x[0]), complex(x[1]), float(cond), ts
+    x = np.linalg.solve(m[best], np.array([u, v], dtype=complex)) / scale[best]
+    return complex(x[0]), complex(x[1]), cond, ts
 
 
 def connection_coefficients(space, lam, sol=None):
@@ -1050,7 +1106,28 @@ def connection_coefficients(space, lam, sol=None):
     return am, ap
 
 
-# -- Wronskian limit ---------------------------------------------------------
+# -- Wronskian ---------------------------------------------------------------
+
+
+def abel_wronskian(space, lam, t):
+    """J(t) (phi Q' - phi' Q) for log 2 <= t <= T_PHI.
+
+    By Abel's identity the Wronskian of two solutions times J is constant in
+    t, and as t -> 0 phi -> 1 and J phi' Q -> 0, so the value is lim J Q' =
+    -2 lambda c(lambda), the limit ``wronskian_limit`` extrapolates.  phi is
+    read from its cache entry and Q from its Frobenius series, so both are
+    series and neither reads c, unless a large |lambda| moves phi's switch
+    below t (the ODE continues phi from there).  ValueError for other t.
+    """
+    lam = complex(lam)
+    t = _radius(t)
+    if not T_SWITCH <= t <= T_PHI:
+        raise ValueError(f"abel_wronskian needs log 2 <= t <= {T_PHI}, got t = {t}")
+    u, du = continuation(space, lam, _phi_series).pair(t)
+    q, dq = _series(space, lam).pair(t)
+    return space.density_J_t(t) * (u * dq - du * q)
+
+
 
 _WRONSKIAN_NODES = 0.4 * 0.65 ** np.arange(12)
 

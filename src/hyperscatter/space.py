@@ -71,7 +71,20 @@ class RankOneSpace:
         return out if out.ndim else float(out)
 
     def density_J_t(self, t):
-        """J in the geodesic coordinate, (2 sinh t)^m_alpha (2 sinh 2t)^m_2alpha."""
+        """J in the geodesic coordinate, (2 sinh t)^m_alpha (2 sinh 2t)^m_2alpha.
+
+        A positive float t whose J is finite takes math's sinh, about 15
+        times cheaper than numpy's for one value; anything else takes
+        numpy's.
+        """
+        if isinstance(t, (float, int)) and t > 0.0:
+            try:
+                out = ((2.0 * math.sinh(t)) ** self.m_alpha
+                       * (2.0 * math.sinh(2.0 * t)) ** self.m_2alpha)
+            except OverflowError:
+                out = math.inf
+            if out < math.inf:
+                return out
         t = np.asarray(t, dtype=float)
         if np.any(t <= 0.0):
             raise ValueError("t must be positive")

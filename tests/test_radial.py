@@ -19,6 +19,7 @@ from hyperscatter.errors import NonFiniteInputError, ResonantExponentError
 from hyperscatter.radial import (
     _WRONSKIAN_NODES,
     RadialSolution,
+    abel_wronskian,
     connection_coefficients,
     continuation,
     eval_Q,
@@ -269,7 +270,7 @@ def test_mixed_family_batch_matches_the_per_family_solves():
     # the verify suites solve every (family, lambda) of the grid as one
     # system; each member agrees with its family's own batch, and with the
     # series routes within the jacobi suite's tolerances.  Measured worst
-    # 8.5e-13 (against the family batches, nearly all of it theirs), 3.4e-13
+    # 8.7e-13 (against the family batches, nearly all of it theirs), 2.3e-13
     # (phi) and 3.5e-14 (Q) against the series
     families = [space_from_name(name) for name in FAMILY_NAMES]
     spaces = [space for space in families for _ in _GRID]
@@ -699,6 +700,174 @@ def test_phi_solution_at_large_lambda(mp_jacobi):
         except _LIBRARY_ERRORS:
             continue
         assert _rel(sol(0.011), mp_phi(H2, lam, 0.011)) < 1e-9, lam
+
+
+@pytest.mark.parametrize("t_max", [0.05, 0.15])
+def test_phi_solution_below_the_seed(mp_jacobi, t_max):
+    # a t_max below 2 T_SEED moves the seed to t_max / 2, so the ODE still
+    # runs a piece; measured worst 5.3e-14 (h2 at 0.15)
+    mp_phi, _ = mp_jacobi
+    for name in ("h2", "hhn:2", "oh2"):
+        space = space_from_name(name)
+        for sol in phi_solution(space, [0.3 - 1j, 2.7 + 0.5j, 1.6, 5.1 + 3j], t_max):
+            assert sol.ts[0] == t_max / 2.0 and sol.ts[-1] == t_max
+            for t in (t_max / 4.0, t_max / 2.0, 0.75 * t_max, t_max):
+                assert _rel(sol(t), mp_phi(space, sol.lam, t)) < 1e-12, (name, sol.lam, t)
+    with pytest.raises(ValueError, match="exceed"):
+        phi_solution(H2, 0.5, 0.01)
+
+
+def test_phi_solution_seed_at_a_large_imaginary_lambda(mp_jacobi):
+    # |Im lambda| tanh(t) passes _SERIES_REACH = 4 before T_SEED = 0.2, so the
+    # ODE starts at atanh(4/30) = 0.134, where the series keeps its digits.
+    # The seed at 0.01 read 2.4e-12 to 1.45e-11 here (worst h2 at 30j); from
+    # 0.134 it reads 2.4e-12 to 1.24e-11
+    mp_phi, _ = mp_jacobi
+    seed = math.atanh(radial._SERIES_REACH / 30.0)
+    for name in ("h2", "chn:2", "oh2"):
+        space = space_from_name(name)
+        for sol in phi_solution(space, [0.7 + 30j, -1.3 - 30j, 30j], 2.0):
+            assert sol.ts[0] == seed < radial.T_SEED
+            for t in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0):
+                assert _rel(sol(t), mp_phi(space, sol.lam, t)) < 2e-11, (name, sol.lam, t)
+
+
+def test_abel_wronskian_matches_the_extrapolated_limit():
+    # J (phi Q' - phi' Q) at 0.8, 1 and 1.2, read from the two series,
+    # against wronskian_limit's fit of J Q' down to t = 0.0035 (whose own
+    # error reaches 2.2e-8 on oh2) and, tighter, against -2 lambda c(lambda)
+    for name in FAMILY_NAMES:
+        space = space_from_name(name)
+        cf = for_space(space)
+        lams = _GRID[::3]
+        for lam, limit in zip(lams, wronskian_limit(space, lams)):
+            target = -2.0 * lam * cf.value(lam)
+            for t in (0.8, 1.0, 1.2):
+                value = abel_wronskian(space, lam, t)
+                assert _rel(value, limit) < 1e-6, (name, lam, t)
+                assert _rel(value, target) < 1e-13, (name, lam, t)
+    # Q's Frobenius series needs t >= log 2; past T_PHI phi would read c
+    for t in (0.5, 1.6):
+        with pytest.raises(ValueError, match="needs log 2 <= t"):
+            abel_wronskian(H2, 0.7, t)
+
+
+def _connection_by_candidate(space, lam, sol):
+    """_connection_solve one matching point at a time: the first smallest
+    condition number among the candidates inside sol's range."""
+    ser_p, ser_m = frobenius_Q(space, lam), frobenius_Q(space, -lam)
+    best = None
+    for ts in radial._MATCH_CANDIDATES:
+        if not sol.t_lo <= ts <= sol.t_hi:
+            continue
+        (qm, dqm), (qp, dqp) = ser_m.pair(ts), ser_p.pair(ts)
+        m = np.array([[qm, qp], [dqm, dqp]], dtype=complex)
+        scale = np.linalg.norm(m, axis=0)
+        cond = np.linalg.cond(m / scale)
+        if best is None or cond < best[0]:
+            best = (cond, ts, m, scale)
+    cond, ts, m, scale = best
+    u, v = sol.at(ts)
+    x = np.linalg.solve(m / scale, np.array([u, v], dtype=complex)) / scale
+    return complex(x[0]), complex(x[1]), float(cond), ts
+
+
+def test_stacked_connection_solve_equals_the_candidate_loop():
+    # one stacked norm and condition number over the candidates picks the
+    # same t* and returns the same (a_minus, a_plus, condition) bit for bit;
+    # the ranges cover all six candidates, the middle four and one
+    rng = random.Random(11)
+    for k in range(60):
+        space = space_from_name(rng.choice(_SERIES_FAMILIES))
+        lam = complex(rng.uniform(-4.0, 4.0), rng.uniform(-3.0, 3.0))
+        if abs(2.0 * lam - round(2.0 * lam.real)) <= 1e-3:
+            continue  # frobenius_Q refuses 2 lambda near a negative integer
+        phi = continuation(space, lam, radial._phi_series)
+        t_lo, t_hi = ((0.0, 1.3), (0.75, 1.15), (0.95, 1.05))[k % 3]
+        sol = phi.view(t_lo, t_hi)
+        assert radial._connection_solve(space, lam, sol) == \
+            _connection_by_candidate(space, lam, sol), (space, lam)
+    with pytest.raises(ValueError, match="matching point"):
+        radial._connection_solve(H2, 0.7, continuation(H2, 0.7 + 0j, radial._phi_series)
+                                 .view(0.0, 0.5))
+
+
+def _hyp_terms_by_recurrence(a, b, c, w, size):
+    """The terms of 2F1(a, b; c; w) one at a time by the term ratio, with
+    _hyp_coefficients' cut rule, size cap and OverflowErrors."""
+    a, b, c = a - 1.0, b - 1.0, c - 1.0
+    terms = [1.0 + 0j]
+    term, peak, prev = terms[0], 1.0, 1.0
+    for n in range(1, size):
+        term *= (a + n) * (b + n) / ((c + n) * n) * w
+        mag = abs(term) * (1.0 + math.log(n + 1.0))
+        if not mag < math.inf:
+            raise OverflowError(f"2F1 at w = {w} overflows at term {n}")
+        terms.append(term)
+        if mag > peak:
+            peak = mag
+        elif mag < radial._SERIES_TOL * peak and mag < prev:
+            break
+        prev = mag
+    else:
+        if size >= radial._SERIES_MAX_TERMS:
+            raise OverflowError(f"2F1 at w = {w} needs more than {size} terms")
+    return np.array(terms)
+
+
+def _same_hyp_outcome(*args):
+    """Whether _hyp_coefficients and the recurrence give equal terms (signed
+    zeros aside), or OverflowErrors with one message."""
+    outcomes = []
+    for build in (radial._hyp_coefficients, _hyp_terms_by_recurrence):
+        try:
+            outcomes.append(build(*args))
+        except OverflowError as exc:
+            outcomes.append(str(exc))
+    got, want = outcomes
+    if isinstance(want, str) or isinstance(got, str):
+        return got == want
+    return len(got) == len(want) and np.array_equal(got, want)
+
+
+def test_hyp_coefficients_equal_the_term_recurrence():
+    # every term (bit for bit, signed zeros aside) and every truncation
+    # length, over phi's series and both second-kind series at phi's seed,
+    # log 2 and T_PHI; the chunks (16 + 50 / -log w terms, then twice as
+    # many each) meet the cut at their edges and inside them
+    rng = random.Random(5)
+    cases = []
+    for _ in range(150):
+        space = space_from_name(rng.choice(_SERIES_FAMILIES))
+        lam = complex(rng.uniform(-25.0, 25.0), rng.uniform(-12.0, 12.0))
+        a, b, c1 = radial._jacobi_abc(space, lam)
+        c, alpha = 1.0 + lam, c1 - 1.0
+        for reach in (radial.T_SEED, radial.T_SWITCH, radial.T_PHI):
+            w = math.tanh(reach) ** 2
+            cases.append((a, b, c1, w, radial._SERIES_MAX_TERMS))
+            if alpha != round(alpha):
+                cases.append((c - a, c - b, 1.0 - alpha, w, radial._SERIES_MAX_TERMS))
+            elif round(alpha):
+                cases.append((c - a, c - b, 1.0 - round(alpha), w, round(alpha)))
+    for args in cases:
+        assert _same_hyp_outcome(*args), args
+    assert len({len(radial._hyp_coefficients(*args)) for args in cases}) > 50
+
+
+@pytest.mark.parametrize("lam, w, size", [
+    (0.3 + 0.2j, 0.81, 100),  # capped before the terms settle
+    (0.3 + 0.2j, 0.81, 1),
+    (0.3 + 0.2j, math.tanh(12.0) ** 2, radial._SERIES_MAX_TERMS),  # never settles
+    (1e160j, 1e-4, radial._SERIES_MAX_TERMS),  # the first term overflows
+    (-700.7 + 0.4j, math.tanh(1.5) ** 2, radial._SERIES_MAX_TERMS),  # a later one does
+    (1e4 + 0.3, math.tanh(0.01) ** 2, radial._SERIES_MAX_TERMS),
+    (-0.5, 0.81, radial._SERIES_MAX_TERMS),  # a = 0: every term past the first is 0
+])
+def test_hyp_coefficients_cap_and_overflow_as_the_recurrence(lam, w, size):
+    args = (*radial._jacobi_abc(H2, complex(lam)), w, size)
+    assert _same_hyp_outcome(*args)
+    if size < radial._SERIES_MAX_TERMS:
+        assert len(radial._hyp_coefficients(*args)) == size
 
 
 def test_phi_at_lambda_in_the_hundreds(mp_jacobi):

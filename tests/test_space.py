@@ -76,6 +76,22 @@ def test_density_same_in_both_coordinates():
             assert abs(a - b) <= 1e-10 * abs(b), (name, t)
 
 
+def test_density_of_a_float_equals_the_array_route():
+    # a float t takes math's sinh, an array numpy's: 3e-15 apart at most.
+    # Where J overflows, a float takes numpy's route too and gives inf
+    for name in ("h2", "h3", "chn:2", "hhn:2", "oh2"):
+        space = space_from_name(name)
+        ts = np.geomspace(1e-6, 80.0, 200)
+        with np.errstate(over="ignore"):
+            array = space.density_J_t(ts)
+            for t, b in zip(ts.tolist(), array.tolist()):
+                a = space.density_J_t(t)
+                assert type(a) is float
+                assert a == b == math.inf or abs(a - b) <= 5e-15 * b, (name, t)
+    with pytest.raises(ValueError):
+        space_from_name("h2").density_J_t(0.0)
+
+
 def test_density_small_t_growth():
     # J ~ t^m_alpha (2t)^... to leading order: check J_t(t)/t^(m_alpha+m_2alpha) -> 2^m * 4^m2
     space = space_from_name("chn:2")
