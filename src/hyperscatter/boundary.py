@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DominanceError
+from .errors import DominanceError, NonFiniteInputError
 from .radial import RadialSolution, _connection_solve
 from .space import RankOneSpace
 
@@ -88,9 +88,12 @@ def bv_limit(space, lam, samples):
     model a_minus (1 + O(y)) + a_plus y^(2 lambda) (1 + O(y)); returns
     (value, error_estimate), the estimate from refitting on the tail of the
     grid.  Raises DominanceError for Re lambda < 0.25, where the y^(2 lambda)
-    branch is not separated enough for limit extraction (use boundary_pair).
+    branch is not separated enough for limit extraction (use boundary_pair),
+    and NonFiniteInputError for a nan or infinite lambda.
     """
     lam = complex(lam)
+    if not np.isfinite(lam):
+        raise NonFiniteInputError(f"lambda = {lam} is not finite")
     if lam.real < 0.25:
         raise DominanceError(
             f"Re lambda = {lam.real} < 0.25: boundary exponents too close "

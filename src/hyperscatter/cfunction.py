@@ -11,23 +11,24 @@ czz(zeta) = c(i zeta) c(-i zeta) controls the meromorphic continuation of the
 resolvent: its zeros in the upper half-plane are the resonances, and on the
 real axis 1/czz is the Plancherel density of the spherical transform.
 
-Gamma evaluations go through ``scipy.special`` (``loggamma`` and ``psi``).
-At nonpositive-integer arguments the Gamma factors are replaced by their
-exact local Laurent/Taylor data, carried in log space, so that values,
-derivatives and zero/pole orders of c stay exact at the points where numerator
-and denominator poles collide (these are exactly the points the resonance and
-residue formulas need), and stay finite at any resonance index.
+Values, derivatives and czz are all read off c's local data (order, A, B),
+which one pass over the three Gamma factors gives: a scalar pass in plain
+Python arithmetic, and an array pass for numpy arrays.  Off the lattice a
+factor takes ``scipy.special.loggamma`` (and ``psi``, where the slope B is
+asked for); at nonpositive-integer arguments, its exact local Laurent/Taylor
+data, carried in log space, so that values, derivatives and zero/pole orders
+of c stay exact where numerator and denominator poles collide (exactly the
+points the resonance and residue formulas need) and finite at any index.
 
-``local_expansion``, ``czz_expansion``, ``value`` and ``czz`` also map a
-numpy array to arrays in one pass.  The lattice elements take the integer data
-of their Gamma factors; the others take one ``loggamma`` call per Gamma factor
-(and one ``psi`` call, where the slope B is asked for) on the regular subset
-only, so no special function is evaluated at a placeholder.  A lattice element
-of a ``value`` or ``czz`` array equals the scalar call bit for bit.  As in the
-scalar call, a non-finite element raises NonFiniteInputError and a pole raises
-PoleSignal.  A scalar or element with |lambda| >= 2^52 raises OutOfRangeError:
-there the float lambda/2 cannot hold the quarter offsets of the Gamma
-arguments, so the lattice cannot be told apart.
+``local_expansion``, ``czz_expansion``, ``value`` and ``czz`` map a number to
+Python numbers and a numpy array to arrays.  The array pass evaluates the
+special functions on the regular subset only, so none is evaluated at a
+placeholder.  A lattice element of a ``value`` or ``czz`` array equals the
+scalar call bit for bit.  As in the scalar call, a non-finite element raises
+NonFiniteInputError and a pole raises PoleSignal.  A scalar or element with
+|lambda| >= 2^52 raises OutOfRangeError: there the float lambda/2 cannot hold
+the quarter offsets of the Gamma arguments, so the lattice cannot be told
+apart.
 """
 
 from __future__ import annotations
@@ -114,23 +115,31 @@ def _cmul(x, y):
     return out
 
 
-def _pole_signal(what, var, at, order, lead):
-    """PoleSignal for a pole of ``what`` with local data (order, lead) at var = at."""
-    return PoleSignal(
-        f"pole of {what} of order {-order} at {var} = {at}",
-        at=at,
-        order=-order,
-        residue=lead if order == -1 else None,
-    )
+def _read_local(what, var, at, order, lead, nxt):
+    """(f, f') at var = at from f's local data (order, A, B): (A, B) at a
+    regular point, (0, A) at a simple zero, (0, 0) at a higher zero, and
+    PoleSignal at a pole (carrying the residue A at a simple one)."""
+    if order < 0:
+        raise PoleSignal(
+            f"pole of {what} of order {-order} at {var} = {at}",
+            at=at,
+            order=-order,
+            residue=lead if order == -1 else None,
+        )
+    if order == 0:
+        return lead, nxt
+    return 0j, (lead if order == 1 else 0j)
 
 
-def _refuse_poles(what, var, at, order, lead):
-    """Raise the PoleSignal of the first pole in the arrays (order, lead)."""
+def _read_values(what, var, at, order, lead):
+    """Array form of _read_local's value: A, or 0 at a zero; the first pole in
+    the arrays (order, lead) raises as _read_local raises it."""
     poles = np.flatnonzero(order < 0)
     if poles.size:
         i = poles[0]
-        raise _pole_signal(what, var, complex(at.flat[i]), int(order.flat[i]),
-                           complex(lead.flat[i]))
+        _read_local(what, var, complex(at.flat[i]), int(order.flat[i]),
+                    complex(lead.flat[i]), None)
+    return np.where(order > 0, 0j, lead)
 
 
 # i^o1 (-i)^o2 = i^((o1 - o2) mod 4)
@@ -138,9 +147,9 @@ _I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 def compose_czz(plus, minus):
-    """czz's local data (order, A, B) over an array of zeta, from c's data
-    (order, A, B) at i zeta (``plus``) and at -i zeta (``minus``), as
-    czz_expansion composes it; B is None if either B is."""
+    """czz's local data (order, A, B) at zeta, a scalar or an array, from c's
+    data (order, A, B) at i zeta (``plus``) and at -i zeta (``minus``); B is
+    None if either B is.  A and B are numpy values even for a scalar zeta."""
     o1, a1, b1 = plus
     o2, a2, b2 = minus
     phase = _I_POWERS[(o1 - o2) % 4]
@@ -179,14 +188,10 @@ class CFunction:
         self.space = space
         self.a1 = (0.5 * space.m_alpha + 1.0) / 2.0
         self.a2 = (0.5 * space.m_alpha + space.m_2alpha) / 2.0
-        rho = space.rho
-        # c0 from c(rho) = 1; rho > 0 so all three Gammas are regular there
-        self.log_c0 = -(
-            log_gamma(rho)
-            - rho * _LN2
-            - log_gamma(self.a1 + rho / 2.0)
-            - log_gamma(self.a2 + rho / 2.0)
-        ).real
+        # c0 from c(rho) = 1: minus the log of the quotient at rho, read with
+        # c0 = 1 (rho > 0, so all three Gammas are regular there)
+        self.log_c0 = 0.0
+        self.log_c0 = -float(self._local(complex(space.rho), slope=False)[1].real)
 
     def __repr__(self):
         return f"CFunction({self.space})"
@@ -202,38 +207,38 @@ class CFunction:
         """
         if isinstance(lam0, np.ndarray):
             return self._expand(lam0, slope=True)
-        lam0 = _argument(lam0)
-        # log of the leading coefficient, and the sum of the factors' B/A
-        log_lead = self.log_c0 - lam0 * _LN2
-        ratio = complex(-_LN2)
-        m = _nonpos_int(lam0)
-        if m is None:
-            order = 0
-            log_lead += log_gamma(lam0)
-            ratio += digamma(lam0)
-        else:
-            # Gamma(-m + e) = (-1)^m / m! e^-1 (1 + psi(m+1) e + O(e^2))
-            order = -1
-            log_lead += -math.lgamma(m + 1) + 1j * math.pi * (m % 2)
-            ratio += psi(m + 1.0)
-        for a in (self.a1, self.a2):
-            z0 = a + lam0 / 2.0
-            n = _nonpos_int(z0)
-            if n is None:
-                log_lead -= log_gamma(z0)
-                ratio -= 0.5 * digamma(z0)
-            else:
-                # 1/Gamma(-n + e/2) = (-1)^n n! e/2 (1 - psi(n+1) e/2 + O(e^2))
-                order += 1
-                log_lead += math.lgamma(n + 1) - _LN2 + 1j * math.pi * (n % 2)
-                ratio -= 0.5 * psi(n + 1.0)
+        order, log_lead, ratio = self._local(_argument(lam0), slope=True)
         lead = cmath.exp(log_lead)
         return order, lead, lead * ratio
+
+    def _local(self, lam, slope):
+        """Scalar form of _expand in plain Python arithmetic: c's (order,
+        log A, B/A) at the complex lam, B/A None unless ``slope``."""
+        order = 0
+        # log of the leading coefficient, and the sum of the factors' B/A
+        log_lead = self.log_c0 - lam * _LN2
+        ratio = complex(-_LN2) if slope else None
+        for sign, w in self._factors(lam):
+            m = _nonpos_int(w)
+            if m is None:
+                gam = loggamma(w)
+                log_lead += gam if sign > 0 else -gam
+            else:
+                # Gamma(-m + e) = (-1)^m / m! e^-1 (1 + psi(m+1) e + O(e^2)),
+                # 1/Gamma(-n + e/2) = (-1)^n n! e/2 (1 - psi(n+1) e/2 + O(e^2))
+                lg = math.lgamma(m + 1)
+                order -= sign
+                log_lead += (-lg if sign > 0 else lg - _LN2) + 1j * math.pi * (m % 2)
+            if slope:
+                dlog = complex(psi(w)) if m is None else psi(m + 1.0)
+                # d/dlam of a + lam/2 is 1/2
+                ratio = ratio + dlog if sign > 0 else ratio - 0.5 * dlog
+        return order, log_lead, ratio
 
     def _expand(self, lam, slope):
         """Array form of local_expansion; B is None unless ``slope``.
 
-        The sums run in the scalar branch's order, and the factorials go
+        The sums run in _local's order, and the factorials go
         through math.lgamma as there, so that the lattice elements of A agree
         with the scalar call bit for bit.
         """
@@ -272,7 +277,7 @@ class CFunction:
         if isinstance(lam, np.ndarray):
             return sum(-sign * (_lattice_index(w) >= 0)
                        for sign, w in self._factors(_finite(lam)))
-        return self.local_expansion(lam)[0]
+        return self._local(_argument(lam), slope=False)[0]
 
     def _factors(self, lam):
         """(sign, argument) of the Gamma factors of c: Gamma(lam) in the
@@ -281,52 +286,20 @@ class CFunction:
 
     # -- evaluation --------------------------------------------------------
 
-    def _is_special(self, lam):
-        if _nonpos_int(lam) is not None:
-            return True
-        return any(_nonpos_int(a + lam / 2.0) is not None for a in (self.a1, self.a2))
-
-    def _log_quotient(self, lam):
-        """log c(lambda) off the lattice."""
-        return (
-            self.log_c0
-            - lam * _LN2
-            + loggamma(lam)
-            - loggamma(self.a1 + lam / 2.0)
-            - loggamma(self.a2 + lam / 2.0)
-        )
-
     def value(self, lam):
         """c(lambda).  Returns 0 exactly at zeros; raises PoleSignal at poles.
 
         A numpy array of lambda gives the array of values."""
         if isinstance(lam, np.ndarray):
-            order, lead, _ = self._expand(lam, slope=False)
-            _refuse_poles("c", "lambda", lam, order, lead)
-            return np.where(order > 0, 0j, lead)
+            return _read_values("c", "lambda", lam, *self._expand(lam, slope=False)[:2])
         lam = _argument(lam)
-        if self._is_special(lam):
-            order, lead, _ = self.local_expansion(lam)
-            if order < 0:
-                raise _pole_signal("c", "lambda", lam, order, lead)
-            return 0j if order > 0 else lead
-        return cmath.exp(self._log_quotient(lam))
+        order, log_lead, _ = self._local(lam, slope=False)
+        return _read_local("c", "lambda", lam, order, cmath.exp(log_lead), None)[0]
 
     def derivative(self, lam):
-        """c'(lambda), valid at generic points and at zeros of c."""
+        """c'(lambda); at a pole of c, PoleSignal with c's residue."""
         lam = _argument(lam)
-        order, lead, nxt = self.local_expansion(lam)
-        if order < 0:
-            raise PoleSignal(
-                f"pole of c of order {-order} at lambda = {lam}",
-                at=lam,
-                order=-order,
-            )
-        if order == 0:
-            return nxt
-        if order == 1:
-            return lead
-        return 0j
+        return _read_local("c", "lambda", lam, *self.local_expansion(lam))[1]
 
     def __call__(self, lam):
         return self.value(lam)
@@ -340,23 +313,17 @@ class CFunction:
         if isinstance(zeta0, np.ndarray):
             return self._czz_arrays(zeta0, self.local_expansion)
         zeta0 = complex(zeta0)
-        o1, a1_, b1 = self.local_expansion(1j * zeta0)
-        o2, a2_, b2 = self.local_expansion(-1j * zeta0)
-        # compose with eps_lambda = +/- i eps_zeta
-        order = o1 + o2
-        phase = (1j) ** o1 * (-1j) ** o2
-        lead = phase * a1_ * a2_
-        nxt = phase * (1j * b1 * a2_ - 1j * a1_ * b2)
-        return order, lead, nxt
+        order, lead, nxt = compose_czz(self.local_expansion(1j * zeta0),
+                                       self.local_expansion(-1j * zeta0))
+        return order, complex(lead), complex(nxt)
 
     def czz(self, zeta):
         """czz(zeta) = c(i zeta) c(-i zeta); equals |c(i zeta)|^2 for real zeta.
 
         A numpy array of zeta gives the array of values."""
         if isinstance(zeta, np.ndarray):
-            order, lead, _ = self._czz_arrays(zeta, lambda x: self._expand(x, slope=False))
-            _refuse_poles("czz", "zeta", zeta, order, lead)
-            return np.where(order > 0, 0j, lead)
+            data = self._czz_arrays(zeta, lambda x: self._expand(x, slope=False))
+            return _read_values("czz", "zeta", zeta, *data[:2])
         return self.czz_and_derivative(zeta)[0]
 
     def _czz_arrays(self, zeta, expand):
@@ -369,12 +336,7 @@ class CFunction:
 
     def czz_and_derivative(self, zeta):
         """(czz, czz') at zeta from one local expansion."""
-        order, lead, nxt = self.czz_expansion(zeta)
-        if order < 0:
-            raise _pole_signal("czz", "zeta", complex(zeta), order, lead)
-        if order == 0:
-            return lead, nxt
-        return 0j, (lead if order == 1 else 0j)
+        return _read_local("czz", "zeta", complex(zeta), *self.czz_expansion(zeta))
 
     def plancherel_density(self, zeta):
         """Spherical Plancherel density |c(i zeta)|^{-2} at real zeta > 0."""

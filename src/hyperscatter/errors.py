@@ -25,9 +25,9 @@ class NonFiniteInputError(ValueError):
 
 
 class OutOfRangeError(ValueError):
-    """A finite argument too large for floating point to resolve what the
-    computation depends on (the lattice of c-function poles and zeros past
-    |lambda| = 2^52)."""
+    """A finite argument too large for floating point to resolve or hold what
+    the computation depends on: the lattice of c-function poles and zeros
+    past |lambda| = 2^52, or a radial density J(t) past the float range."""
 
 
 class IllConditionedError(RuntimeError):

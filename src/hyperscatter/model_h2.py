@@ -49,11 +49,14 @@ H2 = RankOneSpace(1, 0)
 _RHO = H2.rho  # 1/2
 
 _MAX_NODES = 1 << 17
+_POISSON_TOL = 1e-10  # where the Poisson quadratures' doubling settles
+_SVD_THRESHOLD = 1e-8  # residue_rank: singular values below this share of the largest are 0
 
 
 def distance(z1, z2):
     """Geodesic distance between two points of the open disk."""
     z1, z2 = complex(z1), complex(z2)
+    _require_finite(z1=z1, z2=z2)
     for z in (z1, z2):
         if abs(z) >= 1.0:
             raise ValueError(f"|z| = {abs(z)} not inside the disk")
@@ -70,6 +73,7 @@ def r_of_t(t):
 def horocycle_bracket(z, theta):
     """A(z, theta) = log((1-|z|^2)/|z - e^{i theta}|^2)."""
     z = complex(z)
+    _require_finite(z=z, theta=theta)
     if abs(z) >= 1.0:
         raise ValueError("bracket defined for |z| < 1")
     d2 = abs(z - cmath.exp(1j * float(theta))) ** 2
@@ -98,7 +102,7 @@ def _bracket_t_derivative_grid(r, thetas):
     return -r - (1.0 - r * r) * (r - np.cos(thetas)) / d2
 
 
-def _trapezoid_doubling(node_sum, tol, n0=64, cap=_MAX_NODES):
+def _trapezoid_doubling(node_sum, tol, cap=_MAX_NODES):
     """Mean of a periodic integrand over doubling grids until stable.
 
     ``node_sum(thetas)`` returns the integrand summed over the nodes (an
@@ -107,7 +111,7 @@ def _trapezoid_doubling(node_sum, tol, n0=64, cap=_MAX_NODES):
     N-grid mean and the midpoint mean).  Returns (value, nodes_used,
     converged).
     """
-    n = n0
+    n = 64  # the first grid
     thetas = 2.0 * math.pi * np.arange(n) / n
     total = node_sum(thetas)
     value = total / n
@@ -122,11 +126,11 @@ def _trapezoid_doubling(node_sum, tol, n0=64, cap=_MAX_NODES):
     return value, n, False
 
 
-def poisson_transform(lam, f, z, tol=1e-10):
+def poisson_transform(lam, f, z):
     """(P_lambda f)(z) = (1/2pi) int e^{(rho+lambda)A(z,theta)} f(theta) dtheta.
 
     f is a callable on [0, 2pi) (vectorized over numpy arrays if possible).
-    Trapezoid nodes double until the value is stable to ``tol``; raises
+    Trapezoid nodes double until the value is stable to _POISSON_TOL; raises
     QuadratureError if 2^17 nodes do not suffice, NonFiniteInputError for a
     nan or infinite lambda or z.
     """
@@ -139,7 +143,7 @@ def poisson_transform(lam, f, z, tol=1e-10):
         vals = np.asarray(vals) + np.zeros(len(thetas))  # scalar f broadcast
         return np.sum(np.exp((_RHO + lam) * _bracket_grid(z, thetas)) * vals)
 
-    value, n, ok = _trapezoid_doubling(node_sum, tol)
+    value, n, ok = _trapezoid_doubling(node_sum, _POISSON_TOL)
     if not ok:
         raise QuadratureError(
             f"Poisson quadrature not converged at {n} nodes (|z|={abs(z):.4f})"
@@ -147,13 +151,13 @@ def poisson_transform(lam, f, z, tol=1e-10):
     return complex(value)
 
 
-def poisson_radial_pair(lam, n, t, tol=1e-10):
+def poisson_radial_pair(lam, n, t):
     """(u, du/dt) of u(t) = (P_lambda e^{in theta})(r(t)) along the base ray.
 
     The full transform at z = r e^{ib} is e^{inb} times this radial factor.
     A sequence of n gives a list of pairs: the kernel and its t-derivative
     are sampled once per node set for all of them, and the K-types converge
-    jointly (the doubling stops when every one has settled to ``tol``).
+    jointly (the doubling stops when every one has settled to _POISSON_TOL).
     A non-integral n raises ValueError, a nan or infinite lambda or t
     NonFiniteInputError.
     """
@@ -176,16 +180,17 @@ def poisson_radial_pair(lam, n, t, tol=1e-10):
         # one K-type at a time: a (nodes x K-types) array would cost memory
         return np.array([both @ circle**k for k in ns])
 
-    value, nn, ok = _trapezoid_doubling(node_sum, tol)
+    value, nn, ok = _trapezoid_doubling(node_sum, _POISSON_TOL)
     if not ok:
         raise QuadratureError(f"Poisson pair quadrature not converged at {nn} nodes")
     pairs = [(complex(u), complex(du)) for u, du in value]
     return pairs if many else pairs[0]
 
 
-def hyperbolic_laplacian_stencil(func, z, h=1e-3):
+def hyperbolic_laplacian_stencil(func, z):
     """Five-point hyperbolic Laplacian -((1-|z|^2)^2/4) * euclidean Laplacian."""
     z = complex(z)
+    h = 1e-3
     lap_euc = (
         func(z + h) + func(z - h) + func(z + 1j * h) + func(z - 1j * h)
         - 4.0 * func(z)
@@ -310,14 +315,13 @@ def resolvent_difference_quadrature(zeta, z1, z2, tol=1e-10, cap=2048):
 # -- residue rank ------------------------------------------------------------
 
 
-def residue_rank(k, n_points=None, n_angles=None, svd_threshold=1e-8,
-                 with_gap=False):
+def residue_rank(k, with_gap=False):
     """Numerical rank of the residue kernel at the H^2 resonance i(1/2 + k).
 
     At zeta = i(1/2+k) the Poisson kernel degenerates to e^{-k A(z, theta)},
     a trigonometric polynomial of degree k in theta; the sampled matrix
     M[j, l] = e^{-k A(z_j, theta_l)} has rank 2k+1.  Rank = number of
-    singular values above svd_threshold * sigma_max; if the singular-value
+    singular values above _SVD_THRESHOLD * sigma_max; if the singular-value
     gap at the cut is below 10^2 the rank is declared indeterminate.  With
     ``with_gap=True`` returns (rank, gap) instead, gap = inf for a full-rank
     cut.
@@ -325,12 +329,8 @@ def residue_rank(k, n_points=None, n_angles=None, svd_threshold=1e-8,
     k = int(k)
     if k < 0:
         raise ValueError("k must be a nonnegative integer")
-    if n_points is None:
-        n_points = max(4 * k + 4, 12)
-    if n_angles is None:
-        n_angles = max(4 * k + 4, 16)
-    if min(n_points, n_angles) < 4 * k + 4:
-        raise ValueError("sampling sizes must be at least 4k+4")
+    n_points = max(4 * k + 4, 12)
+    n_angles = max(4 * k + 4, 16)
     rng = np.random.default_rng(20260214 + k)
     radii = rng.uniform(0.15, 0.6, n_points)
     angs = rng.uniform(0.0, 2.0 * math.pi, n_points)
@@ -340,7 +340,7 @@ def residue_rank(k, n_points=None, n_angles=None, svd_threshold=1e-8,
     for j, z in enumerate(zs):
         m[j] = np.exp(-k * _bracket_grid(z, thetas))
     sv = np.linalg.svd(m, compute_uv=False)
-    cut = svd_threshold * sv[0]
+    cut = _SVD_THRESHOLD * sv[0]
     rank = int(np.sum(sv > cut))
     gap = math.inf
     if rank < len(sv) and sv[rank] > 0.0:

@@ -188,6 +188,8 @@ EXCLUSION_RADIUS = 1e-6
 LATTICE_GUARD = 0.05  # lambda this near an integer: the c Q terms cancel
 
 _SERIES_TOL = 1e-17
+_FROBENIUS_TOL = 1e-16  # frobenius_Q stops after two terms below this at y = 1/2,
+_FROBENIUS_MAX_TERMS = 400  # ... or here, with an AccuracyWarning
 _SERIES_MAX_TERMS = 1 << 14
 _SERIES_REACH = 4.0  # |Im lambda| tanh t where phi's series has lost two digits
 _Q_CONDITION = 1e3  # Q's series conditioned worse than this: the ODE instead,
@@ -296,7 +298,7 @@ class FrobeniusSeries:
         return q, dq
 
 
-def frobenius_Q(space, lam, tol=1e-16, max_terms=400):
+def frobenius_Q(space, lam):
     """Frobenius coefficients of Q_lambda, adaptively truncated.
 
     Raises ResonantExponentError when 2*lambda is within 1e-6 of a negative
@@ -316,7 +318,7 @@ def frobenius_Q(space, lam, tol=1e-16, max_terms=400):
     r = 0.5
     quiet = 0
     nu = 0
-    while quiet < 2 and nu + 2 <= max_terms:
+    while quiet < 2 and nu + 2 <= _FROBENIUS_MAX_TERMS:
         nu += 2
         side = nu % 4 // 2
         h_nu = (m_a * every + m_2a * by_residue[side]) / (nu * (nu + 2.0 * lam))
@@ -325,7 +327,7 @@ def frobenius_Q(space, lam, tol=1e-16, max_terms=400):
         by_residue[side] += term
         h.append(0j)  # odd coefficient
         h.append(h_nu)
-        if nu >= 8 and abs(h_nu) * r**nu < tol:
+        if nu >= 8 and abs(h_nu) * r**nu < _FROBENIUS_TOL:
             quiet += 1
         else:
             quiet = 0
@@ -356,7 +358,7 @@ class RadialSolution:
     """A solved radial eigenfunction on [t_lo, t_hi].
 
     ``at(t)`` returns (value, derivative); ``ts`` records the steps the
-    integrator certified, where ``residual`` checks the ODE by default.
+    integrator certified, where ``residual`` checks the ODE.
     """
 
     space: RankOneSpace
@@ -377,20 +379,19 @@ class RadialSolution:
     def __call__(self, t):
         return self.at(t)[0]
 
-    def residual(self, ts=None, h=1e-4):
-        """Max ODE defect |u'' + b u' + (rho^2-lam^2)u|.
+    def residual(self):
+        """Max ODE defect |u'' + b u' + (rho^2-lam^2)u| over ``ts`` (or 7 points).
 
         u'' is taken by central differences of the stored derivative, so this
         is a genuine consistency check on the integrator output, good to
-        roughly h^2 * |u'''|.
+        roughly h^2 * |u'''|, h = 1e-4.
         """
-        if ts is None:
-            ts = self.ts if self.ts is not None else np.linspace(self.t_lo, self.t_hi, 7)
+        ts = self.ts if self.ts is not None else np.linspace(self.t_lo, self.t_hi, 7)
         worst = 0.0
         k2 = self.space.rho**2 - self.lam**2
         for t in np.atleast_1d(ts):
             t = float(t)
-            hh = min(h, 0.25 * (t - self.t_lo), 0.25 * (self.t_hi - t))
+            hh = min(1e-4, 0.25 * (t - self.t_lo), 0.25 * (self.t_hi - t))
             if hh <= 0.0:
                 continue
             u, v = self.at(t)

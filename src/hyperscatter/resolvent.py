@@ -137,7 +137,7 @@ class ResolventApplication:
         self.space = space
         self.zeta = complex(zeta)
         self.f = f
-        self.t_a, self.t_b = float(support[0]), float(support[1])
+        self.t_a, self.t_b = _radius(support[0]), _radius(support[1])
         if not (0.0 < self.t_a < self.t_b):
             raise ValueError("support must satisfy 0 < t_a < t_b")
         self.normalization = _normalization(space, zeta)
@@ -188,10 +188,10 @@ class ResolventApplication:
         pv = np.array([self._phi(t) for t in ts])
         return self.normalization * (qv * inner + pv * outer)
 
-    def residual(self, ts=None, h=2e-3):
-        """Max |kappa (u'' + b u' + (rho^2 + zeta^2) u) + f| over ts (6th-order FD)."""
-        if ts is None:
-            ts = np.linspace(max(0.1, 1.5 * self.t_a / 10.0), self.t_b + 1.0, 13)
+    def residual(self):
+        """Max |kappa (u'' + b u' + (rho^2 + zeta^2) u) + f| over 13 t (6th-order FD)."""
+        ts = np.linspace(max(0.1, 1.5 * self.t_a / 10.0), self.t_b + 1.0, 13)
+        h = 2e-3
         k2 = self.space.rho**2 + self.zeta**2
         kap = self.space.kappa
         w2 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
@@ -210,5 +210,5 @@ class ResolventApplication:
 
 
 def apply_radial(space, zeta, f, support):
-    """Resolvent applied to radial data f supported in [t_a, t_b] = support."""
+    """Resolvent applied to radial data f supported in the finite [t_a, t_b] = support."""
     return ResolventApplication(space, zeta, f, support)

@@ -52,6 +52,13 @@ from .space import RankOneSpace
 _CERT_VALUE = 1e-12   # |czz| at a certified zero
 _CERT_SLOPE = 1e-3    # |d czz / d zeta| * delta at a certified (simple) zero
 
+# the residue routes' 64-point trapezoid rule on a circle: radius, e^{i theta_j}
+_CIRCLE_RADIUS = 1e-2
+_RING = np.exp(1j * (2.0 * np.pi * np.arange(64) / 64))
+# the winding check's rectangle: half-width about the axis, samples per side
+_WINDING_HALF_WIDTH = 0.25
+_WINDING_SAMPLES = 800
+
 
 @dataclass(frozen=True)
 class ResonanceRecord:
@@ -150,29 +157,35 @@ def residue_kernel(space, rec, t):
     return rec.residue_scalar * eval_phi(space, 1j * rec.zeta, t)
 
 
-def residue_contour_probe(space, rec, t, radius=1e-2, nodes=64):
+def circle_nodes(z0):
+    """Nodes of the trapezoid rule on the circle |z - z0| = _CIRCLE_RADIUS."""
+    return z0 + _CIRCLE_RADIUS * _RING
+
+
+def circle_moment(vals, k):
+    """(1/2 pi i) contour-int f(z) (z - z0)^k dz from f at circle_nodes(z0),
+    by the trapezoid rule, which is spectrally accurate on a circle."""
+    return _CIRCLE_RADIUS ** (k + 1) * np.mean(vals * _RING ** (k + 1))
+
+
+def residue_contour_probe(space, rec, t):
     """Contour-quadrature oracle for the residue scalar.
 
     Integrates kernel(zeta, t) / phi_{i zeta}(t) over a small circle around
-    the resonance with the N-point trapezoid rule (spectrally accurate on a
-    circle).  Since the kernel's polar part is residue_scalar * phi_{i zeta0},
-    the quotient has residue exactly residue_scalar, independent of t.
+    the resonance with circle_moment.  Since the kernel's polar part is
+    residue_scalar * phi_{i zeta0}, the quotient has residue exactly
+    residue_scalar, independent of t.
 
     Returns (residue_estimate, second_moment_rel):  the second Laurent
     moment (1/2 pi i) contour-int (zeta - zeta0) kernel dzeta, relative to
     the first, which vanishes for a simple pole and therefore measures both
     quadrature health and pole simplicity.
     """
-    z0 = complex(rec.zeta)
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    ring = np.exp(1j * theta)
-    zs = z0 + radius * ring
+    zs = circle_nodes(complex(rec.zeta))
     kern = np.array([kernel(space, z, t) for z in zs])
     sph = np.array([eval_phi(space, 1j * z, t) for z in zs])
-    first = radius * np.mean((kern / sph) * ring)
-    kernel_first = radius * np.mean(kern * ring)
-    kernel_second = radius**2 * np.mean(kern * ring**2)
-    return complex(first), abs(kernel_second) / abs(kernel_first)
+    return (complex(circle_moment(kern / sph, 0)),
+            abs(circle_moment(kern, 1)) / abs(circle_moment(kern, 0)))
 
 
 # -- completeness guard ----------------------------------------------------
@@ -200,28 +213,28 @@ def _lattice_candidates(space, cf, lo, hi):
 
 
 @lru_cache(maxsize=128)
-def _turns(cf, lo, hi, half_width, samples_per_side):
+def _turns(cf, lo, hi):
     """Argument-principle count of czz zeros minus poles over the rectangle
-    [-half_width, half_width] x [lo, hi], one numpy pass over its sides."""
+    [-w, w] x [lo, hi], w = _WINDING_HALF_WIDTH, in one numpy pass."""
     corners = [
-        complex(-half_width, lo),
-        complex(half_width, lo),
-        complex(half_width, hi),
-        complex(-half_width, hi),
-        complex(-half_width, lo),
+        complex(-_WINDING_HALF_WIDTH, lo),
+        complex(_WINDING_HALF_WIDTH, lo),
+        complex(_WINDING_HALF_WIDTH, hi),
+        complex(-_WINDING_HALF_WIDTH, hi),
+        complex(-_WINDING_HALF_WIDTH, lo),
     ]
-    s = np.linspace(0.0, 1.0, samples_per_side, endpoint=False)
+    s = np.linspace(0.0, 1.0, _WINDING_SAMPLES, endpoint=False)
     vals = cf.czz(np.concatenate([a + (b - a) * s for a, b in zip(corners[:-1], corners[1:])]))
     return float(np.sum(np.angle(vals / np.roll(vals, 1))) / (2.0 * np.pi))
 
 
-def _winding_check(space, cf, half_width=0.25, samples_per_side=800):
+def _winding_check(space, cf):
     """Argument-principle count of czz zeros minus poles over a rectangle
     [-w, w] x [lo, hi] enclosing the scanned axis segment, compared with the
     net order predicted by the local expansions on the lattice."""
     lo = 0.11
     hi = 3.0 * space.rho + 6.13
-    turns = _turns(cf, lo, hi, half_width, samples_per_side)
+    turns = _turns(cf, lo, hi)
     ys = np.array(_lattice_candidates(space, cf, lo, hi), dtype=float)
     expected = int(np.sum(cf.zero_order(-ys)))
     if abs(turns - round(turns)) > 0.2 or round(turns) != expected:

@@ -41,7 +41,7 @@ from .boundary import bv_limit
 from .cfunction import for_space
 from .errors import NonFiniteInputError, PoleSignal, ResonantExponentError
 from .radial import connection_coefficients, eval_phi
-from .resonances import ResonanceRecord, enumerate_resonances
+from .resonances import ResonanceRecord, circle_moment, circle_nodes, enumerate_resonances
 from .space import RankOneSpace
 
 KIND_RESONANCE = "resonance"
@@ -170,12 +170,12 @@ class ResidueRelationReport:
     boundary_value_error: float
 
 
-def residue_relation_check(rec: ResonanceRecord, radius=1e-2, nodes=64):
+def residue_relation_check(rec: ResonanceRecord):
     """Check Res[s] = 2 i kappa zeta c(-i zeta) residue_scalar bv_{rho+i zeta} phi
     at a hyperbolic-plane resonance, all factors computed independently.
 
     The left side is a contour quadrature of the scalar scattering matrix
-    around the pole.  On the right, the boundary value of the spherical
+    around the pole, by resonances.circle_moment.  On the right, the boundary value of the spherical
     function is extracted by the Fatou-limit route (the connection solver is
     unavailable here: at a resonance 2 lambda is an integer and the exponents
     collide); phi_{i zeta} carries the growing exponent rho + i zeta, so the
@@ -186,10 +186,8 @@ def residue_relation_check(rec: ResonanceRecord, radius=1e-2, nodes=64):
     space = model_h2.H2
     cf = for_space(space)
     z0 = complex(rec.zeta)
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    ring = np.exp(1j * theta)
-    svals = np.array([scalar(space, z0 + radius * w) for w in ring])
-    scattering_side = complex(radius * np.mean(svals * ring))
+    svals = np.array([scalar(space, z) for z in circle_nodes(z0)])
+    scattering_side = complex(circle_moment(svals, 0))
 
     lam_limit = -1j * z0                     # = rho + j k, real and > rho
     samples = []
@@ -224,11 +222,9 @@ def find_scalar_poles(space, im_lo=-4.95, im_hi=4.95, step=0.01):
     rejects the sign flips across poles of w (those are zeros of s).  Returns
     the pole locations i sigma sorted by imaginary part; sigma = 0 is skipped.
 
-    c is evaluated once on the union of the nodes and their mirrors -sigma,
-    so c(-sigma) is read at the mirrored node.  Every real special point of c
-    is a half-integer: the union's points with 2 sigma off the integers take
-    one ``value`` array, the rest one ``local_expansion`` array, which also
-    gives the order of c there.  Only the brentq refinement uses the scalar w.
+    c's order and leading term are read once, by one array pass over the
+    union of the nodes and their mirrors -sigma, so c(-sigma) is read at the
+    mirrored node.  Only the brentq refinement uses the scalar w.
     """
     bounds = (im_lo, im_hi, step)
     if not all(math.isfinite(x) for x in bounds):
@@ -259,15 +255,8 @@ def find_scalar_poles(space, im_lo=-4.95, im_hi=4.95, step=0.01):
     sigmas = ks * step
     # order and value of c on the union of the nodes and their mirrors
     union = np.union1d(ks, -ks)
-    points = (union * step).astype(complex)
-    twice = 2.0 * points.real
-    regular = np.abs(twice - np.round(twice)) >= _LATTICE_TOL
-    order = np.zeros(len(union), dtype=int)
-    cval = np.empty(len(union), dtype=complex)
-    cval[regular] = cf.value(points[regular])
-    lattice_order, lead, _ = cf.local_expansion(points[~regular])
-    order[~regular] = lattice_order
-    cval[~regular] = np.where(lattice_order > 0, 0j, lead)
+    order, lead, _ = cf._expand((union * step).astype(complex), slope=False)
+    cval = np.where(order > 0, 0j, lead)
     den, num = np.searchsorted(union, ks), np.searchsorted(union, -ks)
 
     # w as the scalar w forms it: 0 at a pole of c(sigma), 1e18 at a pole of

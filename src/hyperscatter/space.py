@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteInputError, OutOfRangeError
+
 
 @dataclass(frozen=True)
 class RankOneSpace:
@@ -75,7 +77,8 @@ class RankOneSpace:
 
         A positive float t whose J is finite takes math's sinh, about 15
         times cheaper than numpy's for one value; anything else takes
-        numpy's.
+        numpy's.  t <= 0 raises ValueError, nan or inf NonFiniteInputError,
+        and a J past the floating-point range OutOfRangeError.
         """
         if isinstance(t, (float, int)) and t > 0.0:
             try:
@@ -86,16 +89,24 @@ class RankOneSpace:
             if out < math.inf:
                 return out
         t = np.asarray(t, dtype=float)
+        if not np.isfinite(t).all():
+            raise NonFiniteInputError(f"t = {t} is not finite")
         if np.any(t <= 0.0):
             raise ValueError("t must be positive")
-        out = (2.0 * np.sinh(t)) ** self.m_alpha
-        if self.m_2alpha:
-            out = out * (2.0 * np.sinh(2.0 * t)) ** self.m_2alpha
+        with np.errstate(over="ignore"):
+            out = (2.0 * np.sinh(t)) ** self.m_alpha
+            if self.m_2alpha:
+                out = out * (2.0 * np.sinh(2.0 * t)) ** self.m_2alpha
+        if not np.all(out < math.inf):
+            raise OutOfRangeError(f"J(t) passes the floating-point range at t = {t.max()}")
         return out if out.ndim else float(out)
 
     def log_density_dot(self, t):
-        """d/dt log J(e^-t) = m_alpha coth t + 2 m_2alpha coth 2t."""
+        """d/dt log J(e^-t) = m_alpha coth t + 2 m_2alpha coth 2t; t <= 0
+        raises ValueError, as in density_J_t."""
         t = np.asarray(t, dtype=float)
+        if np.any(t <= 0.0):
+            raise ValueError("t must be positive")
         out = self.m_alpha / np.tanh(t)
         if self.m_2alpha:
             out = out + 2.0 * self.m_2alpha / np.tanh(2.0 * t)

@@ -192,13 +192,13 @@ def check_resonances(spaces=None):
 
 # -- 5: boundary-integral route to the resolvent difference ------------------
 
-def quadrature_draws(count=10, seed=_QUAD_SEED):
-    """Seeded (zeta, z1, z2) draws: |zeta| <= 2, away from the imaginary axis
+def quadrature_draws():
+    """Ten seeded (zeta, z1, z2) draws: |zeta| <= 2, away from the imaginary axis
     (all scattering/resolvent poles sit on it), points in the disk separated
     enough that the geodesic distance is well conditioned."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_QUAD_SEED)
     draws = []
-    while len(draws) < count:
+    while len(draws) < 10:
         zr = rng.uniform(-2.0, 2.0)
         zi = rng.uniform(-1.5, 1.5)
         zeta = complex(zr, zi)

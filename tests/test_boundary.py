@@ -1,5 +1,8 @@
 # Boundary-value extraction: indicial structure, connection route, Fatou route.
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from hyperscatter.boundary import (
     indicial_shifted,
 )
 from hyperscatter.cfunction import for_space
-from hyperscatter.errors import DominanceError
+from hyperscatter.errors import DominanceError, NonFiniteInputError
 from hyperscatter.radial import eval_phi, phi_solution
 from hyperscatter.space import space_from_name
 
@@ -82,3 +85,9 @@ def test_bv_limit_input_validation():
            (0.05, 1.0), (0.025, 1.0), (0.0125, 1.0)]
     with pytest.raises(ValueError):
         bv_limit(H2, 0.7, bad)  # not a geometric grid
+    # nan passed the Re lambda gate and reached numpy's power
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in (math.nan, complex(0.7, math.inf)):
+            with pytest.raises(NonFiniteInputError):
+                bv_limit(H2, lam, samples)

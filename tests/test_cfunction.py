@@ -395,3 +395,47 @@ def test_scattering_scalar_inverts_under_reflection_property(name, zetas):
     for zeta in zetas:
         assume(_off_lattice(1j * zeta) and abs(zeta) > 1e-3)
         assert abs(scalar(space, zeta) * scalar(space, -zeta) - 1.0) <= 1e-12, zeta
+
+
+def _unsigned(z):
+    """z with any zero part made +0.0, so == compares values bit for bit
+    apart from the sign of a zero."""
+    return complex(z.real + 0.0, z.imag + 0.0)
+
+
+@pytest.mark.parametrize("name", PROPERTY_NAMES)
+def test_scalar_czz_expansion_matches_the_array_pass(name):
+    # the scalar czz_expansion composes c's scalar data, the array one c's
+    # array data: the same order, A and B within 1e-13, and on the lattice
+    # (i zeta a half-integer) the same bits up to the sign of a zero
+    cf = for_space(space_from_name(name))
+    rng = np.random.default_rng(17)
+    lattice = [0.5j * m for m in range(-120, 61) if m != 0]
+    rand = (rng.uniform(-15, 15, 60) + 1j * rng.uniform(-15, 15, 60)).tolist()
+    for zeta in lattice + rand:
+        order, a, b = cf.czz_expansion(zeta)
+        assert type(order) is int and type(a) is complex and type(b) is complex
+        arr_order, arr_a, arr_b = (x[0] for x in cf.czz_expansion(np.array([zeta])))
+        assert arr_order == order, zeta
+        assert _rel(arr_a, a) <= 1e-13 and abs(arr_b - b) <= 1e-13 * abs(b), zeta
+        if zeta in lattice:
+            assert _unsigned(arr_a) == _unsigned(a), zeta
+            assert _unsigned(arr_b) == _unsigned(b), zeta
+
+
+@pytest.mark.parametrize("name", PROPERTY_NAMES)
+def test_derivative_at_a_pole_carries_the_residue(name):
+    # c' has a double pole where c has a simple one; its PoleSignal names
+    # c's pole and carries c's residue, the A of local_expansion
+    cf = for_space(space_from_name(name))
+    poles = 0
+    for lam in [-m / 2 for m in range(80)]:
+        order, lead, _ = cf.local_expansion(lam)
+        if order >= 0:
+            continue
+        with pytest.raises(PoleSignal) as info:
+            cf.derivative(lam)
+        assert info.value.order == -order and info.value.at == lam
+        assert info.value.residue == (lead if order == -1 else None), lam
+        poles += 1
+    assert poles > 0

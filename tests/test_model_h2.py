@@ -48,6 +48,10 @@ def test_distance_formula_and_domain():
     assert abs(distance(0.3, -0.2j) - distance(-0.2j, 0.3)) < 1e-15
     with pytest.raises(ValueError):
         distance(1.0, 0.0)
+    # nan once passed the |z| < 1 test and came back as a nan distance
+    for z1, z2 in ((math.nan, 0.1), (0.1, complex(0.2, math.nan)), (math.inf, 0.0)):
+        with pytest.raises(NonFiniteInputError):
+            distance(z1, z2)
 
 
 def test_r_of_t_inverts_distance():
@@ -62,6 +66,9 @@ def test_bracket_center_and_symmetry():
     assert abs(horocycle_bracket(r, 0.0) - distance(0.0, r)) < 1e-12
     with pytest.raises(ValueError):
         horocycle_bracket(1.0, 0.0)
+    for z, theta in ((0.1, math.nan), (0.1, math.inf), (math.nan, 0.3)):
+        with pytest.raises(NonFiniteInputError):
+            horocycle_bracket(z, theta)
 
 
 def test_poisson_transform_constant_is_spherical():

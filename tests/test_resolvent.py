@@ -170,10 +170,13 @@ def test_kernel_matches_mpmath_above_the_axis(mp_c, mp_jacobi):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_t_names_itself(bad):
     # t = -inf once read "singular at coincident points" from the kernel and
-    # "need t > 0" from the application: the sign was tested first
+    # "need t > 0" from the application: the sign was tested first.  An
+    # infinite end of the support was accepted, and the first call
+    # overflowed in sinh
     zeta = 0.3 + 0.2j
     app = ResolventApplication(H2, zeta, lambda s: 1.0, (0.2, 1.0))
     for call in (lambda: kernel(H2, zeta, bad), lambda: kernel_at(H2, zeta)(bad),
-                 lambda: app(bad)):
+                 lambda: app(bad), lambda: apply_radial(H2, zeta, lambda s: 1.0, (0.5, bad)),
+                 lambda: apply_radial(H2, zeta, lambda s: 1.0, (bad, 1.0))):
         with pytest.raises(NonFiniteInputError, match="t = .* is not finite"):
             call()

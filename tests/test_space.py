@@ -2,9 +2,12 @@
 
 import math
 
+import warnings
+
 import numpy as np
 import pytest
 
+from hyperscatter.errors import NonFiniteInputError, OutOfRangeError
 from hyperscatter.space import (
     RankOneSpace,
     make_space,
@@ -78,16 +81,26 @@ def test_density_same_in_both_coordinates():
 
 def test_density_of_a_float_equals_the_array_route():
     # a float t takes math's sinh, an array numpy's: 3e-15 apart at most.
-    # Where J overflows, a float takes numpy's route too and gives inf
+    # Where J overflows, a float takes numpy's route too, and both raise
+    # OutOfRangeError
     for name in ("h2", "h3", "chn:2", "hhn:2", "oh2"):
         space = space_from_name(name)
         ts = np.geomspace(1e-6, 80.0, 200)
-        with np.errstate(over="ignore"):
-            array = space.density_J_t(ts)
-            for t, b in zip(ts.tolist(), array.tolist()):
-                a = space.density_J_t(t)
-                assert type(a) is float
-                assert a == b == math.inf or abs(a - b) <= 5e-15 * b, (name, t)
+        # log J, with 2 sinh t = e^t (1 - e^-2t)
+        log_j = (space.m_alpha * (ts + np.log1p(-np.exp(-2.0 * ts)))
+                 + space.m_2alpha * (2.0 * ts + np.log1p(-np.exp(-4.0 * ts))))
+        finite, over = ts[log_j < 709.0], ts[log_j > 710.0]
+        array = space.density_J_t(finite)
+        for t, b in zip(finite.tolist(), array.tolist()):
+            a = space.density_J_t(t)
+            assert type(a) is float
+            assert abs(a - b) <= 5e-15 * b, (name, t)
+        for t in over.tolist():
+            with pytest.raises(OutOfRangeError):
+                space.density_J_t(t)
+        if over.size:
+            with pytest.raises(OutOfRangeError):
+                space.density_J_t(ts)
     with pytest.raises(ValueError):
         space_from_name("h2").density_J_t(0.0)
 
@@ -107,6 +120,33 @@ def test_log_density_dot_matches_difference_quotient():
         fd = (math.log(space.density_J_t(t + h))
               - math.log(space.density_J_t(t - h))) / (2.0 * h)
         assert abs(space.log_density_dot(t) - fd) < 1e-6
+
+
+def test_density_past_the_float_range_raises_under_warnings_as_errors():
+    # J of oh2 at t = 400 is about e^8800: OutOfRangeError, not an overflow
+    # warning, for a float and for an array; a nan or infinite t is refused
+    space = space_from_name("oh2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRangeError, match="t = 400"):
+            space.density_J_t(400.0)
+        with pytest.raises(OutOfRangeError, match="t = 500"):
+            space.density_J_t(np.array([1.0, 400.0, 500.0]))
+        for bad in (math.nan, math.inf, np.array([1.0, math.nan])):
+            with pytest.raises(NonFiniteInputError):
+                space.density_J_t(bad)
+
+
+def test_log_density_dot_refuses_t_at_or_below_zero_under_warnings_as_errors():
+    # coth 0 divides by zero: the ValueError density_J_t raises for t <= 0
+    space = space_from_name("chn:2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (0.0, -1.0, np.array([0.5, 0.0])):
+            with pytest.raises(ValueError, match="positive"):
+                space.log_density_dot(bad)
+            with pytest.raises(ValueError, match="positive"):
+                space.density_J_t(bad)
 
 
 def test_coordinate_roundtrip_and_domains():
