@@ -324,7 +324,14 @@ class CFunction:
         if isinstance(zeta, np.ndarray):
             data = self._czz_arrays(zeta, lambda x: self._expand(x, slope=False))
             return _read_values("czz", "zeta", zeta, *data[:2])
-        return self.czz_and_derivative(zeta)[0]
+        # c's order and A at +-i zeta, no slope: no psi is evaluated
+        zeta = complex(zeta)
+        data = []
+        for lam in (1j * zeta, -1j * zeta):
+            order, log_lead, _ = self._local(_argument(lam), slope=False)
+            data.append((order, cmath.exp(log_lead), None))
+        order, lead, _ = compose_czz(*data)
+        return _read_local("czz", "zeta", zeta, order, complex(lead), None)[0]
 
     def _czz_arrays(self, zeta, expand):
         """czz_expansion over the array zeta, from the c-data ``expand`` gives."""

@@ -124,18 +124,21 @@ place of 308 for all five).  Seeding phi at 0.2 in place of 0.01 takes its
 solve to 150 steps, and the Wronskian rows read abel_wronskian in place of
 a Q solve to 0.0035 (142 steps): 287 steps over the pinned suites.
 
-The solver is scipy's DOP853, stepping as it does, but its dense output
-keeps only each step's start state.  DOP853's interpolant needs three
-stages beyond the step's twelve, and a solve reads few of its steps: at
-the first read of a step the stages are rerun from that start with the
-same arithmetic, so every read equals the eager interpolant's bit for bit
-and an unread step costs no extra right-hand side.  The solutions of one
-batch read the shared dense output through one evaluation and one scaling
-back to (u, u') per t, so the Wronskian fit's nodes and the connection
-suite's points cost one interpolation of all 2N components each, not one
-per lambda.  The steps grow with the phase |Im lambda| t, so a piece that
-would turn through more than _MAX_PHASE = 1e5 radians is refused with
-ValueError.
+The solver is the library's own DOP853 (``dop853``, Hairer, Norsett and
+Wanner, Solving ODEs I, II.5-II.6): a port of scipy 1.17.1's
+solve_ivp(method="DOP853") operation for operation, so its steps, nfev
+and dense reads are scipy's bit for bit, with no scipy.integrate import.
+Its dense output keeps only each step's start state.  DOP853's
+interpolant needs three stages beyond the step's twelve, and a solve reads
+few of its steps: at the first read of a step the stages are rerun from
+that start with the same arithmetic, so every read equals the eager
+interpolant's bit for bit and an unread step costs no extra right-hand
+side.  The solutions of one batch read the shared dense output through
+one evaluation and one scaling back to (u, u') per t, so the Wronskian
+fit's nodes and the connection suite's points cost one interpolation of
+all 2N components each, not one per lambda.  The steps grow with the
+phase |Im lambda| t, so a piece that would turn through more than
+_MAX_PHASE = 1e5 radians is refused with ValueError.
 
 ``eval_phi``, ``eval_Q``, ``connection_coefficients`` and the K-type profiles
 of ``model_h2`` read one cache, ``continuation``, with one entry per (space,
@@ -170,12 +173,10 @@ from itertools import accumulate
 from operator import mul
 
 import numpy as np
-from scipy.integrate import DOP853, DenseOutput, solve_ivp
-from scipy.integrate._ivp.dop853_coefficients import INTERPOLATOR_POWER, N_STAGES_EXTENDED
-from scipy.integrate._ivp.rk import Dop853DenseOutput, rk_step
 from scipy.special import loggamma, psi
 
 from .cfunction import for_space
+from .dop853 import solve_ivp
 from .errors import (AccuracyWarning, IllConditionedError, NonFiniteInputError,
                      ResonantExponentError, StiffnessError)
 from .space import RankOneSpace
@@ -440,56 +441,6 @@ def _forward_rate(space, lam, length):
     return min(space.rho, _MAX_EXPONENT / length)
 
 
-class _ReplayedStep(DenseOutput):
-    """The interpolant of one DOP853 step, kept as the step's start until it
-    is first read.
-
-    DOP853's 7th-degree interpolant needs three stages beyond the step's
-    twelve (Hairer, Norsett and Wanner, Solving ODEs I, II.6), and scipy
-    makes them, and 7 n stored numbers, at every step; a radial solve reads
-    few of its steps.  At the first read this reruns the step from its start
-    with scipy's own arithmetic (the derivative at the start, rk_step, then
-    the extra stages as in DOP853._dense_output_impl): 16 right-hand-side
-    evaluations, after which every read equals the eager interpolant's bit
-    for bit.
-    """
-
-    def __init__(self, fun, t_old, t, y_old, h):
-        super().__init__(t_old, t)
-        self._start = (fun, y_old, h)
-        self._dense = None
-
-    def _build(self):
-        fun, y_old, h = self._start
-        k = np.empty((N_STAGES_EXTENDED, len(y_old)), dtype=y_old.dtype)
-        f_old = fun(self.t_old, y_old)
-        y, f = rk_step(fun, self.t_old, y_old, f_old, h, DOP853.A, DOP853.B, DOP853.C,
-                       k[:DOP853.n_stages + 1])
-        for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA),
-                                   start=DOP853.n_stages + 1):
-            k[s] = fun(self.t_old + c * h, y_old + np.dot(k[:s].T, a[:s]) * h)
-        big_f = np.empty((INTERPOLATOR_POWER, len(y_old)), dtype=y_old.dtype)
-        delta_y = y - y_old
-        big_f[0] = delta_y
-        big_f[1] = h * f_old - delta_y
-        big_f[2] = 2 * delta_y - h * (f + f_old)
-        big_f[3:] = h * np.dot(DOP853.D, k)
-        self._dense, self._start = Dop853DenseOutput(self.t_old, self.t, y_old, big_f), None
-
-    def _call_impl(self, t):
-        if self._dense is None:
-            self._build()
-        return self._dense._call_impl(t)
-
-
-class _LazyDOP853(DOP853):
-    """scipy's DOP853, stepping as it does, whose dense output is one
-    _ReplayedStep per step: it keeps the step's start state alone."""
-
-    def _dense_output_impl(self):
-        return _ReplayedStep(self.fun_single, self.t_old, self.t, self.y_old, self.h_previous)
-
-
 def integrate_radial_ode(space, lams, t_span, inits):
     """Continue (u, u') of the radial ODE across t_span = (t0, t1) for each
     lambda in ``lams``, starting from the matching (u, u') in ``inits``.
@@ -500,12 +451,13 @@ def integrate_radial_ode(space, lams, t_span, inits):
     dominant growth in the direction of integration: e^(sigma (t - t0))
     forward (sigma from _forward_rate, one per lambda), (t/t0)^p backward
     (p = m_alpha + m_2alpha - 1, so Q's t^-p becomes flat).  One solve_ivp
-    (_LazyDOP853) runs on [w_1..w_N, w'_1..w'_N]; the returned list holds
+    (``dop853``) runs on [w_1..w_N, w'_1..w'_N]; the returned list holds
     one RadialSolution per lambda, each reading its own (u, u') from the
     shared dense output.  The dense output is evaluated and scaled back once
     per t for the whole batch (the last 32 t are kept), not once per
     solution.  t_span may be decreasing (backward continuation toward the
-    singular endpoint).  Both endpoints must be positive and finite.
+    singular endpoint).  Both endpoints must be positive, finite and
+    distinct.
     """
     t0, t1 = _radius(t_span[0]), _radius(t_span[1])
     if min(t0, t1) <= 0.0:
@@ -561,8 +513,7 @@ def integrate_radial_ode(space, lams, t_span, inits):
     u0 = np.array([complex(u) for u, _ in inits], dtype=complex)
     du0 = np.array([complex(v) for _, v in inits], dtype=complex)
     y0 = np.concatenate((u0, du0 + unscale(t0)[1] * u0))
-    sol = solve_ivp(rhs, (t0, t1), y0, method=_LazyDOP853,
-                    rtol=_RTOL / math.sqrt(count), atol=_ATOL, dense_output=True)
+    sol = solve_ivp(rhs, (t0, t1), y0, rtol=_RTOL / math.sqrt(count), atol=_ATOL)
     if not sol.success:
         raise StiffnessError(f"radial integration failed: {sol.message}")
 

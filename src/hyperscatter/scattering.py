@@ -31,15 +31,15 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import model_h2
 from .boundary import bv_limit
 from .cfunction import for_space
-from .errors import NonFiniteInputError, PoleSignal, ResonantExponentError
+from .errors import EnumerationError, NonFiniteInputError, PoleSignal, ResonantExponentError
 from .radial import connection_coefficients, eval_phi
 from .resonances import ResonanceRecord, circle_moment, circle_nodes, enumerate_resonances
 from .space import RankOneSpace
@@ -50,6 +50,8 @@ KIND_INTERTWINER = "intertwiner"
 _LATTICE_TOL = 1e-6
 _ORIGIN_TOL = 1e-13
 _MAX_NODES = 10**6
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -212,19 +214,83 @@ def residue_relation_check(rec: ResonanceRecord):
     )
 
 
+def _brentq(f, xa, xb, xtol):
+    """(x, converged): a zero of the real f between xa and xb, where f
+    changes sign, by Brent's method (Brent, Algorithms for Minimization
+    without Derivatives, 1973, ch. 4).
+
+    A port of scipy's brentq.c, step for step, at its rtol = 4 eps and
+    maxiter = 100, so the zero is scipy.optimize.brentq's bit for bit.
+    converged is False, and x the last iterate, when 100 iterations do not
+    bring the bracket within xtol + rtol |x|.  ValueError where f has one
+    sign at both ends or returns nan, as scipy raises it.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre, True
+    if fcur == 0:
+        return xcur, True
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    return xcur, False
+
+
 def find_scalar_poles(space, im_lo=-4.95, im_hi=4.95, step=0.01):
     """Locate the poles of scalar() on the imaginary-axis segment by scanning
     w(sigma) = 1/s(i sigma) = c(-sigma)/c(sigma) for zeros.
 
     w is real on the segment.  Nodes where w vanishes identically (lattice
     hits) are recorded directly; sign changes between regular nodes are
-    refined by brentq and accepted only if w is actually small there, which
-    rejects the sign flips across poles of w (those are zeros of s).  Returns
-    the pole locations i sigma sorted by imaginary part; sigma = 0 is skipped.
+    refined by Brent's method (_brentq) and accepted only if w is actually
+    small there, which rejects the sign flips across poles of w (those are
+    zeros of s).  Returns the pole locations i sigma sorted by imaginary
+    part; sigma = 0 is skipped.  EnumerationError where a refinement does
+    not converge.
 
     c's order and leading term are read once, by one array pass over the
     union of the nodes and their mirrors -sigma, so c(-sigma) is read at the
-    mirrored node.  Only the brentq refinement uses the scalar w.
+    mirrored node.  Only the Brent refinement uses the scalar w.
     """
     bounds = (im_lo, im_hi, step)
     if not all(math.isfinite(x) for x in bounds):
@@ -271,7 +337,10 @@ def find_scalar_poles(space, im_lo=-4.95, im_hi=4.95, step=0.01):
     # strict sign changes between finite nodes that are not poles of w
     a, b = vals[:-1], vals[1:]
     for i in np.flatnonzero((np.abs(a) < 1e18) & (np.abs(b) < 1e18) & (a * b < 0)):
-        root = brentq(w, sigmas[i], sigmas[i + 1], xtol=1e-12)
+        root, converged = _brentq(w, sigmas[i], sigmas[i + 1], 1e-12)
+        if not converged:
+            raise EnumerationError(f"Brent's method found no zero of 1/s(i sigma) between "
+                                   f"sigma = {sigmas[i]} and {sigmas[i + 1]}")
         if abs(w(root)) < 1e-6:
             poles.append(root)
     return sorted((1j * s for s in poles), key=lambda z: z.imag)

@@ -7,6 +7,7 @@ round-tripping the implementation against itself.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -439,3 +440,27 @@ def test_derivative_at_a_pole_carries_the_residue(name):
         assert info.value.residue == (lead if order == -1 else None), lam
         poles += 1
     assert poles > 0
+
+
+@pytest.mark.parametrize("name", PROPERTY_NAMES)
+def test_scalar_czz_reads_c_values_alone(name):
+    # the scalar czz composes c's order and A at +-i zeta, with no psi: it
+    # equals the value czz_and_derivative reads off the full expansion bit
+    # for bit, at lattice points (zeros and poles) and random zeta, and at a
+    # pole raises the same PoleSignal
+    cf = for_space(space_from_name(name))
+    rng = random.Random(11)
+    zetas = ([0.5j * k for k in range(-40, 41)] + [0.5 * k for k in range(-6, 7)]
+             + [complex(rng.uniform(-8, 8), rng.uniform(-8, 8)) for _ in range(60)])
+
+    def outcome(method, zeta):
+        try:
+            v = method(zeta)
+        except PoleSignal as exc:
+            return "pole", exc.at, exc.order, exc.residue, str(exc)
+        return type(v), v.real.hex(), v.imag.hex()
+
+    outcomes = [outcome(cf.czz, z) for z in zetas]
+    assert outcomes == [outcome(lambda z: cf.czz_and_derivative(z)[0], z) for z in zetas]
+    assert sum(o[0] == "pole" for o in outcomes) > 0
+    assert all(o[0] in ("pole", complex) for o in outcomes)

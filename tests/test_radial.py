@@ -13,9 +13,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hyperscatter import errors, radial
+from hyperscatter import dop853, errors, radial
 from hyperscatter.cfunction import for_space
-from hyperscatter.errors import NonFiniteInputError, ResonantExponentError
+from hyperscatter.errors import NonFiniteInputError, ResonantExponentError, StiffnessError
 from hyperscatter.radial import (
     _WRONSKIAN_NODES,
     RadialSolution,
@@ -301,37 +301,50 @@ def test_mixed_family_forward_batch_checks_each_growth_limit():
         phi_solution([oh2, H2], [5.0, 3.0], 300.0)
 
 
-def test_lazy_interpolant_equals_the_eager_one_and_builds_on_demand(monkeypatch):
-    # integrate_radial_ode's DOP853 keeps each step's start state and
-    # rebuilds the step at its first read: the reads equal scipy's eager
-    # dense output bit for bit, a read step costs its 12 stages, the
-    # first-stage derivative and the 3 interpolation stages once, and an
-    # unread step costs nothing
+def _recorded_solves(monkeypatch):
+    """The (rhs, t_span, y0) and keywords of hn:7's forward and backward
+    batch solves, made through the in-library driver, and that driver."""
     calls = []
+    driver = radial.solve_ivp
 
     def recording(*args, **kwargs):
         calls.append((args, kwargs))
-        return solve_ivp(*args, **kwargs)
+        return driver(*args, **kwargs)
 
     monkeypatch.setattr(radial, "solve_ivp", recording)
     space, lams = space_from_name("hn:7"), [0.3 - 1j, 1.6, 2.7 + 0.5j, -0.8j]
     radial.integrate_radial_ode(space, lams, (0.2, 2.0), [(1.0, 0.1j)] * 4)
     radial.integrate_radial_ode(space, lams, (0.6, 0.01), [(1.0, -0.5)] * 4)
+    return calls, driver
+
+
+def _scipy_dop853(rhs, span, y0, **kwargs):
+    return solve_ivp(rhs, span, y0, method="DOP853", dense_output=True, **kwargs)
+
+
+def test_lazy_interpolant_equals_the_eager_one_and_builds_on_demand(monkeypatch):
+    # integrate_radial_ode's DOP853 steps as scipy's does and keeps each
+    # step's start state, rebuilding the step at its first read: the steps
+    # equal scipy's, the reads equal scipy's eager dense output bit for
+    # bit, a read step costs its 12 stages, the first-stage derivative and
+    # the 3 interpolation stages once, and an unread step costs nothing
+    calls, driver = _recorded_solves(monkeypatch)
     for (rhs, span, y0), kwargs in calls:
-        assert kwargs["method"] is radial._LazyDOP853
+        assert sorted(kwargs) == ["atol", "rtol"]
         evaluations = []
 
         def counted(t, y):
             evaluations.append(t)
             return rhs(t, y)
 
-        lazy = solve_ivp(counted, span, y0, **kwargs)
-        eager = solve_ivp(rhs, span, y0, **dict(kwargs, method="DOP853"))
+        lazy = driver(counted, span, y0, **kwargs)
+        eager = _scipy_dop853(rhs, span, y0, **kwargs)
+        assert lazy.success and eager.success and lazy.message == eager.message
         assert np.array_equal(lazy.t, eager.t) and lazy.nfev + 3 * len(lazy.t[1:]) == eager.nfev
         assert len(evaluations) == lazy.nfev  # no step built yet
 
         def built():
-            return sum(step._dense is not None for step in lazy.sol.interpolants)
+            return sum(f is not None for f in lazy.sol.coefficients)
 
         ts = np.linspace(*span, 40)
         for t in ts:
@@ -343,6 +356,50 @@ def test_lazy_interpolant_equals_the_eager_one_and_builds_on_demand(monkeypatch)
         for t in ts[::-1]:  # a step read again is not rebuilt
             assert np.array_equal(lazy.sol(t), eager.sol(t)), t
         assert len(evaluations) == lazy.nfev + 16 * built()
+
+
+def test_reads_on_step_ends_take_scipys_segment(monkeypatch):
+    # a t on a step end reads the step that ends there (the earlier one in
+    # the direction of integration, as scipy's OdeSolution chooses), and a t
+    # just outside the span reads the end step: forward and backward, every
+    # step end, its neighbours and both ends beyond read as scipy's eager
+    # dense output reads them, bit for bit
+    calls, driver = _recorded_solves(monkeypatch)
+    assert [span[1] > span[0] for (_, span, _), _ in calls] == [True, False]
+    for (rhs, span, y0), kwargs in calls:
+        lazy = driver(rhs, span, y0, **kwargs)
+        eager = _scipy_dop853(rhs, span, y0, **kwargs)
+        ends = lazy.t
+        # the first read at an inner step end builds the step ending there
+        k = len(ends) // 2
+        lazy.sol(ends[k])
+        assert [i for i, f in enumerate(lazy.sol.coefficients) if f is not None] == [k - 1]
+        beyond = [ends[0] - (ends[1] - ends[0]) / 4, ends[-1] + (ends[-1] - ends[-2]) / 4]
+        neighbours = [np.nextafter(t, side) for t in ends for side in (-np.inf, np.inf)]
+        for t in [*ends, *neighbours, *beyond]:
+            assert np.array_equal(lazy.sol(t), eager.sol(t)), t
+
+
+def test_a_step_too_small_fails_the_solve_and_raises_stiffness_error(monkeypatch):
+    # y' = y^2 from y(0) = 1 blows up at t = 1: the steps shrink until they
+    # no longer advance t, and the solve stops on the step where scipy's
+    # DOP853 stops, with its message; integrate_radial_ode raises
+    # StiffnessError on such a solve
+    def blowup(t, y):
+        return y * y
+
+    driver = radial.solve_ivp
+    y0 = np.array([1.0 + 0j])
+    ours = driver(blowup, (0.0, 2.0), y0, rtol=1e-12, atol=1e-300)
+    ref = solve_ivp(blowup, (0.0, 2.0), y0, method="DOP853", rtol=1e-12, atol=1e-300)
+    assert not ours.success and not ref.success
+    assert ours.message == ref.message == dop853.TOO_SMALL_STEP
+    assert np.array_equal(ours.t, ref.t) and ours.nfev == ref.nfev
+    assert 0.999 < ours.t[-1] < 1.0 + 1e-12
+    monkeypatch.setattr(radial, "solve_ivp",
+                        lambda fun, t_span, y0, **kwargs: driver(blowup, (0.0, 2.0), y0, **kwargs))
+    with pytest.raises(StiffnessError, match="step size is less than spacing"):
+        radial.integrate_radial_ode(H2, [0.5], (0.2, 2.0), [(1.0, 0.0)])
 
 
 def test_wronskian_limit_on_a_sequence_matches_scalar_calls():
@@ -362,9 +419,10 @@ def test_batch_reads_equal_direct_dense_output_reads(monkeypatch, order):
     # solution holds w = e^(sigma (t - t0)) u forward, read back as u =
     # e^(-sigma (t - t0)) w and u' = e^(-sigma (t - t0)) (w' - sigma w)
     solves = []
+    driver = radial.solve_ivp
 
     def recording(*args, **kwargs):
-        solves.append(solve_ivp(*args, **kwargs))
+        solves.append(driver(*args, **kwargs))
         return solves[-1]
 
     monkeypatch.setattr(radial, "solve_ivp", recording)

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hyperscatter import resolvent
 from hyperscatter.cfunction import for_space
-from hyperscatter.errors import NonFiniteInputError, PoleSignal
+from hyperscatter.errors import NonFiniteInputError, PoleSignal, QuadratureError
 from hyperscatter.model_h2 import oracle_h3
-from hyperscatter.radial import eval_phi
+from hyperscatter.radial import eval_phi, eval_Q
 from hyperscatter.resolvent import (
     ResolventApplication,
     apply_radial,
@@ -148,6 +149,78 @@ def test_apply_radial_below_the_support_matches_closed_form_green():
         lo = min(max(t, t_a), t_b)
         want = norm * (q(t) * integral(phi, t_a, lo) + phi(t) * integral(q, lo, t_b))
         assert abs(g - want) / abs(want) < 1e-8, t
+
+
+def _scipy_quad(epsabs, epsrel):
+    """resolvent.quad's contract by scipy's quad, real and imaginary parts
+    integrated apart, as the library integrated before its own rule."""
+    def integrate(g, lo, hi):
+        return quad(g, lo, hi, complex_func=True, epsabs=epsabs, epsrel=epsrel, limit=200)[0]
+
+    return integrate
+
+
+@pytest.mark.parametrize("name", ["h2", "oh2", "chn:2"])
+def test_apply_radial_grid_matches_a_scipy_quad_reference(monkeypatch, name):
+    # the Green representation with every segment integrated by scipy's
+    # quad to 1e-13 agrees with on_grid to 1e-10; and on_grid makes at
+    # most half the integrand calls it made with scipy's quad at the
+    # library's tolerances, which evaluated each node twice (126 against
+    # 252 on each family here)
+    space, zeta, (t_a, t_b) = space_from_name(name), 0.9 - 0.2j, (0.3, 1.2)
+    ts = [0.2, 0.6, 0.9, 2.0]
+    lam = 1j * zeta
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        return math.exp(-((s - 0.75) / 0.15) ** 2)
+
+    got = apply_radial(space, zeta, f, (t_a, t_b)).on_grid(ts)
+    ours = len(calls)
+    integral = _scipy_quad(0.0, 1e-13)
+    norm = 1.0 / (2j * space.kappa * zeta * for_space(space).value(lam))
+
+    def weighted(g):
+        return lambda s: g(space, lam, s) * f(s) * space.density_J_t(s)
+
+    for t, g in zip(ts, got):
+        lo = min(max(t, t_a), t_b)
+        want = norm * (eval_Q(space, lam, t) * integral(weighted(eval_phi), t_a, lo)
+                       + eval_phi(space, lam, t) * integral(weighted(eval_Q), lo, t_b))
+        assert abs(g - want) / abs(want) < 1e-10, t
+    monkeypatch.setattr(resolvent, "quad", _scipy_quad(1e-13, 1e-10))
+    calls.clear()
+    before = apply_radial(space, zeta, f, (t_a, t_b)).on_grid(ts)
+    assert 0 < 2 * ours <= len(calls)
+    assert np.max(np.abs(got - before) / np.abs(before)) < 1e-10
+
+
+def test_quadrature_rule_and_its_interval_budget():
+    # a polynomial of degree 19, which the 10 Gauss nodes integrate exactly
+    # as well as the 21 Kronrod nodes, settles on one interval; an
+    # integrand that turns 30,000 times over the support cannot settle in
+    # 200 intervals (nor could scipy's quad at the same tolerances and
+    # limit): QuadratureError, after at most 200 intervals of 21 nodes each
+    calls = []
+
+    def poly(s):
+        calls.append(s)
+        return (1.0 + 0.5j) * s**19 - 2.0 * s**7
+
+    value = resolvent.quad(poly, 0.3, 1.7)
+    exact = (1.0 + 0.5j) * (1.7**20 - 0.3**20) / 20 - (1.7**8 - 0.3**8) / 4
+    assert len(calls) == 21 and abs(value - exact) < 1e-14 * abs(exact)
+    calls.clear()
+
+    def wave(s):
+        calls.append(s)
+        return math.cos(2e5 * s)
+
+    app = apply_radial(H2, 0.9 - 0.2j, wave, (0.5, 1.5))
+    with pytest.raises(QuadratureError, match="after 200 intervals"):
+        app(1.0)
+    assert len(calls) <= 21 * (1 + 2 * 199)
 
 
 def test_kernel_matches_mpmath_above_the_axis(mp_c, mp_jacobi):

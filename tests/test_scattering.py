@@ -5,7 +5,9 @@ import cmath
 import math
 
 import pytest
+from scipy.optimize import brentq
 
+from hyperscatter import scattering
 from hyperscatter.cfunction import for_space
 from hyperscatter.errors import NonFiniteInputError, PoleSignal, ResonantExponentError
 from hyperscatter.model_h2 import ktype_space
@@ -151,6 +153,38 @@ def test_axis_scan_off_its_default_grid(name, grid):
     got = find_scalar_poles(space, **grid)
     assert [z.imag for z in got] == pytest.approx(want, abs=1e-9)
     assert want and all(z.real == 0 for z in got)
+
+
+def test_brent_port_equals_scipys_brentq_bit_for_bit(monkeypatch):
+    # the axis scan's w on eight families at a step of 0.013 (every pole a
+    # sign change refined by Brent's method), three textbook functions and
+    # a step function whose bracket [-1e300, 1e300] 100 iterations cannot
+    # close: the same root bit for bit, and the same verdict on
+    # convergence, as scipy's brentq
+    calls = []
+    port = scattering._brentq
+
+    def recording(f, xa, xb, xtol):
+        calls.append((f, xa, xb, xtol))
+        return port(f, xa, xb, xtol)
+
+    monkeypatch.setattr(scattering, "_brentq", recording)
+    for name in ("h2", "h3", "chn:2", "chn:3", "hhn:2", "hhn:3", "oh2", "hn:7"):
+        find_scalar_poles(space_from_name(name), step=0.013)
+    assert len(calls) == 60
+    calls += [(lambda x: x * x - 2.0, 0.0, 2.0, 1e-12),
+              (lambda x: math.cos(x) - x, 0.0, 1.0, 1e-12),
+              (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, 1e-12),
+              (lambda x: 1.0 if x > 0.3 else -1.0, -1e300, 1e300, 1e-12)]
+    for f, xa, xb, xtol in calls:
+        root, info = brentq(f, xa, xb, xtol=xtol, full_output=True, disp=False)
+        got, converged = port(f, xa, xb, xtol)
+        assert (got.hex(), converged) == (root.hex(), info.converged), (xa, xb)
+    assert not converged and info.iterations == 100
+    with pytest.raises(ValueError, match="different signs"):
+        port(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
 
 
 def test_axis_scan_h3_empty():
