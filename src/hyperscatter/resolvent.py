@@ -13,7 +13,8 @@ structured exceptions rather than garbage values.
 ``apply_radial`` realizes the resolvent as an operator on radial data by the
 Green representation (variation of parameters with the Wronskian
 J (phi Q' - phi' Q) = -2 i zeta c(i zeta), which is what pins the kernel
-normalization), and certifies the output by an ODE-residual check.
+normalization), its integrals by QUADPACK's QAGS (``quadpack``), and
+certifies the output by an ODE-residual check.
 
 The difference of the two continuations across the axis is rank-one-in-angle
 and collapses, at coincident base point, to the spherical function:
@@ -27,15 +28,14 @@ difference by 2 pi i.
 
 from __future__ import annotations
 
-import heapq
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cfunction import for_space
-from .errors import PoleSignal, QuadratureError
+from .errors import PoleSignal
+from .quadpack import quad
 from .radial import _radius, eval_phi, eval_Q
 from .space import RankOneSpace
 
@@ -109,88 +109,6 @@ def spectral_density_kernel(space, s, t):
         raise ValueError("spectral parameter must be positive")
     zeta = math.sqrt(s / space.kappa)
     return resolvent_difference(space, zeta, float(t)) / (2j * math.pi)
-
-
-# QUADPACK's 21-point Kronrod rule (dqk21): its nodes in [0, 1), the
-# 10-point Gauss nodes at the odd places, and both sets of weights
-_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-        0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0)
-_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-        0.123491976262065851077208100145342, 0.134709217311473325928054001771707,
-        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-        0.149445554002916905664936468389821)
-_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-       0.295524224714752870173892994651338)
-
-
-def _symmetric(weights):
-    """The weights at all 21 nodes, from -1 up, given those at -_XGK."""
-    return np.concatenate((weights, weights[-2::-1]))
-
-
-_NODES = np.concatenate((-np.array(_XGK), _XGK[-2::-1]))
-_KRONROD = _symmetric(np.array(_WGK))
-_GAUSS = _symmetric(np.array([0.0, *(x for w in _WG for x in (w, 0.0))]))
-
-_EPSABS, _EPSREL = 1e-13, 1e-10
-_MAX_INTERVALS = 200
-_EPS = sys.float_info.epsilon
-_UFLOW = sys.float_info.min
-
-
-def _kronrod(f, a, b):
-    """(integral, error estimate) over [a, b] by the 21-point rule, with
-    QUADPACK's error estimate: the Kronrod-Gauss gap, scaled by the spread
-    of f about its mean as dqk21 scales it, and at least 50 eps of the
-    integral of |f|."""
-    centre, half = 0.5 * (a + b), 0.5 * (b - a)
-    fx = np.array([f(x) for x in (centre + half * _NODES).tolist()], dtype=complex)
-    kronrod = _KRONROD @ fx
-    err = abs((kronrod - _GAUSS @ fx) * half)
-    resabs = float(_KRONROD @ np.abs(fx)) * abs(half)
-    resasc = float(_KRONROD @ np.abs(fx - 0.5 * kronrod)) * abs(half)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    if resabs > _UFLOW / (50.0 * _EPS):
-        err = max(50.0 * _EPS * resabs, err)
-    return complex(kronrod * half), err
-
-
-def quad(f, a, b):
-    """The integral of the complex f over [a, b], a < b, by QUADPACK's
-    adaptive scheme (dqage) with its 21-point Gauss-Kronrod rule (dqk21).
-
-    The interval of largest error estimate is bisected until the estimates
-    sum to at most max(1e-13, 1e-10 |integral|); f is evaluated once per
-    node, complex, so each interval costs 21 calls.  QuadratureError where
-    200 intervals do not settle, or an interval can no longer be halved.
-    """
-    value, err = _kronrod(f, a, b)
-    parts = [(-err, a, b, value)]  # a heap, worst error first
-    total, err_sum = value, err
-    while not err_sum <= max(_EPSABS, _EPSREL * abs(total)):
-        if len(parts) >= _MAX_INTERVALS:
-            raise QuadratureError(f"resolvent quadrature did not converge: error estimate "
-                                  f"{err_sum:.2e} after {_MAX_INTERVALS} intervals")
-        neg_err, lo, hi, part = heapq.heappop(parts)
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            raise QuadratureError(f"resolvent quadrature did not converge: error estimate "
-                                  f"{err_sum:.2e} with an interval at t = {mid} too short to halve")
-        for x0, x1 in ((lo, mid), (mid, hi)):
-            v, e = _kronrod(f, x0, x1)
-            heapq.heappush(parts, (-e, x0, x1, v))
-            total += v
-            err_sum += e
-        total -= part
-        err_sum += neg_err
-    return sum(p[3] for p in parts)
 
 
 def _quad(f, a, b):
@@ -285,5 +203,12 @@ class ResolventApplication:
 
 
 def apply_radial(space, zeta, f, support):
-    """Resolvent applied to radial data f supported in the finite [t_a, t_b] = support."""
+    """Resolvent applied to radial data f supported in the finite [t_a, t_b] = support.
+
+    The Green integrals are QUADPACK's QAGS (``quad``) to 1e-10 relative:
+    f may have integrable singularities such as |s - c|^-1/2 at an end or
+    inside, which its extrapolation settles; where QAGS reports a failure
+    (a steeper (s - t_a)^-0.9, say, or an f that 200 intervals do not
+    resolve) a value raises QuadratureError.
+    """
     return ResolventApplication(space, zeta, f, support)

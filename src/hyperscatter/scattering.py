@@ -50,6 +50,7 @@ KIND_INTERTWINER = "intertwiner"
 _LATTICE_TOL = 1e-6
 _ORIGIN_TOL = 1e-13
 _MAX_NODES = 10**6
+_BRENT_XTOL = 1e-12
 _BRENT_RTOL = 4 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
 
@@ -214,16 +215,16 @@ def residue_relation_check(rec: ResonanceRecord):
     )
 
 
-def _brentq(f, xa, xb, xtol):
+def _brentq(f, xa, xb):
     """(x, converged): a zero of the real f between xa and xb, where f
     changes sign, by Brent's method (Brent, Algorithms for Minimization
     without Derivatives, 1973, ch. 4).
 
-    A port of scipy's brentq.c, step for step, at its rtol = 4 eps and
-    maxiter = 100, so the zero is scipy.optimize.brentq's bit for bit.
-    converged is False, and x the last iterate, when 100 iterations do not
-    bring the bracket within xtol + rtol |x|.  ValueError where f has one
-    sign at both ends or returns nan, as scipy raises it.
+    A port of scipy's brentq.c, step for step, at xtol = 1e-12 and its
+    rtol = 4 eps and maxiter = 100, so the zero is scipy.optimize.brentq's
+    bit for bit.  converged is False, and x the last iterate, when 100
+    iterations do not bring the bracket within xtol + rtol |x|.  ValueError
+    where f has one sign at both ends or returns nan, as scipy raises it.
     """
     def value(x):
         fx = float(f(x))
@@ -247,7 +248,7 @@ def _brentq(f, xa, xb, xtol):
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur, True
@@ -337,7 +338,7 @@ def find_scalar_poles(space, im_lo=-4.95, im_hi=4.95, step=0.01):
     # strict sign changes between finite nodes that are not poles of w
     a, b = vals[:-1], vals[1:]
     for i in np.flatnonzero((np.abs(a) < 1e18) & (np.abs(b) < 1e18) & (a * b < 0)):
-        root, converged = _brentq(w, sigmas[i], sigmas[i + 1], 1e-12)
+        root, converged = _brentq(w, sigmas[i], sigmas[i + 1])
         if not converged:
             raise EnumerationError(f"Brent's method found no zero of 1/s(i sigma) between "
                                    f"sigma = {sigmas[i]} and {sigmas[i + 1]}")

@@ -402,6 +402,25 @@ def test_a_step_too_small_fails_the_solve_and_raises_stiffness_error(monkeypatch
         radial.integrate_radial_ode(H2, [0.5], (0.2, 2.0), [(1.0, 0.0)])
 
 
+def test_a_batch_below_100_eps_rtol_agrees_with_single_solves(monkeypatch):
+    # 2100 lambdas solve at rtol 1e-12 / sqrt(2100), below the 100 eps to
+    # which scipy's solve_ivp raised such an rtol: the driver keeps it, and
+    # each phi agrees with its own single-lambda solve to 1e-11
+    rtols = []
+    driver = radial.solve_ivp
+
+    def recording(fun, t_span, y0, rtol, atol):
+        rtols.append(rtol)
+        return driver(fun, t_span, y0, rtol=rtol, atol=atol)
+
+    monkeypatch.setattr(radial, "solve_ivp", recording)
+    lams = list(np.linspace(0.1, 3.0, 2100) + 0.1j)
+    batch = phi_solution(H2, lams, 4.0)
+    assert min(rtols) < 100 * np.finfo(float).eps
+    for k in (5, 1000, 2099):
+        assert _rel(batch[k](3.0), phi_solution(H2, lams[k], 4.0)(3.0)) < 1e-11, lams[k]
+
+
 def test_wronskian_limit_on_a_sequence_matches_scalar_calls():
     space = space_from_name("h2")
     lams = [0.3 - 1j, 1.6, 2.7 + 0.5j]

@@ -3,12 +3,14 @@ identity, pole signalling, and the Green-representation application."""
 
 import cmath
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hyperscatter import resolvent
+from hyperscatter import quadpack, resolvent
 from hyperscatter.cfunction import for_space
 from hyperscatter.errors import NonFiniteInputError, PoleSignal, QuadratureError
 from hyperscatter.model_h2 import oracle_h3
@@ -221,6 +223,85 @@ def test_quadrature_rule_and_its_interval_budget():
     with pytest.raises(QuadratureError, match="after 200 intervals"):
         app(1.0)
     assert len(calls) <= 21 * (1 + 2 * 199)
+
+
+# scipy's quad warns with one message per QUADPACK failure code
+_SCIPY_FAILURES = {"maximum number of subdivisions": 1, "occurrence of roundoff": 2,
+                   "Extremely bad integrand": 3, "does not converge": 4, "divergent": 5}
+
+
+def test_qags_port_equals_scipys_quad_bit_for_bit():
+    # on real integrands, smooth, singular at an end or inside, with a
+    # jump, and five that end in each of QUADPACK's failure codes, the
+    # port's integral, error estimate, interval count, integrand calls and
+    # failure code are those of scipy's quad (dqagse) at the same
+    # tolerances and limit, bit for bit
+    cases = [
+        (math.exp, 0.5, 1.5, 0),
+        (lambda x: x**19 - 2.0 * x**7, 0.3, 1.7, 0),
+        (lambda x: x**-0.5 if x > 0.0 else 0.0, 0.0, 1.0, 0),
+        (lambda x: math.log(x) if x > 0.0 else 0.0, 0.0, 1.0, 0),
+        (lambda x: abs(x - 0.7) ** -0.5 if x != 0.7 else 0.0, 0.3, 1.2, 0),
+        (lambda x: 1.0 if x < 0.7 else 0.0, 0.3, 1.2, 0),
+        (lambda x: math.sin(1.0 / x) * x**-0.5 if x > 0.0 else 0.0, 0.0, 1.0, 1),
+        (lambda x: math.exp(x) + 1e-7 * random.Random(x.hex()).random(), 0.0, 1.0, 2),
+        (lambda x: 1.0 / (x - 1.0) if x != 1.0 else 0.0, 1.0, 1.0 + 1e-14, 3),
+        (lambda x: (x - 0.3) ** -0.9 * math.cos(3.0 * x) if x > 0.3 else 0.0, 0.3, 1.2, 4),
+        (lambda x: x**-1.1 if x > 0.0 else 0.0, 0.0, 1.0, 5),
+    ]
+    for f, a, b, code in cases:
+        calls = []
+
+        def counted(x, f=f):
+            calls.append(x)
+            return f(x)
+
+        value, error, ier, last = quadpack.qags(counted, a, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ref = quad(f, a, b, epsabs=quadpack.EPSABS, epsrel=quadpack.EPSREL,
+                       limit=quadpack.LIMIT, full_output=1)
+        info = ref[2]
+        want = [v for k, v in _SCIPY_FAILURES.items() if k in ref[3]] if len(ref) > 3 else [0]
+        assert ier == code and want == [code], (a, b, ref[3:])
+        assert (value.real.hex(), value.imag, error.hex()) == (ref[0].hex(), 0.0, ref[1].hex())
+        assert (last, len(calls)) == (info["last"], info["neval"]) == (last, 42 * last - 21)
+
+
+def _split_at(c):
+    """A reference quad: the integral over [lo, hi] as F(hi) - F(lo), F(x)
+    the integral from c to x after s = c +- u^2, smooth for data with a
+    |s - c|^-1/2 singularity."""
+    def from_c(g, x):
+        sign = 1.0 if x >= c else -1.0
+        return sign * quad(lambda u: g(c + sign * u * u) * 2.0 * u, 0.0, math.sqrt(abs(x - c)),
+                           complex_func=True, epsabs=0.0, epsrel=1e-13)[0]
+
+    return lambda g, lo, hi: from_c(g, hi) - from_c(g, lo)
+
+
+@pytest.mark.parametrize("c", [0.3, 0.7])
+def test_apply_radial_takes_data_singular_at_an_end_or_inside(monkeypatch, c):
+    # f = |s - c|^-1/2 on the support (0.3, 1.2), singular at its lower
+    # end or inside: on_grid agrees to 1e-10 with the Green representation
+    # integrated after s = c -+ u^2 takes the singularity out (the
+    # extrapolation of QUADPACK's dqagse settles what bisection alone
+    # would not); f = (s - 0.3)^-0.9 is past what it settles at these
+    # tolerances and raises QuadratureError, as scipy's quad did for it
+    ts = [0.2, 0.6, 0.9, 2.0]
+
+    def f(s):
+        return abs(s - c) ** -0.5 if s != c else 0.0
+
+    got = apply_radial(H2, 0.9 - 0.2j, f, (0.3, 1.2)).on_grid(ts)
+    monkeypatch.setattr(resolvent, "quad", _split_at(c))
+    want = apply_radial(H2, 0.9 - 0.2j, f, (0.3, 1.2)).on_grid(ts)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-10
+    monkeypatch.undo()
+    steep = apply_radial(H2, 0.9 - 0.2j, lambda s: (s - 0.3) ** -0.9 if s > 0.3 else 0.0,
+                         (0.3, 1.2))
+    with pytest.raises(QuadratureError, match="extrapolation table"):
+        steep.on_grid(ts)
 
 
 def test_kernel_matches_mpmath_above_the_axis(mp_c, mp_jacobi):

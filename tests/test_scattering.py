@@ -164,27 +164,28 @@ def test_brent_port_equals_scipys_brentq_bit_for_bit(monkeypatch):
     calls = []
     port = scattering._brentq
 
-    def recording(f, xa, xb, xtol):
-        calls.append((f, xa, xb, xtol))
-        return port(f, xa, xb, xtol)
+    def recording(f, xa, xb):
+        calls.append((f, xa, xb))
+        return port(f, xa, xb)
 
     monkeypatch.setattr(scattering, "_brentq", recording)
     for name in ("h2", "h3", "chn:2", "chn:3", "hhn:2", "hhn:3", "oh2", "hn:7"):
         find_scalar_poles(space_from_name(name), step=0.013)
     assert len(calls) == 60
-    calls += [(lambda x: x * x - 2.0, 0.0, 2.0, 1e-12),
-              (lambda x: math.cos(x) - x, 0.0, 1.0, 1e-12),
-              (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, 1e-12),
-              (lambda x: 1.0 if x > 0.3 else -1.0, -1e300, 1e300, 1e-12)]
-    for f, xa, xb, xtol in calls:
+    calls += [(lambda x: x * x - 2.0, 0.0, 2.0),
+              (lambda x: math.cos(x) - x, 0.0, 1.0),
+              (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+              (lambda x: 1.0 if x > 0.3 else -1.0, -1e300, 1e300)]
+    xtol = scattering._BRENT_XTOL
+    for f, xa, xb in calls:
         root, info = brentq(f, xa, xb, xtol=xtol, full_output=True, disp=False)
-        got, converged = port(f, xa, xb, xtol)
+        got, converged = port(f, xa, xb)
         assert (got.hex(), converged) == (root.hex(), info.converged), (xa, xb)
     assert not converged and info.iterations == 100
     with pytest.raises(ValueError, match="different signs"):
-        port(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+        port(lambda x: x * x + 1.0, -1.0, 1.0)
     with pytest.raises(ValueError, match="different signs"):
-        brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=xtol)
 
 
 def test_axis_scan_h3_empty():
