@@ -89,7 +89,7 @@ def bv_limit(space, lam, samples):
     (value, error_estimate), the estimate from refitting on the tail of the
     grid.  Raises DominanceError for Re lambda < 0.25, where the y^(2 lambda)
     branch is not separated enough for limit extraction (use boundary_pair),
-    and NonFiniteInputError for a nan or infinite lambda.
+    and NonFiniteInputError for a nan or infinite lambda, y or u.
     """
     lam = complex(lam)
     if not np.isfinite(lam):
@@ -101,6 +101,8 @@ def bv_limit(space, lam, samples):
         )
     ys = np.array([float(y) for y, _ in samples])
     us = np.array([complex(u) for _, u in samples], dtype=complex)
+    if not (np.isfinite(ys).all() and np.isfinite(us).all()):
+        raise NonFiniteInputError("bv_limit samples (y, u) must be finite")
     if len(ys) < 7:
         raise ValueError("need at least 7 geometric samples (M >= 6)")
     ratios = ys[1:] / ys[:-1]

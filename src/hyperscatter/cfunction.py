@@ -301,9 +301,6 @@ class CFunction:
         lam = _argument(lam)
         return _read_local("c", "lambda", lam, *self.local_expansion(lam))[1]
 
-    def __call__(self, lam):
-        return self.value(lam)
-
     # -- two-sided product -------------------------------------------------
 
     def czz_expansion(self, zeta0):

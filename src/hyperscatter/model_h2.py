@@ -212,11 +212,22 @@ def hyperbolic_laplacian_stencil(func, z):
 _KTYPE_EXPONENT = 700.0  # largest |log| of the prefactor and of phi^S
 
 
+def _integer(what, n):
+    """n as an int: NonFiniteInputError for nan or inf, ValueError for 1.5 or
+    anything else that is not an integer."""
+    if isinstance(n, numbers.Integral):
+        return int(n)
+    if isinstance(n, numbers.Real):
+        if not math.isfinite(n):
+            raise NonFiniteInputError(f"{what} = {n!r} is not finite")
+        if float(n).is_integer():
+            return int(n)
+    raise ValueError(f"{what} = {n!r} is not an integer")
+
+
 def _ktype_index(n):
-    """|n| for an integral n; 1.5, nan or inf raise ValueError."""
-    if not (isinstance(n, numbers.Real) and float(n).is_integer()):
-        raise ValueError(f"K-type index n = {n!r} is not an integer")
-    return abs(int(n))
+    """|n| for an integral n, refused as _integer refuses it."""
+    return abs(_integer("K-type index n", n))
 
 
 def ktype_space(n):
@@ -324,9 +335,10 @@ def residue_rank(k, with_gap=False):
     singular values above _SVD_THRESHOLD * sigma_max; if the singular-value
     gap at the cut is below 10^2 the rank is declared indeterminate.  With
     ``with_gap=True`` returns (rank, gap) instead, gap = inf for a full-rank
-    cut.
+    cut.  A nan or infinite k raises NonFiniteInputError, a k that is not an
+    integer ValueError.
     """
-    k = int(k)
+    k = _integer("k", k)
     if k < 0:
         raise ValueError("k must be a nonnegative integer")
     n_points = max(4 * k + 4, 12)

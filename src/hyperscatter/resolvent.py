@@ -149,13 +149,7 @@ class ResolventApplication:
         return _quad(lambda s: self._q(s) * self.f(s) * self._J(s), lo, hi)
 
     def __call__(self, t):
-        t = _radius(t)
-        if t <= 0.0:
-            raise ValueError("need t > 0")
-        lo = min(max(t, self.t_a), self.t_b)
-        inner = self._inner(self.t_a, lo)
-        outer = self._outer(lo, self.t_b)
-        return self.normalization * (self._q(t) * inner + self._phi(t) * outer)
+        return self.on_grid([_radius(t)])[0]
 
     def on_grid(self, ts):
         """Values on an ascending grid, sharing cumulative segment quadratures."""

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +38,7 @@ import numpy as np
 from . import model_h2
 from .boundary import bv_limit
 from .cfunction import for_space
-from .errors import EnumerationError, NonFiniteInputError, PoleSignal, ResonantExponentError
+from .errors import NonFiniteInputError, PoleSignal, ResonantExponentError
 from .radial import connection_coefficients, eval_phi
 from .resonances import ResonanceRecord, circle_moment, circle_nodes, enumerate_resonances
 from .space import RankOneSpace
@@ -50,9 +49,7 @@ KIND_INTERTWINER = "intertwiner"
 _LATTICE_TOL = 1e-6
 _ORIGIN_TOL = 1e-13
 _MAX_NODES = 10**6
-_BRENT_XTOL = 1e-12
-_BRENT_RTOL = 4 * sys.float_info.epsilon
-_BRENT_MAXITER = 100
+_PARTS = 16  # parts a bracket of a zero of w is cut into, per round
 
 
 @dataclass(frozen=True)
@@ -215,83 +212,51 @@ def residue_relation_check(rec: ResonanceRecord):
     )
 
 
-def _brentq(f, xa, xb):
-    """(x, converged): a zero of the real f between xa and xb, where f
-    changes sign, by Brent's method (Brent, Algorithms for Minimization
-    without Derivatives, 1973, ch. 4).
+def _axis_w(cf, sigmas):
+    """w(sigma) = c(-sigma)/c(sigma) over the real array sigmas: 0 at a pole of
+    c(sigma), nan at a pole of w (a pole of c(-sigma) or a zero of c(sigma))
+    and at sigma = 0.  c's order and leading term are read once, by one array
+    pass over the union of sigmas and their mirrors -sigma."""
+    union = np.union1d(sigmas, -sigmas)
+    order, lead, _ = cf._expand(union.astype(complex), slope=False)
+    cval = np.where(order > 0, 0j, lead)
+    den, num = np.searchsorted(union, sigmas), np.searchsorted(union, -sigmas)
+    vals = np.full(len(sigmas), math.nan)
+    vals[order[den] < 0] = 0.0
+    finite = (order[den] >= 0) & (order[num] >= 0) & (cval[den] != 0)
+    vals[finite] = (cval[num][finite] / cval[den][finite]).real
+    vals[np.abs(sigmas) < _ORIGIN_TOL] = math.nan
+    return vals
 
-    A port of scipy's brentq.c, step for step, at xtol = 1e-12 and its
-    rtol = 4 eps and maxiter = 100, so the zero is scipy.optimize.brentq's
-    bit for bit.  converged is False, and x the last iterate, when 100
-    iterations do not bring the bracket within xtol + rtol |x|.  ValueError
-    where f has one sign at both ends or returns nan, as scipy raises it.
+
+def _narrow(cf, lo, hi):
+    """A zero of w between lo and hi, where w changes strict sign, or None
+    where it changes sign across a pole of w (a zero of s).
+
+    Each round cuts the bracket into _PARTS parts with one _axis_w pass and
+    keeps the first part where w is 0 or changes sign.  Once the bracket
+    stops shrinking, its midpoint is the zero if |w| < 1e-6 there.
     """
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre, True
-    if fcur == 0:
-        return xcur, True
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur, True
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            bound = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
-                spre, scur = scur, stry  # a good short step
-            else:
-                spre = scur = sbis  # bisect
-        else:
-            spre = scur = sbis  # bisect
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    return xcur, False
+    while True:
+        nodes = np.linspace(lo, hi, _PARTS + 1)
+        vals = _axis_w(cf, nodes)
+        keep = np.flatnonzero(vals[:-1] * vals[1:] <= 0)
+        if not keep.size or nodes[keep[0] + 1] - nodes[keep[0]] >= hi - lo:
+            mid = 0.5 * (lo + hi)
+            return mid if abs(_axis_w(cf, np.array([mid]))[0]) < 1e-6 else None
+        lo, hi = nodes[keep[0]], nodes[keep[0] + 1]
 
 
 def find_scalar_poles(space, im_lo=-4.95, im_hi=4.95, step=0.01):
     """Locate the poles of scalar() on the imaginary-axis segment by scanning
-    w(sigma) = 1/s(i sigma) = c(-sigma)/c(sigma) for zeros.
+    w(sigma) = 1/s(i sigma) = c(-sigma)/c(sigma), which is real there, for
+    zeros on the nodes k * step.
 
-    w is real on the segment.  Nodes where w vanishes identically (lattice
-    hits) are recorded directly; sign changes between regular nodes are
-    refined by Brent's method (_brentq) and accepted only if w is actually
-    small there, which rejects the sign flips across poles of w (those are
-    zeros of s).  Returns the pole locations i sigma sorted by imaginary
-    part; sigma = 0 is skipped.  EnumerationError where a refinement does
-    not converge.
-
-    c's order and leading term are read once, by one array pass over the
-    union of the nodes and their mirrors -sigma, so c(-sigma) is read at the
-    mirrored node.  Only the Brent refinement uses the scalar w.
+    Nodes where w is exactly 0 (lattice hits) are zeros; each strict sign
+    change of w between nodes is narrowed by _narrow, which rejects the sign
+    flips across poles of w.  Every value of w is read by _axis_w.  Returns
+    the pole locations i sigma sorted by imaginary part; sigma = 0 is
+    skipped.
     """
     bounds = (im_lo, im_hi, step)
     if not all(math.isfinite(x) for x in bounds):
@@ -300,48 +265,11 @@ def find_scalar_poles(space, im_lo=-4.95, im_hi=4.95, step=0.01):
         raise ValueError(f"axis scan needs step > 0, im_lo < im_hi and at most "
                          f"{_MAX_NODES} nodes, got (im_lo, im_hi, step) = {bounds}")
     cf = for_space(space)
-
-    def w(sig):
-        if abs(sig) < _ORIGIN_TOL:
-            return math.nan
-        try:
-            den = cf.value(complex(sig))
-        except PoleSignal:
-            return 0.0
-        try:
-            num = cf.value(complex(-sig))
-        except PoleSignal:
-            return 1e18
-        if den == 0:
-            return 1e18
-        return (num / den).real
-
     k_lo = math.ceil(im_lo / step - 1e-9)
     k_hi = math.floor(im_hi / step + 1e-9)
-    ks = np.arange(k_lo, k_hi + 1)
-    sigmas = ks * step
-    # order and value of c on the union of the nodes and their mirrors
-    union = np.union1d(ks, -ks)
-    order, lead, _ = cf._expand((union * step).astype(complex), slope=False)
-    cval = np.where(order > 0, 0j, lead)
-    den, num = np.searchsorted(union, ks), np.searchsorted(union, -ks)
-
-    # w as the scalar w forms it: 0 at a pole of c(sigma), 1e18 at a pole of
-    # c(-sigma) or a zero of c(sigma), nan at sigma = 0
-    vals = np.full(len(sigmas), 1e18)
-    vals[order[den] < 0] = 0.0
-    finite = (order[den] >= 0) & (order[num] >= 0) & (cval[den] != 0)
-    vals[finite] = (cval[num][finite] / cval[den][finite]).real
-    vals[np.abs(sigmas) < _ORIGIN_TOL] = math.nan
-
-    poles = list(sigmas[vals == 0.0])
-    # strict sign changes between finite nodes that are not poles of w
-    a, b = vals[:-1], vals[1:]
-    for i in np.flatnonzero((np.abs(a) < 1e18) & (np.abs(b) < 1e18) & (a * b < 0)):
-        root, converged = _brentq(w, sigmas[i], sigmas[i + 1])
-        if not converged:
-            raise EnumerationError(f"Brent's method found no zero of 1/s(i sigma) between "
-                                   f"sigma = {sigmas[i]} and {sigmas[i + 1]}")
-        if abs(w(root)) < 1e-6:
-            poles.append(root)
+    sigmas = np.arange(k_lo, k_hi + 1) * step
+    vals = _axis_w(cf, sigmas)
+    roots = [_narrow(cf, sigmas[i], sigmas[i + 1])
+             for i in np.flatnonzero(vals[:-1] * vals[1:] < 0)]
+    poles = list(sigmas[vals == 0.0]) + [r for r in roots if r is not None]
     return sorted((1j * s for s in poles), key=lambda z: z.imag)

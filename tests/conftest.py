@@ -58,3 +58,12 @@ def mp_jacobi():
     function at 30 digits; shares no code with the library's series or ODE
     routes."""
     return _mp_phi, _mp_q
+
+
+def pytest_report_header(config):
+    # the DOP853 and QAGS ports are checked bit for bit against the
+    # installed scipy, so a report names the versions it was checked against
+    import numpy
+    import scipy
+
+    return f"numpy {numpy.__version__}, scipy {scipy.__version__}"

@@ -91,3 +91,16 @@ def test_bv_limit_input_validation():
         for lam in (math.nan, complex(0.7, math.inf)):
             with pytest.raises(NonFiniteInputError):
                 bv_limit(H2, lam, samples)
+
+
+def test_bv_limit_refuses_non_finite_samples():
+    # a nan or infinite y or u once gave (nan+nanj, nan) and a RuntimeWarning
+    ys = 0.4 * 0.5 ** np.arange(9)
+    good = [(y, y) for y in ys]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i, bad in ((0, (ys[0], math.nan)), (4, (ys[4], math.inf)),
+                       (8, (ys[8], complex(1.0, -math.inf))), (3, (math.nan, 1.0)),
+                       (6, (math.inf, 1.0))):
+            with pytest.raises(NonFiniteInputError):
+                bv_limit(H2, 0.7, good[:i] + [bad] + good[i + 1:])

@@ -8,7 +8,7 @@ from pathlib import Path
 import hyperscatter
 
 # a forward and a backward radial solve, the resolvent's quadrature, the
-# axis scan's root refinement and a verify suite through the CLI, then the
+# axis scan off its default grid and a verify suite through the CLI, then the
 # scipy modules the process holds
 _SCRIPT = """
 import contextlib, io, math, sys
@@ -30,8 +30,9 @@ print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 def test_only_scipy_special_is_imported():
     # scipy.integrate and scipy.optimize (and with them scipy.sparse,
     # scipy.linalg, scipy.fft and scipy.spatial) cost about half of a
-    # process's start-up; the library's DOP853, Gauss-Kronrod and Brent
-    # are its own, and nothing imports those modules later either
+    # process's start-up; the library's DOP853 and QUADPACK ports are its
+    # own, the axis scan needs no root finder, and nothing imports those
+    # modules later either
     src = str(Path(hyperscatter.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))

@@ -244,6 +244,18 @@ def test_residue_ranks_first_two():
     rank, gap = residue_rank(1, with_gap=True)
     assert rank == 3
     assert gap >= 1e6
+    assert residue_rank(2.0) == 5
+
+
+def test_residue_rank_refuses_a_k_that_is_not_an_integer():
+    # int(k) once cut 1.5 and 1.999 to k = 1 (rank 3), and inf and nan
+    # raised Python's own OverflowError and ValueError
+    for k in (1.5, 1.999, -0.5):
+        with pytest.raises(ValueError, match="not an integer"):
+            residue_rank(k)
+    for k in (math.inf, -math.inf, math.nan):
+        with pytest.raises(NonFiniteInputError):
+            residue_rank(k)
 
 
 def test_oracle_h3_domain():

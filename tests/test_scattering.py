@@ -5,10 +5,8 @@ import cmath
 import math
 
 import pytest
-from scipy.optimize import brentq
 
-from hyperscatter import scattering
-from hyperscatter.cfunction import for_space
+from hyperscatter.cfunction import CFunction, for_space
 from hyperscatter.errors import NonFiniteInputError, PoleSignal, ResonantExponentError
 from hyperscatter.model_h2 import ktype_space
 from hyperscatter.resonances import enumerate_resonances
@@ -144,8 +142,8 @@ def test_axis_scan_matches_classification():
                                   {"im_lo": -2.2, "im_hi": 4.3, "step": 0.013}])
 def test_axis_scan_off_its_default_grid(name, grid):
     # a step of 0.013 misses the half-integers, so every pole comes from a
-    # sign change refined by brentq; an asymmetric window reads c(-sigma)
-    # at nodes outside it
+    # sign change narrowed by the scan's array pass; an asymmetric window
+    # reads c(-sigma) at nodes outside it
     space = space_from_name(name)
     lo, hi = grid.get("im_lo", -4.95), grid.get("im_hi", 4.95)
     want = sorted(p.zeta.imag for p in classify_poles(space, 12)
@@ -155,37 +153,22 @@ def test_axis_scan_off_its_default_grid(name, grid):
     assert want and all(z.real == 0 for z in got)
 
 
-def test_brent_port_equals_scipys_brentq_bit_for_bit(monkeypatch):
-    # the axis scan's w on eight families at a step of 0.013 (every pole a
-    # sign change refined by Brent's method), three textbook functions and
-    # a step function whose bracket [-1e300, 1e300] 100 iterations cannot
-    # close: the same root bit for bit, and the same verdict on
-    # convergence, as scipy's brentq
-    calls = []
-    port = scattering._brentq
+def test_axis_scan_reads_c_only_through_its_array_pass(monkeypatch):
+    # at a step of 0.013 every pole is a sign change of w that the scan
+    # narrows, and the narrowing reads w by the scan's own array pass: with
+    # the scalar c-function refused, the scan still finds every pole
+    names = ("h2", "h3", "chn:2", "chn:3", "hhn:2", "hhn:3", "oh2", "hn:7")
+    want = {name: sorted(p.zeta.imag for p in classify_poles(space_from_name(name), 12)
+                         if abs(p.zeta.imag) <= 4.95) for name in names}
 
-    def recording(f, xa, xb):
-        calls.append((f, xa, xb))
-        return port(f, xa, xb)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the axis scan called the scalar c-function")
 
-    monkeypatch.setattr(scattering, "_brentq", recording)
-    for name in ("h2", "h3", "chn:2", "chn:3", "hhn:2", "hhn:3", "oh2", "hn:7"):
-        find_scalar_poles(space_from_name(name), step=0.013)
-    assert len(calls) == 60
-    calls += [(lambda x: x * x - 2.0, 0.0, 2.0),
-              (lambda x: math.cos(x) - x, 0.0, 1.0),
-              (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
-              (lambda x: 1.0 if x > 0.3 else -1.0, -1e300, 1e300)]
-    xtol = scattering._BRENT_XTOL
-    for f, xa, xb in calls:
-        root, info = brentq(f, xa, xb, xtol=xtol, full_output=True, disp=False)
-        got, converged = port(f, xa, xb)
-        assert (got.hex(), converged) == (root.hex(), info.converged), (xa, xb)
-    assert not converged and info.iterations == 100
-    with pytest.raises(ValueError, match="different signs"):
-        port(lambda x: x * x + 1.0, -1.0, 1.0)
-    with pytest.raises(ValueError, match="different signs"):
-        brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=xtol)
+    for attr in ("value", "derivative", "_local"):
+        monkeypatch.setattr(CFunction, attr, refuse)
+    for name in names:
+        got = find_scalar_poles(space_from_name(name), step=0.013)
+        assert [z.imag for z in got] == pytest.approx(want[name], abs=1e-9), name
 
 
 def test_axis_scan_h3_empty():
