@@ -89,7 +89,8 @@ def bv_limit(space, lam, samples):
     (value, error_estimate), the estimate from refitting on the tail of the
     grid.  Raises DominanceError for Re lambda < 0.25, where the y^(2 lambda)
     branch is not separated enough for limit extraction (use boundary_pair),
-    and NonFiniteInputError for a nan or infinite lambda, y or u.
+    NonFiniteInputError for a nan or infinite lambda, y or u, and ValueError
+    for a sample with y <= 0, where y^(lambda-rho) leaves the boundary limit.
     """
     lam = complex(lam)
     if not np.isfinite(lam):
@@ -103,6 +104,8 @@ def bv_limit(space, lam, samples):
     us = np.array([complex(u) for _, u in samples], dtype=complex)
     if not (np.isfinite(ys).all() and np.isfinite(us).all()):
         raise NonFiniteInputError("bv_limit samples (y, u) must be finite")
+    if np.any(ys <= 0.0):
+        raise ValueError("bv_limit samples need y > 0")
     if len(ys) < 7:
         raise ValueError("need at least 7 geometric samples (M >= 6)")
     ratios = ys[1:] / ys[:-1]

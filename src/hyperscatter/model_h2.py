@@ -375,10 +375,12 @@ def oracle_h3(lam, t):
     """Closed-form H^3 fixtures: phi, Q, c at (lambda, t).
 
     phi = sinh(lambda t)/(lambda sinh t) with the entire continuation
-    t/sinh t at lambda = 0; Q = y^(1+lambda)/(1-y^2); c = 1/lambda.
+    t/sinh t at lambda = 0; Q = y^(1+lambda)/(1-y^2); c = 1/lambda.  A nan
+    or infinite lambda or t raises NonFiniteInputError.
     """
     lam = complex(lam)
     t = float(t)
+    _require_finite(lam=lam, t=t)
     if t <= 0.0:
         raise ValueError("oracle needs t > 0")
     x = lam * t

@@ -152,8 +152,11 @@ class ResolventApplication:
         return self.on_grid([_radius(t)])[0]
 
     def on_grid(self, ts):
-        """Values on an ascending grid, sharing cumulative segment quadratures."""
+        """Values on an ascending grid, sharing cumulative segment quadratures;
+        an empty grid gives an empty array."""
         ts = np.asarray(ts, dtype=float)
+        if ts.size == 0:
+            return np.empty(0, dtype=complex)
         if np.any(np.diff(ts) <= 0) or ts[0] <= 0.0:
             raise ValueError("grid must be positive and strictly ascending")
         clips = np.clip(ts, self.t_a, self.t_b)

@@ -26,8 +26,12 @@ residue scalars: c'(i zeta) is c's leading term at the simple zero.
 An optional winding check counts zeros-minus-poles of czz over a thin
 rectangle enclosing the scanned segment of the positive imaginary axis and
 compares against the lattice prediction, guarding against zeros the
-progression would miss.  The count depends on the c-function alone and is
-made once per CFunction; the prediction is made on every call.
+progression would miss.  Since a1 and a2 are real, czz(-conj zeta) =
+conj czz(zeta), so the rectangle's left half turns as much as its right half:
+the count is the turn along the right half alone, divided by pi, sampled at
+one spacing on every side (about 830 points).  The count depends
+on the c-function alone and is made once per CFunction; the prediction is
+made on every call.
 """
 
 from __future__ import annotations
@@ -215,17 +219,22 @@ def _lattice_candidates(space, cf, lo, hi):
 @lru_cache(maxsize=128)
 def _turns(cf, lo, hi):
     """Argument-principle count of czz zeros minus poles over the rectangle
-    [-w, w] x [lo, hi], w = _WINDING_HALF_WIDTH, in one numpy pass."""
-    corners = [
-        complex(-_WINDING_HALF_WIDTH, lo),
-        complex(_WINDING_HALF_WIDTH, lo),
-        complex(_WINDING_HALF_WIDTH, hi),
-        complex(-_WINDING_HALF_WIDTH, hi),
-        complex(-_WINDING_HALF_WIDTH, lo),
-    ]
-    s = np.linspace(0.0, 1.0, _WINDING_SAMPLES, endpoint=False)
-    vals = cf.czz(np.concatenate([a + (b - a) * s for a, b in zip(corners[:-1], corners[1:])]))
-    return float(np.sum(np.angle(vals / np.roll(vals, 1))) / (2.0 * np.pi))
+    [-w, w] x [lo, hi], w = _WINDING_HALF_WIDTH, in one numpy pass.
+
+    a1 and a2 are real, so c(conj lam) = conj c(lam) and czz(-conj zeta) =
+    conj czz(zeta): the left half of the rectangle turns exactly as much as
+    the right half, and the count is the turn of czz along the half path
+    i lo -> w + i lo -> w + i hi -> i hi, divided by pi.  Every side is
+    sampled at the long side's spacing (hi - lo) / _WINDING_SAMPLES."""
+    w = _WINDING_HALF_WIDTH
+    n = math.ceil(w * _WINDING_SAMPLES / (hi - lo))
+    path = np.concatenate([
+        np.linspace(0.0, w, n, endpoint=False) + 1j * lo,
+        w + 1j * np.linspace(lo, hi, _WINDING_SAMPLES, endpoint=False),
+        np.linspace(w, 0.0, n + 1) + 1j * hi,
+    ])
+    vals = cf.czz(path)
+    return float(np.sum(np.angle(vals[1:] / vals[:-1])) / np.pi)
 
 
 def _winding_check(space, cf):

@@ -104,3 +104,17 @@ def test_bv_limit_refuses_non_finite_samples():
                        (6, (math.inf, 1.0))):
             with pytest.raises(NonFiniteInputError):
                 bv_limit(H2, 0.7, good[:i] + [bad] + good[i + 1:])
+
+
+def test_bv_limit_refuses_samples_at_or_below_the_boundary():
+    # y_m = -0.4 * 2^-m passed the ratio check and returned a value off the
+    # principal branch of y^(lambda - rho); a sample y = 0 reached the ratio
+    # check and warned (divide by zero, invalid value) before it raised
+    ys = 0.4 * 0.5 ** np.arange(9)
+    grids = [-ys, np.append(ys[:-1], 0.0), np.insert(ys[1:], 0, 0.0),
+             np.append(ys[:-1], -ys[-1])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for grid in grids:
+            with pytest.raises(ValueError, match="y > 0"):
+                bv_limit(H2, 0.7, [(y, 1.0) for y in grid])

@@ -254,7 +254,8 @@ def test_lambda_past_the_lattice_resolution_is_refused(lam):
 
 
 def _rectangle(space, half_width=0.25, per_side=800):
-    """The 3,200 points of the winding-check rectangle around the axis."""
+    """3,200 points on a rectangle [-0.25, 0.25] x [lo, hi] about the
+    imaginary axis, with the winding check's lo and hi."""
     lo, hi = 0.11, 3.0 * space.rho + 6.13
     corners = [complex(-half_width, lo), complex(half_width, lo),
                complex(half_width, hi), complex(-half_width, hi)]

@@ -262,3 +262,11 @@ def test_oracle_h3_domain():
     with pytest.raises(ValueError):
         oracle_h3(0.5, 0.0)
     assert oracle_h3(0.0, 1.0).phi == pytest.approx(1.0 / math.sinh(1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("lam, t", [(math.nan, 1.0), (0.5, math.inf), (0.5, math.nan),
+                                    (complex(0.5, math.inf), 1.0), (math.inf, 1.0)])
+def test_oracle_h3_refuses_non_finite_input(lam, t):
+    # nan or inf once came back as phi = nan+nanj, not as an error
+    with pytest.raises(NonFiniteInputError):
+        oracle_h3(lam, t)

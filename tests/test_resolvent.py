@@ -123,6 +123,21 @@ def test_apply_radial_grid_matches_pointwise():
         u.on_grid(np.array([1.0, 0.5]))
 
 
+def test_apply_radial_on_an_empty_grid_is_empty(monkeypatch):
+    # an empty grid read ts[0] and raised a raw IndexError; it now gives an
+    # empty complex array with no quadrature and no call to f
+    def f(t):
+        raise AssertionError("f called on an empty grid")
+
+    def no_quad(*args, **kwargs):
+        raise AssertionError("quadrature on an empty grid")
+
+    monkeypatch.setattr(resolvent, "quad", no_quad)
+    for ts in ([], np.array([])):
+        got = apply_radial(H2, 0.9 - 0.2j, f, (0.3, 1.2)).on_grid(ts)
+        assert got.shape == (0,) and got.dtype == complex
+
+
 def test_apply_radial_below_the_support_matches_closed_form_green():
     # Green representation from the closed-form H3 phi and Q; the grid
     # reaches far below t_a / 4, where Q must be continued toward t = 0

@@ -128,6 +128,43 @@ def test_winding_check_catches_a_missing_zero(monkeypatch):
         resonances._winding_check(space, cf)
 
 
+TURN_FAMILIES = ["h2", "h3", "hn:4", "hn:7", "hn:12", "chn:2", "chn:4", "chn:8",
+                 "hhn:2", "hhn:4", "hhn:6", "oh2"]
+
+
+def _full_rectangle_turns(cf, lo, hi):
+    # 800 points on each side of [-0.25, 0.25] x [lo, hi], counterclockwise
+    corners = [complex(-0.25, lo), complex(0.25, lo), complex(0.25, hi), complex(-0.25, hi)]
+    s = np.arange(800) / 800
+    vals = cf.czz(np.concatenate([a + (b - a) * s
+                                  for a, b in zip(corners, corners[1:] + corners[:1])]))
+    return float(np.sum(np.angle(vals / np.roll(vals, 1))) / (2.0 * np.pi))
+
+
+@pytest.mark.parametrize("name", TURN_FAMILIES)
+def test_half_path_count_equals_the_full_rectangle(name):
+    # czz(-conj zeta) = conj czz(zeta): the right half of the rectangle,
+    # divided by pi, counts what the whole rectangle's 3,200 points count
+    space = space_from_name(name)
+    cf = for_space(space)
+    lo, hi = 0.11, 3.0 * space.rho + 6.13  # as _winding_check sets them
+    turns = resonances._turns(cf, lo, hi)
+    assert abs(turns - _full_rectangle_turns(cf, lo, hi)) < 1e-9
+    assert abs(turns - round(turns)) < 1e-9
+
+
+def test_winding_check_sees_a_mirror_pair_off_the_axis():
+    # zeros at zeta0 = 0.1 + 2.3i and -conj zeta0, inside the rectangle but
+    # off the lattice: the count rises by 2, one zero in each half
+    space = space_from_name("h2")
+    cf = CFunction(space)  # not the memoized one: _turns caches per CFunction
+    zeta0 = 0.1 + 2.3j
+    czz = cf.czz
+    cf.czz = lambda zeta: czz(zeta) * (zeta - zeta0) * (zeta + zeta0.conjugate())
+    with pytest.raises(EnumerationError):
+        resonances._winding_check(space, cf)
+
+
 def test_certificate_rejects_a_point_that_is_no_zero():
     # czz on h3 is a multiple of 1/zeta^2, nonzero at 2.5i: the point
     # fails the certificate
