@@ -143,18 +143,24 @@ def _read_values(what, var, at, order, lead):
 
 
 # i^o1 (-i)^o2 = i^((o1 - o2) mod 4)
-_I_POWERS = np.array([1, 1j, -1, -1j])
+_I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 def compose_czz(plus, minus):
     """czz's local data (order, A, B) at zeta, a scalar or an array, from c's
     data (order, A, B) at i zeta (``plus``) and at -i zeta (``minus``); B is
-    None if either B is.  A and B are numpy values even for a scalar zeta."""
+    None if either B is.  A scalar zeta takes plain Python arithmetic, which
+    _cmul imitates on arrays, so that its A equals an array element's."""
     o1, a1, b1 = plus
     o2, a2, b2 = minus
-    phase = _I_POWERS[(o1 - o2) % 4]
+    if isinstance(a1, np.ndarray):
+        phase = np.array(_I_POWERS)[(o1 - o2) % 4]
+        lead = _cmul(phase * a1, a2)
+    else:
+        phase = _I_POWERS[(o1 - o2) % 4]
+        lead = phase * a1 * a2
     nxt = None if b1 is None or b2 is None else phase * (1j * b1 * a2 - 1j * a1 * b2)
-    return o1 + o2, _cmul(phase * a1, a2), nxt
+    return o1 + o2, lead, nxt
 
 
 def log_gamma(z):
@@ -312,7 +318,7 @@ class CFunction:
         zeta0 = complex(zeta0)
         order, lead, nxt = compose_czz(self.local_expansion(1j * zeta0),
                                        self.local_expansion(-1j * zeta0))
-        return order, complex(lead), complex(nxt)
+        return order, lead, complex(nxt)  # B may come from numpy's psi
 
     def czz(self, zeta):
         """czz(zeta) = c(i zeta) c(-i zeta); equals |c(i zeta)|^2 for real zeta.
@@ -328,7 +334,7 @@ class CFunction:
             order, log_lead, _ = self._local(_argument(lam), slope=False)
             data.append((order, cmath.exp(log_lead), None))
         order, lead, _ = compose_czz(*data)
-        return _read_local("czz", "zeta", zeta, order, complex(lead), None)[0]
+        return _read_local("czz", "zeta", zeta, order, lead, None)[0]
 
     def _czz_arrays(self, zeta, expand):
         """czz_expansion over the array zeta, from the c-data ``expand`` gives."""

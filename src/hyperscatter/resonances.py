@@ -21,12 +21,17 @@ the ladder.  The seeds are exact zeros of the implemented c-function, so a
 certification failure is not a root-finding problem: it means the
 c-function itself is broken, and is reported as EnumerationError.  The
 pass reads czz's data off c's at i zeta and -i zeta, which also give the
-residue scalars: c'(i zeta) is c's leading term at the simple zero.
+residue scalars: c'(i zeta) is c's leading term at the simple zero.  Each
+rung is certified once per CFunction: the ladder keeps the rungs certified
+so far with c'(i zeta) and c(-i zeta), a request certifies only the rungs it
+lacks, and scattering.classify_poles reads its resonance residues off the
+same ladder.
 
 An optional winding check counts zeros-minus-poles of czz over a thin
-rectangle enclosing the scanned segment of the positive imaginary axis and
-compares against the lattice prediction, guarding against zeros the
-progression would miss.  Since a1 and a2 are real, czz(-conj zeta) =
+rectangle about the axis segment 0.11 < Im zeta < 3 rho + 6.13, a window
+fixed per space whatever the requested count, and compares against the
+lattice prediction, guarding against zeros the progression would miss
+there.  Since a1 and a2 are real, czz(-conj zeta) =
 conj czz(zeta), so the rectangle's left half turns as much as its right half:
 the count is the turn along the right half alone, divided by pi, sampled at
 one spacing on every side (about 830 points).  The count depends
@@ -104,22 +109,59 @@ def _residue(space, zeta, dc, c_minus):
     return -1.0 / (2.0 * space.kappa * zeta * dc * c_minus)
 
 
-def _multiplicities(space, count):
-    """Ranks of the residue operators at the first ``count`` resonances of
-    the hyperbolic plane (None elsewhere): the K-types n whose c-function on
+def _multiplicities(space, first, count):
+    """Ranks of the residue operators at resonances first..count-1 of the
+    hyperbolic plane (None elsewhere): the K-types n whose c-function on
     model_h2.ktype_space(n) vanishes at lambda = -(rho + k), counted with
     dimension 1 for n = 0 and 2 for +-n.  Those zeros sit at -(rho_n + j),
-    j >= 0, so the count stops at the first rho_n above the top rung.
+    j >= 0, so the count stops at the first rho_n above the top rung; a
+    rung's rank does not depend on which other rungs are ranked with it.
     model_h2.residue_rank is the SVD route to the same rank."""
     if space != model_h2.H2:
-        return [None] * count
-    edges = space.rho + np.arange(count)  # the resonances are lambda = -edges
-    ranks = np.zeros(count, dtype=int)
+        return [None] * (count - first)
+    edges = space.rho + np.arange(first, count)  # the resonances are lambda = -edges
+    ranks = np.zeros(len(edges), dtype=int)
     for n in itertools.count():
         shifted = model_h2.ktype_space(n)
-        if count == 0 or shifted.rho > edges[-1]:
+        if not len(edges) or shifted.rho > edges[-1]:
             return ranks.tolist()
         ranks += (1 if n == 0 else 2) * (for_space(shifted).zero_order(-edges) > 0)
+
+
+@lru_cache(maxsize=None)
+def _ladder(cf):
+    """The rungs of cf's progression certified so far, bottom up, as
+    (record, c'(i zeta), c(-i zeta)); certified_rungs extends it."""
+    return []
+
+
+def certified_rungs(space, count):
+    """The first ``count`` rungs of the resonance ladder of for_space(space),
+    as (record, c'(i zeta), c(-i zeta)).
+
+    Each rung is certified once per CFunction: a request certifies only the
+    rungs the ladder lacks, in one _certify pass.  A rung's data is an
+    elementwise function of that rung, so the rungs equal those of one pass
+    over all ``count`` seeds, and a failed pass raises where that pass would
+    (at the first failed rung) and leaves the ladder unchanged.
+    """
+    if not isinstance(count, numbers.Integral) or count < 0:
+        raise ValueError(f"count must be a non-negative integer, got {count!r}")
+    cf = for_space(space)
+    ladder = _ladder(cf)
+    have = len(ladder)
+    seeds = cf.czz_zeros_upper(count)[have:]
+    if seeds:
+        zetas = np.array(seeds, dtype=complex)
+        dc, c_minus = _certify(cf, zetas)
+        ladder += [
+            (ResonanceRecord(zeta=zeta, k=k, residue_scalar=_residue(space, zeta, d, c),
+                             multiplicity_estimate=mult), d, c)
+            for k, zeta, d, c, mult in zip(
+                itertools.count(have), zetas.tolist(), dc.tolist(), c_minus.tolist(),
+                _multiplicities(space, have, count))
+        ]
+    return ladder[:count]
 
 
 def enumerate_resonances(space, count, verify_complete=False):
@@ -127,24 +169,16 @@ def enumerate_resonances(space, count, verify_complete=False):
 
     Each record carries the certified pole location, its index k in the
     progression i(rho + j k), the residue scalar of the resolvent pole, and
-    (on the hyperbolic plane) the residue rank counted over K-types.  With
-    ``verify_complete=True`` a winding count over the enclosing rectangle
-    cross-checks that the progression misses no czz zero.
+    (on the hyperbolic plane) the residue rank counted over K-types; the
+    records are read off the ladder of certified_rungs.  With
+    ``verify_complete=True`` a winding count cross-checks that the
+    progression misses no czz zero in the fixed window
+    0.11 < Im zeta < 3 rho + 6.13, whatever ``count`` is: rungs above it
+    rest on their certificates alone.
     """
-    if not isinstance(count, numbers.Integral) or count < 0:
-        raise ValueError(f"count must be a non-negative integer, got {count!r}")
-    cf = for_space(space)
-    zetas = np.array(cf.czz_zeros_upper(count), dtype=complex)
-    dc, c_minus = _certify(cf, zetas)
-    records = [
-        ResonanceRecord(zeta=zeta, k=k, residue_scalar=_residue(space, zeta, d, c),
-                        multiplicity_estimate=mult)
-        for k, (zeta, d, c, mult) in enumerate(zip(
-            zetas.tolist(), dc.tolist(), c_minus.tolist(),
-            _multiplicities(space, len(zetas))))
-    ]
+    records = [rec for rec, _, _ in certified_rungs(space, count)]
     if verify_complete:
-        _winding_check(space, cf)
+        _winding_check(space, for_space(space))
     return records
 
 

@@ -40,7 +40,7 @@ from .boundary import bv_limit
 from .cfunction import for_space
 from .errors import NonFiniteInputError, PoleSignal, ResonantExponentError
 from .radial import connection_coefficients, eval_phi
-from .resonances import ResonanceRecord, circle_moment, circle_nodes, enumerate_resonances
+from .resonances import ResonanceRecord, certified_rungs, circle_moment, circle_nodes
 from .space import RankOneSpace
 
 KIND_RESONANCE = "resonance"
@@ -137,24 +137,24 @@ def ktype_eigenvalue(zeta, n):
 def classify_poles(space, count):
     """Scattering poles with kinds: resonances above, intertwiner poles below.
 
-    The upper half-plane list is resonances.enumerate_resonances(space, count);
-    the lower half-plane candidates zeta = -i k/2, k = 1..count, are flagged
-    as intertwiner poles exactly when c has a pole at -k/2 (then c(-i zeta)
-    blows up while c(i zeta) = c(k/2) stays finite and nonzero).  zeta = 0 is
-    never included.
+    The upper half-plane list is the resonance ladder of
+    resonances.certified_rungs(space, count), whose c'(i zeta) and c(-i zeta)
+    give the residues; the lower half-plane candidates zeta = -i k/2,
+    k = 1..count, are flagged as intertwiner poles exactly when c has a pole
+    at -k/2 (then c(-i zeta) blows up while c(i zeta) = c(k/2) stays finite
+    and nonzero).  zeta = 0 is never included.
     """
-    cf = for_space(space)
-    zetas = [rec.zeta for rec in enumerate_resonances(space, count)]
-    # c has simple zeros at lam = i zeta, so c'(lam) is the leading term
-    # there; the quotients are formed as the scalar routes form them
-    lam = 1j * np.array(zetas, dtype=complex)
-    poles = [ScatteringPole(z, KIND_RESONANCE, -1j * num / dc) for z, num, dc in zip(
-        zetas, cf.value(-lam).tolist(), cf.local_expansion(lam)[1].tolist())]
+    # the quotients are formed as the scalar routes form them
+    poles = [ScatteringPole(rec.zeta, KIND_RESONANCE, -1j * c_minus / dc)
+             for rec, dc, c_minus in certified_rungs(space, count)]
+    # c's order and leading term at -k/2 and k/2 (where c is regular and
+    # nonzero, so the leading term is the value), in one pass with no slope
     ks = np.arange(1, count + 1)
-    order, lead, _ = cf.local_expansion(-0.5 * ks)
-    hit = order < 0
+    order, lead, _ = for_space(space)._expand(np.concatenate([-0.5 * ks, 0.5 * ks]),
+                                              slope=False)
+    hit = order[:count] < 0
     poles += [ScatteringPole(-0.5j * k, KIND_INTERTWINER, 1j * res / den) for k, res, den in zip(
-        ks[hit].tolist(), lead[hit].tolist(), cf.value(0.5 * ks[hit]).tolist())]
+        ks[hit].tolist(), lead[:count][hit].tolist(), lead[count:][hit].tolist())]
     return poles
 
 

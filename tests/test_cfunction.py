@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hyperscatter.cfunction import for_space
+from hyperscatter.cfunction import compose_czz, for_space
 from hyperscatter.errors import NonFiniteInputError, OutOfRangeError, PoleSignal
 from hyperscatter.resolvent import kernel
 from hyperscatter.scattering import scalar
@@ -423,6 +423,24 @@ def test_scalar_czz_expansion_matches_the_array_pass(name):
         if zeta in lattice:
             assert _unsigned(arr_a) == _unsigned(a), zeta
             assert _unsigned(arr_b) == _unsigned(b), zeta
+
+
+def test_scalar_compose_czz_equals_the_array_element_bit_for_bit():
+    # a scalar zeta takes its phase i^(o1 - o2) from a tuple and forms A in
+    # Python complex arithmetic, an array indexes the same phases and forms
+    # A with _cmul: at every phase, with signed zeros, subnormal and large
+    # parts, the scalar A has the bits of the array element
+    parts = [0.0, -0.0, 1.5, -2.25, 1e150, -3e-310, 7.0e-5]
+    rng = random.Random(3)
+    cases = [(rng.randrange(-3, 4), complex(rng.choice(parts), rng.choice(parts)),
+              rng.randrange(-3, 4), complex(rng.choice(parts), rng.choice(parts)))
+             for _ in range(400)]
+    o1, a1, o2, a2 = (np.array(col) for col in zip(*cases))
+    _, arr, _ = compose_czz((o1, a1, None), (o2, a2, None))
+    for (p, x, q, y), want in zip(cases, arr.tolist()):
+        order, lead, nxt = compose_czz((p, x, None), (q, y, None))
+        assert order == p + q and nxt is None and type(lead) is complex
+        assert (lead.real.hex(), lead.imag.hex()) == (want.real.hex(), want.imag.hex()), (p, x, q, y)
 
 
 @pytest.mark.parametrize("name", PROPERTY_NAMES)

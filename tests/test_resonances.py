@@ -250,3 +250,125 @@ def test_ladder_residues_at_high_index(name, mp_c):
                 scattering.scalar(space, pole.zeta)
             want = info.value.residue
         assert abs(pole.residue_scalar - want) <= 2e-12 * abs(want), pole.zeta
+
+
+LADDER_FAMILIES = ["h2", "h3", "chn:2", "chn:3", "hhn:2", "hhn:3", "oh2", "hn:4"]
+REQUEST_ORDERS = {
+    "ascending": [5, 12, 30, 100, 200],
+    "descending": [200, 100, 30, 12, 5],
+    "interleaved": [5, "classify", 30, "classify", 12, 200, "classify", 100],
+}
+
+
+def _serve(monkeypatch, space, cf):
+    """Serve cf as the CFunction of space (only) through resonances.for_space."""
+    monkeypatch.setattr(resonances, "for_space",
+                        lambda s: cf if s == space else for_space(s))
+
+
+def _one_pass(space, n, cf=None):
+    """The first n rungs as one _certify pass over the first n seeds of a
+    fresh CFunction gives them: (records, c'(i zeta), c(-i zeta))."""
+    cf = CFunction(space) if cf is None else cf
+    zetas = np.array(cf.czz_zeros_upper(n), dtype=complex)
+    dc, c_minus = resonances._certify(cf, zetas)
+    records = [resonances.ResonanceRecord(zeta, k, resonances._residue(space, zeta, d, c), mult)
+               for k, (zeta, d, c, mult) in enumerate(zip(
+                   zetas.tolist(), dc.tolist(), c_minus.tolist(),
+                   resonances._multiplicities(space, 0, n)))]
+    return records, dc.tolist(), c_minus.tolist()
+
+
+@pytest.mark.parametrize("order", list(REQUEST_ORDERS))
+@pytest.mark.parametrize("name", LADDER_FAMILIES)
+def test_ladder_equals_one_certificate_pass_in_any_request_order(name, order, monkeypatch):
+    # every request reads the ladder of one fresh CFunction; each answer must
+    # equal, bit for bit (repr shows every digit and signed zeros), a single
+    # certificate pass over its first n seeds, and _certify must see each
+    # rung once over the whole sequence
+    space = space_from_name(name)
+    counts = REQUEST_ORDERS[order]
+    cf = CFunction(space)
+    _serve(monkeypatch, space, cf)
+    certify, sizes = resonances._certify, []
+
+    def counting(cf_, zetas):
+        if cf_ is cf:  # not _one_pass's fresh CFunction
+            sizes.append(len(zetas))
+        return certify(cf_, zetas)
+
+    monkeypatch.setattr(resonances, "_certify", counting)
+    for n in counts:
+        if n == "classify":
+            records, dc, c_minus = _one_pass(space, 12)
+            want = [scattering.ScatteringPole(rec.zeta, KIND_RESONANCE, -1j * c / d)
+                    for rec, d, c in zip(records, dc, c_minus)]
+            got = [p for p in classify_poles(space, 12) if p.kind == KIND_RESONANCE]
+            assert repr(got) == repr(want)
+        else:
+            got = enumerate_resonances(space, n)
+            assert len(got) == len(cf.czz_zeros_upper(n))
+            assert repr(got) == repr(_one_pass(space, n)[0]), n
+    top = max(n for n in counts if n != "classify")
+    assert sum(sizes) == len(cf.czz_zeros_upper(top))
+
+
+def test_ladder_refuses_past_a_rung_off_the_lattice(monkeypatch):
+    # rung 9 of a fresh chn:2 c-function is seeded 0.3 off the lattice, where
+    # czz is no zero: every request past it raises the message one pass over
+    # its seeds raises, and leaves the ladder as it was; every request below
+    # it still returns
+    space = space_from_name("chn:2")
+
+    def shifted():
+        cf = CFunction(space)
+        seeds = cf.czz_zeros_upper
+        cf.czz_zeros_upper = lambda count: [z + (0.3j if k == 9 else 0)
+                                            for k, z in enumerate(seeds(count))]
+        return cf
+
+    cf = shifted()
+    _serve(monkeypatch, space, cf)
+    for n in (3, 12, 9, 10, 30, 5, 200, 8, 10):
+        have = len(resonances._ladder(cf))
+        if n <= 9:
+            got = enumerate_resonances(space, n)
+            assert repr(got) == repr(_one_pass(space, n, shifted())[0]), n
+            continue
+        with pytest.raises(EnumerationError) as direct:
+            _one_pass(space, n, shifted())
+        with pytest.raises(EnumerationError) as info:
+            enumerate_resonances(space, n)
+        assert str(info.value) == str(direct.value), n
+        with pytest.raises(EnumerationError) as info:
+            classify_poles(space, n)
+        assert str(info.value) == str(direct.value), n
+        assert len(resonances._ladder(cf)) == have
+    assert len(resonances._ladder(cf)) == 9
+
+
+@pytest.mark.parametrize("name", ["h2", "chn:2", "hhn:3", "oh2"])
+def test_classify_reads_its_resonances_off_the_ladder(name, monkeypatch):
+    # once the ladder holds 12 rungs, classify_poles makes one array pass
+    # of c, over the intertwiner candidates -k/2 and k/2 alone, and no
+    # certificate
+    space = space_from_name(name)
+    enumerate_resonances(space, 12)
+    expand, seen = CFunction._expand, []
+
+    def recording(self, lam, slope):
+        seen.append((np.array(lam), slope))
+        return expand(self, lam, slope)
+
+    def refuse(cf, zetas):
+        raise AssertionError("a rung was certified again")
+
+    monkeypatch.setattr(CFunction, "_expand", recording)
+    monkeypatch.setattr(resonances, "_certify", refuse)
+    poles = classify_poles(space, 12)
+    assert sum(p.kind == KIND_RESONANCE for p in poles) == 12
+    ks = np.arange(1, 13)
+    assert len(seen) == 1
+    lam, slope = seen[0]
+    assert not slope
+    assert np.array_equal(lam, np.concatenate([-0.5 * ks, 0.5 * ks]))
