@@ -28,13 +28,14 @@ scalar call bit for bit.  As in the scalar call, a non-finite element raises
 NonFiniteInputError and a pole raises PoleSignal.  A scalar or element with
 |lambda| >= 2^52 raises OutOfRangeError: there the float lambda/2 cannot hold
 the quarter offsets of the Gamma arguments, so the lattice cannot be told
-apart.
+apart.  So does one where |c| passes the largest float (chn:1000, 0.7).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -50,6 +51,7 @@ _INT_TOL = 1e-12
 # a1 and a2, so that every a + lambda/2 on the negative axis reads as an
 # integer (and c has lost every digit to cancellation well before)
 _LATTICE_LIMIT = 2.0**52
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _nonpos_int(w, tol=_INT_TOL):
@@ -73,6 +75,14 @@ def _out_of_range(lam):
     return OutOfRangeError(f"c-function argument lambda = {lam} has |lambda| >= 2^52, "
                            "where lambda/2 cannot hold the quarter offsets of the "
                            "Gamma arguments")
+
+
+def _exp_lead(lam, log_lead):
+    """c's leading coefficient A = exp(log A) at lam; OutOfRangeError where
+    |A| passes the largest float (a large multiplicity: chn:1000 at 0.7)."""
+    if not log_lead.real < _LOG_FLOAT_MAX:
+        raise OutOfRangeError(f"c-function at lambda = {lam} leaves the floating-point range")
+    return cmath.exp(log_lead)
 
 
 def _argument(lam):
@@ -214,7 +224,7 @@ class CFunction:
         if isinstance(lam0, np.ndarray):
             return self._expand(lam0, slope=True)
         order, log_lead, ratio = self._local(_argument(lam0), slope=True)
-        lead = cmath.exp(log_lead)
+        lead = _exp_lead(lam0, log_lead)
         return order, lead, lead * ratio
 
     def _local(self, lam, slope):
@@ -272,6 +282,9 @@ class CFunction:
                                   + 1j * (math.pi * (m % 2)))
                 if slope:
                     ratio[hit] += coef * psi(m + 1.0)
+        outside = np.flatnonzero(~(log_lead.real < _LOG_FLOAT_MAX))
+        if outside.size:  # the first raises as _exp_lead raises it
+            _exp_lead(complex(lam.flat[outside[0]]), complex(log_lead.flat[outside[0]]))
         lead = np.exp(log_lead)
         return order, lead, (lead * ratio if slope else None)
 
@@ -300,7 +313,7 @@ class CFunction:
             return _read_values("c", "lambda", lam, *self._expand(lam, slope=False)[:2])
         lam = _argument(lam)
         order, log_lead, _ = self._local(lam, slope=False)
-        return _read_local("c", "lambda", lam, order, cmath.exp(log_lead), None)[0]
+        return _read_local("c", "lambda", lam, order, _exp_lead(lam, log_lead), None)[0]
 
     def derivative(self, lam):
         """c'(lambda); at a pole of c, PoleSignal with c's residue."""
@@ -332,7 +345,7 @@ class CFunction:
         data = []
         for lam in (1j * zeta, -1j * zeta):
             order, log_lead, _ = self._local(_argument(lam), slope=False)
-            data.append((order, cmath.exp(log_lead), None))
+            data.append((order, _exp_lead(lam, log_lead), None))
         order, lead, _ = compose_czz(*data)
         return _read_local("czz", "zeta", zeta, order, lead, None)[0]
 

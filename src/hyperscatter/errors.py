@@ -26,8 +26,8 @@ class NonFiniteInputError(ValueError):
 
 class OutOfRangeError(ValueError):
     """A finite argument too large for floating point to resolve or hold what
-    the computation depends on: the lattice of c-function poles and zeros
-    past |lambda| = 2^52, or a radial density J(t) past the float range."""
+    the computation depends on: the c-function lattice past |lambda| = 2^52,
+    or c, a Frobenius coefficient or a radial density J(t) past the float range."""
 
 
 class IllConditionedError(RuntimeError):

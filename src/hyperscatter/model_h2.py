@@ -41,7 +41,7 @@ import numpy as np
 
 from .cfunction import for_space
 from .errors import (AccuracyWarning, IndeterminateRankError, NonFiniteInputError,
-                     QuadratureError)
+                     OutOfRangeError, QuadratureError)
 from .radial import RadialSolution, _phi_series, continuation
 from .space import RankOneSpace
 
@@ -336,11 +336,14 @@ def residue_rank(k, with_gap=False):
     gap at the cut is below 10^2 the rank is declared indeterminate.  With
     ``with_gap=True`` returns (rank, gap) instead, gap = inf for a full-rank
     cut.  A nan or infinite k raises NonFiniteInputError, a k that is not an
-    integer ValueError.
+    integer ValueError.  At the sampled radii r <= 0.6, |A| <= log 4: a k from
+    512 on, where 4^k leaves the float range, raises OutOfRangeError.
     """
     k = _integer("k", k)
     if k < 0:
         raise ValueError("k must be a nonnegative integer")
+    if k >= 512:  # 4^512 = 2^1024 passes the largest float
+        raise OutOfRangeError(f"residue_rank({k}): entries reach 4^{k}, past the float range")
     n_points = max(4 * k + 4, 12)
     n_angles = max(4 * k + 4, 16)
     rng = np.random.default_rng(20260214 + k)

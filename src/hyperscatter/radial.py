@@ -43,7 +43,7 @@ with the powers of w over that w.  phi's rows are its series and its
 w d/dw; Q's hold the Gamma prefactors and psi weights as well.
 
 The two are linked by phi = c(lambda) Q_{-lambda} + c(-lambda) Q_{lambda};
-``connection_coefficients`` recovers the pair numerically for any solution.
+``boundary.boundary_pair`` recovers the pair numerically for any solution.
 lim_{t->0} J(t) dQ/dt = -2 lambda c(lambda) fixes the resolvent
 normalization: ``wronskian_limit`` extrapolates it from an integrated Q, and
 ``abel_wronskian`` reads it from the two series between log 2 and T_PHI as
@@ -102,13 +102,13 @@ exponent the solution is known to have in the direction of integration
   1/t) + 2 m_2alpha (coth 2t - 1/2t), summed from its Bernoulli series
   below 0.5, w'' = ((p - 1)/t - d) w' + (p d / t - rho^2 + lambda^2) w.
 
-With one solve per family, the pinned verify suites took 2,722 steps
-following u itself and 1,529 following w, and Q at 0.0035 on oh2 is 4e-15
-off mpmath in place of 1.6e-12.  Near the origin the steps stay at about
-0.03 t whatever g is: the coefficient (m_alpha + m_2alpha)/t of u' limits
-an explicit method there, about 30 steps per e-fold of t.  So phi's ODE
-starts where its series still converges fast, at T_SEED = 0.2 (the series
-has about 15 terms there), not at 0.01.
+Following w takes fewer steps than following u, and is more accurate: Q
+at 0.0035 on oh2 is 4e-15 off mpmath in place of 1.6e-12.  Near the origin
+the steps stay at about 0.03 t whatever g is: the coefficient (m_alpha +
+m_2alpha)/t of u' limits an explicit method there, about 30 steps per
+e-fold of t.  So phi's ODE starts where its series still converges fast,
+at T_SEED = 0.2 (the series has about 15 terms there), and
+``abel_wronskian`` reads the Wronskian without solving Q toward 0.
 The ODE is linear, and only lambda^2, sigma and the space's m_alpha,
 m_2alpha, rho and p differ from one solution to another, so N solutions,
 of one space or of several, are integrated as one system whose
@@ -117,12 +117,8 @@ control measures the RMS error over all 2N components, and the scaling
 keeps one lambda's error from hiding behind the others.  A single lambda
 runs a scalar right-hand side at rtol 1e-12.  The verify suites make one
 such solve per kind over every (family, lambda) pair of their grid, 125
-solutions, so the families share their steps: 587 in place of 1,529 over
-the pinned suites, where one solve per family paid each family's count
-(phi: 88 + 93 + 123 + 237 + 300 steps for h2, h3, chn:2, hhn:2, oh2 in
-place of 308 for all five).  Seeding phi at 0.2 in place of 0.01 takes its
-solve to 150 steps, and the Wronskian rows read abel_wronskian in place of
-a Q solve to 0.0035 (142 steps): 287 steps over the pinned suites.
+solutions, so the families share their steps, where one solve per family
+would pay each family's count.
 
 The solver is the library's own DOP853 (``dop853``, Hairer, Norsett and
 Wanner, Solving ODEs I, II.5-II.6): a port of scipy 1.17.1's
@@ -142,17 +138,19 @@ _MAX_PHASE = 1e5 radians is refused with ValueError.
 
 ``eval_phi``, ``eval_Q``, ``connection_coefficients`` and the K-type profiles
 of ``model_h2`` read one cache, ``continuation``, with one entry per (space,
-lambda, kind).  An entry is a Continuation: the analytic start on its side
-of the switch point, then ODE pieces, each started from the end of the one
-before and ending at a fixed breakpoint: 1.5, 3, 6, ... forward (phi near
-the lattice; the last forward piece ends where the solution reaches
-e^_MAX_EXPONENT), 0.3, 0.1, 1/30, ... backward (Q).  An entry of phi off the
-lattice has no switch and no pieces: it keeps the series coefficients, both
-c values and both Frobenius series.  An entry of Q inside the series region
-has none either: it keeps the Frobenius series and the second-kind
-coefficient rows, with the Gamma prefactors and psi weights folded in.  A
-request beyond the last piece adds pieces and never re-solves a span, so a
-value depends on the key and t alone, not on the order of the requests.
+lambda, kind).  An entry is data, a Continuation of what the kind gives:
+the start, a series read on its side of the switch point (phi's Jacobi
+series, Q's Frobenius series), and past it ``beyond``, a second series
+object (c(lambda) Q_{-lambda} + c(-lambda) Q_lambda for phi off the
+lattice, made at the first read past the switch; Q's second-kind series),
+or None: then ODE pieces, each started from the end of the one before and
+ending at a fixed breakpoint: 1.5, 3, 6, ... forward (phi near the
+lattice; the last forward piece ends where the solution reaches
+e^_MAX_EXPONENT), 0.3, 0.1, 1/30, ... backward (Q where its second-kind
+series is ill-conditioned).  ``Continuation.pair`` alone chooses among the
+three, and an entry holds no function outside its ODE pieces.  A request
+beyond the last piece adds pieces and never re-solves a span, so a value
+depends on the key and t alone, not on the order of the requests.
 The ten suites that the benchmark pins make 412 entries (the Wronskian
 rows' phi are 125 of them) and ``verify --all`` makes 537 (the ``jacobi``
 suite reads the same phi and adds 125 of Q).  maxsize 512 holds the pinned
@@ -168,7 +166,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import mul
 
@@ -178,7 +176,7 @@ from scipy.special import loggamma, psi
 from .cfunction import for_space
 from .dop853 import solve_ivp
 from .errors import (AccuracyWarning, IllConditionedError, NonFiniteInputError,
-                     ResonantExponentError, StiffnessError)
+                     OutOfRangeError, ResonantExponentError, StiffnessError)
 from .space import RankOneSpace
 
 T_SWITCH = math.log(2.0)  # series/ODE handover at y = 1/2
@@ -303,7 +301,9 @@ def frobenius_Q(space, lam):
     """Frobenius coefficients of Q_lambda, adaptively truncated.
 
     Raises ResonantExponentError when 2*lambda is within 1e-6 of a negative
-    integer (vanishing recursion denominator nu(nu + 2 lambda)).
+    integer (vanishing recursion denominator nu(nu + 2 lambda)), and
+    OutOfRangeError at the first coefficient that leaves the float range
+    (a large multiplicity: hn:1000).
     """
     lam = complex(lam)
     _check_exponent(lam)
@@ -323,6 +323,9 @@ def frobenius_Q(space, lam):
         nu += 2
         side = nu % 4 // 2
         h_nu = (m_a * every + m_2a * by_residue[side]) / (nu * (nu + 2.0 * lam))
+        if not cmath.isfinite(h_nu):
+            raise OutOfRangeError(f"Frobenius coefficient h_{nu} of Q_lambda on {space} "
+                                  f"leaves the floating-point range (lambda={lam})")
         term = (e + nu) * h_nu
         every += term
         by_residue[side] += term
@@ -553,17 +556,16 @@ _BACKWARD = (0.3, 1.0 / 3.0)  # piece ends 0.3, 0.1, 1/30, ...
 class Continuation:
     """One radial solution of (space, lambda), stitched from pieces.
 
-    ``kind(space, lam)`` gives the analytic start (a function of t returning
-    (u, u')), the switch point, and the direction the ODE pieces run from
-    there: +1 forward, -1 backward.  A switch at the far end (inf forward,
-    0 backward) means the start covers every t and no piece is ever
-    integrated.
+    ``start.pair(t)`` gives (u, u') on the start's side of ``switch``;
+    ``sign`` is the direction away from it, +1 forward, -1 backward.  Past
+    the switch, ``beyond.pair(t)`` gives them, or, where ``beyond`` is None,
+    ODE pieces continue the start from the switch.
     """
 
-    def __init__(self, space, lam, kind):
+    def __init__(self, space, lam, start, switch, sign, beyond):
         self.space, self.lam = space, lam
-        self.start, self.switch, self.sign = kind(space, lam)
-        self.reach = self.switch  # far end of the last piece
+        self.start, self.switch, self.sign, self.beyond = start, switch, sign, beyond
+        self.reach = switch  # far end of the last piece
         self.pieces = []
 
     def pair(self, t):
@@ -574,7 +576,9 @@ class Continuation:
         """
         sign = self.sign
         if (t - self.switch) * sign <= 0.0:
-            return self.start(t)
+            return self.start.pair(t)
+        if self.beyond is not None:
+            return self.beyond.pair(t)
         if (t - self.reach) * sign > 0.0:
             last = _growth_limit(self.space, self.lam) if sign > 0 else math.inf
             if t > last:
@@ -627,8 +631,11 @@ def _extend(conts, end):
         cont.reach = end
 
 
-# The one cache of radial solutions, keyed by (space, lambda, kind).
-continuation = lru_cache(maxsize=512)(Continuation)
+@lru_cache(maxsize=512)
+def continuation(space, lam, kind):
+    """The one cache of radial solutions: the Continuation of (space,
+    lambda) made from kind(space, lam) = (start, switch, sign, beyond)."""
+    return Continuation(space, lam, *kind(space, lam))
 
 
 # -- the two distinguished solutions ----------------------------------------
@@ -861,6 +868,26 @@ def _series_reach(lam, reach):
     return reach if mu * math.tanh(reach) <= _SERIES_REACH else math.atanh(_SERIES_REACH / mu)
 
 
+@dataclass(frozen=True)
+class _CQ:
+    """phi past its switch, c(lambda) Q_{-lambda} + c(-lambda) Q_lambda: both
+    c values and both Frobenius series are made at the first read."""
+
+    space: RankOneSpace
+    lam: complex
+
+    @cached_property
+    def _terms(self):
+        cf = for_space(self.space)
+        return (cf.value(self.lam), cf.value(-self.lam),
+                _series(self.space, -self.lam), _series(self.space, self.lam))
+
+    def pair(self, t):
+        cp, cm, q_minus, q_plus = self._terms
+        (qm, dqm), (qp, dqp) = q_minus.pair(t), q_plus.pair(t)
+        return cp * qm + cm * qp, cp * dqm + cm * dqp
+
+
 def _phi_series(space, lam):
     """phi: the Jacobi series up to a switch, c Q_{-lambda} + c Q_lambda beyond.
 
@@ -871,62 +898,21 @@ def _phi_series(space, lam):
     longer converge, the ODE continues the series from the switch instead.
     """
     series = _jacobi_series(space, lam, _series_reach(lam, T_PHI))
-    switch = series.reach
-    if switch < T_SWITCH or _near_lattice(lam):
-        return series.pair, switch, 1.0
-
-    @cache
-    def connection():
-        """c(lambda), c(-lambda), Q_{-lambda}, Q_lambda, made at the first
-        read past the switch and kept with the entry."""
-        cf = for_space(space)
-        return (cf.value(lam), cf.value(-lam),
-                _series(space, -lam).pair, _series(space, lam).pair)
-
-    def pair(t):
-        if t <= switch:
-            return series.pair(t)
-        cp, cm, q_minus, q_plus = connection()
-        (qm, dqm), (qp, dqp) = q_minus(t), q_plus(t)
-        return cp * qm + cm * qp, cp * dqm + cm * dqp
-
-    return pair, math.inf, 1.0
-
-
-def _phi_seed(reach):
-    """The kind of phi's Jacobi series continued forward by the ODE from
-    ``reach``, from where |Im lambda| tanh(t) passes _SERIES_REACH if that
-    is earlier, and from half that, a quarter, ... where a large |lambda|
-    overflows the series."""
-    def kind(space, lam):
-        series = _jacobi_series(space, lam, _series_reach(lam, reach))
-        return series.pair, series.reach, 1.0
-
-    return kind
-
-
-def _q_series(space, lam):
-    """Q's Frobenius series, continued backward from t = log 2."""
-    return _series(space, lam).pair, T_SWITCH, -1.0
+    beyond = None if series.reach < T_SWITCH or _near_lattice(lam) else _CQ(space, lam)
+    return series, series.reach, 1.0, beyond
 
 
 def _q_second_kind(space, lam):
     """Q: the Frobenius series from log 2 up, the second-kind series below;
     or the backward ODE where that series is conditioned worse than
     _Q_CONDITION * _ODE_RECESSIVE^max(0, -Re lambda)."""
-    frobenius = _series(space, lam).pair  # refuses excluded exponents first
+    frobenius = _series(space, lam)  # refuses excluded exponents first
     try:
         series = _second_kind_series(space, lam)
     except OverflowError:
-        series = None
+        return frobenius, T_SWITCH, -1.0, None
     bound = math.log(_Q_CONDITION) + max(0.0, -lam.real) * math.log(_ODE_RECESSIVE)
-    if series is None or not math.log(series.condition()) <= bound:
-        return frobenius, T_SWITCH, -1.0
-
-    def pair(t):
-        return frobenius(t) if t >= T_SWITCH else series.pair(t)
-
-    return pair, 0.0, -1.0
+    return frobenius, T_SWITCH, -1.0, series if math.log(series.condition()) <= bound else None
 
 
 def phi_solution(space, lam, t_max):
@@ -944,8 +930,10 @@ def phi_solution(space, lam, t_max):
     t_max = _radius(t_max)
     if t_max <= _MIN_T_MAX:
         raise ValueError(f"t_max must exceed {_MIN_T_MAX}")
-    kind = _phi_seed(min(T_SEED, t_max / 2.0))
-    conts = [Continuation(s, lam, kind) for s, lam in zip(spaces, lams)]
+    starts = [_jacobi_series(s, x, _series_reach(x, min(T_SEED, t_max / 2.0)))
+              for s, x in zip(spaces, lams)]
+    conts = [Continuation(s, x, start, start.reach, 1.0, None)
+             for s, x, start in zip(spaces, lams, starts)]
     for seed in dict.fromkeys(c.reach for c in conts):
         _extend([c for c in conts if c.reach == seed], t_max)
     out = [c.view(0.0, t_max, c.pieces[0].ts) for c in conts]
@@ -963,7 +951,8 @@ def q_solution(space, lam, t_min):
     t_min = _radius(t_min)
     if t_min <= 0.0:
         raise ValueError("Q is singular at t = 0; need t_min > 0")
-    conts = [Continuation(s, lam, _q_series) for s, lam in zip(spaces, lams)]
+    conts = [Continuation(s, lam, _series(s, lam), T_SWITCH, -1.0, None)
+             for s, lam in zip(spaces, lams)]
     if t_min < T_SWITCH:
         _extend(conts, t_min)
     out = [c.view(t_min, math.inf, c.pieces[0].ts if c.pieces else np.empty(0))
@@ -1044,18 +1033,13 @@ def _connection_solve(space, lam, sol):
     return complex(x[0]), complex(x[1]), cond, ts
 
 
-def connection_coefficients(space, lam, sol=None):
-    """(a_minus, a_plus) with sol = a_minus Q_{-lambda} + a_plus Q_{lambda}.
-
-    With sol omitted the spherical function is used, so the result is the
-    c-function pair (c(lambda), c(-lambda)), matched from phi's Jacobi series
-    (t* <= 1.2) without the closed-form c.
-    """
-    if sol is None:
-        sol = continuation(space, complex(lam), _phi_series).view(
-            0.0, _MATCH_CANDIDATES[-1] + 0.1)
-    am, ap, _, _ = _connection_solve(space, lam, sol)
-    return am, ap
+def connection_coefficients(space, lam):
+    """(a_minus, a_plus) = (c(lambda), c(-lambda)), with phi = a_minus
+    Q_{-lambda} + a_plus Q_{lambda}, matched from phi's Jacobi series
+    (t* <= 1.2) without the closed-form c.  ``boundary.boundary_pair``
+    matches any other solution."""
+    sol = continuation(space, complex(lam), _phi_series).view(0.0, _MATCH_CANDIDATES[-1] + 0.1)
+    return _connection_solve(space, lam, sol)[:2]
 
 
 # -- Wronskian ---------------------------------------------------------------

@@ -26,7 +26,6 @@ from .errors import PoleSignal
 from .radial import (
     RadialSolution,
     abel_wronskian,
-    connection_coefficients,
     eval_phi,
     eval_Q,
     phi_solution,
@@ -117,8 +116,8 @@ def check_connection(spaces=None):
     for (name, space, lam), sol, qm, qp in zip(points, phis, q_minus, q_plus):
         cf = for_space(space)
         cp, cm = cf.value(lam), cf.value(-lam)
-        am, ap = connection_coefficients(space, lam, sol)
-        worst = max(abs(am - cp) / abs(cp), abs(ap - cm) / abs(cm))
+        pair = boundary_pair(space, lam, sol)
+        worst = max(abs(pair.a_minus - cp) / abs(cp), abs(pair.a_plus - cm) / abs(cm))
         for t in ts:
             left = cp * qm(t)
             right = cm * qp(t)

@@ -8,6 +8,7 @@ round-tripping the implementation against itself.
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -483,3 +484,42 @@ def test_scalar_czz_reads_c_values_alone(name):
     assert outcomes == [outcome(lambda z: cf.czz_and_derivative(z)[0], z) for z in zetas]
     assert sum(o[0] == "pole" for o in outcomes) > 0
     assert all(o[0] in ("pole", complex) for o in outcomes)
+
+
+@pytest.mark.parametrize("name", ["chn:1000", "hn:2000"])
+def test_c_past_the_float_range_is_refused(name):
+    # at a large multiplicity log c(0.7) passes 709: cmath.exp raised a raw
+    # OverflowError and the array pass returned inf with a RuntimeWarning
+    cf = for_space(space_from_name(name))
+    many = np.array([0.5, 0.7])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: cf.value(0.7), lambda: cf.local_expansion(0.7),
+                     lambda: cf.derivative(0.7), lambda: cf.czz(0.7),
+                     lambda: cf.czz_expansion(0.7), lambda: cf.plancherel_density(0.7),
+                     lambda: cf.value(many), lambda: cf.local_expansion(many),
+                     lambda: cf.czz(many), lambda: kernel(cf.space, 0.7, 1.0)):
+            with pytest.raises(OutOfRangeError, match="floating-point range"):
+                call()
+
+
+def test_scalar_and_array_c_refuse_the_same_lambdas():
+    # on hn:1030 c passes the float range as lambda falls below about 0.9:
+    # each lambda is refused by both passes or by neither, and agrees where not
+    cf = for_space(space_from_name("hn:1030"))
+    lams = np.linspace(0.2, 3.0, 57) + 0.1j
+    refused = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in lams:
+            try:
+                scalar_value = cf.value(complex(lam))
+            except OutOfRangeError:
+                refused += 1
+                with pytest.raises(OutOfRangeError):
+                    cf.value(np.array([lam]))
+                continue
+            assert abs(cf.value(np.array([lam]))[0] - scalar_value) <= 1e-13 * abs(scalar_value)
+        with pytest.raises(OutOfRangeError):
+            cf.value(lams)
+    assert 0 < refused < len(lams)

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import warnings
 
 import pytest
 
@@ -227,6 +228,22 @@ def test_module_error_becomes_error_row(capsys):
     assert "ok" in by_status
     pole_row = next(row for row in rows if row[-1] == "PoleSignal")
     assert pole_row[2] == "nan"
+
+
+@pytest.mark.parametrize("argv", [
+    ["cfun", "--space", "chn:1000", "--lambda", "0.7"],
+    ["kernel", "--space", "hn:1000", "--zeta", "0.7", "--t", "1"],
+    ["phi", "--space", "hn:1000", "--lambda", "0.7", "--t", "1"],
+])
+def test_large_multiplicity_rows_report_out_of_range(capsys, argv):
+    # the kernel row read "nan,nan,ok" with exit 0, from a Frobenius series
+    # of nan terms; the cfun row was a raw OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = _run(capsys, argv)
+    assert code == 1
+    _, rows = _parse_csv(out)
+    assert [row[-1] for row in rows] == ["OutOfRangeError"]
 
 
 def test_plancherel_domain_error_row(capsys):

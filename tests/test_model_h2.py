@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from hyperscatter.cfunction import for_space
 from hyperscatter.boundary import boundary_pair
-from hyperscatter.errors import AccuracyWarning, NonFiniteInputError
+from hyperscatter import model_h2
+from hyperscatter.errors import AccuracyWarning, NonFiniteInputError, OutOfRangeError
 from hyperscatter.model_h2 import (
     H2,
     distance,
@@ -270,3 +271,18 @@ def test_oracle_h3_refuses_non_finite_input(lam, t):
     # nan or inf once came back as phi = nan+nanj, not as an error
     with pytest.raises(NonFiniteInputError):
         oracle_h3(lam, t)
+
+
+@pytest.mark.parametrize("k", [512, 520, 1000, 10**4, 10**30])
+def test_residue_rank_refuses_a_k_whose_entries_leave_the_float_range(k, monkeypatch):
+    # the entries e^(-k A) reach 4^k at the sampled radius 0.6: at k = 520
+    # they overflowed (rank 0 after 6 s), at 1e4 the matrix needed 11.9 GiB;
+    # now the refusal comes before any entry is made
+    def refuse(*args):
+        raise AssertionError("an entry was made")
+
+    monkeypatch.setattr(model_h2, "_bracket_grid", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRangeError, match="float range"):
+            residue_rank(k)

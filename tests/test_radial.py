@@ -2,9 +2,12 @@
 connection coefficients, Wronskian limit."""
 
 import cmath
+import functools
+import gc
 import math
 import random
 import re
+import types
 import warnings
 
 import mpmath
@@ -14,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperscatter import dop853, errors, radial
-from hyperscatter.cfunction import for_space
+from hyperscatter.cfunction import CFunction, for_space
 from hyperscatter.errors import NonFiniteInputError, ResonantExponentError, StiffnessError
 from hyperscatter.radial import (
     _WRONSKIAN_NODES,
@@ -1027,3 +1030,84 @@ def test_wronskian_is_constant_across_the_switches_property(point, t):
         scale = space.density_J_t(s) * max(abs(left), abs(right))
         gap = abs(space.density_J_t(s) * (left - right) - target)
         assert gap <= 1e-10 * max(scale, abs(target)), (space, lam, s)
+
+
+# -- cache entries are data ----------------------------------------------------
+
+
+_CACHE_WRAPPER = type(functools.lru_cache()(abs))
+
+
+def _code_reachable_from(root, skip):
+    """The functions, bound methods, cells and functools cache wrappers
+    reachable from root through gc referents, not entering ``skip``, classes
+    or modules."""
+    seen, stack, found = {id(skip)}, [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (types.FunctionType, types.MethodType, types.CellType,
+                            _CACHE_WRAPPER)):
+            found.append(obj)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+@pytest.mark.parametrize("space, lam, kind, ts", [
+    (H2, 0.8 + 0.3j, radial._phi_series, (0.5, 3.0)),  # c Q beyond the switch
+    (H2, 3.02 + 0j, radial._phi_series, (0.5, 3.0)),  # near the lattice: ODE pieces
+    (H2, 0.8 + 0.3j, radial._q_second_kind, (1.0, 0.3)),  # second-kind series below
+    (H3, 8.3 + 0.4j, radial._q_second_kind, (1.0, 0.3)),  # ill-conditioned: ODE pieces
+])
+def test_cache_entries_keep_no_code_outside_their_ode_pieces(space, lam, kind, ts):
+    # an entry is data (series, c values, switch) plus the ODE pieces: a
+    # closure or cache per entry adds cells and functions that every full
+    # garbage collection traverses
+    continuation.cache_clear()
+    entry = continuation(space, lam, kind)
+    for t in ts:
+        entry.pair(t)
+    assert _code_reachable_from(entry, entry.pieces) == []
+    assert (entry.beyond is None) == bool(entry.pieces)
+
+
+def test_phi_read_up_to_its_switch_makes_no_c_value_or_frobenius_series(monkeypatch):
+    # c(lambda) Q_{-lambda} + c(-lambda) Q_lambda is made at the first read
+    # past phi's switch, once: an entry read only below it makes neither c
+    # value nor either Frobenius series
+    built, values = [], []
+    build, value = radial.frobenius_Q, CFunction.value
+    monkeypatch.setattr(radial, "frobenius_Q",
+                        lambda space, lam: built.append(lam) or build(space, lam))
+    monkeypatch.setattr(CFunction, "value",
+                        lambda self, lam: values.append(lam) or value(self, lam))
+    continuation.cache_clear()
+    radial._series.cache_clear()
+    lam = 0.8 + 0.3j
+    entry = continuation(H2, lam, radial._phi_series)
+    for t in (0.0, 0.3, 1.0, radial.T_PHI):
+        entry.pair(t)
+    assert built == [] and values == []
+    assert entry.switch == radial.T_PHI
+    for t in (1.6, 3.0, 9.0):
+        entry.pair(t)
+    assert sorted(built, key=lambda x: x.real) == [-lam, lam]
+    assert values == [lam, -lam]
+
+
+@pytest.mark.parametrize("name", ["hn:1000", "chn:1000"])
+def test_frobenius_coefficients_past_the_float_range_are_refused(name):
+    # at a large multiplicity the Frobenius coefficients overflow before the
+    # tail settles: frobenius_Q summed 400 nan terms and only warned, so
+    # eval_Q and kernel returned nan+nanj
+    space = space_from_name(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: frobenius_Q(space, 0.7), lambda: eval_Q(space, 0.7, 1.0),
+                     lambda: eval_Q(space, 0.7, 0.3), lambda: kernel(space, 0.7, 1.0),
+                     lambda: eval_phi(space, 0.7, 3.0)):
+            with pytest.raises(errors.OutOfRangeError, match="floating-point range"):
+                call()
