@@ -28,7 +28,8 @@ scalar call bit for bit.  As in the scalar call, a non-finite element raises
 NonFiniteInputError and a pole raises PoleSignal.  A scalar or element with
 |lambda| >= 2^52 raises OutOfRangeError: there the float lambda/2 cannot hold
 the quarter offsets of the Gamma arguments, so the lattice cannot be told
-apart.  So does one where |c| passes the largest float (chn:1000, 0.7).
+apart.  So does one where |c| passes the largest float (chn:1000, 0.7), or
+where czz or |c|^2 does (hn:1000, 0.7).
 """
 
 from __future__ import annotations
@@ -160,15 +161,21 @@ def compose_czz(plus, minus):
     """czz's local data (order, A, B) at zeta, a scalar or an array, from c's
     data (order, A, B) at i zeta (``plus``) and at -i zeta (``minus``); B is
     None if either B is.  A scalar zeta takes plain Python arithmetic, which
-    _cmul imitates on arrays, so that its A equals an array element's."""
+    _cmul imitates on arrays, so that its A equals an array element's, and
+    both raise OutOfRangeError where A passes the largest float (hn:1000)."""
     o1, a1, b1 = plus
     o2, a2, b2 = minus
     if isinstance(a1, np.ndarray):
         phase = np.array(_I_POWERS)[(o1 - o2) % 4]
-        lead = _cmul(phase * a1, a2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lead = _cmul(phase * a1, a2)
+        finite = np.isfinite(lead).all()
     else:
         phase = _I_POWERS[(o1 - o2) % 4]
         lead = phase * a1 * a2
+        finite = cmath.isfinite(lead)
+    if not finite:
+        raise OutOfRangeError("czz = c(i zeta) c(-i zeta) leaves the floating-point range")
     nxt = None if b1 is None or b2 is None else phase * (1j * b1 * a2 - 1j * a1 * b2)
     return o1 + o2, lead, nxt
 
@@ -368,7 +375,12 @@ class CFunction:
             raise NonFiniteInputError(f"plancherel_density argument zeta = {z} is not finite")
         if abs(z.imag) > 1e-12 or z.real <= 0.0:
             raise ValueError("plancherel_density needs real zeta > 0")
-        return 1.0 / abs(self.value(1j * z.real)) ** 2
+        size = abs(self.value(1j * z.real))
+        try:
+            return 1.0 / size ** 2
+        except OverflowError:
+            raise OutOfRangeError(f"|c(i zeta)|^2 at zeta = {z.real} leaves the "
+                                  "floating-point range") from None
 
     # -- zero set of czz in the upper half plane ---------------------------
 

@@ -69,17 +69,17 @@ with the series.
 
 Where eval_phi still integrates, the ODE continues the series forward.
 Within LATTICE_GUARD = 0.05 of an integer lambda the two c Q terms have
-poles that cancel, and with 2 lambda within EXCLUSION_RADIUS of an integer
-frobenius_Q refuses one of the series: there the ODE takes over at T_PHI.
-A large |Im lambda| makes the series itself cancel, its terms outgrowing the
-sum by about |Im lambda| tanh(t) / 2 decades, so it hands over where
-|Im lambda| tanh(t) = 4: to c Q if that is past log 2, to the ODE if not.
-A |lambda| in the hundreds overflows the terms at the switch; the series
-is then made for half that reach, halved again until its terms are floats,
-and the switch moves there.  ``phi_solution`` always integrates, from
-T_SEED = 0.2 on (or from t_max / 2 if that is earlier, from where
-|Im lambda| tanh(t) reaches 4, or from a halving for a large |lambda|), so
-the connection suite compares an integrated phi with c Q.
+poles that cancel: there the ODE takes over at T_PHI.  At a half-integer
+lambda c has no pole and both Frobenius series exist (the recursion
+divides by nu (nu + 2 lambda) for even nu only), so c Q serves there.
+A large |Im lambda| makes the series cancel, its terms outgrowing the sum
+by about |Im lambda| tanh(t) / 2 decades, so it hands over where
+|Im lambda| tanh(t) = 4: to c Q past log 2, to the ODE before.  A |lambda|
+in the hundreds overflows the terms at the switch, which then moves to
+half that reach, halved again until the terms are floats.
+``phi_solution`` always integrates, from T_SEED = 0.2 or such an earlier
+switch (or t_max / 2), so the connection suite compares an integrated phi
+with c Q.
 
 All integrations use DOP853 with a vanishing absolute floor, so solutions
 spanning forty decades (the octonionic family) keep full relative accuracy.
@@ -120,42 +120,23 @@ such solve per kind over every (family, lambda) pair of their grid, 125
 solutions, so the families share their steps, where one solve per family
 would pay each family's count.
 
-The solver is the library's own DOP853 (``dop853``, Hairer, Norsett and
-Wanner, Solving ODEs I, II.5-II.6): a port of scipy 1.17.1's
-solve_ivp(method="DOP853") operation for operation, so its steps, nfev
-and dense reads are scipy's bit for bit, with no scipy.integrate import.
-Its dense output keeps only each step's start state.  DOP853's
-interpolant needs three stages beyond the step's twelve, and a solve reads
-few of its steps: at the first read of a step the stages are rerun from
-that start with the same arithmetic, so every read equals the eager
-interpolant's bit for bit and an unread step costs no extra right-hand
-side.  The solutions of one batch read the shared dense output through
-one evaluation and one scaling back to (u, u') per t, so the Wronskian
-fit's nodes and the connection suite's points cost one interpolation of
-all 2N components each, not one per lambda.  The steps grow with the
-phase |Im lambda| t, so a piece that would turn through more than
-_MAX_PHASE = 1e5 radians is refused with ValueError.
+The solver is ``dop853``, a port of scipy's DOP853 whose steps, nfev and
+dense reads are scipy's bit for bit, and whose dense output builds a
+step's interpolant only at its first read.  The solutions of one batch
+read it through one evaluation and one scaling back to (u, u') per t, not
+one per lambda.  The steps grow with the phase |Im lambda| t, so a piece
+that would turn through more than _MAX_PHASE = 1e5 radians is refused with
+ValueError.
 
 ``eval_phi``, ``eval_Q``, ``connection_coefficients`` and the K-type profiles
 of ``model_h2`` read one cache, ``continuation``, with one entry per (space,
-lambda, kind).  An entry is data, a Continuation of what the kind gives:
-the start, a series read on its side of the switch point (phi's Jacobi
-series, Q's Frobenius series), and past it ``beyond``, a second series
-object (c(lambda) Q_{-lambda} + c(-lambda) Q_lambda for phi off the
-lattice, made at the first read past the switch; Q's second-kind series),
-or None: then ODE pieces, each started from the end of the one before and
-ending at a fixed breakpoint: 1.5, 3, 6, ... forward (phi near the
-lattice; the last forward piece ends where the solution reaches
-e^_MAX_EXPONENT), 0.3, 0.1, 1/30, ... backward (Q where its second-kind
-series is ill-conditioned).  ``Continuation.pair`` alone chooses among the
-three, and an entry holds no function outside its ODE pieces.  A request
-beyond the last piece adds pieces and never re-solves a span, so a value
-depends on the key and t alone, not on the order of the requests.
-The ten suites that the benchmark pins make 412 entries (the Wronskian
-rows' phi are 125 of them) and ``verify --all`` makes 537 (the ``jacobi``
-suite reads the same phi and adds 125 of Q).  maxsize 512 holds the pinned
-suites, so repeating them in one process rereads every entry; repeating all
-eleven cycles 537 entries through 512 places and misses 412 of them.
+lambda, kind): a Continuation, which is data (a start series, its switch
+point, and past it a second series or ODE pieces that grow to fixed
+breakpoints, 1.5, 3, 6, ... forward and 0.3, 0.1, 1/30, ... backward), so
+a value depends on the key and t alone, not on the order of requests.  The
+ten suites that the benchmark pins make 412 entries and ``verify --all``
+537 (the ``jacobi`` suite adds 125 of Q): maxsize 512 holds the pinned
+suites, and repeating all eleven misses 412 of the 537 again.
 ``continuation.cache_info()`` reports the hit rate.
 """
 
@@ -232,16 +213,18 @@ def _spaces(space, count):
     return spaces
 
 
-def _check_exponent(lam):
-    """Refuse a non-finite lambda, and 2*lambda near {-1, -2, -3, ...}."""
+def _check_exponent(lam, step=1):
+    """Refuse a non-finite lambda, and 2*lambda within EXCLUSION_RADIUS of a
+    negative multiple of ``step``: 2 where frobenius_Q divides by zero, 1
+    (every negative integer) for eval_Q and connection_coefficients."""
     lam = complex(lam)
     _require_finite(lam)
     w = 2.0 * lam
-    m = round(w.real)
+    m = step * round(w.real / step)
     if m <= -1 and abs(w - m) <= EXCLUSION_RADIUS:
         raise ResonantExponentError(
-            f"2*lambda = {w} is within {EXCLUSION_RADIUS} of a "
-            "negative integer; the Frobenius recursion for Q is singular there"
+            f"2*lambda = {w} is within {EXCLUSION_RADIUS} of {m}, where the "
+            "exponents rho +- lambda of Q differ by an integer"
         )
 
 
@@ -300,13 +283,14 @@ class FrobeniusSeries:
 def frobenius_Q(space, lam):
     """Frobenius coefficients of Q_lambda, adaptively truncated.
 
-    Raises ResonantExponentError when 2*lambda is within 1e-6 of a negative
-    integer (vanishing recursion denominator nu(nu + 2 lambda)), and
+    The recursion divides by nu (nu + 2 lambda) for even nu only, so it
+    raises ResonantExponentError where 2*lambda is within 1e-6 of a
+    negative even integer (lambda = -1, -2, ...) and runs at an odd one.
     OutOfRangeError at the first coefficient that leaves the float range
     (a large multiplicity: hn:1000).
     """
     lam = complex(lam)
-    _check_exponent(lam)
+    _check_exponent(lam, step=2)
     e = space.rho + lam
     # b(t) - 2 rho = sum_{k even >= 2} b_k y^k, b_k = 2 m_alpha + 4 m_2alpha [4 | k],
     # so with j = nu - k the source sum_k b_k (e+nu-k) h_{nu-k} is 2 m_alpha
@@ -853,11 +837,9 @@ def _second_kind_series(space, lam):
 
 def _near_lattice(lam):
     """Whether c(lambda) Q_{-lambda} + c(-lambda) Q_lambda is unusable:
-    lambda near an integer, where the two terms have poles that cancel, or
-    2 lambda where frobenius_Q refuses one of the two series."""
-    w = 2.0 * lam
-    return (abs(lam - round(lam.real)) < LATTICE_GUARD
-            or abs(w - round(w.real)) <= EXCLUSION_RADIUS)
+    lambda near an integer, where the two terms have poles that cancel (and
+    at a negative one frobenius_Q refuses Q_lambda)."""
+    return abs(lam - round(lam.real)) < LATTICE_GUARD
 
 
 def _series_reach(lam, reach):
@@ -906,7 +888,7 @@ def _q_second_kind(space, lam):
     """Q: the Frobenius series from log 2 up, the second-kind series below;
     or the backward ODE where that series is conditioned worse than
     _Q_CONDITION * _ODE_RECESSIVE^max(0, -Re lambda)."""
-    frobenius = _series(space, lam)  # refuses excluded exponents first
+    frobenius = _series(space, lam)  # refuses lambda = -1, -2, ... first
     try:
         series = _second_kind_series(space, lam)
     except OverflowError:
@@ -966,6 +948,9 @@ def eval_Q(space, lam, t):
     t = _radius(t)
     if t <= 0.0:
         raise ValueError("eval_Q needs t > 0")
+    # every negative integer 2 lambda, odd ones included, is refused: the
+    # spectral sweep's exclusion queries expect ResonantExponentError there
+    _check_exponent(lam)
     return complex(continuation(space, complex(lam), _q_second_kind).pair(t)[0])
 
 
@@ -1038,8 +1023,16 @@ def connection_coefficients(space, lam):
     Q_{-lambda} + a_plus Q_{lambda}, matched from phi's Jacobi series
     (t* <= 1.2) without the closed-form c.  ``boundary.boundary_pair``
     matches any other solution."""
-    sol = continuation(space, complex(lam), _phi_series).view(0.0, _MATCH_CANDIDATES[-1] + 0.1)
-    return _connection_solve(space, lam, sol)[:2]
+    # 2 lambda or -2 lambda a negative integer is refused, odd ones included:
+    # the spectral sweep's exclusion queries expect ResonantExponentError there
+    _check_exponent(lam)
+    _check_exponent(-complex(lam))
+    return _connection_solve(space, lam, _phi_view(space, lam))[:2]
+
+
+def _phi_view(space, lam):
+    """phi_lambda's cache entry over [0, 1.3], past every matching point."""
+    return continuation(space, complex(lam), _phi_series).view(0.0, _MATCH_CANDIDATES[-1] + 0.1)
 
 
 # -- Wronskian ---------------------------------------------------------------

@@ -36,10 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model_h2
-from .boundary import bv_limit
+from .boundary import boundary_pair
 from .cfunction import for_space
 from .errors import NonFiniteInputError, PoleSignal, ResonantExponentError
-from .radial import connection_coefficients, eval_phi
+from .radial import _phi_view, connection_coefficients
 from .resonances import ResonanceRecord, certified_rungs, circle_moment, circle_nodes
 from .space import RankOneSpace
 
@@ -63,11 +63,6 @@ class ScatteringPole:
     def __post_init__(self):
         if self.kind not in (KIND_RESONANCE, KIND_INTERTWINER):
             raise ValueError(f"unknown pole kind {self.kind!r}")
-
-
-def _dist_to_integers(w):
-    w = complex(w)
-    return math.hypot(w.real - round(w.real), w.imag)
 
 
 def _resonance_residue(cf, lam):
@@ -118,17 +113,19 @@ def ktype_eigenvalue(zeta, n):
     model_h2.ktype_space(n) at lambda = i zeta and returns
     bv_{rho+i zeta} / bv_{rho-i zeta}, the ratio for the K-type profile too;
     it reproduces scalar(ktype_space(n), zeta) through an independent code
-    path.
+    path.  It refuses 2 i zeta within 1e-6 of an integer, where
+    connection_coefficients refuses lambda or -lambda, or (at 0) the two Q
+    coincide.
     """
     zeta = complex(zeta)
     if not cmath.isfinite(zeta):
         raise NonFiniteInputError(f"zeta = {zeta} is not finite")
     lam = 1j * zeta
-    if _dist_to_integers(2 * lam) < _LATTICE_TOL:
+    if abs(2 * lam - round(2 * lam.real)) < _LATTICE_TOL:
         raise ResonantExponentError(
-            f"2 i zeta = {2 * lam} is within {_LATTICE_TOL:g} of an integer: "
-            "the boundary exponents collide and the connection problem "
-            "degenerates"
+            f"2 i zeta = {2 * lam} is within {_LATTICE_TOL:g} of an integer, "
+            "where connection_coefficients refuses lambda or -lambda, or "
+            "Q_lambda and Q_-lambda coincide"
         )
     a_minus, a_plus = connection_coefficients(model_h2.ktype_space(n), lam)
     return a_plus / a_minus
@@ -175,13 +172,13 @@ def residue_relation_check(rec: ResonanceRecord):
     at a hyperbolic-plane resonance, all factors computed independently.
 
     The left side is a contour quadrature of the scalar scattering matrix
-    around the pole, by resonances.circle_moment.  On the right, the boundary value of the spherical
-    function is extracted by the Fatou-limit route (the connection solver is
-    unavailable here: at a resonance 2 lambda is an integer and the exponents
-    collide); phi_{i zeta} carries the growing exponent rho + i zeta, so the
-    limit is taken at the reflected parameter.  Analytically the boundary
-    value equals c(-i zeta), which makes both sides -i c(-i zeta)/c'(i zeta);
-    neither side is computed from that closed form.
+    around the pole, by resonances.circle_moment.  On the right, the boundary
+    value is the a_plus of ``boundary.boundary_pair`` applied to phi_{i zeta}
+    over [0, 1.3], where phi is its Jacobi series: every H^2 resonance has
+    an odd 2 L = -2 i zeta, so both Frobenius series of the match exist.
+    Analytically a_plus = c(L) and a_minus = c(-L) = 0, which makes both
+    sides -i c(-i zeta)/c'(i zeta); neither side is computed from that closed
+    form.  boundary_value_error is |a_minus| / |a_plus|.
     """
     space = model_h2.H2
     cf = for_space(space)
@@ -189,13 +186,9 @@ def residue_relation_check(rec: ResonanceRecord):
     svals = np.array([scalar(space, z) for z in circle_nodes(z0)])
     scattering_side = complex(circle_moment(svals, 0))
 
-    lam_limit = -1j * z0                     # = rho + j k, real and > rho
-    samples = []
-    for m in range(10):
-        y = 0.25 * 0.5**m
-        t = -math.log(y)
-        samples.append((y, eval_phi(space, 1j * z0, t)))
-    bv, bv_err = bv_limit(space, lam_limit, samples)
+    lam = 1j * z0
+    pair = boundary_pair(space, lam, _phi_view(space, lam))
+    bv = pair.a_plus
     resolvent_side = complex(
         2j * space.kappa * z0 * cf.value(-1j * z0) * rec.residue_scalar * bv
     )
@@ -208,7 +201,7 @@ def residue_relation_check(rec: ResonanceRecord):
         resolvent_side=resolvent_side,
         relative_gap=gap,
         boundary_value=bv,
-        boundary_value_error=bv_err,
+        boundary_value_error=abs(pair.a_minus) / abs(bv),
     )
 
 

@@ -523,3 +523,46 @@ def test_scalar_and_array_c_refuse_the_same_lambdas():
         with pytest.raises(OutOfRangeError):
             cf.value(lams)
     assert 0 < refused < len(lams)
+
+
+def test_czz_past_the_float_range_is_refused():
+    # on hn:1000 at 0.7 |c| fits the float range and |c|^2 does not: the
+    # scalar czz returned inf+nanj, the array czz warned of an overflow and
+    # plancherel_density raised a raw OverflowError
+    cf = for_space(space_from_name("hn:1000"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(abs(cf.value(0.7j)))
+        for call in (lambda: cf.czz(0.7), lambda: cf.czz(np.array([0.7])),
+                     lambda: cf.czz_expansion(0.7), lambda: cf.czz_expansion(np.array([0.7])),
+                     lambda: cf.plancherel_density(0.7)):
+            with pytest.raises(OutOfRangeError, match="floating-point range"):
+                call()
+
+
+def test_scalar_and_array_czz_refuse_the_same_zetas():
+    # on hn:520 czz passes the float range as zeta falls below about 4:
+    # each zeta is refused by both passes or by neither, and agrees where
+    # not; plancherel_density refuses where the real-axis czz does
+    cf = for_space(space_from_name("hn:520"))
+    zetas = np.concatenate([np.linspace(0.1, 6.0, 60), np.linspace(0.1, 6.0, 30) + 0.2j])
+    refused = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for zeta in zetas:
+            try:
+                scalar_value = cf.czz(complex(zeta))
+            except OutOfRangeError:
+                refused += 1
+                with pytest.raises(OutOfRangeError):
+                    cf.czz(np.array([zeta]))
+                if not zeta.imag:
+                    with pytest.raises(OutOfRangeError):
+                        cf.plancherel_density(zeta)
+                continue
+            assert cf.czz(np.array([zeta]))[0] == scalar_value
+            if not zeta.imag:
+                assert abs(cf.plancherel_density(zeta) * scalar_value - 1.0) < 1e-13
+        with pytest.raises(OutOfRangeError):
+            cf.czz(zetas)
+    assert 0 < refused < len(zetas)

@@ -110,12 +110,23 @@ def test_q_asymptotic_normalization():
 
 
 def test_frobenius_excluded_exponents():
-    # recursion step nu(nu + 2 lambda) vanishes iff 2 lambda is a negative integer
-    for lam in (-0.5, -1.0, -1.5):
+    # the recursion divides by nu (nu + 2 lambda) for even nu only, so it
+    # is singular where 2 lambda is a negative even integer
+    for lam in (-1.0, -2.0):
         with pytest.raises(ResonantExponentError):
             frobenius_Q(H2, lam)
     # nearby non-lattice points are fine
     assert frobenius_Q(H2, -0.5 + 0.01)
+    # at an odd 2 lambda every denominator is odd: the coefficients are the
+    # term-by-term recursion's
+    for name in ("h2", "hn:4"):
+        space = space_from_name(name)
+        for lam in (-0.5, -1.5, -2.5):
+            got = frobenius_Q(space, lam).coefficients
+            want = _mp_frobenius(space, complex(lam))
+            assert len(got) == len(want), (name, lam)
+            for nu, (a, b) in enumerate(zip(got, want)):
+                assert abs(a - b) <= 1e-14 * abs(b), (name, lam, nu)
 
 
 @mpmath.workdps(30)
@@ -577,8 +588,9 @@ def test_eval_phi_matches_mpmath_near_the_lattice(mp_jacobi):
 
 
 def test_eval_phi_at_the_h2_resonances(mp_jacobi):
-    # lambda = i zeta_k = -(1/2 + k): 2 lambda is an odd integer, where the
-    # Frobenius series of Q_{-lambda} is refused
+    # lambda = i zeta_k = -(1/2 + k): 2 lambda is an odd integer and c(lambda)
+    # vanishes, so past t = 1.5 phi is c(-lambda) Q_lambda, both Frobenius
+    # series existing there
     mp_phi, _ = mp_jacobi
     for k in range(4):
         lam = -(0.5 + k)
@@ -606,6 +618,55 @@ def test_phi_off_the_lattice_runs_no_ode(monkeypatch):
             for t in (0.005, 0.05, 0.3, 0.69, 0.7, 2.0):
                 eval_Q(space, lam, t)
                 kernel(space, -1j * lam, t)
+
+
+_ODD_FAMILIES = ("h2", "h3", "chn:2", "hhn:2", "oh2", "hn:4")
+
+
+def test_phi_near_an_odd_two_lambda_is_c_q(monkeypatch, mp_jacobi):
+    # within 1e-6 of an odd 2 lambda c has no pole and both Frobenius series
+    # exist, so past t = 1.5 phi is c Q, with no ODE (which read up to
+    # 6.7e-12 here).  Measured worst 3.2e-14, but oh2 just past the switch,
+    # where the two c Q terms are hundreds of times phi, reads 7.5e-13 at
+    # lambda = 0.5 + 3e-7 and t = 1.6 (the ODE read 1.0e-13 there)
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_ivp called")
+
+    mp_phi, _ = mp_jacobi
+    monkeypatch.setattr(radial, "solve_ivp", refuse)
+    continuation.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in _ODD_FAMILIES:
+            space = space_from_name(name)
+            for k in (1, -1, 3, -3, 5, -5):
+                for lam in (k / 2, k / 2 + 3e-7, k / 2 - 4e-7j):
+                    for t in (1.6, 4.0, 9.0, 30.0):
+                        tol = 1e-12 if (name, t) == ("oh2", 1.6) else 1e-13
+                        err = _rel(eval_phi(space, lam, t), mp_phi(space, lam, t))
+                        assert err < tol, (name, lam, t, err)
+
+
+def test_public_refusals_at_every_negative_integer_two_lambda():
+    # the spectral sweep's exclusion queries, lambda = -0.5 k for k = 1..5,
+    # odd 2 lambda included: eval_Q and connection_coefficients refuse them,
+    # and so does kernel where c(lambda) is finite and nonzero (a zero or
+    # pole of c is reported first, as PoleSignal)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in _ODD_FAMILIES:
+            space = space_from_name(name)
+            for k in range(1, 6):
+                lam = -0.5 * k
+                with pytest.raises(ResonantExponentError):
+                    eval_Q(space, lam, 1.0)
+                with pytest.raises(ResonantExponentError):
+                    connection_coefficients(space, lam)
+                with pytest.raises(ResonantExponentError):
+                    connection_coefficients(space, -lam)
+                regular = for_space(space).zero_order(lam) == 0
+                with pytest.raises(ResonantExponentError if regular else errors.PoleSignal):
+                    kernel(space, -1j * lam, 1.0)
 
 
 # -- Q without the ODE below log 2 --------------------------------------------

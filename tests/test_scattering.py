@@ -3,12 +3,15 @@ K-type eigenvalues, residue relation against the resolvent."""
 
 import cmath
 import math
+import warnings
 
 import pytest
 
+from hyperscatter.boundary import boundary_pair
 from hyperscatter.cfunction import CFunction, for_space
 from hyperscatter.errors import NonFiniteInputError, PoleSignal, ResonantExponentError
 from hyperscatter.model_h2 import ktype_space
+from hyperscatter.radial import _phi_view
 from hyperscatter.resonances import enumerate_resonances
 from hyperscatter.scattering import (
     KIND_INTERTWINER,
@@ -203,6 +206,33 @@ def test_residue_relation_ties_scattering_to_resolvent():
         cf = for_space(H2)
         expect = cf.value(-1j * rec.zeta)
         assert abs(rep.boundary_value - expect) < 1e-6
+
+
+def test_boundary_pair_at_the_h2_resonances():
+    # every H2 resonance has an odd 2 L = -2 i zeta, so both Frobenius series
+    # exist and the connection solve reads phi_{i zeta}'s boundary pair from
+    # its Jacobi series: a_plus = c(L), a_minus = c(-L) = 0 (measured at most
+    # 6.0e-15, at k = 3, where a_plus = 0.3125)
+    cf = for_space(H2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rec in enumerate_resonances(H2, 6):
+            lam = 1j * rec.zeta
+            pair = boundary_pair(H2, lam, _phi_view(H2, lam))
+            expect = cf.value(-lam)
+            assert abs(pair.a_plus - expect) <= 1e-14 * abs(expect), rec.k
+            assert abs(pair.a_minus) <= 1e-14, rec.k
+
+
+def test_residue_relation_gaps_at_the_rounding_level():
+    # the boundary value comes from boundary_pair, with no fit: the gap was
+    # up to 1.0e-12 by the Fatou fit, and the suite's tolerance stays 1e-8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rec in enumerate_resonances(H2, 4):
+            rep = residue_relation_check(rec)
+            assert rep.relative_gap < 1e-13, rec.k
+            assert rep.boundary_value_error < 1e-13, rec.k
 
 
 def test_scalar_phase_symmetry_on_real_axis():
