@@ -34,6 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import sys
 import warnings
 from collections import namedtuple
 
@@ -209,9 +210,6 @@ def hyperbolic_laplacian_stencil(func, z):
 # the K-type's Q_lambda, so f and g share their boundary pair.
 
 
-_KTYPE_EXPONENT = 700.0  # largest |log| of the prefactor and of phi^S
-
-
 def _integer(what, n):
     """n as an int: NonFiniteInputError for nan or inf, ValueError for 1.5 or
     anything else that is not an integer."""
@@ -245,6 +243,21 @@ def ktype_prefactor(n, t):
     return base**m, 2.0 * m * math.cosh(t) * base ** (m - 1)
 
 
+def _ktype_q(series, m, t):
+    """(2 sinh t)^m Q^S(t) and its t-derivative from the Frobenius series of
+    Q^S = y^e h(y): y^(e - m) (1 - y^2)^m h(y), with no factor past the float
+    range where the product is not; OutOfRangeError where it is."""
+    y = math.exp(-t)
+    h, yh = series.series_sums(y)
+    a, w = series.exponent - m, 1.0 - y * y
+    try:
+        head = cmath.exp(-a * t) * w ** (m - 1)
+    except OverflowError:
+        raise OutOfRangeError(f"the K-type profile at t = {t} leaves the "
+                              "floating-point range") from None
+    return head * w * h, -head * ((a * w - 2.0 * m * y * y) * h + w * yh)
+
+
 def ktype_solution(lam, n, t_max=1.35):
     """The radial factor of P_lambda e^{in theta} as a RadialSolution.
 
@@ -257,38 +270,47 @@ def ktype_solution(lam, n, t_max=1.35):
     spherical equation of H2, which f solves only for n = 0.
 
     (2 sinh t)^m grows like e^(m t) and phi^S decays like
-    e^((|Re lambda| - m - 1/2) t); where either passes e^700 the product
-    would lose digits in subnormals or overflow, so ``at`` raises
-    ValueError there (t above about 700/(m + 1/2) on the unitary axis).
+    e^((|Re lambda| - m - 1/2) t).  Where phi^S is c_S(lambda) Q^S_-lambda
+    + c_S(-lambda) Q^S_lambda (past its switch, off the lattice), each
+    (2 sinh t)^m Q^S is summed as one factor, so ``at`` refuses
+    (OutOfRangeError) only where f leaves the float range.  Where phi^S is
+    its series or ODE pieces, the two factors are floats, refused where
+    (2 sinh t)^m overflows or phi^S is below the normal floats.
     """
     lam = complex(lam)
     m = _ktype_index(n)
     phi = continuation(ktype_space(m), lam, _phi_series)
     front = math.prod((lam + 0.5 + j for j in range(m)), start=1.0 + 0j)
     front /= 4**m * math.factorial(m)
-    rate = m + max(0.0, 0.5 - abs(lam.real)) if m else 0.0
 
     def pair(t):
-        if rate * t > _KTYPE_EXPONENT:
-            raise ValueError(f"(2 sinh t)^{m} phi^S_lambda(t) leaves the "
-                             f"floating-point range at t = {t}")
-        (p, dp), (u, du) = ktype_prefactor(m, t), phi.pair(t)
+        if t > phi.switch and phi.beyond is not None:
+            cp, cm, q_minus, q_plus = phi.beyond.terms
+            (a, da), (b, db) = _ktype_q(q_minus, m, t), _ktype_q(q_plus, m, t)
+            return front * (cp * a + cm * b), front * (cp * da + cm * db)
+        u, du = phi.pair(t)
+        try:
+            p, dp = ktype_prefactor(m, t)
+        except OverflowError:
+            p = math.inf
+        if not (math.isfinite(p) and abs(u) >= sys.float_info.min):
+            raise OutOfRangeError(f"(2 sinh t)^{m} or phi^S_lambda(t) leaves the "
+                                  f"floating-point range at t = {t}")
         return front * p * u, front * (dp * u + p * du)
 
     return RadialSolution(H2, lam, 0.0, max(float(t_max), 1.35), pair)
 
 
 def ktype_radial_profile(lam, n, t):
-    """f_{lambda,n}(t) with P_lambda(e^{in theta}) = f_{lambda,n}(t) e^{in b}."""
+    """f_{lambda,n}(t) with P_lambda(e^{in theta}) = f_{lambda,n}(t) e^{in b};
+    OutOfRangeError where it leaves the float range."""
     t = float(t)
     if not 0.0 < t < math.inf:
         raise ValueError("profile evaluated at finite t > 0 (it vanishes like t^|n| at 0)")
-    try:
-        value = ktype_solution(lam, n, t_max=t).at(t)[0]
-    except OverflowError:
-        value = math.inf
+    value = ktype_solution(lam, n, t_max=t).at(t)[0]
     if not cmath.isfinite(value):
-        raise ValueError(f"the K-type profile at t = {t} overflows the floating-point range")
+        raise OutOfRangeError(f"the K-type profile at t = {t} overflows the "
+                              "floating-point range")
     return value
 
 

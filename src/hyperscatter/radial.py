@@ -54,11 +54,11 @@ Q's series cancels where Re lambda > 0 is large (it loses about
 t = log 2, the sum of its parts' moduli over the modulus of the sum, times
 1e-16 tracks its error (to 20x for Re lambda > 0, where the Gamma
 prefactors carry error too).  Where the condition exceeds 1e3, the ODE
-continues the Frobenius series backward from log 2 instead: 1e-12 off,
+continues the Frobenius series backward from log 2 instead: 5e-15 off,
 the dominant direction for Re lambda > 0.  For Re lambda < 0 the backward
-ODE follows the recessive solution and its error grows about threefold per
-unit of -Re lambda (5e-12 at Re lambda = -3, 4e-3 at -20, against mpmath),
-so the bound grows by 3^(-Re lambda).  The spectral sweep's box
+ODE follows the recessive solution and its error grows three- to fourfold
+per unit of -Re lambda (5e-15 at Re lambda = -3, 7e-5 at -20, against
+mpmath), so the bound grows by 3^(-Re lambda).  The spectral sweep's box
 (|Re lambda| < 2.9, |Im lambda| < 1.2) lies inside: its condition is at
 most 82 over h2, h3, oh2, hn:4-10, chn:2-5 and hhn:2-5.  Near a negative
 integer lambda the Gamma factors cancel too, losing about 1e-16 / distance,
@@ -81,63 +81,40 @@ half that reach, halved again until the terms are floats.
 switch (or t_max / 2), so the connection suite compares an integrated phi
 with c Q.
 
-All integrations use DOP853 with a vanishing absolute floor, so solutions
-spanning forty decades (the octonionic family) keep full relative accuracy.
-They do not follow u itself but w = g(t) u, where g(t0) = 1 takes out the
-exponent the solution is known to have in the direction of integration
-(Koornwinder 1984), so that the step control resolves what is left:
-
-* forward, w = e^(sigma (t - t0)) u.  Every solution behaves like
-  e^((+-lambda - rho) t) at large t, so on oh2 (rho = 11) the steps would
-  follow a rate of 8 to 14 where |lambda| < 3.  sigma = rho where
-  2 |Re lambda| <= rho leaves e^(+-lambda t); elsewhere sigma = 0, since
-  near lambda = rho one mode is flat already and sigma = rho would make it
-  grow.  sigma is at most 700 / (t1 - t0), so that neither w nor the factor
-  e^(-sigma (t - t0)) that reads u back leaves the floating-point range.
-  With e = b - 2 rho, formed from e^-2t so that it cannot overflow,
-  w'' = -(e + 2 (rho - sigma)) w' + (sigma e + sigma (2 rho - sigma) -
-  rho^2 + lambda^2) w.
-* backward (Q toward 0), w = (t/t0)^p u with p = m_alpha + m_2alpha - 1,
-  Q's exponent at the origin (t^-14 on oh2).  With d = m_alpha (coth t -
-  1/t) + 2 m_2alpha (coth 2t - 1/2t), summed from its Bernoulli series
-  below 0.5, w'' = ((p - 1)/t - d) w' + (p d / t - rho^2 + lambda^2) w.
-
-Following w takes fewer steps than following u, and is more accurate: Q
-at 0.0035 on oh2 is 4e-15 off mpmath in place of 1.6e-12.  Near the origin
-the steps stay at about 0.03 t whatever g is: the coefficient (m_alpha +
-m_2alpha)/t of u' limits an explicit method there, about 30 steps per
-e-fold of t.  So phi's ODE starts where its series still converges fast,
-at T_SEED = 0.2 (the series has about 15 terms there), and
-``abel_wronskian`` reads the Wronskian without solving Q toward 0.
-The ODE is linear, and only lambda^2, sigma and the space's m_alpha,
-m_2alpha, rho and p differ from one solution to another, so N solutions,
-of one space or of several, are integrated as one system whose
-coefficients are per-component arrays, at rtol 1e-12/sqrt(N): the step
-control measures the RMS error over all 2N components, and the scaling
-keeps one lambda's error from hiding behind the others.  A single lambda
-runs a scalar right-hand side at rtol 1e-12.  The verify suites make one
-such solve per kind over every (family, lambda) pair of their grid, 125
-solutions, so the families share their steps, where one solve per family
-would pay each family's count.
-
-The solver is ``dop853``, a port of scipy's DOP853 whose steps, nfev and
-dense reads are scipy's bit for bit, and whose dense output builds a
-step's interpolant only at its first read.  The solutions of one batch
-read it through one evaluation and one scaling back to (u, u') per t, not
-one per lambda.  The steps grow with the phase |Im lambda| t, so a piece
-that would turn through more than _MAX_PHASE = 1e5 radians is refused with
-ValueError.
+Every integration continues the solution by its own Taylor series
+(Corliss and Chang 1982; Jorba and Zou 2005): b is analytic off t = 0 and
+the imaginary axis, so the series at a step's start t0 converges out to
+t0.  A step is at most t0 / 2 long forward and 0.4 t0 backward, where Q's
+pole at 0 slows the terms, and at most 4 / |lambda|, so that the terms of
+e^(+-lambda s) cancel by at most about e^4; it ends where its terms fall
+below 1e-17 of the solution's size at t0, and its polynomial is its dense
+output.  Each column follows w = e^((rho - |Re lambda|)(t - t0)) u, whose
+modes at large t are e^((-|Re lambda| +- lambda)(t - t0)), one of modulus 1:
+with no shift the terms of oh2's e^(-(rho +- lambda) s) cancel, and the
+verify grid's phi reads 1.2e-4 off mpmath in place of 6e-15.  Each column is
+scaled by a power of two at every step's start, so columns that grow and
+columns that underflow share the steps.  Near the origin the steps stay a
+fixed share of t: the connection suite's phi takes 9 steps from
+T_SEED = 0.2 to 5.2, and the jacobi suite's Q 10 from log 2 to 0.005.
+The ODE is linear, and only the space's m_alpha, m_2alpha, rho and lambda
+differ from one solution to another, so N solutions, of one space or of
+several, share one ``solve_ivp`` whose every operation acts on all N
+columns at once; the verify suites make one such solve per kind over the
+125 (family, lambda) pairs of their grid.  The solutions of one batch read
+the steps once per t, not once per lambda.  The steps grow with the phase
+|Im lambda| t, so a piece that would turn through more than
+_MAX_PHASE = 1e5 radians is refused with ValueError.
 
 ``eval_phi``, ``eval_Q``, ``connection_coefficients`` and the K-type profiles
 of ``model_h2`` read one cache, ``continuation``, with one entry per (space,
 lambda, kind): a Continuation, which is data (a start series, its switch
 point, and past it a second series or ODE pieces that grow to fixed
 breakpoints, 1.5, 3, 6, ... forward and 0.3, 0.1, 1/30, ... backward), so
-a value depends on the key and t alone, not on the order of requests.  The
-ten suites that the benchmark pins make 412 entries and ``verify --all``
-537 (the ``jacobi`` suite adds 125 of Q): maxsize 512 holds the pinned
-suites, and repeating all eleven misses 412 of the 537 again.
-``continuation.cache_info()`` reports the hit rate.
+a value depends on the key and t alone, not on the order of requests.
+``eval_Q`` makes no entry for t >= log 2, where it reads the Frobenius
+series alone.  The ten suites that the benchmark pins make 272 entries and
+``verify --all`` 397 (the ``jacobi`` suite adds 125 of Q): maxsize 512
+holds them all.  ``continuation.cache_info()`` reports the hit rate.
 """
 
 from __future__ import annotations
@@ -145,8 +122,8 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import mul
@@ -155,7 +132,6 @@ import numpy as np
 from scipy.special import loggamma, psi
 
 from .cfunction import for_space
-from .dop853 import solve_ivp
 from .errors import (AccuracyWarning, IllConditionedError, NonFiniteInputError,
                      OutOfRangeError, ResonantExponentError, StiffnessError)
 from .space import RankOneSpace
@@ -175,8 +151,6 @@ _SERIES_REACH = 4.0  # |Im lambda| tanh t where phi's series has lost two digits
 _Q_CONDITION = 1e3  # Q's series conditioned worse than this: the ODE instead,
 _ODE_RECESSIVE = 3.0  # ... with the bound raised this much per unit of -Re lambda
 
-_RTOL = 1e-12
-_ATOL = 1e-300  # effectively pure relative error control
 _MAX_EXPONENT = 700.0  # a solution growing past e^700 leaves the floating-point range
 _MAX_PHASE = 1e5  # radians an ODE piece may turn through: about 100 s of steps
 
@@ -266,15 +240,15 @@ class FrobeniusSeries:
         return tuple((rows @ (y * y) ** np.arange(rows.shape[1])).tolist())
 
     def pair(self, t):
-        """(Q(t), dQ/dt) for t >= -log(valid_radius); ValueError where
+        """(Q(t), dQ/dt) for t >= -log(valid_radius); OutOfRangeError where
         y^exponent overflows."""
         y = math.exp(-t)
         s, ds = self.series_sums(y)
         try:
             head = cmath.exp(-self.exponent * t)
         except OverflowError:
-            raise ValueError(f"Q_lambda({t}) overflows the floating-point range "
-                             f"(lambda = {self.lam})") from None
+            raise OutOfRangeError(f"Q_lambda({t}) overflows the floating-point range "
+                                  f"(lambda = {self.lam})") from None
         q = head * s
         dq = -head * (self.exponent * s + ds)
         return q, dq
@@ -391,41 +365,140 @@ class RadialSolution:
         return worst
 
 
-def _coth_series(terms):
-    """Coefficients of coth x - 1/x = sum_{n >= 1} 4^n B_2n x^(2n-1) / (2n)!,
-    highest first, for Horner's rule in x^2.  The Bernoulli numbers are
-    exact fractions (scipy's are 2e-12 off from B_4 on)."""
-    b = [Fraction(1)]
-    for m in range(1, 2 * terms + 1):
-        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
-    return tuple(float(4**n * b[2 * n] / math.factorial(2 * n)) for n in range(terms, 0, -1))
+# Taylor steps.  A step is at most _REACH of its distance t0 from b's pole
+# at t = 0, so b's terms fall at least like _REACH^j; toward 0 Q's own pole
+# t^-(m_alpha + m_2alpha - 1) adds a power of j, hence the shorter reach
+# there.  |lambda| h is at most _TURN, so that the terms of e^(+-lambda s)
+# cancel by at most about e^_TURN.
+_REACH = (0.5, 0.4)  # forward, backward
+_TURN = 4.0
+_TAIL = 1e-17  # a step's terms end after two below this, each column scaled to 1,
+_MAX_TERMS = 120  # ... or the solve fails here with StiffnessError
 
 
-_COTH_SERIES = _coth_series(13)
+def _shift(ode):
+    """sigma = rho - |Re lambda| per column: w = e^(sigma s) u has the modes
+    e^((-|Re lambda| +- lambda) s) at large t, one of modulus 1."""
+    return ode[2] - np.abs(ode[3].real)
 
 
-def _coth_excess(x):
-    """coth x - 1/x for x > 0: the Bernoulli series below 0.5, where its
-    13th term is below 1e-19 of the sum, and the difference above."""
-    if x >= 0.5:
-        return 1.0 / math.tanh(x) - 1.0 / x
-    x2, s = x * x, 0.0
-    for c in _COTH_SERIES:
-        s = s * x2 + c
-    return x * s
+def _step_terms(ode, t0, h, start):
+    """The terms A_n = w_n h^n of w(t0 + h x) = sum_n A_n x^n, one row per
+    n and one column per lambda, from A_0 and A_1 in ``start``.
+
+    With e = b - 2 rho = m_alpha (coth t - 1) + 2 m_2alpha (coth 2t - 1),
+    d = |Re lambda| and sigma = rho - d, w = e^(sigma s) u solves
+    w'' + e (w' - sigma w) + 2 d w' + (d^2 - lambda^2) w = 0 in s = t - t0.
+    The terms of coth t - 1 at t0 follow from the Riccati equation
+    (coth - 1)' = -2 (coth - 1) - (coth - 1)^2, those of coth 2t - 1 from
+    its twin, and those of w from the ODE.  StiffnessError where the terms
+    turn non-finite, or have not fallen below _TAIL within _MAX_TERMS.
+    """
+    m_a, m_2a, _, lam = ode
+    d = np.abs(lam.real)
+    A = np.empty((_MAX_TERMS, len(lam)), dtype=complex)
+    Z = np.empty_like(A)  # (k + 1) A_(k+1) - sigma h A_k, the terms of h (w' - sigma w)
+    Zr = Z.view(float)
+    q = math.exp(-2.0 * t0)
+    E, F = [2.0 * q / -math.expm1(-2.0 * t0)], [2.0 * q * q / -math.expm1(-4.0 * t0)]
+    EF = np.empty((2, _MAX_TERMS))
+    EF[:, 0] = E[0], F[0]
+    A[0], A[1] = start
+    hm_a, hm_2a, sigma_h = h * m_a, 2.0 * h * m_2a, _shift(ode) * h
+    d_h, k_h2 = 2.0 * d * h, (lam * lam - d * d) * (h * h)
+    quiet = 0
+    for n in range(_MAX_TERMS - 2):
+        if n:
+            E.append(-h * (2.0 * E[-1] + sum(map(mul, E, reversed(E)))) / n)
+            F.append(-2.0 * h * (2.0 * F[-1] + sum(map(mul, F, reversed(F)))) / n)
+            EF[:, n] = E[n], F[n]
+        V = (n + 1) * A[n + 1]
+        Z[n] = V - sigma_h * A[n]
+        # the n-th terms of h (E, F) (w' - sigma w), every column in one real product
+        conv = (EF[:, n::-1] @ Zr[:n + 1]).view(complex)
+        A[n + 2] = (k_h2 * A[n] - d_h * V - hm_a * conv[0] - hm_2a * conv[1]) / ((n + 1) * (n + 2))
+        size = np.abs(A[n + 2]).max()
+        if size <= _TAIL:
+            quiet += 1
+            if quiet == 2:
+                return A[:n + 3].copy()  # not a view that keeps all _MAX_TERMS rows
+        elif not math.isfinite(size):
+            raise StiffnessError(f"the radial ODE's Taylor terms at t = {t0} turn non-finite")
+        else:
+            quiet = 0
+    raise StiffnessError(f"the radial ODE's Taylor terms at t = {t0} do not settle "
+                         f"within {_MAX_TERMS} terms (step {h})")
 
 
-def _forward_rate(space, lam, length):
-    """sigma, the rate of e^(sigma (t - t0)) a forward solve over ``length``
-    multiplies lambda's solution by.  Where 2 |Re lambda| <= rho it is rho,
-    so that e^(+-lambda t) is left to follow in place of e^((+-lambda -
-    rho) t), but at most _MAX_EXPONENT / length: then neither w, which
-    grows at most like e^((sigma - rho/2) length), nor the factor
-    e^(-sigma (t - t0)) that reads u back leaves the floating-point range.
-    0 elsewhere: near lambda = rho one mode is flat already."""
-    if 2.0 * abs(lam.real) > space.rho:
-        return 0.0
-    return min(space.rho, _MAX_EXPONENT / length)
+def _sums(terms, weights):
+    """weights @ terms, by einsum's own loop rather than BLAS, which threads
+    a product this size."""
+    return np.einsum("n,nc->c", weights, terms)
+
+
+class _TaylorSteps:
+    """A Taylor solve of the radial ODE: ``t`` holds the step ends, ``nfev``
+    the terms the steps formed (one per order and step, every column at
+    once), and ``self(t)`` is (u, u') of every column at t, from the
+    polynomial of the step t lies in (at a step end, the step that starts
+    there).  A step keeps t0, h, its terms and each column's scale, a power
+    of two.
+    """
+
+    def __init__(self, ode, t, nfev, steps):
+        self.ode, self.t, self.nfev = ode, t, nfev
+        self._steps = steps
+        self._sign = 1.0 if t[-1] > t[0] else -1.0
+        self._keys = (self._sign * t).tolist()
+
+    def __call__(self, t):
+        k = min(max(bisect_right(self._keys, self._sign * t) - 1, 0), len(self._steps) - 1)
+        t0, h, terms, exponent = self._steps[k]
+        n = np.arange(len(terms))
+        powers = ((t - t0) / h) ** n
+        w, dw = _sums(terms, powers), _sums(terms[1:], n[1:] * powers[:-1]) / h
+        sigma = _shift(self.ode)
+        f = np.ldexp(np.exp(-sigma * (t - t0)), exponent)
+        return f * w, f * (dw - sigma * w)
+
+
+def solve_ivp(ode, t_span, y0):
+    """Continue (u, u') = y0 of the radial ODE across t_span = (t0, t1), both
+    positive and distinct, by Taylor steps, for every column of ``ode`` =
+    (m_alpha, m_2alpha, rho, lambda) at once; returns the _TaylorSteps.
+
+    Each step is as long as _REACH of its distance from t = 0 and _TURN /
+    max |lambda| allow.  Each column is scaled by a power of two to
+    max(|A_0|, |A_1|) in [1/2, 1) at each step's start, so that the scaling
+    is exact and a column that underflows or overflows does not disturb the
+    others.  StiffnessError where a step's terms do not settle or turn
+    non-finite.
+    """
+    t0, t1 = t_span
+    u, du = (np.array(x, dtype=complex) for x in y0)
+    sigma = _shift(ode)
+    reach = _REACH[t1 < t0]
+    fastest = float(np.abs(ode[3]).max())
+    turn = _TURN / fastest if fastest else math.inf
+    exponent = np.zeros(len(u), dtype=int)
+    t, ends, steps, nfev = t0, [t0], [], 0
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite terms raise
+        while t != t1:
+            h = min(reach * t, turn)
+            end = t1 if abs(t1 - t) <= h else t + math.copysign(h, t1 - t)
+            h = end - t
+            a0, a1 = u, h * (du + sigma * u)
+            k = np.frexp(np.maximum(np.abs(a0), np.abs(a1)))[1]
+            exponent = exponent + k
+            terms = _step_terms(ode, t, h, (np.ldexp(1.0, -k) * a0, np.ldexp(1.0, -k) * a1))
+            nfev += len(terms)
+            steps.append((t, h, terms, exponent))
+            decay = np.exp(-sigma * h)
+            w = terms.sum(axis=0)
+            u, du = decay * w, decay * (_sums(terms, np.arange(len(terms))) / h - sigma * w)
+            t = end
+            ends.append(t)
+    return _TaylorSteps(ode, np.array(ends), nfev, steps)
 
 
 def integrate_radial_ode(space, lams, t_span, inits):
@@ -433,14 +506,9 @@ def integrate_radial_ode(space, lams, t_span, inits):
     lambda in ``lams``, starting from the matching (u, u') in ``inits``.
 
     ``space`` is one space, or one per lambda: the ODE's coefficients are
-    per-component arrays, so lambdas of different spaces share one solve.
-    The integrated unknown is w = g(t) u, with g(t0) = 1 taking out the
-    dominant growth in the direction of integration: e^(sigma (t - t0))
-    forward (sigma from _forward_rate, one per lambda), (t/t0)^p backward
-    (p = m_alpha + m_2alpha - 1, so Q's t^-p becomes flat).  One solve_ivp
-    (``dop853``) runs on [w_1..w_N, w'_1..w'_N]; the returned list holds
-    one RadialSolution per lambda, each reading its own (u, u') from the
-    shared dense output.  The dense output is evaluated and scaled back once
+    per-column arrays, so lambdas of different spaces share one solve_ivp
+    and its steps.  The returned list holds one RadialSolution per lambda,
+    each reading its own (u, u') from the shared steps, which are read once
     per t for the whole batch (the last 32 t are kept), not once per
     solution.  t_span may be decreasing (backward continuation toward the
     singular endpoint).  Both endpoints must be positive, finite and
@@ -449,70 +517,19 @@ def integrate_radial_ode(space, lams, t_span, inits):
     t0, t1 = _radius(t_span[0]), _radius(t_span[1])
     if min(t0, t1) <= 0.0:
         raise ValueError("t_span must stay inside (0, inf)")
+    if t0 == t1:
+        raise ValueError("t_span must have two distinct ends")
     lams = [complex(lam) for lam in lams]
     count = len(lams)
     if count == 0 or len(inits) != count:
         raise ValueError("need one initial (u, u') pair per lambda, at least one")
     spaces = _spaces(space, count)
-    # numpy slicing costs more than the arithmetic for a single lambda
-    batch = (lambda xs: xs[0]) if count == 1 else np.array
-    m_a = batch([float(s.m_alpha) for s in spaces])
-    m_2a = batch([float(s.m_2alpha) for s in spaces])
-    rho = batch([s.rho for s in spaces])
-    lam = batch(lams)
-
-    # w'' = A(t) w' + B(t) w, and (u, u') = f(t) (w, w' - k(t) w)
-    if t1 > t0:
-        sigma = batch([_forward_rate(s, x, t1 - t0) for s, x in zip(spaces, lams)])
-        shift, c0 = 2.0 * (rho - sigma), sigma * (2.0 * rho - sigma) - rho * rho + lam * lam
-
-        def coefficients(t):
-            # e = b - 2 rho = 2 m_alpha / (e^2t - 1) + 4 m_2alpha / (e^4t - 1),
-            # in e^-2t so that nothing overflows at large t
-            q = math.exp(-2.0 * t)
-            e = 2.0 * m_a * q / -math.expm1(-2.0 * t) + 4.0 * m_2a * q * q / -math.expm1(-4.0 * t)
-            return -(e + shift), sigma * e + c0
-
-        def unscale(t):
-            return np.exp(-sigma * (t - t0)), sigma
-    else:
-        p, c0 = m_a + m_2a - 1.0, lam * lam - rho * rho
-
-        def coefficients(t):
-            # d = b - (p + 1) / t, regular at 0
-            d = m_a * _coth_excess(t) + 2.0 * m_2a * _coth_excess(2.0 * t)
-            return (p - 1.0) / t - d, p * d / t + c0
-
-        def unscale(t):
-            return (t0 / t) ** p, p / t
-
-    if count == 1:
-        def rhs(t, wv):
-            a, b = coefficients(t)
-            w, dw = wv
-            return (dw, a * dw + b * w)
-    else:
-        def rhs(t, wv):
-            a, b = coefficients(t)
-            w, dw = wv[:count], wv[count:]
-            return np.concatenate((dw, a * dw + b * w))
-
-    u0 = np.array([complex(u) for u, _ in inits], dtype=complex)
-    du0 = np.array([complex(v) for _, v in inits], dtype=complex)
-    y0 = np.concatenate((u0, du0 + unscale(t0)[1] * u0))
-    sol = solve_ivp(rhs, (t0, t1), y0, rtol=_RTOL / math.sqrt(count), atol=_ATOL)
-    if not sol.success:
-        raise StiffnessError(f"radial integration failed: {sol.message}")
-
-    # the batch's solutions read the same few t in turn: one dense-output
-    # evaluation and one scaling of all 2N components serve every lambda at
-    # that t
-    @lru_cache(maxsize=32)
-    def read(t):
-        wv = sol.sol(t)
-        f, k = unscale(t)
-        w = wv[:count]
-        return f * w, f * (wv[count:] - k * w)
+    ode = (np.array([float(s.m_alpha) for s in spaces]),
+           np.array([float(s.m_2alpha) for s in spaces]),
+           np.array([s.rho for s in spaces]),
+           np.array(lams))
+    sol = solve_ivp(ode, (t0, t1), ([u for u, _ in inits], [v for _, v in inits]))
+    read = lru_cache(maxsize=32)(sol)
 
     def solution(i):
         def ev(t):
@@ -556,7 +573,8 @@ class Continuation:
         """(u(t), u'(t)), integrating further pieces if t lies beyond them.
 
         A forward piece ends at its breakpoint, or earlier at
-        _growth_limit, past which it is refused: ValueError for a t there.
+        _growth_limit, past which it is refused: OutOfRangeError for a t
+        there.
         """
         sign = self.sign
         if (t - self.switch) * sign <= 0.0:
@@ -566,8 +584,8 @@ class Continuation:
         if (t - self.reach) * sign > 0.0:
             last = _growth_limit(self.space, self.lam) if sign > 0 else math.inf
             if t > last:
-                raise ValueError(f"the radial solution at lambda = {self.lam} leaves "
-                                 f"the floating-point range before t = {t}")
+                raise OutOfRangeError(f"the radial solution at lambda = {self.lam} leaves "
+                                      f"the floating-point range before t = {t}")
             first, ratio = _FORWARD if sign > 0 else _BACKWARD
             k = 0
             while (t - self.reach) * sign > 0.0:
@@ -592,17 +610,17 @@ def _extend(conts, end):
     """Add a piece up to ``end`` to continuations sharing a reach, of one
     space or of several.
 
-    A forward piece is refused (ValueError) where ``end`` passes the
-    _growth_limit of a member, in its own space.  Any piece is refused where
-    its phase, |Im lambda| times its length, passes _MAX_PHASE: the step
-    count grows with it.
+    A forward piece is refused (OutOfRangeError) where ``end`` passes the
+    _growth_limit of a member, in its own space.  Any piece is refused
+    (ValueError) where its phase, |Im lambda| times its length, passes
+    _MAX_PHASE: the step count grows with it.
     """
     reach = conts[0].reach
     if end > reach:
         nearest = min(conts, key=lambda c: _growth_limit(c.space, c.lam))
         if end > _growth_limit(nearest.space, nearest.lam):
-            raise ValueError(f"the radial solution at lambda = {nearest.lam} leaves the "
-                             f"floating-point range before t = {end}")
+            raise OutOfRangeError(f"the radial solution at lambda = {nearest.lam} leaves "
+                                  f"the floating-point range before t = {end}")
     fastest = max(conts, key=lambda c: abs(c.lam.imag))
     if abs(fastest.lam.imag) * abs(end - reach) > _MAX_PHASE:
         raise ValueError(f"the radial ODE at lambda = {fastest.lam} would turn through "
@@ -747,8 +765,8 @@ class _TanhSeries:
             s = ws = head = math.inf
         u = complex(head * s)
         if not cmath.isfinite(u):
-            raise ValueError(f"the series of exponent {self.e} overflows the "
-                             f"floating-point range at t = {t}")
+            raise OutOfRangeError(f"the series of exponent {self.e} overflows the "
+                                  f"floating-point range at t = {t}")
         du = -self.e * tanh * u
         if t:
             du += head * 4.0 * ws / math.sinh(2.0 * t)
@@ -771,8 +789,8 @@ def _jacobi_series(space, lam, reach):
                                np.array([f, np.arange(len(f)) * f]))
         except OverflowError:
             if not w:
-                raise ValueError(f"the series of phi at lambda = {lam} overflows "
-                                 "at every t > 0") from None
+                raise OutOfRangeError(f"the series of phi at lambda = {lam} overflows the "
+                                      "floating-point range at every t > 0") from None
             reach /= 2.0
 
 
@@ -859,13 +877,14 @@ class _CQ:
     lam: complex
 
     @cached_property
-    def _terms(self):
+    def terms(self):
+        """(c(lambda), c(-lambda), Q_-lambda's and Q_lambda's Frobenius series)."""
         cf = for_space(self.space)
         return (cf.value(self.lam), cf.value(-self.lam),
                 _series(self.space, -self.lam), _series(self.space, self.lam))
 
     def pair(self, t):
-        cp, cm, q_minus, q_plus = self._terms
+        cp, cm, q_minus, q_plus = self.terms
         (qm, dqm), (qp, dqp) = q_minus.pair(t), q_plus.pair(t)
         return cp * qm + cm * qp, cp * dqm + cm * dqp
 
@@ -951,15 +970,18 @@ def eval_Q(space, lam, t):
     # every negative integer 2 lambda, odd ones included, is refused: the
     # spectral sweep's exclusion queries expect ResonantExponentError there
     _check_exponent(lam)
-    return complex(continuation(space, complex(lam), _q_second_kind).pair(t)[0])
+    lam = complex(lam)
+    if t >= T_SWITCH:  # no second-kind series: the cache entry serves t < log 2
+        return complex(_series(space, lam).pair(t)[0])
+    return complex(continuation(space, lam, _q_second_kind).pair(t)[0])
 
 
 def eval_phi(space, lam, t):
     """The spherical function phi_lambda(t); entire in lambda, phi(0) = 1.
 
-    phi grows like e^((|Re lambda| - rho) t); ValueError where that passes
-    e^_MAX_EXPONENT, and where the series of a |lambda| past about 1e154
-    overflows.
+    phi grows like e^((|Re lambda| - rho) t); OutOfRangeError where that
+    passes e^_MAX_EXPONENT, and where the series of a |lambda| past about
+    1e154 overflows.
     """
     t = _radius(t)
     if t < 0.0:
@@ -973,8 +995,8 @@ def eval_phi(space, lam, t):
     else:
         u = complex(continuation(space, lam, _phi_series).pair(t)[0])
     if not cmath.isfinite(u):
-        raise ValueError(f"phi_lambda({t}) overflows the floating-point range "
-                         f"(lambda = {lam})")
+        raise OutOfRangeError(f"phi_lambda({t}) overflows the floating-point range "
+                              f"(lambda = {lam})")
     return u
 
 
@@ -997,7 +1019,7 @@ def _connection_solve(space, lam, sol):
     # m[k] = [[Q_-(t_k), Q_+(t_k)], [Q_-'(t_k), Q_+'(t_k)]]
     m = np.array([[ser_m.pair(t), ser_p.pair(t)] for t in ts],
                  dtype=complex).reshape(-1, 2, 2).transpose(0, 2, 1)
-    scale = np.linalg.norm(m, axis=1)
+    scale = np.hypot(np.abs(m[:, 0]), np.abs(m[:, 1]))  # each column's 2-norm, unsquared
     usable = np.all(scale > 0.0, axis=1)
     if not usable.any():
         raise ValueError(

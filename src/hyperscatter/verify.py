@@ -69,27 +69,10 @@ def lambda_grid():
     return [complex(re, im) for re in LAMBDA_RE for im in LAMBDA_IM]
 
 
-# lambdas per radial ODE solve.  A solve of N lambdas forms each DOP853 stage
-# by a product of 2N components with up to 15 stages; OpenBLAS threads that
-# product from 4096 elements on (N >= 137), and with its threads not pinned a
-# stage could then take milliseconds in place of microseconds
-_BATCH = 125
-
-
 def _grid_points(spaces):
     """(family name, space, lambda) over every family and the shared grid."""
     return [(name, space, lam) for name, space in _families(spaces)
             for lam in lambda_grid()]
-
-
-def _solve(solve, points, *args):
-    """solve(spaces, lambdas, *args) over the (name, space, lambda) points,
-    one call per _BATCH of them, across families."""
-    out = []
-    for i in range(0, len(points), _BATCH):
-        chunk = points[i:i + _BATCH]
-        out += solve([space for _, space, _ in chunk], [lam for _, _, lam in chunk], *args)
-    return out
 
 
 # -- 1: connection identity --------------------------------------------------
@@ -110,9 +93,10 @@ def check_connection(spaces=None):
     rows = []
     ts = (0.5, 1.0, 2.0, 5.0)
     points = _grid_points(spaces)
-    phis = _solve(phi_solution, points, 5.2)
-    q_minus = _solve(q_solution, [(name, space, -lam) for name, space, lam in points], min(ts))
-    q_plus = _solve(q_solution, points, min(ts))
+    _, grid_spaces, lams = zip(*points)
+    phis = phi_solution(grid_spaces, lams, 5.2)
+    q_minus = q_solution(grid_spaces, [-lam for lam in lams], min(ts))
+    q_plus = q_solution(grid_spaces, lams, min(ts))
     for (name, space, lam), sol, qm, qp in zip(points, phis, q_minus, q_plus):
         cf = for_space(space)
         cp, cm = cf.value(lam), cf.value(-lam)
@@ -399,18 +383,18 @@ def check_jacobi(spaces=None):
     """
     rows = []
     points = _grid_points(spaces)
-    phis = _solve(phi_solution, points, 5.2)
-    qs = _solve(q_solution, points, 0.005)
+    _, grid_spaces, lams = zip(*points)
+    phis = phi_solution(grid_spaces, lams, 5.2)
+    qs = q_solution(grid_spaces, lams, 0.005)
     size = len(lambda_grid())
     for i in range(0, len(points), size):
         name = points[i][0]
         worst = _worst_gap(phis[i:i + size], eval_phi, (0.5, 1.0, 2.0, 5.0))
-        # the worst gap is 2.3e-13 (hhn:2); the batch integrated at rtol 1e-12
-        # instead of 1e-12/sqrt(125) reaches 8.2e-12 (oh2)
+        # the worst gap is 3.8e-14 (oh2)
         rows.append(_row("jacobi", f"{name} ode vs series", worst, 5e-12))
         worst = _worst_gap(qs[i:i + size], eval_Q, (0.005, 0.05, 0.3, 0.6))
-        # the worst gap is 3.5e-14 (h3), nearly all of it the ODE's; oh2,
-        # whose Q the ODE follows as (t/t0)^-14 w, reaches 1.2e-14
+        # the worst gap is 3.5e-14 (h3), nearly all of it the series': the
+        # Taylor steps read at most 4.2e-15 of mpmath on this grid
         rows.append(_row("jacobi", f"{name} Q ode vs series", worst, 3e-12))
     return rows
 

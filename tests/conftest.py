@@ -61,8 +61,8 @@ def mp_jacobi():
 
 
 def pytest_report_header(config):
-    # the DOP853 and QAGS ports are checked bit for bit against the
-    # installed scipy, so a report names the versions it was checked against
+    # the QAGS port is checked bit for bit against the installed scipy, so
+    # a report names the versions it was checked against
     import numpy
     import scipy
 

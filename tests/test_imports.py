@@ -30,7 +30,7 @@ print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 def test_only_scipy_special_is_imported():
     # scipy.integrate and scipy.optimize (and with them scipy.sparse,
     # scipy.linalg, scipy.fft and scipy.spatial) cost about half of a
-    # process's start-up; the library's DOP853 and QUADPACK ports are its
+    # process's start-up; the library's ODE steps and QUADPACK port are its
     # own, the axis scan needs no root finder, and nothing imports those
     # modules later either
     src = str(Path(hyperscatter.__file__).resolve().parents[1])

@@ -11,6 +11,7 @@ import cmath
 import math
 import warnings
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -201,12 +202,39 @@ def test_ktype_profile_solves_the_angular_equation(re, im, n, t):
     assert abs(defect) < 1e-8 * size
 
 
+@mpmath.workdps(30)
+def _mp_ktype_profile(lam, n, t):
+    """(lambda+1/2)_m / (4^m m!) (2 sinh t)^m phi^S_lambda(t), m = |n|, in
+    mpmath's hypergeometric function at 30 digits."""
+    m, lam, t = abs(n), mpmath.mpc(lam), mpmath.mpf(t)
+    shifted = ktype_space(n)
+    rho = mpmath.mpf(shifted.rho)
+    front = mpmath.rf(lam + 0.5, m) / (4**m * mpmath.factorial(m))
+    phi = mpmath.hyp2f1((rho + lam) / 2, (rho - lam) / 2, rho + 0.5, -mpmath.sinh(t) ** 2)
+    return complex(front * (2 * mpmath.sinh(t)) ** m * phi)
+
+
+@pytest.mark.parametrize("lam, n, t", [(0.7, 3, 300.0), (0.7, 3, 100.0),
+                                       (0.8j, 2, 400.0), (1.3 - 0.4j, 5, 250.0)])
+def test_ktype_profile_past_the_float_range_of_its_factors(lam, n, t):
+    # (2 sinh t)^m and phi^S pass the float range from t = 700 / (m + 1/2
+    # - |Re lambda|), but the profile, about e^((|Re lambda| - 1/2) t), does
+    # not: it is summed as c_S Q^S times (2 sinh t)^m in one factor.  Measured
+    # worst 7.1e-14 (0.7, 3, 300), the rounding of t in e^(-(1/2 +- lambda) t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ktype_radial_profile(lam, n, t)
+    want = _mp_ktype_profile(lam, n, t)
+    assert abs(got - want) / abs(want) < 1e-12
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 1e300, 1e4, 400.0])
 def test_ktype_profile_refuses_non_finite_and_overflowing_t(t):
-    # at t = 400 the profile itself is finite, but phi of the shifted space
-    # (about e^-1000 at lambda = 0.8i, n = 2) is not a normal float
-    with pytest.raises(ValueError):
-        ktype_radial_profile(0.8j, 2, t)
+    # the profile grows like e^((|Re lambda| - 1/2) t), e^800 at t = 400 for
+    # lambda = 2.5 + 0.8i.  (At 0.8i it is refused no longer: at t = 400 it
+    # is about 1e-87, though phi of the shifted space is about e^-1000)
+    with pytest.raises(OutOfRangeError if math.isfinite(t) else ValueError):
+        ktype_radial_profile(2.5 + 0.8j, 2, t)
 
 
 @pytest.mark.parametrize("n", [1.5, math.nan, math.inf])

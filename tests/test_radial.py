@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hyperscatter import dop853, errors, radial
+from hyperscatter import errors, radial
 from hyperscatter.cfunction import CFunction, for_space
 from hyperscatter.errors import NonFiniteInputError, ResonantExponentError, StiffnessError
 from hyperscatter.radial import (
@@ -37,7 +37,6 @@ from hyperscatter.resolvent import kernel
 from hyperscatter.resonances import enumerate_resonances, residue_contour_probe
 from hyperscatter.space import space_from_name
 from hyperscatter.verify import FAMILY_NAMES, lambda_grid
-from scipy.integrate import solve_ivp
 
 H2 = space_from_name("h2")
 H3 = space_from_name("h3")
@@ -234,10 +233,9 @@ _GRID = lambda_grid()
 
 def test_batched_phi_and_q_match_mpmath_on_the_grid(mp_jacobi):
     # 4e-12 rather than a looser bound: it is what guards each lambda of a
-    # batch against hiding its error in the RMS over all components.  The
-    # batches below reach 1.7e-12 (phi) and 8.3e-13 (Q, at the deepest
-    # Wronskian node); integrated at rtol 1e-12 instead of 1e-12/sqrt(N),
-    # the same batches reach about 1e-11 and 7e-12.
+    # batch against hiding its error behind the others.  The batches reach
+    # 5.4e-15 (phi) and 1.1e-13 (Q at the deepest Wronskian node, h2 at
+    # lambda = -2.7, the recessive direction).
     mp_phi, mp_q = mp_jacobi
     tol = 4e-12
     for name in FAMILY_NAMES:
@@ -305,132 +303,81 @@ def test_mixed_family_batch_matches_the_per_family_solves():
         phi_solution(families, _GRID, 5.2)
 
 
-def test_mixed_family_forward_batch_checks_each_growth_limit():
+def test_mixed_family_forward_batch_checks_each_growth_limit(mp_jacobi):
     # phi at lambda = 3 on h2 (rho = 1/2) passes e^700 at t = 280; oh2
     # (rho = 11) at 5 never does.  The batch is refused past 280 and names
-    # the h2 lambda, though oh2 comes first and has the wider lambda
+    # the h2 lambda, though oh2 comes first and has the wider lambda.  Each
+    # column keeps its own scale: oh2's phi, which falls like e^(-6 t),
+    # underflows from t = 118 on, while the h2 column reads mpmath's phi
+    mp_phi, _ = mp_jacobi
     oh2 = space_from_name("oh2")
-    assert cmath.isfinite(phi_solution([oh2, H2], [5.0, 3.0], 250.0)[1](250.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        falling, growing = phi_solution([oh2, H2], [5.0, 3.0], 250.0)
+        assert falling(250.0) == 0
+        assert _rel(falling(75.0), mp_phi(oh2, 5.0, 75.0)) < 1e-11
+        for t in (50.0, 150.0, 250.0):
+            assert _rel(growing(t), mp_phi(H2, 3.0, t)) < 1e-11, t
     with pytest.raises(ValueError, match=re.escape("lambda = (3+0j) leaves")):
         phi_solution([oh2, H2], [5.0, 3.0], 300.0)
 
 
-def _recorded_solves(monkeypatch):
-    """The (rhs, t_span, y0) and keywords of hn:7's forward and backward
-    batch solves, made through the in-library driver, and that driver."""
-    calls = []
+def _solves(monkeypatch):
+    """The _TaylorSteps of every solve_ivp call, as they are made."""
+    solves = []
     driver = radial.solve_ivp
 
     def recording(*args, **kwargs):
-        calls.append((args, kwargs))
-        return driver(*args, **kwargs)
+        solves.append(driver(*args, **kwargs))
+        return solves[-1]
 
     monkeypatch.setattr(radial, "solve_ivp", recording)
+    return solves
+
+
+def test_step_polynomials_are_the_dense_output(monkeypatch):
+    # each step forms its terms once, and its polynomial is the solution
+    # between its ends: a read at the span's start gives the initial values
+    # back, the two steps that meet at a step end agree there, and no read
+    # forms terms again, forward and backward
+    solves = _solves(monkeypatch)
+    formed = []
+    form = radial._step_terms
+    monkeypatch.setattr(radial, "_step_terms",
+                        lambda ode, t0, h, start: formed.append(t0) or form(ode, t0, h, start))
     space, lams = space_from_name("hn:7"), [0.3 - 1j, 1.6, 2.7 + 0.5j, -0.8j]
-    radial.integrate_radial_ode(space, lams, (0.2, 2.0), [(1.0, 0.1j)] * 4)
-    radial.integrate_radial_ode(space, lams, (0.6, 0.01), [(1.0, -0.5)] * 4)
-    return calls, driver
+    for span, inits in (((0.2, 2.0), [(1.0, 0.1j)] * 4), ((0.6, 0.01), [(1.0, -0.5)] * 4)):
+        formed.clear()
+        sols = radial.integrate_radial_ode(space, lams, span, inits)
+        steps = solves[-1]
+        ends = steps.t.tolist()
+        assert ends[0] == span[0] and ends[-1] == span[1] and len(ends) > 4
+        assert formed == ends[:-1] and steps.nfev > 2 * len(formed)
+        for i, (u, du) in enumerate(inits):
+            got = sols[i].at(span[0])
+            assert got[0] == u and abs(got[1] - du) < 1e-15, (i, got)
+        for t in ends[1:-1]:
+            before = sols[0].at(np.nextafter(t, span[0]))
+            after = sols[0].at(t)
+            assert all(_rel(a, b) < 1e-14 for a, b in zip(before, after)), t
+        assert formed == ends[:-1]
 
 
-def _scipy_dop853(rhs, span, y0, **kwargs):
-    return solve_ivp(rhs, span, y0, method="DOP853", dense_output=True, **kwargs)
+def test_terms_that_do_not_settle_or_are_not_finite_raise_stiffness_error(monkeypatch):
+    # a step whose terms have not fallen below the tail within the term
+    # limit, or turn non-finite, fails the solve
+    with pytest.raises(StiffnessError, match="turn non-finite"):
+        radial.integrate_radial_ode(H2, [0.5], (0.2, 2.0), [(math.inf, 0.0)])
+    monkeypatch.setattr(radial, "_MAX_TERMS", 8)
+    with pytest.raises(StiffnessError, match="do not settle within 8 terms"):
+        radial.integrate_radial_ode(H2, [0.7 + 0.3j], (0.2, 2.0), [(1.0, 0.0)])
 
 
-def test_lazy_interpolant_equals_the_eager_one_and_builds_on_demand(monkeypatch):
-    # integrate_radial_ode's DOP853 steps as scipy's does and keeps each
-    # step's start state, rebuilding the step at its first read: the steps
-    # equal scipy's, the reads equal scipy's eager dense output bit for
-    # bit, a read step costs its 12 stages, the first-stage derivative and
-    # the 3 interpolation stages once, and an unread step costs nothing
-    calls, driver = _recorded_solves(monkeypatch)
-    for (rhs, span, y0), kwargs in calls:
-        assert sorted(kwargs) == ["atol", "rtol"]
-        evaluations = []
-
-        def counted(t, y):
-            evaluations.append(t)
-            return rhs(t, y)
-
-        lazy = driver(counted, span, y0, **kwargs)
-        eager = _scipy_dop853(rhs, span, y0, **kwargs)
-        assert lazy.success and eager.success and lazy.message == eager.message
-        assert np.array_equal(lazy.t, eager.t) and lazy.nfev + 3 * len(lazy.t[1:]) == eager.nfev
-        assert len(evaluations) == lazy.nfev  # no step built yet
-
-        def built():
-            return sum(f is not None for f in lazy.sol.coefficients)
-
-        ts = np.linspace(*span, 40)
-        for t in ts:
-            before, steps = len(evaluations), built()
-            assert np.array_equal(lazy.sol(t), eager.sol(t)), t
-            assert (built() - steps, len(evaluations) - before) in ((0, 0), (1, 16)), t
-        assert 0 < built() < len(lazy.t) - 1  # some steps are never read
-        assert len(evaluations) == lazy.nfev + 16 * built()
-        for t in ts[::-1]:  # a step read again is not rebuilt
-            assert np.array_equal(lazy.sol(t), eager.sol(t)), t
-        assert len(evaluations) == lazy.nfev + 16 * built()
-
-
-def test_reads_on_step_ends_take_scipys_segment(monkeypatch):
-    # a t on a step end reads the step that ends there (the earlier one in
-    # the direction of integration, as scipy's OdeSolution chooses), and a t
-    # just outside the span reads the end step: forward and backward, every
-    # step end, its neighbours and both ends beyond read as scipy's eager
-    # dense output reads them, bit for bit
-    calls, driver = _recorded_solves(monkeypatch)
-    assert [span[1] > span[0] for (_, span, _), _ in calls] == [True, False]
-    for (rhs, span, y0), kwargs in calls:
-        lazy = driver(rhs, span, y0, **kwargs)
-        eager = _scipy_dop853(rhs, span, y0, **kwargs)
-        ends = lazy.t
-        # the first read at an inner step end builds the step ending there
-        k = len(ends) // 2
-        lazy.sol(ends[k])
-        assert [i for i, f in enumerate(lazy.sol.coefficients) if f is not None] == [k - 1]
-        beyond = [ends[0] - (ends[1] - ends[0]) / 4, ends[-1] + (ends[-1] - ends[-2]) / 4]
-        neighbours = [np.nextafter(t, side) for t in ends for side in (-np.inf, np.inf)]
-        for t in [*ends, *neighbours, *beyond]:
-            assert np.array_equal(lazy.sol(t), eager.sol(t)), t
-
-
-def test_a_step_too_small_fails_the_solve_and_raises_stiffness_error(monkeypatch):
-    # y' = y^2 from y(0) = 1 blows up at t = 1: the steps shrink until they
-    # no longer advance t, and the solve stops on the step where scipy's
-    # DOP853 stops, with its message; integrate_radial_ode raises
-    # StiffnessError on such a solve
-    def blowup(t, y):
-        return y * y
-
-    driver = radial.solve_ivp
-    y0 = np.array([1.0 + 0j])
-    ours = driver(blowup, (0.0, 2.0), y0, rtol=1e-12, atol=1e-300)
-    ref = solve_ivp(blowup, (0.0, 2.0), y0, method="DOP853", rtol=1e-12, atol=1e-300)
-    assert not ours.success and not ref.success
-    assert ours.message == ref.message == dop853.TOO_SMALL_STEP
-    assert np.array_equal(ours.t, ref.t) and ours.nfev == ref.nfev
-    assert 0.999 < ours.t[-1] < 1.0 + 1e-12
-    monkeypatch.setattr(radial, "solve_ivp",
-                        lambda fun, t_span, y0, **kwargs: driver(blowup, (0.0, 2.0), y0, **kwargs))
-    with pytest.raises(StiffnessError, match="step size is less than spacing"):
-        radial.integrate_radial_ode(H2, [0.5], (0.2, 2.0), [(1.0, 0.0)])
-
-
-def test_a_batch_below_100_eps_rtol_agrees_with_single_solves(monkeypatch):
-    # 2100 lambdas solve at rtol 1e-12 / sqrt(2100), below the 100 eps to
-    # which scipy's solve_ivp raised such an rtol: the driver keeps it, and
-    # each phi agrees with its own single-lambda solve to 1e-11
-    rtols = []
-    driver = radial.solve_ivp
-
-    def recording(fun, t_span, y0, rtol, atol):
-        rtols.append(rtol)
-        return driver(fun, t_span, y0, rtol=rtol, atol=atol)
-
-    monkeypatch.setattr(radial, "solve_ivp", recording)
+def test_a_large_batch_agrees_with_single_solves():
+    # 2100 lambdas share one solve and its steps; each phi agrees with its
+    # own single-lambda solve to 1e-11
     lams = list(np.linspace(0.1, 3.0, 2100) + 0.1j)
     batch = phi_solution(H2, lams, 4.0)
-    assert min(rtols) < 100 * np.finfo(float).eps
     for k in (5, 1000, 2099):
         assert _rel(batch[k](3.0), phi_solution(H2, lams[k], 4.0)(3.0)) < 1e-11, lams[k]
 
@@ -446,39 +393,26 @@ def test_wronskian_limit_on_a_sequence_matches_scalar_calls():
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
 def test_batch_reads_equal_direct_dense_output_reads(monkeypatch, order):
-    # a batch's solutions share one dense-output read per t; whatever the
+    # a batch's solutions share one read of the steps per t; whatever the
     # order of the (lambda, t) requests, and past the 32 t it keeps, each
-    # value is the one a direct read of the shared solution gives.  The
-    # solution holds w = e^(sigma (t - t0)) u forward, read back as u =
-    # e^(-sigma (t - t0)) w and u' = e^(-sigma (t - t0)) (w' - sigma w)
-    solves = []
-    driver = radial.solve_ivp
-
-    def recording(*args, **kwargs):
-        solves.append(driver(*args, **kwargs))
-        return solves[-1]
-
-    monkeypatch.setattr(radial, "solve_ivp", recording)
+    # value is the one a direct read of the shared steps gives
+    solves = _solves(monkeypatch)
     space, lams = space_from_name("hn:7"), [0.3 - 1j, 1.6, 2.7 + 0.5j, -0.8j]
     sols = radial.integrate_radial_ode(space, lams, (0.2, 2.0), [(1.0, 0.1j)] * 4)
-    dense = solves[0].sol
-    sigma = np.array([radial._forward_rate(space, lam, 1.8) for lam in lams])
-    assert list(sigma) == [3.0, 0.0, 0.0, 3.0]  # rho of hn:7, where 2 |Re lambda| <= rho
+    steps = solves[0]
     requests = [(i, t) for i in range(len(lams)) for t in np.linspace(0.2, 2.0, 40)]
     if order == "descending":
         requests.reverse()
     elif order == "shuffled":
         random.Random(4).shuffle(requests)
     for i, t in requests:
-        wv = dense(t)
-        f, w = np.exp(-sigma * (t - 0.2)), wv[:len(lams)]
-        u, du = f * w, f * (wv[len(lams):] - sigma * w)
+        u, du = steps(t)
         assert sols[i].at(t) == (complex(u[i]), complex(du[i])), (i, t)
-    # every lambda of the batch at a new t: one evaluation of the dense output
+    # every lambda of the batch at a new t: one read of the steps
     reads = []
-    evaluate = type(dense).__call__
-    monkeypatch.setattr(type(dense), "__call__",
-                        lambda self, t: reads.append(t) or evaluate(self, t))
+    read = type(steps).__call__
+    monkeypatch.setattr(type(steps), "__call__",
+                        lambda self, t: reads.append(t) or read(self, t))
     for sol in sols:
         sol.at(1.2345)
     assert reads == [1.2345]
@@ -743,17 +677,17 @@ def test_eval_phi_near_the_lattice_up_to_the_growth_limit(lam, t):
                                     (1.0, 1000.0), (3.02, 100.0)])
 def test_eval_phi_near_the_lattice_far_out(mp_jacobi, lam, t):
     # near the lattice the forward ODE continues phi in pieces ending at 3,
-    # 6, 12, ...; its error builds up with t, to 3.9e-11 at (3.0, 200) and
-    # (1.0, 1000)
+    # 6, 12, ...; measured worst 6.4e-15 (3.0, 200)
     mp_phi, _ = mp_jacobi
-    assert _rel(eval_phi(H2, lam, t), mp_phi(H2, lam, t)) < 1e-10
+    assert _rel(eval_phi(H2, lam, t), mp_phi(H2, lam, t)) < 1e-13
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_phi_at_rho_is_one(name):
     # phi_rho = 1, the trivial representation.  2 rho is an integer, so the
-    # ODE continues phi from t = 1.5 with no rate taken out (2 rho > rho);
-    # the worst is 2.4e-15 (oh2)
+    # ODE continues phi from t = 1.5, with no shift (rho - |Re lambda| = 0),
+    # so that the steps' terms past the first nearly vanish; the worst is
+    # 2.8e-15 (oh2)
     space = space_from_name(name)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -761,17 +695,17 @@ def test_phi_at_rho_is_one(name):
             assert abs(eval_phi(space, space.rho, t) - 1.0) <= 1e-14, t
 
 
-# both forward regimes: sigma = rho where 2 |Re lambda| <= rho (oh2: all but
-# 7.6; hhn:2, rho = 5: 0.4, 2.5, -1.3 and 0.9), sigma = 0 elsewhere
+# both sides of 2 |Re lambda| = rho (oh2: all but 7.6; hhn:2, rho = 5: 0.4,
+# 2.5, -1.3 and 0.9 below)
 _RESCALED = (0.4 + 0.3j, 2.5 - 1.2j, 5.1 + 3.0j, -3.7 + 2.2j, 7.6, 0.9 - 3.0j,
              -1.3 - 0.6j, 4.0 + 2.9j)
 
 
 @pytest.mark.parametrize("name", ["oh2", "hhn:2"])
 def test_rescaled_solves_match_mpmath(mp_jacobi, name):
-    # phi_solution integrates w = e^(sigma (t - t0)) phi forward, q_solution
-    # w = (t/t0)^p Q backward; the bounds are the jacobi suite's.  Measured
-    # worst 1.5e-12 (phi, oh2 at 5.1+3j) and 5.1e-14 (Q, hhn:2 at -3.7+2.2j)
+    # phi_solution integrates forward, q_solution backward; the bounds are
+    # the jacobi suite's.  Measured worst 3.2e-15 (phi, oh2 at 2.5-1.2j) and
+    # 4.0e-15 (Q, oh2 at 0.9-3j)
     mp_phi, mp_q = mp_jacobi
     space = space_from_name(name)
     for sol in phi_solution(space, _RESCALED, 5.2):
@@ -783,9 +717,9 @@ def test_rescaled_solves_match_mpmath(mp_jacobi, name):
 
 
 def test_long_forward_solves_stay_in_range(mp_jacobi):
-    # sigma is capped at 700 / length, so w = e^(sigma (t - t0)) u neither
-    # overflows nor reads u back through a factor that underflows: at t_max
-    # phi is below e^-690, halfway it matches mpmath
+    # each column keeps its scale as a power of two, so nothing overflows or
+    # reads u back through a factor that underflows: at t_max phi is below
+    # e^-690, halfway it matches mpmath (measured worst 1.7e-14, h2 at 0.2)
     mp_phi, _ = mp_jacobi
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -796,6 +730,56 @@ def test_long_forward_solves_stay_in_range(mp_jacobi):
             assert abs(sol(t_max)) < 1e-300, (lam, t_max)
             if abs(mp_phi(space, lam, t_max / 2.0)) > 1e-300:
                 assert _rel(sol(t_max / 2.0), mp_phi(space, lam, t_max / 2.0)) < 1e-10, lam
+
+
+def test_connection_at_a_large_lambda_scales_its_columns_without_overflow():
+    # Q_-lambda is about e^350 at t = 0.7 for lambda = 500.3: the column
+    # norms squared it, overflowing with a RuntimeWarning, and the solve
+    # read condition inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a_minus, _ = connection_coefficients(H2, 500.3)
+    assert _rel(a_minus, for_space(H2).value(500.3)) < 1e-12
+
+
+_RANGE = "floating-point range"
+
+
+@pytest.mark.parametrize("call, error, match", [
+    # these four read a builtin ValueError, where c and the Frobenius
+    # coefficients already raised OutOfRangeError past the float range
+    (lambda: eval_phi(H2, 0.7, 1e4), errors.OutOfRangeError, _RANGE),
+    (lambda: eval_Q(H2, -360.3, 2.0), errors.OutOfRangeError, _RANGE),
+    (lambda: eval_Q(space_from_name("oh2"), 0.7, 1e-30), errors.OutOfRangeError, _RANGE),
+    (lambda: phi_solution(H2, 0.7, 1e4), errors.OutOfRangeError, _RANGE),
+    (lambda: eval_Q(H2, 0.7, 0.0), ValueError, "eval_Q needs t > 0"),
+    (lambda: eval_phi(H2, 0.7, -1.0), ValueError, "eval_phi needs t >= 0"),
+    (lambda: q_solution(H2, 0.7, 0.0), ValueError, "singular at t = 0"),
+    (lambda: radial.integrate_radial_ode(H2, [0.7], (0.0, 1.0), [(1.0, 0.0)]),
+     ValueError, "inside"),
+    (lambda: radial.integrate_radial_ode(H2, [0.7, 0.9], (0.2, 1.0), [(1.0, 0.0)]),
+     ValueError, "one initial"),
+    (lambda: connection_coefficients(H2, 1e-13), errors.IllConditionedError,
+     "condition 1.2"),
+    # near the lattice phi^S is ODE pieces, refused past t = 700 / 2.5 ...
+    (lambda: ktype_radial_profile(3.0, 0, 2000.0), errors.OutOfRangeError,
+     "leaves the floating-point range before t = 2000"),
+    # ... and (2 sinh t)^m is a float of its own, which overflows past 710
+    (lambda: ktype_radial_profile(1.0, 1, 720.0), errors.OutOfRangeError,
+     "leaves the floating-point range at t = 720"),
+], ids=["eval_phi-range", "eval_Q-frobenius-range", "eval_Q-second-kind-range",
+        "phi_solution-range", "eval_Q-at-0", "eval_phi-below-0", "q_solution-at-0",
+        "span-at-0", "one-init-two-lambdas", "ill-conditioned-match", "growth-limit",
+        "ktype-factor-range"])
+def test_refusals(call, error, match):
+    # overflows, and refusals that no test, verify suite or benchmark
+    # workload reached, each raised as its structured error with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match) as caught:
+            call()
+    if error is errors.IllConditionedError:
+        assert 1.1e13 < caught.value.condition < 1.3e13
 
 
 def test_huge_lambda_gives_one_at_zero_and_value_errors_elsewhere():
@@ -903,7 +887,7 @@ def _connection_by_candidate(space, lam, sol):
             continue
         (qm, dqm), (qp, dqp) = ser_m.pair(ts), ser_p.pair(ts)
         m = np.array([[qm, qp], [dqm, dqp]], dtype=complex)
-        scale = np.linalg.norm(m, axis=0)
+        scale = np.hypot(np.abs(m[0]), np.abs(m[1]))
         cond = np.linalg.cond(m / scale)
         if best is None or cond < best[0]:
             best = (cond, ts, m, scale)
