@@ -275,7 +275,9 @@ def ktype_solution(lam, n, t_max=1.35):
     (2 sinh t)^m Q^S is summed as one factor, so ``at`` refuses
     (OutOfRangeError) only where f leaves the float range.  Where phi^S is
     its series or ODE pieces, the two factors are floats, refused where
-    (2 sinh t)^m overflows or phi^S is below the normal floats.
+    (2 sinh t)^m overflows or a nonzero phi^S is below the normal floats,
+    where the product would have lost its digits; at a zero of phi^S the
+    profile is 0.
     """
     lam = complex(lam)
     m = _ktype_index(n)
@@ -293,7 +295,7 @@ def ktype_solution(lam, n, t_max=1.35):
             p, dp = ktype_prefactor(m, t)
         except OverflowError:
             p = math.inf
-        if not (math.isfinite(p) and abs(u) >= sys.float_info.min):
+        if not (math.isfinite(p) and (u == 0 or abs(u) >= sys.float_info.min)):
             raise OutOfRangeError(f"(2 sinh t)^{m} or phi^S_lambda(t) leaves the "
                                   f"floating-point range at t = {t}")
         return front * p * u, front * (dp * u + p * du)

@@ -85,17 +85,23 @@ Every integration continues the solution by its own Taylor series
 (Corliss and Chang 1982; Jorba and Zou 2005): b is analytic off t = 0 and
 the imaginary axis, so the series at a step's start t0 converges out to
 t0.  A step is at most t0 / 2 long forward and 0.4 t0 backward, where Q's
-pole at 0 slows the terms, and at most 4 / |lambda|, so that the terms of
-e^(+-lambda s) cancel by at most about e^4; it ends where its terms fall
-below 1e-17 of the solution's size at t0, and its polynomial is its dense
-output.  Each column follows w = e^((rho - |Re lambda|)(t - t0)) u, whose
+pole at 0 slows the terms, and at most 4 / |lambda| and 4 / e, e = b - 2 rho
+at the step's lower end, so that the terms of e^(+-lambda s) and of the
+ODE's fast mode e^(-e s) cancel by at most about e^4.  Near 0, e is about
+(m_alpha + m_2alpha) / t, so on a large family this also keeps a step
+within about 4 t0 / (m_alpha + m_2alpha) of Q's pole, of order
+m_alpha + m_2alpha - 1: without it hn:40's Q and hn:100's phi fail to
+settle.  A step ends where its terms
+fall below 1e-17 of the solution's size at t0, and its polynomial is its
+dense output.  Each column follows w = e^((rho - |Re lambda|)(t - t0)) u, whose
 modes at large t are e^((-|Re lambda| +- lambda)(t - t0)), one of modulus 1:
 with no shift the terms of oh2's e^(-(rho +- lambda) s) cancel, and the
 verify grid's phi reads 1.2e-4 off mpmath in place of 6e-15.  Each column is
 scaled by a power of two at every step's start, so columns that grow and
 columns that underflow share the steps.  Near the origin the steps stay a
-fixed share of t: the connection suite's phi takes 9 steps from
-T_SEED = 0.2 to 5.2, and the jacobi suite's Q 10 from log 2 to 0.005.
+fixed share of t: the connection suite's phi takes 14 steps from
+T_SEED = 0.2 to 5.2, and the jacobi suite's Q 21 from log 2 to 0.005
+(10 on h2 alone; oh2's e sets the steps of the batch).
 The ODE is linear, and only the space's m_alpha, m_2alpha, rho and lambda
 differ from one solution to another, so N solutions, of one space or of
 several, share one ``solve_ivp`` whose every operation acts on all N
@@ -368,12 +374,29 @@ class RadialSolution:
 # Taylor steps.  A step is at most _REACH of its distance t0 from b's pole
 # at t = 0, so b's terms fall at least like _REACH^j; toward 0 Q's own pole
 # t^-(m_alpha + m_2alpha - 1) adds a power of j, hence the shorter reach
-# there.  |lambda| h is at most _TURN, so that the terms of e^(+-lambda s)
-# cancel by at most about e^_TURN.
+# there.  |lambda| h, and e h over the step, e = b - 2 rho, are at most
+# _TURN, so that the terms of e^(+-lambda s) and of the ODE's fast mode
+# e^(-e s) cancel by at most about e^_TURN; near 0 e is about
+# (m_alpha + m_2alpha) / t, which also keeps a step within about
+# _TURN t0 / (m_alpha + m_2alpha) of Q's pole of nearly that order.
 _REACH = (0.5, 0.4)  # forward, backward
 _TURN = 4.0
 _TAIL = 1e-17  # a step's terms end after two below this, each column scaled to 1,
 _MAX_TERMS = 120  # ... or the solve fails here with StiffnessError
+
+
+def _coth_minus_one(t):
+    """(coth t - 1, coth 2t - 1), without cancellation at large t."""
+    q = math.exp(-2.0 * t)
+    return 2.0 * q / -math.expm1(-2.0 * t), 2.0 * q * q / -math.expm1(-4.0 * t)
+
+
+def _fast_step(ode, t):
+    """_TURN / max e(t) over the columns, e = m_alpha (coth t - 1)
+    + 2 m_2alpha (coth 2t - 1)."""
+    e, f = _coth_minus_one(t)
+    rate = float((ode[0] * e + 2.0 * ode[1] * f).max())
+    return _TURN / rate if rate else math.inf
 
 
 def _shift(ode):
@@ -399,10 +422,10 @@ def _step_terms(ode, t0, h, start):
     A = np.empty((_MAX_TERMS, len(lam)), dtype=complex)
     Z = np.empty_like(A)  # (k + 1) A_(k+1) - sigma h A_k, the terms of h (w' - sigma w)
     Zr = Z.view(float)
-    q = math.exp(-2.0 * t0)
-    E, F = [2.0 * q / -math.expm1(-2.0 * t0)], [2.0 * q * q / -math.expm1(-4.0 * t0)]
+    e0, f0 = _coth_minus_one(t0)
+    E, F = [e0], [f0]
     EF = np.empty((2, _MAX_TERMS))
-    EF[:, 0] = E[0], F[0]
+    EF[:, 0] = e0, f0
     A[0], A[1] = start
     hm_a, hm_2a, sigma_h = h * m_a, 2.0 * h * m_2a, _shift(ode) * h
     d_h, k_h2 = 2.0 * d * h, (lam * lam - d * d) * (h * h)
@@ -430,12 +453,6 @@ def _step_terms(ode, t0, h, start):
                          f"within {_MAX_TERMS} terms (step {h})")
 
 
-def _sums(terms, weights):
-    """weights @ terms, by einsum's own loop rather than BLAS, which threads
-    a product this size."""
-    return np.einsum("n,nc->c", weights, terms)
-
-
 class _TaylorSteps:
     """A Taylor solve of the radial ODE: ``t`` holds the step ends, ``nfev``
     the terms the steps formed (one per order and step, every column at
@@ -456,7 +473,7 @@ class _TaylorSteps:
         t0, h, terms, exponent = self._steps[k]
         n = np.arange(len(terms))
         powers = ((t - t0) / h) ** n
-        w, dw = _sums(terms, powers), _sums(terms[1:], n[1:] * powers[:-1]) / h
+        w, dw = powers @ terms, (n[1:] * powers[:-1]) @ terms[1:] / h
         sigma = _shift(self.ode)
         f = np.ldexp(np.exp(-sigma * (t - t0)), exponent)
         return f * w, f * (dw - sigma * w)
@@ -467,11 +484,11 @@ def solve_ivp(ode, t_span, y0):
     positive and distinct, by Taylor steps, for every column of ``ode`` =
     (m_alpha, m_2alpha, rho, lambda) at once; returns the _TaylorSteps.
 
-    Each step is as long as _REACH of its distance from t = 0 and _TURN /
-    max |lambda| allow.  Each column is scaled by a power of two to
-    max(|A_0|, |A_1|) in [1/2, 1) at each step's start, so that the scaling
-    is exact and a column that underflows or overflows does not disturb the
-    others.  StiffnessError where a step's terms do not settle or turn
+    Each step is as long as _REACH of its distance from t = 0, _TURN /
+    max |lambda| and _TURN / max e over the step allow.  Each column is
+    scaled by a power of two to max(|A_0|, |A_1|) in [1/2, 1) at each
+    step's start, so that the scaling is exact and a column that underflows
+    or overflows does not disturb the others.  StiffnessError where a step's terms do not settle or turn
     non-finite.
     """
     t0, t1 = t_span
@@ -484,7 +501,8 @@ def solve_ivp(ode, t_span, y0):
     t, ends, steps, nfev = t0, [t0], [], 0
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite terms raise
         while t != t1:
-            h = min(reach * t, turn)
+            h = min(reach * t, turn, _fast_step(ode, t))
+            h = min(h, _fast_step(ode, t - h))  # e is largest at the step's lower end
             end = t1 if abs(t1 - t) <= h else t + math.copysign(h, t1 - t)
             h = end - t
             a0, a1 = u, h * (du + sigma * u)
@@ -495,7 +513,7 @@ def solve_ivp(ode, t_span, y0):
             steps.append((t, h, terms, exponent))
             decay = np.exp(-sigma * h)
             w = terms.sum(axis=0)
-            u, du = decay * w, decay * (_sums(terms, np.arange(len(terms))) / h - sigma * w)
+            u, du = decay * w, decay * (np.arange(len(terms)) @ terms / h - sigma * w)
             t = end
             ends.append(t)
     return _TaylorSteps(ode, np.array(ends), nfev, steps)

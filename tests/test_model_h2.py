@@ -237,6 +237,26 @@ def test_ktype_profile_refuses_non_finite_and_overflowing_t(t):
         ktype_radial_profile(2.5 + 0.8j, 2, t)
 
 
+def test_ktype_profile_is_zero_where_its_spherical_factor_is(monkeypatch):
+    # near the lattice the profile is (2 sinh t)^m times phi^S as two floats;
+    # a phi^S that rounds to 0 (a zero of an oscillating phi^S) gives the
+    # profile 0, and only a nonzero phi^S below the normal floats is refused
+    class Zero:
+        switch, beyond = 0.0, None
+
+        def __init__(self, u):
+            self.u = u
+
+        def pair(self, t):
+            return self.u, 1.0
+
+    monkeypatch.setattr(model_h2, "continuation", lambda *args: Zero(0.0))
+    assert ktype_radial_profile(1.0, 1, 2.0) == 0.0
+    monkeypatch.setattr(model_h2, "continuation", lambda *args: Zero(1e-310))
+    with pytest.raises(OutOfRangeError):
+        ktype_radial_profile(1.0, 1, 2.0)
+
+
 @pytest.mark.parametrize("n", [1.5, math.nan, math.inf])
 def test_ktype_index_must_be_integral(n):
     with pytest.raises(ValueError):
