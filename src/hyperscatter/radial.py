@@ -45,9 +45,9 @@ w d/dw; Q's hold the Gamma prefactors and psi weights as well.
 The two are linked by phi = c(lambda) Q_{-lambda} + c(-lambda) Q_{lambda};
 ``boundary.boundary_pair`` recovers the pair numerically for any solution.
 lim_{t->0} J(t) dQ/dt = -2 lambda c(lambda) fixes the resolvent
-normalization: ``wronskian_limit`` extrapolates it from an integrated Q, and
-``abel_wronskian`` reads it from the two series between log 2 and T_PHI as
-J (phi Q' - phi' Q), which Abel's identity makes constant in t.
+normalization: ``abel_wronskian`` reads it from the two series between
+log 2 and T_PHI as J (phi Q' - phi' Q), which Abel's identity makes constant
+in t, and ``wronskian_limit`` is that reading at log 2.
 
 Q's series cancels where Re lambda > 0 is large (it loses about
 2 Re lambda t / ln 10 decades) or |Im lambda| is.  Its condition at
@@ -91,12 +91,14 @@ ODE's fast mode e^(-e s) cancel by at most about e^4.  Near 0, e is about
 (m_alpha + m_2alpha) / t, so on a large family this also keeps a step
 within about 4 t0 / (m_alpha + m_2alpha) of Q's pole, of order
 m_alpha + m_2alpha - 1: without it hn:40's Q and hn:100's phi fail to
-settle.  A step ends where its terms
-fall below 1e-17 of the solution's size at t0, and its polynomial is its
-dense output.  Each column follows w = e^((rho - |Re lambda|)(t - t0)) u, whose
-modes at large t are e^((-|Re lambda| +- lambda)(t - t0)), one of modulus 1:
-with no shift the terms of oh2's e^(-(rho +- lambda) s) cancel, and the
-verify grid's phi reads 1.2e-4 off mpmath in place of 6e-15.  Each column is
+settle.  A step ends where its terms fall below 1e-17 of the solution's
+size at t0, and its polynomial is its dense output.  No step is shortened to
+end where the solve stops: it steps until a step ends past that t, so the
+steps depend on the start alone.  Each column follows
+w = e^((rho - |Re lambda|)(t - t0)) u, whose modes at large t are
+e^((-|Re lambda| +- lambda)(t - t0)), one of modulus 1: with no shift the
+terms of oh2's e^(-(rho +- lambda) s) cancel, and the verify grid's phi
+reads 1.2e-4 off mpmath in place of 6e-15.  Each column is
 scaled by a power of two at every step's start, so columns that grow and
 columns that underflow share the steps.  Near the origin the steps stay a
 fixed share of t: the connection suite's phi takes 14 steps from
@@ -114,9 +116,10 @@ _MAX_PHASE = 1e5 radians is refused with ValueError.
 ``eval_phi``, ``eval_Q``, ``connection_coefficients`` and the K-type profiles
 of ``model_h2`` read one cache, ``continuation``, with one entry per (space,
 lambda, kind): a Continuation, which is data (a start series, its switch
-point, and past it a second series or ODE pieces that grow to fixed
-breakpoints, 1.5, 3, 6, ... forward and 0.3, 0.1, 1/30, ... backward), so
-a value depends on the key and t alone, not on the order of requests.
+point, and past it a second series or ODE pieces).  A piece ends at the
+first step end past the t that asked for it, and the next continues from
+its solve's own state there, so the pieces are the steps of one solve and a
+value depends on the key and t alone, not on the order of requests.
 ``eval_Q`` makes no entry for t >= log 2, where it reads the Frobenius
 series alone.  The ten suites that the benchmark pins make 272 entries and
 ``verify --all`` 397 (the ``jacobi`` suite adds 125 of Q): maxsize 512
@@ -128,7 +131,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -150,7 +153,7 @@ EXCLUSION_RADIUS = 1e-6
 LATTICE_GUARD = 0.05  # lambda this near an integer: the c Q terms cancel
 
 _SERIES_TOL = 1e-17
-_FROBENIUS_TOL = 1e-16  # frobenius_Q stops after two terms below this at y = 1/2,
+_FROBENIUS_TOL = 1e-16  # frobenius_Q stops after two terms below this of the sum at y = 1/2,
 _FROBENIUS_MAX_TERMS = 400  # ... or here, with an AccuracyWarning
 _SERIES_MAX_TERMS = 1 << 14
 _SERIES_REACH = 4.0  # |Im lambda| tanh t where phi's series has lost two digits
@@ -216,7 +219,8 @@ class FrobeniusSeries:
     """Power-series data of Q_lambda(t) = y^exponent * sum_nu h_nu y^nu.
 
     ``coefficients[0] == 1`` and the stored truncation satisfies the tail
-    bound |h_N| * valid_radius^N below the construction tolerance.
+    bound |h_N| * valid_radius^N below the construction tolerance times the
+    sum of the |h_nu| valid_radius^nu.
     """
 
     space: RankOneSpace
@@ -261,7 +265,9 @@ class FrobeniusSeries:
 
 
 def frobenius_Q(space, lam):
-    """Frobenius coefficients of Q_lambda, adaptively truncated.
+    """Frobenius coefficients of Q_lambda, truncated after two terms
+    |h_nu| 2^-nu below _FROBENIUS_TOL of the sum of the |h_j| 2^-j so far
+    (relative, since on a large family h(1/2) itself is huge).
 
     The recursion divides by nu (nu + 2 lambda) for even nu only, so it
     raises ResonantExponentError where 2*lambda is within 1e-6 of a
@@ -281,6 +287,7 @@ def frobenius_Q(space, lam):
     by_residue = [e, 0j]  # ... over j = 0 and j = 2 mod 4
     h = [1.0 + 0j]
     r = 0.5
+    size = 1.0  # sum of |h_j| r^j over the terms so far
     quiet = 0
     nu = 0
     while quiet < 2 and nu + 2 <= _FROBENIUS_MAX_TERMS:
@@ -295,13 +302,15 @@ def frobenius_Q(space, lam):
         by_residue[side] += term
         h.append(0j)  # odd coefficient
         h.append(h_nu)
-        if nu >= 8 and abs(h_nu) * r**nu < _FROBENIUS_TOL:
+        tail = abs(h_nu) * r**nu
+        size += tail
+        if nu >= 8 and tail < _FROBENIUS_TOL * size:
             quiet += 1
         else:
             quiet = 0
     if quiet < 2:
         warnings.warn(
-            f"Frobenius tail still {abs(h[-1]) * r**nu:.2e} after {nu} terms "
+            f"Frobenius tail still {tail / size:.2e} of the sum after {nu} terms "
             f"(lambda={lam})",
             AccuracyWarning,
         )
@@ -456,20 +465,21 @@ def _step_terms(ode, t0, h, start):
 class _TaylorSteps:
     """A Taylor solve of the radial ODE: ``t`` holds the step ends, ``nfev``
     the terms the steps formed (one per order and step, every column at
-    once), and ``self(t)`` is (u, u') of every column at t, from the
-    polynomial of the step t lies in (at a step end, the step that starts
-    there).  A step keeps t0, h, its terms and each column's scale, a power
-    of two.
+    once), ``y`` the state at the last end, (u, u', exponent) with u and u'
+    scaled by 2^-exponent, and ``self(t)`` is (u, u') of every column at t,
+    from the polynomial of the step t lies in (at a step end, the step that
+    ends there).  A step keeps t0, h, its terms and each column's scale, a
+    power of two.
     """
 
-    def __init__(self, ode, t, nfev, steps):
-        self.ode, self.t, self.nfev = ode, t, nfev
+    def __init__(self, ode, t, nfev, steps, y):
+        self.ode, self.t, self.nfev, self.y = ode, t, nfev, y
         self._steps = steps
         self._sign = 1.0 if t[-1] > t[0] else -1.0
         self._keys = (self._sign * t).tolist()
 
     def __call__(self, t):
-        k = min(max(bisect_right(self._keys, self._sign * t) - 1, 0), len(self._steps) - 1)
+        k = min(max(bisect_left(self._keys, self._sign * t) - 1, 0), len(self._steps) - 1)
         t0, h, terms, exponent = self._steps[k]
         n = np.arange(len(terms))
         powers = ((t - t0) / h) ** n
@@ -480,30 +490,35 @@ class _TaylorSteps:
 
 
 def solve_ivp(ode, t_span, y0):
-    """Continue (u, u') = y0 of the radial ODE across t_span = (t0, t1), both
-    positive and distinct, by Taylor steps, for every column of ``ode`` =
-    (m_alpha, m_2alpha, rho, lambda) at once; returns the _TaylorSteps.
+    """Continue the radial ODE from t0 by Taylor steps until a step ends
+    past t1, t_span = (t0, t1) both positive and distinct, for every column
+    of ``ode`` = (m_alpha, m_2alpha, rho, lambda) at once; returns the
+    _TaylorSteps.  y0 = (u, u', exponent) is the state at t0, (u, u') times
+    2^exponent, as a solve leaves it in its ``y``.
 
     Each step is as long as _REACH of its distance from t = 0, _TURN /
-    max |lambda| and _TURN / max e over the step allow.  Each column is
-    scaled by a power of two to max(|A_0|, |A_1|) in [1/2, 1) at each
-    step's start, so that the scaling is exact and a column that underflows
-    or overflows does not disturb the others.  StiffnessError where a step's terms do not settle or turn
-    non-finite.
+    max |lambda| and _TURN / max e over the step allow, and no step is
+    shortened to end at t1: the steps depend on the start alone, so a solve
+    continued from another's ``y`` takes the steps, and gives the values,
+    of one solve.  Each column is scaled by a power of two to max(|A_0|,
+    |A_1|) in [1/2, 1) at each step's start, so that the scaling is exact
+    and a column that underflows or overflows does not disturb the others.
+    StiffnessError where a step's terms do not settle or turn non-finite.
     """
     t0, t1 = t_span
-    u, du = (np.array(x, dtype=complex) for x in y0)
+    u, du = (np.array(x, dtype=complex) for x in y0[:2])
+    exponent = np.zeros(len(u), dtype=int) + y0[2]
     sigma = _shift(ode)
+    sign = 1.0 if t1 > t0 else -1.0
     reach = _REACH[t1 < t0]
     fastest = float(np.abs(ode[3]).max())
     turn = _TURN / fastest if fastest else math.inf
-    exponent = np.zeros(len(u), dtype=int)
     t, ends, steps, nfev = t0, [t0], [], 0
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite terms raise
-        while t != t1:
+        while (t1 - t) * sign >= 0.0:
             h = min(reach * t, turn, _fast_step(ode, t))
             h = min(h, _fast_step(ode, t - h))  # e is largest at the step's lower end
-            end = t1 if abs(t1 - t) <= h else t + math.copysign(h, t1 - t)
+            end = t + sign * h
             h = end - t
             a0, a1 = u, h * (du + sigma * u)
             k = np.frexp(np.maximum(np.abs(a0), np.abs(a1)))[1]
@@ -516,7 +531,30 @@ def solve_ivp(ode, t_span, y0):
             u, du = decay * w, decay * (np.arange(len(terms)) @ terms / h - sigma * w)
             t = end
             ends.append(t)
-    return _TaylorSteps(ode, np.array(ends), nfev, steps)
+    return _TaylorSteps(ode, np.array(ends), nfev, steps, (u, du, exponent))
+
+
+def _ode(spaces, lams):
+    """The ODE's per-column coefficients (m_alpha, m_2alpha, rho, lambda)."""
+    return (np.array([float(s.m_alpha) for s in spaces]),
+            np.array([float(s.m_2alpha) for s in spaces]),
+            np.array([s.rho for s in spaces]),
+            np.array(lams))
+
+
+def _solutions(spaces, lams, sol, t_lo, t_hi):
+    """One RadialSolution on [t_lo, t_hi] per column of the solve ``sol``,
+    all reading the shared steps once per t (the last 32 t are kept)."""
+    read = lru_cache(maxsize=32)(sol)
+
+    def solution(i):
+        def ev(t):
+            u, du = read(t)
+            return u[i], du[i]
+
+        return RadialSolution(spaces[i], lams[i], t_lo, t_hi, ev, sol.t)
+
+    return [solution(i) for i in range(len(lams))]
 
 
 def integrate_radial_ode(space, lams, t_span, inits):
@@ -542,34 +580,12 @@ def integrate_radial_ode(space, lams, t_span, inits):
     if count == 0 or len(inits) != count:
         raise ValueError("need one initial (u, u') pair per lambda, at least one")
     spaces = _spaces(space, count)
-    ode = (np.array([float(s.m_alpha) for s in spaces]),
-           np.array([float(s.m_2alpha) for s in spaces]),
-           np.array([s.rho for s in spaces]),
-           np.array(lams))
-    sol = solve_ivp(ode, (t0, t1), ([u for u, _ in inits], [v for _, v in inits]))
-    read = lru_cache(maxsize=32)(sol)
-
-    def solution(i):
-        def ev(t):
-            u, du = read(t)
-            return u[i], du[i]
-
-        return RadialSolution(
-            space=spaces[i],
-            lam=lams[i],
-            t_lo=min(t0, t1),
-            t_hi=max(t0, t1),
-            _eval=ev,
-            ts=sol.t,
-        )
-
-    return [solution(i) for i in range(count)]
+    sol = solve_ivp(_ode(spaces, lams), (t0, t1),
+                    ([u for u, _ in inits], [v for _, v in inits], 0))
+    return _solutions(spaces, lams, sol, min(t0, t1), max(t0, t1))
 
 
 # -- stitched solutions and their cache --------------------------------------
-
-_FORWARD = (1.5, 2.0)  # piece ends 1.5, 3, 6, ...
-_BACKWARD = (0.3, 1.0 / 3.0)  # piece ends 0.3, 0.1, 1/30, ...
 
 
 class Continuation:
@@ -578,38 +594,30 @@ class Continuation:
     ``start.pair(t)`` gives (u, u') on the start's side of ``switch``;
     ``sign`` is the direction away from it, +1 forward, -1 backward.  Past
     the switch, ``beyond.pair(t)`` gives them, or, where ``beyond`` is None,
-    ODE pieces continue the start from the switch.
+    ODE pieces continue the start from the switch.  Each piece ends at the
+    first step end past the t that asked for it (``reach``) and leaves its
+    solve's state there (``state``), from which the next piece continues:
+    the pieces are one solve's steps, so a value depends on t alone, not on
+    the order of requests.
     """
 
     def __init__(self, space, lam, start, switch, sign, beyond):
         self.space, self.lam = space, lam
         self.start, self.switch, self.sign, self.beyond = start, switch, sign, beyond
-        self.reach = switch  # far end of the last piece
+        self.reach = switch  # the last step end of the pieces
+        self.state = None  # (u, u', exponent) at reach, once a piece ends there
         self.pieces = []
 
     def pair(self, t):
-        """(u(t), u'(t)), integrating further pieces if t lies beyond them.
-
-        A forward piece ends at its breakpoint, or earlier at
-        _growth_limit, past which it is refused: OutOfRangeError for a t
-        there.
-        """
+        """(u(t), u'(t)), integrating a further piece if t lies beyond the
+        pieces; _extend refuses it past the growth limit or _MAX_PHASE."""
         sign = self.sign
         if (t - self.switch) * sign <= 0.0:
             return self.start.pair(t)
         if self.beyond is not None:
             return self.beyond.pair(t)
         if (t - self.reach) * sign > 0.0:
-            last = _growth_limit(self.space, self.lam) if sign > 0 else math.inf
-            if t > last:
-                raise OutOfRangeError(f"the radial solution at lambda = {self.lam} leaves "
-                                      f"the floating-point range before t = {t}")
-            first, ratio = _FORWARD if sign > 0 else _BACKWARD
-            k = 0
-            while (t - self.reach) * sign > 0.0:
-                while (first * ratio**k - self.reach) * sign <= 0.0:
-                    k += 1
-                _extend([self], min(first * ratio**k, last))
+            _extend([self], t)
         return next(p for p in self.pieces if p.t_lo <= t <= p.t_hi)._eval(t)
 
     def view(self, t_lo, t_hi, ts=None):
@@ -625,8 +633,9 @@ def _growth_limit(space, lam):
 
 
 def _extend(conts, end):
-    """Add a piece up to ``end`` to continuations sharing a reach, of one
-    space or of several.
+    """Add a piece past ``end`` to continuations sharing a reach, of one
+    space or of several, from each one's state there (its start's (u, u')
+    where it has no piece yet).
 
     A forward piece is refused (OutOfRangeError) where ``end`` passes the
     _growth_limit of a member, in its own space.  Any piece is refused
@@ -644,11 +653,15 @@ def _extend(conts, end):
         raise ValueError(f"the radial ODE at lambda = {fastest.lam} would turn through "
                          f"more than {_MAX_PHASE:g} radians between t = {reach} "
                          f"and t = {end}")
-    pieces = integrate_radial_ode([c.space for c in conts], [c.lam for c in conts],
-                                  (reach, end), [c.pair(reach) for c in conts])
-    for cont, piece in zip(conts, pieces):
+    spaces, lams = [c.space for c in conts], [c.lam for c in conts]
+    states = [c.state or (*c.pair(reach), 0) for c in conts]
+    sol = solve_ivp(_ode(spaces, lams), (reach, end), tuple(zip(*states)))
+    last = float(sol.t[-1])
+    pieces = _solutions(spaces, lams, sol, min(reach, last), max(reach, last))
+    for i, (cont, piece) in enumerate(zip(conts, pieces)):
         cont.pieces.append(piece)
-        cont.reach = end
+        cont.reach = last
+        cont.state = tuple(x[i] for x in sol.y)
 
 
 @lru_cache(maxsize=512)
@@ -997,9 +1010,10 @@ def eval_Q(space, lam, t):
 def eval_phi(space, lam, t):
     """The spherical function phi_lambda(t); entire in lambda, phi(0) = 1.
 
-    phi grows like e^((|Re lambda| - rho) t); OutOfRangeError where that
-    passes e^_MAX_EXPONENT, and where the series of a |lambda| past about
-    1e154 overflows.
+    phi grows like e^((|Re lambda| - rho) t); OutOfRangeError where it
+    leaves the floating-point range (the ODE pieces refuse a t where that
+    growth passes e^_MAX_EXPONENT), and where the series of a |lambda| past
+    about 1e154 overflows.
     """
     t = _radius(t)
     if t < 0.0:
@@ -1008,10 +1022,7 @@ def eval_phi(space, lam, t):
     _require_finite(lam)
     if not t:
         return 1 + 0j  # the series' value at t = 0, whatever lambda
-    if t > _growth_limit(space, lam):
-        u = math.inf
-    else:
-        u = complex(continuation(space, lam, _phi_series).pair(t)[0])
+    u = complex(continuation(space, lam, _phi_series).pair(t)[0])
     if not cmath.isfinite(u):
         raise OutOfRangeError(f"phi_lambda({t}) overflows the floating-point range "
                               f"(lambda = {lam})")
@@ -1083,10 +1094,10 @@ def abel_wronskian(space, lam, t):
 
     By Abel's identity the Wronskian of two solutions times J is constant in
     t, and as t -> 0 phi -> 1 and J phi' Q -> 0, so the value is lim J Q' =
-    -2 lambda c(lambda), the limit ``wronskian_limit`` extrapolates.  phi is
-    read from its cache entry and Q from its Frobenius series, so both are
-    series and neither reads c, unless a large |lambda| moves phi's switch
-    below t (the ODE continues phi from there).  ValueError for other t.
+    -2 lambda c(lambda).  phi is read from its cache entry and Q from its
+    Frobenius series, so both are series and neither reads c, unless a large
+    |lambda| moves phi's switch below t (the ODE continues phi from there).
+    ValueError for other t.
     """
     lam = complex(lam)
     t = _radius(t)
@@ -1097,45 +1108,12 @@ def abel_wronskian(space, lam, t):
     return space.density_J_t(t) * (u * dq - du * q)
 
 
-
-_WRONSKIAN_NODES = 0.4 * 0.65 ** np.arange(12)
-
-
-def _wronskian_design(ts):
-    lg = np.log(ts)
-    return np.column_stack([
-        np.ones_like(ts), ts**2, ts**3, ts**4, ts**5, ts**6,
-        ts**2 * lg, ts**4 * lg,
-    ])
-
-
 def wronskian_limit(space, lam):
-    """lim_{t->0} J(t) * dQ_lambda/dt, extrapolated from a geometric grid.
-
-    Equals -2 lambda c(lambda).  The limit is approached with integer powers
-    of t together with t^2 log t terms (the two indicial roots differ by an
-    integer), so plain Richardson is replaced by a small least-squares fit in
-    that basis.  Warns (AccuracyWarning) when the fit's internal error
-    estimate exceeds 1e-6 of the value.  A sequence of lambda (with one
-    space, or one space per lambda) shares one batched continuation and one
-    fit per design, a column per lambda, and gives a list.
+    """lim_{t->0} J(t) dQ_lambda/dt = -2 lambda c(lambda), read by Abel's
+    identity at t = log 2 (``abel_wronskian``), where phi is its series or
+    ODE pieces, never c Q, so no c is read.  A sequence of lambda (with one
+    space, or one space per lambda) gives a list.
     """
     lams, many = _lambdas(lam)
-    spaces = _spaces(space, len(lams))
-    nodes = _WRONSKIAN_NODES
-    sols = q_solution(spaces, lams, float(nodes[-1]))
-    density = {s: [s.density_J_t(t) for t in nodes] for s in dict.fromkeys(spaces)}
-    w = np.array([[density[sol.space][k] * sol._eval(t)[1] for sol in sols]
-                  for k, t in enumerate(nodes)])
-    fit, *_ = np.linalg.lstsq(_wronskian_design(nodes), w, rcond=None)
-    refit, *_ = np.linalg.lstsq(_wronskian_design(nodes[2:]), w[2:], rcond=None)
-    values = [complex(x) for x in fit[0]]
-    for sol, value, other in zip(sols, values, refit[0]):
-        err = abs(value - complex(other))
-        if err > 1e-6 * max(1.0, abs(value)):
-            warnings.warn(
-                f"Wronskian extrapolation uncertain: estimate {err:.2e} "
-                f"(lambda={sol.lam})",
-                AccuracyWarning,
-            )
+    values = [abel_wronskian(s, x, T_SWITCH) for s, x in zip(_spaces(space, len(lams)), lams)]
     return values if many else values[0]

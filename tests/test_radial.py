@@ -20,7 +20,6 @@ from hyperscatter import errors, radial
 from hyperscatter.cfunction import CFunction, for_space
 from hyperscatter.errors import NonFiniteInputError, ResonantExponentError, StiffnessError
 from hyperscatter.radial import (
-    _WRONSKIAN_NODES,
     RadialSolution,
     abel_wronskian,
     connection_coefficients,
@@ -40,6 +39,8 @@ from hyperscatter.verify import FAMILY_NAMES, lambda_grid
 
 H2 = space_from_name("h2")
 H3 = space_from_name("h3")
+# a geometric grid from t = 0.4 down to 0.0035, deep in Q's singular region
+_Q_NODES = 0.4 * 0.65 ** np.arange(12)
 _LIBRARY_ERRORS = tuple(v for v in vars(errors).values()
                         if isinstance(v, type) and v.__module__ == errors.__name__)
 
@@ -132,16 +133,19 @@ def test_frobenius_excluded_exponents():
 def _mp_frobenius(space, lam, tol=1e-16):
     """The Frobenius recursion summed term by term, sum_k b_k (e + nu - k)
     h_(nu-k) / (nu (nu + 2 lambda)), at 30 digits, with frobenius_Q's
-    stopping rule: two consecutive |h_nu| 2^-nu below tol from nu = 8 on."""
+    stopping rule: from nu = 8 on, two consecutive |h_nu| 2^-nu below tol
+    times the sum of |h_j| 2^-j over j <= nu."""
     lam = mpmath.mpc(lam.real, lam.imag)
     e = mpmath.mpf(space.m_alpha + 2 * space.m_2alpha) / 2 + lam
-    h, quiet, nu = [mpmath.mpc(1)], 0, 0
+    h, quiet, nu, size = [mpmath.mpc(1)], 0, 0, mpmath.mpf(1)
     while quiet < 2:
         nu += 2
         src = sum((2 * space.m_alpha + (4 * space.m_2alpha if k % 4 == 0 else 0))
                   * (e + nu - k) * h[nu - k] for k in range(2, nu + 1, 2))
         h += [mpmath.mpc(0), src / (nu * (nu + 2 * lam))]
-        quiet = quiet + 1 if nu >= 8 and abs(h[-1]) * mpmath.mpf(2) ** -nu < tol else 0
+        tail = abs(h[-1]) * mpmath.mpf(2) ** -nu
+        size += tail
+        quiet = quiet + 1 if nu >= 8 and tail < tol * size else 0
     return [complex(x) for x in h]
 
 
@@ -199,6 +203,29 @@ def test_wronskian_limit_formula():
         assert _rel(wronskian_limit(space, lam), target) < 1e-6, name
 
 
+def test_wronskian_limit_reads_abels_identity_without_c(monkeypatch, mp_c):
+    # at log 2 phi is its series or ODE pieces (at 0.4 + 30j, whose switch
+    # is below log 2) and Q its Frobenius series: no c value is read
+    names = ("h2", "h3", "chn:2", "hhn:2", "oh2", "hn:7", "hn:40")
+    lams = [0.3 - 1j, 0.9, 1.6 + 0.5j, 2.7 + 1j, -2.2 + 0.5j, 5.5 + 2j, 0.55,
+            0.4 + 30j, 12.7 + 0.1j]
+    targets = {}
+    with mpmath.workdps(30):
+        for name in names:
+            for lam in lams:
+                x = mpmath.mpc(lam.real, lam.imag)
+                targets[name, lam] = complex(-2 * x * mp_c(space_from_name(name), x))
+
+    def refuse(self, lam):
+        raise AssertionError("CFunction.value called")
+
+    monkeypatch.setattr(CFunction, "value", refuse)
+    continuation.cache_clear()
+    for name in names:
+        for lam, got in zip(lams, wronskian_limit(space_from_name(name), lams)):
+            assert _rel(got, targets[name, lam]) < 1e-13, (name, lam)
+
+
 def test_radial_solution_range_and_residual():
     space = space_from_name("chn:2")
     sol = phi_solution(space, 1.2, 2.5)
@@ -234,8 +261,8 @@ _GRID = lambda_grid()
 def test_batched_phi_and_q_match_mpmath_on_the_grid(mp_jacobi):
     # 4e-12 rather than a looser bound: it is what guards each lambda of a
     # batch against hiding its error behind the others.  The batches reach
-    # 5.4e-15 (phi) and 1.1e-13 (Q at the deepest Wronskian node, h2 at
-    # lambda = -2.7, the recessive direction).
+    # 5.4e-15 (phi) and 1.1e-13 (Q at the deepest node, h2 at lambda =
+    # -2.7, the recessive direction).
     mp_phi, mp_q = mp_jacobi
     tol = 4e-12
     for name in FAMILY_NAMES:
@@ -244,7 +271,7 @@ def test_batched_phi_and_q_match_mpmath_on_the_grid(mp_jacobi):
             for t in (0.5, 2.0, 5.0):
                 assert _rel(sol(t), mp_phi(space, sol.lam, t)) < tol, \
                     (name, sol.lam, t)
-        t = float(_WRONSKIAN_NODES[-1])
+        t = float(_Q_NODES[-1])
         for sol in q_solution(space, _GRID + [-lam for lam in _GRID], t):
             assert _rel(sol(t), mp_q(space, sol.lam, t)) < tol, \
                 (name, sol.lam)
@@ -357,7 +384,8 @@ def test_step_polynomials_are_the_dense_output(monkeypatch):
     # each step forms its terms once, and its polynomial is the solution
     # between its ends: a read at the span's start gives the initial values
     # back, the two steps that meet at a step end agree there, and no read
-    # forms terms again, forward and backward
+    # forms terms again, forward and backward.  The last step is not
+    # shortened: it is the first to end past the span's far end
     solves = _solves(monkeypatch)
     formed = []
     form = radial._step_terms
@@ -369,15 +397,17 @@ def test_step_polynomials_are_the_dense_output(monkeypatch):
         sols = radial.integrate_radial_ode(space, lams, span, inits)
         steps = solves[-1]
         ends = steps.t.tolist()
-        assert ends[0] == span[0] and ends[-1] == span[1] and len(ends) > 4
+        sign = 1.0 if span[1] > span[0] else -1.0
+        assert ends[0] == span[0] and len(ends) > 4
+        assert sign * ends[-2] <= sign * span[1] < sign * ends[-1]
         assert formed == ends[:-1] and steps.nfev > 2 * len(formed)
         for i, (u, du) in enumerate(inits):
             got = sols[i].at(span[0])
             assert got[0] == u and abs(got[1] - du) < 1e-15, (i, got)
         for t in ends[1:-1]:
-            before = sols[0].at(np.nextafter(t, span[0]))
-            after = sols[0].at(t)
-            assert all(_rel(a, b) < 1e-14 for a, b in zip(before, after)), t
+            at = sols[0].at(t)
+            after = sols[0].at(np.nextafter(t, sign * math.inf))
+            assert all(_rel(a, b) < 1e-14 for a, b in zip(after, at)), t
         assert formed == ends[:-1]
 
 
@@ -683,9 +713,8 @@ def test_eval_phi_refuses_where_phi_overflows(lam, t):
 
 @pytest.mark.parametrize("lam, t", [(3.0, 200.0), (1.0, 1000.0)])
 def test_eval_phi_near_the_lattice_up_to_the_growth_limit(lam, t):
-    # near the lattice the ODE continues phi, and its last piece ends where
-    # phi reaches e^700, not at the next breakpoint (384 and 1536 here),
-    # where phi would overflow
+    # near the lattice the ODE continues phi up to the first step end past
+    # t, where phi is still a float: the growth limit is 280 and 1400 here
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _rel(eval_phi(H2, lam, t), phi_solution(H2, lam, t)(t)) < 1e-12
@@ -694,8 +723,8 @@ def test_eval_phi_near_the_lattice_up_to_the_growth_limit(lam, t):
 @pytest.mark.parametrize("lam, t", [(3.0, 10.0), (3.0, 50.0), (3.0, 200.0),
                                     (1.0, 1000.0), (3.02, 100.0)])
 def test_eval_phi_near_the_lattice_far_out(mp_jacobi, lam, t):
-    # near the lattice the forward ODE continues phi in pieces ending at 3,
-    # 6, 12, ...; measured worst 6.2e-15 (3.0, 200)
+    # near the lattice the forward ODE continues phi in pieces that end at
+    # the first step end past each t asked; measured worst 6.2e-15 (3.0, 200)
     mp_phi, _ = mp_jacobi
     assert _rel(eval_phi(H2, lam, t), mp_phi(H2, lam, t)) < 1e-13
 
@@ -729,8 +758,8 @@ def test_rescaled_solves_match_mpmath(mp_jacobi, name):
     for sol in phi_solution(space, _RESCALED, 5.2):
         for t in (0.01, 0.05, 0.3, 1.0, 2.5, 5.2):
             assert _rel(sol(t), mp_phi(space, sol.lam, t)) < 5e-12, (sol.lam, t)
-    for sol in q_solution(space, _RESCALED, float(_WRONSKIAN_NODES[-1])):
-        for t in _WRONSKIAN_NODES.tolist():
+    for sol in q_solution(space, _RESCALED, float(_Q_NODES[-1])):
+        for t in _Q_NODES.tolist():
             assert _rel(sol(t), mp_q(space, sol.lam, t)) < 3e-12, (sol.lam, t)
 
 
@@ -825,7 +854,8 @@ def test_phi_and_Q_inside_the_floating_point_range_at_large_t():
         warnings.simplefilter("error")
         for lam, t in ((0.8, 2000.0), (3.0, 130.0), (0.8j, 1e5)):
             assert cmath.isfinite(eval_phi(H2, lam, t))
-        # phi_solution's one piece ends at t_max, where phi is e^500
+        # phi_solution's one piece ends one step past t_max, where phi is
+        # about e^500
         assert cmath.isfinite(phi_solution(H2, 3.0, 200.0)(200.0))
         # Q_lambda grows like e^(-(rho + Re lambda) t) for Re lambda < -rho
         with pytest.raises(ValueError, match="floating-point range"):
@@ -853,7 +883,7 @@ def test_phi_solution_below_the_seed(mp_jacobi, t_max):
     for name in ("h2", "hhn:2", "oh2"):
         space = space_from_name(name)
         for sol in phi_solution(space, [0.3 - 1j, 2.7 + 0.5j, 1.6, 5.1 + 3j], t_max):
-            assert sol.ts[0] == t_max / 2.0 and sol.ts[-1] == t_max
+            assert sol.ts[0] == t_max / 2.0 and sol.ts[-2] <= t_max < sol.ts[-1]
             for t in (t_max / 4.0, t_max / 2.0, 0.75 * t_max, t_max):
                 assert _rel(sol(t), mp_phi(space, sol.lam, t)) < 1e-12, (name, sol.lam, t)
     with pytest.raises(ValueError, match="exceed"):
@@ -875,20 +905,16 @@ def test_phi_solution_seed_at_a_large_imaginary_lambda(mp_jacobi):
                 assert _rel(sol(t), mp_phi(space, sol.lam, t)) < 2e-11, (name, sol.lam, t)
 
 
-def test_abel_wronskian_matches_the_extrapolated_limit():
+def test_abel_wronskian_is_minus_two_lambda_c():
     # J (phi Q' - phi' Q) at 0.8, 1 and 1.2, read from the two series,
-    # against wronskian_limit's fit of J Q' down to t = 0.0035 (whose own
-    # error reaches 2.2e-8 on oh2) and, tighter, against -2 lambda c(lambda)
+    # against -2 lambda c(lambda)
     for name in FAMILY_NAMES:
         space = space_from_name(name)
         cf = for_space(space)
-        lams = _GRID[::3]
-        for lam, limit in zip(lams, wronskian_limit(space, lams)):
+        for lam in _GRID[::3]:
             target = -2.0 * lam * cf.value(lam)
             for t in (0.8, 1.0, 1.2):
-                value = abel_wronskian(space, lam, t)
-                assert _rel(value, limit) < 1e-6, (name, lam, t)
-                assert _rel(value, target) < 1e-13, (name, lam, t)
+                assert _rel(abel_wronskian(space, lam, t), target) < 1e-13, (name, lam, t)
     # Q's Frobenius series needs t >= log 2; past T_PHI phi would read c
     for t in (0.5, 1.6):
         with pytest.raises(ValueError, match="needs log 2 <= t"):
@@ -1082,7 +1108,7 @@ def test_phi_does_not_depend_on_request_order_property(point, ts, rnd):
 def test_wronskian_is_constant_across_the_switches_property(point, t):
     # J (phi Q' - phi' Q) from the cached phi and Q, on both sides of log 2
     # (Q's series / Frobenius switch) and of 1.5 (phi's series / c Q
-    # switch), equals the closed form -2 lambda c(lambda) of wronskian_limit
+    # switch), equals the closed form -2 lambda c(lambda)
     space, lam = point
     target = -2.0 * lam * for_space(space).value(lam)
     phi = continuation(space, lam, radial._phi_series)
@@ -1137,6 +1163,46 @@ def test_cache_entries_keep_no_code_outside_their_ode_pieces(space, lam, kind, t
     assert (entry.beyond is None) == bool(entry.pieces)
 
 
+@pytest.mark.parametrize("space, lam, kind, ts", [
+    (H2, 3.02 + 0j, radial._phi_series, (1.6, 2.2, 3.7, 9.0, 20.0, 50.0)),  # near the lattice
+    (space_from_name("oh2"), 5.0 + 0j, radial._phi_series, (1.6, 2.5, 4.0, 9.0, 20.0)),
+    (H2, 40j, radial._phi_series, (0.15, 0.3, 0.7, 1.2, 2.0)),  # switch below log 2
+    (H3, 8.3 + 0.4j, radial._q_second_kind, (0.6, 0.3, 0.1, 0.02, 0.005)),  # ill-conditioned
+], ids=["h2-3.02", "oh2-5", "h2-40j", "h3-8.3+0.4j"])
+def test_ode_pieces_read_alike_in_any_request_order(space, lam, kind, ts):
+    # a piece ends at the first step end past the t that asked for it, and
+    # the next continues its solve's own state: the pieces are one solve's
+    # steps, so every read, at a piece's end included, is the same bits
+    # whatever the order of the reads
+    def run(order):
+        continuation.cache_clear()
+        entry = continuation(space, lam, kind)
+        return {t: entry.pair(t) for t in order}, entry
+
+    ascending = sorted(ts, key=lambda t: (t - ts[0]) * (ts[1] - ts[0]))
+    _, entry = run(ascending)
+    ends = [float(p.ts[-1]) for p in entry.pieces] + [float(entry.pieces[-1].ts[1])]
+    ts = ascending + ends
+    shuffled = list(ts)
+    random.Random(4).shuffle(shuffled)
+    first, entry = run(ts)
+    assert len(entry.pieces) > 1
+    assert run(ts[::-1])[0] == first
+    assert run(shuffled)[0] == first
+
+
+def test_a_piece_ends_one_step_past_the_asked_t(monkeypatch):
+    # at |Im lambda| = 1e3 and 1e4 phi's series hands over at 0.004 and
+    # 4e-4, and a step is at most 4 / |lambda| long: a piece that ran on to
+    # a fixed t = 1.5 took 375 and 3,750 steps
+    solves = _solves(monkeypatch)
+    for lam, t, most in ((1e3j, 0.05, 20), (1e4j, 0.3, 800)):
+        continuation.cache_clear()
+        solves.clear()
+        eval_phi(H2, lam, t)
+        assert 0 < sum(len(s.t) - 1 for s in solves) <= most, lam
+
+
 def test_phi_read_up_to_its_switch_makes_no_c_value_or_frobenius_series(monkeypatch):
     # c(lambda) Q_{-lambda} + c(-lambda) Q_lambda is made at the first read
     # past phi's switch, once: an entry read only below it makes neither c
@@ -1159,6 +1225,18 @@ def test_phi_read_up_to_its_switch_makes_no_c_value_or_frobenius_series(monkeypa
         entry.pair(t)
     assert sorted(built, key=lambda x: x.real) == [-lam, lam]
     assert values == [lam, -lam]
+
+
+def test_frobenius_tail_is_measured_against_the_sum(mp_jacobi):
+    # on hn:200 h(1/2) is huge: an absolute tail of 1e-16 was never reached
+    # within 400 terms, and the AccuracyWarning refused a correct Q
+    _, mp_q = mp_jacobi
+    space, lam = space_from_name("hn:200"), 0.3 + 0.5j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert frobenius_Q(space, lam).truncation < radial._FROBENIUS_MAX_TERMS
+        for t in (0.7, 1.0, 3.0):
+            assert _rel(eval_Q(space, lam, t), mp_q(space, lam, t)) < 1e-12, t
 
 
 @pytest.mark.parametrize("name", ["hn:1000", "chn:1000"])
