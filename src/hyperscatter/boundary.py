@@ -45,18 +45,6 @@ from .radial import RadialSolution, _connection_solve
 from .space import RankOneSpace
 
 
-def indicial(space, s):
-    """Indicial polynomial I(s) = -s^2 + 2 rho s of the radial operator."""
-    s = complex(s)
-    return -s * s + 2.0 * space.rho * s
-
-
-def indicial_shifted(lam, s):
-    """Indicial polynomial I_lambda(s) = -s(s - 2 lambda) of the conjugated operator."""
-    s = complex(s)
-    return -s * (s - 2.0 * complex(lam))
-
-
 @dataclass(frozen=True)
 class BoundaryPair:
     """Boundary values (a_minus, a_plus) of one radial eigenfunction.

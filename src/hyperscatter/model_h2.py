@@ -271,9 +271,9 @@ def ktype_solution(lam, n, t_max=1.35):
 
     (2 sinh t)^m grows like e^(m t) and phi^S decays like
     e^((|Re lambda| - m - 1/2) t).  Where phi^S is c_S(lambda) Q^S_-lambda
-    + c_S(-lambda) Q^S_lambda (past its switch, off the lattice), each
-    (2 sinh t)^m Q^S is summed as one factor, so ``at`` refuses
-    (OutOfRangeError) only where f leaves the float range.  Where phi^S is
+    + c_S(-lambda) Q^S_lambda (past its entry's end, T_PHI, off the
+    lattice), each (2 sinh t)^m Q^S is summed as one factor, so ``at``
+    refuses (OutOfRangeError) only where f leaves the float range.  Where phi^S is
     its series or ODE pieces, the two factors are floats, refused where
     (2 sinh t)^m overflows or a nonzero phi^S is below the normal floats,
     where the product would have lost its digits; at a zero of phi^S the
@@ -286,7 +286,7 @@ def ktype_solution(lam, n, t_max=1.35):
     front /= 4**m * math.factorial(m)
 
     def pair(t):
-        if t > phi.switch and phi.beyond is not None:
+        if t > phi.end:
             cp, cm, q_minus, q_plus = phi.beyond.terms
             (a, da), (b, db) = _ktype_q(q_minus, m, t), _ktype_q(q_plus, m, t)
             return front * (cp * a + cm * b), front * (cp * da + cm * db)

@@ -29,11 +29,11 @@ solutions:
 * phi_lambda, the regular solution with phi(0) = 1 (the spherical
   function), which is a Jacobi function (Koornwinder 1984) with
   alpha = (m_alpha + m_2alpha - 1)/2 and beta = (m_2alpha - 1)/2.
-  ``eval_phi`` integrates nothing off the lattice.  For t <= T_PHI = 1.5 it
-  sums cosh(t)^-(rho+lambda) 2F1((rho+lambda)/2, (alpha-beta+1+lambda)/2;
-  alpha+1; tanh(t)^2); above, it returns c(lambda) Q_{-lambda} +
-  c(-lambda) Q_lambda from the closed-form c and the Frobenius series.
-  Below 1.5 the two c Q terms are up to 1e6 times phi (oh2 at t = 0.7).
+  Near t = 0 ``eval_phi`` sums cosh(t)^-(rho+lambda) 2F1((rho+lambda)/2,
+  (alpha-beta+1+lambda)/2; alpha+1; tanh(t)^2); past T_PHI = 1.5 it returns
+  c(lambda) Q_{-lambda} + c(-lambda) Q_lambda from the closed-form c and
+  the Frobenius series.  Below 1.5 the two c Q terms are up to 1e6 times
+  phi (oh2 at t = 0.7).
 
 Both tanh^2 series are one kind of object, a _TanhSeries: rows of 2F1
 terms, made once by the term ratio at the widest w they will be read at
@@ -49,37 +49,45 @@ normalization: ``abel_wronskian`` reads it from the two series between
 log 2 and T_PHI as J (phi Q' - phi' Q), which Abel's identity makes constant
 in t, and ``wronskian_limit`` is that reading at log 2.
 
-Q's series cancels where Re lambda > 0 is large (it loses about
-2 Re lambda t / ln 10 decades) or |Im lambda| is.  Its condition at
-t = log 2, the sum of its parts' moduli over the modulus of the sum, times
-1e-16 tracks its error (to 20x for Re lambda > 0, where the Gamma
-prefactors carry error too).  Where the condition exceeds 1e3, the ODE
-continues the Frobenius series backward from log 2 instead: 5e-15 off,
-the dominant direction for Re lambda > 0.  For Re lambda < 0 the backward
-ODE follows the recessive solution and its error grows three- to fourfold
-per unit of -Re lambda (5e-15 at Re lambda = -3, 7e-5 at -20, against
-mpmath), so the bound grows by 3^(-Re lambda).  The spectral sweep's box
-(|Re lambda| < 2.9, |Im lambda| < 1.2) lies inside: its condition is at
-most 82 over h2, h3, oh2, hn:4-10, chn:2-5 and hhn:2-5.  Near a negative
-integer lambda the Gamma factors cancel too, losing about 1e-16 / distance,
-but the backward ODE is worse there, so there is no guard.
-``q_solution`` always integrates, so the connection suite compares an
-integrated Q with the closed forms, and the ``jacobi`` suite compares it
-with the series.
+phi, and Q below log 2, are each read in one shape: a start series up to
+a switch, a Taylor bridge from the switch to an end, and an end series past
+the end.  The bridge runs only where neither series keeps its digits.
 
-Where eval_phi still integrates, the ODE continues the series forward.
+phi starts with its Jacobi series.  A large |Im lambda| makes it cancel,
+its terms outgrowing the sum by about |Im lambda| tanh(t) / 2 decades, so
+its switch is where |Im lambda| tanh(t) = 4, or T_PHI if that is earlier;
+a |lambda| in the hundreds overflows the terms at the switch, which then
+moves to half that reach, halved again until the terms are floats.  The
+forward bridge ends at T_PHI, and c Q serves past it whatever |Im lambda|
+is: at 40i, t = 60, c Q reads 2e-14 of mpmath where the ODE read 8e-13.
 Within LATTICE_GUARD = 0.05 of an integer lambda the two c Q terms have
-poles that cancel: there the ODE takes over at T_PHI.  At a half-integer
-lambda c has no pole and both Frobenius series exist (the recursion
-divides by nu (nu + 2 lambda) for even nu only), so c Q serves there.
-A large |Im lambda| makes the series cancel, its terms outgrowing the sum
-by about |Im lambda| tanh(t) / 2 decades, so it hands over where
-|Im lambda| tanh(t) = 4: to c Q past log 2, to the ODE before.  A |lambda|
-in the hundreds overflows the terms at the switch, which then moves to
-half that reach, halved again until the terms are floats.
-``phi_solution`` always integrates, from T_SEED = 0.2 or such an earlier
-switch (or t_max / 2), so the connection suite compares an integrated phi
-with c Q.
+poles that cancel, and the bridge has no end.  At a half-integer lambda c
+has no pole and both Frobenius series exist (the recursion divides by
+nu (nu + 2 lambda) for even nu only), so c Q serves there.  A forward
+bridge read is refused where phi's growth e^((|Re lambda| - rho) t) passes
+e^700, whatever was read before.
+
+Q starts with its Frobenius series and switches at log 2.  The second-kind
+series cancels where Re lambda > 0 is large (it loses about
+2 Re lambda t / ln 10 decades) or |Im lambda| is.  Its condition at t, the
+sum of its parts' moduli over the modulus of the sum, times 1e-16 tracks
+its error (to 20x for Re lambda > 0, where the Gamma prefactors carry
+error too).  Where the condition at log 2 is at most 1e3 there is no
+bridge.  Else the backward bridge ends at the largest t where that
+rounding is no larger than the ODE's: about 1e-15 in the dominant
+direction (Re lambda > 0, where the bridge serves every t), growing like
+e^(2 |Re lambda| (log 2 - t)) along the recessive solution (Re lambda < 0).
+At -20+60i the series alone reads 2e-5 off mpmath and the ODE alone 2e-4,
+the two together 3e-11.  The spectral sweep's box (|Re lambda| < 2.9,
+|Im lambda| < 1.2) has no bridge: its condition is at most 82 over h2, h3,
+oh2, hn:4-10, chn:2-5 and hhn:2-5.  Near a negative integer lambda the
+Gamma factors cancel too, losing about 1e-16 / distance, but the backward
+ODE is worse there, so there is no guard.
+
+``phi_solution`` and ``q_solution`` always integrate, from T_SEED = 0.2
+(or phi's switch, or t_max / 2, if earlier) and from log 2, so the
+connection suite compares an integrated phi and Q with the closed forms,
+and the ``jacobi`` suite compares them with the series.
 
 Every integration continues the solution by its own Taylor series
 (Corliss and Chang 1982; Jorba and Zou 2005): b is analytic off t = 0 and
@@ -115,9 +123,9 @@ _MAX_PHASE = 1e5 radians is refused with ValueError.
 
 ``eval_phi``, ``eval_Q``, ``connection_coefficients`` and the K-type profiles
 of ``model_h2`` read one cache, ``continuation``, with one entry per (space,
-lambda, kind): a Continuation, which is data (a start series, its switch
-point, and past it a second series or ODE pieces).  A piece ends at the
-first step end past the t that asked for it, and the next continues from
+lambda, kind): a Continuation, which is data (the start series, the
+switch, the end, the end series and the bridge's ODE pieces).  A piece ends
+at the first step end past the t that asked for it, and the next continues from
 its solve's own state there, so the pieces are the steps of one solve and a
 value depends on the key and t alone, not on the order of requests.
 ``eval_Q`` makes no entry for t >= log 2, where it reads the Frobenius
@@ -157,8 +165,8 @@ _FROBENIUS_TOL = 1e-16  # frobenius_Q stops after two terms below this of the su
 _FROBENIUS_MAX_TERMS = 400  # ... or here, with an AccuracyWarning
 _SERIES_MAX_TERMS = 1 << 14
 _SERIES_REACH = 4.0  # |Im lambda| tanh t where phi's series has lost two digits
-_Q_CONDITION = 1e3  # Q's series conditioned worse than this: the ODE instead,
-_ODE_RECESSIVE = 3.0  # ... with the bound raised this much per unit of -Re lambda
+_Q_CONDITION = 1e3  # Q's series conditioned worse than this at log 2: a bridge first
+_Q_BRIDGE_ENDS = [T_SWITCH * k / 64 for k in range(63, 0, -1)]  # where Q's bridge may end
 
 _MAX_EXPONENT = 700.0  # a solution growing past e^700 leaves the floating-point range
 _MAX_PHASE = 1e5  # radians an ODE piece may turn through: about 100 s of steps
@@ -589,34 +597,37 @@ def integrate_radial_ode(space, lams, t_span, inits):
 
 
 class Continuation:
-    """One radial solution of (space, lambda), stitched from pieces.
-
-    ``start.pair(t)`` gives (u, u') on the start's side of ``switch``;
-    ``sign`` is the direction away from it, +1 forward, -1 backward.  Past
-    the switch, ``beyond.pair(t)`` gives them, or, where ``beyond`` is None,
-    ODE pieces continue the start from the switch.  Each piece ends at the
-    first step end past the t that asked for it (``reach``) and leaves its
-    solve's state there (``state``), from which the next piece continues:
-    the pieces are one solve's steps, so a value depends on t alone, not on
-    the order of requests.
+    """One radial solution of (space, lambda): the series ``start`` up to
+    ``switch``, a Taylor bridge on to ``end`` (``switch`` itself where the
+    series meet, sign * inf where ``beyond`` is None), the series ``beyond``
+    past it; ``sign`` is +1 forward, -1 backward.  Each ODE piece ends at
+    the first step end past the t that asked for it (``reach``) and the next
+    continues its solve's state there (``state``): the pieces are one
+    solve's steps, so a value depends on t alone, not on request order.  A
+    forward bridge leaves the float range past ``limit``, where the growth
+    e^((|Re lambda| - rho) t) of every radial solution passes e^_MAX_EXPONENT.
     """
 
-    def __init__(self, space, lam, start, switch, sign, beyond):
+    def __init__(self, space, lam, start, switch, end, sign, beyond):
         self.space, self.lam = space, lam
-        self.start, self.switch, self.sign, self.beyond = start, switch, sign, beyond
+        self.start, self.switch, self.end, self.sign = start, switch, end, sign
+        self.beyond = beyond
         self.reach = switch  # the last step end of the pieces
         self.state = None  # (u, u', exponent) at reach, once a piece ends there
         self.pieces = []
+        growth = abs(lam.real) - space.rho
+        self.limit = _MAX_EXPONENT / growth if growth > 0.0 and sign > 0.0 else math.inf
 
     def pair(self, t):
-        """(u(t), u'(t)), integrating a further piece if t lies beyond the
-        pieces; _extend refuses it past the growth limit or _MAX_PHASE."""
+        """(u(t), u'(t)), integrating a further piece if t lies on the bridge
+        beyond the pieces; _extend refuses t past ``limit``, whatever was
+        read before, and a piece past _MAX_PHASE."""
         sign = self.sign
         if (t - self.switch) * sign <= 0.0:
             return self.start.pair(t)
-        if self.beyond is not None:
+        if (t - self.end) * sign > 0.0:
             return self.beyond.pair(t)
-        if (t - self.reach) * sign > 0.0:
+        if (t - self.reach) * sign > 0.0 or t > self.limit:
             _extend([self], t)
         return next(p for p in self.pieces if p.t_lo <= t <= p.t_hi)._eval(t)
 
@@ -625,29 +636,21 @@ class Continuation:
         return RadialSolution(self.space, self.lam, t_lo, t_hi, self.pair, ts)
 
 
-def _growth_limit(space, lam):
-    """The t where e^((|Re lambda| - rho) t), the growth of every radial
-    solution, passes e^_MAX_EXPONENT: a forward ODE would overflow beyond."""
-    growth = abs(lam.real) - space.rho
-    return _MAX_EXPONENT / growth if growth > 0.0 else math.inf
-
-
 def _extend(conts, end):
     """Add a piece past ``end`` to continuations sharing a reach, of one
     space or of several, from each one's state there (its start's (u, u')
     where it has no piece yet).
 
-    A forward piece is refused (OutOfRangeError) where ``end`` passes the
-    _growth_limit of a member, in its own space.  Any piece is refused
-    (ValueError) where its phase, |Im lambda| times its length, passes
-    _MAX_PHASE: the step count grows with it.
+    Refused (OutOfRangeError) where ``end`` passes the ``limit`` of a
+    member, in its own space, and (ValueError) where the piece's phase,
+    |Im lambda| times its length, passes _MAX_PHASE: the step count grows
+    with it.
     """
     reach = conts[0].reach
-    if end > reach:
-        nearest = min(conts, key=lambda c: _growth_limit(c.space, c.lam))
-        if end > _growth_limit(nearest.space, nearest.lam):
-            raise OutOfRangeError(f"the radial solution at lambda = {nearest.lam} leaves "
-                                  f"the floating-point range before t = {end}")
+    nearest = min(conts, key=lambda c: c.limit)
+    if end > nearest.limit:
+        raise OutOfRangeError(f"the radial solution at lambda = {nearest.lam} leaves "
+                              f"the floating-point range before t = {end}")
     fastest = max(conts, key=lambda c: abs(c.lam.imag))
     if abs(fastest.lam.imag) * abs(end - reach) > _MAX_PHASE:
         raise ValueError(f"the radial ODE at lambda = {fastest.lam} would turn through "
@@ -667,7 +670,7 @@ def _extend(conts, end):
 @lru_cache(maxsize=512)
 def continuation(space, lam, kind):
     """The one cache of radial solutions: the Continuation of (space,
-    lambda) made from kind(space, lam) = (start, switch, sign, beyond)."""
+    lambda) made from kind(space, lam) = (start, switch, end, sign, beyond)."""
     return Continuation(space, lam, *kind(space, lam))
 
 
@@ -756,8 +759,8 @@ class _TanhSeries:
         self.rows = rows
         self._n = np.arange(rows.shape[1])
         with np.errstate(over="ignore", invalid="ignore"):
-            self.moduli = np.abs(rows).sum(axis=1)
-        if not np.isfinite(self.moduli).all():
+            moduli = np.abs(rows).sum(axis=1)
+        if not np.isfinite(moduli).all():
             raise OverflowError(f"the series of exponent {e} overflows before t = {reach}")
 
     def _factors(self, tanh):
@@ -780,11 +783,18 @@ class _TanhSeries:
             ws += factor * wx
         return s, ws
 
-    def condition(self):
-        """The sum of the parts' moduli over the modulus of the sum at t =
-        reach: the factor by which rounding in the terms grows in the value."""
-        parts = float(np.abs(self._factors(self.tanh_reach)) @ self.moduli[::2])
-        value = abs(self._sums(self.tanh_reach)[0])
+    def condition(self, t):
+        """The sum of the parts' moduli over the modulus of the sum at t: the
+        factor by which rounding in the terms grows in the value (inf where
+        w^shift overflows)."""
+        tanh = math.tanh(t)
+        powers = ((tanh / self.tanh_reach) ** 2) ** self._n
+        try:
+            factors = np.array(self._factors(tanh))
+        except OverflowError:
+            return math.inf
+        value = abs(factors @ (self.rows[::2] @ powers))
+        parts = float(np.abs(factors) @ (np.abs(self.rows[::2]) @ powers))
         return parts / value if value else math.inf
 
     def pair(self, t):
@@ -884,13 +894,6 @@ def _second_kind_series(space, lam):
     return _TanhSeries(space.rho + lam, 2.0, T_SWITCH, -alpha, np.array(rows))
 
 
-def _near_lattice(lam):
-    """Whether c(lambda) Q_{-lambda} + c(-lambda) Q_lambda is unusable:
-    lambda near an integer, where the two terms have poles that cancel (and
-    at a negative one frobenius_Q refuses Q_lambda)."""
-    return abs(lam - round(lam.real)) < LATTICE_GUARD
-
-
 def _series_reach(lam, reach):
     """reach, or less where |Im lambda| tanh(t) passes _SERIES_REACH: phi's
     series cancels there, its terms outgrowing their sum by about
@@ -921,30 +924,36 @@ class _CQ:
 
 
 def _phi_series(space, lam):
-    """phi: the Jacobi series up to a switch, c Q_{-lambda} + c Q_lambda beyond.
-
-    The switch is T_PHI, or earlier where the series cancels: its terms
-    outgrow their sum by about |Im lambda| tanh(t) / 2 decades, so it stops
-    where |Im lambda| tanh(t) reaches _SERIES_REACH.  Near the lattice, or
-    where the switch falls below log 2 and the Frobenius series of Q no
-    longer converge, the ODE continues the series from the switch instead.
+    """phi: the Jacobi series up to a switch, the forward bridge to T_PHI,
+    c Q_{-lambda} + c Q_lambda beyond.  The switch is T_PHI (no bridge), or
+    earlier where |Im lambda| tanh(t) reaches _SERIES_REACH and the series
+    cancels.  Near the lattice the two c Q terms have poles that cancel (and
+    at a negative integer frobenius_Q refuses Q_lambda): the bridge has no end.
     """
     series = _jacobi_series(space, lam, _series_reach(lam, T_PHI))
-    beyond = None if series.reach < T_SWITCH or _near_lattice(lam) else _CQ(space, lam)
-    return series, series.reach, 1.0, beyond
+    if abs(lam - round(lam.real)) < LATTICE_GUARD:
+        return series, series.reach, math.inf, 1.0, None
+    return series, series.reach, T_PHI, 1.0, _CQ(space, lam)
 
 
 def _q_second_kind(space, lam):
-    """Q: the Frobenius series from log 2 up, the second-kind series below;
-    or the backward ODE where that series is conditioned worse than
-    _Q_CONDITION * _ODE_RECESSIVE^max(0, -Re lambda)."""
+    """Q: the Frobenius series from log 2 up, a backward bridge, the
+    second-kind series below (the bridge has no end where it overflows).
+    The bridge ends at log 2 where the series' condition there is at most
+    _Q_CONDITION, else at the largest of _Q_BRIDGE_ENDS where its rounding,
+    condition(t) 1e-16 (x20 for Re lambda > 0), is at most the ODE's,
+    1e-15 e^(2 max(0, -Re lambda) (log 2 - t)); where none is, at 0."""
     frobenius = _series(space, lam)  # refuses lambda = -1, -2, ... first
     try:
         series = _second_kind_series(space, lam)
     except OverflowError:
-        return frobenius, T_SWITCH, -1.0, None
-    bound = math.log(_Q_CONDITION) + max(0.0, -lam.real) * math.log(_ODE_RECESSIVE)
-    return frobenius, T_SWITCH, -1.0, series if math.log(series.condition()) <= bound else None
+        return frobenius, T_SWITCH, -math.inf, -1.0, None
+    end = T_SWITCH
+    if series.condition(T_SWITCH) > _Q_CONDITION:
+        rounding, growth = (2e-15 if lam.real > 0.0 else 1e-16), 2.0 * max(0.0, -lam.real)
+        end = next((t for t in _Q_BRIDGE_ENDS if math.log(series.condition(t) * rounding / 1e-15)
+                    <= growth * (T_SWITCH - t)), 0.0)
+    return frobenius, T_SWITCH, end, -1.0, series
 
 
 def phi_solution(space, lam, t_max):
@@ -964,7 +973,7 @@ def phi_solution(space, lam, t_max):
         raise ValueError(f"t_max must exceed {_MIN_T_MAX}")
     starts = [_jacobi_series(s, x, _series_reach(x, min(T_SEED, t_max / 2.0)))
               for s, x in zip(spaces, lams)]
-    conts = [Continuation(s, x, start, start.reach, 1.0, None)
+    conts = [Continuation(s, x, start, start.reach, math.inf, 1.0, None)
              for s, x, start in zip(spaces, lams, starts)]
     for seed in dict.fromkeys(c.reach for c in conts):
         _extend([c for c in conts if c.reach == seed], t_max)
@@ -983,7 +992,7 @@ def q_solution(space, lam, t_min):
     t_min = _radius(t_min)
     if t_min <= 0.0:
         raise ValueError("Q is singular at t = 0; need t_min > 0")
-    conts = [Continuation(s, lam, _series(s, lam), T_SWITCH, -1.0, None)
+    conts = [Continuation(s, lam, _series(s, lam), T_SWITCH, -math.inf, -1.0, None)
              for s, lam in zip(spaces, lams)]
     if t_min < T_SWITCH:
         _extend(conts, t_min)
@@ -993,8 +1002,9 @@ def q_solution(space, lam, t_min):
 
 
 def eval_Q(space, lam, t):
-    """Q_lambda(t): Frobenius series for t >= log 2, the second-kind series
-    (or, where it is ill-conditioned, the backward continuation) below."""
+    """Q_lambda(t): Frobenius series for t >= log 2, below it the backward
+    bridge where the second-kind series is ill-conditioned, that series past
+    the bridge's end (``_q_second_kind``)."""
     t = _radius(t)
     if t <= 0.0:
         raise ValueError("eval_Q needs t > 0")
@@ -1010,10 +1020,13 @@ def eval_Q(space, lam, t):
 def eval_phi(space, lam, t):
     """The spherical function phi_lambda(t); entire in lambda, phi(0) = 1.
 
-    phi grows like e^((|Re lambda| - rho) t); OutOfRangeError where it
-    leaves the floating-point range (the ODE pieces refuse a t where that
-    growth passes e^_MAX_EXPONENT), and where the series of a |lambda| past
-    about 1e154 overflows.
+    The Jacobi series, the forward bridge to T_PHI where a large |Im lambda|
+    moves the series' switch earlier, and c Q past it (near the lattice the
+    bridge has no end: ``_phi_series``).  phi grows like
+    e^((|Re lambda| - rho) t); OutOfRangeError where it leaves the
+    floating-point range (a bridge read is refused where that growth passes
+    e^_MAX_EXPONENT), and where the series of a |lambda| past about 1e154
+    overflows.
     """
     t = _radius(t)
     if t < 0.0:
@@ -1073,12 +1086,23 @@ def connection_coefficients(space, lam):
     """(a_minus, a_plus) = (c(lambda), c(-lambda)), with phi = a_minus
     Q_{-lambda} + a_plus Q_{lambda}, matched from phi's Jacobi series
     (t* <= 1.2) without the closed-form c.  ``boundary.boundary_pair``
-    matches any other solution."""
+    matches any other solution.  A coefficient whose term a |(Q, Q')| is a
+    small share of phi at t* (a_plus at a large Re lambda > 0, a_minus at a
+    large -Re lambda) is resolved to about cond 1e-16 over that share:
+    IllConditionedError, with that condition, where it passes 1e-8."""
     # 2 lambda or -2 lambda a negative integer is refused, odd ones included:
     # the spectral sweep's exclusion queries expect ResonantExponentError there
     _check_exponent(lam)
     _check_exponent(-complex(lam))
-    return _connection_solve(space, lam, _phi_view(space, lam))[:2]
+    lam = complex(lam)
+    a_minus, a_plus, cond, t_star = _connection_solve(space, lam, _phi_view(space, lam))
+    terms = [abs(a) * math.hypot(*map(abs, _series(space, x).pair(t_star)))
+             for a, x in ((a_minus, -lam), (a_plus, lam))]
+    condition = cond * math.hypot(*terms) / min(terms) if min(terms) else math.inf
+    if not condition * 1e-16 <= 1e-8:  # the connection suite's bound
+        raise IllConditionedError(f"a connection coefficient at lambda = {lam} is resolved "
+                                  f"only to {condition * 1e-16:.1e}", condition=condition)
+    return a_minus, a_plus
 
 
 def _phi_view(space, lam):
@@ -1094,10 +1118,10 @@ def abel_wronskian(space, lam, t):
 
     By Abel's identity the Wronskian of two solutions times J is constant in
     t, and as t -> 0 phi -> 1 and J phi' Q -> 0, so the value is lim J Q' =
-    -2 lambda c(lambda).  phi is read from its cache entry and Q from its
-    Frobenius series, so both are series and neither reads c, unless a large
-    |lambda| moves phi's switch below t (the ODE continues phi from there).
-    ValueError for other t.
+    -2 lambda c(lambda).  phi is read from its cache entry, its series or
+    (where a large |lambda| moves the switch below t) its bridge, never
+    c Q, which starts past T_PHI, and Q from its Frobenius series: neither
+    reads c.  ValueError for other t.
     """
     lam = complex(lam)
     t = _radius(t)
@@ -1111,7 +1135,7 @@ def abel_wronskian(space, lam, t):
 def wronskian_limit(space, lam):
     """lim_{t->0} J(t) dQ_lambda/dt = -2 lambda c(lambda), read by Abel's
     identity at t = log 2 (``abel_wronskian``), where phi is its series or
-    ODE pieces, never c Q, so no c is read.  A sequence of lambda (with one
+    its bridge, never c Q, so no c is read.  A sequence of lambda (with one
     space, or one space per lambda) gives a list.
     """
     lams, many = _lambdas(lam)

@@ -124,24 +124,6 @@ def make_space(m_alpha, m_2alpha=0, kappa=1.0) -> RankOneSpace:
     return RankOneSpace(m_alpha, m_2alpha, kappa)
 
 
-def y_of_t(t):
-    """Boundary coordinate y = exp(-t) of a geodesic parameter t > 0."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise ValueError("t must be positive")
-    out = np.exp(-t)
-    return out if out.ndim else float(out)
-
-
-def t_of_y(y):
-    """Geodesic parameter t = -log y of a boundary coordinate y in (0, 1)."""
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 0.0) or np.any(y >= 1.0):
-        raise ValueError("y must lie strictly inside (0, 1)")
-    out = -np.log(y)
-    return out if out.ndim else float(out)
-
-
 _FAMILY_PATTERN = re.compile(r"^(hn|chn|hhn):(\d+)$")
 
 NAMED_SPACES = "h2, h3, hn:<n>, chn:<n>, hhn:<n>, oh2"

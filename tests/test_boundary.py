@@ -1,4 +1,4 @@
-# Boundary-value extraction: indicial structure, connection route, Fatou route.
+# Boundary-value extraction: connection route, Fatou route.
 
 import math
 import warnings
@@ -6,35 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from hyperscatter.boundary import (
-    boundary_pair,
-    bv_limit,
-    indicial,
-    indicial_shifted,
-)
+from hyperscatter.boundary import boundary_pair, bv_limit
 from hyperscatter.cfunction import for_space
 from hyperscatter.errors import DominanceError, NonFiniteInputError
 from hyperscatter.radial import eval_phi, phi_solution
 from hyperscatter.space import space_from_name
 
 H2 = space_from_name("h2")
-
-
-def test_indicial_roots_are_the_boundary_exponents():
-    for name in ("h2", "oh2"):
-        space = space_from_name(name)
-        for lam in (0.7, 1.2 + 0.5j):
-            target = space.rho**2 - lam**2
-            assert abs(indicial(space, space.rho - lam) - target) < 1e-12
-            assert abs(indicial(space, space.rho + lam) - target) < 1e-12
-
-
-def test_shifted_indicial_roots():
-    lam = 0.9 + 0.2j
-    assert indicial_shifted(lam, 0.0) == 0.0
-    assert abs(indicial_shifted(lam, 2.0 * lam)) < 1e-12
-    # interior values are nonzero off the roots
-    assert abs(indicial_shifted(lam, 1.0)) > 0.1
 
 
 def test_boundary_pair_of_spherical_function():

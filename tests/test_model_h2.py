@@ -242,7 +242,7 @@ def test_ktype_profile_is_zero_where_its_spherical_factor_is(monkeypatch):
     # a phi^S that rounds to 0 (a zero of an oscillating phi^S) gives the
     # profile 0, and only a nonzero phi^S below the normal floats is refused
     class Zero:
-        switch, beyond = 0.0, None
+        switch, end, beyond = 0.0, math.inf, None
 
         def __init__(self, u):
             self.u = u

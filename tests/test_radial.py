@@ -593,7 +593,12 @@ def test_phi_off_the_lattice_runs_no_ode(monkeypatch):
         for lam in (0.8 + 0.3j, -2.7, 13.4 - 2.9j):
             for t in (0.005, 0.3, 1.0, 1.5, 1.6, 3.0, 9.0):
                 eval_phi(space, lam, t)
-            connection_coefficients(space, lam)
+            try:
+                connection_coefficients(space, lam)
+            except errors.IllConditionedError:
+                # refused after the match: a_plus's share of phi at t* is
+                # below its resolution at Re lambda = 13.4 (h2, hn:7)
+                assert lam.real > 10.0, (name, lam)
     for name in _SERIES_FAMILIES:
         space = space_from_name(name)
         for lam in (0.8 + 0.3j, -2.85 + 1.15j, 2.85 - 1.15j, -1.4 - 0.6j):
@@ -684,6 +689,100 @@ def test_eval_Q_matches_mpmath_in_the_recessive_region(mp_jacobi):
         space = space_from_name(name)
         worst = max(_q_errors(mp_q, space, lams, (0.005, 0.02, 0.1)), key=lambda e: e[0])
         assert worst[0] < 1e-12, (name, worst)
+
+
+# -- one shape per cache entry: start series, Taylor bridge, end series ---------
+
+
+_BRIDGE_FAMILIES = ("h2", "chn:2", "oh2")
+
+# measured worst over the three families, and the bound (about twice it).
+# phi's switch falls below T_PHI from |Im lambda| = 4.4 on, and the bridge
+# runs to T_PHI; the forward ODE to every t read up to 9.7e-13 (oh2, 40j)
+_PHI_BRIDGED = {5j: 1.5e-13,  # 6.2e-14 (h2)
+                0.3 + 7j: 2e-14,  # 6.1e-15 (oh2)
+                10j: 3e-13,  # 1.2e-13 (chn:2)
+                1.3 + 20j: 2e-14,  # 8.5e-15 (chn:2)
+                40j: 6e-13,  # 2.9e-13 (oh2)
+                -2 + 40j: 4e-14}  # 1.6e-14 (oh2)
+
+
+def test_phi_bridge_ends_at_t_phi(monkeypatch, mp_jacobi):
+    # past T_PHI phi is c Q whatever |Im lambda| is: no solve serves a read
+    # there, and phi at 40j, t = 60 reads 2.1e-14 (h2) and 1.5e-14 (oh2)
+    # of mpmath, where the ODE read 7.7e-13 and 9.7e-13
+    mp_phi, _ = mp_jacobi
+    solves = _solves(monkeypatch)
+    for name in _BRIDGE_FAMILIES:
+        space = space_from_name(name)
+        for lam, bound in _PHI_BRIDGED.items():
+            continuation.cache_clear()
+            entry = continuation(space, lam, radial._phi_series)
+            assert entry.end == radial.T_PHI and entry.beyond is not None
+            for t in (0.7, 0.9, 1.2, 1.5, 3.0, 20.0, 60.0):
+                made = len(solves)
+                err = _rel(eval_phi(space, lam, t), mp_phi(space, lam, t))
+                assert err < bound, (name, lam, t, err)
+                assert t <= radial.T_PHI or len(solves) == made, (name, lam, t)
+    for name, bound in (("h2", 3e-14), ("oh2", 3e-14)):
+        space = space_from_name(name)
+        assert _rel(eval_phi(space, 40j, 60.0), mp_phi(space, 40j, 60.0)) < bound
+
+
+# measured worst over the three families, and the bound.  Where the
+# second-kind series is ill-conditioned at log 2, the backward bridge hands
+# over to it where its rounding falls below the ODE's; eval_Q, which took
+# one of the two routes per lambda, read 2.4e-5 (-20+60i) and 6.0e-10
+# (-10+60i)
+_Q_BRIDGED = {-20 + 60j: 1e-10,  # 2.7e-11 (chn:2)
+              -10 + 60j: 5e-12,  # 1.9e-12 (oh2)
+              -10 + 40j: 1.5e-12,  # 5.2e-13 (h2)
+              -20 + 3j: 2e-14,  # 9.4e-15 (h2): no bridge
+              1 + 16j: 1e-14,  # 4.0e-15 (h2): Re lambda > 0, the bridge serves every t
+              3 + 8j: 4e-14,  # 1.8e-14 (chn:2)
+              8.3 + 0.4j: 1e-14,  # 4.8e-15 (oh2)
+              0.3 + 12.2j: 3e-14}  # 1.3e-14 (oh2)
+
+
+def test_q_bridge_hands_over_to_the_second_kind_series(mp_jacobi):
+    _, mp_q = mp_jacobi
+    for name in _BRIDGE_FAMILIES:
+        space = space_from_name(name)
+        for lam, bound in _Q_BRIDGED.items():
+            continuation.cache_clear()
+            entry = continuation(space, lam, radial._q_second_kind)
+            assert entry.beyond is not None and 0.0 <= entry.end <= radial.T_SWITCH
+            for t in (0.005, 0.02, 0.1, 0.2, 0.3, 0.45, 0.6, 0.69):
+                err = _rel(eval_Q(space, lam, t), mp_q(space, lam, t))
+                assert err < bound, (name, lam, t, err)
+
+
+def test_forward_growth_refusal_does_not_depend_on_request_order():
+    # h2 at lambda = 3 passes e^700 at t = 280; a piece read at 279.9 runs
+    # to the first step end past it (280.7), and a read at 280.5 was then
+    # served (1.2e304) where a fresh one was refused
+    for earlier in ((), (279.9,)):
+        continuation.cache_clear()
+        for t in earlier:
+            eval_phi(H2, 3.0, t)
+        with pytest.raises(errors.OutOfRangeError, match="floating-point range"):
+            eval_phi(H2, 3.0, 280.5)
+
+
+@pytest.mark.parametrize("name", ["h2", "chn:2"])
+def test_connection_coefficients_refuse_an_unresolved_recessive_term(name, mp_c):
+    # a_plus's term is e^(-2 lambda t*) of a_minus's at t* = 0.7: a_plus
+    # read 1.3e-9 off at 10.3, 9.9e-4 at 20.3 and 3.9e15 (relative) at
+    # 50.3, with no error raised; a_minus at -20.3 read 2.8e-4 off
+    space = space_from_name(name)
+    for lam in (10.3, -10.3):
+        a_minus, a_plus = connection_coefficients(space, lam)
+        assert _rel(a_minus, complex(mp_c(space, mpmath.mpf(lam)))) < 1e-8
+        assert _rel(a_plus, complex(mp_c(space, mpmath.mpf(-lam)))) < 1e-8
+    for lam in (20.3, 50.3, 500.3, -20.3):
+        with pytest.raises(errors.IllConditionedError) as caught:
+            connection_coefficients(space, lam)
+        assert caught.value.condition > 1e8, lam
 
 
 def test_eval_Q_near_the_singularity_at_zero():
@@ -782,11 +881,15 @@ def test_long_forward_solves_stay_in_range(mp_jacobi):
 def test_connection_at_a_large_lambda_scales_its_columns_without_overflow():
     # Q_-lambda is about e^350 at t = 0.7 for lambda = 500.3: the column
     # norms squared it, overflowing with a RuntimeWarning, and the solve
-    # read condition inf
+    # read condition inf.  connection_coefficients refuses the pair there
+    # (a_plus is e^-700 of phi at t*), so the match is read directly
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        a_minus, _ = connection_coefficients(H2, 500.3)
+        a_minus, _, cond, _ = radial._connection_solve(H2, 500.3, radial._phi_view(H2, 500.3))
+        with pytest.raises(errors.IllConditionedError):
+            connection_coefficients(H2, 500.3)
     assert _rel(a_minus, for_space(H2).value(500.3)) < 1e-12
+    assert math.isfinite(cond)
 
 
 _RANGE = "floating-point range"
@@ -1152,15 +1255,18 @@ def _code_reachable_from(root, skip):
     (H3, 8.3 + 0.4j, radial._q_second_kind, (1.0, 0.3)),  # ill-conditioned: ODE pieces
 ])
 def test_cache_entries_keep_no_code_outside_their_ode_pieces(space, lam, kind, ts):
-    # an entry is data (series, c values, switch) plus the ODE pieces: a
-    # closure or cache per entry adds cells and functions that every full
-    # garbage collection traverses
+    # an entry is data (series, c values, switch, end) plus the ODE pieces:
+    # a closure or cache per entry adds cells and functions that every full
+    # garbage collection traverses.  Pieces are made only for reads on the
+    # bridge between the switch and the end
     continuation.cache_clear()
     entry = continuation(space, lam, kind)
     for t in ts:
         entry.pair(t)
     assert _code_reachable_from(entry, entry.pieces) == []
-    assert (entry.beyond is None) == bool(entry.pieces)
+    sign = entry.sign
+    bridge = [t for t in ts if (t - entry.switch) * sign > 0.0 >= (t - entry.end) * sign]
+    assert bool(bridge) == bool(entry.pieces)
 
 
 @pytest.mark.parametrize("space, lam, kind, ts", [
