@@ -14,8 +14,8 @@ real axis 1/czz is the Plancherel density of the spherical transform.
 Values, derivatives and czz are all read off c's local data (order, A, B),
 which one pass over the three Gamma factors gives: a scalar pass in plain
 Python arithmetic, and an array pass for numpy arrays.  Off the lattice a
-factor takes ``scipy.special.loggamma`` (and ``psi``, where the slope B is
-asked for); at nonpositive-integer arguments, its exact local Laurent/Taylor
+factor takes scipy's ``loggamma`` (and ``psi``, where the slope B is asked
+for); at nonpositive-integer arguments, its exact local Laurent/Taylor
 data, carried in log space, so that values, derivatives and zero/pole orders
 of c stay exact where numerator and denominator poles collide (exactly the
 points the resonance and residue formulas need) and finite at any index.
@@ -30,17 +30,25 @@ NonFiniteInputError and a pole raises PoleSignal.  A scalar or element with
 the quarter offsets of the Gamma arguments, so the lattice cannot be told
 apart.  So does one where |c| passes the largest float (chn:1000, 0.7), or
 where czz or |c|^2 does (hn:1000, 0.7).
+
+The two ufuncs ``loggamma`` and ``psi`` (``radial`` imports them from here)
+are loaded from ``scipy.special._ufuncs`` without running ``scipy.special``'s
+package init, whose array-API layer loads ``numpy.f2py`` and
+``numpy.testing`` and costs several times the rest of the library's import.
+Where ``scipy.special`` is already loaded, or the private module cannot be
+loaded so, they come from the public ``scipy.special``; a later import of
+``scipy.special`` returns the same ufunc objects either way.
 """
 
 from __future__ import annotations
 
 import cmath
+import importlib.util
 import math
 import sys
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import loggamma, psi
 
 from .errors import NonFiniteInputError, OutOfRangeError, PoleSignal
 from .space import RankOneSpace
@@ -53,6 +61,33 @@ _INT_TOL = 1e-12
 # integer (and c has lost every digit to cancellation well before)
 _LATTICE_LIMIT = 2.0**52
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _gamma_ufuncs():
+    """(loggamma, psi) from scipy.special._ufuncs, with a bare stand-in for the
+    scipy.special package (its real __path__, its __init__ not run) in
+    sys.modules for the one import statement; the public import where
+    scipy.special is already loaded or the private route fails."""
+    name = "scipy.special"
+    if name not in sys.modules:
+        bare = None
+        try:
+            bare = importlib.util.module_from_spec(importlib.util.find_spec(name))
+            # another thread importing scipy.special during this statement
+            # would see the bare module
+            sys.modules[name] = bare
+            from scipy.special._ufuncs import loggamma, psi
+            return loggamma, psi
+        except (ImportError, AttributeError):
+            pass
+        finally:
+            if bare is not None and sys.modules.get(name) is bare:
+                del sys.modules[name]
+    from scipy.special import loggamma, psi
+    return loggamma, psi
+
+
+loggamma, psi = _gamma_ufuncs()
 
 
 def _nonpos_int(w, tol=_INT_TOL):

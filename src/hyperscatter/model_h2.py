@@ -39,6 +39,7 @@ import warnings
 from collections import namedtuple
 
 import numpy as np
+from numpy.random import default_rng  # at import: np.random loads on first use
 
 from .cfunction import for_space
 from .errors import (AccuracyWarning, IndeterminateRankError, NonFiniteInputError,
@@ -370,7 +371,7 @@ def residue_rank(k, with_gap=False):
         raise OutOfRangeError(f"residue_rank({k}): entries reach 4^{k}, past the float range")
     n_points = max(4 * k + 4, 12)
     n_angles = max(4 * k + 4, 16)
-    rng = np.random.default_rng(20260214 + k)
+    rng = default_rng(20260214 + k)
     radii = rng.uniform(0.15, 0.6, n_points)
     angs = rng.uniform(0.0, 2.0 * math.pi, n_points)
     zs = radii * np.exp(1j * angs)

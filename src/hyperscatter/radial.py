@@ -146,9 +146,8 @@ from itertools import accumulate
 from operator import mul
 
 import numpy as np
-from scipy.special import loggamma, psi
 
-from .cfunction import for_space
+from .cfunction import for_space, loggamma, psi
 from .errors import (AccuracyWarning, IllConditionedError, NonFiniteInputError,
                      OutOfRangeError, ResonantExponentError, StiffnessError)
 from .space import RankOneSpace

@@ -209,8 +209,10 @@ def _axis_w(cf, sigmas):
     """w(sigma) = c(-sigma)/c(sigma) over the real array sigmas: 0 at a pole of
     c(sigma), nan at a pole of w (a pole of c(-sigma) or a zero of c(sigma))
     and at sigma = 0.  c's order and leading term are read once, by one array
-    pass over the union of sigmas and their mirrors -sigma."""
-    union = np.union1d(sigmas, -sigmas)
+    pass over the union of sigmas and their mirrors -sigma (sorted, adjacent
+    duplicates dropped: np.union1d would load numpy.ma on its first call)."""
+    union = np.sort(np.concatenate((sigmas, -sigmas)))
+    union = union[np.concatenate(([True], union[1:] != union[:-1]))]
     order, lead, _ = cf._expand(union.astype(complex), slope=False)
     cval = np.where(order > 0, 0j, lead)
     den, num = np.searchsorted(union, sigmas), np.searchsorted(union, -sigmas)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.random import default_rng  # at import: np.random loads on first use
 
 from . import model_h2, resonances, scattering
 from .boundary import boundary_pair, bv_limit
@@ -179,7 +180,7 @@ def quadrature_draws():
     """Ten seeded (zeta, z1, z2) draws: |zeta| <= 2, away from the imaginary axis
     (all scattering/resolvent poles sit on it), points in the disk separated
     enough that the geodesic distance is well conditioned."""
-    rng = np.random.default_rng(_QUAD_SEED)
+    rng = default_rng(_QUAD_SEED)
     draws = []
     while len(draws) < 10:
         zr = rng.uniform(-2.0, 2.0)
