@@ -50,9 +50,9 @@ class BoundaryPair:
     """Boundary values (a_minus, a_plus) of one radial eigenfunction.
 
     a_minus multiplies y^(rho-lambda), a_plus multiplies y^(rho+lambda);
-    condition is the matching-matrix condition estimate of the solve that
-    produced the pair.  For the spherical function the pair is
-    (c(lambda), c(-lambda)).
+    condition times 1e-16 is the coarser coefficient's resolution (inf
+    where one is 0).  For the spherical function the pair is (c(lambda),
+    c(-lambda)).
     """
 
     a_minus: complex

@@ -42,12 +42,12 @@ and below 1e-17 of the largest, then summed at every read by one product
 with the powers of w over that w.  phi's rows are its series and its
 w d/dw; Q's hold the Gamma prefactors and psi weights as well.
 
-The two are linked by phi = c(lambda) Q_{-lambda} + c(-lambda) Q_{lambda};
-``boundary.boundary_pair`` recovers the pair numerically for any solution.
-lim_{t->0} J(t) dQ/dt = -2 lambda c(lambda) fixes the resolvent
-normalization: ``abel_wronskian`` reads it from the two series between
-log 2 and T_PHI as J (phi Q' - phi' Q), which Abel's identity makes constant
-in t, and ``wronskian_limit`` is that reading at log 2.
+The two are linked by phi = c(lambda) Q_{-lambda} + c(-lambda) Q_{lambda},
+so by Abel's identity J (phi Q_mu' - phi' Q_mu) is -2 mu c(mu) at every t
+for mu = +-lambda.  ``_abel_pairing`` reads it from the two series, with no
+c, for ``abel_wronskian``, ``wronskian_limit`` (lim_{t->0} J dQ/dt, which
+fixes the resolvent normalization) and ``connection_coefficients``;
+``boundary.boundary_pair`` matches any other solution against the two Q.
 
 phi, and Q below log 2, are each read in one shape: a start series up to
 a switch, a Taylor bridge from the switch to an end, and an end series past
@@ -939,9 +939,10 @@ def _q_second_kind(space, lam):
     """Q: the Frobenius series from log 2 up, a backward bridge, the
     second-kind series below (the bridge has no end where it overflows).
     The bridge ends at log 2 where the series' condition there is at most
-    _Q_CONDITION, else at the largest of _Q_BRIDGE_ENDS where its rounding,
-    condition(t) 1e-16 (x20 for Re lambda > 0), is at most the ODE's,
-    1e-15 e^(2 max(0, -Re lambda) (log 2 - t)); where none is, at 0."""
+    _Q_CONDITION; else at 0 for Re lambda > 0, where the series' rounding,
+    condition(t) 2e-15, never falls to the ODE's 1e-15 (a condition is at
+    least 1), and for Re lambda <= 0 at the largest of _Q_BRIDGE_ENDS where
+    condition(t) 1e-16 <= 1e-15 e^(-2 Re lambda (log 2 - t)), or at 0."""
     frobenius = _series(space, lam)  # refuses lambda = -1, -2, ... first
     try:
         series = _second_kind_series(space, lam)
@@ -949,9 +950,9 @@ def _q_second_kind(space, lam):
         return frobenius, T_SWITCH, -math.inf, -1.0, None
     end = T_SWITCH
     if series.condition(T_SWITCH) > _Q_CONDITION:
-        rounding, growth = (2e-15 if lam.real > 0.0 else 1e-16), 2.0 * max(0.0, -lam.real)
-        end = next((t for t in _Q_BRIDGE_ENDS if math.log(series.condition(t) * rounding / 1e-15)
-                    <= growth * (T_SWITCH - t)), 0.0)
+        end = 0.0 if lam.real > 0.0 else next(
+            (t for t in _Q_BRIDGE_ENDS if math.log(series.condition(t) * 1e-16 / 1e-15)
+             <= -2.0 * lam.real * (T_SWITCH - t)), 0.0)
     return frobenius, T_SWITCH, end, -1.0, series
 
 
@@ -1041,7 +1042,7 @@ def eval_phi(space, lam, t):
     return u
 
 
-# -- connection problem ------------------------------------------------------
+# -- connection problem and Wronskian ----------------------------------------
 
 _MATCH_CANDIDATES = (0.7, 0.8, 0.9, 1.0, 1.1, 1.2)
 
@@ -1050,8 +1051,10 @@ def _connection_solve(space, lam, sol):
     """Match sol against (Q_{-lambda}, Q_{+lambda}) at the best-conditioned t*.
 
     The candidates inside sol's range are scaled and conditioned as one
-    stack of matching matrices.  Returns (a_minus, a_plus, condition,
-    t_star).
+    stack of matching matrices; IllConditionedError past condition 1e13.
+    Returns (a_minus, a_plus, condition, t_star), condition 1e-16 resolving
+    each coefficient: the matching one times hypot(terms) / min(terms), a
+    term |a| times its column's norm (a small term is that much coarser).
     """
     lam = complex(lam)
     ser_p = _series(space, lam)
@@ -1078,38 +1081,50 @@ def _connection_solve(space, lam, sol):
         )
     u, v = sol.at(ts)
     x = np.linalg.solve(m[best], np.array([u, v], dtype=complex)) / scale[best]
-    return complex(x[0]), complex(x[1]), cond, ts
+    terms = (np.abs(x) * scale[best]).tolist()
+    condition = cond * math.hypot(*terms) / min(terms) if min(terms) else math.inf
+    return complex(x[0]), complex(x[1]), condition, ts
+
+
+def _abel_pairing(space, lam, t, mus):
+    """[(J W, condition)]: J W = J (u q' - u' q), -2 mu c(mu) for mu =
+    +-lambda, of phi_lambda's (u, u') at log 2 <= t <= T_PHI, read once from
+    its series or bridge (never c Q), and each Q_mu's from its Frobenius
+    series; condition = J (|u q'| + |u' q|) / |J W| (inf where J W is 0).
+    OutOfRangeError where J W leaves the floating-point range."""
+    u, du = continuation(space, lam, _phi_series).pair(t)
+    j = space.density_J_t(t)
+    out = []
+    with np.errstate(all="ignore"):  # an overflow or 0 / 0 reads condition inf
+        for mu in mus:
+            q, dq = _series(space, mu).pair(t)
+            w = j * (u * dq - du * q)
+            if not cmath.isfinite(w):
+                raise OutOfRangeError(f"J W(phi, Q_mu) at t = {t} leaves the floating-point "
+                                      f"range (lambda = {lam}, mu = {mu})")
+            condition = float(j * (np.abs(u * dq) + np.abs(du * q)) / np.abs(w))
+            out.append((w, condition if condition < math.inf else math.inf))
+    return out
 
 
 def connection_coefficients(space, lam):
     """(a_minus, a_plus) = (c(lambda), c(-lambda)), with phi = a_minus
-    Q_{-lambda} + a_plus Q_{lambda}, matched from phi's Jacobi series
-    (t* <= 1.2) without the closed-form c.  ``boundary.boundary_pair``
-    matches any other solution.  A coefficient whose term a |(Q, Q')| is a
-    small share of phi at t* (a_plus at a large Re lambda > 0, a_minus at a
-    large -Re lambda) is resolved to about cond 1e-16 over that share:
-    IllConditionedError, with that condition, where it passes 1e-8."""
+    Q_{-lambda} + a_plus Q_{lambda}, read without the closed-form c as
+    J W(phi, Q_mu) / (-2 mu) at log 2 (``_abel_pairing``).  Pairing with the
+    dominant Q cancels phi's dominant term: IllConditionedError where the
+    larger condition times 1e-16 passes 1e-8, and at c's pole lambda = 0 (inf)."""
     # 2 lambda or -2 lambda a negative integer is refused, odd ones included:
     # the spectral sweep's exclusion queries expect ResonantExponentError there
     _check_exponent(lam)
     _check_exponent(-complex(lam))
     lam = complex(lam)
-    a_minus, a_plus, cond, t_star = _connection_solve(space, lam, _phi_view(space, lam))
-    terms = [abs(a) * math.hypot(*map(abs, _series(space, x).pair(t_star)))
-             for a, x in ((a_minus, -lam), (a_plus, lam))]
-    condition = cond * math.hypot(*terms) / min(terms) if min(terms) else math.inf
+    mus = (lam, -lam)
+    pairs = _abel_pairing(space, lam, T_SWITCH, mus)
+    condition = max(cond for _, cond in pairs) if lam else math.inf
     if not condition * 1e-16 <= 1e-8:  # the connection suite's bound
         raise IllConditionedError(f"a connection coefficient at lambda = {lam} is resolved "
                                   f"only to {condition * 1e-16:.1e}", condition=condition)
-    return a_minus, a_plus
-
-
-def _phi_view(space, lam):
-    """phi_lambda's cache entry over [0, 1.3], past every matching point."""
-    return continuation(space, complex(lam), _phi_series).view(0.0, _MATCH_CANDIDATES[-1] + 0.1)
-
-
-# -- Wronskian ---------------------------------------------------------------
+    return tuple(w / (-2.0 * mu) for (w, _), mu in zip(pairs, mus))
 
 
 def abel_wronskian(space, lam, t):
@@ -1117,25 +1132,20 @@ def abel_wronskian(space, lam, t):
 
     By Abel's identity the Wronskian of two solutions times J is constant in
     t, and as t -> 0 phi -> 1 and J phi' Q -> 0, so the value is lim J Q' =
-    -2 lambda c(lambda).  phi is read from its cache entry, its series or
-    (where a large |lambda| moves the switch below t) its bridge, never
-    c Q, which starts past T_PHI, and Q from its Frobenius series: neither
-    reads c.  ValueError for other t.
+    -2 lambda c(lambda): ``_abel_pairing`` with Q_lambda, which reads no c.
+    ValueError for other t.
     """
     lam = complex(lam)
     t = _radius(t)
     if not T_SWITCH <= t <= T_PHI:
         raise ValueError(f"abel_wronskian needs log 2 <= t <= {T_PHI}, got t = {t}")
-    u, du = continuation(space, lam, _phi_series).pair(t)
-    q, dq = _series(space, lam).pair(t)
-    return space.density_J_t(t) * (u * dq - du * q)
+    return _abel_pairing(space, lam, t, (lam,))[0][0]
 
 
 def wronskian_limit(space, lam):
-    """lim_{t->0} J(t) dQ_lambda/dt = -2 lambda c(lambda), read by Abel's
-    identity at t = log 2 (``abel_wronskian``), where phi is its series or
-    its bridge, never c Q, so no c is read.  A sequence of lambda (with one
-    space, or one space per lambda) gives a list.
+    """lim_{t->0} J(t) dQ_lambda/dt = -2 lambda c(lambda), ``abel_wronskian``
+    at t = log 2, which reads no c.  A sequence of lambda (with one space,
+    or one space per lambda) gives a list.
     """
     lams, many = _lambdas(lam)
     values = [abel_wronskian(s, x, T_SWITCH) for s, x in zip(_spaces(space, len(lams)), lams)]

@@ -17,9 +17,9 @@ On the hyperbolic plane the operator is diagonal on circle Fourier modes
 (K-types), each of which is one-dimensional here, so the full operator is
 represented by its eigenvalue sequence.  The n-th K-type profile is
 (2 sinh t)^|n| times a spherical function of model_h2.ktype_space(n) =
-H^(2|n|+2) with the same boundary pair, so ktype_eigenvalue matches that
-space's Jacobi series against its Frobenius Q rather than reading any
-closed form.
+H^(2|n|+2) with the same boundary pair, so ktype_eigenvalue pairs that
+space's Jacobi series with its Frobenius Q (Abel's identity) rather than
+reading any closed form.
 
 Pole detection on the axis works with the reciprocal w(sigma) = 1/s(i sigma)
 = c(-sigma)/c(sigma), which is real there; poles of s are zeros of w, which
@@ -36,17 +36,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model_h2
-from .boundary import boundary_pair
 from .cfunction import for_space
-from .errors import NonFiniteInputError, PoleSignal, ResonantExponentError
-from .radial import _phi_view, connection_coefficients
+from .errors import NonFiniteInputError, PoleSignal
+from .radial import T_SWITCH, _abel_pairing, connection_coefficients
 from .resonances import ResonanceRecord, certified_rungs, circle_moment, circle_nodes
 from .space import RankOneSpace
 
 KIND_RESONANCE = "resonance"
 KIND_INTERTWINER = "intertwiner"
 
-_LATTICE_TOL = 1e-6
 _ORIGIN_TOL = 1e-13
 _MAX_NODES = 10**6
 _PARTS = 16  # parts a bracket of a zero of w is cut into, per round
@@ -109,25 +107,17 @@ def scalar(space, zeta):
 def ktype_eigenvalue(zeta, n):
     """Eigenvalue of S_zeta on the n-th circle Fourier mode (hyperbolic plane).
 
-    Solves the connection problem for the spherical function of
-    model_h2.ktype_space(n) at lambda = i zeta and returns
-    bv_{rho+i zeta} / bv_{rho-i zeta}, the ratio for the K-type profile too;
-    it reproduces scalar(ktype_space(n), zeta) through an independent code
-    path.  It refuses 2 i zeta within 1e-6 of an integer, where
-    connection_coefficients refuses lambda or -lambda, or (at 0) the two Q
-    coincide.
+    Reads the pair (c(lambda), c(-lambda)) of the spherical function of
+    model_h2.ktype_space(n) at lambda = i zeta by connection_coefficients,
+    and returns bv_{rho+i zeta} / bv_{rho-i zeta}, the ratio for the K-type
+    profile too: scalar(ktype_space(n), zeta) by an independent code path.
+    It refuses where connection_coefficients does: 2 i zeta near a nonzero
+    integer, and zeta = 0.
     """
     zeta = complex(zeta)
     if not cmath.isfinite(zeta):
         raise NonFiniteInputError(f"zeta = {zeta} is not finite")
-    lam = 1j * zeta
-    if abs(2 * lam - round(2 * lam.real)) < _LATTICE_TOL:
-        raise ResonantExponentError(
-            f"2 i zeta = {2 * lam} is within {_LATTICE_TOL:g} of an integer, "
-            "where connection_coefficients refuses lambda or -lambda, or "
-            "Q_lambda and Q_-lambda coincide"
-        )
-    a_minus, a_plus = connection_coefficients(model_h2.ktype_space(n), lam)
+    a_minus, a_plus = connection_coefficients(model_h2.ktype_space(n), 1j * zeta)
     return a_plus / a_minus
 
 
@@ -173,12 +163,11 @@ def residue_relation_check(rec: ResonanceRecord):
 
     The left side is a contour quadrature of the scalar scattering matrix
     around the pole, by resonances.circle_moment.  On the right, the boundary
-    value is the a_plus of ``boundary.boundary_pair`` applied to phi_{i zeta}
-    over [0, 1.3], where phi is its Jacobi series: every H^2 resonance has
-    an odd 2 L = -2 i zeta, so both Frobenius series of the match exist.
-    Analytically a_plus = c(L) and a_minus = c(-L) = 0, which makes both
-    sides -i c(-i zeta)/c'(i zeta); neither side is computed from that closed
-    form.  boundary_value_error is |a_minus| / |a_plus|.
+    value is c(L), L = -i zeta, read as J W(phi_{i zeta}, Q_L) / (-2 L) at
+    log 2 from the two series (radial._abel_pairing), which needs Q_L alone.
+    Both sides are then -i c(-i zeta)/c'(i zeta); neither is computed from
+    that closed form.  boundary_value_error is the pairing's condition
+    times 1e-16, the relative rounding it allows in c(L).
     """
     space = model_h2.H2
     cf = for_space(space)
@@ -186,9 +175,9 @@ def residue_relation_check(rec: ResonanceRecord):
     svals = np.array([scalar(space, z) for z in circle_nodes(z0)])
     scattering_side = complex(circle_moment(svals, 0))
 
-    lam = 1j * z0
-    pair = boundary_pair(space, lam, _phi_view(space, lam))
-    bv = pair.a_plus
+    lam = 1j * z0  # -L
+    (w, condition), = _abel_pairing(space, lam, T_SWITCH, (-lam,))
+    bv = w / (2.0 * lam)  # c(L) = J W(phi, Q_L) / (-2 L)
     resolvent_side = complex(
         2j * space.kappa * z0 * cf.value(-1j * z0) * rec.residue_scalar * bv
     )
@@ -201,7 +190,7 @@ def residue_relation_check(rec: ResonanceRecord):
         resolvent_side=resolvent_side,
         relative_gap=gap,
         boundary_value=bv,
-        boundary_value_error=abs(pair.a_minus) / abs(bv),
+        boundary_value_error=condition * 1e-16,
     )
 
 

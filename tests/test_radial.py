@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperscatter import errors, radial
+from hyperscatter.boundary import boundary_pair
 from hyperscatter.cfunction import CFunction, for_space
 from hyperscatter.errors import NonFiniteInputError, ResonantExponentError, StiffnessError
 from hyperscatter.radial import (
@@ -596,8 +597,8 @@ def test_phi_off_the_lattice_runs_no_ode(monkeypatch):
             try:
                 connection_coefficients(space, lam)
             except errors.IllConditionedError:
-                # refused after the match: a_plus's share of phi at t* is
-                # below its resolution at Re lambda = 13.4 (h2, hn:7)
+                # refused: pairing phi with Q_-lambda cancels its dominant
+                # term, condition 1.1e8 at Re lambda = 13.4 (h2)
                 assert lam.real > 10.0, (name, lam)
     for name in _SERIES_FAMILIES:
         space = space_from_name(name)
@@ -757,6 +758,33 @@ def test_q_bridge_hands_over_to_the_second_kind_series(mp_jacobi):
                 assert err < bound, (name, lam, t, err)
 
 
+def _q_bridge_end_by_scan(space, lam):
+    """Q's bridge end by the scan over every candidate, with the Gamma
+    prefactors' x20 rounding for Re lambda > 0."""
+    series = radial._second_kind_series(space, lam)
+    if series.condition(radial.T_SWITCH) <= radial._Q_CONDITION:
+        return radial.T_SWITCH
+    rounding, growth = (2e-15 if lam.real > 0.0 else 1e-16), 2.0 * max(0.0, -lam.real)
+    return next((t for t in radial._Q_BRIDGE_ENDS
+                 if math.log(series.condition(t) * rounding / 1e-15)
+                 <= growth * (radial.T_SWITCH - t)), 0.0)
+
+
+def test_q_bridge_end_for_positive_re_lambda_is_the_scan_end():
+    # for Re lambda > 0 the scan passes a t only where the series'
+    # condition is at most 0.5, and a condition is at least 1: the bridge
+    # ends at 0 with no scan.  The ends stay bit-identical to the scan's
+    for name in _BRIDGE_FAMILIES:
+        space = space_from_name(name)
+        for lam in (*_Q_BRIDGED, 12.0 + 0.5j, 25.3, 40j, -40j, -3.0 + 20j, 0.7 + 0.2j):
+            lam = complex(lam)
+            continuation.cache_clear()
+            end = continuation(space, lam, radial._q_second_kind).end
+            assert end == _q_bridge_end_by_scan(space, lam), (name, lam)
+            if lam.real > 0.0 and end < radial.T_SWITCH:
+                assert end == 0.0, (name, lam)
+
+
 def test_forward_growth_refusal_does_not_depend_on_request_order():
     # h2 at lambda = 3 passes e^700 at t = 280; a piece read at 279.9 runs
     # to the first step end past it (280.7), and a read at 280.5 was then
@@ -771,9 +799,9 @@ def test_forward_growth_refusal_does_not_depend_on_request_order():
 
 @pytest.mark.parametrize("name", ["h2", "chn:2"])
 def test_connection_coefficients_refuse_an_unresolved_recessive_term(name, mp_c):
-    # a_plus's term is e^(-2 lambda t*) of a_minus's at t* = 0.7: a_plus
-    # read 1.3e-9 off at 10.3, 9.9e-4 at 20.3 and 3.9e15 (relative) at
-    # 50.3, with no error raised; a_minus at -20.3 read 2.8e-4 off
+    # pairing phi with the dominant Q cancels phi's own dominant term, which
+    # is about e^(2 |Re lambda| log 2) of the other at log 2: the condition
+    # is 2.2e12 (h2) at +-20.3, and +-10.3 reads within 5.6e-10
     space = space_from_name(name)
     for lam in (10.3, -10.3):
         a_minus, a_plus = connection_coefficients(space, lam)
@@ -783,6 +811,41 @@ def test_connection_coefficients_refuse_an_unresolved_recessive_term(name, mp_c)
         with pytest.raises(errors.IllConditionedError) as caught:
             connection_coefficients(space, lam)
         assert caught.value.condition > 1e8, lam
+
+
+@pytest.mark.parametrize("name", ["h2", "chn:2"])
+def test_boundary_pair_condition_covers_the_recessive_error(name, mp_c):
+    # a_plus reads 1.0e-3 off at 20.3 (h2) where the matching condition is
+    # 20; with a_plus's share of phi at t* the condition is 5.8e13 (h2)
+    # and 6.2e13 (chn:2)
+    space = space_from_name(name)
+    lam = 20.3 + 0j
+    sol = continuation(space, lam, radial._phi_series).view(0.0, 1.3)
+    pair = boundary_pair(space, lam, sol)
+    err = _rel(pair.a_plus, complex(mp_c(space, mpmath.mpf(-20.3))))
+    assert pair.condition * 1e-16 >= err > 1e-8, (pair.condition, err)
+
+
+@pytest.mark.parametrize("name", ["h2", "chn:2", "oh2"])
+def test_connection_coefficients_near_zero(name, mp_c):
+    # the Abel pairing reads c(+-lambda) near c's pole at 0, with no
+    # cancellation: measured worst 1.6e-15 (oh2 at -1e-8)
+    space = space_from_name(name)
+    for lam in (1e-13, 1e-8, 1e-4 + 1e-5j, 0.3j):
+        got = connection_coefficients(space, lam)
+        for value, x in zip(got, (complex(lam), -complex(lam))):
+            want = complex(mp_c(space, mpmath.mpc(x.real, x.imag)))
+            assert _rel(value, want) < 1e-13, (name, x)
+
+
+def test_connection_coefficients_read_the_wronskian_limit():
+    # c(lambda) is the Wronskian limit over -2 lambda, bit for bit: one
+    # Abel pairing serves both
+    for name in FAMILY_NAMES:
+        space = space_from_name(name)
+        for lam in _GRID[::4]:
+            assert connection_coefficients(space, lam)[0] == \
+                wronskian_limit(space, lam) / (-2 * lam), (name, lam)
 
 
 def test_eval_Q_near_the_singularity_at_zero():
@@ -885,7 +948,8 @@ def test_connection_at_a_large_lambda_scales_its_columns_without_overflow():
     # (a_plus is e^-700 of phi at t*), so the match is read directly
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        a_minus, _, cond, _ = radial._connection_solve(H2, 500.3, radial._phi_view(H2, 500.3))
+        phi = continuation(H2, 500.3 + 0j, radial._phi_series).view(0.0, 1.3)
+        a_minus, _, cond, _ = radial._connection_solve(H2, 500.3, phi)
         with pytest.raises(errors.IllConditionedError):
             connection_coefficients(H2, 500.3)
     assert _rel(a_minus, for_space(H2).value(500.3)) < 1e-12
@@ -909,8 +973,10 @@ _RANGE = "floating-point range"
      ValueError, "inside"),
     (lambda: radial.integrate_radial_ode(H2, [0.7, 0.9], (0.2, 1.0), [(1.0, 0.0)]),
      ValueError, "one initial"),
-    (lambda: connection_coefficients(H2, 1e-13), errors.IllConditionedError,
-     "condition 1.2"),
+    (lambda: connection_coefficients(H2, 0.0), errors.IllConditionedError,
+     "resolved only to inf"),
+    # J W(phi, Q_-lambda) at log 2 is about e^(2 lambda log 2), past e^709
+    (lambda: connection_coefficients(H2, 1000.3), errors.OutOfRangeError, _RANGE),
     # near the lattice phi^S is ODE pieces, refused past t = 700 / 2.5 ...
     (lambda: ktype_radial_profile(3.0, 0, 2000.0), errors.OutOfRangeError,
      "leaves the floating-point range before t = 2000"),
@@ -919,7 +985,8 @@ _RANGE = "floating-point range"
      "leaves the floating-point range at t = 720"),
 ], ids=["eval_phi-range", "eval_Q-frobenius-range", "eval_Q-second-kind-range",
         "phi_solution-range", "eval_Q-at-0", "eval_phi-below-0", "q_solution-at-0",
-        "span-at-0", "one-init-two-lambdas", "ill-conditioned-match", "growth-limit",
+        "span-at-0", "one-init-two-lambdas", "ill-conditioned-match", "pairing-range",
+        "growth-limit",
         "ktype-factor-range"])
 def test_refusals(call, error, match):
     # overflows, and refusals that no test, verify suite or benchmark
@@ -929,7 +996,7 @@ def test_refusals(call, error, match):
         with pytest.raises(error, match=match) as caught:
             call()
     if error is errors.IllConditionedError:
-        assert 1.1e13 < caught.value.condition < 1.3e13
+        assert caught.value.condition == math.inf
 
 
 def test_huge_lambda_gives_one_at_zero_and_value_errors_elsewhere():
@@ -1026,7 +1093,9 @@ def test_abel_wronskian_is_minus_two_lambda_c():
 
 def _connection_by_candidate(space, lam, sol):
     """_connection_solve one matching point at a time: the first smallest
-    condition number among the candidates inside sol's range."""
+    condition number among the candidates inside sol's range, times
+    hypot(terms) / min(terms), each term a coefficient times its column's
+    norm there."""
     ser_p, ser_m = frobenius_Q(space, lam), frobenius_Q(space, -lam)
     best = None
     for ts in radial._MATCH_CANDIDATES:
@@ -1041,7 +1110,8 @@ def _connection_by_candidate(space, lam, sol):
     cond, ts, m, scale = best
     u, v = sol.at(ts)
     x = np.linalg.solve(m / scale, np.array([u, v], dtype=complex)) / scale
-    return complex(x[0]), complex(x[1]), float(cond), ts
+    terms = (np.abs(x) * scale).tolist()
+    return complex(x[0]), complex(x[1]), float(cond) * math.hypot(*terms) / min(terms), ts
 
 
 def test_stacked_connection_solve_equals_the_candidate_loop():

@@ -11,7 +11,7 @@ from hyperscatter.boundary import boundary_pair
 from hyperscatter.cfunction import CFunction, for_space
 from hyperscatter.errors import NonFiniteInputError, PoleSignal, ResonantExponentError
 from hyperscatter.model_h2 import ktype_space
-from hyperscatter.radial import _phi_view
+from hyperscatter.radial import _phi_series, continuation
 from hyperscatter.resonances import enumerate_resonances
 from hyperscatter.scattering import (
     KIND_INTERTWINER,
@@ -218,7 +218,7 @@ def test_boundary_pair_at_the_h2_resonances():
         warnings.simplefilter("error")
         for rec in enumerate_resonances(H2, 6):
             lam = 1j * rec.zeta
-            pair = boundary_pair(H2, lam, _phi_view(H2, lam))
+            pair = boundary_pair(H2, lam, continuation(H2, lam, _phi_series).view(0.0, 1.3))
             expect = cf.value(-lam)
             assert abs(pair.a_plus - expect) <= 1e-14 * abs(expect), rec.k
             assert abs(pair.a_minus) <= 1e-14, rec.k
