@@ -16,13 +16,15 @@ the boundary, and the correction of order j is solvable exactly when
 I_lambda(-j-1) != 0 — the same nonvanishing of nu(nu + 2 lambda) (nu = j+1)
 that makes the Frobenius recursion for Q_lambda solvable at step nu.  The
 index shift performed on delta layers and the power-series recursion are one
-computation in two dresses, which is why ``boundary_pair`` may delegate to
-the ODE connection solver and still deserve the name "boundary value".
+computation in two dresses, which is why ``boundary_pair`` may read the pair
+off the Frobenius series of Q_{+-lambda} and still deserve the name
+"boundary value".
 
 Both extraction routes live here:
 
 * ``boundary_pair`` — the primary one, valid on the whole admissible lambda
-  set: solve the connection problem against (Q_{-lambda}, Q_{+lambda}).
+  set: by Abel's identity each coefficient is u's Wronskian pairing with the
+  other Q over -+2 lambda (radial._connection_solve), read at log 2.
 * ``bv_limit`` — the Fatou-type limit bv_{rho-lambda} u = lim y^(lambda-rho)
   u(y), extrapolated from samples on a geometric grid.  It needs the leading
   exponent separated from the first correction, hence the Re lambda >= 0.25
@@ -36,11 +38,12 @@ deliberately not simulated here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DominanceError, NonFiniteInputError
+from .errors import DominanceError, IllConditionedError, NonFiniteInputError
 from .radial import RadialSolution, _connection_solve
 from .space import RankOneSpace
 
@@ -62,9 +65,15 @@ class BoundaryPair:
 
 
 def boundary_pair(space, lam, sol: RadialSolution) -> BoundaryPair:
-    """Extract (bv_{rho-lambda}, bv_{rho+lambda}) of a solved eigenfunction."""
-    am, ap, cond, _ = _connection_solve(space, complex(lam), sol)
-    return BoundaryPair(a_minus=am, a_plus=ap, lam=complex(lam), condition=cond)
+    """Extract (bv_{rho-lambda}, bv_{rho+lambda}) of a solved eigenfunction
+    whose range covers log 2 (ValueError if not).  IllConditionedError at
+    lambda = 0, where the two exponents coincide."""
+    lam = complex(lam)
+    if not lam:
+        raise IllConditionedError("at lambda = 0 the exponents coincide", condition=math.inf)
+    (w_minus, c_minus), (w_plus, c_plus) = _connection_solve(space, (lam, -lam), sol)
+    return BoundaryPair(a_minus=w_minus / (-2.0 * lam), a_plus=w_plus / (2.0 * lam),
+                        lam=lam, condition=max(c_minus, c_plus))
 
 
 def bv_limit(space, lam, samples):

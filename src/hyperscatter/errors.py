@@ -31,7 +31,7 @@ class OutOfRangeError(ValueError):
 
 
 class IllConditionedError(RuntimeError):
-    """A linear solve was rejected because its condition number is too large."""
+    """A value was refused because its condition number is too large."""
 
     def __init__(self, message, condition=None):
         super().__init__(message)
@@ -40,7 +40,7 @@ class IllConditionedError(RuntimeError):
 
 class DominanceError(ValueError):
     """The leading boundary exponent does not dominate, so a direct limit
-    cannot converge (use the connection-solver route instead)."""
+    cannot converge (use boundary_pair instead)."""
 
 
 class StiffnessError(RuntimeError):

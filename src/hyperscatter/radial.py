@@ -42,12 +42,16 @@ and below 1e-17 of the largest, then summed at every read by one product
 with the powers of w over that w.  phi's rows are its series and its
 w d/dw; Q's hold the Gamma prefactors and psi weights as well.
 
-The two are linked by phi = c(lambda) Q_{-lambda} + c(-lambda) Q_{lambda},
-so by Abel's identity J (phi Q_mu' - phi' Q_mu) is -2 mu c(mu) at every t
-for mu = +-lambda.  ``_abel_pairing`` reads it from the two series, with no
-c, for ``abel_wronskian``, ``wronskian_limit`` (lim_{t->0} J dQ/dt, which
-fixes the resolvent normalization) and ``connection_coefficients``;
-``boundary.boundary_pair`` matches any other solution against the two Q.
+The two are linked by phi = c(lambda) Q_{-lambda} + c(-lambda) Q_{lambda}.
+By Abel's identity J W(u, v) = J (u v' - u' v) of two solutions is the same
+at every t, and J W(Q_{-lambda}, Q_lambda) = -2 lambda, so a solution
+u = a_minus Q_{-lambda} + a_plus Q_lambda has a_minus = J W(u, Q_lambda) /
+(-2 lambda) and a_plus = J W(u, Q_{-lambda}) / (2 lambda): J W(phi, Q_mu) =
+-2 mu c(mu).  ``_connection_solve`` reads the pairings a caller needs at
+log 2 from u and Q's Frobenius series, with no c and no linear solve, for
+``boundary.boundary_pair``, ``connection_coefficients``, ``abel_wronskian``,
+``wronskian_limit`` (lim_{t->0} J dQ/dt, which fixes the resolvent
+normalization) and the residue relation of ``scattering``.
 
 phi, and Q below log 2, are each read in one shape: a start series up to
 a switch, a Taylor bridge from the switch to an end, and an end series past
@@ -1044,82 +1048,52 @@ def eval_phi(space, lam, t):
 
 # -- connection problem and Wronskian ----------------------------------------
 
-_MATCH_CANDIDATES = (0.7, 0.8, 0.9, 1.0, 1.1, 1.2)
 
-
-def _connection_solve(space, lam, sol):
-    """Match sol against (Q_{-lambda}, Q_{+lambda}) at the best-conditioned t*.
-
-    The candidates inside sol's range are scaled and conditioned as one
-    stack of matching matrices; IllConditionedError past condition 1e13.
-    Returns (a_minus, a_plus, condition, t_star), condition 1e-16 resolving
-    each coefficient: the matching one times hypot(terms) / min(terms), a
-    term |a| times its column's norm (a small term is that much coarser).
+def _connection_solve(space, mus, sol):
+    """[(J W(u, Q_mu), condition) for mu in mus]: sol's Abel pairings with
+    the Q_mu its caller needs (see the module docstring), read at log 2, or
+    at sol's start if that is later, from sol's (u, u'), read once, and each
+    Q_mu's Frobenius series.  condition times 1e-16 bounds a pairing's
+    relative rounding: J (|u q'| + |u' q|) / |J W| (inf where J W is 0),
+    times 1 + (rho + |mu|) t for the heads e^(-(rho +- mu) t) that u and q
+    carry (phi's series at log 2 is about |lambda| ulps off).  ValueError
+    where sol ends before log 2, OutOfRangeError where J W leaves the float
+    range.
     """
-    lam = complex(lam)
-    ser_p = _series(space, lam)
-    ser_m = _series(space, -lam)
-    ts = [t for t in _MATCH_CANDIDATES if sol.t_lo <= t <= sol.t_hi]
-    # m[k] = [[Q_-(t_k), Q_+(t_k)], [Q_-'(t_k), Q_+'(t_k)]]
-    m = np.array([[ser_m.pair(t), ser_p.pair(t)] for t in ts],
-                 dtype=complex).reshape(-1, 2, 2).transpose(0, 2, 1)
-    scale = np.hypot(np.abs(m[:, 0]), np.abs(m[:, 1]))  # each column's 2-norm, unsquared
-    usable = np.all(scale > 0.0, axis=1)
-    if not usable.any():
-        raise ValueError(
-            "solution does not cover any matching point in "
-            f"[{_MATCH_CANDIDATES[0]}, {_MATCH_CANDIDATES[-1]}]"
-        )
-    m, scale, ts = m[usable], scale[usable], [t for t, ok in zip(ts, usable) if ok]
-    m = m / scale[:, None, :]
-    conds = np.linalg.cond(m)
-    best = int(np.argmin(conds))
-    cond, ts = float(conds[best]), ts[best]
-    if cond > 1e13:
-        raise IllConditionedError(
-            f"matching matrix condition {cond:.2e} at t*={ts}", condition=cond
-        )
-    u, v = sol.at(ts)
-    x = np.linalg.solve(m[best], np.array([u, v], dtype=complex)) / scale[best]
-    terms = (np.abs(x) * scale[best]).tolist()
-    condition = cond * math.hypot(*terms) / min(terms) if min(terms) else math.inf
-    return complex(x[0]), complex(x[1]), condition, ts
-
-
-def _abel_pairing(space, lam, t, mus):
-    """[(J W, condition)]: J W = J (u q' - u' q), -2 mu c(mu) for mu =
-    +-lambda, of phi_lambda's (u, u') at log 2 <= t <= T_PHI, read once from
-    its series or bridge (never c Q), and each Q_mu's from its Frobenius
-    series; condition = J (|u q'| + |u' q|) / |J W| (inf where J W is 0).
-    OutOfRangeError where J W leaves the floating-point range."""
-    u, du = continuation(space, lam, _phi_series).pair(t)
+    t = max(sol.t_lo, T_SWITCH)
+    if t > sol.t_hi:
+        raise ValueError(f"the solution ends at t = {sol.t_hi}, before the matching point log 2")
+    u, du = sol.at(t)
     j = space.density_J_t(t)
     out = []
-    with np.errstate(all="ignore"):  # an overflow or 0 / 0 reads condition inf
-        for mu in mus:
-            q, dq = _series(space, mu).pair(t)
+    for mu in mus:
+        q, dq = _series(space, mu).pair(t)
+        with np.errstate(all="ignore"):  # an overflow or 0 / 0 reads condition inf
             w = j * (u * dq - du * q)
             if not cmath.isfinite(w):
-                raise OutOfRangeError(f"J W(phi, Q_mu) at t = {t} leaves the floating-point "
-                                      f"range (lambda = {lam}, mu = {mu})")
+                raise OutOfRangeError(f"J W(u, Q_mu) at t = {t} leaves the floating-point "
+                                      f"range (mu = {mu})")
             condition = float(j * (np.abs(u * dq) + np.abs(du * q)) / np.abs(w))
-            out.append((w, condition if condition < math.inf else math.inf))
+        condition *= 1.0 + (space.rho + abs(mu)) * t
+        out.append((w, condition if condition < math.inf else math.inf))
     return out
 
 
 def connection_coefficients(space, lam):
     """(a_minus, a_plus) = (c(lambda), c(-lambda)), with phi = a_minus
-    Q_{-lambda} + a_plus Q_{lambda}, read without the closed-form c as
-    J W(phi, Q_mu) / (-2 mu) at log 2 (``_abel_pairing``).  Pairing with the
-    dominant Q cancels phi's dominant term: IllConditionedError where the
-    larger condition times 1e-16 passes 1e-8, and at c's pole lambda = 0 (inf)."""
+    Q_{-lambda} + a_plus Q_{lambda}, read without the closed-form c by
+    ``_connection_solve`` at log 2, where phi is its series or bridge (never
+    c Q).  Pairing with the dominant Q cancels phi's dominant term:
+    IllConditionedError where the larger condition times 1e-16 passes 1e-8,
+    and at c's pole lambda = 0 (inf)."""
     # 2 lambda or -2 lambda a negative integer is refused, odd ones included:
     # the spectral sweep's exclusion queries expect ResonantExponentError there
     _check_exponent(lam)
     _check_exponent(-complex(lam))
     lam = complex(lam)
     mus = (lam, -lam)
-    pairs = _abel_pairing(space, lam, T_SWITCH, mus)
+    phi = continuation(space, lam, _phi_series).view(0.0, T_PHI)
+    pairs = _connection_solve(space, mus, phi)
     condition = max(cond for _, cond in pairs) if lam else math.inf
     if not condition * 1e-16 <= 1e-8:  # the connection suite's bound
         raise IllConditionedError(f"a connection coefficient at lambda = {lam} is resolved "
@@ -1132,14 +1106,16 @@ def abel_wronskian(space, lam, t):
 
     By Abel's identity the Wronskian of two solutions times J is constant in
     t, and as t -> 0 phi -> 1 and J phi' Q -> 0, so the value is lim J Q' =
-    -2 lambda c(lambda): ``_abel_pairing`` with Q_lambda, which reads no c.
-    ValueError for other t.
+    -2 lambda c(lambda): ``_connection_solve`` of phi read at t with Q_lambda
+    alone, which reads no c.  ValueError for other t.
     """
     lam = complex(lam)
     t = _radius(t)
     if not T_SWITCH <= t <= T_PHI:
         raise ValueError(f"abel_wronskian needs log 2 <= t <= {T_PHI}, got t = {t}")
-    return _abel_pairing(space, lam, t, (lam,))[0][0]
+    phi = continuation(space, lam, _phi_series).view(t, T_PHI)
+    (w, _), = _connection_solve(space, (lam,), phi)
+    return w
 
 
 def wronskian_limit(space, lam):

@@ -38,7 +38,7 @@ import numpy as np
 from . import model_h2
 from .cfunction import for_space
 from .errors import NonFiniteInputError, PoleSignal
-from .radial import T_SWITCH, _abel_pairing, connection_coefficients
+from .radial import T_PHI, _connection_solve, _phi_series, connection_coefficients, continuation
 from .resonances import ResonanceRecord, certified_rungs, circle_moment, circle_nodes
 from .space import RankOneSpace
 
@@ -164,7 +164,8 @@ def residue_relation_check(rec: ResonanceRecord):
     The left side is a contour quadrature of the scalar scattering matrix
     around the pole, by resonances.circle_moment.  On the right, the boundary
     value is c(L), L = -i zeta, read as J W(phi_{i zeta}, Q_L) / (-2 L) at
-    log 2 from the two series (radial._abel_pairing), which needs Q_L alone.
+    log 2 from the two series (radial._connection_solve), which needs Q_L
+    alone.
     Both sides are then -i c(-i zeta)/c'(i zeta); neither is computed from
     that closed form.  boundary_value_error is the pairing's condition
     times 1e-16, the relative rounding it allows in c(L).
@@ -176,7 +177,8 @@ def residue_relation_check(rec: ResonanceRecord):
     scattering_side = complex(circle_moment(svals, 0))
 
     lam = 1j * z0  # -L
-    (w, condition), = _abel_pairing(space, lam, T_SWITCH, (-lam,))
+    phi = continuation(space, lam, _phi_series).view(0.0, T_PHI)
+    (w, condition), = _connection_solve(space, (-lam,), phi)
     bv = w / (2.0 * lam)  # c(L) = J W(phi, Q_L) / (-2 L)
     resolvent_side = complex(
         2j * space.kappa * z0 * cf.value(-1j * z0) * rec.residue_scalar * bv

@@ -85,11 +85,13 @@ def check_connection(spaces=None):
     normalized by the largest of the three terms — the boundary branches can
     dwarf phi by 1e7 at small t on the high-rho families, where a phi-relative
     residual would only measure the conditioning of the cancellation, not the
-    correctness of the factors — and (b) the connection coefficients solved
-    from phi against the closed-form c values, which stays fully
-    discriminating at those points.  phi, Q_{-lambda} and Q_lambda (continued
-    down to t = 0.5) are each one batched solve over every family and grid
-    point: 125 lambdas for the five families.
+    correctness of the factors — and (b) the boundary pair of the integrated
+    phi (solved to 5.2, so it covers log 2), read by boundary_pair's Abel
+    pairing with the Frobenius Q_{+-lambda} at log 2, against the
+    closed-form c values, which stays fully discriminating at those points.
+    phi, Q_{-lambda} and Q_lambda (continued down to t = 0.5) are each one
+    batched solve over every family and grid point: 125 lambdas for the
+    five families.
     """
     rows = []
     ts = (0.5, 1.0, 2.0, 5.0)
@@ -228,10 +230,10 @@ def _poisson_profiles(lam):
 
 def check_fatou(spaces=None):
     """bv(P_lambda e^{in theta}) = c(lambda) e^{in theta}: the radial factor
-    must reproduce c(lambda) by the Fatou limit (coarse tolerance) and by the
-    connection solver (tight), applied on model_h2.ktype_space(n) to the
-    same quadrature profile divided by (2 sinh t)^|n|.  The nine K-types of
-    one lambda share each quadrature."""
+    must reproduce c(lambda) by the Fatou limit (coarse tolerance) and by
+    boundary_pair (tight), the Abel pairing at log 2 on model_h2.ktype_space(n)
+    of the same quadrature profile divided by (2 sinh t)^|n| on [0.6, 1.3].
+    The nine K-types of one lambda share each quadrature."""
     rows = []
     h2 = model_h2.H2
     cf = for_space(h2)

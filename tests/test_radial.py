@@ -801,7 +801,7 @@ def test_forward_growth_refusal_does_not_depend_on_request_order():
 def test_connection_coefficients_refuse_an_unresolved_recessive_term(name, mp_c):
     # pairing phi with the dominant Q cancels phi's own dominant term, which
     # is about e^(2 |Re lambda| log 2) of the other at log 2: the condition
-    # is 2.2e12 (h2) at +-20.3, and +-10.3 reads within 5.6e-10
+    # is 3.5e13 (h2) at +-20.3, and +-10.3 reads within 5.6e-10
     space = space_from_name(name)
     for lam in (10.3, -10.3):
         a_minus, a_plus = connection_coefficients(space, lam)
@@ -813,11 +813,36 @@ def test_connection_coefficients_refuse_an_unresolved_recessive_term(name, mp_c)
         assert caught.value.condition > 1e8, lam
 
 
+def test_connection_coefficients_answer_within_their_bound_at_a_large_re_lambda(mp_c):
+    # each answered pair is within the refusal bound, 1e-8, of mpmath.  The
+    # pairing's condition once assumed inputs good to an ulp, but phi's
+    # series at log 2 carries about |lambda| ulps: 358 of these 465 lambda
+    # were answered and 88 were up to 4.3e-8 off.  With the heads'
+    # rounding, 109 are answered, the worst 5.6e-9 off
+    answered = 0
+    for name in ("h2", "h3", "chn:2"):
+        space = space_from_name(name)
+        for re_lam in np.arange(11.05, 14.1, 0.1):
+            for im_lam in (-1.0, -0.5, 0.0, 0.5, 1.0):
+                lam = complex(re_lam, im_lam)
+                try:
+                    got = connection_coefficients(space, lam)
+                except errors.IllConditionedError:
+                    continue
+                answered += 1
+                with mpmath.workdps(30):
+                    for value, x in zip(got, (lam, -lam)):
+                        want = complex(mp_c(space, mpmath.mpc(x.real, x.imag)))
+                        assert _rel(value, want) < 1e-8, (name, x)
+    assert answered >= 100
+
+
 @pytest.mark.parametrize("name", ["h2", "chn:2"])
 def test_boundary_pair_condition_covers_the_recessive_error(name, mp_c):
-    # a_plus reads 1.0e-3 off at 20.3 (h2) where the matching condition is
-    # 20; with a_plus's share of phi at t* the condition is 5.8e13 (h2)
-    # and 6.2e13 (chn:2)
+    # pairing phi with the dominant Q_-lambda cancels phi's dominant term:
+    # at 20.3 a_plus reads 1.6e-4 (h2) and 1.1e-3 (chn:2) off, and the
+    # condition times 1e-16 is 3.5e-3 and 4.4e-3.  Without the heads'
+    # rounding, 1 + (rho + |lambda|) log 2, it claimed 2.7e-4 on chn:2
     space = space_from_name(name)
     lam = 20.3 + 0j
     sol = continuation(space, lam, radial._phi_series).view(0.0, 1.3)
@@ -941,19 +966,20 @@ def test_long_forward_solves_stay_in_range(mp_jacobi):
                 assert _rel(sol(t_max / 2.0), mp_phi(space, lam, t_max / 2.0)) < 1e-10, lam
 
 
-def test_connection_at_a_large_lambda_scales_its_columns_without_overflow():
-    # Q_-lambda is about e^350 at t = 0.7 for lambda = 500.3: the column
-    # norms squared it, overflowing with a RuntimeWarning, and the solve
-    # read condition inf.  connection_coefficients refuses the pair there
-    # (a_plus is e^-700 of phi at t*), so the match is read directly
+def test_boundary_pair_at_a_large_lambda_without_overflow():
+    # Q_-lambda is about e^350 at log 2 for lambda = 500.3, and each pairing
+    # at most e^700: the stacked matching solve once squared its column
+    # norms, overflowing with a RuntimeWarning.  connection_coefficients
+    # refuses the pair there (a_plus is e^-700 of phi at log 2), so the
+    # pair is read by boundary_pair (a_minus measured 9.6e-14 off)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         phi = continuation(H2, 500.3 + 0j, radial._phi_series).view(0.0, 1.3)
-        a_minus, _, cond, _ = radial._connection_solve(H2, 500.3, phi)
+        pair = boundary_pair(H2, 500.3, phi)
         with pytest.raises(errors.IllConditionedError):
             connection_coefficients(H2, 500.3)
-    assert _rel(a_minus, for_space(H2).value(500.3)) < 1e-12
-    assert math.isfinite(cond)
+    assert _rel(pair.a_minus, for_space(H2).value(500.3)) < 1e-12
+    assert math.isfinite(pair.condition)
 
 
 _RANGE = "floating-point range"
@@ -983,11 +1009,17 @@ _RANGE = "floating-point range"
     # ... and (2 sinh t)^m is a float of its own, which overflows past 710
     (lambda: ktype_radial_profile(1.0, 1, 720.0), errors.OutOfRangeError,
      "leaves the floating-point range at t = 720"),
+    # the pairing reads Q's Frobenius series, which needs t >= log 2
+    (lambda: boundary_pair(H2, 0.7, continuation(H2, 0.7 + 0j, radial._phi_series)
+                           .view(0.0, 0.5)), ValueError, "matching point"),
+    # Q_-lambda = Q_lambda at 0: no pair
+    (lambda: boundary_pair(H2, 0.0, phi_solution(H2, 0.0, 1.0)),
+     errors.IllConditionedError, "coincide"),
 ], ids=["eval_phi-range", "eval_Q-frobenius-range", "eval_Q-second-kind-range",
         "phi_solution-range", "eval_Q-at-0", "eval_phi-below-0", "q_solution-at-0",
         "span-at-0", "one-init-two-lambdas", "ill-conditioned-match", "pairing-range",
         "growth-limit",
-        "ktype-factor-range"])
+        "ktype-factor-range", "match-outside-solution", "boundary-pair-at-0"])
 def test_refusals(call, error, match):
     # overflows, and refusals that no test, verify suite or benchmark
     # workload reached, each raised as its structured error with no warning
@@ -1091,47 +1123,23 @@ def test_abel_wronskian_is_minus_two_lambda_c():
             abel_wronskian(H2, 0.7, t)
 
 
-def _connection_by_candidate(space, lam, sol):
-    """_connection_solve one matching point at a time: the first smallest
-    condition number among the candidates inside sol's range, times
-    hypot(terms) / min(terms), each term a coefficient times its column's
-    norm there."""
-    ser_p, ser_m = frobenius_Q(space, lam), frobenius_Q(space, -lam)
-    best = None
-    for ts in radial._MATCH_CANDIDATES:
-        if not sol.t_lo <= ts <= sol.t_hi:
-            continue
-        (qm, dqm), (qp, dqp) = ser_m.pair(ts), ser_p.pair(ts)
-        m = np.array([[qm, qp], [dqm, dqp]], dtype=complex)
-        scale = np.hypot(np.abs(m[0]), np.abs(m[1]))
-        cond = np.linalg.cond(m / scale)
-        if best is None or cond < best[0]:
-            best = (cond, ts, m, scale)
-    cond, ts, m, scale = best
-    u, v = sol.at(ts)
-    x = np.linalg.solve(m / scale, np.array([u, v], dtype=complex)) / scale
-    terms = (np.abs(x) * scale).tolist()
-    return complex(x[0]), complex(x[1]), float(cond) * math.hypot(*terms) / min(terms), ts
-
-
-def test_stacked_connection_solve_equals_the_candidate_loop():
-    # one stacked norm and condition number over the candidates picks the
-    # same t* and returns the same (a_minus, a_plus, condition) bit for bit;
-    # the ranges cover all six candidates, the middle four and one
-    rng = random.Random(11)
-    for k in range(60):
-        space = space_from_name(rng.choice(_SERIES_FAMILIES))
-        lam = complex(rng.uniform(-4.0, 4.0), rng.uniform(-3.0, 3.0))
-        if abs(2.0 * lam - round(2.0 * lam.real)) <= 1e-3:
-            continue  # frobenius_Q refuses 2 lambda near a negative integer
-        phi = continuation(space, lam, radial._phi_series)
-        t_lo, t_hi = ((0.0, 1.3), (0.75, 1.15), (0.95, 1.05))[k % 3]
-        sol = phi.view(t_lo, t_hi)
-        assert radial._connection_solve(space, lam, sol) == \
-            _connection_by_candidate(space, lam, sol), (space, lam)
-    with pytest.raises(ValueError, match="matching point"):
-        radial._connection_solve(H2, 0.7, continuation(H2, 0.7 + 0j, radial._phi_series)
-                                 .view(0.0, 0.5))
+@pytest.mark.parametrize("lam, refusal, tol", [
+    (1.0, ResonantExponentError, 1e-14),
+    (2.0, ResonantExponentError, 1e-14),
+    (600.3, errors.OutOfRangeError, 1e-12),
+])
+def test_wronskian_limit_pairs_with_q_lambda_alone(lam, refusal, tol):
+    # -2 lambda c(lambda) needs only the recessive Q_lambda: phi's pairing
+    # with Q_-lambda is refused at these lambda (frobenius_Q at a positive
+    # integer, the floating-point range at 600.3), but c is finite there
+    # (measured 5.2e-16 off at 1 and 2, 7.4e-13 at 600.3)
+    phi = continuation(H2, complex(lam), radial._phi_series).view(0.0, 1.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(refusal):
+            radial._connection_solve(H2, (-lam,), phi)
+        got = wronskian_limit(H2, lam)
+    assert _rel(got, -2.0 * lam * for_space(H2).value(lam)) < tol
 
 
 def _hyp_terms_by_recurrence(a, b, c, w, size):

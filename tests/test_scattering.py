@@ -11,7 +11,7 @@ from hyperscatter.boundary import boundary_pair
 from hyperscatter.cfunction import CFunction, for_space
 from hyperscatter.errors import NonFiniteInputError, PoleSignal, ResonantExponentError
 from hyperscatter.model_h2 import ktype_space
-from hyperscatter.radial import _phi_series, continuation
+from hyperscatter.radial import _connection_solve, _phi_series, continuation
 from hyperscatter.resonances import enumerate_resonances
 from hyperscatter.scattering import (
     KIND_INTERTWINER,
@@ -210,18 +210,24 @@ def test_residue_relation_ties_scattering_to_resolvent():
 
 def test_boundary_pair_at_the_h2_resonances():
     # every H2 resonance has an odd 2 L = -2 i zeta, so both Frobenius series
-    # exist and the connection solve reads phi_{i zeta}'s boundary pair from
-    # its Jacobi series: a_plus = c(L), a_minus = c(-L) = 0 (measured at most
-    # 6.0e-15, at k = 3, where a_plus = 0.3125)
+    # exist and the Abel pairing reads phi_{i zeta}'s boundary pair from its
+    # Jacobi series: a_plus = c(L) (measured within 2.3e-15), a_minus =
+    # c(-L) = 0.  a_minus is a cancellation, 0 or up to 3.6e-13 (k = 7), all
+    # of it rounding, so its own pairing (with Q_lambda) must report it
+    # unresolved from 0: condition times 1e-16 at least 1 (inf where a_minus
+    # reads 0, 4.8e16 or more elsewhere)
     cf = for_space(H2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for rec in enumerate_resonances(H2, 6):
+        for rec in enumerate_resonances(H2, 8):
             lam = 1j * rec.zeta
-            pair = boundary_pair(H2, lam, continuation(H2, lam, _phi_series).view(0.0, 1.3))
+            phi = continuation(H2, lam, _phi_series).view(0.0, 1.3)
+            pair = boundary_pair(H2, lam, phi)
             expect = cf.value(-lam)
             assert abs(pair.a_plus - expect) <= 1e-14 * abs(expect), rec.k
-            assert abs(pair.a_minus) <= 1e-14, rec.k
+            (w_minus, condition_minus), = _connection_solve(H2, (lam,), phi)
+            assert w_minus / (-2.0 * lam) == pair.a_minus, rec.k
+            assert condition_minus * 1e-16 >= 1.0, rec.k
 
 
 def test_residue_relation_gaps_at_the_rounding_level():
