@@ -10,16 +10,19 @@ tolerance; where the smallest intervals keep the largest errors (an end
 or interior singularity of the integrand), the sequence of integral
 sums over ever finer partitions is extrapolated by the epsilon table.
 
-The integrand is complex and evaluated once per node: each interval costs
-21 calls.  QUADPACK's tests read |.| of the complex sums, and the
-divergence test's ratio of the two integral estimates its real part; so on
-a real integrand every interval, sum and error estimate equals scipy's
-``quad`` (which calls dqagse) bit for bit.
+The integrand is complex and takes an array: each rule calls it once, on
+its 21 nodes, and the rule sums the values it returns in dqk21's order.
+QUADPACK's tests read |.| of the complex sums, and the divergence test's
+ratio of the two integral estimates its real part; so on a real integrand
+every interval, sum and error estimate equals scipy's ``quad`` (which calls
+dqagse) bit for bit.
 """
 
 from __future__ import annotations
 
 import sys
+
+import numpy as np
 
 from .errors import QuadratureError
 
@@ -41,6 +44,7 @@ _WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
        0.295524224714752870173892994651338)
 # dqk21 sums the Gauss pairs first, then the others
 _PAIRS = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
+_ABSCISSAE = np.array(_XGK[:10])
 
 EPSABS, EPSREL = 1e-13, 1e-10
 LIMIT = 200
@@ -61,17 +65,19 @@ _FAILURES = {
 
 def _kronrod(f, a, b):
     """dqk21 on [a, b]: (integral, error estimate, integral of |f|, integral
-    of |f - mean|)."""
+    of |f - mean|).  f is called once, on the array of the 21 nodes: the
+    centre, then the ten nodes below it and the ten above, nearest the ends
+    first."""
     centre, half = 0.5 * (a + b), 0.5 * (b - a)
-    fc = complex(f(centre))
+    absc = half * _ABSCISSAE
+    values = np.asarray(f(np.concatenate(([centre], centre - absc, centre + absc))),
+                        dtype=complex).tolist()
+    fc = values[0]
     resg = 0j
     resk = _WGK[10] * fc
     resabs = abs(resk)
-    values = [None] * 10
     for j in _PAIRS:
-        absc = half * _XGK[j]
-        f1, f2 = complex(f(centre - absc)), complex(f(centre + absc))
-        values[j] = f1, f2
+        f1, f2 = values[1 + j], values[11 + j]
         fsum = f1 + f2
         if j % 2:
             resg += _WG[j // 2] * fsum
@@ -79,7 +85,7 @@ def _kronrod(f, a, b):
         resabs += _WGK[j] * (abs(f1) + abs(f2))
     reskh = resk * 0.5
     resasc = _WGK[10] * abs(fc - reskh)
-    for w, (f1, f2) in zip(_WGK, values):
+    for w, f1, f2 in zip(_WGK, values[1:11], values[11:]):
         resasc += w * (abs(f1 - reskh) + abs(f2 - reskh))
     resabs *= abs(half)
     resasc *= abs(half)
@@ -202,8 +208,9 @@ def qags(f, a, b):
     ier is QUADPACK's: 0 where the estimate meets max(epsabs, epsrel
     |integral|), 1 where 200 intervals do not, 2 on roundoff, 3 on bad
     integrand behaviour at a point, 4 on roundoff in the extrapolation
-    and 5 for an integral that looks divergent.  f is called 42 intervals
-    - 21 times.
+    and 5 for an integral that looks divergent.  f maps an array of nodes
+    to the array of its values, and is called 2 intervals - 1 times, once
+    per rule, on 42 intervals - 21 nodes in all.
     """
     result, abserr, defabs, resasc = _kronrod(f, a, b)
     dres = abs(result)
@@ -353,8 +360,9 @@ def qags(f, a, b):
 
 
 def quad(f, a, b):
-    """The integral of the complex f over [a, b], a < b, by qags.
-    QuadratureError where qags reports a failure."""
+    """The integral of the complex f over [a, b], a < b, by qags; f maps an
+    array of nodes to the array of its values.  QuadratureError where qags
+    reports a failure."""
     value, abserr, ier, _ = qags(f, a, b)
     if ier:
         raise QuadratureError("quadrature did not converge: " + _FAILURES[ier].format(abserr))

@@ -136,6 +136,13 @@ value depends on the key and t alone, not on the order of requests.
 series alone.  The ten suites that the benchmark pins make 272 entries and
 ``verify --all`` 397 (the ``jacobi`` suite adds 125 of Q): maxsize 512
 holds them all.  ``continuation.cache_info()`` reports the hit rate.
+
+``eval_phi`` and ``eval_Q`` also read a 1-d array of t, as the resolvent's
+quadrature does at a rule's 21 nodes: the t are split by region, each
+series part is summed in one matrix product with the powers of its
+variable, and the bridge reads its t one at a time.  A series part differs
+from the scalar reads by rounding only (numpy's tanh and exp against
+math's, and the order of the sums); a bridge read is the scalar read.
 """
 
 from __future__ import annotations
@@ -186,6 +193,38 @@ def _radius(t):
     if not math.isfinite(t):
         raise NonFiniteInputError(f"t = {t} is not finite")
     return t
+
+
+def _radii(ts):
+    """ts as a 1-d float array; NonFiniteInputError for nan or inf."""
+    ts = np.asarray(ts, dtype=float)
+    bad = ts[~np.isfinite(ts)]
+    if len(bad):
+        raise NonFiniteInputError(f"t = {bad[0]} is not finite")
+    return ts
+
+
+def _power_sums(rows, x, n):
+    """Each row's product with the powers x^n: at a float x a list of one
+    complex sum per row, at a 1-d array x one array per row (its real and
+    imaginary parts each one real matrix product)."""
+    if isinstance(x, np.ndarray):
+        powers = (x[:, None] ** n).T
+        return rows.real @ powers + 1j * (rows.imag @ powers)
+    return (rows @ x ** n).tolist()
+
+
+def _read(t, parts):
+    """(u, u') at the 1-d array t from its (mask, read) parts: each read
+    takes the t of its mask at once, and an empty mask reads nothing."""
+    counts = [np.count_nonzero(mask) for mask, _ in parts]
+    if len(t) in counts:  # one part holds every t
+        return parts[counts.index(len(t))][1](t)
+    u, du = np.empty((2, len(t)), dtype=complex)
+    for (mask, read), count in zip(parts, counts):
+        if count:
+            u[mask], du[mask] = read(t[mask])
+    return u, du
 
 
 def _lambdas(lam):
@@ -251,28 +290,41 @@ class FrobeniusSeries:
         return np.array([h, 2.0 * np.arange(len(h)) * h])
 
     def series_sums(self, y):
-        """(h(y), y h'(y)) at scalar y with |y| <= valid_radius, every stored
+        """(h(y), y h'(y)) at y with |y| <= valid_radius, a float (two
+        complex numbers) or a 1-d array (two arrays), every stored
         coefficient summed by one product with the powers of y^2."""
-        if abs(y) > self.valid_radius * (1.0 + 1e-12):
+        size = abs(y).max(initial=0.0) if isinstance(y, np.ndarray) else abs(y)
+        if size > self.valid_radius * (1.0 + 1e-12):
             raise ValueError(
                 f"series evaluated at y={y} outside radius {self.valid_radius}"
             )
         rows = self._rows
-        return tuple((rows @ (y * y) ** np.arange(rows.shape[1])).tolist())
+        return tuple(_power_sums(rows, y * y, np.arange(rows.shape[1])))
 
     def pair(self, t):
-        """(Q(t), dQ/dt) for t >= -log(valid_radius); OutOfRangeError where
-        y^exponent overflows."""
+        """(Q(t), dQ/dt) for t >= -log(valid_radius), a float or a 1-d array
+        (two arrays); OutOfRangeError where y^exponent overflows."""
+        if isinstance(t, np.ndarray):
+            with np.errstate(over="ignore", invalid="ignore"):
+                s, ds = self.series_sums(np.exp(-t))
+                head = np.exp(-self.exponent * t)
+                q, dq = head * s, -head * (self.exponent * s + ds)
+            if not np.isfinite(head).all():
+                raise self._overflow(t[~np.isfinite(head)][0])
+            return q, dq
         y = math.exp(-t)
         s, ds = self.series_sums(y)
         try:
             head = cmath.exp(-self.exponent * t)
         except OverflowError:
-            raise OutOfRangeError(f"Q_lambda({t}) overflows the floating-point range "
-                                  f"(lambda = {self.lam})") from None
+            raise self._overflow(t) from None
         q = head * s
         dq = -head * (self.exponent * s + ds)
         return q, dq
+
+    def _overflow(self, t):
+        return OutOfRangeError(f"Q_lambda({t}) overflows the floating-point range "
+                               f"(lambda = {self.lam})")
 
 
 def frobenius_Q(space, lam):
@@ -624,8 +676,17 @@ class Continuation:
     def pair(self, t):
         """(u(t), u'(t)), integrating a further piece if t lies on the bridge
         beyond the pieces; _extend refuses t past ``limit``, whatever was
-        read before, and a piece past _MAX_PHASE."""
+        read before, and a piece past _MAX_PHASE.  At a 1-d array of t (two
+        arrays) each series reads its t in one pass and the bridge reads its
+        t one at a time."""
         sign = self.sign
+        if isinstance(t, np.ndarray):
+            start, beyond = (t - self.switch) * sign <= 0.0, (t - self.end) * sign > 0.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _read(t, ((start, self.start.pair),
+                                 (beyond, lambda ts: self.beyond.pair(ts)),
+                                 (~(start | beyond),
+                                  lambda ts: np.array([self.pair(x) for x in ts.tolist()]).T)))
         if (t - self.switch) * sign <= 0.0:
             return self.start.pair(t)
         if (t - self.end) * sign > 0.0:
@@ -772,14 +833,14 @@ class _TanhSeries:
         if len(self.rows) > 2:
             factors.append(1.0)
         if len(self.rows) > 4:
-            factors.append(2.0 * math.log(tanh))
+            factors.append(2.0 * (np.log if isinstance(tanh, np.ndarray) else math.log)(tanh))
         return factors
 
     def _sums(self, tanh):
-        """(S(w), w S'(w)); w^shift is taken through tanh(t), which stays
-        positive where w underflows (t below 1e-162).  OverflowError when
-        w^shift overflows."""
-        sums = (self.rows @ ((tanh / self.tanh_reach) ** 2) ** self._n).tolist()
+        """(S(w), w S'(w)) at tanh = tanh(t), a float or a 1-d array; w^shift
+        is taken through tanh(t), which stays positive where w underflows (t
+        below 1e-162).  OverflowError when a float w^shift overflows."""
+        sums = _power_sums(self.rows, (tanh / self.tanh_reach) ** 2, self._n)
         s = ws = 0j
         for factor, x, wx in zip(self._factors(tanh), sums[::2], sums[1::2]):
             s += factor * x
@@ -801,6 +862,18 @@ class _TanhSeries:
         return parts / value if value else math.inf
 
     def pair(self, t):
+        """(u(t), u'(t)) at t, a float or a 1-d array (two arrays);
+        OutOfRangeError where u leaves the floating-point range."""
+        if isinstance(t, np.ndarray):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                tanh = np.tanh(t)
+                s, ws = self._sums(tanh)
+                head = np.exp(-self.e * np.log(self.scale * np.cosh(t)))
+                u = head * s
+                du = -self.e * tanh * u + np.where(t > 0.0, head * 4.0 * ws / np.sinh(2.0 * t), 0.0)
+            if not np.isfinite(u).all():
+                raise self._overflow(t[~np.isfinite(u)][0])
+            return u, du
         tanh = math.tanh(t)
         try:
             s, ws = self._sums(tanh)
@@ -809,12 +882,15 @@ class _TanhSeries:
             s = ws = head = math.inf
         u = complex(head * s)
         if not cmath.isfinite(u):
-            raise OutOfRangeError(f"the series of exponent {self.e} overflows the "
-                                  f"floating-point range at t = {t}")
+            raise self._overflow(t)
         du = -self.e * tanh * u
         if t:
             du += head * 4.0 * ws / math.sinh(2.0 * t)
         return u, complex(du)
+
+    def _overflow(self, t):
+        return OutOfRangeError(f"the series of exponent {self.e} overflows the "
+                               f"floating-point range at t = {t}")
 
 
 def _jacobi_series(space, lam, reach):
@@ -907,8 +983,9 @@ def _series_reach(lam, reach):
 
 @dataclass(frozen=True)
 class _CQ:
-    """phi past its switch, c(lambda) Q_{-lambda} + c(-lambda) Q_lambda: both
-    c values and both Frobenius series are made at the first read."""
+    """phi past its switch, c(lambda) Q_{-lambda} + c(-lambda) Q_lambda, at a
+    float t or a 1-d array: both c values and both Frobenius series are made
+    at the first read."""
 
     space: RankOneSpace
     lam: complex
@@ -1008,7 +1085,17 @@ def q_solution(space, lam, t_min):
 def eval_Q(space, lam, t):
     """Q_lambda(t): Frobenius series for t >= log 2, below it the backward
     bridge where the second-kind series is ill-conditioned, that series past
-    the bridge's end (``_q_second_kind``)."""
+    the bridge's end (``_q_second_kind``).  At a 1-d array of t (a complex
+    array back) each series reads its t in one pass."""
+    if isinstance(t, np.ndarray):
+        t = _radii(t)
+        if (t <= 0.0).any():
+            raise ValueError("eval_Q needs t > 0")
+        _check_exponent(lam)
+        lam = complex(lam)
+        far = t >= T_SWITCH
+        return _read(t, ((far, _series(space, lam).pair),
+                         (~far, lambda ts: continuation(space, lam, _q_second_kind).pair(ts))))[0]
     t = _radius(t)
     if t <= 0.0:
         raise ValueError("eval_Q needs t > 0")
@@ -1030,8 +1117,20 @@ def eval_phi(space, lam, t):
     e^((|Re lambda| - rho) t); OutOfRangeError where it leaves the
     floating-point range (a bridge read is refused where that growth passes
     e^_MAX_EXPONENT), and where the series of a |lambda| past about 1e154
-    overflows.
+    overflows.  At a 1-d array of t (a complex array back) each series reads
+    its t in one pass.
     """
+    if isinstance(t, np.ndarray):
+        t = _radii(t)
+        if (t < 0.0).any():
+            raise ValueError("eval_phi needs t >= 0")
+        lam = complex(lam)
+        _require_finite(lam)
+        u = continuation(space, lam, _phi_series).pair(t)[0]
+        if not np.isfinite(u).all():
+            raise OutOfRangeError(f"phi_lambda({t[~np.isfinite(u)][0]}) overflows the "
+                                  f"floating-point range (lambda = {lam})")
+        return u
     t = _radius(t)
     if t < 0.0:
         raise ValueError("eval_phi needs t >= 0")

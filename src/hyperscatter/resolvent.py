@@ -14,7 +14,9 @@ structured exceptions rather than garbage values.
 Green representation (variation of parameters with the Wronskian
 J (phi Q' - phi' Q) = -2 i zeta c(i zeta), which is what pins the kernel
 normalization), its integrals by QUADPACK's QAGS (``quadpack``), and
-certifies the output by an ODE-residual check.
+certifies the output by an ODE-residual check.  Each Gauss-Kronrod rule
+reads phi or Q, and J, once on the array of its 21 nodes; the radial data
+f is a scalar function, called once per node.
 
 The difference of the two continuations across the axis is rank-one-in-angle
 and collapses, at coincident base point, to the spherical function:
@@ -36,7 +38,7 @@ import numpy as np
 from .cfunction import for_space
 from .errors import PoleSignal
 from .quadpack import quad
-from .radial import _radius, eval_phi, eval_Q
+from .radial import _radii, _radius, eval_phi, eval_Q
 from .space import RankOneSpace
 
 
@@ -136,25 +138,28 @@ class ResolventApplication:
         self.normalization = _normalization(space, zeta)
         self._J = space.density_J_t
 
-    def _phi(self, t):
-        return eval_phi(self.space, 1j * self.zeta, t)
-
-    def _q(self, t):
-        return eval_Q(self.space, 1j * self.zeta, t)
+    def _weighted(self, read):
+        """The integrand read(t) f(t) J(t) at an array of nodes, read eval_phi
+        or eval_Q at lambda = i zeta: one array read of the solution and of
+        J, and f called once per node."""
+        lam = 1j * self.zeta
+        return lambda s: (read(self.space, lam, s) * np.array([self.f(x) for x in s.tolist()])
+                          * self._J(s))
 
     def _inner(self, lo, hi):
-        return _quad(lambda s: self._phi(s) * self.f(s) * self._J(s), lo, hi)
+        return _quad(self._weighted(eval_phi), lo, hi)
 
     def _outer(self, lo, hi):
-        return _quad(lambda s: self._q(s) * self.f(s) * self._J(s), lo, hi)
+        return _quad(self._weighted(eval_Q), lo, hi)
 
     def __call__(self, t):
         return self.on_grid([_radius(t)])[0]
 
     def on_grid(self, ts):
         """Values on an ascending grid, sharing cumulative segment quadratures;
-        an empty grid gives an empty array."""
-        ts = np.asarray(ts, dtype=float)
+        an empty grid gives an empty array, and a nan or inf in it raises
+        NonFiniteInputError before any quadrature."""
+        ts = _radii(ts)
         if ts.size == 0:
             return np.empty(0, dtype=complex)
         if np.any(np.diff(ts) <= 0) or ts[0] <= 0.0:
@@ -174,9 +179,9 @@ class ResolventApplication:
             acc += self._outer(clips[i], prev)
             outer[i] = acc
             prev = clips[i]
-        qv = np.array([self._q(t) for t in ts])
-        pv = np.array([self._phi(t) for t in ts])
-        return self.normalization * (qv * inner + pv * outer)
+        lam = 1j * self.zeta
+        return self.normalization * (eval_Q(self.space, lam, ts) * inner
+                                     + eval_phi(self.space, lam, ts) * outer)
 
     def residual(self):
         """Max |kappa (u'' + b u' + (rho^2 + zeta^2) u) + f| over 13 t (6th-order FD)."""
@@ -202,10 +207,11 @@ class ResolventApplication:
 def apply_radial(space, zeta, f, support):
     """Resolvent applied to radial data f supported in the finite [t_a, t_b] = support.
 
-    The Green integrals are QUADPACK's QAGS (``quad``) to 1e-10 relative:
-    f may have integrable singularities such as |s - c|^-1/2 at an end or
-    inside, which its extrapolation settles; where QAGS reports a failure
-    (a steeper (s - t_a)^-0.9, say, or an f that 200 intervals do not
-    resolve) a value raises QuadratureError.
+    The Green integrals are QUADPACK's QAGS (``quad``) to 1e-10 relative,
+    with f called once per node on a float: f may have integrable
+    singularities such as |s - c|^-1/2 at an end or inside, which its
+    extrapolation settles; where QAGS reports a failure (a steeper
+    (s - t_a)^-0.9, say, or an f that 200 intervals do not resolve) a value
+    raises QuadratureError.
     """
     return ResolventApplication(space, zeta, f, support)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hyperscatter import errors, radial
+from hyperscatter import errors, quadpack, radial
 from hyperscatter.boundary import boundary_pair
 from hyperscatter.cfunction import CFunction, for_space
 from hyperscatter.errors import NonFiniteInputError, ResonantExponentError, StiffnessError
@@ -33,7 +33,7 @@ from hyperscatter.radial import (
     wronskian_limit,
 )
 from hyperscatter.model_h2 import ktype_radial_profile, oracle_h3
-from hyperscatter.resolvent import kernel
+from hyperscatter.resolvent import apply_radial, kernel
 from hyperscatter.resonances import enumerate_resonances, residue_contour_probe
 from hyperscatter.space import space_from_name
 from hyperscatter.verify import FAMILY_NAMES, lambda_grid
@@ -655,6 +655,58 @@ def test_public_refusals_at_every_negative_integer_two_lambda():
                 regular = for_space(space).zero_order(lam) == 0
                 with pytest.raises(ResonantExponentError if regular else errors.PoleSignal):
                     kernel(space, -1j * lam, 1.0)
+                with pytest.raises(ResonantExponentError if regular else errors.PoleSignal):
+                    apply_radial(space, -1j * lam, lambda s: 1.0, (0.3, 1.2)).on_grid([0.5, 2.0])
+
+
+# -- array reads ----------------------------------------------------------------
+
+
+def _kronrod_nodes(a, b):
+    """The 21 nodes at which quadpack's rule reads an integrand on [a, b]."""
+    nodes = []
+    quadpack.quad(lambda s: nodes.append(s) or np.zeros(len(s)), a, b)
+    return nodes[0]
+
+
+# (kind, lambda, interval): every region of phi's and Q's cache entries,
+# the intervals crossing from one region to the next
+_ARRAY_READS = [
+    ("phi", 0.7 + 0.3j, (0.05, 1.2)),  # the Jacobi series
+    ("phi", 10j, (0.2, 2.0)),  # the series to 0.42, the forward bridge, c Q past T_PHI
+    ("phi", 3.0, (0.5, 3.0)),  # near the lattice: the series, the bridge with no end
+    ("phi", 0.7 + 0.3j, (1.0, 4.0)),  # the series, c Q past T_PHI
+    ("Q", 0.4 + 0.5j, (0.3, 2.0)),  # the second-kind series, the Frobenius series
+    ("Q", 0.4 + 0.5j, (0.01, 0.6)),  # the second-kind series
+    ("Q", -10 + 40j, (0.35, 1.0)),  # the backward bridge, the Frobenius series
+]
+
+
+@pytest.mark.parametrize("name", ["h2", "chn:2", "hhn:2", "oh2"])
+def test_array_reads_equal_scalar_reads(name):
+    # an array read at a rule's 21 nodes, (u, u') of the cache entry and
+    # eval_phi or eval_Q, agrees with the scalar reads at each node to 1e-14
+    # of the largest value on the rule: an array series sums its terms by a
+    # matrix product, not one vector product per t, and numpy's tanh, cosh
+    # and exp are not math's to the last bit.  The bridge reads its t one at
+    # a time, bit for bit the scalar reads
+    space = space_from_name(name)
+    for kind, lam, (a, b) in _ARRAY_READS:
+        lam = complex(lam)
+        t = _kronrod_nodes(a, b)
+        entry = continuation(space, lam,
+                             radial._phi_series if kind == "phi" else radial._q_second_kind)
+        read = eval_phi if kind == "phi" else eval_Q
+        got = (*entry.pair(t), read(space, lam, t))
+        want = (*np.array([entry.pair(x) for x in t.tolist()]).T,
+                np.array([read(space, lam, x) for x in t.tolist()]))
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w)), (kind, lam, a, b)
+        bridge = ((t - entry.switch) * entry.sign > 0.0) & ((t - entry.end) * entry.sign <= 0.0)
+        assert bridge.any() == (entry.end != entry.switch), (kind, lam, a, b)
+        for g, w in zip(got, want):
+            assert np.array_equal(g[bridge], w[bridge]), (kind, lam, a, b)
+        assert read(space, lam, np.empty(0)).shape == (0,)
 
 
 # -- Q without the ODE below log 2 --------------------------------------------
@@ -994,6 +1046,18 @@ _RANGE = "floating-point range"
     (lambda: phi_solution(H2, 0.7, 1e4), errors.OutOfRangeError, _RANGE),
     (lambda: eval_Q(H2, 0.7, 0.0), ValueError, "eval_Q needs t > 0"),
     (lambda: eval_phi(H2, 0.7, -1.0), ValueError, "eval_phi needs t >= 0"),
+    # array reads, as the resolvent's quadrature makes them: the c Q route,
+    # the Frobenius and second-kind series, the forward bridge near the
+    # lattice and apply_radial's last read of phi
+    (lambda: eval_phi(H2, 0.7, np.array([0.5, 1e4])), errors.OutOfRangeError, _RANGE),
+    (lambda: eval_Q(H2, -10.3, np.array([1.0, 100.0])), errors.OutOfRangeError, _RANGE),
+    (lambda: eval_Q(space_from_name("oh2"), 0.7, np.array([1e-30, 0.5])),
+     errors.OutOfRangeError, _RANGE),
+    (lambda: eval_phi(H2, 3.0, np.array([0.5, 300.0])), errors.OutOfRangeError, _RANGE),
+    (lambda: apply_radial(H2, -20.3j, lambda s: 1.0, (0.3, 1.2)).on_grid([0.5, 60.0]),
+     errors.OutOfRangeError, _RANGE),
+    (lambda: eval_Q(H2, 0.7, np.array([0.5, 0.0])), ValueError, "eval_Q needs t > 0"),
+    (lambda: eval_phi(H2, 0.7, np.array([0.5, -1.0])), ValueError, "eval_phi needs t >= 0"),
     (lambda: q_solution(H2, 0.7, 0.0), ValueError, "singular at t = 0"),
     (lambda: radial.integrate_radial_ode(H2, [0.7], (0.0, 1.0), [(1.0, 0.0)]),
      ValueError, "inside"),
@@ -1016,7 +1080,10 @@ _RANGE = "floating-point range"
     (lambda: boundary_pair(H2, 0.0, phi_solution(H2, 0.0, 1.0)),
      errors.IllConditionedError, "coincide"),
 ], ids=["eval_phi-range", "eval_Q-frobenius-range", "eval_Q-second-kind-range",
-        "phi_solution-range", "eval_Q-at-0", "eval_phi-below-0", "q_solution-at-0",
+        "phi_solution-range", "eval_Q-at-0", "eval_phi-below-0",
+        "eval_phi-array-range", "eval_Q-array-frobenius-range",
+        "eval_Q-array-second-kind-range", "eval_phi-array-growth-limit",
+        "apply-range", "eval_Q-array-at-0", "eval_phi-array-below-0", "q_solution-at-0",
         "span-at-0", "one-init-two-lambdas", "ill-conditioned-match", "pairing-range",
         "growth-limit",
         "ktype-factor-range", "match-outside-solution", "boundary-pair-at-0"])

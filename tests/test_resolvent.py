@@ -168,11 +168,17 @@ def test_apply_radial_below_the_support_matches_closed_form_green():
         assert abs(g - want) / abs(want) < 1e-8, t
 
 
+def _scalar(g):
+    """The array integrand g of resolvent.quad read at one node."""
+    return lambda s: complex(g(np.array([s]))[0])
+
+
 def _scipy_quad(epsabs, epsrel):
     """resolvent.quad's contract by scipy's quad, real and imaginary parts
     integrated apart, as the library integrated before its own rule."""
     def integrate(g, lo, hi):
-        return quad(g, lo, hi, complex_func=True, epsabs=epsabs, epsrel=epsrel, limit=200)[0]
+        return quad(_scalar(g), lo, hi, complex_func=True, epsabs=epsabs, epsrel=epsrel,
+                    limit=200)[0]
 
     return integrate
 
@@ -198,8 +204,9 @@ def test_apply_radial_grid_matches_a_scipy_quad_reference(monkeypatch, name):
     integral = _scipy_quad(0.0, 1e-13)
     norm = 1.0 / (2j * space.kappa * zeta * for_space(space).value(lam))
 
-    def weighted(g):
-        return lambda s: g(space, lam, s) * f(s) * space.density_J_t(s)
+    def weighted(g):  # scalar reads, one per node
+        return lambda s: np.array([g(space, lam, x) * f(x) * space.density_J_t(x)
+                                   for x in s.tolist()])
 
     for t, g in zip(ts, got):
         lo = min(max(t, t_a), t_b)
@@ -218,16 +225,17 @@ def test_quadrature_rule_and_its_interval_budget():
     # as well as the 21 Kronrod nodes, settles on one interval; an
     # integrand that turns 30,000 times over the support cannot settle in
     # 200 intervals (nor could scipy's quad at the same tolerances and
-    # limit): QuadratureError, after at most 200 intervals of 21 nodes each
+    # limit): QuadratureError, after at most 200 intervals of 21 nodes each.
+    # The rule reads the polynomial once, on its 21 nodes, and f once per node
     calls = []
 
     def poly(s):
-        calls.append(s)
+        calls.append(len(s))
         return (1.0 + 0.5j) * s**19 - 2.0 * s**7
 
     value = resolvent.quad(poly, 0.3, 1.7)
     exact = (1.0 + 0.5j) * (1.7**20 - 0.3**20) / 20 - (1.7**8 - 0.3**8) / 4
-    assert len(calls) == 21 and abs(value - exact) < 1e-14 * abs(exact)
+    assert calls == [21] and abs(value - exact) < 1e-14 * abs(exact)
     calls.clear()
 
     def wave(s):
@@ -248,9 +256,10 @@ _SCIPY_FAILURES = {"maximum number of subdivisions": 1, "occurrence of roundoff"
 def test_qags_port_equals_scipys_quad_bit_for_bit():
     # on real integrands, smooth, singular at an end or inside, with a
     # jump, and five that end in each of QUADPACK's failure codes, the
-    # port's integral, error estimate, interval count, integrand calls and
+    # port's integral, error estimate, interval count, integrand nodes and
     # failure code are those of scipy's quad (dqagse) at the same
-    # tolerances and limit, bit for bit
+    # tolerances and limit, bit for bit; the port reads the integrand once
+    # per rule, on the array of its 21 nodes
     cases = [
         (math.exp, 0.5, 1.5, 0),
         (lambda x: x**19 - 2.0 * x**7, 0.3, 1.7, 0),
@@ -265,11 +274,12 @@ def test_qags_port_equals_scipys_quad_bit_for_bit():
         (lambda x: x**-1.1 if x > 0.0 else 0.0, 0.0, 1.0, 5),
     ]
     for f, a, b, code in cases:
-        calls = []
+        calls, nodes = [], []
 
-        def counted(x, f=f):
-            calls.append(x)
-            return f(x)
+        def counted(xs, f=f):
+            calls.append(len(xs))
+            nodes.extend(xs.tolist())
+            return [f(x) for x in xs.tolist()]
 
         value, error, ier, last = quadpack.qags(counted, a, b)
         with warnings.catch_warnings():
@@ -280,7 +290,8 @@ def test_qags_port_equals_scipys_quad_bit_for_bit():
         want = [v for k, v in _SCIPY_FAILURES.items() if k in ref[3]] if len(ref) > 3 else [0]
         assert ier == code and want == [code], (a, b, ref[3:])
         assert (value.real.hex(), value.imag, error.hex()) == (ref[0].hex(), 0.0, ref[1].hex())
-        assert (last, len(calls)) == (info["last"], info["neval"]) == (last, 42 * last - 21)
+        assert (last, len(nodes)) == (info["last"], info["neval"]) == (last, 42 * last - 21)
+        assert calls == [21] * (2 * last - 1)
 
 
 def _split_at(c):
@@ -292,7 +303,7 @@ def _split_at(c):
         return sign * quad(lambda u: g(c + sign * u * u) * 2.0 * u, 0.0, math.sqrt(abs(x - c)),
                            complex_func=True, epsabs=0.0, epsrel=1e-13)[0]
 
-    return lambda g, lo, hi: from_c(g, hi) - from_c(g, lo)
+    return lambda g, lo, hi: from_c(_scalar(g), hi) - from_c(_scalar(g), lo)
 
 
 @pytest.mark.parametrize("c", [0.3, 0.7])
@@ -337,15 +348,20 @@ def test_kernel_matches_mpmath_above_the_axis(mp_c, mp_jacobi):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_non_finite_t_names_itself(bad):
+def test_non_finite_t_names_itself(monkeypatch, bad):
     # t = -inf once read "singular at coincident points" from the kernel and
     # "need t > 0" from the application: the sign was tested first.  An
     # infinite end of the support was accepted, and the first call
-    # overflowed in sinh
+    # overflowed in sinh.  A grid is refused before any quadrature
+    def no_quad(*args, **kwargs):
+        raise AssertionError("quadrature on a non-finite grid")
+
+    monkeypatch.setattr(resolvent, "quad", no_quad)
     zeta = 0.3 + 0.2j
     app = ResolventApplication(H2, zeta, lambda s: 1.0, (0.2, 1.0))
     for call in (lambda: kernel(H2, zeta, bad), lambda: kernel_at(H2, zeta)(bad),
-                 lambda: app(bad), lambda: apply_radial(H2, zeta, lambda s: 1.0, (0.5, bad)),
+                 lambda: app(bad), lambda: app.on_grid([0.5, bad]),
+                 lambda: apply_radial(H2, zeta, lambda s: 1.0, (0.5, bad)),
                  lambda: apply_radial(H2, zeta, lambda s: 1.0, (bad, 1.0))):
         with pytest.raises(NonFiniteInputError, match="t = .* is not finite"):
             call()
