@@ -378,18 +378,12 @@ class CFunction:
     def czz(self, zeta):
         """czz(zeta) = c(i zeta) c(-i zeta); equals |c(i zeta)|^2 for real zeta.
 
-        A numpy array of zeta gives the array of values."""
+        A numpy array of zeta gives the array of values, read without c's
+        slope (the winding count reads czz on its whole contour)."""
         if isinstance(zeta, np.ndarray):
             data = self._czz_arrays(zeta, lambda x: self._expand(x, slope=False))
             return _read_values("czz", "zeta", zeta, *data[:2])
-        # c's order and A at +-i zeta, no slope: no psi is evaluated
-        zeta = complex(zeta)
-        data = []
-        for lam in (1j * zeta, -1j * zeta):
-            order, log_lead, _ = self._local(_argument(lam), slope=False)
-            data.append((order, _exp_lead(lam, log_lead), None))
-        order, lead, _ = compose_czz(*data)
-        return _read_local("czz", "zeta", zeta, order, lead, None)[0]
+        return _read_local("czz", "zeta", complex(zeta), *self.czz_expansion(zeta))[0]
 
     def _czz_arrays(self, zeta, expand):
         """czz_expansion over the array zeta, from the c-data ``expand`` gives."""

@@ -49,9 +49,10 @@ u = a_minus Q_{-lambda} + a_plus Q_lambda has a_minus = J W(u, Q_lambda) /
 (-2 lambda) and a_plus = J W(u, Q_{-lambda}) / (2 lambda): J W(phi, Q_mu) =
 -2 mu c(mu).  ``_connection_solve`` reads the pairings a caller needs at
 log 2 from u and Q's Frobenius series, with no c and no linear solve, for
-``boundary.boundary_pair``, ``connection_coefficients``, ``abel_wronskian``,
-``wronskian_limit`` (lim_{t->0} J dQ/dt, which fixes the resolvent
-normalization) and the residue relation of ``scattering``.
+``boundary.boundary_pair`` and, through phi's ``phi_pairings``, for
+``connection_coefficients``, ``abel_wronskian``, ``wronskian_limit``
+(lim_{t->0} J dQ/dt, which fixes the resolvent normalization) and the
+residue relation of ``scattering``.
 
 phi, and Q below log 2, are each read in one shape: a start series up to
 a switch, a Taylor bridge from the switch to an end, and an end series past
@@ -133,9 +134,17 @@ at the first step end past the t that asked for it, and the next continues from
 its solve's own state there, so the pieces are the steps of one solve and a
 value depends on the key and t alone, not on the order of requests.
 ``eval_Q`` makes no entry for t >= log 2, where it reads the Frobenius
-series alone.  The ten suites that the benchmark pins make 272 entries and
+series alone: through the entry, the residues suite's contour probe
+(``kernel`` at t = 1 on 128 zeta) would build a second-kind series of about
+0.3 ms per zeta.  The ten suites that the benchmark pins make 272 entries and
 ``verify --all`` 397 (the ``jacobi`` suite adds 125 of Q): maxsize 512
 holds them all.  ``continuation.cache_info()`` reports the hit rate.
+
+Every read of phi and Q (``Continuation.pair``, ``eval_Q``'s Frobenius
+read, ``_connection_solve``'s Q_mu, an ODE solution's) goes through
+``_checked``, the one place a u past the float range is refused
+(OutOfRangeError); the series and the Taylor steps only compute, and return
+inf or nan there or raise OverflowError.
 
 ``eval_phi`` and ``eval_Q`` also read a 1-d array of t, as the resolvent's
 quadrature does at a rule's 21 nodes: the t are split by region, each
@@ -152,7 +161,7 @@ import math
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate
 from operator import mul
 
@@ -171,6 +180,7 @@ EXCLUSION_RADIUS = 1e-6
 LATTICE_GUARD = 0.05  # lambda this near an integer: the c Q terms cancel
 
 _SERIES_TOL = 1e-17
+_Y_MAX = 0.5  # the Frobenius series is summed for y <= 1/2, t >= log 2
 _FROBENIUS_TOL = 1e-16  # frobenius_Q stops after two terms below this of the sum at y = 1/2,
 _FROBENIUS_MAX_TERMS = 400  # ... or here, with an AccuracyWarning
 _SERIES_MAX_TERMS = 1 << 14
@@ -212,6 +222,28 @@ def _power_sums(rows, x, n):
         powers = (x[:, None] ** n).T
         return rows.real @ powers + 1j * (rows.imag @ powers)
     return (rows @ x ** n).tolist()
+
+
+def _checked(read, lam, t):
+    """read(t) = (u, u') of the solution of lambda at a float t or a 1-d
+    array of t; OutOfRangeError where u is not finite, or a float read
+    raises OverflowError.  Only an array read enters np.errstate."""
+    if isinstance(t, np.ndarray):
+        with np.errstate(all="ignore"):
+            u, du = read(t)
+        finite = np.isfinite(u)
+        if finite.all():
+            return u, du
+        t = t[~finite][0]
+    else:
+        try:
+            u, du = read(t)
+        except OverflowError:
+            u = math.inf
+        if cmath.isfinite(u):
+            return u, du
+    raise OutOfRangeError(f"the radial solution at lambda = {lam} overflows the "
+                          f"floating-point range at t = {t}")
 
 
 def _read(t, parts):
@@ -269,15 +301,14 @@ class FrobeniusSeries:
     """Power-series data of Q_lambda(t) = y^exponent * sum_nu h_nu y^nu.
 
     ``coefficients[0] == 1`` and the stored truncation satisfies the tail
-    bound |h_N| * valid_radius^N below the construction tolerance times the
-    sum of the |h_nu| valid_radius^nu.
+    bound |h_N| * _Y_MAX^N below the construction tolerance times the sum of
+    the |h_nu| _Y_MAX^nu.
     """
 
     space: RankOneSpace
     lam: complex
     exponent: complex
     coefficients: tuple
-    valid_radius: float = 0.5
 
     @property
     def truncation(self):
@@ -290,41 +321,25 @@ class FrobeniusSeries:
         return np.array([h, 2.0 * np.arange(len(h)) * h])
 
     def series_sums(self, y):
-        """(h(y), y h'(y)) at y with |y| <= valid_radius, a float (two
-        complex numbers) or a 1-d array (two arrays), every stored
-        coefficient summed by one product with the powers of y^2."""
+        """(h(y), y h'(y)) at y with |y| <= _Y_MAX, a float (two complex
+        numbers) or a 1-d array (two arrays), every stored coefficient
+        summed by one product with the powers of y^2."""
         size = abs(y).max(initial=0.0) if isinstance(y, np.ndarray) else abs(y)
-        if size > self.valid_radius * (1.0 + 1e-12):
-            raise ValueError(
-                f"series evaluated at y={y} outside radius {self.valid_radius}"
-            )
+        if size > _Y_MAX * (1.0 + 1e-12):
+            raise ValueError(f"series evaluated at y={y} outside radius {_Y_MAX}")
         rows = self._rows
         return tuple(_power_sums(rows, y * y, np.arange(rows.shape[1])))
 
     def pair(self, t):
-        """(Q(t), dQ/dt) for t >= -log(valid_radius), a float or a 1-d array
-        (two arrays); OutOfRangeError where y^exponent overflows."""
+        """(Q(t), dQ/dt) for t >= log 2, a float or a 1-d array (two arrays);
+        inf, or OverflowError, where y^exponent overflows (``_checked``)."""
         if isinstance(t, np.ndarray):
-            with np.errstate(over="ignore", invalid="ignore"):
-                s, ds = self.series_sums(np.exp(-t))
-                head = np.exp(-self.exponent * t)
-                q, dq = head * s, -head * (self.exponent * s + ds)
-            if not np.isfinite(head).all():
-                raise self._overflow(t[~np.isfinite(head)][0])
-            return q, dq
-        y = math.exp(-t)
-        s, ds = self.series_sums(y)
-        try:
+            s, ds = self.series_sums(np.exp(-t))
+            head = np.exp(-self.exponent * t)
+        else:
+            s, ds = self.series_sums(math.exp(-t))
             head = cmath.exp(-self.exponent * t)
-        except OverflowError:
-            raise self._overflow(t) from None
-        q = head * s
-        dq = -head * (self.exponent * s + ds)
-        return q, dq
-
-    def _overflow(self, t):
-        return OutOfRangeError(f"Q_lambda({t}) overflows the floating-point range "
-                               f"(lambda = {self.lam})")
+        return head * s, -head * (self.exponent * s + ds)
 
 
 def frobenius_Q(space, lam):
@@ -548,8 +563,9 @@ class _TaylorSteps:
         powers = ((t - t0) / h) ** n
         w, dw = powers @ terms, (n[1:] * powers[:-1]) @ terms[1:] / h
         sigma = _shift(self.ode)
-        f = np.ldexp(np.exp(-sigma * (t - t0)), exponent)
-        return f * w, f * (dw - sigma * w)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, for _checked
+            f = np.ldexp(np.exp(-sigma * (t - t0)), exponent)
+            return f * w, f * (dw - sigma * w)
 
 
 def solve_ivp(ode, t_span, y0):
@@ -607,7 +623,8 @@ def _ode(spaces, lams):
 
 def _solutions(spaces, lams, sol, t_lo, t_hi):
     """One RadialSolution on [t_lo, t_hi] per column of the solve ``sol``,
-    all reading the shared steps once per t (the last 32 t are kept)."""
+    all reading the shared steps once per t (the last 32 t are kept), each
+    read refused past the float range by ``_checked``."""
     read = lru_cache(maxsize=32)(sol)
 
     def solution(i):
@@ -615,7 +632,8 @@ def _solutions(spaces, lams, sol, t_lo, t_hi):
             u, du = read(t)
             return u[i], du[i]
 
-        return RadialSolution(spaces[i], lams[i], t_lo, t_hi, ev, sol.t)
+        return RadialSolution(spaces[i], lams[i], t_lo, t_hi, partial(_checked, ev, lams[i]),
+                              sol.t)
 
     return [solution(i) for i in range(len(lams))]
 
@@ -676,17 +694,19 @@ class Continuation:
     def pair(self, t):
         """(u(t), u'(t)), integrating a further piece if t lies on the bridge
         beyond the pieces; _extend refuses t past ``limit``, whatever was
-        read before, and a piece past _MAX_PHASE.  At a 1-d array of t (two
-        arrays) each series reads its t in one pass and the bridge reads its
-        t one at a time."""
+        read before, and a piece past _MAX_PHASE, and ``_checked`` a u past
+        the float range.  At a 1-d array of t (two arrays) each series reads
+        its t in one pass and the bridge reads its t one at a time."""
+        return _checked(self._pair, self.lam, t)
+
+    def _pair(self, t):
         sign = self.sign
         if isinstance(t, np.ndarray):
             start, beyond = (t - self.switch) * sign <= 0.0, (t - self.end) * sign > 0.0
-            with np.errstate(over="ignore", invalid="ignore"):
-                return _read(t, ((start, self.start.pair),
-                                 (beyond, lambda ts: self.beyond.pair(ts)),
-                                 (~(start | beyond),
-                                  lambda ts: np.array([self.pair(x) for x in ts.tolist()]).T)))
+            return _read(t, ((start, self.start.pair),
+                             (beyond, lambda ts: self.beyond.pair(ts)),
+                             (~(start | beyond),
+                              lambda ts: np.array([self._pair(x) for x in ts.tolist()]).T)))
         if (t - self.switch) * sign <= 0.0:
             return self.start.pair(t)
         if (t - self.end) * sign > 0.0:
@@ -814,7 +834,7 @@ class _TanhSeries:
     of its w d/dw (w_reach = tanh(reach)^2), so S_k(w) is the product of
     the row with (w / w_reach)^n.  Every read sums every stored term, so a
     value depends on t alone.  OverflowError at construction where a row's
-    moduli do not sum in floating point: then no read overflows either.
+    moduli do not sum in floating point: then no read's sums overflow.
     """
 
     def __init__(self, e, scale, reach, shift, rows):
@@ -862,35 +882,23 @@ class _TanhSeries:
         return parts / value if value else math.inf
 
     def pair(self, t):
-        """(u(t), u'(t)) at t, a float or a 1-d array (two arrays);
-        OutOfRangeError where u leaves the floating-point range."""
+        """(u(t), u'(t)) at t, a float or a 1-d array (two arrays); inf,
+        nan or OverflowError past the float range (``_checked``)."""
         if isinstance(t, np.ndarray):
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                tanh = np.tanh(t)
-                s, ws = self._sums(tanh)
-                head = np.exp(-self.e * np.log(self.scale * np.cosh(t)))
-                u = head * s
-                du = -self.e * tanh * u + np.where(t > 0.0, head * 4.0 * ws / np.sinh(2.0 * t), 0.0)
-            if not np.isfinite(u).all():
-                raise self._overflow(t[~np.isfinite(u)][0])
+            tanh = np.tanh(t)
+            s, ws = self._sums(tanh)
+            head = np.exp(-self.e * np.log(self.scale * np.cosh(t)))
+            u = head * s
+            du = -self.e * tanh * u + np.where(t > 0.0, head * 4.0 * ws / np.sinh(2.0 * t), 0.0)
             return u, du
         tanh = math.tanh(t)
-        try:
-            s, ws = self._sums(tanh)
-            head = cmath.exp(-self.e * math.log(self.scale * math.cosh(t)))
-        except OverflowError:
-            s = ws = head = math.inf
+        s, ws = self._sums(tanh)
+        head = cmath.exp(-self.e * math.log(self.scale * math.cosh(t)))
         u = complex(head * s)
-        if not cmath.isfinite(u):
-            raise self._overflow(t)
         du = -self.e * tanh * u
         if t:
             du += head * 4.0 * ws / math.sinh(2.0 * t)
         return u, complex(du)
-
-    def _overflow(self, t):
-        return OutOfRangeError(f"the series of exponent {self.e} overflows the "
-                               f"floating-point range at t = {t}")
 
 
 def _jacobi_series(space, lam, reach):
@@ -1085,8 +1093,9 @@ def q_solution(space, lam, t_min):
 def eval_Q(space, lam, t):
     """Q_lambda(t): Frobenius series for t >= log 2, below it the backward
     bridge where the second-kind series is ill-conditioned, that series past
-    the bridge's end (``_q_second_kind``).  At a 1-d array of t (a complex
-    array back) each series reads its t in one pass."""
+    the bridge's end (``_q_second_kind``); OutOfRangeError where Q leaves
+    the floating-point range.  At a 1-d array of t (a complex array back)
+    each series reads its t in one pass."""
     if isinstance(t, np.ndarray):
         t = _radii(t)
         if (t <= 0.0).any():
@@ -1094,7 +1103,7 @@ def eval_Q(space, lam, t):
         _check_exponent(lam)
         lam = complex(lam)
         far = t >= T_SWITCH
-        return _read(t, ((far, _series(space, lam).pair),
+        return _read(t, ((far, lambda ts: _checked(_series(space, lam).pair, lam, ts)),
                          (~far, lambda ts: continuation(space, lam, _q_second_kind).pair(ts))))[0]
     t = _radius(t)
     if t <= 0.0:
@@ -1104,7 +1113,7 @@ def eval_Q(space, lam, t):
     _check_exponent(lam)
     lam = complex(lam)
     if t >= T_SWITCH:  # no second-kind series: the cache entry serves t < log 2
-        return complex(_series(space, lam).pair(t)[0])
+        return complex(_checked(_series(space, lam).pair, lam, t)[0])
     return complex(continuation(space, lam, _q_second_kind).pair(t)[0])
 
 
@@ -1126,11 +1135,7 @@ def eval_phi(space, lam, t):
             raise ValueError("eval_phi needs t >= 0")
         lam = complex(lam)
         _require_finite(lam)
-        u = continuation(space, lam, _phi_series).pair(t)[0]
-        if not np.isfinite(u).all():
-            raise OutOfRangeError(f"phi_lambda({t[~np.isfinite(u)][0]}) overflows the "
-                                  f"floating-point range (lambda = {lam})")
-        return u
+        return continuation(space, lam, _phi_series).pair(t)[0]
     t = _radius(t)
     if t < 0.0:
         raise ValueError("eval_phi needs t >= 0")
@@ -1138,11 +1143,7 @@ def eval_phi(space, lam, t):
     _require_finite(lam)
     if not t:
         return 1 + 0j  # the series' value at t = 0, whatever lambda
-    u = complex(continuation(space, lam, _phi_series).pair(t)[0])
-    if not cmath.isfinite(u):
-        raise OutOfRangeError(f"phi_lambda({t}) overflows the floating-point range "
-                              f"(lambda = {lam})")
-    return u
+    return complex(continuation(space, lam, _phi_series).pair(t)[0])
 
 
 # -- connection problem and Wronskian ----------------------------------------
@@ -1166,7 +1167,7 @@ def _connection_solve(space, mus, sol):
     j = space.density_J_t(t)
     out = []
     for mu in mus:
-        q, dq = _series(space, mu).pair(t)
+        q, dq = _checked(_series(space, mu).pair, mu, t)
         with np.errstate(all="ignore"):  # an overflow or 0 / 0 reads condition inf
             w = j * (u * dq - du * q)
             if not cmath.isfinite(w):
@@ -1178,21 +1179,26 @@ def _connection_solve(space, mus, sol):
     return out
 
 
+def phi_pairings(space, lam, mus, t=T_SWITCH):
+    """[(J W(phi_lambda, Q_mu), condition) for mu in mus] at log 2 <= t <=
+    T_PHI: ``_connection_solve`` of phi's cache entry, its series or bridge
+    there (never c Q), which reads no c."""
+    return _connection_solve(space, mus, continuation(space, lam, _phi_series).view(t, T_PHI))
+
+
 def connection_coefficients(space, lam):
     """(a_minus, a_plus) = (c(lambda), c(-lambda)), with phi = a_minus
     Q_{-lambda} + a_plus Q_{lambda}, read without the closed-form c by
-    ``_connection_solve`` at log 2, where phi is its series or bridge (never
-    c Q).  Pairing with the dominant Q cancels phi's dominant term:
-    IllConditionedError where the larger condition times 1e-16 passes 1e-8,
-    and at c's pole lambda = 0 (inf)."""
+    ``phi_pairings`` at log 2.  Pairing with the dominant Q cancels phi's
+    dominant term: IllConditionedError where the larger condition times
+    1e-16 passes 1e-8, and at c's pole lambda = 0 (inf)."""
     # 2 lambda or -2 lambda a negative integer is refused, odd ones included:
     # the spectral sweep's exclusion queries expect ResonantExponentError there
     _check_exponent(lam)
     _check_exponent(-complex(lam))
     lam = complex(lam)
     mus = (lam, -lam)
-    phi = continuation(space, lam, _phi_series).view(0.0, T_PHI)
-    pairs = _connection_solve(space, mus, phi)
+    pairs = phi_pairings(space, lam, mus)
     condition = max(cond for _, cond in pairs) if lam else math.inf
     if not condition * 1e-16 <= 1e-8:  # the connection suite's bound
         raise IllConditionedError(f"a connection coefficient at lambda = {lam} is resolved "
@@ -1205,15 +1211,14 @@ def abel_wronskian(space, lam, t):
 
     By Abel's identity the Wronskian of two solutions times J is constant in
     t, and as t -> 0 phi -> 1 and J phi' Q -> 0, so the value is lim J Q' =
-    -2 lambda c(lambda): ``_connection_solve`` of phi read at t with Q_lambda
-    alone, which reads no c.  ValueError for other t.
+    -2 lambda c(lambda): ``phi_pairings`` at t with Q_lambda alone, which
+    reads no c.  ValueError for other t.
     """
     lam = complex(lam)
     t = _radius(t)
     if not T_SWITCH <= t <= T_PHI:
         raise ValueError(f"abel_wronskian needs log 2 <= t <= {T_PHI}, got t = {t}")
-    phi = continuation(space, lam, _phi_series).view(t, T_PHI)
-    (w, _), = _connection_solve(space, (lam,), phi)
+    (w, _), = phi_pairings(space, lam, (lam,), t)
     return w
 
 

@@ -234,10 +234,13 @@ def test_module_error_becomes_error_row(capsys):
     ["cfun", "--space", "chn:1000", "--lambda", "0.7"],
     ["kernel", "--space", "hn:1000", "--zeta", "0.7", "--t", "1"],
     ["phi", "--space", "hn:1000", "--lambda", "0.7", "--t", "1"],
+    ["phi", "--space", "hn:100", "--lambda", "0.7+0.3j", "--t", "1e-4"],
+    ["kernel", "--space", "hn:100", "--zeta", "-0.7j", "--t", "1e-4"],
 ])
 def test_large_multiplicity_rows_report_out_of_range(capsys, argv):
     # the kernel row read "nan,nan,ok" with exit 0, from a Frobenius series
-    # of nan terms; the cfun row was a raw OverflowError
+    # of nan terms; the cfun row was a raw OverflowError; on hn:100 the
+    # backward ODE bridge of Q past the float range read inf or nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out = _run(capsys, argv)

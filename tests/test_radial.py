@@ -1035,6 +1035,7 @@ def test_boundary_pair_at_a_large_lambda_without_overflow():
 
 
 _RANGE = "floating-point range"
+_HN100 = space_from_name("hn:100")
 
 
 @pytest.mark.parametrize("call, error, match", [
@@ -1079,6 +1080,19 @@ _RANGE = "floating-point range"
     # Q_-lambda = Q_lambda at 0: no pair
     (lambda: boundary_pair(H2, 0.0, phi_solution(H2, 0.0, 1.0)),
      errors.IllConditionedError, "coincide"),
+    # on hn:100 Q grows like t^-98 toward 0: past the float range at 1e-4,
+    # where the backward bridge (every t below log 2 for Re lambda > 0, or
+    # the conditioned second-kind series' bridge) once read inf or nan
+    (lambda: eval_Q(_HN100, 0.7 + 0.3j, 1e-4), errors.OutOfRangeError, _RANGE),
+    (lambda: eval_Q(_HN100, 5.0, 1e-4), errors.OutOfRangeError, _RANGE),
+    (lambda: eval_Q(_HN100, 0.7 + 0.3j, np.array([1e-2, 1e-4])), errors.OutOfRangeError,
+     _RANGE),
+    (lambda: q_solution(_HN100, 0.7 + 0.3j, 1e-4)(1e-4), errors.OutOfRangeError, _RANGE),
+    (lambda: kernel(_HN100, -0.7j, 1e-4), errors.OutOfRangeError, _RANGE),
+    (lambda: radial.integrate_radial_ode(
+        _HN100, [0.7 + 0.3j], (radial.T_SWITCH, 1e-4),
+        [radial._series(_HN100, 0.7 + 0.3j).pair(radial.T_SWITCH)])[0].at(1e-4),
+     errors.OutOfRangeError, _RANGE),
 ], ids=["eval_phi-range", "eval_Q-frobenius-range", "eval_Q-second-kind-range",
         "phi_solution-range", "eval_Q-at-0", "eval_phi-below-0",
         "eval_phi-array-range", "eval_Q-array-frobenius-range",
@@ -1086,7 +1100,9 @@ _RANGE = "floating-point range"
         "apply-range", "eval_Q-array-at-0", "eval_phi-array-below-0", "q_solution-at-0",
         "span-at-0", "one-init-two-lambdas", "ill-conditioned-match", "pairing-range",
         "growth-limit",
-        "ktype-factor-range", "match-outside-solution", "boundary-pair-at-0"])
+        "ktype-factor-range", "match-outside-solution", "boundary-pair-at-0",
+        "eval_Q-bridge-range", "eval_Q-dominant-bridge-range", "eval_Q-array-bridge-range",
+        "q_solution-bridge-range", "kernel-bridge-range", "ode-solution-range"])
 def test_refusals(call, error, match):
     # overflows, and refusals that no test, verify suite or benchmark
     # workload reached, each raised as its structured error with no warning
