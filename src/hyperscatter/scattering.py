@@ -32,6 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from .cfunction import for_space
 from .errors import NonFiniteInputError, PoleSignal
 from .radial import connection_coefficients, phi_pairings
 from .resonances import ResonanceRecord, certified_rungs, circle_moment, circle_nodes
-from .space import RankOneSpace
 
 KIND_RESONANCE = "resonance"
 KIND_INTERTWINER = "intertwiner"
@@ -241,7 +241,9 @@ def find_scalar_poles(space, im_lo=-4.95, im_hi=4.95, step=0.01):
     change of w between nodes is narrowed by _narrow, which rejects the sign
     flips across poles of w.  Every value of w is read by _axis_w.  Returns
     the pole locations i sigma sorted by imaginary part; sigma = 0 is
-    skipped.
+    skipped.  The scan is made once per (c-function, node grid): bounds that
+    give the same nodes k * step share it, and each call returns a fresh
+    list.
     """
     bounds = (im_lo, im_hi, step)
     if not all(math.isfinite(x) for x in bounds):
@@ -249,12 +251,18 @@ def find_scalar_poles(space, im_lo=-4.95, im_hi=4.95, step=0.01):
     if step <= 0 or im_lo >= im_hi or (im_hi - im_lo) / step > _MAX_NODES:
         raise ValueError(f"axis scan needs step > 0, im_lo < im_hi and at most "
                          f"{_MAX_NODES} nodes, got (im_lo, im_hi, step) = {bounds}")
-    cf = for_space(space)
     k_lo = math.ceil(im_lo / step - 1e-9)
     k_hi = math.floor(im_hi / step + 1e-9)
+    return list(_scan(for_space(space), k_lo, k_hi, step))
+
+
+@lru_cache(maxsize=128)
+def _scan(cf, k_lo, k_hi, step):
+    """find_scalar_poles' scan of cf over the nodes k * step, k_lo <= k <=
+    k_hi, as a tuple."""
     sigmas = np.arange(k_lo, k_hi + 1) * step
     vals = _axis_w(cf, sigmas)
     roots = [_narrow(cf, sigmas[i], sigmas[i + 1])
              for i in np.flatnonzero(vals[:-1] * vals[1:] < 0)]
     poles = list(sigmas[vals == 0.0]) + [r for r in roots if r is not None]
-    return sorted((1j * s for s in poles), key=lambda z: z.imag)
+    return tuple(sorted((1j * s for s in poles), key=lambda z: z.imag))

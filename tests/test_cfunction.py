@@ -17,6 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hyperscatter import cfunction
 from hyperscatter.cfunction import compose_czz, for_space
 from hyperscatter.errors import NonFiniteInputError, OutOfRangeError, PoleSignal
 from hyperscatter.resolvent import kernel
@@ -463,11 +464,11 @@ def test_derivative_at_a_pole_carries_the_residue(name):
 
 
 @pytest.mark.parametrize("name", PROPERTY_NAMES)
-def test_scalar_czz_reads_c_values_alone(name):
-    # the scalar czz composes c's order and A at +-i zeta, with no psi: it
-    # equals the value czz_and_derivative reads off the full expansion bit
-    # for bit, at lattice points (zeros and poles) and random zeta, and at a
-    # pole raises the same PoleSignal
+def test_scalar_czz_reads_c_values_alone(name, monkeypatch):
+    # the scalar czz composes c's order and A at +-i zeta, with no psi (it
+    # is refused while czz reads): it equals the value czz_and_derivative
+    # reads off the full expansion bit for bit, at lattice points (zeros and
+    # poles) and random zeta, and at a pole raises the same PoleSignal
     cf = for_space(space_from_name(name))
     rng = random.Random(11)
     zetas = ([0.5j * k for k in range(-40, 41)] + [0.5 * k for k in range(-6, 7)]
@@ -480,7 +481,12 @@ def test_scalar_czz_reads_c_values_alone(name):
             return "pole", exc.at, exc.order, exc.residue, str(exc)
         return type(v), v.real.hex(), v.imag.hex()
 
-    outcomes = [outcome(cf.czz, z) for z in zetas]
+    def refuse(*args):
+        raise AssertionError("the scalar czz read c's slope")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cfunction, "psi", refuse)
+        outcomes = [outcome(cf.czz, z) for z in zetas]
     assert outcomes == [outcome(lambda z: cf.czz_and_derivative(z)[0], z) for z in zetas]
     assert sum(o[0] == "pole" for o in outcomes) > 0
     assert all(o[0] in ("pole", complex) for o in outcomes)

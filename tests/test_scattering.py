@@ -7,6 +7,7 @@ import warnings
 
 import pytest
 
+from hyperscatter import scattering
 from hyperscatter.boundary import boundary_pair
 from hyperscatter.cfunction import CFunction, for_space
 from hyperscatter.errors import NonFiniteInputError, PoleSignal, ResonantExponentError
@@ -17,6 +18,7 @@ from hyperscatter.scattering import (
     KIND_INTERTWINER,
     KIND_RESONANCE,
     ScatteringPole,
+    _scan,
     classify_poles,
     find_scalar_poles,
     ktype_eigenvalue,
@@ -146,7 +148,9 @@ def test_axis_scan_matches_classification():
 def test_axis_scan_off_its_default_grid(name, grid):
     # a step of 0.013 misses the half-integers, so every pole comes from a
     # sign change narrowed by the scan's array pass; an asymmetric window
-    # reads c(-sigma) at nodes outside it
+    # reads c(-sigma) at nodes outside it; the scan cache is cleared, so
+    # that no scan an earlier test made answers
+    _scan.cache_clear()
     space = space_from_name(name)
     lo, hi = grid.get("im_lo", -4.95), grid.get("im_hi", 4.95)
     want = sorted(p.zeta.imag for p in classify_poles(space, 12)
@@ -169,6 +173,7 @@ def test_axis_scan_reads_c_only_through_its_array_pass(monkeypatch):
 
     for attr in ("value", "derivative", "_local"):
         monkeypatch.setattr(CFunction, attr, refuse)
+    _scan.cache_clear()  # every scan below runs with the scalar c refused
     for name in names:
         got = find_scalar_poles(space_from_name(name), step=0.013)
         assert [z.imag for z in got] == pytest.approx(want[name], abs=1e-9), name
@@ -188,6 +193,35 @@ def test_axis_scan_rejects_hostile_grids():
                 {"im_lo": -1e300, "im_hi": 1e300}):
         with pytest.raises(ValueError):
             find_scalar_poles(H2, **bad)
+
+
+def test_axis_scan_is_made_once_per_node_grid(monkeypatch):
+    # the scan is cached per (c-function, node grid): a repeat reads no w,
+    # each call returns its own list, bounds that give the same nodes share
+    # the scan, a new step scans anew, and a hostile grid is refused before
+    # the cache on every call
+    _scan.cache_clear()
+    axis_w, calls = scattering._axis_w, []
+
+    def counted(cf, sigmas):
+        calls.append(len(sigmas))
+        return axis_w(cf, sigmas)
+
+    monkeypatch.setattr(scattering, "_axis_w", counted)
+    first = find_scalar_poles(H2)
+    want = list(first)
+    assert calls == [991] and len(want) == 9
+    calls.clear()
+    assert find_scalar_poles(H2) == want and calls == []
+    first.append(1j)
+    first.reverse()
+    assert find_scalar_poles(H2) == want
+    assert find_scalar_poles(H2, im_lo=-4.951) == want and calls == []
+    coarse = find_scalar_poles(H2, step=0.013)
+    assert calls[0] == 761
+    assert [z.imag for z in coarse] == pytest.approx([z.imag for z in want], abs=1e-9)
+    for _ in range(2):
+        test_axis_scan_rejects_hostile_grids()
 
 
 def test_pole_record_validation():
