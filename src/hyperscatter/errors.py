@@ -44,7 +44,7 @@ class DominanceError(ValueError):
 
 
 class StiffnessError(RuntimeError):
-    """The adaptive ODE integrator failed to reach the end of the interval."""
+    """The terms of a radial ODE Taylor step turn non-finite or do not settle."""
 
 
 class QuadratureError(RuntimeError):

@@ -275,7 +275,7 @@ def ktype_solution(lam, n, t_max=1.35):
     + c_S(-lambda) Q^S_lambda (past its entry's end, T_PHI, off the
     lattice), each (2 sinh t)^m Q^S is summed as one factor, so ``at``
     refuses (OutOfRangeError) only where f leaves the float range.  Where phi^S is
-    its series or ODE pieces, the two factors are floats, refused where
+    its series or its bridge, the two factors are floats, refused where
     (2 sinh t)^m overflows or a nonzero phi^S is below the normal floats,
     where the product would have lost its digits; at a zero of phi^S the
     profile is 0.

@@ -123,16 +123,16 @@ several, share one ``solve_ivp`` whose every operation acts on all N
 columns at once; the verify suites make one such solve per kind over the
 125 (family, lambda) pairs of their grid.  The solutions of one batch read
 the steps once per t, not once per lambda.  The steps grow with the phase
-|Im lambda| t, so a piece that would turn through more than
-_MAX_PHASE = 1e5 radians is refused with ValueError.
+|Im lambda| t, so ``solve_ivp`` refuses a solve, or a growth of one, that
+would turn through more than _MAX_PHASE = 1e5 radians with ValueError.
 
 ``eval_phi``, ``eval_Q``, ``connection_coefficients`` and the K-type profiles
 of ``model_h2`` read one cache, ``continuation``, with one entry per (space,
 lambda, kind): a Continuation, which is data (the start series, the
-switch, the end, the end series and the bridge's ODE pieces).  A piece ends
-at the first step end past the t that asked for it, and the next continues from
-its solve's own state there, so the pieces are the steps of one solve and a
-value depends on the key and t alone, not on the order of requests.
+switch, the end, the end series and the bridge's one solve).  A read past
+the solve's last step end grows it in place, to the first step end past
+that t, by a solve continued from its own state there, so a value depends
+on the key and t alone, not on the order of requests.
 ``eval_Q`` makes no entry for t >= log 2, where it reads the Frobenius
 series alone: through the entry, the residues suite's contour probe
 (``kernel`` at t = 1 on 128 zeta) would build a second-kind series of about
@@ -189,12 +189,14 @@ _Q_CONDITION = 1e3  # Q's series conditioned worse than this at log 2: a bridge 
 _Q_BRIDGE_ENDS = [T_SWITCH * k / 64 for k in range(63, 0, -1)]  # where Q's bridge may end
 
 _MAX_EXPONENT = 700.0  # a solution growing past e^700 leaves the floating-point range
-_MAX_PHASE = 1e5  # radians an ODE piece may turn through: about 100 s of steps
+_MAX_PHASE = 1e5  # radians a solve or its growth may turn through: about 100 s of steps
 
 
 def _require_finite(lam):
+    """lam; NonFiniteInputError for nan or inf parts."""
     if not cmath.isfinite(lam):
         raise NonFiniteInputError(f"lambda = {lam} is not finite")
+    return lam
 
 
 def _radius(t):
@@ -547,7 +549,8 @@ class _TaylorSteps:
     scaled by 2^-exponent, and ``self(t)`` is (u, u') of every column at t,
     from the polynomial of the step t lies in (at a step end, the step that
     ends there).  A step keeps t0, h, its terms and each column's scale, a
-    power of two.
+    power of two.  ``join`` grows it in place; a read between the old ends
+    keeps its step.
     """
 
     def __init__(self, ode, t, nfev, steps, y):
@@ -555,6 +558,7 @@ class _TaylorSteps:
         self._steps = steps
         self._sign = 1.0 if t[-1] > t[0] else -1.0
         self._keys = (self._sign * t).tolist()
+        self._reads = {}  # the last 32 t: a batch's columns share one read per t
 
     def __call__(self, t):
         k = min(max(bisect_left(self._keys, self._sign * t) - 1, 0), len(self._steps) - 1)
@@ -566,6 +570,22 @@ class _TaylorSteps:
         with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, for _checked
             f = np.ldexp(np.exp(-sigma * (t - t0)), exponent)
             return f * w, f * (dw - sigma * w)
+
+    def column(self, i, t):
+        """(u, u') of column i at t."""
+        if t not in self._reads:
+            self._reads[t] = self(t)
+            if len(self._reads) > 32:
+                del self._reads[next(iter(self._reads))]
+        u, du = self._reads[t]
+        return u[i], du[i]
+
+    def join(self, more):
+        """Append ``more``, the solve continued from this one's ``y``."""
+        self.t, self.y = np.concatenate((self.t, more.t[1:])), more.y
+        self.nfev += more.nfev
+        self._steps += more._steps
+        self._keys += more._keys[1:]
 
 
 def solve_ivp(ode, t_span, y0):
@@ -583,8 +603,14 @@ def solve_ivp(ode, t_span, y0):
     |A_1|) in [1/2, 1) at each step's start, so that the scaling is exact
     and a column that underflows or overflows does not disturb the others.
     StiffnessError where a step's terms do not settle or turn non-finite.
+    ValueError where max |Im lambda| |t1 - t0|, the phase the solve turns
+    through, passes _MAX_PHASE: the step count grows with it.
     """
     t0, t1 = t_span
+    fastest = complex(ode[3][np.abs(ode[3].imag).argmax()])
+    if abs(fastest.imag * (t1 - t0)) > _MAX_PHASE:
+        raise ValueError(f"the radial ODE at lambda = {fastest} would turn through more "
+                         f"than {_MAX_PHASE:g} radians between t = {t0} and t = {t1}")
     u, du = (np.array(x, dtype=complex) for x in y0[:2])
     exponent = np.zeros(len(u), dtype=int) + y0[2]
     sigma = _shift(ode)
@@ -621,23 +647,6 @@ def _ode(spaces, lams):
             np.array(lams))
 
 
-def _solutions(spaces, lams, sol, t_lo, t_hi):
-    """One RadialSolution on [t_lo, t_hi] per column of the solve ``sol``,
-    all reading the shared steps once per t (the last 32 t are kept), each
-    read refused past the float range by ``_checked``."""
-    read = lru_cache(maxsize=32)(sol)
-
-    def solution(i):
-        def ev(t):
-            u, du = read(t)
-            return u[i], du[i]
-
-        return RadialSolution(spaces[i], lams[i], t_lo, t_hi, partial(_checked, ev, lams[i]),
-                              sol.t)
-
-    return [solution(i) for i in range(len(lams))]
-
-
 def integrate_radial_ode(space, lams, t_span, inits):
     """Continue (u, u') of the radial ODE across t_span = (t0, t1) for each
     lambda in ``lams``, starting from the matching (u, u') in ``inits``.
@@ -645,25 +654,26 @@ def integrate_radial_ode(space, lams, t_span, inits):
     ``space`` is one space, or one per lambda: the ODE's coefficients are
     per-column arrays, so lambdas of different spaces share one solve_ivp
     and its steps.  The returned list holds one RadialSolution per lambda,
-    each reading its own (u, u') from the shared steps, which are read once
-    per t for the whole batch (the last 32 t are kept), not once per
-    solution.  t_span may be decreasing (backward continuation toward the
-    singular endpoint).  Both endpoints must be positive, finite and
-    distinct.
+    each reading its column of the steps, which are read once per t for the
+    whole batch.  t_span may be decreasing (backward continuation toward
+    the singular endpoint), its ends positive, finite and distinct, and
+    every lambda finite.
     """
     t0, t1 = _radius(t_span[0]), _radius(t_span[1])
     if min(t0, t1) <= 0.0:
         raise ValueError("t_span must stay inside (0, inf)")
     if t0 == t1:
         raise ValueError("t_span must have two distinct ends")
-    lams = [complex(lam) for lam in lams]
+    lams = [_require_finite(complex(lam)) for lam in lams]
     count = len(lams)
     if count == 0 or len(inits) != count:
         raise ValueError("need one initial (u, u') pair per lambda, at least one")
     spaces = _spaces(space, count)
     sol = solve_ivp(_ode(spaces, lams), (t0, t1),
                     ([u for u, _ in inits], [v for _, v in inits], 0))
-    return _solutions(spaces, lams, sol, min(t0, t1), max(t0, t1))
+    return [RadialSolution(s, lam, min(t0, t1), max(t0, t1),
+                           partial(_checked, partial(sol.column, i), lam), sol.t)
+            for i, (s, lam) in enumerate(zip(spaces, lams))]
 
 
 # -- stitched solutions and their cache --------------------------------------
@@ -673,10 +683,10 @@ class Continuation:
     """One radial solution of (space, lambda): the series ``start`` up to
     ``switch``, a Taylor bridge on to ``end`` (``switch`` itself where the
     series meet, sign * inf where ``beyond`` is None), the series ``beyond``
-    past it; ``sign`` is +1 forward, -1 backward.  Each ODE piece ends at
-    the first step end past the t that asked for it (``reach``) and the next
-    continues its solve's state there (``state``): the pieces are one
-    solve's steps, so a value depends on t alone, not on request order.  A
+    past it; ``sign`` is +1 forward, -1 backward.  The bridge is column
+    ``column`` of one solve, ``steps``, made at the first read past the
+    switch and grown in place to the first step end past each later t that
+    lies beyond it, so a value depends on t alone, not on request order.  A
     forward bridge leaves the float range past ``limit``, where the growth
     e^((|Re lambda| - rho) t) of every radial solution passes e^_MAX_EXPONENT.
     """
@@ -685,18 +695,16 @@ class Continuation:
         self.space, self.lam = space, lam
         self.start, self.switch, self.end, self.sign = start, switch, end, sign
         self.beyond = beyond
-        self.reach = switch  # the last step end of the pieces
-        self.state = None  # (u, u', exponent) at reach, once a piece ends there
-        self.pieces = []
+        self.steps = self.column = None
         growth = abs(lam.real) - space.rho
         self.limit = _MAX_EXPONENT / growth if growth > 0.0 and sign > 0.0 else math.inf
 
     def pair(self, t):
-        """(u(t), u'(t)), integrating a further piece if t lies on the bridge
-        beyond the pieces; _extend refuses t past ``limit``, whatever was
-        read before, and a piece past _MAX_PHASE, and ``_checked`` a u past
-        the float range.  At a 1-d array of t (two arrays) each series reads
-        its t in one pass and the bridge reads its t one at a time."""
+        """(u(t), u'(t)), growing the solve if t lies on the bridge beyond
+        its last step end; _extend refuses t past ``limit``, whatever was
+        read before, solve_ivp a growth past _MAX_PHASE, and ``_checked`` a
+        u past the float range.  At a 1-d array of t (two arrays) each series
+        reads its t in one pass and the bridge reads its t one at a time."""
         return _checked(self._pair, self.lam, t)
 
     def _pair(self, t):
@@ -711,9 +719,9 @@ class Continuation:
             return self.start.pair(t)
         if (t - self.end) * sign > 0.0:
             return self.beyond.pair(t)
-        if (t - self.reach) * sign > 0.0 or t > self.limit:
+        if self.steps is None or (t - self.steps.t[-1]) * sign > 0.0 or t > self.limit:
             _extend([self], t)
-        return next(p for p in self.pieces if p.t_lo <= t <= p.t_hi)._eval(t)
+        return self.steps.column(self.column, t)
 
     def view(self, t_lo, t_hi, ts=None):
         """A RadialSolution on [t_lo, t_hi] reading this continuation."""
@@ -721,34 +729,23 @@ class Continuation:
 
 
 def _extend(conts, end):
-    """Add a piece past ``end`` to continuations sharing a reach, of one
-    space or of several, from each one's state there (its start's (u, u')
-    where it has no piece yet).
-
-    Refused (OutOfRangeError) where ``end`` passes the ``limit`` of a
-    member, in its own space, and (ValueError) where the piece's phase,
-    |Im lambda| times its length, passes _MAX_PHASE: the step count grows
-    with it.
+    """Carry the bridge of continuations past ``end`` by one solve_ivp call:
+    where they have no solve yet (they share a switch, and may be of
+    several spaces), one solve of them all from their start at the switch;
+    else a growth of the solve they share.  OutOfRangeError where ``end``
+    passes the ``limit`` of a member, in its own space.
     """
-    reach = conts[0].reach
     nearest = min(conts, key=lambda c: c.limit)
     if end > nearest.limit:
         raise OutOfRangeError(f"the radial solution at lambda = {nearest.lam} leaves "
                               f"the floating-point range before t = {end}")
-    fastest = max(conts, key=lambda c: abs(c.lam.imag))
-    if abs(fastest.lam.imag) * abs(end - reach) > _MAX_PHASE:
-        raise ValueError(f"the radial ODE at lambda = {fastest.lam} would turn through "
-                         f"more than {_MAX_PHASE:g} radians between t = {reach} "
-                         f"and t = {end}")
-    spaces, lams = [c.space for c in conts], [c.lam for c in conts]
-    states = [c.state or (*c.pair(reach), 0) for c in conts]
-    sol = solve_ivp(_ode(spaces, lams), (reach, end), tuple(zip(*states)))
-    last = float(sol.t[-1])
-    pieces = _solutions(spaces, lams, sol, min(reach, last), max(reach, last))
-    for i, (cont, piece) in enumerate(zip(conts, pieces)):
-        cont.pieces.append(piece)
-        cont.reach = last
-        cont.state = tuple(x[i] for x in sol.y)
+    steps, switch = conts[0].steps, conts[0].switch
+    if steps is not None:
+        return steps.join(solve_ivp(steps.ode, (float(steps.t[-1]), end), steps.y))
+    sol = solve_ivp(_ode([c.space for c in conts], [c.lam for c in conts]), (switch, end),
+                    (*zip(*(c.pair(switch) for c in conts)), 0))
+    for i, cont in enumerate(conts):
+        cont.steps, cont.column = sol, i
 
 
 @lru_cache(maxsize=512)
@@ -1064,9 +1061,9 @@ def phi_solution(space, lam, t_max):
               for s, x in zip(spaces, lams)]
     conts = [Continuation(s, x, start, start.reach, math.inf, 1.0, None)
              for s, x, start in zip(spaces, lams, starts)]
-    for seed in dict.fromkeys(c.reach for c in conts):
-        _extend([c for c in conts if c.reach == seed], t_max)
-    out = [c.view(0.0, t_max, c.pieces[0].ts) for c in conts]
+    for seed in dict.fromkeys(c.switch for c in conts):
+        _extend([c for c in conts if c.switch == seed], t_max)
+    out = [c.view(0.0, t_max, c.steps.t) for c in conts]
     return out if many else out[0]
 
 
@@ -1085,7 +1082,7 @@ def q_solution(space, lam, t_min):
              for s, lam in zip(spaces, lams)]
     if t_min < T_SWITCH:
         _extend(conts, t_min)
-    out = [c.view(t_min, math.inf, c.pieces[0].ts if c.pieces else np.empty(0))
+    out = [c.view(t_min, math.inf, np.empty(0) if c.steps is None else c.steps.t)
            for c in conts]
     return out if many else out[0]
 

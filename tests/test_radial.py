@@ -480,6 +480,7 @@ def test_non_finite_lambda_raises_structured_error(bad):
         lambda: wronskian_limit(H2, bad),
         lambda: phi_solution(H2, [0.7, bad], 2.0),
         lambda: q_solution(H2, [0.7, bad], 0.5),
+        lambda: radial.integrate_radial_ode(H2, [bad], (0.2, 2.0), [(1.0, 0.0)]),
     )
     for call in calls:
         with pytest.raises(NonFiniteInputError):
@@ -1125,11 +1126,17 @@ def test_huge_lambda_gives_one_at_zero_and_value_errors_elsewhere():
             call()
 
 
-def test_ode_pieces_refuse_a_huge_imaginary_lambda():
-    # the steps of a piece grow with |Im lambda| times its length; at
-    # 1e10j the forward (phi) and backward (Q) pieces would take hours
+def test_ode_pieces_refuse_a_huge_imaginary_lambda(monkeypatch):
+    # the steps of a solve grow with |Im lambda| times its length; at
+    # 1e10j the forward (phi) and backward (Q) bridges and a direct solve
+    # would take hours.  Each is refused before its first step
+    def no_step(*args):
+        raise AssertionError("a step was formed")
+
+    monkeypatch.setattr(radial, "_step_terms", no_step)
     for call in (lambda: eval_phi(H2, 1e10j, 0.3), lambda: eval_Q(H2, 1e10j, 0.3),
-                 lambda: phi_solution(H2, 1e10j, 0.3), lambda: q_solution(H2, 1e10j, 0.3)):
+                 lambda: phi_solution(H2, 1e10j, 0.3), lambda: q_solution(H2, 1e10j, 0.3),
+                 lambda: radial.integrate_radial_ode(H2, [1e10j], (0.2, 2.0), [(1.0, 0.0)])):
         with pytest.raises(ValueError, match="radians"):
             call()
 
@@ -1348,12 +1355,24 @@ def test_phi_is_even_in_lambda_property(point, t):
     assert gap <= 1e-10 * abs(eval_phi(space, lam.real, t)), (space, lam, t)
 
 
-@settings(_hypothesis_settings, max_examples=15)
-@given(_off_lattice_point(),
-       st.lists(st.floats(1e-3, 9.0), min_size=2, max_size=6),
+@st.composite
+def _near_lattice_point(draw):
+    """lambda within LATTICE_GUARD of an integer, where phi's bridge has no end."""
+    name = draw(st.sampled_from(_SERIES_FAMILIES))
+    offset = draw(st.complex_numbers(max_magnitude=0.049, allow_nan=False,
+                                     allow_infinity=False))
+    return space_from_name(name), draw(st.integers(-20, 20)) + offset
+
+
+@settings(_hypothesis_settings, max_examples=30)
+@given(st.one_of(st.tuples(_off_lattice_point(),
+                           st.lists(st.floats(1e-3, 9.0), min_size=2, max_size=6)),
+                 # a read must not change when the bridge's last step end moves
+                 st.tuples(_near_lattice_point(),
+                           st.lists(st.floats(1e-3, 30.0), min_size=2, max_size=6))),
        st.randoms(use_true_random=False))
-def test_phi_does_not_depend_on_request_order_property(point, ts, rnd):
-    space, lam = point
+def test_phi_does_not_depend_on_request_order_property(case, rnd):
+    (space, lam), ts = case
     ts = sorted(ts) + [1.4, 1.5, 1.6]
 
     def run(order):
@@ -1411,23 +1430,23 @@ def _code_reachable_from(root, skip):
 
 @pytest.mark.parametrize("space, lam, kind, ts", [
     (H2, 0.8 + 0.3j, radial._phi_series, (0.5, 3.0)),  # c Q beyond the switch
-    (H2, 3.02 + 0j, radial._phi_series, (0.5, 3.0)),  # near the lattice: ODE pieces
+    (H2, 3.02 + 0j, radial._phi_series, (0.5, 3.0)),  # near the lattice: a bridge
     (H2, 0.8 + 0.3j, radial._q_second_kind, (1.0, 0.3)),  # second-kind series below
-    (H3, 8.3 + 0.4j, radial._q_second_kind, (1.0, 0.3)),  # ill-conditioned: ODE pieces
+    (H3, 8.3 + 0.4j, radial._q_second_kind, (1.0, 0.3)),  # ill-conditioned: a bridge
 ])
 def test_cache_entries_keep_no_code_outside_their_ode_pieces(space, lam, kind, ts):
-    # an entry is data (series, c values, switch, end) plus the ODE pieces:
-    # a closure or cache per entry adds cells and functions that every full
-    # garbage collection traverses.  Pieces are made only for reads on the
-    # bridge between the switch and the end
+    # an entry is data (series, c values, switch, end) plus the bridge's
+    # one solve: a closure or cache per entry adds cells and functions that
+    # every full garbage collection traverses.  The solve is made only for
+    # reads on the bridge between the switch and the end
     continuation.cache_clear()
     entry = continuation(space, lam, kind)
     for t in ts:
         entry.pair(t)
-    assert _code_reachable_from(entry, entry.pieces) == []
+    assert _code_reachable_from(entry, entry.steps) == []
     sign = entry.sign
     bridge = [t for t in ts if (t - entry.switch) * sign > 0.0 >= (t - entry.end) * sign]
-    assert bool(bridge) == bool(entry.pieces)
+    assert bool(bridge) == (entry.steps is not None)
 
 
 @pytest.mark.parametrize("space, lam, kind, ts", [
@@ -1436,24 +1455,24 @@ def test_cache_entries_keep_no_code_outside_their_ode_pieces(space, lam, kind, t
     (H2, 40j, radial._phi_series, (0.15, 0.3, 0.7, 1.2, 2.0)),  # switch below log 2
     (H3, 8.3 + 0.4j, radial._q_second_kind, (0.6, 0.3, 0.1, 0.02, 0.005)),  # ill-conditioned
 ], ids=["h2-3.02", "oh2-5", "h2-40j", "h3-8.3+0.4j"])
-def test_ode_pieces_read_alike_in_any_request_order(space, lam, kind, ts):
-    # a piece ends at the first step end past the t that asked for it, and
-    # the next continues its solve's own state: the pieces are one solve's
-    # steps, so every read, at a piece's end included, is the same bits
-    # whatever the order of the reads
+def test_ode_pieces_read_alike_in_any_request_order(monkeypatch, space, lam, kind, ts):
+    # the bridge's solve grows to the first step end past the t that asked
+    # for it, by a solve continued from its own state there: its steps are
+    # one solve's, so every read, at every step end included, is the same
+    # bits whatever the order of the reads
     def run(order):
         continuation.cache_clear()
         entry = continuation(space, lam, kind)
         return {t: entry.pair(t) for t in order}, entry
 
+    solves = _solves(monkeypatch)
     ascending = sorted(ts, key=lambda t: (t - ts[0]) * (ts[1] - ts[0]))
     _, entry = run(ascending)
-    ends = [float(p.ts[-1]) for p in entry.pieces] + [float(entry.pieces[-1].ts[1])]
-    ts = ascending + ends
+    assert len(solves) > 2  # a first solve, then more than one growth
+    ts = ascending + entry.steps.t[1:].tolist()
     shuffled = list(ts)
     random.Random(4).shuffle(shuffled)
-    first, entry = run(ts)
-    assert len(entry.pieces) > 1
+    first = run(ts)[0]
     assert run(ts[::-1])[0] == first
     assert run(shuffled)[0] == first
 
