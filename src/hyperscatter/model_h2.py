@@ -104,16 +104,16 @@ def _bracket_t_derivative_grid(r, thetas):
     return -r - (1.0 - r * r) * (r - np.cos(thetas)) / d2
 
 
-def _trapezoid_doubling(node_sum, tol, cap=_MAX_NODES):
+def _trapezoid_doubling(node_sum, tol, cap=_MAX_NODES, first=64):
     """Mean of a periodic integrand over doubling grids until stable.
 
     ``node_sum(thetas)`` returns the integrand summed over the nodes (an
     array for integrands converged together, every entry to ``tol``);
     previous levels are reused (the 2N-grid mean is the average of the
-    N-grid mean and the midpoint mean).  Returns (value, nodes_used,
-    converged).
+    N-grid mean and the midpoint mean), from ``first`` nodes on.  Returns
+    (value, nodes_used, converged).
     """
-    n = 64  # the first grid
+    n = first
     thetas = 2.0 * math.pi * np.arange(n) / n
     total = node_sum(thetas)
     value = total / n
@@ -160,8 +160,10 @@ def poisson_radial_pair(lam, n, t):
     A sequence of n gives a list of pairs: the kernel and its t-derivative
     are sampled once per node set for all of them, and the K-types converge
     jointly (the doubling stops when every one has settled to _POISSON_TOL).
-    A non-integral n raises ValueError, a nan or infinite lambda or t
-    NonFiniteInputError.
+    N nodes read mode n with the modes n +- N, so the first grid has at
+    least 4 max|n|.  A non-integral n raises ValueError, a nan or infinite
+    lambda or t NonFiniteInputError, and an |n| whose first grid leaves no
+    doubling below 2^17 nodes OutOfRangeError.
     """
     lam = complex(lam)
     t = float(t)
@@ -170,9 +172,12 @@ def poisson_radial_pair(lam, n, t):
     ns = list(n) if many else [n]
     if not ns:
         raise ValueError("need at least one K-type index n")
-    for k in ns:
-        _ktype_index(k)  # refuses 1.5, nan, inf
-    ns = [int(k) for k in ns]
+    ns = [_integer("K-type index n", k) for k in ns]  # refuses 1.5, nan, inf
+    top = max(map(abs, ns))
+    first = max(64, 1 << (4 * top - 1).bit_length())  # the power of two >= 4 |n|
+    if first > _MAX_NODES // 2:
+        raise OutOfRangeError(f"K-type index |n| = {top} needs more than {_MAX_NODES} "
+                              "trapezoid nodes")
     r = r_of_t(t)
 
     def node_sum(thetas):
@@ -182,7 +187,7 @@ def poisson_radial_pair(lam, n, t):
         # one K-type at a time: a (nodes x K-types) array would cost memory
         return np.array([both @ circle**k for k in ns])
 
-    value, nn, ok = _trapezoid_doubling(node_sum, _POISSON_TOL)
+    value, nn, ok = _trapezoid_doubling(node_sum, _POISSON_TOL, first=first)
     if not ok:
         raise QuadratureError(f"Poisson pair quadrature not converged at {nn} nodes")
     pairs = [(complex(u), complex(du)) for u, du in value]
@@ -276,40 +281,43 @@ def ktype_solution(lam, n, t_max=1.35):
     lattice), each (2 sinh t)^m Q^S is summed as one factor, so ``at``
     refuses (OutOfRangeError) only where f leaves the float range.  Where phi^S is
     its series or its bridge, the two factors are floats, refused where
-    (2 sinh t)^m overflows or a nonzero phi^S is below the normal floats,
+    (2 sinh t)^m or a nonzero phi^S is past or below the normal floats,
     where the product would have lost its digits; at a zero of phi^S the
     profile is 0.
     """
     lam = complex(lam)
     m = _ktype_index(n)
     phi = continuation(ktype_space(m), lam, _phi_series)
-    front = math.prod((lam + 0.5 + j for j in range(m)), start=1.0 + 0j)
-    front /= 4**m * math.factorial(m)
+    # a running product: 4^m m! passes the float range from m = 134 on
+    front = math.prod(((lam + 0.5 + j) / (4 * (j + 1)) for j in range(m)), start=1.0 + 0j)
 
     def pair(t):
         if t > phi.end:
             cp, cm, q_minus, q_plus = phi.beyond.terms
             (a, da), (b, db) = _ktype_q(q_minus, m, t), _ktype_q(q_plus, m, t)
             return front * (cp * a + cm * b), front * (cp * da + cm * db)
-        u, du = phi.pair(t)
         try:
             p, dp = ktype_prefactor(m, t)
         except OverflowError:
             p = math.inf
-        if not (math.isfinite(p) and (u == 0 or abs(u) >= sys.float_info.min)):
-            raise OutOfRangeError(f"(2 sinh t)^{m} or phi^S_lambda(t) leaves the "
-                                  f"floating-point range at t = {t}")
-        return front * p * u, front * (dp * u + p * du)
+        if sys.float_info.min <= p < math.inf:  # first: on a large S phi^S's bridge is long
+            u, du = phi.pair(t)
+            if u == 0 or abs(u) >= sys.float_info.min:
+                return front * p * u, front * (dp * u + p * du)
+        raise OutOfRangeError(f"(2 sinh t)^{m} or phi^S_lambda(t) leaves the "
+                              f"floating-point range at t = {t}")
 
     return RadialSolution(H2, lam, 0.0, max(float(t_max), 1.35), pair)
 
 
 def ktype_radial_profile(lam, n, t):
     """f_{lambda,n}(t) with P_lambda(e^{in theta}) = f_{lambda,n}(t) e^{in b};
-    OutOfRangeError where it leaves the float range."""
+    NonFiniteInputError for a nan or infinite t, OutOfRangeError where it
+    leaves the float range."""
     t = float(t)
-    if not 0.0 < t < math.inf:
-        raise ValueError("profile evaluated at finite t > 0 (it vanishes like t^|n| at 0)")
+    _require_finite(t=t)
+    if t <= 0.0:
+        raise ValueError("profile evaluated at t > 0 (it vanishes like t^|n| at 0)")
     value = ktype_solution(lam, n, t_max=t).at(t)[0]
     if not cmath.isfinite(value):
         raise OutOfRangeError(f"the K-type profile at t = {t} overflows the "
@@ -404,7 +412,8 @@ def oracle_h3(lam, t):
 
     phi = sinh(lambda t)/(lambda sinh t) with the entire continuation
     t/sinh t at lambda = 0; Q = y^(1+lambda)/(1-y^2); c = 1/lambda.  A nan
-    or infinite lambda or t raises NonFiniteInputError.
+    or infinite lambda or t raises NonFiniteInputError, and a phi or Q
+    whose closed form leaves the float range OutOfRangeError.
     """
     lam = complex(lam)
     t = float(t)
@@ -412,13 +421,17 @@ def oracle_h3(lam, t):
     if t <= 0.0:
         raise ValueError("oracle needs t > 0")
     x = lam * t
-    if abs(x) < 1e-4:
-        # sinh(x)/x by series, accurate through the removable point
-        ratio = 1.0 + x * x / 6.0 * (1.0 + x * x / 20.0)
-    else:
-        ratio = cmath.sinh(x) / x
-    phi = ratio * t / math.sinh(t)
-    y = math.exp(-t)
-    q = cmath.exp(-(1.0 + lam) * t) / (1.0 - y * y)
+    try:
+        if abs(x) < 1e-4:
+            # sinh(x)/x by series, accurate through the removable point
+            ratio = 1.0 + x * x / 6.0 * (1.0 + x * x / 20.0)
+        else:
+            ratio = cmath.sinh(x) / x
+        phi = ratio * t / math.sinh(t)
+        y = math.exp(-t)
+        q = cmath.exp(-(1.0 + lam) * t) / (1.0 - y * y)
+    except OverflowError:
+        raise OutOfRangeError(f"the H^3 closed forms at lambda = {lam}, t = {t} leave "
+                              "the floating-point range") from None
     c = 1.0 / lam if lam != 0 else complex("inf")
     return H3Oracle(phi=phi, Q=q, c=c)

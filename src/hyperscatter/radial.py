@@ -298,29 +298,23 @@ def _check_exponent(lam, step=1):
 # -- Frobenius solution Q ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrobeniusSeries:
     """Power-series data of Q_lambda(t) = y^exponent * sum_nu h_nu y^nu.
 
-    ``coefficients[0] == 1`` and the stored truncation satisfies the tail
-    bound |h_N| * _Y_MAX^N below the construction tolerance times the sum of
-    the |h_nu| _Y_MAX^nu.
+    The odd h_nu vanish identically: ``rows`` holds h_nu and nu h_nu for
+    the even nu, one column each, with h_0 = 1, and the truncation
+    satisfies the tail bound |h_N| * _Y_MAX^N below the construction
+    tolerance times the sum of the |h_nu| _Y_MAX^nu.
     """
 
-    space: RankOneSpace
-    lam: complex
     exponent: complex
-    coefficients: tuple
+    rows: np.ndarray
 
     @property
     def truncation(self):
-        return len(self.coefficients) - 1
-
-    @cached_property
-    def _rows(self):
-        """The even coefficients h_nu and nu h_nu (odd ones vanish identically)."""
-        h = np.array(self.coefficients[::2])
-        return np.array([h, 2.0 * np.arange(len(h)) * h])
+        """N, the last power of y summed."""
+        return 2 * (self.rows.shape[1] - 1)
 
     def series_sums(self, y):
         """(h(y), y h'(y)) at y with |y| <= _Y_MAX, a float (two complex
@@ -329,8 +323,7 @@ class FrobeniusSeries:
         size = abs(y).max(initial=0.0) if isinstance(y, np.ndarray) else abs(y)
         if size > _Y_MAX * (1.0 + 1e-12):
             raise ValueError(f"series evaluated at y={y} outside radius {_Y_MAX}")
-        rows = self._rows
-        return tuple(_power_sums(rows, y * y, np.arange(rows.shape[1])))
+        return tuple(_power_sums(self.rows, y * y, np.arange(self.rows.shape[1])))
 
     def pair(self, t):
         """(Q(t), dQ/dt) for t >= log 2, a float or a 1-d array (two arrays);
@@ -345,7 +338,7 @@ class FrobeniusSeries:
 
 
 def frobenius_Q(space, lam):
-    """Frobenius coefficients of Q_lambda, truncated after two terms
+    """The FrobeniusSeries of Q_lambda, truncated after two terms
     |h_nu| 2^-nu below _FROBENIUS_TOL of the sum of the |h_j| 2^-j so far
     (relative, since on a large family h(1/2) itself is huge).
 
@@ -365,11 +358,9 @@ def frobenius_Q(space, lam):
     m_a, m_2a = 2.0 * space.m_alpha, 4.0 * space.m_2alpha
     every = e  # sum of (e+j) h_j over even j < nu
     by_residue = [e, 0j]  # ... over j = 0 and j = 2 mod 4
-    h = [1.0 + 0j]
-    r = 0.5
-    size = 1.0  # sum of |h_j| r^j over the terms so far
-    quiet = 0
-    nu = 0
+    h = [1.0 + 0j]  # the even coefficients
+    size = 1.0  # sum of |h_j| 2^-j over the terms so far
+    quiet = nu = 0
     while quiet < 2 and nu + 2 <= _FROBENIUS_MAX_TERMS:
         nu += 2
         side = nu % 4 // 2
@@ -380,26 +371,15 @@ def frobenius_Q(space, lam):
         term = (e + nu) * h_nu
         every += term
         by_residue[side] += term
-        h.append(0j)  # odd coefficient
         h.append(h_nu)
-        tail = abs(h_nu) * r**nu
+        tail = abs(h_nu) * _Y_MAX**nu
         size += tail
-        if nu >= 8 and tail < _FROBENIUS_TOL * size:
-            quiet += 1
-        else:
-            quiet = 0
+        quiet = quiet + 1 if nu >= 8 and tail < _FROBENIUS_TOL * size else 0
     if quiet < 2:
-        warnings.warn(
-            f"Frobenius tail still {tail / size:.2e} of the sum after {nu} terms "
-            f"(lambda={lam})",
-            AccuracyWarning,
-        )
-    return FrobeniusSeries(
-        space=space,
-        lam=lam,
-        exponent=e,
-        coefficients=tuple(h),
-    )
+        warnings.warn(f"Frobenius tail still {tail / size:.2e} of the sum after {nu} terms "
+                      f"(lambda={lam})", AccuracyWarning)
+    h = np.array(h)
+    return FrobeniusSeries(e, np.array([h, 2.0 * np.arange(len(h)) * h]))
 
 
 @lru_cache(maxsize=512)

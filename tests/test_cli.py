@@ -201,6 +201,15 @@ def test_unknown_space_is_usage_error(capsys):
         main(["cfun", "--space", "h0", "--lambda", "1.0"])
     assert info.value.code == 2
     capsys.readouterr()
+    # a multiplicity past the float range is refused when the space is
+    # built: cfun printed an OverflowError row, verify died with a traceback
+    huge = f"hn:{10**400}"
+    for argv in (["cfun", "--space", huge, "--lambda", "0.7"],
+                 ["verify", "--space", huge, "--suite", "connection"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "floating-point range" in capsys.readouterr().err
 
 
 def test_bad_complex_is_usage_error(capsys):

@@ -110,9 +110,13 @@ def test_batched_poisson_radial_pair_matches_scalar_calls(t):
             assert abs(du - single[1]) <= 1e-10 * max(1.0, abs(single[1])), (lam, n)
 
 
-def test_poisson_quadratures_refuse_bad_input():
+def test_poisson_quadratures_refuse_bad_input(monkeypatch):
     # a non-integral n is not truncated, and a nan or infinite argument is
     # refused before any node is sampled
+    def refuse(*args):
+        raise AssertionError("a node was sampled")
+
+    monkeypatch.setattr(model_h2, "_bracket_grid", refuse)
     with pytest.raises(ValueError):
         poisson_radial_pair(0.7, 1.5, 0.3)
     with pytest.raises(ValueError):
@@ -124,6 +128,12 @@ def test_poisson_quadratures_refuse_bad_input():
     for lam, z in ((math.nan, 0.3), (0.7, complex(math.nan, 0.1)), (0.7, math.inf)):
         with pytest.raises(NonFiniteInputError):
             poisson_transform(lam, lambda th: 1.0, z)
+    # so is a K-type whose first grid, 4|n| nodes, leaves no doubling below
+    # 2^17 (at 10^300 the circle's powers overflowed, and the refusal came
+    # after 2^17 nodes)
+    for n in (2**14 + 1, [0, -10**300]):
+        with pytest.raises(OutOfRangeError, match="nodes"):
+            poisson_radial_pair(0.7, n, 0.3)
 
 
 @pytest.mark.parametrize("call", [
@@ -185,6 +195,27 @@ def test_ktype_profile_matches_poisson_quadrature():
                 assert abs(got - u) / abs(u) < 1e-7, (lam, n, t)
 
 
+@pytest.mark.parametrize("n", [64, 128, 150, 400])
+def test_high_ktypes_match_mpmath(n):
+    # the doubling began at 64 nodes for every n, and N nodes read mode n
+    # with the modes n +- N: 64 and 128 nodes both read mode 128 as mode 0
+    # (1.0585, against 3.5e-43 at t = 1) and called it settled.  The
+    # quadrature's error is absolute, about 1e-16 of the kernel's size
+    # (measured worst 4.7e-15).  ktype_solution's (lambda+1/2)_m / (4^m m!)
+    # raised OverflowError from m = 134 on; it is read below T_PHI (measured
+    # worst 1.8e-14 relative, n = 400).  (Past T_PHI phi on a shifted space
+    # this large loses its digits to the c Q terms.)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (1.0, 3.0):
+            want = _mp_ktype_profile(0.7, n, t)
+            u, _ = poisson_radial_pair(0.7, n, t)
+            assert abs(u - want) < 5e-14, (n, t)
+            if t < 1.5:
+                got = ktype_radial_profile(0.7, n, t)
+                assert abs(got - want) < 1e-13 * abs(want), (n, t)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.floats(0.1, 2.5), st.floats(-1.0, 1.0), st.integers(0, 5),
        st.floats(0.05, 3.0))
@@ -232,15 +263,18 @@ def test_ktype_profile_past_the_float_range_of_its_factors(lam, n, t):
 def test_ktype_profile_refuses_non_finite_and_overflowing_t(t):
     # the profile grows like e^((|Re lambda| - 1/2) t), e^800 at t = 400 for
     # lambda = 2.5 + 0.8i.  (At 0.8i it is refused no longer: at t = 400 it
-    # is about 1e-87, though phi of the shifted space is about e^-1000)
-    with pytest.raises(OutOfRangeError if math.isfinite(t) else ValueError):
+    # is about 1e-87, though phi of the shifted space is about e^-1000.)  A
+    # nan t raised a plain ValueError
+    with pytest.raises(OutOfRangeError if math.isfinite(t) else NonFiniteInputError):
         ktype_radial_profile(2.5 + 0.8j, 2, t)
 
 
 def test_ktype_profile_is_zero_where_its_spherical_factor_is(monkeypatch):
     # near the lattice the profile is (2 sinh t)^m times phi^S as two floats;
     # a phi^S that rounds to 0 (a zero of an oscillating phi^S) gives the
-    # profile 0, and only a nonzero phi^S below the normal floats is refused
+    # profile 0, and only a nonzero phi^S below the normal floats is refused,
+    # as is a (2 sinh t)^m below them, before phi^S is read: at n = 10^5,
+    # t = 0.3 that read takes 15 s
     class Zero:
         switch, end, beyond = 0.0, math.inf, None
 
@@ -255,6 +289,9 @@ def test_ktype_profile_is_zero_where_its_spherical_factor_is(monkeypatch):
     monkeypatch.setattr(model_h2, "continuation", lambda *args: Zero(1e-310))
     with pytest.raises(OutOfRangeError):
         ktype_radial_profile(1.0, 1, 2.0)
+    monkeypatch.setattr(Zero, "pair", None)  # reading phi^S fails the test
+    with pytest.raises(OutOfRangeError):
+        ktype_radial_profile(1.0, 200, 0.01)
 
 
 @pytest.mark.parametrize("n", [1.5, math.nan, math.inf])
@@ -311,6 +348,10 @@ def test_oracle_h3_domain():
     with pytest.raises(ValueError):
         oracle_h3(0.5, 0.0)
     assert oracle_h3(0.0, 1.0).phi == pytest.approx(1.0 / math.sinh(1.0), rel=1e-12)
+    # sinh t and sinh(lambda t) past the float range raised OverflowError
+    for lam, t in ((0.5, 1000.0), (1e300, 1.0), (-800.0, 1.0)):
+        with pytest.raises(OutOfRangeError, match="floating-point range"):
+            oracle_h3(lam, t)
 
 
 @pytest.mark.parametrize("lam, t", [(math.nan, 1.0), (0.5, math.inf), (0.5, math.nan),

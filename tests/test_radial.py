@@ -123,11 +123,7 @@ def test_frobenius_excluded_exponents():
     for name in ("h2", "hn:4"):
         space = space_from_name(name)
         for lam in (-0.5, -1.5, -2.5):
-            got = frobenius_Q(space, lam).coefficients
-            want = _mp_frobenius(space, complex(lam))
-            assert len(got) == len(want), (name, lam)
-            for nu, (a, b) in enumerate(zip(got, want)):
-                assert abs(a - b) <= 1e-14 * abs(b), (name, lam, nu)
+            _assert_frobenius_rows(space, lam)
 
 
 @mpmath.workdps(30)
@@ -150,6 +146,18 @@ def _mp_frobenius(space, lam, tol=1e-16):
     return [complex(x) for x in h]
 
 
+def _assert_frobenius_rows(space, lam):
+    """frobenius_Q's rows (h_nu, nu h_nu) at the even nu against the
+    term-by-term recursion's even coefficients, and its truncation against
+    that recursion's length."""
+    series, want = frobenius_Q(space, lam), _mp_frobenius(space, complex(lam))
+    assert series.truncation == len(want) - 1, (space, lam)
+    assert series.rows.shape == (2, len(want[::2])), (space, lam)
+    for k, (a, da, b) in enumerate(zip(*series.rows, want[::2])):
+        assert abs(a - b) <= 1e-14 * abs(b), (space, lam, 2 * k)
+        assert abs(da - 2 * k * b) <= 1e-14 * 2 * k * abs(b), (space, lam, 2 * k)
+
+
 def test_frobenius_coefficients_match_mpmath_recursion():
     # the running sums reorder the source sum; every coefficient keeps its
     # digits (measured worst 2.5e-15 here) and the truncation is the
@@ -159,11 +167,11 @@ def test_frobenius_coefficients_match_mpmath_recursion():
     for name in _SERIES_FAMILIES:
         space = space_from_name(name)
         for lam in lams:
-            got = frobenius_Q(space, lam).coefficients
-            want = _mp_frobenius(space, complex(lam))
-            assert len(got) == len(want), (name, lam)
-            for nu, (a, b) in enumerate(zip(got, want)):
-                assert abs(a - b) <= 1e-14 * abs(b), (name, lam, nu)
+            _assert_frobenius_rows(space, lam)
+    # the rows array gives the frozen series no by-value == or hash: two
+    # builds are two objects, and hashing one reads no array
+    a, b = frobenius_Q(H2, 0.7), frobenius_Q(H2, 0.7)
+    assert a == a and a != b and len({a, b}) == 2
 
 
 def test_connection_identity_spot_checks():

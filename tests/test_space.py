@@ -56,6 +56,15 @@ def test_invalid_multiplicities_rejected():
         RankOneSpace(1, 0, kappa=-3.0)
     with pytest.raises(ValueError):
         RankOneSpace(1, 0, kappa=float("inf"))
+    # inf raised a raw OverflowError and nan "cannot convert float NaN to
+    # integer"; a multiplicity past the float range passed, and rho raised
+    # OverflowError at its first read
+    for args in ((math.inf,), (math.nan,), (1, -math.inf), (1, 0, math.nan)):
+        with pytest.raises(NonFiniteInputError):
+            make_space(*args)
+    for args in ((10**400,), (1, 10**400), (1, 0, 10**400)):
+        with pytest.raises(OutOfRangeError, match="floating-point range"):
+            make_space(*args)
 
 
 def test_make_space_defaults_and_equality():
@@ -74,9 +83,8 @@ def test_density_same_in_both_coordinates():
 
 
 def test_density_of_a_float_equals_the_array_route():
-    # a float t takes math's sinh, an array numpy's: 3e-15 apart at most.
-    # Where J overflows, a float takes numpy's route too, and both raise
-    # OutOfRangeError
+    # an array is read node by node through the float formula, so the two
+    # are equal; where J overflows both raise OutOfRangeError
     for name in ("h2", "h3", "chn:2", "hhn:2", "oh2"):
         space = space_from_name(name)
         ts = np.geomspace(1e-6, 80.0, 200)
@@ -88,7 +96,7 @@ def test_density_of_a_float_equals_the_array_route():
         for t, b in zip(finite.tolist(), array.tolist()):
             a = space.density_J_t(t)
             assert type(a) is float
-            assert abs(a - b) <= 5e-15 * b, (name, t)
+            assert a == b, (name, t)
         for t in over.tolist():
             with pytest.raises(OutOfRangeError):
                 space.density_J_t(t)
@@ -118,17 +126,21 @@ def test_log_density_dot_matches_difference_quotient():
 
 def test_density_past_the_float_range_raises_under_warnings_as_errors():
     # J of oh2 at t = 400 is about e^8800: OutOfRangeError, not an overflow
-    # warning, for a float and for an array; a nan or infinite t is refused
+    # warning, for a float and for an array, which names the first t it
+    # refuses; a nan or infinite t is refused, by log_density_dot as well
+    # (which returned nan)
     space = space_from_name("oh2")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OutOfRangeError, match="t = 400"):
             space.density_J_t(400.0)
-        with pytest.raises(OutOfRangeError, match="t = 500"):
+        with pytest.raises(OutOfRangeError, match="t = 400"):
             space.density_J_t(np.array([1.0, 400.0, 500.0]))
         for bad in (math.nan, math.inf, np.array([1.0, math.nan])):
             with pytest.raises(NonFiniteInputError):
                 space.density_J_t(bad)
+            with pytest.raises(NonFiniteInputError):
+                space.log_density_dot(bad)
 
 
 def test_log_density_dot_refuses_t_at_or_below_zero_under_warnings_as_errors():
