@@ -42,8 +42,8 @@ import numpy as np
 from numpy.random import default_rng  # at import: np.random loads on first use
 
 from .cfunction import for_space
-from .errors import (AccuracyWarning, IndeterminateRankError, NonFiniteInputError,
-                     OutOfRangeError, QuadratureError)
+from .errors import (AccuracyWarning, IllConditionedError, IndeterminateRankError,
+                     NonFiniteInputError, OutOfRangeError, QuadratureError)
 from .radial import RadialSolution, _phi_series, continuation
 from .space import RankOneSpace
 
@@ -229,24 +229,24 @@ def _integer(what, n):
     raise ValueError(f"{what} = {n!r} is not an integer")
 
 
-def _ktype_index(n):
-    """|n| for an integral n, refused as _integer refuses it."""
-    return abs(_integer("K-type index n", n))
-
-
 def ktype_space(n):
     """S_|n| = RankOneSpace(1 + 2|n|, 0): the n-th K-type profile of H^2 is
     ktype_prefactor(n, t) times a radial solution on this space."""
-    return RankOneSpace(1 + 2 * _ktype_index(n), 0)
+    return RankOneSpace(1 + 2 * abs(_integer("K-type index n", n)), 0)
 
 
 def ktype_prefactor(n, t):
     """(p, dp/dt) of p(t) = (2 sinh t)^|n|."""
-    m = _ktype_index(n)
+    m = abs(_integer("K-type index n", n))
     if m == 0:
         return 1.0, 0.0
     base = 2.0 * math.sinh(t)
     return base**m, 2.0 * m * math.cosh(t) * base ** (m - 1)
+
+
+def _normal(*xs):
+    """Whether every x is a normal float, where a product keeps its digits."""
+    return all(sys.float_info.min <= abs(x) < math.inf for x in xs)
 
 
 def _ktype_q(series, m, t):
@@ -275,36 +275,49 @@ def ktype_solution(lam, n, t_max=1.35):
     solution reports H2 as its space, so its ``residual`` measures the
     spherical equation of H2, which f solves only for n = 0.
 
-    (2 sinh t)^m grows like e^(m t) and phi^S decays like
-    e^((|Re lambda| - m - 1/2) t).  Where phi^S is c_S(lambda) Q^S_-lambda
-    + c_S(-lambda) Q^S_lambda (past its entry's end, T_PHI, off the
-    lattice), each (2 sinh t)^m Q^S is summed as one factor, so ``at``
-    refuses (OutOfRangeError) only where f leaves the float range.  Where phi^S is
-    its series or its bridge, the two factors are floats, refused where
-    (2 sinh t)^m or a nonzero phi^S is past or below the normal floats,
-    where the product would have lost its digits; at a zero of phi^S the
-    profile is 0.
+    (2 sinh t)^m grows like e^(m t), phi^S decays like
+    e^((|Re lambda| - m - 1/2) t) and the factor falls like 4^-m; at
+    lambda + 1/2 = -j, j < m, the factor and f are 0.  Else OutOfRangeError
+    where f or a float factor of it is past or below the normal floats,
+    where the product would have lost its digits: the build refuses the
+    factor there (m >= 512 at lambda = 0.7), and (2 sinh t)^m is checked
+    before phi^S, whose bridge on a large S is long, is read.  Past phi^S's
+    entry's end (T_PHI, off the lattice) f is the factor times c_S(lambda)
+    (2 sinh t)^m Q^S_-lambda + c_S(-lambda) (2 sinh t)^m Q^S_lambda, and
+    IllConditionedError where the two terms' moduli pass 1e8 times their
+    sum (|n| = 128 at t = 3; the error is about 3e-15 times that ratio).
     """
     lam = complex(lam)
-    m = _ktype_index(n)
-    phi = continuation(ktype_space(m), lam, _phi_series)
+    m = abs(_integer("K-type index n", n))
     # a running product: 4^m m! passes the float range from m = 134 on
     front = math.prod(((lam + 0.5 + j) / (4 * (j + 1)) for j in range(m)), start=1.0 + 0j)
+    if abs(front) < sys.float_info.min and all(lam + 0.5 + j for j in range(m)):
+        raise OutOfRangeError(f"(lambda+1/2)_m / (4^m m!) at m = {m} leaves the "
+                              "floating-point range")
+    phi = continuation(ktype_space(m), lam, _phi_series)
 
     def pair(t):
+        if front == 0:
+            return 0j, 0j
         if t > phi.end:
             cp, cm, q_minus, q_plus = phi.beyond.terms
             (a, da), (b, db) = _ktype_q(q_minus, m, t), _ktype_q(q_plus, m, t)
-            return front * (cp * a + cm * b), front * (cp * da + cm * db)
-        try:
-            p, dp = ktype_prefactor(m, t)
-        except OverflowError:
-            p = math.inf
-        if sys.float_info.min <= p < math.inf:  # first: on a large S phi^S's bridge is long
-            u, du = phi.pair(t)
-            if u == 0 or abs(u) >= sys.float_info.min:
-                return front * p * u, front * (dp * u + p * du)
-        raise OutOfRangeError(f"(2 sinh t)^{m} or phi^S_lambda(t) leaves the "
+            u = cp * a + cm * b
+            if abs(cp * a) + abs(cm * b) > 1e8 * abs(u):  # the connection suite's bound
+                raise IllConditionedError(f"phi^S = c Q_-lambda + c Q_lambda cancels past "
+                                          f"1e-8 at t = {t} (|n| = {m})")
+            if _normal(front * u):
+                return front * u, front * (cp * da + cm * db)
+        else:
+            try:
+                p, dp = ktype_prefactor(m, t)
+            except OverflowError:
+                p = math.inf
+            if _normal(p, front * p):
+                u, du = phi.pair(t)
+                if u == 0 or _normal(u, front * p * u):
+                    return front * p * u, front * (dp * u + p * du)
+        raise OutOfRangeError(f"the K-type profile or a factor of it leaves the "
                               f"floating-point range at t = {t}")
 
     return RadialSolution(H2, lam, 0.0, max(float(t_max), 1.35), pair)
@@ -312,17 +325,13 @@ def ktype_solution(lam, n, t_max=1.35):
 
 def ktype_radial_profile(lam, n, t):
     """f_{lambda,n}(t) with P_lambda(e^{in theta}) = f_{lambda,n}(t) e^{in b};
-    NonFiniteInputError for a nan or infinite t, OutOfRangeError where it
-    leaves the float range."""
+    NonFiniteInputError for a nan or infinite t, else refused as
+    ktype_solution refuses it."""
     t = float(t)
     _require_finite(t=t)
     if t <= 0.0:
         raise ValueError("profile evaluated at t > 0 (it vanishes like t^|n| at 0)")
-    value = ktype_solution(lam, n, t_max=t).at(t)[0]
-    if not cmath.isfinite(value):
-        raise OutOfRangeError(f"the K-type profile at t = {t} overflows the "
-                              "floating-point range")
-    return value
+    return ktype_solution(lam, n, t_max=t).at(t)[0]
 
 
 # -- two-variable resolvent identity ----------------------------------------

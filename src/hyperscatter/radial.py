@@ -360,7 +360,8 @@ def frobenius_Q(space, lam):
     by_residue = [e, 0j]  # ... over j = 0 and j = 2 mod 4
     h = [1.0 + 0j]  # the even coefficients
     size = 1.0  # sum of |h_j| 2^-j over the terms so far
-    quiet = nu = 0
+    quiet = 0
+    nu = 0
     while quiet < 2 and nu + 2 <= _FROBENIUS_MAX_TERMS:
         nu += 2
         side = nu % 4 // 2
@@ -374,12 +375,21 @@ def frobenius_Q(space, lam):
         h.append(h_nu)
         tail = abs(h_nu) * _Y_MAX**nu
         size += tail
-        quiet = quiet + 1 if nu >= 8 and tail < _FROBENIUS_TOL * size else 0
+        if nu >= 8 and tail < _FROBENIUS_TOL * size:
+            quiet += 1
+        else:
+            quiet = 0
     if quiet < 2:
-        warnings.warn(f"Frobenius tail still {tail / size:.2e} of the sum after {nu} terms "
-                      f"(lambda={lam})", AccuracyWarning)
+        warnings.warn(
+            f"Frobenius tail still {tail / size:.2e} of the sum after {nu} terms "
+            f"(lambda={lam})",
+            AccuracyWarning,
+        )
     h = np.array(h)
-    return FrobeniusSeries(e, np.array([h, 2.0 * np.arange(len(h)) * h]))
+    return FrobeniusSeries(
+        exponent=e,
+        rows=np.array([h, 2.0 * np.arange(len(h)) * h]),
+    )
 
 
 @lru_cache(maxsize=512)

@@ -48,7 +48,9 @@ class RankOneSpace:
         if int(self.m_alpha) != self.m_alpha or self.m_alpha < 1:
             raise ValueError(f"m_alpha must be a positive integer, got {self.m_alpha}")
         if int(self.m_2alpha) != self.m_2alpha or self.m_2alpha < 0:
-            raise ValueError(f"m_2alpha must be a nonnegative integer, got {self.m_2alpha}")
+            raise ValueError(
+                f"m_2alpha must be a nonnegative integer, got {self.m_2alpha}"
+            )
         if not self.kappa > 0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
         object.__setattr__(self, "m_alpha", int(self.m_alpha))
