@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DominanceError, IllConditionedError, NonFiniteInputError
+from .errors import DominanceError, IllConditionedError, require_finite
 from .radial import RadialSolution, _connection_solve
 from .space import RankOneSpace
 
@@ -90,8 +90,7 @@ def bv_limit(space, lam, samples):
     for a sample with y <= 0, where y^(lambda-rho) leaves the boundary limit.
     """
     lam = complex(lam)
-    if not np.isfinite(lam):
-        raise NonFiniteInputError(f"lambda = {lam} is not finite")
+    require_finite(lam=lam)
     if lam.real < 0.25:
         raise DominanceError(
             f"Re lambda = {lam.real} < 0.25: boundary exponents too close "
@@ -99,8 +98,8 @@ def bv_limit(space, lam, samples):
         )
     ys = np.array([float(y) for y, _ in samples])
     us = np.array([complex(u) for _, u in samples], dtype=complex)
-    if not (np.isfinite(ys).all() and np.isfinite(us).all()):
-        raise NonFiniteInputError("bv_limit samples (y, u) must be finite")
+    for y, u in zip(ys.tolist(), us.tolist()):
+        require_finite(y=y, u=u)
     if np.any(ys <= 0.0):
         raise ValueError("bv_limit samples need y > 0")
     if len(ys) < 7:

@@ -50,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonFiniteInputError, OutOfRangeError, PoleSignal
+from .errors import NonFiniteInputError, OutOfRangeError, PoleSignal, require_finite
 from .space import RankOneSpace
 
 _LN2 = math.log(2.0)
@@ -126,8 +126,7 @@ def _argument(lam):
     _nonpos_int would raise), OutOfRangeError where |lam| >= 2^52."""
     lam = complex(lam)
     if not math.hypot(lam.real, lam.imag) < _LATTICE_LIMIT:  # abs() may raise OverflowError
-        if not cmath.isfinite(lam):
-            raise NonFiniteInputError(f"c-function argument {lam} is not finite")
+        require_finite(lam=lam)
         raise _out_of_range(lam)
     return lam
 
@@ -405,9 +404,8 @@ class CFunction:
     def plancherel_density(self, zeta):
         """Spherical Plancherel density |c(i zeta)|^{-2} at real zeta > 0."""
         z = complex(zeta)
-        if not cmath.isfinite(z):
-            raise NonFiniteInputError(f"plancherel_density argument zeta = {z} is not finite")
-        if abs(z.imag) > 1e-12 or z.real <= 0.0:
+        if not (abs(z.imag) <= 1e-12 and 0.0 < z.real < math.inf):
+            require_finite(zeta=z)
             raise ValueError("plancherel_density needs real zeta > 0")
         size = abs(self.value(1j * z.real))
         try:

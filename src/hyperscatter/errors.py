@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the library."""
+"""Exception and warning types shared across the library, and the one
+refusal of a non-finite argument."""
+
+import cmath
 
 
 class PoleSignal(ArithmeticError):
@@ -22,6 +25,14 @@ class ResonantExponentError(ValueError):
 class NonFiniteInputError(ValueError):
     """A nan or infinite argument reached a computation that needs finite
     input."""
+
+
+def require_finite(**values):
+    """NonFiniteInputError "name = x is not finite" for the first named
+    value, a float or a complex, with a nan or infinite part."""
+    for name, x in values.items():
+        if not cmath.isfinite(x):
+            raise NonFiniteInputError(f"{name} = {x} is not finite")
 
 
 class OutOfRangeError(ValueError):

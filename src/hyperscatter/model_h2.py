@@ -42,9 +42,9 @@ import numpy as np
 from numpy.random import default_rng  # at import: np.random loads on first use
 
 from .cfunction import for_space
-from .errors import (AccuracyWarning, IllConditionedError, IndeterminateRankError,
-                     NonFiniteInputError, OutOfRangeError, QuadratureError)
-from .radial import RadialSolution, _phi_series, continuation
+from .errors import (AccuracyWarning, IndeterminateRankError, NonFiniteInputError,
+                     OutOfRangeError, QuadratureError, require_finite)
+from .radial import RadialSolution, _checked, _phi_series, continuation
 from .space import RankOneSpace
 
 H2 = RankOneSpace(1, 0)
@@ -58,7 +58,7 @@ _SVD_THRESHOLD = 1e-8  # residue_rank: singular values below this share of the l
 def distance(z1, z2):
     """Geodesic distance between two points of the open disk."""
     z1, z2 = complex(z1), complex(z2)
-    _require_finite(z1=z1, z2=z2)
+    require_finite(z1=z1, z2=z2)
     for z in (z1, z2):
         if abs(z) >= 1.0:
             raise ValueError(f"|z| = {abs(z)} not inside the disk")
@@ -75,19 +75,13 @@ def r_of_t(t):
 def horocycle_bracket(z, theta):
     """A(z, theta) = log((1-|z|^2)/|z - e^{i theta}|^2)."""
     z = complex(z)
-    _require_finite(z=z, theta=theta)
+    require_finite(z=z, theta=theta)
     if abs(z) >= 1.0:
         raise ValueError("bracket defined for |z| < 1")
     d2 = abs(z - cmath.exp(1j * float(theta))) ** 2
     if d2 == 0.0:
         raise OverflowError("z on the boundary at the bracket's singular angle")
     return math.log1p(-abs(z) ** 2) - math.log(d2)
-
-
-def _require_finite(**args):
-    for name, x in args.items():
-        if not cmath.isfinite(x):
-            raise NonFiniteInputError(f"{name} = {x} is not finite")
 
 
 def _bracket_grid(z, thetas):
@@ -138,7 +132,7 @@ def poisson_transform(lam, f, z):
     """
     lam = complex(lam)
     z = complex(z)
-    _require_finite(lam=lam, z=z)
+    require_finite(lam=lam, z=z)
 
     def node_sum(thetas):
         vals = f(thetas)
@@ -167,7 +161,7 @@ def poisson_radial_pair(lam, n, t):
     """
     lam = complex(lam)
     t = float(t)
-    _require_finite(lam=lam, t=t)
+    require_finite(lam=lam, t=t)
     many = np.ndim(n) > 0
     ns = list(n) if many else [n]
     if not ns:
@@ -236,32 +230,25 @@ def ktype_space(n):
 
 
 def ktype_prefactor(n, t):
-    """(p, dp/dt) of p(t) = (2 sinh t)^|n|."""
+    """(p, dp/dt) of p(t) = (2 sinh t)^|n|; NonFiniteInputError for a nan or
+    infinite t, OutOfRangeError where p or dp/dt passes the float range."""
     m = abs(_integer("K-type index n", n))
+    require_finite(t=t)
     if m == 0:
         return 1.0, 0.0
-    base = 2.0 * math.sinh(t)
-    return base**m, 2.0 * m * math.cosh(t) * base ** (m - 1)
+    try:
+        base = 2.0 * math.sinh(t)
+        p, dp = base**m, 2.0 * m * math.cosh(t) * base ** (m - 1)
+        if math.isfinite(dp):
+            return p, dp
+    except OverflowError:
+        pass
+    raise OutOfRangeError(f"(2 sinh t)^{m} leaves the floating-point range at t = {t}")
 
 
 def _normal(*xs):
     """Whether every x is a normal float, where a product keeps its digits."""
     return all(sys.float_info.min <= abs(x) < math.inf for x in xs)
-
-
-def _ktype_q(series, m, t):
-    """(2 sinh t)^m Q^S(t) and its t-derivative from the Frobenius series of
-    Q^S = y^e h(y): y^(e - m) (1 - y^2)^m h(y), with no factor past the float
-    range where the product is not; OutOfRangeError where it is."""
-    y = math.exp(-t)
-    h, yh = series.series_sums(y)
-    a, w = series.exponent - m, 1.0 - y * y
-    try:
-        head = cmath.exp(-a * t) * w ** (m - 1)
-    except OverflowError:
-        raise OutOfRangeError(f"the K-type profile at t = {t} leaves the "
-                              "floating-point range") from None
-    return head * w * h, -head * ((a * w - 2.0 * m * y * y) * h + w * yh)
 
 
 def ktype_solution(lam, n, t_max=1.35):
@@ -283,9 +270,9 @@ def ktype_solution(lam, n, t_max=1.35):
     factor there (m >= 512 at lambda = 0.7), and (2 sinh t)^m is checked
     before phi^S, whose bridge on a large S is long, is read.  Past phi^S's
     entry's end (T_PHI, off the lattice) f is the factor times c_S(lambda)
-    (2 sinh t)^m Q^S_-lambda + c_S(-lambda) (2 sinh t)^m Q^S_lambda, and
-    IllConditionedError where the two terms' moduli pass 1e8 times their
-    sum (|n| = 128 at t = 3; the error is about 3e-15 times that ratio).
+    (2 sinh t)^m Q^S_-lambda + c_S(-lambda) (2 sinh t)^m Q^S_lambda, the
+    entry's c Q sum, which refuses it where the terms cancel past 1e-8
+    (|n| = 128 at t = 3; its error is about 3e-15 times their ratio).
     """
     lam = complex(lam)
     m = abs(_integer("K-type index n", n))
@@ -300,19 +287,11 @@ def ktype_solution(lam, n, t_max=1.35):
         if front == 0:
             return 0j, 0j
         if t > phi.end:
-            cp, cm, q_minus, q_plus = phi.beyond.terms
-            (a, da), (b, db) = _ktype_q(q_minus, m, t), _ktype_q(q_plus, m, t)
-            u = cp * a + cm * b
-            if abs(cp * a) + abs(cm * b) > 1e8 * abs(u):  # the connection suite's bound
-                raise IllConditionedError(f"phi^S = c Q_-lambda + c Q_lambda cancels past "
-                                          f"1e-8 at t = {t} (|n| = {m})")
+            u, du = _checked(lambda x: phi.beyond.pair(x, m), lam, t)
             if _normal(front * u):
-                return front * u, front * (cp * da + cm * db)
+                return front * u, front * du
         else:
-            try:
-                p, dp = ktype_prefactor(m, t)
-            except OverflowError:
-                p = math.inf
+            p, dp = ktype_prefactor(m, t)
             if _normal(p, front * p):
                 u, du = phi.pair(t)
                 if u == 0 or _normal(u, front * p * u):
@@ -328,7 +307,7 @@ def ktype_radial_profile(lam, n, t):
     NonFiniteInputError for a nan or infinite t, else refused as
     ktype_solution refuses it."""
     t = float(t)
-    _require_finite(t=t)
+    require_finite(t=t)
     if t <= 0.0:
         raise ValueError("profile evaluated at t > 0 (it vanishes like t^|n| at 0)")
     return ktype_solution(lam, n, t_max=t).at(t)[0]
@@ -426,7 +405,7 @@ def oracle_h3(lam, t):
     """
     lam = complex(lam)
     t = float(t)
-    _require_finite(lam=lam, t=t)
+    require_finite(lam=lam, t=t)
     if t <= 0.0:
         raise ValueError("oracle needs t > 0")
     x = lam * t

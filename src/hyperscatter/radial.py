@@ -18,13 +18,13 @@ solutions:
   so each step's source is two running sums over the earlier terms and N
   terms cost O(N).  The series converges on |y| < 1; we sum it for
   y <= 1/2, i.e. t >= log 2, as one product of the stored even coefficients
-  with the powers of y^2.  Below log 2 ``eval_Q`` sums the second-kind
-  Jacobi function (2 cosh t)^-(rho+lambda)
-  2F1((rho+lambda)/2, (alpha-beta+1+lambda)/2; 1+lambda; cosh(t)^-2),
-  connected to tanh(t)^2: for alpha not an integer (h3, odd hn) two power
-  series, the first phi's own (A&S 15.3.6); for an integer alpha (h2, even
-  hn, chn, hhn, oh2) a finite sum in w^(n-alpha) plus a log series with
-  psi weights (A&S 15.3.11).
+  with the powers of y^2 (and a K-type's (2 sinh t)^m Q by the same read).
+  Below log 2 ``eval_Q`` sums the second-kind Jacobi function
+  (2 cosh t)^-(rho+lambda) 2F1((rho+lambda)/2, (alpha-beta+1+lambda)/2;
+  1+lambda; cosh(t)^-2), connected to tanh(t)^2: for alpha not an integer
+  (h3, odd hn) two power series, the first phi's own (A&S 15.3.6); for an
+  integer alpha (h2, even hn, chn, hhn, oh2) a finite sum in w^(n-alpha)
+  plus a log series with psi weights (A&S 15.3.11).
 
 * phi_lambda, the regular solution with phi(0) = 1 (the spherical
   function), which is a Jacobi function (Koornwinder 1984) with
@@ -33,7 +33,9 @@ solutions:
   (alpha-beta+1+lambda)/2; alpha+1; tanh(t)^2); past T_PHI = 1.5 it returns
   c(lambda) Q_{-lambda} + c(-lambda) Q_lambda from the closed-form c and
   the Frobenius series.  Below 1.5 the two c Q terms are up to 1e6 times
-  phi (oh2 at t = 0.7).
+  phi (oh2 at t = 0.7), and past it on a large multiplicity (hn:66 at
+  lambda = 0.7, t = 1.6: 2.9e11): ``_CQ``, the one c Q sum, refuses a sum
+  that has lost 8 digits with IllConditionedError.
 
 Both tanh^2 series are one kind of object, a _TanhSeries: rows of 2F1
 terms, made once by the term ratio at the widest w they will be read at
@@ -89,8 +91,9 @@ oh2, hn:4-10, chn:2-5 and hhn:2-5.  Near a negative integer lambda the
 Gamma factors cancel too, losing about 1e-16 / distance, but the backward
 ODE is worse there, so there is no guard.
 
-``phi_solution`` and ``q_solution`` always integrate, from T_SEED = 0.2
-(or phi's switch, or t_max / 2, if earlier) and from log 2, so the
+``phi_solution`` and ``q_solution`` always integrate: phi from the Jacobi
+series of its cache entry at T_SEED = 0.2 (or the series' reach, or
+t_max / 2, if earlier), Q from its Frobenius series at log 2, so the
 connection suite compares an integrated phi and Q with the closed forms,
 and the ``jacobi`` suite compares them with the series.
 
@@ -126,10 +129,11 @@ the steps once per t, not once per lambda.  The steps grow with the phase
 |Im lambda| t, so ``solve_ivp`` refuses a solve, or a growth of one, that
 would turn through more than _MAX_PHASE = 1e5 radians with ValueError.
 
-``eval_phi``, ``eval_Q``, ``connection_coefficients`` and the K-type profiles
-of ``model_h2`` read one cache, ``continuation``, with one entry per (space,
-lambda, kind): a Continuation, which is data (the start series, the
-switch, the end, the end series and the bridge's one solve).  A read past
+``eval_phi``, ``eval_Q``, ``connection_coefficients``, ``phi_solution``'s
+seed and the K-type profiles of ``model_h2`` read one cache,
+``continuation``, with one entry per (space, lambda, kind): a Continuation,
+which is data (the start series, the switch, the end, the end series and
+the bridge's one solve).  A read past
 the solve's last step end grows it in place, to the first step end past
 that t, by a solve continued from its own state there, so a value depends
 on the key and t alone, not on the order of requests.
@@ -169,7 +173,7 @@ import numpy as np
 
 from .cfunction import for_space, loggamma, psi
 from .errors import (AccuracyWarning, IllConditionedError, NonFiniteInputError,
-                     OutOfRangeError, ResonantExponentError, StiffnessError)
+                     OutOfRangeError, ResonantExponentError, StiffnessError, require_finite)
 from .space import RankOneSpace
 
 T_SWITCH = math.log(2.0)  # series/ODE handover at y = 1/2
@@ -186,17 +190,11 @@ _FROBENIUS_MAX_TERMS = 400  # ... or here, with an AccuracyWarning
 _SERIES_MAX_TERMS = 1 << 14
 _SERIES_REACH = 4.0  # |Im lambda| tanh t where phi's series has lost two digits
 _Q_CONDITION = 1e3  # Q's series conditioned worse than this at log 2: a bridge first
+_MAX_CONDITION = 1e8  # phi's c Q sum and c's pairings: resolved to 1e-8 at 1e-16 rounding
 _Q_BRIDGE_ENDS = [T_SWITCH * k / 64 for k in range(63, 0, -1)]  # where Q's bridge may end
 
 _MAX_EXPONENT = 700.0  # a solution growing past e^700 leaves the floating-point range
 _MAX_PHASE = 1e5  # radians a solve or its growth may turn through: about 100 s of steps
-
-
-def _require_finite(lam):
-    """lam; NonFiniteInputError for nan or inf parts."""
-    if not cmath.isfinite(lam):
-        raise NonFiniteInputError(f"lambda = {lam} is not finite")
-    return lam
 
 
 def _radius(t):
@@ -285,7 +283,7 @@ def _check_exponent(lam, step=1):
     negative multiple of ``step``: 2 where frobenius_Q divides by zero, 1
     (every negative integer) for eval_Q and connection_coefficients."""
     lam = complex(lam)
-    _require_finite(lam)
+    require_finite(lam=lam)
     w = 2.0 * lam
     m = step * round(w.real / step)
     if m <= -1 and abs(w - m) <= EXCLUSION_RADIUS:
@@ -325,16 +323,19 @@ class FrobeniusSeries:
             raise ValueError(f"series evaluated at y={y} outside radius {_Y_MAX}")
         return tuple(_power_sums(self.rows, y * y, np.arange(self.rows.shape[1])))
 
-    def pair(self, t):
-        """(Q(t), dQ/dt) for t >= log 2, a float or a 1-d array (two arrays);
-        inf, or OverflowError, where y^exponent overflows (``_checked``)."""
-        if isinstance(t, np.ndarray):
-            s, ds = self.series_sums(np.exp(-t))
-            head = np.exp(-self.exponent * t)
-        else:
-            s, ds = self.series_sums(math.exp(-t))
-            head = cmath.exp(-self.exponent * t)
-        return head * s, -head * (self.exponent * s + ds)
+    def pair(self, t, m=0):
+        """(Q(t), dQ/dt) for t >= log 2, a float or a 1-d array (two arrays),
+        or at m > 0 those of (2 sinh t)^m Q = y^(exponent-m) (1-y^2)^m h(y),
+        a K-type's; inf, or OverflowError, where a factor overflows."""
+        a = self.exponent - m
+        exp, cexp = (np.exp, np.exp) if isinstance(t, np.ndarray) else (math.exp, cmath.exp)
+        y, head = exp(-t), cexp(-a * t)
+        s, ds = self.series_sums(y)
+        if m:
+            w = 1.0 - y * y
+            head = head * w ** (m - 1)
+            return head * w * s, -head * ((a * w - 2.0 * m * y * y) * s + w * ds)
+        return head * s, -head * (a * s + ds)
 
 
 def frobenius_Q(space, lam):
@@ -654,7 +655,9 @@ def integrate_radial_ode(space, lams, t_span, inits):
         raise ValueError("t_span must stay inside (0, inf)")
     if t0 == t1:
         raise ValueError("t_span must have two distinct ends")
-    lams = [_require_finite(complex(lam)) for lam in lams]
+    lams = [complex(lam) for lam in lams]
+    for lam in lams:
+        require_finite(lam=lam)
     count = len(lams)
     if count == 0 or len(inits) != count:
         raise ValueError("need one initial (u, u') pair per lambda, at least one")
@@ -888,14 +891,17 @@ class _TanhSeries:
         return u, complex(du)
 
 
-def _jacobi_series(space, lam, reach):
+def _jacobi_series(space, lam):
     """phi = cosh(t)^-(rho+lambda) 2F1(a, b; alpha+1; tanh(t)^2), the Pfaff
     form of the Jacobi function (alpha = (m_alpha+m_2alpha-1)/2, beta =
     (m_2alpha-1)/2, a = (rho+lambda)/2, b = (alpha-beta+1+lambda)/2), for t
-    up to reach, or reach/2, /4, ... where a |lambda| in the hundreds
-    overflows the terms."""
-    _require_finite(lam)
+    up to T_PHI, or where |Im lambda| tanh(t) passes _SERIES_REACH (the
+    terms outgrow the sum by about |Im lambda| tanh(t) / 2 decades), or
+    half that, /4, ... where a |lambda| in the hundreds overflows the terms."""
+    require_finite(lam=lam)
     a, b, c = _jacobi_abc(space, lam)
+    mu = abs(lam.imag)
+    reach = T_PHI if mu * math.tanh(T_PHI) <= _SERIES_REACH else math.atanh(_SERIES_REACH / mu)
     while True:
         w = math.tanh(reach) ** 2
         try:
@@ -968,19 +974,11 @@ def _second_kind_series(space, lam):
     return _TanhSeries(space.rho + lam, 2.0, T_SWITCH, -alpha, np.array(rows))
 
 
-def _series_reach(lam, reach):
-    """reach, or less where |Im lambda| tanh(t) passes _SERIES_REACH: phi's
-    series cancels there, its terms outgrowing their sum by about
-    |Im lambda| tanh(t) / 2 decades."""
-    mu = abs(lam.imag)
-    return reach if mu * math.tanh(reach) <= _SERIES_REACH else math.atanh(_SERIES_REACH / mu)
-
-
 @dataclass(frozen=True)
 class _CQ:
-    """phi past its switch, c(lambda) Q_{-lambda} + c(-lambda) Q_lambda, at a
-    float t or a 1-d array: both c values and both Frobenius series are made
-    at the first read."""
+    """phi past its switch, c(lambda) Q_{-lambda} + c(-lambda) Q_lambda, the
+    library's one c Q sum, at a float t or a 1-d array: both c values and
+    both Frobenius series are made at the first read."""
 
     space: RankOneSpace
     lam: complex
@@ -992,10 +990,24 @@ class _CQ:
         return (cf.value(self.lam), cf.value(-self.lam),
                 _series(self.space, -self.lam), _series(self.space, self.lam))
 
-    def pair(self, t):
+    def pair(self, t, m=0):
+        """(u, u') at t, or at m > 0 those of (2 sinh t)^m u, a K-type's.
+        IllConditionedError where the terms' moduli pass _MAX_CONDITION
+        times the sum's, that ratio its condition (an array's first such t)."""
         cp, cm, q_minus, q_plus = self.terms
-        (qm, dqm), (qp, dqp) = q_minus.pair(t), q_plus.pair(t)
-        return cp * qm + cm * qp, cp * dqm + cm * dqp
+        (qm, dqm), (qp, dqp) = q_minus.pair(t, m), q_plus.pair(t, m)
+        a, b = cp * qm, cm * qp
+        u = a + b
+        parts, size = abs(a) + abs(b), abs(u)  # Python's abs at a float t
+        refused = parts > _MAX_CONDITION * size
+        if isinstance(t, np.ndarray):  # the first refused t, else the first t
+            k = int(refused.argmax())
+            t, parts, size, refused = t[k], parts[k], size[k], refused[k]
+        if refused:
+            condition = float(parts / size) if size else math.inf
+            raise IllConditionedError(f"c Q_-lambda + c Q_lambda at lambda = {self.lam} cancels "
+                                      f"by {condition:.1e} at t = {t}", condition=condition)
+        return u, cp * dqm + cm * dqp
 
 
 def _phi_series(space, lam):
@@ -1005,7 +1017,7 @@ def _phi_series(space, lam):
     cancels.  Near the lattice the two c Q terms have poles that cancel (and
     at a negative integer frobenius_Q refuses Q_lambda): the bridge has no end.
     """
-    series = _jacobi_series(space, lam, _series_reach(lam, T_PHI))
+    series = _jacobi_series(space, lam)
     if abs(lam - round(lam.real)) < LATTICE_GUARD:
         return series, series.reach, math.inf, 1.0, None
     return series, series.reach, T_PHI, 1.0, _CQ(space, lam)
@@ -1035,21 +1047,20 @@ def _q_second_kind(space, lam):
 def phi_solution(space, lam, t_max):
     """The regular solution phi_lambda solved out to t_max.
 
-    The ODE starts from phi's Jacobi series at T_SEED, or at t_max / 2 if
-    that is earlier; a |Im lambda| tanh(t) past _SERIES_REACH moves the
-    seed back to where the series keeps its digits, and a large |lambda|
-    halves it until the series' terms are floats.  A sequence of lambda is
-    solved as one batch per seed point and gives a list.  ``space`` is one
-    space or one per lambda; the batch spans them all.
+    The ODE starts from the Jacobi series of phi's cache entry (the one
+    ``eval_phi`` reads) at T_SEED, at t_max / 2, or at the series' reach,
+    whichever is earliest, so the solution reads eval_phi's values up to
+    its seed.  A sequence of lambda is solved as one batch per seed point
+    and gives a list.  ``space`` is one space or one per lambda; the batch
+    spans them all.
     """
     lams, many = _lambdas(lam)
     spaces = _spaces(space, len(lams))
     t_max = _radius(t_max)
     if t_max <= _MIN_T_MAX:
         raise ValueError(f"t_max must exceed {_MIN_T_MAX}")
-    starts = [_jacobi_series(s, x, _series_reach(x, min(T_SEED, t_max / 2.0)))
-              for s, x in zip(spaces, lams)]
-    conts = [Continuation(s, x, start, start.reach, math.inf, 1.0, None)
+    starts = [continuation(s, x, _phi_series).start for s, x in zip(spaces, lams)]
+    conts = [Continuation(s, x, start, min(T_SEED, t_max / 2.0, start.reach), math.inf, 1.0, None)
              for s, x, start in zip(spaces, lams, starts)]
     for seed in dict.fromkeys(c.switch for c in conts):
         _extend([c for c in conts if c.switch == seed], t_max)
@@ -1113,23 +1124,22 @@ def eval_phi(space, lam, t):
     e^((|Re lambda| - rho) t); OutOfRangeError where it leaves the
     floating-point range (a bridge read is refused where that growth passes
     e^_MAX_EXPONENT), and where the series of a |lambda| past about 1e154
-    overflows.  At a 1-d array of t (a complex array back) each series reads
-    its t in one pass.
+    overflows; IllConditionedError where the c Q terms cancel (``_CQ``).
+    At a 1-d array of t (a complex array back) each series reads its t in
+    one pass.
     """
     if isinstance(t, np.ndarray):
         t = _radii(t)
         if (t < 0.0).any():
             raise ValueError("eval_phi needs t >= 0")
-        lam = complex(lam)
-        _require_finite(lam)
-        return continuation(space, lam, _phi_series).pair(t)[0]
+        return continuation(space, complex(lam), _phi_series).pair(t)[0]
     t = _radius(t)
     if t < 0.0:
         raise ValueError("eval_phi needs t >= 0")
     lam = complex(lam)
-    _require_finite(lam)
-    if not t:
-        return 1 + 0j  # the series' value at t = 0, whatever lambda
+    if not t:  # the series' value at t = 0, whatever finite lambda
+        require_finite(lam=lam)  # elsewhere the series' build refuses it
+        return 1 + 0j
     return complex(continuation(space, lam, _phi_series).pair(t)[0])
 
 
@@ -1187,7 +1197,7 @@ def connection_coefficients(space, lam):
     mus = (lam, -lam)
     pairs = phi_pairings(space, lam, mus)
     condition = max(cond for _, cond in pairs) if lam else math.inf
-    if not condition * 1e-16 <= 1e-8:  # the connection suite's bound
+    if not condition <= _MAX_CONDITION:  # the connection suite's bound
         raise IllConditionedError(f"a connection coefficient at lambda = {lam} is resolved "
                                   f"only to {condition * 1e-16:.1e}", condition=condition)
     return tuple(w / (-2.0 * mu) for (w, _), mu in zip(pairs, mus))

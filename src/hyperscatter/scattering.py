@@ -29,7 +29,6 @@ s is not.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,7 +37,7 @@ import numpy as np
 
 from . import model_h2
 from .cfunction import for_space
-from .errors import NonFiniteInputError, PoleSignal
+from .errors import PoleSignal, require_finite
 from .radial import connection_coefficients, phi_pairings
 from .resonances import ResonanceRecord, certified_rungs, circle_moment, circle_nodes
 
@@ -115,8 +114,7 @@ def ktype_eigenvalue(zeta, n):
     integer, and zeta = 0.
     """
     zeta = complex(zeta)
-    if not cmath.isfinite(zeta):
-        raise NonFiniteInputError(f"zeta = {zeta} is not finite")
+    require_finite(zeta=zeta)
     a_minus, a_plus = connection_coefficients(model_h2.ktype_space(n), 1j * zeta)
     return a_plus / a_minus
 
@@ -245,9 +243,8 @@ def find_scalar_poles(space, im_lo=-4.95, im_hi=4.95, step=0.01):
     give the same nodes k * step share it, and each call returns a fresh
     list.
     """
+    require_finite(im_lo=im_lo, im_hi=im_hi, step=step)
     bounds = (im_lo, im_hi, step)
-    if not all(math.isfinite(x) for x in bounds):
-        raise NonFiniteInputError(f"axis scan bounds and step must be finite, got {bounds}")
     if step <= 0 or im_lo >= im_hi or (im_hi - im_lo) / step > _MAX_NODES:
         raise ValueError(f"axis scan needs step > 0, im_lo < im_hi and at most "
                          f"{_MAX_NODES} nodes, got (im_lo, im_hi, step) = {bounds}")

@@ -90,7 +90,7 @@ class RankOneSpace:
         if not isinstance(t, (float, int)) and np.ndim(t):
             return np.array([self.density_J_t(x) for x in np.asarray(t, dtype=float).tolist()])
         t = float(t)
-        if not math.isfinite(t):
+        if not math.isfinite(t):  # not errors.require_finite: 0.2 us more a node
             raise NonFiniteInputError(f"t = {t} is not finite")
         if t <= 0.0:
             raise ValueError("t must be positive")

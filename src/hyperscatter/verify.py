@@ -375,8 +375,9 @@ def check_jacobi(spaces=None):
 
     eval_phi sums the Jacobi function's hypergeometric series below
     t = 1.5 and c(lambda) Q_{-lambda} + c(-lambda) Q_lambda above it;
-    phi_solution integrates the radial ODE from t = 0.2.  The routes share
-    only the first 0.2 of the series, so per family the row is the worst
+    phi_solution integrates the radial ODE from t = 0.2, seeded by the
+    entry's series, the one eval_phi sums.  The routes share only that
+    series' first 0.2, so per family the row is the worst
     relative gap over the shared lambda grid at t = 0.5, 1, 2, 5: an oracle
     beyond the H^3 closed forms that needs no extended precision.  Below
     log 2 eval_Q sums the second-kind series, and q_solution integrates

@@ -258,6 +258,17 @@ def test_large_multiplicity_rows_report_out_of_range(capsys, argv):
     assert [row[-1] for row in rows] == ["OutOfRangeError"]
 
 
+def test_cancelling_phi_row_reports_ill_conditioned(capsys):
+    # on hn:66 phi past t = 1.5 is a c Q sum whose terms cancel by 2.9e11
+    # at lambda = 0.7, t = 1.6: the row read a value 4.5e-4 off, status ok
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = _run(capsys, ["phi", "--space", "hn:66", "--lambda", "0.7", "--t", "1.6"])
+    assert code == 1
+    _, rows = _parse_csv(out)
+    assert [row[-1] for row in rows] == ["IllConditionedError"]
+
+
 def test_plancherel_domain_error_row(capsys):
     code, out = _run(capsys, ["plancherel", "--space", "h3",
                               "--zeta", "-1.0", "2.0"])

@@ -307,6 +307,22 @@ def test_ktype_profile_is_zero_where_its_spherical_factor_is(monkeypatch):
         ktype_radial_profile(1.0, 200, 0.01)
 
 
+def test_ktype_prefactor_refuses_non_finite_and_overflowing_t():
+    # it returned (nan, nan) at a nan t, and raised a raw OverflowError
+    # where sinh t or (2 sinh t)^m passes the float range; at the last t
+    # (2 sinh t)^300 is about 1e307 and only its derivative overflows
+    for n in (0, 1, 3):
+        for t in (math.nan, math.inf, -math.inf):
+            with pytest.raises(NonFiniteInputError, match="t = .* is not finite"):
+                ktype_prefactor(n, t)
+    for n, t in ((1, 1000.0), (300, 5.0), (2, -1000.0),
+                 (300, math.asinh(0.5 * 10 ** (307 / 300)))):
+        with pytest.raises(OutOfRangeError, match=f"at t = {t}"):
+            ktype_prefactor(n, t)
+    p, dp = ktype_prefactor(300, 2.0)
+    assert p == (2.0 * math.sinh(2.0)) ** 300 and math.isfinite(dp)
+
+
 @pytest.mark.parametrize("n", [1.5, math.nan, math.inf])
 def test_ktype_index_must_be_integral(n):
     with pytest.raises(ValueError):

@@ -304,6 +304,47 @@ def test_large_multiplicities_solve_within_the_jacobi_bounds(name, mp_jacobi):
             assert _rel(sol(t), mp_q(space, sol.lam, t)) < 3e-12, (sol.lam, t)
 
 
+def test_phi_refuses_a_c_q_sum_that_cancels(mp_jacobi):
+    # past T_PHI phi is c(lambda) Q_-lambda + c(-lambda) Q_lambda, whose two
+    # terms cancel ever more as rho grows: at lambda = 0.7, t = 1.6 the sum
+    # read 4.5e-4 off mpmath on hn:66 with no warning.  It is refused where
+    # the terms' moduli pass 1e8 times its own (2.9e11 there), at a float t
+    # and in an array read, which names the first t it refuses
+    hn66 = space_from_name("hn:66")
+    for t in (1.6, np.array([1.0, 1.6, 2.0])):
+        with pytest.raises(errors.IllConditionedError, match=r"at t = 1\.6$") as caught:
+            eval_phi(hn66, 0.7, t)
+        assert caught.value.condition > 1e8
+    # hn:130 at t = 3 is answered, at a ratio of about 4e5
+    mp_phi, _ = mp_jacobi
+    hn130 = space_from_name("hn:130")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _rel(eval_phi(hn130, 0.7, 3.0), mp_phi(hn130, 0.7, 3.0)) < 1e-8
+
+
+def test_phi_solution_seeds_from_the_cached_entry(monkeypatch):
+    # the ODE starts from the Jacobi series of phi's cache entry at T_SEED,
+    # t_max / 2 or the series' reach (|Im lambda| tanh t = 4 at 0.3+30j),
+    # whichever is earliest: once the entries exist a solve builds no
+    # series, and it reads eval_phi's value at its seed bit for bit
+    spaces = [space_from_name(name) for name in FAMILY_NAMES]
+    lams = [0.7 + 0.2j, 0.3 + 30j, 20.3]
+    points = [(space, lam) for space in spaces for lam in lams]
+    entries = [continuation(space, lam, radial._phi_series) for space, lam in points]
+    builds, build = [], radial._hyp_coefficients
+    monkeypatch.setattr(radial, "_hyp_coefficients",
+                        lambda *args: builds.append(args) or build(*args))
+    for t_max in (0.3, 3.0):
+        sols = phi_solution([space for space, _ in points], [lam for _, lam in points], t_max)
+        for sol, entry in zip(sols, entries):
+            seed = sol.ts[0]
+            assert seed == min(radial.T_SEED, t_max / 2.0, entry.start.reach)
+            assert sol(seed) == eval_phi(sol.space, sol.lam, seed)
+    assert min(entry.start.reach for entry in entries) < radial.T_SEED
+    assert builds == []
+
+
 def test_batch_of_one_equals_the_scalar_call():
     space = space_from_name("hhn:2")
     lam = 0.9 - 0.4j
@@ -1410,6 +1451,24 @@ def test_wronskian_is_constant_across_the_switches_property(point, t):
         scale = space.density_J_t(s) * max(abs(left), abs(right))
         gap = abs(space.density_J_t(s) * (left - right) - target)
         assert gap <= 1e-10 * max(scale, abs(target)), (space, lam, s)
+
+
+@settings(_hypothesis_settings, max_examples=60)
+@given(st.sampled_from(FAMILY_NAMES), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+       st.floats(radial.T_SWITCH, radial.T_PHI))
+def test_connection_identity_property(name, re, im, t):
+    # phi = c(lambda) Q_-lambda + c(-lambda) Q_lambda between log 2 and
+    # T_PHI, where phi is its Jacobi series, Q its Frobenius series and c
+    # the closed form: three routes that share no code.  2 lambda keeps off
+    # the integers, where c has poles or Q_-+lambda is refused.  Measured
+    # worst over 3,000 draws 1.1e-14 (hhn:2)
+    lam = complex(re, im)
+    assume(abs(2.0 * lam - round(2.0 * lam.real)) >= 0.1)
+    space = space_from_name(name)
+    cf = for_space(space)
+    a = cf.value(lam) * eval_Q(space, -lam, t)
+    b = cf.value(-lam) * eval_Q(space, lam, t)
+    assert abs(eval_phi(space, lam, t) - (a + b)) <= 1e-12 * (abs(a) + abs(b)), (name, lam, t)
 
 
 # -- cache entries are data ----------------------------------------------------
