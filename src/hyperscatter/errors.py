@@ -29,9 +29,15 @@ class NonFiniteInputError(ValueError):
 
 def require_finite(**values):
     """NonFiniteInputError "name = x is not finite" for the first named
-    value, a float or a complex, with a nan or infinite part."""
+    value, a float or a complex, with a nan or infinite part; OutOfRangeError
+    for an int past the float range, which no float conversion takes."""
     for name, x in values.items():
-        if not cmath.isfinite(x):
+        try:
+            finite = cmath.isfinite(x)
+        except OverflowError:
+            # str() of a huge int may itself be refused: the name alone
+            raise OutOfRangeError(f"{name} is an int past the floating-point range") from None
+        if not finite:
             raise NonFiniteInputError(f"{name} = {x} is not finite")
 
 

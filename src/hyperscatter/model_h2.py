@@ -17,10 +17,11 @@ Boundary quadrature is the periodic trapezoid rule (spectrally accurate for
 analytic integrands) with node doubling until the value settles; the Poisson
 peak has angular width ~ (1-|z|), so deep Fatou limits legitimately need
 tens of thousands of nodes and the doubling reuses previous levels.  The
-K-types e^{in theta} of one (lambda, t) share one quadrature: the kernel and
-its t-derivative are sampled once per node set, each K-type's sum is
-accumulated on its own (no nodes-by-K-types array), and the doubling stops
-when all of them have settled.
+K-types e^{in theta} of one (lambda, t) share one quadrature: on the base ray
+the kernel is even in theta, so it and its t-derivative are sampled once per
+node set at the nodes in [0, pi] only, modes n and -n read one sum against
+cos(|n| theta) (one cosine per degree, no nodes-by-K-types array), and the
+doubling stops when all of them have settled.
 
 H^3 closed forms (phi, Q, c) live here too, as the oracle fixtures used all
 over the test suite.
@@ -57,8 +58,8 @@ _SVD_THRESHOLD = 1e-8  # residue_rank: singular values below this share of the l
 
 def distance(z1, z2):
     """Geodesic distance between two points of the open disk."""
-    z1, z2 = complex(z1), complex(z2)
     require_finite(z1=z1, z2=z2)
+    z1, z2 = complex(z1), complex(z2)
     for z in (z1, z2):
         if abs(z) >= 1.0:
             raise ValueError(f"|z| = {abs(z)} not inside the disk")
@@ -74,8 +75,8 @@ def r_of_t(t):
 
 def horocycle_bracket(z, theta):
     """A(z, theta) = log((1-|z|^2)/|z - e^{i theta}|^2)."""
-    z = complex(z)
     require_finite(z=z, theta=theta)
+    z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError("bracket defined for |z| < 1")
     d2 = abs(z - cmath.exp(1j * float(theta))) ** 2
@@ -92,10 +93,19 @@ def _bracket_grid(z, thetas):
     return math.log1p(-abs(z) ** 2) - np.log(d2)
 
 
-def _bracket_t_derivative_grid(r, thetas):
-    """dA/dt along the ray z = r(t) on the positive axis (b = 0 ray rotated out)."""
-    d2 = np.abs(r - np.exp(1j * thetas)) ** 2
-    return -r - (1.0 - r * r) * (r - np.cos(thetas)) / d2
+def _ray_kernel(r, s, thetas):
+    """(e^{s A(r, theta)}, its t-derivative) at the real point z = r(t).
+
+    With h = sin^2(theta/2), |r - e^{i theta}|^2 = (1 - r)^2 + 4 r h, a sum
+    of positive terms that keeps its digits near theta = 0, and
+    dA/dt = -r - (1 - r^2)(r - 1 + 2h) / |r - e^{i theta}|^2.  A real s
+    takes a real power.
+    """
+    h = np.sin(0.5 * thetas) ** 2
+    d2 = (1.0 - r) ** 2 + 4.0 * r * h
+    q = (1.0 - r) * (1.0 + r)
+    kern = (q / d2) ** s.real if s.imag == 0.0 else np.exp(s * np.log(q / d2))
+    return kern, s * (-r - q * (r - 1.0 + 2.0 * h) / d2) * kern
 
 
 def _trapezoid_doubling(node_sum, tol, cap=_MAX_NODES, first=64):
@@ -130,9 +140,9 @@ def poisson_transform(lam, f, z):
     QuadratureError if 2^17 nodes do not suffice, NonFiniteInputError for a
     nan or infinite lambda or z.
     """
+    require_finite(lam=lam, z=z)
     lam = complex(lam)
     z = complex(z)
-    require_finite(lam=lam, z=z)
 
     def node_sum(thetas):
         vals = f(thetas)
@@ -154,14 +164,17 @@ def poisson_radial_pair(lam, n, t):
     A sequence of n gives a list of pairs: the kernel and its t-derivative
     are sampled once per node set for all of them, and the K-types converge
     jointly (the doubling stops when every one has settled to _POISSON_TOL).
-    N nodes read mode n with the modes n +- N, so the first grid has at
-    least 4 max|n|.  A non-integral n raises ValueError, a nan or infinite
-    lambda or t NonFiniteInputError, and an |n| whose first grid leaves no
-    doubling below 2^17 nodes OutOfRangeError.
+    The kernel is even in theta, so only the nodes in [0, pi] are sampled
+    (0 and pi once, the others twice), and n and -n share one sum against
+    cos(|n| theta).  N nodes read mode n with the modes n +- N, so the first
+    grid has at least 4 max|n|.  A non-integral n raises ValueError, as does
+    a t whose |r(t)| rounds to 1; a nan or infinite lambda or t
+    NonFiniteInputError, and a huge int lambda or t or an |n| whose first
+    grid leaves no doubling below 2^17 nodes OutOfRangeError.
     """
+    require_finite(lam=lam, t=t)
     lam = complex(lam)
     t = float(t)
-    require_finite(lam=lam, t=t)
     many = np.ndim(n) > 0
     ns = list(n) if many else [n]
     if not ns:
@@ -173,13 +186,24 @@ def poisson_radial_pair(lam, n, t):
         raise OutOfRangeError(f"K-type index |n| = {top} needs more than {_MAX_NODES} "
                               "trapezoid nodes")
     r = r_of_t(t)
+    if not abs(r) < 1.0:
+        raise ValueError(f"|z| = {abs(r)} not inside the disk")
+    s = _RHO + lam
+    degrees = {abs(k) for k in ns}
 
     def node_sum(thetas):
-        kern = np.exp((_RHO + lam) * _bracket_grid(r, thetas))
-        both = np.stack([kern, (_RHO + lam) * _bracket_t_derivative_grid(r, thetas) * kern])
-        circle = np.exp(1j * thetas)
-        # one K-type at a time: a (nodes x K-types) array would cost memory
-        return np.array([both @ circle**k for k in ns])
+        half = thetas[:np.searchsorted(thetas, math.pi, side="right")]
+        kern, dkern = _ray_kernel(r, s, half)
+        both = 2.0 * np.stack([kern, dkern])
+        # theta = 0 and pi are their own mirror images, counted once; a base
+        # grid of a power of two nodes holds both exactly
+        if half[0] == 0.0:
+            both[:, 0] *= 0.5
+        if half[-1] == math.pi:
+            both[:, -1] *= 0.5
+        # one cosine per degree: a (nodes x K-types) array would cost memory
+        sums = {m: both @ np.cos(m * half) if m else both.sum(axis=1) for m in degrees}
+        return np.array([sums[abs(k)] for k in ns])
 
     value, nn, ok = _trapezoid_doubling(node_sum, _POISSON_TOL, first=first)
     if not ok:
@@ -274,6 +298,7 @@ def ktype_solution(lam, n, t_max=1.35):
     entry's c Q sum, which refuses it where the terms cancel past 1e-8
     (|n| = 128 at t = 3; its error is about 3e-15 times their ratio).
     """
+    require_finite(lam=lam)
     lam = complex(lam)
     m = abs(_integer("K-type index n", n))
     # a running product: 4^m m! passes the float range from m = 134 on
@@ -306,8 +331,8 @@ def ktype_radial_profile(lam, n, t):
     """f_{lambda,n}(t) with P_lambda(e^{in theta}) = f_{lambda,n}(t) e^{in b};
     NonFiniteInputError for a nan or infinite t, else refused as
     ktype_solution refuses it."""
-    t = float(t)
     require_finite(t=t)
+    t = float(t)
     if t <= 0.0:
         raise ValueError("profile evaluated at t > 0 (it vanishes like t^|n| at 0)")
     return ktype_solution(lam, n, t_max=t).at(t)[0]
@@ -325,6 +350,7 @@ def resolvent_difference_quadrature(zeta, z1, z2, tol=1e-10, cap=2048):
     identity is certified under); the cap value is returned even if the
     doubling has not settled to ``tol`` by then, with an AccuracyWarning.
     """
+    require_finite(zeta=zeta, z1=z1, z2=z2)
     zeta = complex(zeta)
     z1, z2 = complex(z1), complex(z2)
     cf = for_space(H2)
@@ -403,9 +429,9 @@ def oracle_h3(lam, t):
     or infinite lambda or t raises NonFiniteInputError, and a phi or Q
     whose closed form leaves the float range OutOfRangeError.
     """
+    require_finite(lam=lam, t=t)
     lam = complex(lam)
     t = float(t)
-    require_finite(lam=lam, t=t)
     if t <= 0.0:
         raise ValueError("oracle needs t > 0")
     x = lam * t

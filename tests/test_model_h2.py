@@ -39,6 +39,7 @@ from hyperscatter.model_h2 import (
 )
 from hyperscatter.radial import RadialSolution, eval_phi
 from hyperscatter.resolvent import resolvent_difference
+from hyperscatter.verify import check_fatou
 
 _CF = for_space(H2)
 
@@ -113,11 +114,13 @@ def test_batched_poisson_radial_pair_matches_scalar_calls(t):
 
 def test_poisson_quadratures_refuse_bad_input(monkeypatch):
     # a non-integral n is not truncated, and a nan or infinite argument is
-    # refused before any node is sampled
+    # refused before any node is sampled (poisson_radial_pair samples its
+    # kernel with _ray_kernel, poisson_transform with _bracket_grid)
     def refuse(*args):
         raise AssertionError("a node was sampled")
 
     monkeypatch.setattr(model_h2, "_bracket_grid", refuse)
+    monkeypatch.setattr(model_h2, "_ray_kernel", refuse)
     with pytest.raises(ValueError):
         poisson_radial_pair(0.7, 1.5, 0.3)
     with pytest.raises(ValueError):
@@ -135,6 +138,45 @@ def test_poisson_quadratures_refuse_bad_input(monkeypatch):
     for n in (2**14 + 1, [0, -10**300]):
         with pytest.raises(OutOfRangeError, match="nodes"):
             poisson_radial_pair(0.7, n, 0.3)
+
+
+def test_fatou_suite_samples_half_the_circle(monkeypatch):
+    # the kernel is even in theta on the base ray: a node set of N angles is
+    # sampled at its N/2 + 1 or N/2 angles in [0, pi], so the suite's 20
+    # quadratures (112 node sets) take 65,556 kernel samples, where the full
+    # circle took 131,072; the doubling still stops where it did
+    samples, ends = [], []
+    ray_kernel, doubling = model_h2._ray_kernel, model_h2._trapezoid_doubling
+
+    def counted(r, s, thetas):
+        samples.append(len(thetas))
+        return ray_kernel(r, s, thetas)
+
+    def recorded(*args, **kwargs):
+        value, n, ok = doubling(*args, **kwargs)
+        ends.append(n)
+        return value, n, ok
+
+    monkeypatch.setattr(model_h2, "_ray_kernel", counted)
+    monkeypatch.setattr(model_h2, "_trapezoid_doubling", recorded)
+    assert all(row.passed for row in check_fatou())
+    assert len(samples) == 112 and sum(samples) == 65_556
+    per_lambda = [128 << m for m in range(9)] + [128]  # nine Fatou depths, then log 2
+    assert ends == 2 * per_lambda
+
+
+@pytest.mark.parametrize("lam", [0.7, 1.1 - 0.3j, 0.8 + 0.6j])
+@pytest.mark.parametrize("t", [0.3, 1.0, -math.log(0.3 * 0.5**8)])
+def test_poisson_radial_pair_matches_mpmath_at_the_fatou_depths(lam, t):
+    # u and du/dt of the nine K-types against the hypergeometric profile and
+    # mpmath.diff of it; the deepest t is the fatou suite's last depth.
+    # Measured worst 2.2e-14 relative (2.1e-13 where the kernel came from
+    # complex exp and log of |r - e^{i theta}|^2, which cancels near 0)
+    pairs = poisson_radial_pair(lam, range(-4, 5), t)
+    for n, (u, du) in zip(range(-4, 5), pairs):
+        want, dwant = _mp_ktype_pair(lam, n, t)
+        assert abs(u - want) < 1e-12 * abs(want), (n, "u")
+        assert abs(du - dwant) < 1e-12 * abs(dwant), (n, "du")
 
 
 @pytest.mark.parametrize("call", [
@@ -246,16 +288,28 @@ def test_ktype_profile_solves_the_angular_equation(re, im, n, t):
     assert abs(defect) < 1e-8 * size
 
 
-@mpmath.workdps(30)
-def _mp_ktype_profile(lam, n, t):
-    """(lambda+1/2)_m / (4^m m!) (2 sinh t)^m phi^S_lambda(t), m = |n|, in
-    mpmath's hypergeometric function at 30 digits."""
-    m, lam, t = abs(n), mpmath.mpc(lam), mpmath.mpf(t)
-    shifted = ktype_space(n)
-    rho = mpmath.mpf(shifted.rho)
+def _mp_profile(lam, n, t):
+    """(lambda+1/2)_m / (4^m m!) (2 sinh t)^m phi^S_lambda(t), m = |n|, as
+    an mpmath number from the hypergeometric function."""
+    m, lam = abs(n), mpmath.mpc(lam)
+    rho = mpmath.mpf(ktype_space(n).rho)
     front = mpmath.rf(lam + 0.5, m) / (4**m * mpmath.factorial(m))
     phi = mpmath.hyp2f1((rho + lam) / 2, (rho - lam) / 2, rho + 0.5, -mpmath.sinh(t) ** 2)
-    return complex(front * (2 * mpmath.sinh(t)) ** m * phi)
+    return front * (2 * mpmath.sinh(t)) ** m * phi
+
+
+@mpmath.workdps(30)
+def _mp_ktype_profile(lam, n, t):
+    """The K-type profile at 30 digits, as a complex."""
+    return complex(_mp_profile(lam, n, mpmath.mpf(t)))
+
+
+@mpmath.workdps(30)
+def _mp_ktype_pair(lam, n, t):
+    """(profile, d/dt profile) at 30 digits, the derivative by mpmath.diff."""
+    t = mpmath.mpf(t)
+    return (complex(_mp_profile(lam, n, t)),
+            complex(mpmath.diff(lambda x: _mp_profile(lam, n, x), t)))
 
 
 @pytest.mark.parametrize("lam, n, t", [(0.7, 3, 300.0), (0.7, 3, 100.0),
@@ -389,6 +443,28 @@ def test_oracle_h3_refuses_non_finite_input(lam, t):
     # nan or inf once came back as phi = nan+nanj, not as an error
     with pytest.raises(NonFiniteInputError):
         oracle_h3(lam, t)
+
+
+_HUGE = 10**400  # an int no float conversion takes
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ktype_prefactor(1, _HUGE),
+    lambda: ktype_radial_profile(0.7, 1, _HUGE),
+    lambda: ktype_solution(_HUGE, 1),
+    lambda: poisson_radial_pair(0.7, 1, _HUGE),
+    lambda: poisson_radial_pair(_HUGE, 1, 1.0),
+    lambda: poisson_transform(_HUGE, lambda th: 1.0, 0.3),
+    lambda: oracle_h3(0.7, _HUGE),
+    lambda: distance(_HUGE, 0.0),
+    lambda: horocycle_bracket(0.1, _HUGE),
+    lambda: resolvent_difference_quadrature(_HUGE, 0.1, 0.2),
+], ids=["prefactor t", "profile t", "solution lambda", "pair t", "pair lambda",
+        "transform lambda", "oracle t", "distance z", "bracket theta", "quadrature zeta"])
+def test_huge_int_arguments_are_out_of_range(call):
+    # each raised a raw OverflowError, "int too large to convert to float"
+    with pytest.raises(OutOfRangeError, match="past the floating-point range"):
+        call()
 
 
 @pytest.mark.parametrize("k", [512, 520, 1000, 10**4, 10**30])
