@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DominanceError, IllConditionedError, require_finite
+from .errors import DominanceError, IllConditionedError, as_array, as_complex
 from .radial import RadialSolution, _connection_solve
 from .space import RankOneSpace
 
@@ -68,7 +68,7 @@ def boundary_pair(space, lam, sol: RadialSolution) -> BoundaryPair:
     """Extract (bv_{rho-lambda}, bv_{rho+lambda}) of a solved eigenfunction
     whose range covers log 2 (ValueError if not).  IllConditionedError at
     lambda = 0, where the two exponents coincide."""
-    lam = complex(lam)
+    lam = as_complex("lambda", lam)
     if not lam:
         raise IllConditionedError("at lambda = 0 the exponents coincide", condition=math.inf)
     (w_minus, c_minus), (w_plus, c_plus) = _connection_solve(space, (lam, -lam), sol)
@@ -89,17 +89,14 @@ def bv_limit(space, lam, samples):
     NonFiniteInputError for a nan or infinite lambda, y or u, and ValueError
     for a sample with y <= 0, where y^(lambda-rho) leaves the boundary limit.
     """
-    lam = complex(lam)
-    require_finite(lam=lam)
+    lam = as_complex("lambda", lam)
     if lam.real < 0.25:
         raise DominanceError(
             f"Re lambda = {lam.real} < 0.25: boundary exponents too close "
             "for the limit route; use boundary_pair instead"
         )
-    ys = np.array([float(y) for y, _ in samples])
-    us = np.array([complex(u) for _, u in samples], dtype=complex)
-    for y, u in zip(ys.tolist(), us.tolist()):
-        require_finite(y=y, u=u)
+    ys = as_array("y", [y for y, _ in samples])
+    us = as_array("u", [u for _, u in samples], complex)
     if np.any(ys <= 0.0):
         raise ValueError("bv_limit samples need y > 0")
     if len(ys) < 7:

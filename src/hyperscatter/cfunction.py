@@ -50,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonFiniteInputError, OutOfRangeError, PoleSignal, require_finite
+from .errors import OutOfRangeError, PoleSignal, as_array, as_complex
 from .space import RankOneSpace
 
 _LN2 = math.log(2.0)
@@ -91,14 +91,7 @@ loggamma, psi = _gamma_ufuncs()
 
 
 def _nonpos_int(w, tol=_INT_TOL):
-    """Return m >= 0 if w is within tol of the nonpositive integer -m.
-
-    Every argument of the c-function passes through here, so this is also
-    where non-finite input is refused.
-    """
-    w = complex(w)
-    if not cmath.isfinite(w):
-        raise NonFiniteInputError(f"c-function argument {w} is not finite")
+    """Return m >= 0 if the complex w, finite by the gate, is within tol of -m."""
     if abs(w.imag) > tol:
         return None
     m = round(w.real)
@@ -122,23 +115,18 @@ def _exp_lead(lam, log_lead):
 
 
 def _argument(lam):
-    """lam as a complex; NonFiniteInputError where it is not finite (as
-    _nonpos_int would raise), OutOfRangeError where |lam| >= 2^52."""
-    lam = complex(lam)
+    """lam through the gate, as a complex; OutOfRangeError where |lam| >= 2^52."""
+    lam = as_complex("lambda", lam)
     if not math.hypot(lam.real, lam.imag) < _LATTICE_LIMIT:  # abs() may raise OverflowError
-        require_finite(lam=lam)
         raise _out_of_range(lam)
     return lam
 
 
-def _finite(x):
-    """x as a complex array; NonFiniteInputError if an element is not finite,
-    OutOfRangeError if one has |x| >= 2^52 (one pass over |x| tests both)."""
-    x = np.asarray(x, dtype=complex)
+def _finite(x, name):
+    """Array form of _argument: x through the gate, as a complex array."""
+    x = as_array(name, x, complex)
     size = np.abs(x)
     if not size.max(initial=0.0) < _LATTICE_LIMIT:
-        if not np.isfinite(x).all():
-            raise NonFiniteInputError("c-function argument array has a non-finite element")
         raise _out_of_range(complex(x.flat[np.argmax(size)]))
     return x
 
@@ -219,18 +207,20 @@ def log_gamma(z):
 
     Raises PoleSignal at the poles.
     """
+    z = as_complex("z", z)
     m = _nonpos_int(z, tol=1e-13)
     if m is not None:
         raise PoleSignal(f"log_gamma pole at z = {-m}", at=-m, order=1)
-    return complex(loggamma(complex(z)))
+    return complex(loggamma(z))
 
 
 def digamma(z):
     """Digamma psi(z) = (log Gamma)'(z) for complex z off the poles."""
+    z = as_complex("z", z)
     m = _nonpos_int(z, tol=1e-13)
     if m is not None:
         raise PoleSignal(f"digamma pole at z = {-m}", at=-m, order=1)
-    return complex(psi(complex(z)))
+    return complex(psi(z))
 
 
 class CFunction:
@@ -264,7 +254,8 @@ class CFunction:
         """
         if isinstance(lam0, np.ndarray):
             return self._expand(lam0, slope=True)
-        order, log_lead, ratio = self._local(_argument(lam0), slope=True)
+        lam0 = _argument(lam0)
+        order, log_lead, ratio = self._local(lam0, slope=True)
         lead = _exp_lead(lam0, log_lead)
         return order, lead, lead * ratio
 
@@ -299,7 +290,7 @@ class CFunction:
         through math.lgamma as there, so that the lattice elements of A agree
         with the scalar call bit for bit.
         """
-        lam = _finite(lam)
+        lam = _finite(lam, "lambda")
         order = np.zeros(lam.shape, dtype=int)
         log_lead = self.log_c0 - lam * _LN2
         ratio = np.full(lam.shape, -_LN2, dtype=complex) if slope else None
@@ -336,7 +327,7 @@ class CFunction:
         alone."""
         if isinstance(lam, np.ndarray):
             return sum(-sign * (_lattice_index(w) >= 0)
-                       for sign, w in self._factors(_finite(lam)))
+                       for sign, w in self._factors(_finite(lam, "lambda")))
         return self._local(_argument(lam), slope=False)[0]
 
     def _factors(self, lam):
@@ -369,7 +360,7 @@ class CFunction:
         A numpy array of zeta0 gives the arrays (order, A, B)."""
         if isinstance(zeta0, np.ndarray):
             return self._czz_arrays(zeta0, self.local_expansion)
-        zeta0 = complex(zeta0)
+        zeta0 = as_complex("zeta", zeta0)
         order, lead, nxt = compose_czz(self.local_expansion(1j * zeta0),
                                        self.local_expansion(-1j * zeta0))
         return order, lead, complex(nxt)  # B may come from numpy's psi
@@ -382,7 +373,7 @@ class CFunction:
         if isinstance(zeta, np.ndarray):
             data = self._czz_arrays(zeta, lambda x: self._expand(x, slope=False))
             return _read_values("czz", "zeta", zeta, *data[:2])
-        zeta = complex(zeta)
+        zeta = as_complex("zeta", zeta)
         sides = []
         for lam in (1j * zeta, -1j * zeta):
             order, log_lead, _ = self._local(_argument(lam), slope=False)
@@ -391,7 +382,7 @@ class CFunction:
 
     def _czz_arrays(self, zeta, expand):
         """czz_expansion over the array zeta, from the c-data ``expand`` gives."""
-        zeta = _finite(zeta)
+        zeta = _finite(zeta, "zeta")
         return compose_czz(expand(1j * zeta), expand(-1j * zeta))
 
     def czz_derivative(self, zeta):
@@ -399,13 +390,13 @@ class CFunction:
 
     def czz_and_derivative(self, zeta):
         """(czz, czz') at zeta from one local expansion."""
-        return _read_local("czz", "zeta", complex(zeta), *self.czz_expansion(zeta))
+        zeta = as_complex("zeta", zeta)
+        return _read_local("czz", "zeta", zeta, *self.czz_expansion(zeta))
 
     def plancherel_density(self, zeta):
         """Spherical Plancherel density |c(i zeta)|^{-2} at real zeta > 0."""
-        z = complex(zeta)
-        if not (abs(z.imag) <= 1e-12 and 0.0 < z.real < math.inf):
-            require_finite(zeta=z)
+        z = as_complex("zeta", zeta)
+        if not (abs(z.imag) <= 1e-12 and 0.0 < z.real):
             raise ValueError("plancherel_density needs real zeta > 0")
         size = abs(self.value(1j * z.real))
         try:

@@ -1,7 +1,15 @@
-"""Exception and warning types shared across the library, and the one
-refusal of a non-finite argument."""
+"""Exception and warning types shared across the library, and the one gate
+through which every public entry point converts its numeric arguments: each
+as_* returns the converted argument, refuses a nan or infinite one (or part)
+with NonFiniteInputError "name = x is not finite", and a number past the
+float range (10**400) with OutOfRangeError "name is past the floating-point
+range"."""
 
 import cmath
+import math
+import numbers
+
+import numpy as np
 
 
 class PoleSignal(ArithmeticError):
@@ -27,18 +35,59 @@ class NonFiniteInputError(ValueError):
     input."""
 
 
-def require_finite(**values):
-    """NonFiniteInputError "name = x is not finite" for the first named
-    value, a float or a complex, with a nan or infinite part; OutOfRangeError
-    for an int past the float range, which no float conversion takes."""
-    for name, x in values.items():
-        try:
-            finite = cmath.isfinite(x)
-        except OverflowError:
-            # str() of a huge int may itself be refused: the name alone
-            raise OutOfRangeError(f"{name} is an int past the floating-point range") from None
-        if not finite:
-            raise NonFiniteInputError(f"{name} = {x} is not finite")
+def _past_range(name):
+    # str() of a huge int may itself be refused: the name alone
+    return OutOfRangeError(f"{name} is past the floating-point range")
+
+
+def as_float(name, x):
+    """x as a float; a complex x is refused as as_complex refuses it, else a TypeError."""
+    try:
+        x = float(x)
+    except (OverflowError, TypeError):
+        as_complex(name, x)
+        raise
+    if not math.isfinite(x):
+        raise NonFiniteInputError(f"{name} = {x} is not finite")
+    return x
+
+
+def as_complex(name, x):
+    try:
+        x = complex(x)
+    except OverflowError:
+        raise _past_range(name) from None
+    if not cmath.isfinite(x):
+        raise NonFiniteInputError(f"{name} = {x} is not finite")
+    return x
+
+
+def as_int(name, n):
+    """n as an int, from an int or an integral float; else ValueError."""
+    if isinstance(n, numbers.Integral):
+        return int(n)
+    if isinstance(n, numbers.Real) and as_float(name, n).is_integer():
+        return int(n)
+    raise ValueError(f"{name} = {n!r} is not an integer")
+
+
+def as_array(name, xs, dtype=float):
+    """xs as a numpy array of ``dtype`` (float or complex), refused at its first
+    nan or infinite element; complex elements of a float array as in as_float."""
+    xs = np.asarray(xs)
+    try:
+        if dtype is float and np.iscomplexobj(xs):  # astype would drop the imaginary parts
+            raise TypeError(f"{name} holds a complex number")
+        xs = xs.astype(dtype, copy=False)
+    except OverflowError:
+        raise _past_range(name) from None
+    except TypeError:
+        as_array(name, xs, complex)
+        raise
+    finite = np.isfinite(xs)
+    if not finite.all():
+        raise NonFiniteInputError(f"{name} = {xs[~finite][0]} is not finite")
+    return xs
 
 
 class OutOfRangeError(ValueError):

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 import sys
 import warnings
 from collections import namedtuple
@@ -43,8 +42,8 @@ import numpy as np
 from numpy.random import default_rng  # at import: np.random loads on first use
 
 from .cfunction import for_space
-from .errors import (AccuracyWarning, IndeterminateRankError, NonFiniteInputError,
-                     OutOfRangeError, QuadratureError, require_finite)
+from .errors import (AccuracyWarning, IndeterminateRankError, OutOfRangeError, QuadratureError,
+                     as_complex, as_float, as_int)
 from .radial import RadialSolution, _checked, _phi_series, continuation
 from .space import RankOneSpace
 
@@ -58,8 +57,7 @@ _SVD_THRESHOLD = 1e-8  # residue_rank: singular values below this share of the l
 
 def distance(z1, z2):
     """Geodesic distance between two points of the open disk."""
-    require_finite(z1=z1, z2=z2)
-    z1, z2 = complex(z1), complex(z2)
+    z1, z2 = as_complex("z1", z1), as_complex("z2", z2)
     for z in (z1, z2):
         if abs(z) >= 1.0:
             raise ValueError(f"|z| = {abs(z)} not inside the disk")
@@ -70,23 +68,21 @@ def distance(z1, z2):
 
 def r_of_t(t):
     """Euclidean radius of the point at geodesic distance t from 0."""
-    return math.tanh(0.5 * float(t))
+    return math.tanh(0.5 * as_float("t", t))
 
 
 def horocycle_bracket(z, theta):
     """A(z, theta) = log((1-|z|^2)/|z - e^{i theta}|^2)."""
-    require_finite(z=z, theta=theta)
-    z = complex(z)
+    z, theta = as_complex("z", z), as_float("theta", theta)
     if abs(z) >= 1.0:
         raise ValueError("bracket defined for |z| < 1")
-    d2 = abs(z - cmath.exp(1j * float(theta))) ** 2
+    d2 = abs(z - cmath.exp(1j * theta)) ** 2
     if d2 == 0.0:
-        raise OverflowError("z on the boundary at the bracket's singular angle")
+        raise OutOfRangeError("z on the boundary at the bracket's singular angle")
     return math.log1p(-abs(z) ** 2) - math.log(d2)
 
 
 def _bracket_grid(z, thetas):
-    z = complex(z)
     if not abs(z) < 1.0:
         raise ValueError(f"|z| = {abs(z)} not inside the disk")
     d2 = np.abs(z - np.exp(1j * thetas)) ** 2
@@ -140,9 +136,7 @@ def poisson_transform(lam, f, z):
     QuadratureError if 2^17 nodes do not suffice, NonFiniteInputError for a
     nan or infinite lambda or z.
     """
-    require_finite(lam=lam, z=z)
-    lam = complex(lam)
-    z = complex(z)
+    lam, z = as_complex("lambda", lam), as_complex("z", z)
 
     def node_sum(thetas):
         vals = f(thetas)
@@ -172,14 +166,12 @@ def poisson_radial_pair(lam, n, t):
     NonFiniteInputError, and a huge int lambda or t or an |n| whose first
     grid leaves no doubling below 2^17 nodes OutOfRangeError.
     """
-    require_finite(lam=lam, t=t)
-    lam = complex(lam)
-    t = float(t)
+    lam, t = as_complex("lambda", lam), as_float("t", t)
     many = np.ndim(n) > 0
     ns = list(n) if many else [n]
     if not ns:
         raise ValueError("need at least one K-type index n")
-    ns = [_integer("K-type index n", k) for k in ns]  # refuses 1.5, nan, inf
+    ns = [as_int("K-type index n", k) for k in ns]  # refuses 1.5, nan, inf
     top = max(map(abs, ns))
     first = max(64, 1 << (4 * top - 1).bit_length())  # the power of two >= 4 |n|
     if first > _MAX_NODES // 2:
@@ -214,7 +206,7 @@ def poisson_radial_pair(lam, n, t):
 
 def hyperbolic_laplacian_stencil(func, z):
     """Five-point hyperbolic Laplacian -((1-|z|^2)^2/4) * euclidean Laplacian."""
-    z = complex(z)
+    z = as_complex("z", z)
     h = 1e-3
     lap_euc = (
         func(z + h) + func(z - h) + func(z + 1j * h) + func(z - 1j * h)
@@ -234,30 +226,16 @@ def hyperbolic_laplacian_stencil(func, z):
 # the K-type's Q_lambda, so f and g share their boundary pair.
 
 
-def _integer(what, n):
-    """n as an int: NonFiniteInputError for nan or inf, ValueError for 1.5 or
-    anything else that is not an integer."""
-    if isinstance(n, numbers.Integral):
-        return int(n)
-    if isinstance(n, numbers.Real):
-        if not math.isfinite(n):
-            raise NonFiniteInputError(f"{what} = {n!r} is not finite")
-        if float(n).is_integer():
-            return int(n)
-    raise ValueError(f"{what} = {n!r} is not an integer")
-
-
 def ktype_space(n):
     """S_|n| = RankOneSpace(1 + 2|n|, 0): the n-th K-type profile of H^2 is
     ktype_prefactor(n, t) times a radial solution on this space."""
-    return RankOneSpace(1 + 2 * abs(_integer("K-type index n", n)), 0)
+    return RankOneSpace(1 + 2 * abs(as_int("K-type index n", n)), 0)
 
 
 def ktype_prefactor(n, t):
     """(p, dp/dt) of p(t) = (2 sinh t)^|n|; NonFiniteInputError for a nan or
     infinite t, OutOfRangeError where p or dp/dt passes the float range."""
-    m = abs(_integer("K-type index n", n))
-    require_finite(t=t)
+    m, t = abs(as_int("K-type index n", n)), as_float("t", t)
     if m == 0:
         return 1.0, 0.0
     try:
@@ -271,8 +249,8 @@ def ktype_prefactor(n, t):
 
 
 def _normal(*xs):
-    """Whether every x is a normal float, where a product keeps its digits."""
-    return all(sys.float_info.min <= abs(x) < math.inf for x in xs)
+    """Whether every |x| (by hypot, as abs() may overflow) is normal: a product keeps its digits."""
+    return all(sys.float_info.min <= math.hypot(x.real, x.imag) < math.inf for x in xs)
 
 
 def ktype_solution(lam, n, t_max=1.35):
@@ -298,14 +276,19 @@ def ktype_solution(lam, n, t_max=1.35):
     entry's c Q sum, which refuses it where the terms cancel past 1e-8
     (|n| = 128 at t = 3; its error is about 3e-15 times their ratio).
     """
-    require_finite(lam=lam)
-    lam = complex(lam)
-    m = abs(_integer("K-type index n", n))
-    # a running product: 4^m m! passes the float range from m = 134 on
-    front = math.prod(((lam + 0.5 + j) / (4 * (j + 1)) for j in range(m)), start=1.0 + 0j)
-    if abs(front) < sys.float_info.min and all(lam + 0.5 + j for j in range(m)):
-        raise OutOfRangeError(f"(lambda+1/2)_m / (4^m m!) at m = {m} leaves the "
-                              "floating-point range")
+    lam, m = as_complex("lambda", lam), abs(as_int("K-type index n", n))
+    shift = lam + 0.5
+    if not shift.imag and shift.real.is_integer() and -m < shift.real <= 0.0:
+        front = 0j  # a factor lambda + 1/2 + j is 0
+    else:
+        # a running product (4^m m! passes the float range from m = 134 on);
+        # its factors pass 1 in modulus only before they fall below it for good
+        front = 1.0 + 0j
+        for j in range(m):
+            front *= (shift + j) / (4 * (j + 1))
+            if not _normal(front):
+                raise OutOfRangeError(f"(lambda+1/2)_m / (4^m m!) leaves the floating-point "
+                                      f"range at factor {j + 1}")
     phi = continuation(ktype_space(m), lam, _phi_series)
 
     def pair(t):
@@ -324,15 +307,14 @@ def ktype_solution(lam, n, t_max=1.35):
         raise OutOfRangeError(f"the K-type profile or a factor of it leaves the "
                               f"floating-point range at t = {t}")
 
-    return RadialSolution(H2, lam, 0.0, max(float(t_max), 1.35), pair)
+    return RadialSolution(H2, lam, 0.0, max(as_float("t", t_max), 1.35), pair)
 
 
 def ktype_radial_profile(lam, n, t):
     """f_{lambda,n}(t) with P_lambda(e^{in theta}) = f_{lambda,n}(t) e^{in b};
     NonFiniteInputError for a nan or infinite t, else refused as
     ktype_solution refuses it."""
-    require_finite(t=t)
-    t = float(t)
+    t = as_float("t", t)
     if t <= 0.0:
         raise ValueError("profile evaluated at t > 0 (it vanishes like t^|n| at 0)")
     return ktype_solution(lam, n, t_max=t).at(t)[0]
@@ -350,9 +332,7 @@ def resolvent_difference_quadrature(zeta, z1, z2, tol=1e-10, cap=2048):
     identity is certified under); the cap value is returned even if the
     doubling has not settled to ``tol`` by then, with an AccuracyWarning.
     """
-    require_finite(zeta=zeta, z1=z1, z2=z2)
-    zeta = complex(zeta)
-    z1, z2 = complex(z1), complex(z2)
+    zeta, z1, z2 = as_complex("zeta", zeta), as_complex("z1", z1), as_complex("z2", z2)
     cf = for_space(H2)
     front = 1j / (2.0 * H2.kappa * zeta * cf.czz(zeta))
 
@@ -386,7 +366,7 @@ def residue_rank(k, with_gap=False):
     integer ValueError.  At the sampled radii r <= 0.6, |A| <= log 4: a k from
     512 on, where 4^k leaves the float range, raises OutOfRangeError.
     """
-    k = _integer("k", k)
+    k = as_int("k", k)
     if k < 0:
         raise ValueError("k must be a nonnegative integer")
     if k >= 512:  # 4^512 = 2^1024 passes the largest float
@@ -429,9 +409,7 @@ def oracle_h3(lam, t):
     or infinite lambda or t raises NonFiniteInputError, and a phi or Q
     whose closed form leaves the float range OutOfRangeError.
     """
-    require_finite(lam=lam, t=t)
-    lam = complex(lam)
-    t = float(t)
+    lam, t = as_complex("lambda", lam), as_float("t", t)
     if t <= 0.0:
         raise ValueError("oracle needs t > 0")
     x = lam * t

@@ -172,8 +172,8 @@ from operator import mul
 import numpy as np
 
 from .cfunction import for_space, loggamma, psi
-from .errors import (AccuracyWarning, IllConditionedError, NonFiniteInputError,
-                     OutOfRangeError, ResonantExponentError, StiffnessError, require_finite)
+from .errors import (AccuracyWarning, IllConditionedError, OutOfRangeError,
+                     ResonantExponentError, StiffnessError, as_array, as_complex, as_float)
 from .space import RankOneSpace
 
 T_SWITCH = math.log(2.0)  # series/ODE handover at y = 1/2
@@ -195,23 +195,6 @@ _Q_BRIDGE_ENDS = [T_SWITCH * k / 64 for k in range(63, 0, -1)]  # where Q's brid
 
 _MAX_EXPONENT = 700.0  # a solution growing past e^700 leaves the floating-point range
 _MAX_PHASE = 1e5  # radians a solve or its growth may turn through: about 100 s of steps
-
-
-def _radius(t):
-    """t as a float; NonFiniteInputError for nan or inf."""
-    t = float(t)
-    if not math.isfinite(t):
-        raise NonFiniteInputError(f"t = {t} is not finite")
-    return t
-
-
-def _radii(ts):
-    """ts as a 1-d float array; NonFiniteInputError for nan or inf."""
-    ts = np.asarray(ts, dtype=float)
-    bad = ts[~np.isfinite(ts)]
-    if len(bad):
-        raise NonFiniteInputError(f"t = {bad[0]} is not finite")
-    return ts
 
 
 def _power_sums(rows, x, n):
@@ -262,10 +245,10 @@ def _read(t, parts):
 def _lambdas(lam):
     """(list of complex lambdas, whether lam was a sequence)."""
     if np.ndim(lam) == 0:
-        return [complex(lam)], False
+        return [as_complex("lambda", lam)], False
     if len(lam) == 0:
         raise ValueError("need at least one lambda")
-    return [complex(x) for x in lam], True
+    return [as_complex("lambda", x) for x in lam], True
 
 
 def _spaces(space, count):
@@ -279,12 +262,12 @@ def _spaces(space, count):
 
 
 def _check_exponent(lam, step=1):
-    """Refuse a non-finite lambda, and 2*lambda within EXCLUSION_RADIUS of a
+    """Refuse 2*lambda (lam a gated complex) within EXCLUSION_RADIUS of a
     negative multiple of ``step``: 2 where frobenius_Q divides by zero, 1
     (every negative integer) for eval_Q and connection_coefficients."""
-    lam = complex(lam)
-    require_finite(lam=lam)
     w = 2.0 * lam
+    if not cmath.isfinite(w):
+        raise OutOfRangeError(f"2*lambda at lambda = {lam} passes the floating-point range")
     m = step * round(w.real / step)
     if m <= -1 and abs(w - m) <= EXCLUSION_RADIUS:
         raise ResonantExponentError(
@@ -349,7 +332,7 @@ def frobenius_Q(space, lam):
     OutOfRangeError at the first coefficient that leaves the float range
     (a large multiplicity: hn:1000).
     """
-    lam = complex(lam)
+    lam = as_complex("lambda", lam)
     _check_exponent(lam, step=2)
     e = space.rho + lam
     # b(t) - 2 rho = sum_{k even >= 2} b_k y^k, b_k = 2 m_alpha + 4 m_2alpha [4 | k],
@@ -417,11 +400,12 @@ class RadialSolution:
     ts: np.ndarray = field(default=None, repr=False)
 
     def at(self, t):
+        t = as_float("t", t)
         if not (self.t_lo - 1e-12 <= t <= self.t_hi + 1e-12):
             raise ValueError(
                 f"t={t} outside solved range [{self.t_lo}, {self.t_hi}]"
             )
-        u, v = self._eval(float(t))
+        u, v = self._eval(t)
         return complex(u), complex(v)
 
     def __call__(self, t):
@@ -650,14 +634,12 @@ def integrate_radial_ode(space, lams, t_span, inits):
     the singular endpoint), its ends positive, finite and distinct, and
     every lambda finite.
     """
-    t0, t1 = _radius(t_span[0]), _radius(t_span[1])
+    t0, t1 = as_float("t", t_span[0]), as_float("t", t_span[1])
     if min(t0, t1) <= 0.0:
         raise ValueError("t_span must stay inside (0, inf)")
     if t0 == t1:
         raise ValueError("t_span must have two distinct ends")
-    lams = [complex(lam) for lam in lams]
-    for lam in lams:
-        require_finite(lam=lam)
+    lams = [as_complex("lambda", lam) for lam in lams]
     count = len(lams)
     if count == 0 or len(inits) != count:
         raise ValueError("need one initial (u, u') pair per lambda, at least one")
@@ -898,7 +880,6 @@ def _jacobi_series(space, lam):
     up to T_PHI, or where |Im lambda| tanh(t) passes _SERIES_REACH (the
     terms outgrow the sum by about |Im lambda| tanh(t) / 2 decades), or
     half that, /4, ... where a |lambda| in the hundreds overflows the terms."""
-    require_finite(lam=lam)
     a, b, c = _jacobi_abc(space, lam)
     mu = abs(lam.imag)
     reach = T_PHI if mu * math.tanh(T_PHI) <= _SERIES_REACH else math.atanh(_SERIES_REACH / mu)
@@ -1056,7 +1037,7 @@ def phi_solution(space, lam, t_max):
     """
     lams, many = _lambdas(lam)
     spaces = _spaces(space, len(lams))
-    t_max = _radius(t_max)
+    t_max = as_float("t", t_max)
     if t_max <= _MIN_T_MAX:
         raise ValueError(f"t_max must exceed {_MIN_T_MAX}")
     starts = [continuation(s, x, _phi_series).start for s, x in zip(spaces, lams)]
@@ -1076,7 +1057,7 @@ def q_solution(space, lam, t_min):
     """
     lams, many = _lambdas(lam)
     spaces = _spaces(space, len(lams))
-    t_min = _radius(t_min)
+    t_min = as_float("t", t_min)
     if t_min <= 0.0:
         raise ValueError("Q is singular at t = 0; need t_min > 0")
     conts = [Continuation(s, lam, _series(s, lam), T_SWITCH, -math.inf, -1.0, None)
@@ -1095,21 +1076,21 @@ def eval_Q(space, lam, t):
     the floating-point range.  At a 1-d array of t (a complex array back)
     each series reads its t in one pass."""
     if isinstance(t, np.ndarray):
-        t = _radii(t)
+        t = as_array("t", t)
         if (t <= 0.0).any():
             raise ValueError("eval_Q needs t > 0")
+        lam = as_complex("lambda", lam)
         _check_exponent(lam)
-        lam = complex(lam)
         far = t >= T_SWITCH
         return _read(t, ((far, lambda ts: _checked(_series(space, lam).pair, lam, ts)),
                          (~far, lambda ts: continuation(space, lam, _q_second_kind).pair(ts))))[0]
-    t = _radius(t)
+    t = as_float("t", t)
     if t <= 0.0:
         raise ValueError("eval_Q needs t > 0")
+    lam = as_complex("lambda", lam)
     # every negative integer 2 lambda, odd ones included, is refused: the
     # spectral sweep's exclusion queries expect ResonantExponentError there
     _check_exponent(lam)
-    lam = complex(lam)
     if t >= T_SWITCH:  # no second-kind series: the cache entry serves t < log 2
         return complex(_checked(_series(space, lam).pair, lam, t)[0])
     return complex(continuation(space, lam, _q_second_kind).pair(t)[0])
@@ -1129,16 +1110,15 @@ def eval_phi(space, lam, t):
     one pass.
     """
     if isinstance(t, np.ndarray):
-        t = _radii(t)
+        t = as_array("t", t)
         if (t < 0.0).any():
             raise ValueError("eval_phi needs t >= 0")
-        return continuation(space, complex(lam), _phi_series).pair(t)[0]
-    t = _radius(t)
+        return continuation(space, as_complex("lambda", lam), _phi_series).pair(t)[0]
+    t = as_float("t", t)
     if t < 0.0:
         raise ValueError("eval_phi needs t >= 0")
-    lam = complex(lam)
+    lam = as_complex("lambda", lam)
     if not t:  # the series' value at t = 0, whatever finite lambda
-        require_finite(lam=lam)  # elsewhere the series' build refuses it
         return 1 + 0j
     return complex(continuation(space, lam, _phi_series).pair(t)[0])
 
@@ -1180,6 +1160,7 @@ def phi_pairings(space, lam, mus, t=T_SWITCH):
     """[(J W(phi_lambda, Q_mu), condition) for mu in mus] at log 2 <= t <=
     T_PHI: ``_connection_solve`` of phi's cache entry, its series or bridge
     there (never c Q), which reads no c."""
+    lam = as_complex("lambda", lam)
     return _connection_solve(space, mus, continuation(space, lam, _phi_series).view(t, T_PHI))
 
 
@@ -1191,9 +1172,9 @@ def connection_coefficients(space, lam):
     1e-16 passes 1e-8, and at c's pole lambda = 0 (inf)."""
     # 2 lambda or -2 lambda a negative integer is refused, odd ones included:
     # the spectral sweep's exclusion queries expect ResonantExponentError there
+    lam = as_complex("lambda", lam)
     _check_exponent(lam)
-    _check_exponent(-complex(lam))
-    lam = complex(lam)
+    _check_exponent(-lam)
     mus = (lam, -lam)
     pairs = phi_pairings(space, lam, mus)
     condition = max(cond for _, cond in pairs) if lam else math.inf
@@ -1211,8 +1192,8 @@ def abel_wronskian(space, lam, t):
     -2 lambda c(lambda): ``phi_pairings`` at t with Q_lambda alone, which
     reads no c.  ValueError for other t.
     """
-    lam = complex(lam)
-    t = _radius(t)
+    lam = as_complex("lambda", lam)
+    t = as_float("t", t)
     if not T_SWITCH <= t <= T_PHI:
         raise ValueError(f"abel_wronskian needs log 2 <= t <= {T_PHI}, got t = {t}")
     (w, _), = phi_pairings(space, lam, (lam,), t)

@@ -36,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cfunction import for_space
-from .errors import PoleSignal
+from .errors import PoleSignal, as_array, as_complex, as_float
 from .quadpack import quad
-from .radial import _radii, _radius, eval_phi, eval_Q
+from .radial import eval_phi, eval_Q
 from .space import RankOneSpace
 
 
@@ -49,7 +49,6 @@ def _normalization(space, zeta):
     pole of the continued resolvent (PoleSignal); the Frobenius exclusion
     set surfaces later from Q itself (ResonantExponentError).
     """
-    zeta = complex(zeta)
     if abs(zeta) < 1e-13:
         raise ValueError("zeta = 0: the resolvent continuation is evaluated off zero")
     cf = for_space(space)
@@ -73,7 +72,7 @@ class ResolventKernel:
     normalization: complex
 
     def __call__(self, t):
-        t = _radius(t)
+        t = as_float("t", t)
         if t <= 0.0:
             raise ValueError("kernel is singular at coincident points; need t > 0")
         return self.normalization * eval_Q(self.space, 1j * self.zeta, t)
@@ -81,13 +80,13 @@ class ResolventKernel:
 
 def kernel_at(space, zeta):
     """ResolventKernel object for repeated evaluation at fixed zeta."""
-    return ResolventKernel(space=space, zeta=complex(zeta),
-                           normalization=_normalization(space, zeta))
+    zeta = as_complex("zeta", zeta)
+    return ResolventKernel(space=space, zeta=zeta, normalization=_normalization(space, zeta))
 
 
 def kernel(space, zeta, t):
     """R_zeta(t) = Q_{i zeta}(t) / (2 i kappa zeta c(i zeta))."""
-    return kernel_at(space, zeta)(float(t))
+    return kernel_at(space, zeta)(t)
 
 
 def resolvent_difference(space, zeta, t):
@@ -106,11 +105,11 @@ def spectral_density_kernel(space, s, t):
     (R_{-zeta} - R_{zeta})(t) / (2 pi i) with zeta = sqrt(s / kappa); real
     for s, t > 0 by conjugation symmetry.
     """
-    s = float(s)
+    s = as_float("s", s)
     if s <= 0.0:
         raise ValueError("spectral parameter must be positive")
     zeta = math.sqrt(s / space.kappa)
-    return resolvent_difference(space, zeta, float(t)) / (2j * math.pi)
+    return resolvent_difference(space, zeta, t) / (2j * math.pi)
 
 
 def _quad(f, a, b):
@@ -130,12 +129,12 @@ class ResolventApplication:
 
     def __init__(self, space, zeta, f, support):
         self.space = space
-        self.zeta = complex(zeta)
+        self.zeta = as_complex("zeta", zeta)
         self.f = f
-        self.t_a, self.t_b = _radius(support[0]), _radius(support[1])
+        self.t_a, self.t_b = as_float("t", support[0]), as_float("t", support[1])
         if not (0.0 < self.t_a < self.t_b):
             raise ValueError("support must satisfy 0 < t_a < t_b")
-        self.normalization = _normalization(space, zeta)
+        self.normalization = _normalization(space, self.zeta)
         self._J = space.density_J_t
 
     def _weighted(self, read):
@@ -153,13 +152,13 @@ class ResolventApplication:
         return _quad(self._weighted(eval_Q), lo, hi)
 
     def __call__(self, t):
-        return self.on_grid([_radius(t)])[0]
+        return self.on_grid([t])[0]
 
     def on_grid(self, ts):
         """Values on an ascending grid, sharing cumulative segment quadratures;
         an empty grid gives an empty array, and a nan or inf in it raises
         NonFiniteInputError before any quadrature."""
-        ts = _radii(ts)
+        ts = as_array("t", ts)
         if ts.size == 0:
             return np.empty(0, dtype=complex)
         if np.any(np.diff(ts) <= 0) or ts[0] <= 0.0:

@@ -51,8 +51,8 @@ from typing import Optional
 import numpy as np
 
 from . import model_h2
-from .cfunction import compose_czz, for_space
-from .errors import EnumerationError
+from .cfunction import _LATTICE_LIMIT, compose_czz, for_space
+from .errors import EnumerationError, OutOfRangeError, as_complex
 from .radial import eval_phi
 from .resolvent import kernel
 from .space import RankOneSpace
@@ -143,11 +143,16 @@ def certified_rungs(space, count):
     rungs the ladder lacks, in one _certify pass.  A rung's data is an
     elementwise function of that rung, so the rungs equal those of one pass
     over all ``count`` seeds, and a failed pass raises where that pass would
-    (at the first failed rung) and leaves the ladder unchanged.
+    (at the first failed rung) and leaves the ladder unchanged.  OutOfRangeError,
+    before any seed is made, where rho + j (count - 1) reaches c's lattice
+    limit 2^52 (j = 1 without rungs, for classify_poles' candidates -k/2).
     """
     if not isinstance(count, numbers.Integral) or count < 0:
         raise ValueError(f"count must be a non-negative integer, got {count!r}")
     cf = for_space(space)
+    if not (cf.resonance_step() or 1) * (count - 1) < _LATTICE_LIMIT - space.rho:
+        raise OutOfRangeError("the top rung of the requested resonance count reaches "
+                              "|lambda| = 2^52, where c cannot tell its lattice apart")
     ladder = _ladder(cf)
     have = len(ladder)
     seeds = cf.czz_zeros_upper(count)[have:]
@@ -219,7 +224,7 @@ def residue_contour_probe(space, rec, t):
     the first, which vanishes for a simple pole and therefore measures both
     quadrature health and pole simplicity.
     """
-    zs = circle_nodes(complex(rec.zeta))
+    zs = circle_nodes(as_complex("zeta", rec.zeta))
     kern = np.array([kernel(space, z, t) for z in zs])
     sph = np.array([eval_phi(space, 1j * z, t) for z in zs])
     return (complex(circle_moment(kern / sph, 0)),

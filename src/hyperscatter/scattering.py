@@ -37,7 +37,7 @@ import numpy as np
 
 from . import model_h2
 from .cfunction import for_space
-from .errors import PoleSignal, require_finite
+from .errors import PoleSignal, as_complex, as_float
 from .radial import connection_coefficients, phi_pairings
 from .resonances import ResonanceRecord, certified_rungs, circle_moment, circle_nodes
 
@@ -62,10 +62,15 @@ class ScatteringPole:
             raise ValueError(f"unknown pole kind {self.kind!r}")
 
 
-def _resonance_residue(cf, lam):
+def _resonance_residue(c_minus, dc):
     """Residue in zeta of s at a resonance, where c has a simple zero at
-    lam = i zeta: -i c(-lam) / c'(lam)."""
-    return -1j * cf.value(-lam) / cf.derivative(lam)
+    lam = i zeta: -i c(-lam) / c'(lam), from c_minus = c(-lam) and dc = c'(lam)."""
+    return -1j * c_minus / dc
+
+
+def _intertwiner_residue(res, den):
+    """Residue in zeta of s at an intertwiner pole: i Res c(-lam) / c(lam)."""
+    return 1j * res / den
 
 
 def scalar(space, zeta):
@@ -75,7 +80,7 @@ def scalar(space, zeta):
     scalar residue in zeta attached) where the ratio itself has a pole:
     at resonances c(i zeta) = 0, and at intertwiner poles c(-i zeta) = inf.
     """
-    zeta = complex(zeta)
+    zeta = as_complex("zeta", zeta)
     if abs(zeta) < _ORIGIN_TOL:
         raise ValueError("zeta = 0 is excluded: it is never a scattering pole")
     cf = for_space(space)
@@ -89,7 +94,7 @@ def scalar(space, zeta):
             f"scattering pole (resonance) at zeta = {zeta}",
             at=zeta,
             order=1,
-            residue=_resonance_residue(cf, lam),
+            residue=_resonance_residue(cf.value(-lam), cf.derivative(lam)),
         )
     try:
         num = cf.value(-lam)
@@ -98,7 +103,7 @@ def scalar(space, zeta):
             f"scattering pole (intertwiner) at zeta = {zeta}",
             at=zeta,
             order=1,
-            residue=1j * sig.residue / den,
+            residue=_intertwiner_residue(sig.residue, den),
         ) from sig
     return num / den
 
@@ -113,8 +118,7 @@ def ktype_eigenvalue(zeta, n):
     It refuses where connection_coefficients does: 2 i zeta near a nonzero
     integer, and zeta = 0.
     """
-    zeta = complex(zeta)
-    require_finite(zeta=zeta)
+    zeta = as_complex("zeta", zeta)
     a_minus, a_plus = connection_coefficients(model_h2.ktype_space(n), 1j * zeta)
     return a_plus / a_minus
 
@@ -129,8 +133,7 @@ def classify_poles(space, count):
     at -k/2 (then c(-i zeta) blows up while c(i zeta) = c(k/2) stays finite
     and nonzero).  zeta = 0 is never included.
     """
-    # the quotients are formed as the scalar routes form them
-    poles = [ScatteringPole(rec.zeta, KIND_RESONANCE, -1j * c_minus / dc)
+    poles = [ScatteringPole(rec.zeta, KIND_RESONANCE, _resonance_residue(c_minus, dc))
              for rec, dc, c_minus in certified_rungs(space, count)]
     # c's order and leading term at -k/2 and k/2 (where c is regular and
     # nonzero, so the leading term is the value), in one pass with no slope
@@ -138,8 +141,9 @@ def classify_poles(space, count):
     order, lead, _ = for_space(space)._expand(np.concatenate([-0.5 * ks, 0.5 * ks]),
                                               slope=False)
     hit = order[:count] < 0
-    poles += [ScatteringPole(-0.5j * k, KIND_INTERTWINER, 1j * res / den) for k, res, den in zip(
-        ks[hit].tolist(), lead[:count][hit].tolist(), lead[count:][hit].tolist())]
+    poles += [ScatteringPole(-0.5j * k, KIND_INTERTWINER, _intertwiner_residue(res, den))
+              for k, res, den in zip(ks[hit].tolist(), lead[:count][hit].tolist(),
+                                     lead[count:][hit].tolist())]
     return poles
 
 
@@ -170,7 +174,7 @@ def residue_relation_check(rec: ResonanceRecord):
     """
     space = model_h2.H2
     cf = for_space(space)
-    z0 = complex(rec.zeta)
+    z0 = as_complex("zeta", rec.zeta)
     svals = np.array([scalar(space, z) for z in circle_nodes(z0)])
     scattering_side = complex(circle_moment(svals, 0))
 
@@ -243,7 +247,7 @@ def find_scalar_poles(space, im_lo=-4.95, im_hi=4.95, step=0.01):
     give the same nodes k * step share it, and each call returns a fresh
     list.
     """
-    require_finite(im_lo=im_lo, im_hi=im_hi, step=step)
+    im_lo, im_hi, step = as_float("im_lo", im_lo), as_float("im_hi", im_hi), as_float("step", step)
     bounds = (im_lo, im_hi, step)
     if step <= 0 or im_lo >= im_hi or (im_hi - im_lo) / step > _MAX_NODES:
         raise ValueError(f"axis scan needs step > 0, im_lo < im_hi and at most "

@@ -10,7 +10,7 @@ import warnings
 import pytest
 
 from hyperscatter import cli
-from hyperscatter.cfunction import for_space
+from hyperscatter.cfunction import CFunction, for_space
 from hyperscatter.cli import main
 from hyperscatter.errors import EnumerationError
 from hyperscatter.radial import eval_phi, eval_Q
@@ -210,6 +210,20 @@ def test_unknown_space_is_usage_error(capsys):
             main(argv)
         assert info.value.code == 2
         assert "floating-point range" in capsys.readouterr().err
+
+
+def test_a_resonance_count_past_the_lattice_limit_is_an_error(capsys, monkeypatch):
+    # resonances --count 10**400 made 10**400 seeds and exhausted memory;
+    # now the header-only table is printed and the refusal named on stderr
+    def refuse(self, count):
+        raise AssertionError("a seed was made")
+
+    monkeypatch.setattr(CFunction, "czz_zeros_upper", refuse)
+    code = main(["resonances", "--space", "h2", "--count", str(10**400)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "k,zeta_re,zeta_im,residue_scalar_re,residue_scalar_im,multiplicity\n"
+    assert captured.err.startswith("hyperscatter: OutOfRangeError: ")
 
 
 def test_bad_complex_is_usage_error(capsys):

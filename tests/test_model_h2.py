@@ -8,16 +8,18 @@ is not.
 """
 
 import cmath
+import functools
 import math
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hyperscatter.cfunction import for_space
-from hyperscatter.boundary import boundary_pair
+from hyperscatter.cfunction import digamma, for_space, log_gamma
+from hyperscatter.boundary import boundary_pair, bv_limit
 from hyperscatter import model_h2
 from hyperscatter.errors import (AccuracyWarning, IllConditionedError, NonFiniteInputError,
                                  OutOfRangeError)
@@ -37,8 +39,14 @@ from hyperscatter.model_h2 import (
     residue_rank,
     resolvent_difference_quadrature,
 )
-from hyperscatter.radial import RadialSolution, eval_phi
-from hyperscatter.resolvent import resolvent_difference
+from hyperscatter.radial import (RadialSolution, abel_wronskian, connection_coefficients,
+                                 eval_phi, eval_Q, frobenius_Q, integrate_radial_ode,
+                                 phi_solution, q_solution, wronskian_limit)
+from hyperscatter.resolvent import (apply_radial, kernel, kernel_at, resolvent_difference,
+                                    spectral_density_kernel)
+from hyperscatter.resonances import enumerate_resonances, residue_contour_probe, residue_kernel
+from hyperscatter.scattering import find_scalar_poles, ktype_eigenvalue, scalar
+from hyperscatter.space import make_space
 from hyperscatter.verify import check_fatou
 
 _CF = for_space(H2)
@@ -241,6 +249,12 @@ def test_ktype_profile_matches_poisson_quadrature():
     for t in (0.8, 2.0):
         assert ktype_radial_profile(-1.5, 3, t) == 0.0
         assert abs(poisson_radial_pair(-1.5, 3, t)[0]) < 1e-14
+    # the factor is 0 at lambda + 1/2 = -j for 0 <= j < |n| only, decided
+    # without a product over |n| factors: at 10**400 the shifted space
+    # itself is what passes the float range
+    assert ktype_radial_profile(-0.5, 1, 1.0) == 0.0 != ktype_radial_profile(-2.5, 2, 1.0)
+    with pytest.raises(OutOfRangeError, match="2 rho"):
+        ktype_solution(-2.5, 10**400)
 
 
 @pytest.mark.parametrize("n", [64, 128, 150, 400, 600])
@@ -324,6 +338,22 @@ def test_ktype_profile_past_the_float_range_of_its_factors(lam, n, t):
         got = ktype_radial_profile(lam, n, t)
     want = _mp_ktype_profile(lam, n, t)
     assert abs(got - want) / abs(want) < 1e-12
+
+
+@pytest.mark.parametrize("lam, n", [(0.7, 10**7), (0.7, 10**400), (1e300, 10**400),
+                                    (-3.5 + 1e-9j, -(10**400))])
+def test_ktype_solution_refuses_a_huge_index_without_a_factor_per_degree(lam, n, monkeypatch):
+    # (lambda+1/2)_m / (4^m m!) was a product of all m factors, and its
+    # zero test another pass over them: n = 10**6 took 0.39 s to refuse and
+    # n = 10**400 never returned.  The product leaves the normal floats
+    # within about 500 factors (at once where a factor overflows), and the
+    # refusal comes before the shifted space is built
+    def refuse(*args):
+        raise AssertionError("the shifted space was built")
+
+    monkeypatch.setattr(model_h2, "ktype_space", refuse)
+    with pytest.raises(OutOfRangeError, match="leaves the floating-point range at factor"):
+        ktype_solution(lam, n)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 1e300, 1e4, 400.0])
@@ -445,26 +475,121 @@ def test_oracle_h3_refuses_non_finite_input(lam, t):
         oracle_h3(lam, t)
 
 
-_HUGE = 10**400  # an int no float conversion takes
+# -- the argument contract of every public scalar entry point -----------------
+#
+# Aim 3: whatever its input, an entry point returns a finite value or raises
+# a hyperscatter.errors type.  One row per (entry point, argument): the call
+# with the bad value x in that argument's place, and the name its message
+# must start with.  Each raised a raw OverflowError at 10**400 before the
+# one gate in ``errors`` (``int too large to convert to float``), r_of_t
+# returned nan at a nan t, and the model_h2 rows were the first fixed.
 
 
-@pytest.mark.parametrize("call", [
-    lambda: ktype_prefactor(1, _HUGE),
-    lambda: ktype_radial_profile(0.7, 1, _HUGE),
-    lambda: ktype_solution(_HUGE, 1),
-    lambda: poisson_radial_pair(0.7, 1, _HUGE),
-    lambda: poisson_radial_pair(_HUGE, 1, 1.0),
-    lambda: poisson_transform(_HUGE, lambda th: 1.0, 0.3),
-    lambda: oracle_h3(0.7, _HUGE),
-    lambda: distance(_HUGE, 0.0),
-    lambda: horocycle_bracket(0.1, _HUGE),
-    lambda: resolvent_difference_quadrature(_HUGE, 0.1, 0.2),
-], ids=["prefactor t", "profile t", "solution lambda", "pair t", "pair lambda",
-        "transform lambda", "oracle t", "distance z", "bracket theta", "quadrature zeta"])
-def test_huge_int_arguments_are_out_of_range(call):
-    # each raised a raw OverflowError, "int too large to convert to float"
-    with pytest.raises(OutOfRangeError, match="past the floating-point range"):
-        call()
+def _samples(y0, u):
+    """bv_limit's seven samples, y0 and 0.1 2^-m after it, every u = u."""
+    return [(y0, u)] + [(0.1 * 2.0**-m, u) for m in range(1, 7)]
+
+
+@functools.cache
+def _fixtures():
+    """(first H2 resonance, a phi solution to t = 2, an apply_radial)."""
+    return (enumerate_resonances(H2, 1)[0], phi_solution(H2, 0.7, 2.0),
+            apply_radial(H2, 0.7, lambda s: 1.0, (0.2, 1.0)))
+
+
+_CONTRACT = [
+    ("prefactor t", "t", lambda x: ktype_prefactor(1, x)),
+    ("profile t", "t", lambda x: ktype_radial_profile(0.7, 1, x)),
+    ("profile lambda", "lambda", lambda x: ktype_radial_profile(x, 1, 1.0)),
+    ("solution lambda", "lambda", lambda x: ktype_solution(x, 1)),
+    ("solution t_max", "t", lambda x: ktype_solution(0.7, 1, x)),
+    ("pair t", "t", lambda x: poisson_radial_pair(0.7, 1, x)),
+    ("pair lambda", "lambda", lambda x: poisson_radial_pair(x, 1, 1.0)),
+    ("transform lambda", "lambda", lambda x: poisson_transform(x, lambda th: 1.0, 0.3)),
+    ("transform z", "z", lambda x: poisson_transform(0.7, lambda th: 1.0, x)),
+    ("oracle t", "t", lambda x: oracle_h3(0.7, x)),
+    ("oracle lambda", "lambda", lambda x: oracle_h3(x, 1.0)),
+    ("distance z", "z1", lambda x: distance(x, 0.0)),
+    ("bracket theta", "theta", lambda x: horocycle_bracket(0.1, x)),
+    ("bracket z", "z", lambda x: horocycle_bracket(x, 0.3)),
+    ("quadrature zeta", "zeta", lambda x: resolvent_difference_quadrature(x, 0.1, 0.2)),
+    ("quadrature z2", "z2", lambda x: resolvent_difference_quadrature(0.7, 0.1, x)),
+    ("stencil z", "z", lambda x: hyperbolic_laplacian_stencil(lambda z: 1.0, x)),
+    ("r_of_t t", "t", r_of_t),
+    ("eval_phi lambda", "lambda", lambda x: eval_phi(H2, x, 1.0)),
+    ("eval_phi lambda at 0", "lambda", lambda x: eval_phi(H2, x, 0.0)),
+    ("eval_phi t", "t", lambda x: eval_phi(H2, 0.7, x)),
+    ("eval_phi t array", "t", lambda x: eval_phi(H2, 0.7, np.array([0.5, x]))),
+    ("eval_Q lambda", "lambda", lambda x: eval_Q(H2, x, 1.0)),
+    ("eval_Q t", "t", lambda x: eval_Q(H2, 0.7, x)),
+    ("frobenius_Q lambda", "lambda", lambda x: frobenius_Q(H2, x)),
+    ("connection lambda", "lambda", lambda x: connection_coefficients(H2, x)),
+    ("abel lambda", "lambda", lambda x: abel_wronskian(H2, x, 1.0)),
+    ("abel t", "t", lambda x: abel_wronskian(H2, 0.7, x)),
+    ("wronskian lambda", "lambda", lambda x: wronskian_limit(H2, x)),
+    ("phi_solution lambda", "lambda", lambda x: phi_solution(H2, x, 2.0)),
+    ("phi_solution t_max", "t", lambda x: phi_solution(H2, 0.7, x)),
+    ("q_solution lambda", "lambda", lambda x: q_solution(H2, [0.7, x], 0.5)),
+    ("q_solution t_min", "t", lambda x: q_solution(H2, 0.7, x)),
+    ("integrate lambda", "lambda",
+     lambda x: integrate_radial_ode(H2, [x], (0.2, 2.0), [(1.0, 0.0)])),
+    ("integrate t", "t", lambda x: integrate_radial_ode(H2, [0.7], (0.2, x), [(1.0, 0.0)])),
+    ("solution at t", "t", lambda x: _fixtures()[1].at(x)),
+    ("c value", "lambda", lambda x: _CF.value(x)),
+    ("c derivative", "lambda", lambda x: _CF.derivative(x)),
+    ("c local_expansion", "lambda", lambda x: _CF.local_expansion(x)),
+    ("c zero_order", "lambda", lambda x: _CF.zero_order(x)),
+    ("c array", "lambda", lambda x: _CF.value(np.array([0.5, x]))),
+    ("czz", "zeta", lambda x: _CF.czz(x)),
+    ("czz_expansion", "zeta", lambda x: _CF.czz_expansion(x)),
+    ("czz_and_derivative", "zeta", lambda x: _CF.czz_and_derivative(x)),
+    ("czz array", "zeta", lambda x: _CF.czz(np.array([0.5, x]))),
+    ("plancherel zeta", "zeta", lambda x: _CF.plancherel_density(x)),
+    ("log_gamma z", "z", log_gamma),
+    ("digamma z", "z", digamma),
+    ("kernel zeta", "zeta", lambda x: kernel(H2, x, 1.0)),
+    ("kernel t", "t", lambda x: kernel(H2, 0.7, x)),
+    ("kernel_at zeta", "zeta", lambda x: kernel_at(H2, x)),
+    ("kernel_at t", "t", lambda x: kernel_at(H2, 0.7)(x)),
+    ("difference zeta", "zeta", lambda x: resolvent_difference(H2, x, 1.0)),
+    ("spectral s", "s", lambda x: spectral_density_kernel(H2, x, 1.0)),
+    ("spectral t", "t", lambda x: spectral_density_kernel(H2, 0.5, x)),
+    ("apply zeta", "zeta", lambda x: apply_radial(H2, x, lambda s: 1.0, (0.2, 1.0))),
+    ("apply support", "t", lambda x: apply_radial(H2, 0.7, lambda s: 1.0, (0.2, x))),
+    ("apply call", "t", lambda x: _fixtures()[2](x)),
+    ("apply on_grid", "t", lambda x: _fixtures()[2].on_grid([0.5, x])),
+    ("scalar zeta", "zeta", lambda x: scalar(H2, x)),
+    ("ktype_eigenvalue zeta", "zeta", lambda x: ktype_eigenvalue(x, 1)),
+    ("find_scalar_poles im_lo", "im_lo", lambda x: find_scalar_poles(H2, x)),
+    ("find_scalar_poles step", "step", lambda x: find_scalar_poles(H2, step=x)),
+    ("residue_kernel t", "t", lambda x: residue_kernel(H2, _fixtures()[0], x)),
+    ("contour probe t", "t", lambda x: residue_contour_probe(H2, _fixtures()[0], x)),
+    ("bv_limit lambda", "lambda", lambda x: bv_limit(H2, x, _samples(0.1, 1.0))),
+    ("bv_limit y", "y", lambda x: bv_limit(H2, 0.7, _samples(x, 1.0))),
+    ("bv_limit u", "u", lambda x: bv_limit(H2, 0.7, _samples(0.1, x))),
+    ("boundary_pair lambda", "lambda", lambda x: boundary_pair(H2, x, _fixtures()[1])),
+    ("density_J y", "y", lambda x: H2.density_J(x)),
+    ("density_J_t t", "t", lambda x: H2.density_J_t(x)),
+    ("density_J_t array", "t", lambda x: H2.density_J_t([0.5, x])),
+    ("log_density_dot t", "t", lambda x: H2.log_density_dot(x)),
+    ("space kappa", "kappa", lambda x: make_space(1, 0, x)),
+]
+_CONTRACT_IDS = [row[0] for row in _CONTRACT]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.5, math.inf)],
+                         ids=["nan", "inf", "-inf", "0.5+infj"])
+@pytest.mark.parametrize("_, name, call", _CONTRACT, ids=_CONTRACT_IDS)
+def test_non_finite_arguments_name_themselves(_, name, call, bad):
+    with pytest.raises(NonFiniteInputError, match=f"^{name} = .* is not finite$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("_, name, call", _CONTRACT, ids=_CONTRACT_IDS)
+def test_huge_int_arguments_are_out_of_range(_, name, call):
+    for huge in (10**400, -10**400):  # ints no float conversion takes
+        with pytest.raises(OutOfRangeError, match=f"^{name} is past the floating-point range$"):
+            call(huge)
 
 
 @pytest.mark.parametrize("k", [512, 520, 1000, 10**4, 10**30])

@@ -709,6 +709,17 @@ def test_public_refusals_at_every_negative_integer_two_lambda():
                     apply_radial(space, -1j * lam, lambda s: 1.0, (0.3, 1.2)).on_grid([0.5, 2.0])
 
 
+@pytest.mark.parametrize("lam", [1e308, -1e308, complex(1e308, 1e308), complex(1.0, 1e308)])
+def test_a_lambda_whose_double_overflows_is_out_of_range(lam):
+    # 2 lambda = inf reached round() in the exclusion test, which raised a raw
+    # OverflowError "cannot convert float infinity to integer"
+    for call in (lambda: eval_Q(H2, lam, 1.0), lambda: frobenius_Q(H2, lam),
+                 lambda: connection_coefficients(H2, lam), lambda: q_solution(H2, lam, 0.5),
+                 lambda: boundary_pair(H2, lam, phi_solution(H2, 0.7, 2.0))):
+        with pytest.raises(errors.OutOfRangeError, match="2\\*lambda .* floating-point range"):
+            call()
+
+
 # -- array reads ----------------------------------------------------------------
 
 

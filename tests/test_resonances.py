@@ -8,7 +8,7 @@ import pytest
 
 from hyperscatter import resonances, scattering
 from hyperscatter.cfunction import CFunction, for_space
-from hyperscatter.errors import EnumerationError, PoleSignal
+from hyperscatter.errors import EnumerationError, OutOfRangeError, PoleSignal
 from hyperscatter.model_h2 import residue_rank
 from hyperscatter.radial import eval_phi
 from hyperscatter.resonances import (
@@ -108,6 +108,26 @@ def test_count_must_be_a_non_negative_integer(count):
         enumerate_resonances(H2, count)
     with pytest.raises(ValueError):
         classify_poles(H2, count)
+
+
+@pytest.mark.parametrize("name, limit", [("h2", 2**52), ("chn:2", 2**51 - 1), ("h3", 2**52 - 1)])
+def test_a_count_past_the_lattice_limit_is_refused_before_any_seed(name, limit, monkeypatch):
+    # the seeds were made before any check: classify_poles(h2, 10**400)
+    # built a list of 10**400 of them and exhausted memory.  The top rung
+    # rho + j (count - 1) (j = 1 on h3, which has no rungs) must stay below
+    # c's lattice limit 2^52; at the largest count that does, ``limit``, the
+    # patched czz_zeros_upper is reached
+    def refuse(self, count):
+        raise AssertionError("a seed was made")
+
+    monkeypatch.setattr(CFunction, "czz_zeros_upper", refuse)
+    space = space_from_name(name)
+    for call in (enumerate_resonances, classify_poles, resonances.certified_rungs):
+        for count in (limit + 1, 10**400):
+            with pytest.raises(OutOfRangeError, match="2\\^52"):
+                call(space, count)
+        with pytest.raises(AssertionError, match="a seed was made"):
+            call(space, limit)
 
 
 def test_winding_check_catches_a_missing_zero(monkeypatch):
@@ -244,7 +264,8 @@ def test_ladder_residues_at_high_index(name, mp_c):
         assert abs(rec.residue_scalar - want) <= 2e-12 * abs(want), rec.k
     for pole in classify_poles(space, count):
         if pole.kind == KIND_RESONANCE:
-            want = scattering._resonance_residue(cf, 1j * pole.zeta)
+            lam = 1j * pole.zeta
+            want = scattering._resonance_residue(cf.value(-lam), cf.derivative(lam))
         else:
             with pytest.raises(PoleSignal) as info:
                 scattering.scalar(space, pole.zeta)
