@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DominanceError, IllConditionedError, as_array, as_complex
-from .radial import RadialSolution, _connection_solve
+from .radial import _connection_solve, _lambdas
 from .space import RankOneSpace
 
 
@@ -64,16 +64,25 @@ class BoundaryPair:
     condition: float
 
 
-def boundary_pair(space, lam, sol: RadialSolution) -> BoundaryPair:
+def boundary_pair(space, lam, sol):
     """Extract (bv_{rho-lambda}, bv_{rho+lambda}) of a solved eigenfunction
     whose range covers log 2 (ValueError if not).  IllConditionedError at
-    lambda = 0, where the two exponents coincide."""
-    lam = as_complex("lambda", lam)
-    if not lam:
+    lambda = 0, where the two exponents coincide.  A sequence of lambda, with
+    one solution per lambda and one space or one per lambda, gives a list,
+    read by one batched Abel pairing."""
+    lams, many = _lambdas(lam)
+    if not all(lams):
         raise IllConditionedError("at lambda = 0 the exponents coincide", condition=math.inf)
-    (w_minus, c_minus), (w_plus, c_plus) = _connection_solve(space, (lam, -lam), sol)
-    return BoundaryPair(a_minus=w_minus / (-2.0 * lam), a_plus=w_plus / (2.0 * lam),
-                        lam=lam, condition=max(c_minus, c_plus))
+    if not many:
+        lam, = lams
+        (w_minus, c_minus), (w_plus, c_plus) = _connection_solve(space, (lam, -lam), sol)
+        return BoundaryPair(a_minus=w_minus / (-2.0 * lam), a_plus=w_plus / (2.0 * lam),
+                            lam=lam, condition=max(c_minus, c_plus))
+    (w_minus, c_minus), (w_plus, c_plus) = _connection_solve(space, (lams, [-x for x in lams]), sol)
+    x = np.array(lams)
+    return [BoundaryPair(a_minus=complex(a), a_plus=complex(b), lam=lam, condition=float(c))
+            for a, b, lam, c in zip(w_minus / (-2.0 * x), w_plus / (2.0 * x), lams,
+                                    np.maximum(c_minus, c_plus))]
 
 
 def bv_limit(space, lam, samples):

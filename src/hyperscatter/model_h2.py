@@ -205,8 +205,12 @@ def poisson_radial_pair(lam, n, t):
 
 
 def hyperbolic_laplacian_stencil(func, z):
-    """Five-point hyperbolic Laplacian -((1-|z|^2)^2/4) * euclidean Laplacian."""
+    """Five-point hyperbolic Laplacian -((1-|z|^2)^2/4) * euclidean Laplacian,
+    for z inside the disk (ValueError else)."""
     z = as_complex("z", z)
+    size = math.hypot(z.real, z.imag)
+    if not size < 1.0:
+        raise ValueError(f"|z| = {size} not inside the disk")
     h = 1e-3
     lap_euc = (
         func(z + h) + func(z - h) + func(z + 1j * h) + func(z - 1j * h)

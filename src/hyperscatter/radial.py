@@ -125,9 +125,10 @@ differ from one solution to another, so N solutions, of one space or of
 several, share one ``solve_ivp`` whose every operation acts on all N
 columns at once; the verify suites make one such solve per kind over the
 125 (family, lambda) pairs of their grid.  The solutions of one batch read
-the steps once per t, not once per lambda.  The steps grow with the phase
-|Im lambda| t, so ``solve_ivp`` refuses a solve, or a growth of one, that
-would turn through more than _MAX_PHASE = 1e5 radians with ValueError.
+the steps once per t, not once per lambda.  A step is at most 4 / |lambda|
+long, so the steps grow with the phase |lambda| t: ``solve_ivp`` refuses a
+solve, or a growth of one, that would turn through more than _MAX_PHASE =
+1e5 radians with OutOfRangeError.
 
 ``eval_phi``, ``eval_Q``, ``connection_coefficients``, ``phi_solution``'s
 seed and the K-type profiles of ``model_h2`` read one cache,
@@ -156,6 +157,18 @@ series part is summed in one matrix product with the powers of its
 variable, and the bridge reads its t one at a time.  A series part differs
 from the scalar reads by rounding only (numpy's tanh and exp against
 math's, and the order of the sums); a bridge read is the scalar read.
+
+Many solutions are read the other way round, at one float t by a
+``RadialBatch`` of cache entries or RadialSolutions: the solutions on their
+start series are summed per series kind, the rows of each kind stacked
+once per batch (zero-padded to the longest) and summed by one product per
+distinct variable; those on a bridge read their shared solve once; only the
+rest (c Q, the second-kind series) are read one by one.  The sequence forms
+of ``_connection_solve``, ``phi_pairings``, ``abel_wronskian`` and
+``boundary.boundary_pair`` read through it, and stack the Q_mu's Frobenius
+series the same way, so the connection and wronskian suites read their
+125-point grid once per t.  The single-lambda forms and the ODE seeds keep
+the scalar reads, bit for bit.
 """
 
 from __future__ import annotations
@@ -194,7 +207,7 @@ _MAX_CONDITION = 1e8  # phi's c Q sum and c's pairings: resolved to 1e-8 at 1e-1
 _Q_BRIDGE_ENDS = [T_SWITCH * k / 64 for k in range(63, 0, -1)]  # where Q's bridge may end
 
 _MAX_EXPONENT = 700.0  # a solution growing past e^700 leaves the floating-point range
-_MAX_PHASE = 1e5  # radians a solve or its growth may turn through: about 100 s of steps
+_MAX_PHASE = 1e5  # radians max |lambda| |t1 - t0| of a solve or its growth: 25,000 steps
 
 
 def _power_sums(rows, x, n):
@@ -225,8 +238,12 @@ def _checked(read, lam, t):
             u = math.inf
         if cmath.isfinite(u):
             return u, du
-    raise OutOfRangeError(f"the radial solution at lambda = {lam} overflows the "
-                          f"floating-point range at t = {t}")
+    raise _overflow(lam, t)
+
+
+def _overflow(lam, t):
+    return OutOfRangeError(f"the radial solution at lambda = {lam} overflows the "
+                           f"floating-point range at t = {t}")
 
 
 def _read(t, parts):
@@ -388,8 +405,9 @@ def _series(space, lam):
 class RadialSolution:
     """A solved radial eigenfunction on [t_lo, t_hi].
 
-    ``at(t)`` returns (value, derivative); ``ts`` records the steps the
-    integrator certified, where ``residual`` checks the ODE.
+    ``at(t)`` returns (value, derivative), read by ``_eval`` (a
+    Continuation, or any callable); ``ts`` records the steps the integrator
+    certified, where ``residual`` checks the ODE.
     """
 
     space: RankOneSpace
@@ -546,13 +564,17 @@ class _TaylorSteps:
             f = np.ldexp(np.exp(-sigma * (t - t0)), exponent)
             return f * w, f * (dw - sigma * w)
 
-    def column(self, i, t):
-        """(u, u') of column i at t."""
+    def read(self, t):
+        """(u, u') of every column at t, kept for the last 32 t."""
         if t not in self._reads:
             self._reads[t] = self(t)
             if len(self._reads) > 32:
                 del self._reads[next(iter(self._reads))]
-        u, du = self._reads[t]
+        return self._reads[t]
+
+    def column(self, i, t):
+        """(u, u') of column i at t."""
+        u, du = self.read(t)
         return u[i], du[i]
 
     def join(self, more):
@@ -578,20 +600,21 @@ def solve_ivp(ode, t_span, y0):
     |A_1|) in [1/2, 1) at each step's start, so that the scaling is exact
     and a column that underflows or overflows does not disturb the others.
     StiffnessError where a step's terms do not settle or turn non-finite.
-    ValueError where max |Im lambda| |t1 - t0|, the phase the solve turns
-    through, passes _MAX_PHASE: the step count grows with it.
+    OutOfRangeError where max |lambda| |t1 - t0| passes _MAX_PHASE: a step is
+    at most _TURN / |lambda| long, so the step count grows with it.
     """
     t0, t1 = t_span
-    fastest = complex(ode[3][np.abs(ode[3].imag).argmax()])
-    if abs(fastest.imag * (t1 - t0)) > _MAX_PHASE:
-        raise ValueError(f"the radial ODE at lambda = {fastest} would turn through more "
-                         f"than {_MAX_PHASE:g} radians between t = {t0} and t = {t1}")
+    speeds = np.abs(ode[3])
+    fastest = float(speeds.max())
+    if fastest * abs(t1 - t0) > _MAX_PHASE:
+        lam = complex(ode[3][speeds.argmax()])
+        raise OutOfRangeError(f"the radial ODE at lambda = {lam} would turn through more "
+                              f"than {_MAX_PHASE:g} radians between t = {t0} and t = {t1}")
     u, du = (np.array(x, dtype=complex) for x in y0[:2])
     exponent = np.zeros(len(u), dtype=int) + y0[2]
     sigma = _shift(ode)
     sign = 1.0 if t1 > t0 else -1.0
     reach = _REACH[t1 < t0]
-    fastest = float(np.abs(ode[3]).max())
     turn = _TURN / fastest if fastest else math.inf
     t, ends, steps, nfev = t0, [t0], [], 0
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite terms raise
@@ -632,7 +655,8 @@ def integrate_radial_ode(space, lams, t_span, inits):
     each reading its column of the steps, which are read once per t for the
     whole batch.  t_span may be decreasing (backward continuation toward
     the singular endpoint), its ends positive, finite and distinct, and
-    every lambda finite.
+    every lambda finite; OutOfRangeError where max |lambda| |t1 - t0|
+    passes _MAX_PHASE (``solve_ivp``).
     """
     t0, t1 = as_float("t", t_span[0]), as_float("t", t_span[1])
     if min(t0, t1) <= 0.0:
@@ -694,13 +718,19 @@ class Continuation:
             return self.start.pair(t)
         if (t - self.end) * sign > 0.0:
             return self.beyond.pair(t)
-        if self.steps is None or (t - self.steps.t[-1]) * sign > 0.0 or t > self.limit:
+        return self.bridge(t).column(self.column, t)
+
+    __call__ = pair
+
+    def bridge(self, t):
+        """The bridge's solve, grown first if t lies beyond its last step end."""
+        if self.steps is None or (t - self.steps.t[-1]) * self.sign > 0.0 or t > self.limit:
             _extend([self], t)
-        return self.steps.column(self.column, t)
+        return self.steps
 
     def view(self, t_lo, t_hi, ts=None):
         """A RadialSolution on [t_lo, t_hi] reading this continuation."""
-        return RadialSolution(self.space, self.lam, t_lo, t_hi, self.pair, ts)
+        return RadialSolution(self.space, self.lam, t_lo, t_hi, self, ts)
 
 
 def _extend(conts, end):
@@ -1123,7 +1153,167 @@ def eval_phi(space, lam, t):
     return complex(continuation(space, lam, _phi_series).pair(t)[0])
 
 
+# -- batch reads ----------------------------------------------------------------
+
+
+def _stacked(rows):
+    """The rows of n series, k rows each, zero-padded to the longest: a
+    (k, n, L) array."""
+    out = np.zeros((len(rows[0]), len(rows), max(r.shape[1] for r in rows)), dtype=complex)
+    for i, r in enumerate(rows):
+        out[:, i, :r.shape[1]] = r
+    return out
+
+
+def _stacked_sums(stack, x, on):
+    """The k row sums of each stacked series i with on[i] at its own
+    variable x[i], sum_n rows[n] x^n: a (k, m) array for the m series on,
+    one matrix-vector product per distinct x."""
+    width = stack.shape[-1]
+    sums = np.empty(stack.shape[:2], dtype=complex)
+    for value in dict.fromkeys(x[on].tolist()):
+        cols = on & (x == value)
+        block = stack if cols.all() else stack[:, cols]
+        sums[:, cols] = (block.reshape(-1, width) @ value ** np.arange(width)).reshape(
+            len(block), -1)
+    return sums[:, on]
+
+
+def _frobenius_stack(series):
+    return _stacked([x.rows for x in series]), np.array([x.exponent for x in series])
+
+
+def _frobenius_pairs(stack, on, t):
+    """FrobeniusSeries.pair at t of the stacked series with on[i]."""
+    rows, e = stack
+    y = math.exp(-t)
+    s, ds = _stacked_sums(rows, np.full(len(e), y * y), on)
+    e = e[on]
+    head = np.exp(-e * t)
+    return head * s, -head * (e * s + ds)
+
+
+def _tanh_stack(series):
+    return (_stacked([x.rows for x in series]), np.array([x.e for x in series]),
+            np.array([x.tanh_reach for x in series]), np.array([x.scale for x in series]),
+            np.array([2.0 * x.shift for x in series]))
+
+
+def _tanh_pairs(stack, on, t):
+    """_TanhSeries.pair at t of the stacked two-row series with on[i]."""
+    rows, e, tanh_reach, scale, power = stack
+    tanh = math.tanh(t)
+    s, ws = _stacked_sums(rows, (tanh / tanh_reach) ** 2, on)
+    e = e[on]
+    head = np.exp(-e * np.log(scale[on] * math.cosh(t))) * tanh ** power[on]
+    u = head * s
+    du = -e * tanh * u
+    if t:
+        du += head * 4.0 * ws / math.sinh(2.0 * t)
+    return u, du
+
+
+_STACKS = {FrobeniusSeries: (_frobenius_stack, _frobenius_pairs),
+           _TanhSeries: (_tanh_stack, _tanh_pairs)}
+
+
+class RadialBatch:
+    """Many radial solutions read together at one float t: cache entries
+    (Continuations) or RadialSolutions, of any spaces and lambdas.
+    ``at(t)`` is (u, u') and ``self(t)`` is u, complex arrays with one entry
+    per solution.
+
+    The solutions on their start series at t are summed per series kind
+    (Q's Frobenius series, phi's Jacobi series), from rows stacked at the
+    first read that needs them: one matrix-vector product per distinct
+    variable, y^2 or (tanh t / tanh reach)^2.  Those on a Taylor bridge read
+    each solve once, grown first where t lies beyond it as a single read
+    grows it, and the rest (c Q past T_PHI, Q's second-kind series, a
+    solution that reads no Continuation) are read one by one.  A stacked
+    sum differs from a single read by rounding only; a bridge read is the
+    single read.  ValueError where t lies outside a RadialSolution's range
+    (or below 0 for a phi entry, at or below 0 for a Q entry),
+    OutOfRangeError naming the first solution whose u is not finite.
+    """
+
+    def __init__(self, sources):
+        self._sources = sources = list(sources)
+        if not sources:
+            raise ValueError("need at least one solution")
+        self._conts = conts = [s._eval if isinstance(s, RadialSolution) else s for s in sources]
+        ours = [isinstance(c, Continuation) for c in conts]
+        self._ours = np.array(ours)
+        # a RadialSolution's range, to 1e-12 as its ``at``; a cache entry's
+        # domain, t >= 0 for phi and t > 0 for Q
+        self._lo, self._hi = np.array([(s.t_lo - 1e-12, s.t_hi + 1e-12)
+                                       if isinstance(s, RadialSolution)
+                                       else (0.0 if s.sign > 0.0 else math.ulp(0.0), math.inf)
+                                       for s in sources]).T
+        self._switch, self._end, self._sign = np.array([(c.switch, c.end, c.sign)
+                                                        if mine else (0.0, 0.0, 0.0)
+                                                        for c, mine in zip(conts, ours)]).T
+        # a two-row _TanhSeries is phi's Jacobi series: Q's second-kind
+        # series have four or six rows, and are read one by one
+        kinds = [type(c.start) if mine and (isinstance(c.start, FrobeniusSeries)
+                                            or len(c.start.rows) == 2) else None
+                 for c, mine in zip(conts, ours)]
+        self._kinds = {kind: np.array([k is kind for k in kinds]) for kind in _STACKS}
+        self._stacks = {}
+
+    def __call__(self, t):
+        return self.at(t)[0]
+
+    def at(self, t):
+        t = as_float("t", t)
+        outside = (t < self._lo) | (t > self._hi)
+        if outside.any():
+            lam = self._sources[int(outside.argmax())].lam
+            raise ValueError(f"t={t} outside the range of the solution at lambda = {lam}")
+        u, du = np.empty((2, len(self._conts)), dtype=complex)
+        start = (t - self._switch) * self._sign <= 0.0
+        bridge = self._ours & ~start & ((t - self._end) * self._sign <= 0.0)
+        rest = ~bridge
+        with np.errstate(all="ignore"):  # inf or nan, refused below
+            for kind, mask in self._kinds.items():
+                on = mask & start
+                if on.any():
+                    stack, pairs = _STACKS[kind]
+                    if kind not in self._stacks:
+                        starts = [c.start for c, m in zip(self._conts, mask) if m]
+                        self._stacks[kind] = stack(starts)
+                    u[on], du[on] = pairs(self._stacks[kind], on[mask], t)
+                    rest &= ~on
+        bridges = {}
+        for i in np.flatnonzero(bridge).tolist():
+            cont = self._conts[i]
+            rows, cols = bridges.setdefault(cont.bridge(t), ([], []))
+            rows.append(i)
+            cols.append(cont.column)
+        for steps, (rows, cols) in bridges.items():
+            su, sdu = steps.read(t)
+            u[rows], du[rows] = su[cols], sdu[cols]
+        for i in np.flatnonzero(rest).tolist():
+            read = self._conts[i]
+            try:
+                u[i], du[i] = read._pair(t) if self._ours[i] else read(t)
+            except OverflowError:
+                u[i] = math.inf
+        finite = np.isfinite(u)
+        if not finite.all():
+            raise _overflow(self._sources[int(finite.argmin())].lam, t)
+        return u, du
+
+
 # -- connection problem and Wronskian ----------------------------------------
+
+
+def _pairing(t, j, u, du, q, dq, rho, mu):
+    """J W(u, q) at t and its condition (see ``_connection_solve``), of
+    floats or of arrays with one entry per solution; nan or inf where J W
+    leaves the float range."""
+    with np.errstate(all="ignore"):  # an overflow or 0 / 0 reads condition inf
+        w = j * (u * dq - du * q)
+        return w, j * (np.abs(u * dq) + np.abs(du * q)) / np.abs(w) * (1.0 + (rho + np.abs(mu)) * t)
 
 
 def _connection_solve(space, mus, sol):
@@ -1136,32 +1326,75 @@ def _connection_solve(space, mus, sol):
     carry (phi's series at log 2 is about |lambda| ulps off).  ValueError
     where sol ends before log 2, OutOfRangeError where J W leaves the float
     range.
+
+    A sequence of solutions (``space`` one space or one per solution) takes
+    each mu as a sequence, one per solution, and gives each J W and
+    condition as an array: per matching point, one RadialBatch read of the
+    solutions and one stacked sum of each mu's Frobenius series.  Its
+    errors name the solution's lambda.
     """
-    t = max(sol.t_lo, T_SWITCH)
-    if t > sol.t_hi:
-        raise ValueError(f"the solution ends at t = {sol.t_hi}, before the matching point log 2")
-    u, du = sol.at(t)
-    j = space.density_J_t(t)
-    out = []
-    for mu in mus:
-        q, dq = _checked(_series(space, mu).pair, mu, t)
-        with np.errstate(all="ignore"):  # an overflow or 0 / 0 reads condition inf
-            w = j * (u * dq - du * q)
+    if isinstance(sol, RadialSolution):
+        t = max(sol.t_lo, T_SWITCH)
+        if t > sol.t_hi:
+            raise ValueError(f"the solution ends at t = {sol.t_hi}, before the matching "
+                             "point log 2")
+        u, du = sol.at(t)
+        j = space.density_J_t(t)
+        out = []
+        for mu in mus:
+            q, dq = _checked(_series(space, mu).pair, mu, t)
+            w, condition = _pairing(t, j, u, du, q, dq, space.rho, mu)
             if not cmath.isfinite(w):
                 raise OutOfRangeError(f"J W(u, Q_mu) at t = {t} leaves the floating-point "
                                       f"range (mu = {mu})")
-            condition = float(j * (np.abs(u * dq) + np.abs(du * q)) / np.abs(w))
-        condition *= 1.0 + (space.rho + abs(mu)) * t
-        out.append((w, condition if condition < math.inf else math.inf))
+            condition = float(condition)
+            out.append((w, condition if condition < math.inf else math.inf))
+        return out
+    sols = list(sol)
+    spaces = _spaces(space, len(sols))
+    mus = [np.array(mu, dtype=complex) for mu in mus]
+    if any(len(mu) != len(sols) for mu in mus):
+        raise ValueError(f"need one mu per solution, {len(sols)}")
+    ts = np.array([max(x.t_lo, T_SWITCH) for x in sols])
+    late = ts > np.array([x.t_hi for x in sols])
+    if late.any():
+        x = sols[int(late.argmax())]
+        raise ValueError(f"the solution at lambda = {x.lam} ends at t = {x.t_hi}, before the "
+                         "matching point log 2")
+    out = [(np.empty(len(sols), dtype=complex), np.empty(len(sols))) for _ in mus]
+    for t in dict.fromkeys(ts.tolist()):
+        cols = np.flatnonzero(ts == t)
+        group = [spaces[i] for i in cols]
+        u, du = RadialBatch([sols[i] for i in cols]).at(t)
+        density = {x: x.density_J_t(t) for x in dict.fromkeys(group)}
+        j, rho = np.array([(density[x], x.rho) for x in group]).T
+        for (ws, conditions), mu in zip(out, mus):
+            mu = mu[cols]
+            series = [_series(x, m) for x, m in zip(group, mu.tolist())]
+            with np.errstate(all="ignore"):
+                q, dq = _frobenius_pairs(_frobenius_stack(series), np.full(len(cols), True), t)
+            w, condition = _pairing(t, j, u, du, q, dq, rho, mu)
+            finite = np.isfinite(q) & np.isfinite(w)
+            if not finite.all():
+                k = int(finite.argmin())
+                raise OutOfRangeError(f"J W(u, Q_mu) at t = {t} leaves the floating-point range "
+                                      f"(mu = {mu[k]}, lambda = {sols[cols[k]].lam})")
+            ws[cols], conditions[cols] = w, np.where(condition < math.inf, condition, math.inf)
     return out
 
 
 def phi_pairings(space, lam, mus, t=T_SWITCH):
     """[(J W(phi_lambda, Q_mu), condition) for mu in mus] at log 2 <= t <=
     T_PHI: ``_connection_solve`` of phi's cache entry, its series or bridge
-    there (never c Q), which reads no c."""
-    lam = as_complex("lambda", lam)
-    return _connection_solve(space, mus, continuation(space, lam, _phi_series).view(t, T_PHI))
+    there (never c Q), which reads no c.  A sequence of lambda, with one
+    space or one per lambda, takes each mu as a sequence, one per lambda,
+    and gives arrays: one batched pairing."""
+    lams, many = _lambdas(lam)
+    spaces = _spaces(space, len(lams))
+    sols = [continuation(x, lam, _phi_series).view(t, T_PHI) for x, lam in zip(spaces, lams)]
+    if many:
+        return _connection_solve(spaces, mus, sols)
+    return _connection_solve(spaces[0], mus, sols[0])
 
 
 def connection_coefficients(space, lam):
@@ -1190,13 +1423,17 @@ def abel_wronskian(space, lam, t):
     By Abel's identity the Wronskian of two solutions times J is constant in
     t, and as t -> 0 phi -> 1 and J phi' Q -> 0, so the value is lim J Q' =
     -2 lambda c(lambda): ``phi_pairings`` at t with Q_lambda alone, which
-    reads no c.  ValueError for other t.
+    reads no c.  ValueError for other t.  A sequence of lambda (with one
+    space, or one space per lambda) gives a list, from one batched pairing.
     """
-    lam = as_complex("lambda", lam)
+    lams, many = _lambdas(lam)
     t = as_float("t", t)
     if not T_SWITCH <= t <= T_PHI:
         raise ValueError(f"abel_wronskian needs log 2 <= t <= {T_PHI}, got t = {t}")
-    (w, _), = phi_pairings(space, lam, (lam,), t)
+    if many:
+        (w, _), = phi_pairings(space, lams, (lams,), t)
+        return w.tolist()
+    (w, _), = phi_pairings(space, lams[0], (lams[0],), t)
     return w
 
 

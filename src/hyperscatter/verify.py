@@ -25,6 +25,7 @@ from .boundary import boundary_pair, bv_limit
 from .cfunction import for_space
 from .errors import PoleSignal
 from .radial import (
+    RadialBatch,
     RadialSolution,
     abel_wronskian,
     eval_phi,
@@ -89,30 +90,30 @@ def check_connection(spaces=None):
     phi (solved to 5.2, so it covers log 2), read by boundary_pair's Abel
     pairing with the Frobenius Q_{+-lambda} at log 2, against the
     closed-form c values, which stays fully discriminating at those points.
-    phi, Q_{-lambda} and Q_lambda (continued down to t = 0.5) are each one
-    batched solve over every family and grid point: 125 lambdas for the
-    five families.
+    phi is one batched solve over every family and grid point (125 lambdas
+    for the five families), Q_{-lambda} and Q_lambda (continued down to
+    t = 0.5) one of 250; each is read by one RadialBatch per t, and the
+    boundary pairs by one batched pairing.
     """
-    rows = []
     ts = (0.5, 1.0, 2.0, 5.0)
     points = _grid_points(spaces)
-    _, grid_spaces, lams = zip(*points)
+    names, grid_spaces, lams = zip(*points)
+    count = len(lams)
     phis = phi_solution(grid_spaces, lams, 5.2)
-    q_minus = q_solution(grid_spaces, [-lam for lam in lams], min(ts))
-    q_plus = q_solution(grid_spaces, lams, min(ts))
-    for (name, space, lam), sol, qm, qp in zip(points, phis, q_minus, q_plus):
-        cf = for_space(space)
-        cp, cm = cf.value(lam), cf.value(-lam)
-        pair = boundary_pair(space, lam, sol)
-        worst = max(abs(pair.a_minus - cp) / abs(cp), abs(pair.a_plus - cm) / abs(cm))
-        for t in ts:
-            left = cp * qm(t)
-            right = cm * qp(t)
-            phi = sol(t)
-            scale = max(abs(phi), abs(left), abs(right))
-            worst = max(worst, abs(phi - (left + right)) / scale)
-        rows.append(_row("connection", f"{name} lambda={lam:g}", worst, 1e-8))
-    return rows
+    qs = q_solution(grid_spaces * 2, [-lam for lam in lams] + list(lams), min(ts))
+    cp, cm = (np.array([for_space(space).value(s * lam) for space, lam in zip(grid_spaces, lams)])
+              for s in (1, -1))
+    pairs = boundary_pair(grid_spaces, lams, phis)
+    worst = np.maximum(abs(np.array([p.a_minus for p in pairs]) - cp) / abs(cp),
+                       abs(np.array([p.a_plus for p in pairs]) - cm) / abs(cm))
+    phi_batch, q_batch = RadialBatch(phis), RadialBatch(qs)
+    for t in ts:
+        phi, q = phi_batch(t), q_batch(t)
+        left, right = cp * q[:count], cm * q[count:]
+        scale = np.maximum(np.maximum(abs(phi), abs(left)), abs(right))
+        worst = np.maximum(worst, abs(phi - (left + right)) / scale)
+    return [_row("connection", f"{name} lambda={lam:g}", gap, 1e-8)
+            for name, lam, gap in zip(names, lams, worst)]
 
 
 # -- 2: Wronskian limit ------------------------------------------------------
@@ -127,14 +128,16 @@ def check_wronskian(spaces=None):
     J Q', which the closed-form c gives on the right.  The row is the worst
     relative gap over t = 0.8, 1, 1.2, where phi is its Jacobi series and Q
     its Frobenius series, so the left side reads no c and integrates
-    nothing.
+    nothing: one batched pairing per t over every family and grid point.
     """
-    rows = []
-    for name, space, lam in _grid_points(spaces):
-        target = -2.0 * lam * for_space(space).value(lam)
-        gap = max(abs(abel_wronskian(space, lam, t) - target) for t in _ABEL_TS)
-        rows.append(_row("wronskian", f"{name} lambda={lam:g}", gap / abs(target), 1e-6))
-    return rows
+    names, grid_spaces, lams = zip(*_grid_points(spaces))
+    target = np.array([-2.0 * lam * for_space(space).value(lam)
+                       for space, lam in zip(grid_spaces, lams)])
+    gap = np.zeros(len(lams))
+    for t in _ABEL_TS:
+        gap = np.maximum(gap, abs(np.array(abel_wronskian(grid_spaces, lams, t)) - target))
+    return [_row("wronskian", f"{name} lambda={lam:g}", g, 1e-6)
+            for name, lam, g in zip(names, lams, gap / abs(target))]
 
 
 # -- 3: H^3 closed forms -----------------------------------------------------

@@ -192,7 +192,12 @@ def test_poisson_radial_pair_matches_mpmath_at_the_fatou_depths(lam, t):
     lambda: poisson_transform(0.7, lambda th: 1.0, 1.0),
     # r(40) = tanh(20) rounds to 1
     lambda: poisson_radial_pair(0.7, 1, 40.0),
-], ids=["z=1.5", "z=1", "t=40"])
+    # the stencil read -0.0 at z = 2 and raised a raw OverflowError from
+    # |z|^2 at the two huge z
+    lambda: hyperbolic_laplacian_stencil(lambda z: 1.0, 2.0),
+    lambda: hyperbolic_laplacian_stencil(lambda z: 1.0, 1e200),
+    lambda: hyperbolic_laplacian_stencil(lambda z: 1.0, 1e308 + 1e308j),
+], ids=["z=1.5", "z=1", "t=40", "stencil z=2", "stencil z=1e200", "stencil z=1e308+1e308j"])
 def test_poisson_quadratures_refuse_points_outside_the_disk(call):
     with pytest.raises(ValueError, match=r"\|z\| = .* not inside the disk"):
         call()

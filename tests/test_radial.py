@@ -7,6 +7,7 @@ import gc
 import math
 import random
 import re
+import time
 import types
 import warnings
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hyperscatter import errors, quadpack, radial
+from hyperscatter import boundary, errors, quadpack, radial, verify
 from hyperscatter.boundary import boundary_pair
 from hyperscatter.cfunction import CFunction, for_space
 from hyperscatter.errors import NonFiniteInputError, ResonantExponentError, StiffnessError
@@ -1616,3 +1617,163 @@ def test_frobenius_coefficients_past_the_float_range_are_refused(name):
                      lambda: eval_phi(space, 0.7, 3.0)):
             with pytest.raises(errors.OutOfRangeError, match="floating-point range"):
                 call()
+
+
+# -- batch reads -----------------------------------------------------------------
+
+
+def _grid():
+    spaces = [space_from_name(name) for name in FAMILY_NAMES for _ in lambda_grid()]
+    return spaces, [lam for _ in FAMILY_NAMES for lam in lambda_grid()]
+
+
+def _worst(batch, single):
+    """Worst relative gap of a batch's (u, u') arrays from single reads."""
+    single = np.array(single).T
+    return float(np.max(np.abs(np.asarray(batch) - single) / np.abs(single)))
+
+
+def test_batch_reads_match_the_single_reads_on_the_verify_grid():
+    # a stacked series sum differs from a single read by the order of its
+    # sums; a bridge read is the single read.  Measured worst 4.4e-15 (phi's
+    # Jacobi series at t = 0.05), 3.6e-16 for Q's Frobenius series
+    spaces, lams = _grid()
+    phis = phi_solution(spaces, lams, 5.2)
+    qs = q_solution(spaces, lams, 0.5)
+    for sols in (phis, qs):
+        batch = radial.RadialBatch(sols)
+        for t in (0.5, 1.0, 2.0, 5.0):
+            assert _worst(batch.at(t), [sol.at(t) for sol in sols]) < 1e-14, t
+    # past its seed every phi_solution column is on its bridge: bit for bit
+    assert np.array_equal(radial.RadialBatch(phis)(1.0), [sol(1.0) for sol in phis])
+    for kind in (radial._phi_series, radial._q_second_kind):
+        entries = [continuation(space, lam, kind) for space, lam in zip(spaces, lams)]
+        batch = radial.RadialBatch(entries)
+        for t in (0.05, 0.3, 0.8, 1.2, 1.5, 2.0):
+            assert _worst(batch.at(t), [entry.pair(t) for entry in entries]) < 1e-14, (kind, t)
+
+
+def test_batched_pairings_match_the_per_lambda_calls_on_the_verify_grid():
+    # what the connection and wronskian suites read: Abel's pairing with the
+    # recessive Q_lambda at t (worst 9.8e-16) and the boundary pair of the
+    # integrated phi at log 2 (8.3e-15).  The dominant pairing, with
+    # Q_-lambda, cancels phi's dominant term: two reads that differ by
+    # rounding give pairings that differ by up to its condition times
+    # 1e-16 (measured 3.9 times it)
+    spaces, lams = _grid()
+    for t in (radial.T_SWITCH, 0.8, 1.0, 1.2, radial.T_PHI):
+        batch = abel_wronskian(spaces, lams, t)
+        single = [abel_wronskian(space, lam, t) for space, lam in zip(spaces, lams)]
+        assert isinstance(batch, list), t
+        assert max(map(_rel, batch, single)) < 1e-14, t
+    phis = phi_solution(spaces, lams, 5.2)
+    pairs = boundary_pair(spaces, lams, phis)
+    for pair, space, lam, sol in zip(pairs, spaces, lams, phis):
+        one = boundary_pair(space, lam, sol)
+        assert pair.lam == one.lam == lam
+        assert _rel(pair.a_minus, one.a_minus) < 1e-14 and _rel(pair.a_plus, one.a_plus) < 1e-14
+        assert _rel(pair.condition, one.condition) < 1e-12
+    minus = [-lam for lam in lams]
+    (w_minus, c_minus), (w_plus, c_plus) = radial.phi_pairings(spaces, lams, (lams, minus))
+    for k, (space, lam) in enumerate(zip(spaces, lams)):
+        (w1, c1), (w2, c2) = radial.phi_pairings(space, lam, (lam, -lam))
+        assert _rel(w_minus[k], w1) < 1e-14 and _rel(c_minus[k], c1) < 1e-14
+        assert _rel(w_plus[k], w2) < 8.0 * c2 * 1e-16, (space, lam)
+
+
+@st.composite
+def _batch_case(draw):
+    """(entries, t), t in [0.45, T_PHI]: phi and Q cache entries over the
+    five families, drawn with repeats from a pool at |Im lambda| <= 1.2,
+    where phi's series reaches to T_PHI; phi at 4.5 <= |Im lambda| <= 8,
+    whose series reaches to between atanh(1/2) = 0.55 and 1.42, and is
+    stacked with the pool's at its own variable below that; and phi at
+    |Im lambda| >= 10, whose series reaches at most to atanh(0.4) = 0.42,
+    so that it is read on its bridge."""
+    def point(low, high):
+        im = draw(st.floats(low, high)) * draw(st.sampled_from((-1.0, 1.0)))
+        lam = complex(draw(st.floats(-3.0, 3.0)), im)
+        assume(abs(2.0 * lam - round(2.0 * lam.real)) > 1e-3)
+        return space_from_name(draw(st.sampled_from(FAMILY_NAMES))), lam
+
+    pool = [point(0.0, 1.2) for _ in range(draw(st.integers(1, 3)))]
+    picks = draw(st.lists(st.sampled_from(range(len(pool))), min_size=1, max_size=6))
+    kinds = draw(st.lists(st.sampled_from((radial._phi_series, radial._q_second_kind)),
+                          min_size=len(picks), max_size=len(picks)))
+    entries = [continuation(*pool[i], kind) for i, kind in zip(picks, kinds)]
+    entries += [continuation(*point(low, high), radial._phi_series)
+                for low, high in ((0.0, 1.2), (4.5, 8.0), (10.0, 30.0))]
+    return draw(st.permutations(entries)), draw(st.floats(0.45, radial.T_PHI))
+
+
+@settings(_hypothesis_settings, max_examples=30)
+@given(_batch_case())
+def test_batch_read_of_mixed_entries_property(case):
+    # a batch read of any entries equals their single reads: bit for bit off
+    # the start series (a bridge, the second-kind series), to rounding on it
+    # (measured worst 8.7e-15 over 400 random draws)
+    entries, t = case
+    u, du = radial.RadialBatch(entries).at(t)
+    for k, entry in enumerate(entries):
+        one = entry.pair(t)
+        if (t - entry.switch) * entry.sign > 0.0:
+            assert (u[k], du[k]) == one, (entry.space, entry.lam, t)
+        else:
+            assert _rel(u[k], one[0]) < 5e-14 and _rel(du[k], one[1]) < 5e-14, (entry.lam, t)
+    assert any(entry.sign > 0.0 and t > entry.switch for entry in entries)
+
+
+def test_grid_suites_pair_their_grid_once_per_t(monkeypatch):
+    # the connection suite makes one batched pairing, at log 2, and the
+    # wronskian suite one per t: 125 and 375 single-lambda pairings before
+    calls, solve = [], radial._connection_solve
+
+    def counted(space, mus, sol):
+        calls.append(isinstance(sol, RadialSolution))
+        return solve(space, mus, sol)
+
+    monkeypatch.setattr(radial, "_connection_solve", counted)
+    monkeypatch.setattr(boundary, "_connection_solve", counted)
+    for suite, pairings in ((verify.check_connection, 1), (verify.check_wronskian, 3)):
+        calls.clear()
+        assert all(row.passed for row in suite())
+        assert calls == [False] * pairings, suite
+
+
+def test_a_batch_names_the_column_it_refuses():
+    # the scalar call's error type, naming that column's lambda: Q on hn:100
+    # passes the float range at t = 1e-4; phi at 1000.3 pairs with
+    # Q_-lambda past e^709; a solution that ends before log 2 has no pairing
+    entries = [continuation(H2, 0.7 + 0j, radial._q_second_kind),
+               continuation(_HN100, 0.7 + 0.3j, radial._q_second_kind)]
+    with pytest.raises(errors.OutOfRangeError, match=r"lambda = \(0\.7\+0\.3j\) overflows"):
+        radial.RadialBatch(entries).at(1e-4)
+    lams = [0.7 + 0j, 1000.3 + 0j]
+    with pytest.raises(errors.OutOfRangeError, match=r"lambda = \(1000\.3\+0j\)"):
+        radial.phi_pairings(H2, lams, (lams, [-lam for lam in lams]))
+    with pytest.raises(ValueError, match=r"lambda = \(0\.9\+0j\) ends at t = 0\.5, before"):
+        boundary_pair(H2, [0.7, 0.9], [phi_solution(H2, 0.7, 3.0), phi_solution(H2, 0.9, 0.5)])
+    with pytest.raises(ValueError, match=r"outside the range .* lambda = \(0\.9\+0j\)"):
+        radial.RadialBatch([phi_solution(H2, 0.7, 3.0), phi_solution(H2, 0.9, 0.5)]).at(1.0)
+    # a cache entry reads where eval_phi and eval_Q do: phi at t >= 0, Q at t > 0
+    phi, q = (continuation(H2, 0.7 + 0.3j, kind) for kind in (radial._phi_series,
+                                                               radial._q_second_kind))
+    assert radial.RadialBatch([phi])(0.0) == [1.0]
+    for entries, t in (([phi, q], 0.0), ([phi], -1.0)):
+        with pytest.raises(ValueError, match=r"outside the range .* lambda = \(0\.7\+0\.3j\)"):
+            radial.RadialBatch(entries).at(t)
+    with pytest.raises(errors.IllConditionedError, match="coincide"):
+        boundary_pair(H2, [0.7, 0.0], phi_solution(H2, [0.7, 0.0], 1.0))
+
+
+def test_a_solve_refuses_a_span_past_its_phase_budget():
+    # a step is at most 4 / |lambda| long whatever the phase: at the real
+    # lambda = 0.7 a span of 1e6 ran for more than 30 s.  A solve is refused
+    # where max |lambda| |t1 - t0| passes 1e5 radians, before its first step
+    for t1 in (1e6, 2.0 ** 60):
+        start = time.perf_counter()
+        with pytest.raises(errors.OutOfRangeError, match="radians"):
+            radial.integrate_radial_ode(H2, [0.7], (0.2, t1), [(1.0, 0.0)])
+        assert time.perf_counter() - start < 1.0, t1
+    sol, = radial.integrate_radial_ode(H2, [0.7], (0.2, 1e4), [(1.0, 0.0)])
+    assert sol.ts[-1] >= 1e4 and cmath.isfinite(sol(3000.0))
