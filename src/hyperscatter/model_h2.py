@@ -14,12 +14,13 @@ e^{(rho+lambda)A} an eigenfunction of the hyperbolic Laplacian — both are
 asserted in tests rather than assumed.
 
 Boundary quadrature is the periodic trapezoid rule (spectrally accurate for
-analytic integrands) with node doubling until the value settles; the Poisson
-peak has angular width ~ (1-|z|), so deep Fatou limits legitimately need
-tens of thousands of nodes and the doubling reuses previous levels.  The
-K-types e^{in theta} of one (lambda, t) share one quadrature: on the base ray
-the kernel is even in theta, so it and its t-derivative are sampled once per
-node set at the nodes in [0, pi] only, modes n and -n read one sum against
+analytic integrands) with node doubling until the value settles, reusing
+previous levels.  The Poisson peak has angular width ~ (1-|z|): on the base
+ray the nodes are graded towards it by a disk automorphism, so a deep Fatou
+limit needs about 1/sqrt(1-|z|) nodes, not 1/(1-|z|).  The K-types
+e^{in theta} of one (lambda, t) share one quadrature: the kernel is even in
+theta there, so it and its t-derivative are sampled once per node set at
+the nodes in [0, pi] only, modes n and -n read one sum against
 cos(|n| theta) (one cosine per degree, no nodes-by-K-types array), and the
 doubling stops when all of them have settled.
 
@@ -89,15 +90,15 @@ def _bracket_grid(z, thetas):
     return math.log1p(-abs(z) ** 2) - np.log(d2)
 
 
-def _ray_kernel(r, s, thetas):
-    """(e^{s A(r, theta)}, its t-derivative) at the real point z = r(t).
+def _ray_kernel(r, s, h):
+    """(e^{s A(r, theta)}, its t-derivative) at the real point z = r(t), from
+    h = sin^2(theta/2).
 
-    With h = sin^2(theta/2), |r - e^{i theta}|^2 = (1 - r)^2 + 4 r h, a sum
-    of positive terms that keeps its digits near theta = 0, and
+    |r - e^{i theta}|^2 = (1 - r)^2 + 4 r h, a sum of positive terms that
+    keeps its digits near theta = 0, and
     dA/dt = -r - (1 - r^2)(r - 1 + 2h) / |r - e^{i theta}|^2.  A real s
     takes a real power.
     """
-    h = np.sin(0.5 * thetas) ** 2
     d2 = (1.0 - r) ** 2 + 4.0 * r * h
     q = (1.0 - r) * (1.0 + r)
     kern = (q / d2) ** s.real if s.imag == 0.0 else np.exp(s * np.log(q / d2))
@@ -107,11 +108,13 @@ def _ray_kernel(r, s, thetas):
 def _trapezoid_doubling(node_sum, tol, cap=_MAX_NODES, first=64):
     """Mean of a periodic integrand over doubling grids until stable.
 
-    ``node_sum(thetas)`` returns the integrand summed over the nodes (an
-    array for integrands converged together, every entry to ``tol``);
-    previous levels are reused (the 2N-grid mean is the average of the
-    N-grid mean and the midpoint mean), from ``first`` nodes on.  Returns
-    (value, nodes_used, converged).
+    The grids are uniform on [0, 2pi).  ``node_sum(thetas)`` returns the
+    integrand summed over the nodes (an array for integrands converged
+    together, every entry to ``tol``); a caller that grades its nodes reads
+    the grid as the variable of its map and folds dtheta/dphi into the
+    integrand.  Previous levels are reused (the 2N-grid mean is the average
+    of the N-grid mean and the midpoint mean), from ``first`` nodes on.
+    Returns (value, nodes_used, converged).
     """
     n = first
     thetas = 2.0 * math.pi * np.arange(n) / n
@@ -158,44 +161,68 @@ def poisson_radial_pair(lam, n, t):
     A sequence of n gives a list of pairs: the kernel and its t-derivative
     are sampled once per node set for all of them, and the K-types converge
     jointly (the doubling stops when every one has settled to _POISSON_TOL).
-    The kernel is even in theta, so only the nodes in [0, pi] are sampled
+
+    The kernel peaks at theta = 0 with width about q = 1 - r, so the
+    trapezoid nodes are uniform in phi and graded in theta by the disk
+    automorphism tan(theta/2) = k tan(phi/2), which keeps the rule's
+    geometric convergence (Trefethen and Weideman, SIAM Review 56, 2014):
+    k = (1 - beta)/(1 + beta) with beta = max(0, 1 - sqrt(q (1 + max|n|))),
+    about sqrt(q)/2 deep on the ray, so the node count grows like 1/sqrt(q)
+    where uniform nodes grow like 1/q; high K-types, which oscillate on the
+    whole circle, turn the map off (k = 1).  The integrand in phi is the
+    kernel at theta(phi) times dtheta/dphi = k / (cos^2(phi/2) +
+    k^2 sin^2(phi/2)), and _ray_kernel reads sin^2(theta/2) =
+    k^2 sin^2(phi/2) / (cos^2(phi/2) + k^2 sin^2(phi/2)), which keeps its
+    digits near theta = 0.  theta(-phi) = -theta(phi) and theta(pi) = pi,
+    so the mapped integrand is even: only the nodes in [0, pi] are sampled
     (0 and pi once, the others twice), and n and -n share one sum against
-    cos(|n| theta).  N nodes read mode n with the modes n +- N, so the first
-    grid has at least 4 max|n|.  A non-integral n raises ValueError, as does
-    a t whose |r(t)| rounds to 1; a nan or infinite lambda or t
-    NonFiniteInputError, and a huge int lambda or t or an |n| whose first
-    grid leaves no doubling below 2^17 nodes OutOfRangeError.
+    cos(|n| theta).  N nodes read mode n with the modes n +- N k at phi = pi,
+    where dtheta/dphi = 1/k is largest, so the first grid has at least
+    4 max|n| / k nodes.
+
+    A non-integral n raises ValueError, as does a t whose |r(t)| rounds to
+    1; a nan or infinite lambda or t NonFiniteInputError, a huge int lambda
+    or t or an |n| whose first grid leaves no doubling below 2^17 nodes
+    OutOfRangeError, and a doubling that has not settled at 2^17 nodes
+    QuadratureError.
     """
     lam, t = as_complex("lambda", lam), as_float("t", t)
     many = np.ndim(n) > 0
     ns = list(n) if many else [n]
     if not ns:
         raise ValueError("need at least one K-type index n")
-    ns = [as_int("K-type index n", k) for k in ns]  # refuses 1.5, nan, inf
+    ns = [as_int("K-type index n", j) for j in ns]  # refuses 1.5, nan, inf
     top = max(map(abs, ns))
-    first = max(64, 1 << (4 * top - 1).bit_length())  # the power of two >= 4 |n|
-    if first > _MAX_NODES // 2:
-        raise OutOfRangeError(f"K-type index |n| = {top} needs more than {_MAX_NODES} "
-                              "trapezoid nodes")
     r = r_of_t(t)
     if not abs(r) < 1.0:
         raise ValueError(f"|z| = {abs(r)} not inside the disk")
+    first = _MAX_NODES  # k <= 1, so 4 |n| nodes are the least: a huge n meets no float
+    if 4 * top <= _MAX_NODES // 2:
+        beta = max(0.0, 1.0 - math.sqrt((1.0 - r) * (1 + top)))
+        k = (1.0 - beta) / (1.0 + beta)
+        first = max(64, 1 << (math.ceil(4 * top / k) - 1).bit_length())  # a power of two
+    if first > _MAX_NODES // 2:
+        raise OutOfRangeError(f"K-type index |n| = {top} needs more than {_MAX_NODES} "
+                              f"trapezoid nodes at t = {t}")
     s = _RHO + lam
-    degrees = {abs(k) for k in ns}
+    degrees = {abs(j) for j in ns}
 
-    def node_sum(thetas):
-        half = thetas[:np.searchsorted(thetas, math.pi, side="right")]
-        kern, dkern = _ray_kernel(r, s, half)
-        both = 2.0 * np.stack([kern, dkern])
-        # theta = 0 and pi are their own mirror images, counted once; a base
+    def node_sum(phis):
+        half = phis[:np.searchsorted(phis, math.pi, side="right")]
+        ks, c = k * np.sin(0.5 * half), np.cos(0.5 * half)
+        den = c * c + ks * ks
+        kern, dkern = _ray_kernel(r, s, ks * ks / den)
+        both = (2.0 * k / den) * np.stack([kern, dkern])
+        # phi = 0 and pi are their own mirror images, counted once; a base
         # grid of a power of two nodes holds both exactly
         if half[0] == 0.0:
             both[:, 0] *= 0.5
         if half[-1] == math.pi:
             both[:, -1] *= 0.5
+        thetas = 2.0 * np.arctan2(ks, c)
         # one cosine per degree: a (nodes x K-types) array would cost memory
-        sums = {m: both @ np.cos(m * half) if m else both.sum(axis=1) for m in degrees}
-        return np.array([sums[abs(k)] for k in ns])
+        sums = {m: both @ np.cos(m * thetas) if m else both.sum(axis=1) for m in degrees}
+        return np.array([sums[abs(j)] for j in ns])
 
     value, nn, ok = _trapezoid_doubling(node_sum, _POISSON_TOL, first=first)
     if not ok:

@@ -51,6 +51,12 @@ class RankOneSpace:
         object.__setattr__(self, "m_alpha", m_alpha)
         object.__setattr__(self, "m_2alpha", m_2alpha)
         object.__setattr__(self, "kappa", kappa)
+        # the dataclass hash of the fields, made once: every radial cache
+        # lookup hashes its space
+        object.__setattr__(self, "_hash", hash((m_alpha, m_2alpha, kappa)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def rho(self) -> float:

@@ -149,16 +149,18 @@ def test_poisson_quadratures_refuse_bad_input(monkeypatch):
 
 
 def test_fatou_suite_samples_half_the_circle(monkeypatch):
-    # the kernel is even in theta on the base ray: a node set of N angles is
-    # sampled at its N/2 + 1 or N/2 angles in [0, pi], so the suite's 20
-    # quadratures (112 node sets) take 65,556 kernel samples, where the full
-    # circle took 131,072; the doubling still stops where it did
+    # the kernel is even in theta on the base ray, and the graded nodes keep
+    # it even: a node set of N angles is sampled at its N/2 + 1 or N/2
+    # angles in [0, pi].  The suite's 20 quadratures take 65 node sets and
+    # 7,700 kernel samples and stop at 15,360 nodes in all; uniform nodes
+    # took 112 node sets, 65,556 samples and 131,072 nodes, doubling with
+    # every Fatou depth up to 32,768
     samples, ends = [], []
     ray_kernel, doubling = model_h2._ray_kernel, model_h2._trapezoid_doubling
 
-    def counted(r, s, thetas):
-        samples.append(len(thetas))
-        return ray_kernel(r, s, thetas)
+    def counted(r, s, h):
+        samples.append(len(h))
+        return ray_kernel(r, s, h)
 
     def recorded(*args, **kwargs):
         value, n, ok = doubling(*args, **kwargs)
@@ -168,9 +170,44 @@ def test_fatou_suite_samples_half_the_circle(monkeypatch):
     monkeypatch.setattr(model_h2, "_ray_kernel", counted)
     monkeypatch.setattr(model_h2, "_trapezoid_doubling", recorded)
     assert all(row.passed for row in check_fatou())
-    assert len(samples) == 112 and sum(samples) == 65_556
-    per_lambda = [128 << m for m in range(9)] + [128]  # nine Fatou depths, then log 2
-    assert ends == 2 * per_lambda
+    assert len(samples) == 65 and sum(samples) == 7_700
+    # per lambda: nine Fatou depths, then log 2
+    assert ends == [128, 256, 512, 512, 512, 1024, 1024, 1024, 2048, 128,
+                    128, 256, 512, 512, 512, 1024, 1024, 2048, 2048, 128]
+    assert sum(ends) == 15_360
+
+
+# the node counts at which uniform nodes settled, for the cases of
+# test_high_ktypes_match_mpmath (lambda = 0.7) and
+# test_ktype_profile_matches_poisson_quadrature (the five lambda of its loop,
+# and -3/2 at n = 3), by (|n|, t)
+_UNIFORM_NODES = [
+    ((0.7,), {(64, 1.0): 512, (64, 3.0): 1024, (128, 1.0): 1024, (128, 3.0): 1024,
+              (150, 1.0): 2048, (150, 3.0): 2048, (400, 1.0): 4096, (400, 3.0): 4096,
+              (600, 1.0): 8192, (600, 3.0): 8192}),
+    ((1.1, 0.8 - 0.6j, 0.5, 1.0, 1.5),
+     {(n, t): 256 if t == 2.0 else 128 for n in range(4) for t in (0.3, 0.8, 2.0)}),
+    ((-1.5,), {(3, 0.8): 128, (3, 2.0): 128}),
+]
+
+
+def test_graded_nodes_take_no_more_nodes_than_uniform_ones(monkeypatch):
+    # the grading turns itself off (k = 1) where high K-types leave it
+    # nothing to gain, so no case takes more nodes than uniform ones did
+    ends = []
+    doubling = model_h2._trapezoid_doubling
+
+    def recorded(*args, **kwargs):
+        value, n, ok = doubling(*args, **kwargs)
+        ends.append(n)
+        return value, n, ok
+
+    monkeypatch.setattr(model_h2, "_trapezoid_doubling", recorded)
+    for lams, uniform in _UNIFORM_NODES:
+        for (n, t), most in uniform.items():
+            for lam in lams:
+                poisson_radial_pair(lam, n, t)
+                assert ends.pop() <= most, (lam, n, t)
 
 
 @pytest.mark.parametrize("lam", [0.7, 1.1 - 0.3j, 0.8 + 0.6j])
@@ -185,6 +222,21 @@ def test_poisson_radial_pair_matches_mpmath_at_the_fatou_depths(lam, t):
         want, dwant = _mp_ktype_pair(lam, n, t)
         assert abs(u - want) < 1e-12 * abs(want), (n, "u")
         assert abs(du - dwant) < 1e-12 * abs(dwant), (n, "du")
+
+
+@pytest.mark.parametrize("t", [9.0, 10.0])
+def test_poisson_radial_pair_answers_past_the_uniform_nodes_reach(t):
+    # uniform nodes did not settle by 2^17 nodes past t = 8.3 and raised
+    # QuadratureError; graded ones take about 1/sqrt(1 - r) nodes.  Measured
+    # worst 1.7e-13 relative (5.3e-14 at lambda = 0.7), almost all of it the
+    # rounding of r = tanh(t/2): against the profile at the t of the float r
+    # it is 2.1e-15
+    for lam in (0.7, 1.1 - 0.3j, 0.8 + 0.6j):
+        pairs = poisson_radial_pair(lam, range(-4, 5), t)
+        for n, (u, du) in zip(range(-4, 5), pairs):
+            want, dwant = _mp_ktype_pair(lam, n, t)
+            assert abs(u - want) < 1e-12 * abs(want), (lam, n, "u")
+            assert abs(du - dwant) < 1e-12 * abs(dwant), (lam, n, "du")
 
 
 @pytest.mark.parametrize("call", [

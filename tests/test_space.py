@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hyperscatter.errors import NonFiniteInputError, OutOfRangeError
+from hyperscatter.radial import _phi_series, _series, continuation
 from hyperscatter.space import RankOneSpace, make_space, space_from_name
 
 EXPECTED_FAMILIES = {
@@ -165,3 +166,14 @@ def test_spaces_are_frozen_and_hashable():
     with pytest.raises(AttributeError):
         space.m_alpha = 3
     assert len({space_from_name(n) for n in ("h2", "h2", "h3")}) == 2
+
+
+def test_equal_spaces_hash_alike_and_share_cache_entries():
+    # the hash is made once per space; equality still compares the fields,
+    # so two spaces built apart find each other's radial cache entries
+    a, b = RankOneSpace(3, 1), make_space(3, 1, 1)
+    assert a is not b and a == b and hash(a) == hash(b) == hash((3, 1, 1.0))
+    assert a != RankOneSpace(3, 1, 2.0) and a != RankOneSpace(4, 1)
+    assert continuation(a, 0.7 + 0.1j, _phi_series) is continuation(b, 0.7 + 0.1j, _phi_series)
+    assert _series(a, 0.7 + 0.1j) is _series(b, 0.7 + 0.1j)
+    assert {a: 1}[b] == 1
