@@ -90,19 +90,20 @@ def _bracket_grid(z, thetas):
     return math.log1p(-abs(z) ** 2) - np.log(d2)
 
 
-def _ray_kernel(r, s, h):
+def _ray_kernel(ray, s, h):
     """(e^{s A(r, theta)}, its t-derivative) at the real point z = r(t), from
-    h = sin^2(theta/2).
+    ray = (r, 1 - r, 1 + r) and h = sin^2(theta/2).
 
     |r - e^{i theta}|^2 = (1 - r)^2 + 4 r h, a sum of positive terms that
     keeps its digits near theta = 0, and
-    dA/dt = -r - (1 - r^2)(r - 1 + 2h) / |r - e^{i theta}|^2.  A real s
+    dA/dt = -r - (1 - r^2)(2h - (1 - r)) / |r - e^{i theta}|^2.  A real s
     takes a real power.
     """
-    d2 = (1.0 - r) ** 2 + 4.0 * r * h
-    q = (1.0 - r) * (1.0 + r)
+    r, minus, plus = ray
+    d2 = minus ** 2 + 4.0 * r * h
+    q = minus * plus
     kern = (q / d2) ** s.real if s.imag == 0.0 else np.exp(s * np.log(q / d2))
-    return kern, s * (-r - q * (r - 1.0 + 2.0 * h) / d2) * kern
+    return kern, s * (-r - q * (2.0 * h - minus) / d2) * kern
 
 
 def _trapezoid_doubling(node_sum, tol, cap=_MAX_NODES, first=64):
@@ -196,9 +197,12 @@ def poisson_radial_pair(lam, n, t):
     r = r_of_t(t)
     if not abs(r) < 1.0:
         raise ValueError(f"|z| = {abs(r)} not inside the disk")
+    # 1 - r and 1 + r from t itself: 1 - r of the float r keeps only the
+    # digits of r past its leading ones (1e-13 off at t = 9)
+    ray = (r, 2.0 / (1.0 + math.exp(t)), 2.0 / (1.0 + math.exp(-t)))
     first = _MAX_NODES  # k <= 1, so 4 |n| nodes are the least: a huge n meets no float
     if 4 * top <= _MAX_NODES // 2:
-        beta = max(0.0, 1.0 - math.sqrt((1.0 - r) * (1 + top)))
+        beta = max(0.0, 1.0 - math.sqrt(ray[1] * (1 + top)))
         k = (1.0 - beta) / (1.0 + beta)
         first = max(64, 1 << (math.ceil(4 * top / k) - 1).bit_length())  # a power of two
     if first > _MAX_NODES // 2:
@@ -211,7 +215,7 @@ def poisson_radial_pair(lam, n, t):
         half = phis[:np.searchsorted(phis, math.pi, side="right")]
         ks, c = k * np.sin(0.5 * half), np.cos(0.5 * half)
         den = c * c + ks * ks
-        kern, dkern = _ray_kernel(r, s, ks * ks / den)
+        kern, dkern = _ray_kernel(ray, s, ks * ks / den)
         both = (2.0 * k / den) * np.stack([kern, dkern])
         # phi = 0 and pi are their own mirror images, counted once; a base
         # grid of a power of two nodes holds both exactly

@@ -13,6 +13,11 @@ resonances, in the lower half-plane they sit among the candidate lattice
 zeta = -i k/2 (poles of the standard intertwiner), and zeta = 0 is never a
 pole (the c-function pole at 0 cancels it).
 
+``scalar`` maps a number to a complex and a numpy array to the array of s
+values, read by one array pass over c at i zeta and -i zeta; the first
+element of an array at a pole of s, or at zeta = 0, raises as the scalar
+call raises on it, residue included.
+
 On the hyperbolic plane the operator is diagonal on circle Fourier modes
 (K-types), each of which is one-dimensional here, so the full operator is
 represented by its eigenvalue sequence.  The n-th K-type profile is
@@ -37,7 +42,7 @@ import numpy as np
 
 from . import model_h2
 from .cfunction import for_space
-from .errors import PoleSignal, as_complex, as_float
+from .errors import PoleSignal, as_array, as_complex, as_float
 from .radial import connection_coefficients, phi_pairings
 from .resonances import ResonanceRecord, certified_rungs, circle_moment, circle_nodes
 
@@ -79,7 +84,18 @@ def scalar(space, zeta):
     Returns 0 where c(i zeta) has a pole, and raises PoleSignal (with the
     scalar residue in zeta attached) where the ratio itself has a pole:
     at resonances c(i zeta) = 0, and at intertwiner poles c(-i zeta) = inf.
+    zeta = 0 raises ValueError.
+
+    A numpy array of zeta gives the array of s values, from one array pass
+    over c at i zeta and -i zeta (_expand, no slope): within a few ulps of
+    the scalar calls, whose complex exp and division it takes from numpy.
+    The array is gated as c's array pass gates it (a nan or infinite
+    element, |zeta| >= 2^52 or |c| past the float range); then its first
+    element at zeta = 0, a resonance or an intertwiner pole is handed to
+    the scalar call, which raises there exactly as it raises alone.
     """
+    if isinstance(zeta, np.ndarray):
+        return _scalars(space, zeta)
     zeta = as_complex("zeta", zeta)
     if abs(zeta) < _ORIGIN_TOL:
         raise ValueError("zeta = 0 is excluded: it is never a scattering pole")
@@ -106,6 +122,23 @@ def scalar(space, zeta):
             residue=_intertwiner_residue(sig.residue, den),
         ) from sig
     return num / den
+
+
+def _scalars(space, zeta):
+    """scalar over the array zeta; see scalar."""
+    zeta = as_array("zeta", zeta, complex)
+    lam = 1j * zeta.ravel()
+    order, lead, _ = for_space(space)._expand(np.concatenate((lam, -lam)), slope=False)
+    den, num = np.split(np.where(order > 0, 0j, lead), 2)
+    den_finite, num_finite = np.split(order >= 0, 2)
+    # the scalar call raises at zeta = 0, at a zero of c(i zeta) (a
+    # resonance) and at a pole of c(-i zeta) where c(i zeta) is finite
+    refused = (np.abs(lam) < _ORIGIN_TOL) | (den_finite & ((den == 0) | ~num_finite))
+    if refused.any():
+        scalar(space, complex(zeta.flat[np.flatnonzero(refused)[0]]))
+    out = np.zeros(lam.shape, dtype=complex)  # 0 at a pole of c(i zeta)
+    np.divide(num, den, out=out, where=den_finite)
+    return out.reshape(zeta.shape)
 
 
 def ktype_eigenvalue(zeta, n):
@@ -175,7 +208,7 @@ def residue_relation_check(rec: ResonanceRecord):
     space = model_h2.H2
     cf = for_space(space)
     z0 = as_complex("zeta", rec.zeta)
-    svals = np.array([scalar(space, z) for z in circle_nodes(z0)])
+    svals = scalar(space, circle_nodes(z0))
     scattering_side = complex(circle_moment(svals, 0))
 
     lam = 1j * z0  # -L

@@ -77,6 +77,16 @@ def _grid_points(spaces):
             for lam in lambda_grid()]
 
 
+def _grid_c(spaces, signs):
+    """c(s lambda) over _grid_points(spaces), one row per sign s: one array
+    read of c per space."""
+    grid = np.array(lambda_grid())
+    args = np.concatenate([s * grid for s in signs])
+    vals = np.array([for_space(space).value(args).reshape(len(signs), -1)
+                     for _, space in _families(spaces)])
+    return vals.transpose(1, 0, 2).reshape(len(signs), -1)
+
+
 # -- 1: connection identity --------------------------------------------------
 
 def check_connection(spaces=None):
@@ -92,8 +102,9 @@ def check_connection(spaces=None):
     closed-form c values, which stays fully discriminating at those points.
     phi is one batched solve over every family and grid point (125 lambdas
     for the five families), Q_{-lambda} and Q_lambda (continued down to
-    t = 0.5) one of 250; each is read by one RadialBatch per t, and the
-    boundary pairs by one batched pairing.
+    t = 0.5) one of 250; each is read by one RadialBatch per t, the
+    boundary pairs by one batched pairing, and c(+-lambda) by one array read
+    per space.
     """
     ts = (0.5, 1.0, 2.0, 5.0)
     points = _grid_points(spaces)
@@ -101,8 +112,7 @@ def check_connection(spaces=None):
     count = len(lams)
     phis = phi_solution(grid_spaces, lams, 5.2)
     qs = q_solution(grid_spaces * 2, [-lam for lam in lams] + list(lams), min(ts))
-    cp, cm = (np.array([for_space(space).value(s * lam) for space, lam in zip(grid_spaces, lams)])
-              for s in (1, -1))
+    cp, cm = _grid_c(spaces, (1, -1))
     pairs = boundary_pair(grid_spaces, lams, phis)
     worst = np.maximum(abs(np.array([p.a_minus for p in pairs]) - cp) / abs(cp),
                        abs(np.array([p.a_plus for p in pairs]) - cm) / abs(cm))
@@ -128,11 +138,11 @@ def check_wronskian(spaces=None):
     J Q', which the closed-form c gives on the right.  The row is the worst
     relative gap over t = 0.8, 1, 1.2, where phi is its Jacobi series and Q
     its Frobenius series, so the left side reads no c and integrates
-    nothing: one batched pairing per t over every family and grid point.
+    nothing: one batched pairing per t over every family and grid point,
+    and c by one array read per space.
     """
     names, grid_spaces, lams = zip(*_grid_points(spaces))
-    target = np.array([-2.0 * lam * for_space(space).value(lam)
-                       for space, lam in zip(grid_spaces, lams)])
+    target = -2.0 * np.array(lams) * _grid_c(spaces, (1,))[0]
     gap = np.zeros(len(lams))
     for t in _ABEL_TS:
         gap = np.maximum(gap, abs(np.array(abel_wronskian(grid_spaces, lams, t)) - target))
@@ -267,28 +277,29 @@ def check_fatou(spaces=None):
 # -- 7: scattering inversion and unitarity -----------------------------------
 
 def check_scattering(spaces=None):
+    """s(z) s(-z) = 1 on a 10x10 grid, |s| = 1 on the real axis, s = -1 on
+    H^3, and s against the K-type route on H^2.  A family's grid and its
+    three real points are one array call: the grid is its own negation,
+    reversed (its real parts and the symmetric linspace of its imaginary
+    parts are), so s(-z) is the same array read backwards.  The H^3 and
+    K-type rows are one array call each."""
     rows = []
-    res = [0.25, 0.8, 1.35, 1.9, 2.45]
-    grid = [complex(s * re, im) for re in res for s in (1, -1)
-            for im in np.linspace(-1.1, 1.1, 10)]
+    res = np.array([0.25, 0.8, 1.35, 1.9, 2.45])
+    grid = (np.concatenate((-res[::-1], res))[:, None]
+            + 1j * np.linspace(-1.1, 1.1, 10)).ravel()
+    points = np.concatenate((grid, [0.5, 1.0, 3.0]))
     for name, space in _families(spaces):
-        worst = max(
-            abs(scattering.scalar(space, z) * scattering.scalar(space, -z) - 1.0)
-            for z in grid
-        )
-        rows.append(_row("scattering", f"{name} inversion 10x10", worst, 1e-10))
-        worst = max(
-            abs(abs(scattering.scalar(space, z)) - 1.0) for z in (0.5, 1.0, 3.0)
-        )
-        rows.append(_row("scattering", f"{name} unitarity", worst, 1e-10))
+        svals = scattering.scalar(space, points)
+        inversion = svals[:grid.size] * svals[grid.size - 1::-1]
+        rows.append(_row("scattering", f"{name} inversion 10x10",
+                         np.max(abs(inversion - 1.0)), 1e-10))
+        rows.append(_row("scattering", f"{name} unitarity",
+                         np.max(abs(abs(svals[grid.size:]) - 1.0)), 1e-10))
     h3 = space_from_name("h3")
-    worst = max(
-        abs(scattering.scalar(h3, z) + 1.0)
-        for z in (0.5, 1.0, 3.0, 0.8 + 0.3j, -2.2 + 0.1j)
-    )
-    rows.append(_row("scattering", "h3 scalar == -1", worst, 1e-12))
-    for zeta in (0.8, 1.2, 0.9 + 0.2j):
-        sv = scattering.scalar(model_h2.H2, zeta)
+    svals = scattering.scalar(h3, np.array([0.5, 1.0, 3.0, 0.8 + 0.3j, -2.2 + 0.1j]))
+    rows.append(_row("scattering", "h3 scalar == -1", np.max(abs(svals + 1.0)), 1e-12))
+    zetas = (0.8, 1.2, 0.9 + 0.2j)
+    for zeta, sv in zip(zetas, scattering.scalar(model_h2.H2, np.array(zetas))):
         kv = scattering.ktype_eigenvalue(zeta, 0)
         rows.append(_row("scattering", f"h2 ktype n=0 zeta={zeta:g}",
                          abs(kv - sv) / abs(sv), 1e-8))

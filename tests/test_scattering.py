@@ -5,9 +5,12 @@ import cmath
 import math
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hyperscatter import scattering
+from hyperscatter import scattering, verify
 from hyperscatter.boundary import boundary_pair
 from hyperscatter.cfunction import CFunction, for_space
 from hyperscatter.errors import NonFiniteInputError, PoleSignal, ResonantExponentError
@@ -26,6 +29,7 @@ from hyperscatter.scattering import (
     scalar,
 )
 from hyperscatter.space import space_from_name
+from hyperscatter.verify import FAMILY_NAMES
 
 H2 = space_from_name("h2")
 H3 = space_from_name("h3")
@@ -280,3 +284,137 @@ def test_scalar_phase_symmetry_on_real_axis():
     for zeta in (0.6, 1.9):
         assert abs(scalar(H2, -zeta)
                    - scalar(H2, zeta).conjugate()) < 1e-12
+
+
+# -- the array form of scalar -------------------------------------------------
+
+# the array form takes its complex exp and division from numpy: measured
+# worst 2.2e-16 relative against the scalar calls, on the verify grid of
+# the five families and on 2,000 points near and off the lattice
+_ARRAY_BOUND = 4.5e-16
+
+
+def _scalar_calls(space, zetas):
+    """(the scalar calls' values, None), or (None, the first one's exception)."""
+    try:
+        return [scalar(space, z) for z in zetas], None
+    except (ValueError, ArithmeticError) as exc:
+        return None, exc
+
+
+def _assert_raises_as_scalar(space, zetas, want):
+    with pytest.raises(type(want)) as info:
+        scalar(space, np.array(zetas))
+    got = info.value
+    assert str(got) == str(want)
+    assert getattr(got, "at", None) == getattr(want, "at", None)
+    assert getattr(got, "residue", None) == getattr(want, "residue", None)
+
+
+# a point of the half-integer lattice i k/2 (where c(i zeta) or c(-i zeta)
+# has a zero or a pole), one near it, or one off it
+_zetas = st.lists(st.one_of(
+    st.builds(lambda k: 0.5j * k, st.integers(-12, 12)),
+    st.builds(lambda k, size, turn: 0.5j * k + size * cmath.exp(1j * turn),
+              st.integers(-12, 12), st.floats(1e-11, 1e-2), st.floats(0.0, 2.0 * math.pi)),
+    st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False),
+), min_size=1, max_size=8)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(FAMILY_NAMES), zetas=_zetas)
+def test_scalar_array_matches_the_scalar_calls(name, zetas):
+    # elementwise within a few ulps, or the scalar calls' first exception
+    space = space_from_name(name)
+    want, exc = _scalar_calls(space, zetas)
+    if exc is not None:
+        _assert_raises_as_scalar(space, zetas, exc)
+        return
+    got = scalar(space, np.array(zetas))
+    assert got.shape == (len(zetas),) and got.dtype == complex
+    for z, g, w in zip(zetas, got.tolist(), want):
+        assert abs(g - w) <= _ARRAY_BOUND * abs(w), (name, z)
+
+
+def test_scalar_array_on_the_verify_grids():
+    # every verify family on the scattering suite's grid, with its shape kept
+    grid = np.linspace(-2.45, 2.45, 10)[:, None] + 1j * np.linspace(-1.1, 1.1, 10)
+    for name in FAMILY_NAMES:
+        space = space_from_name(name)
+        got = scalar(space, grid)
+        assert got.shape == grid.shape
+        for z, g in zip(grid.ravel().tolist(), got.ravel().tolist()):
+            w = scalar(space, z)
+            assert abs(g - w) <= _ARRAY_BOUND * abs(w), (name, z)
+
+
+def test_scalar_array_is_zero_at_the_poles_of_c():
+    # c(i zeta) has a pole at zeta = i and 2i on h2 and hhn:2, where the
+    # scalar call returns 0j without reading c(-i zeta)
+    for name in ("h2", "hhn:2"):
+        space = space_from_name(name)
+        got = scalar(space, np.array([1j, 0.7, 2j]))
+        assert got[0] == got[2] == 0j == scalar(space, 1j) == scalar(space, 2j), name
+        assert abs(got[1] - scalar(space, 0.7)) <= _ARRAY_BOUND * abs(got[1]), name
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("h2", 0.5j),                    # a resonance: c(i zeta) = 0
+    ("h2", 1.5j),
+    ("chn:2", 2j),
+    ("h2", -1j),                     # an intertwiner pole: c(-i zeta) = inf
+    ("oh2", -6j),
+    ("h2", 0.0),                     # zeta = 0: ValueError
+    ("h3", 1e-14j),
+    ("h2", math.nan),                # the gate
+    ("h2", complex(0.3, math.inf)),
+], ids=["resonance", "resonance 1.5i", "resonance chn:2", "intertwiner",
+        "intertwiner oh2", "origin", "near origin", "nan", "inf"])
+def test_scalar_array_raises_as_the_scalar_call(name, bad):
+    # type, message, at and residue of the scalar call on the element; the
+    # first faulty element raises, whatever follows it
+    space = space_from_name(name)
+    _, exc = _scalar_calls(space, [bad])
+    assert exc is not None
+    for zetas in ([bad], [0.7, bad], [0.7 + 0.2j, bad, 0.5j, -1j, 0.0]):
+        _assert_raises_as_scalar(space, zetas, exc)
+
+
+def test_suites_read_their_grids_with_one_array_pass(monkeypatch):
+    # check_scattering made 1,023 scalar() calls a pass, and
+    # residue_relation_check one per circle node (64): each two scalar
+    # _local passes.  Now a family's inversion grid is one array pass over
+    # its 100 points, its 3 unitarity points and their negatives, and the
+    # circle one over its 64 nodes; check_connection and check_wronskian read c at 250 and 125
+    # grid points one by one, now with one array read per space
+    for name in FAMILY_NAMES:
+        for_space(space_from_name(name))  # a new CFunction makes one _local pass
+    scalar_lams, array_sizes = [], []
+    local, expand = CFunction._local, CFunction._expand
+
+    def counted_local(self, lam, slope):
+        scalar_lams.append((self.space, lam))
+        return local(self, lam, slope)
+
+    def counted_expand(self, lam, slope):
+        array_sizes.append(lam.size)
+        return expand(self, lam, slope)
+
+    monkeypatch.setattr(CFunction, "_local", counted_local)
+    monkeypatch.setattr(CFunction, "_expand", counted_expand)
+    assert all(row.passed for row in verify.check_scattering())
+    assert scalar_lams == []
+    # a family's grid and its three unitarity points, at i zeta and -i zeta
+    assert array_sizes.count(206) == len(FAMILY_NAMES)
+    for rec in enumerate_resonances(H2, 2):
+        scalar_lams.clear()
+        array_sizes.clear()
+        residue_relation_check(rec)
+        assert array_sizes == [128]
+        # c(-i zeta) at the resonance itself, on the resolvent side
+        assert scalar_lams == [(H2, -1j * rec.zeta)]
+    for suite, size in ((verify.check_connection, 50), (verify.check_wronskian, 25)):
+        scalar_lams.clear()
+        array_sizes.clear()
+        assert all(row.passed for row in suite())
+        assert scalar_lams == [] and array_sizes == [size] * len(FAMILY_NAMES), suite
